@@ -12,6 +12,7 @@ stores its arrows in display order, i.e. ``arrows[0]`` is applied last and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .errors import ValidationError
@@ -130,6 +131,21 @@ class TruncatedAlgebra:
             counts[self.vertex_pos(a.target)] += layer[self.vertex_pos(a.source)]
         return tuple(counts)
 
+    @cached_property
+    def path_counts(self) -> dict[str, tuple[DimensionVector, ...]]:
+        """Transfer-matrix table: ``path_counts[v][l][j]`` counts the length-l paths v -> j.
+
+        Row l+1 is the extension count of row l, so the rows from v are the
+        powers of the arrow adjacency matrix applied to e_v, l = 0..L.
+        """
+        table = {}
+        for i, v in enumerate(self.vertices):
+            rows = [tuple(int(i == j) for j in range(self.n))]
+            for _ in range(self.L):
+                rows.append(self.extension_counts(rows[-1]))
+            table[v] = tuple(rows)
+        return table
+
     def __repr__(self):
         return f"TruncatedAlgebra({self.quiver!r}, L={self.L})"
 
@@ -202,35 +218,29 @@ def enumerate_paths(alg: TruncatedAlgebra, start: str, length: int) -> list[Path
     return paths
 
 
-def count_paths(alg: TruncatedAlgebra, start: str, length: int) -> int:
-    return len(enumerate_paths(alg, start, length))
+def truncated_dim_vector(alg: TruncatedAlgebra, vertex: str, m: int) -> DimensionVector:
+    """Dimension vector of Lambda e / J^m e at ``vertex``: endpoints of the paths of length < m."""
+    alg.vertex_pos(vertex)
+    rows = alg.path_counts[vertex][:m]
+    return tuple(sum(row[j] for row in rows) for j in range(alg.n))
 
 
 def projective_dim(alg: TruncatedAlgebra, vertex: str) -> int:
     """K-dimension of the indecomposable projective at ``vertex``: all paths of length <= L."""
-    return sum(count_paths(alg, vertex, l) for l in range(alg.L + 1))
+    return sum(projective_dim_vector(alg, vertex))
 
 
 def projective_dim_vector(alg: TruncatedAlgebra, vertex: str) -> DimensionVector:
     """Dimension vector of the indecomposable projective at ``vertex``."""
-    dims = [0] * alg.n
-    for l in range(alg.L + 1):
-        for p in enumerate_paths(alg, vertex, l):
-            dims[alg.vertex_pos(alg.path_end(p))] += 1
-    return tuple(dims)
+    return truncated_dim_vector(alg, vertex, alg.L + 1)
 
 
 def projective_layering(alg: TruncatedAlgebra, S0: DimensionVector) -> SemisimpleSequence:
     """Radical layering of the projective cover of the top S0."""
-    layers = []
-    for l in range(alg.L + 1):
-        row = [0] * alg.n
-        for v in alg.vertices:
-            for _ in range(S0[alg.vertex_pos(v)]):
-                for p in enumerate_paths(alg, v, l):
-                    row[alg.vertex_pos(alg.path_end(p))] += 1
-        layers.append(tuple(row))
-    return SemisimpleSequence(tuple(layers))
+    return SemisimpleSequence(tuple(
+        tuple(sum(S0[i] * alg.path_counts[v][l][j] for i, v in enumerate(alg.vertices))
+              for j in range(alg.n))
+        for l in range(alg.L + 1)))
 
 
 def _partial_sums(S: SemisimpleSequence):
@@ -324,7 +334,7 @@ def algebra_from_json(data: dict) -> TruncatedAlgebra:
         vertices = data["vertices"]
         arrows = [Arrow(str(a["name"]), str(a["source"]), str(a["target"])) for a in data["arrows"]]
         L = int(data["max_path_length"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed algebra input: {exc}") from None
     return TruncatedAlgebra(Quiver(vertices, arrows), L)
 

@@ -22,7 +22,7 @@ from .algebra_core import (
     enumerate_sequences,
 )
 from .components import component_report, report_to_json
-from .errors import EnumerationCapError, GenrepError, ValidationError
+from .errors import EnumerationCapError, GenrepError, SeedStabilityError, ValidationError
 from .generic_builder import (
     bundle_report_to_json,
     bundle_tower,
@@ -263,6 +263,7 @@ def cmd_critical(args):
 
 
 def cmd_generic(args):
+    """``generic`` and ``hypergraph``: the generic presentation as DOT, or as JSON."""
     alg = _algebra(args)
     S = _sequence(args, alg)
     pres = generic_presentation(alg, S, graded=args.graded)
@@ -270,18 +271,9 @@ def cmd_generic(args):
         print(skeleton_dot(alg, pres.skeleton, with_critical=True,
                            with_hyperedges=True, presentation=pres))
         return 0
+    if args.command == "hypergraph":
+        return _emit(hypergraph_to_json(hypergraph(pres)))
     return _emit(presentation_to_json(pres))
-
-
-def cmd_hypergraph(args):
-    alg = _algebra(args)
-    S = _sequence(args, alg)
-    pres = generic_presentation(alg, S, graded=args.graded)
-    if args.format == "dot":
-        print(skeleton_dot(alg, pres.skeleton, with_critical=True,
-                           with_hyperedges=True, presentation=pres))
-        return 0
-    return _emit(hypergraph_to_json(hypergraph(pres)))
 
 
 def cmd_geometry(args):
@@ -331,14 +323,14 @@ def cmd_ext(args):
     seeds = _seeds(args)
     if S2 is None:
         # self-Ext: resolve G(S) against the same materialized module
+        pres = generic_presentation(alg, S)
         details = []
         for sd in seeds:
-            pres = generic_presentation(alg, S)
             rep_n = materialize(pres, seeded_assignment(pres, sd, fs), fs)
             details.append(ext_dim_detail(alg, S, rep_n, args.k, [sd], fs))
         values = {d["value"] for d in details}
         if len(values) > 1:
-            raise GenrepError(f"ext value varies across seeds: {details}")
+            raise SeedStabilityError(f"ext value varies across seeds: {details}")
         data = {"ext_dim": values.pop(), "k": args.k,
                 "per_seed": [d["per_seed"][0] for d in details]}
     else:
@@ -431,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--graded", action="store_true")
     p.add_argument("--dot", dest="format", action="store_const", const="dot")
-    p.set_defaults(func=cmd_hypergraph)
+    p.set_defaults(func=cmd_generic)
 
     p = sub.add_parser("geometry", help="bundle-tower dimensions N, N0, N1")
     common(p)

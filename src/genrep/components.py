@@ -26,41 +26,24 @@ from .algebra_core import (
 )
 from .errors import UnrealizableError, ValidationError
 from .matrix_rep import FieldSpec, generic_socle
-from .skeleta import Skeleton, canonical_skeleton
 
 
-def annihilating_arrows(alg: TruncatedAlgebra, S: SemisimpleSequence,
-                        skeleton: Skeleton | None = None) -> frozenset[str]:
+def annihilating_arrows(alg: TruncatedAlgebra, S: SemisimpleSequence) -> frozenset[str]:
     """Arrows that kill every module with radical layering S.
 
-    An arrow qualifies when every skeleton member ending at its source dies
-    under extension: the extension is longer than L, or is critical with an
-    empty sigma-set.  The answer only depends on layer counts, so it is
-    independent of the compatible skeleton used.
+    An arrow i -> j qualifies when every skeleton member at i dies under
+    extension: the extension is longer than L, or is critical with an empty
+    sigma-set.  A member of length l < L at i exists iff S_l[i] > 0, and its
+    extension survives iff vertex j occurs in some layer l+1..L, so the
+    answer only depends on layer counts, never on the skeleton.
     """
-    if skeleton is None:
-        if not realizable(alg, S):
-            raise UnrealizableError(f"{S} is not realizable")
-        skeleton = canonical_skeleton(alg, S)
+    if not realizable(alg, S):
+        raise UnrealizableError(f"{S} is not realizable")
     tails = _tail_sums(alg, S)
     out = []
     for a in alg.quiver.arrows:
-        kills_all = True
-        for el in skeleton.elements:
-            r, p = el
-            if alg.path_end(p) != a.source:
-                continue
-            if p.length + 1 > alg.L:
-                continue
-            ext = alg.extend(p, a)
-            if (r, ext) in skeleton:
-                kills_all = False
-                break
-            if tails[ext.length][alg.vertex_pos(a.target)]:
-                # nonempty sigma-set: the critical extension survives generically
-                kills_all = False
-                break
-        if kills_all:
+        i, j = alg.vertex_pos(a.source), alg.vertex_pos(a.target)
+        if not any(S.layers[l][i] and tails[l + 1][j] for l in range(alg.L)):
             out.append(a.name)
     return frozenset(out)
 

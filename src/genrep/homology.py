@@ -17,9 +17,8 @@ from .algebra_core import (
     DimensionVector,
     SemisimpleSequence,
     TruncatedAlgebra,
-    count_paths,
-    enumerate_paths,
     realizable,
+    truncated_dim_vector,
 )
 from .errors import UnrealizableError, ValidationError
 from .skeleta import Skeleton, canonical_skeleton, critical_paths
@@ -37,22 +36,19 @@ class CyclicType:
 
 
 def cyclic_dim(alg: TruncatedAlgebra, c: CyclicType) -> int:
-    return sum(count_paths(alg, c.vertex, l) for l in range(min(c.truncation, alg.L + 1)))
+    return sum(cyclic_dim_vector(alg, c))
 
 
 def cyclic_dim_vector(alg: TruncatedAlgebra, c: CyclicType) -> DimensionVector:
-    dims = [0] * alg.n
-    for l in range(min(c.truncation, alg.L + 1)):
-        for p in enumerate_paths(alg, c.vertex, l):
-            dims[alg.vertex_pos(alg.path_end(p))] += 1
-    return tuple(dims)
+    return truncated_dim_vector(alg, c.vertex, c.truncation)
 
 
 def is_projective(alg: TruncatedAlgebra, c: CyclicType) -> bool:
     """Lambda e / J^m e is projective iff m = L+1 or J^m e = 0."""
     if not 1 <= c.truncation <= alg.L + 1:
         raise ValidationError(f"truncation {c.truncation} out of range 1..{alg.L + 1}")
-    return c.truncation == alg.L + 1 or count_paths(alg, c.vertex, c.truncation) == 0
+    alg.vertex_pos(c.vertex)
+    return c.truncation == alg.L + 1 or not any(alg.path_counts[c.vertex][c.truncation])
 
 
 class SyzygyProfile:
@@ -120,10 +116,9 @@ def syzygy_of_cyclic(alg: TruncatedAlgebra, c: CyclicType) -> SyzygyProfile:
     """Syzygy of Lambda e / J^m e: one summand (end(u), L+1-m) per length-m path u."""
     if is_projective(alg, c):
         return SyzygyProfile([])
-    return SyzygyProfile([
-        CyclicType(alg.path_end(u), alg.L + 1 - c.truncation)
-        for u in enumerate_paths(alg, c.vertex, c.truncation)
-    ])
+    return SyzygyProfile(
+        (CyclicType(w, alg.L + 1 - c.truncation), k)
+        for w, k in zip(alg.vertices, alg.path_counts[c.vertex][c.truncation]))
 
 
 def _omega(alg: TruncatedAlgebra, profile: SyzygyProfile) -> SyzygyProfile:

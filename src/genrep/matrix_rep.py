@@ -649,18 +649,20 @@ def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence, rep_n: Repres
     if not realizable(alg, S_M):
         raise UnrealizableError(f"{S_M} is not realizable")
     pres = generic_presentation(alg, S_M)
+    # only Hom(G, N) at k = 1 depends on the seed
+    hom_k = hom_profile_dim(alg, iterated_syzygy(alg, S_M, k), rep_n)
+    if k == 1:
+        hom_cover = _hom_from_projective_cover_of_top(S_M.top, alg, rep_n)
+    else:
+        prev = iterated_syzygy(alg, S_M, k - 1)
+        hom_km1 = hom_profile_dim(alg, prev, rep_n)
+        hom_cover = _hom_from_cover_of_profile(alg, prev, rep_n)
     per_seed = []
     for seed in seeds:
         assign = seeded_assignment(pres, seed, fs)
         rep_g = materialize(pres, assign, fs)
-        hom_k = hom_profile_dim(alg, iterated_syzygy(alg, S_M, k), rep_n)
         if k == 1:
             hom_km1 = hom_dim(rep_g, rep_n)
-            hom_cover = _hom_from_projective_cover_of_top(S_M.top, alg, rep_n)
-        else:
-            prev = iterated_syzygy(alg, S_M, k - 1)
-            hom_km1 = hom_profile_dim(alg, prev, rep_n)
-            hom_cover = _hom_from_cover_of_profile(alg, prev, rep_n)
         value = hom_k - hom_cover + hom_km1
         record = {"seed": seed, "alternating": value}
         if k == 1:

@@ -142,3 +142,65 @@ def profile_predicted_layering(alg, profile):
             for p in enumerate_paths(alg, c.vertex, l):
                 layers[l][alg.vertex_pos(alg.path_end(p))] += mult
     return [tuple(row) for row in layers]
+
+
+# ---------------------------------------------------------------------------
+# enumerate-based oracles for the path-count table and what is built on it
+# ---------------------------------------------------------------------------
+
+def endpoint_tally(alg, v, l):
+    """Per-endpoint count of the enumerated length-l paths from v."""
+    from genrep.algebra_core import enumerate_paths
+    row = [0] * alg.n
+    for p in enumerate_paths(alg, v, l):
+        row[alg.vertex_pos(alg.path_end(p))] += 1
+    return tuple(row)
+
+
+def enum_cyclic_dim_vector(alg, v, m):
+    rows = [endpoint_tally(alg, v, l) for l in range(min(m, alg.L + 1))]
+    return tuple(sum(row[j] for row in rows) for j in range(alg.n))
+
+
+def enum_is_projective(alg, v, m):
+    from genrep.algebra_core import enumerate_paths
+    return m == alg.L + 1 or not enumerate_paths(alg, v, m)
+
+
+def enum_syzygy_of_cyclic(alg, v, m):
+    from genrep.algebra_core import enumerate_paths
+    from genrep.homology import CyclicType, SyzygyProfile
+    if enum_is_projective(alg, v, m):
+        return SyzygyProfile([])
+    return SyzygyProfile([CyclicType(alg.path_end(u), alg.L + 1 - m)
+                          for u in enumerate_paths(alg, v, m)])
+
+
+def enum_projective_layering(alg, S0):
+    return tuple(
+        tuple(sum(S0[i] * endpoint_tally(alg, v, l)[j] for i, v in enumerate(alg.vertices))
+              for j in range(alg.n))
+        for l in range(alg.L + 1))
+
+
+def annihilating_arrows_by_skeleton(alg, S, sk):
+    """Arrows killing every module with layering S, read off the skeleton ``sk``.
+
+    An arrow qualifies when every member of ``sk`` ending at its source
+    dies under extension: the extension is longer than L, or is critical
+    with an empty sigma-set (no layer from its length on holds the target).
+    """
+    out = []
+    for a in alg.quiver.arrows:
+        j = alg.vertex_pos(a.target)
+        kills_all = True
+        for r, p in sk.elements:
+            if alg.path_end(p) != a.source or p.length + 1 > alg.L:
+                continue
+            ext = alg.extend(p, a)
+            if (r, ext) in sk or any(S.layers[l][j] for l in range(ext.length, alg.L + 1)):
+                kills_all = False
+                break
+        if kills_all:
+            out.append(a.name)
+    return frozenset(out)

@@ -294,3 +294,13 @@ def test_bad_modulus_exits_2(double_back_file, deep_file):
 
 def test_bad_dimvec_exits_2(double_back_file):
     assert main(["sequences", "--algebra", double_back_file, "--dimvec", "a,b"]) == 2
+
+
+@pytest.mark.parametrize("bound", ['"x"', "1e999"])
+def test_malformed_max_path_length_exits_2(tmp_path, capsys, bound):
+    path = tmp_path / "bad.json"
+    path.write_text('{"vertices": ["1"], "arrows": [], "max_path_length": %s}' % bound)
+    code = main(["realizable", "--algebra", str(path), "--layers", "[[1],[0]]"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: malformed algebra input") and "Traceback" not in err

@@ -13,7 +13,7 @@ from genrep.components import (
 from genrep.errors import UnrealizableError, ValidationError
 from genrep.skeleta import enumerate_skeleta
 
-from conftest import seq
+from conftest import annihilating_arrows_by_skeleton, seq
 
 S_TOP1 = seq((2, 0), (0, 2), (0, 0))
 S_TOP2 = seq((0, 2), (2, 0), (0, 0))
@@ -47,9 +47,9 @@ def test_annihilating_arrows_full_projective(double_back):
 def test_annihilating_arrows_skeleton_independent(double_back, loop_out):
     for alg, dimvec in [(double_back, (2, 2)), (loop_out, (2, 1))]:
         for S in enumerate_sequences(alg, dimvec):
-            base = annihilating_arrows(alg, S)
+            closed = annihilating_arrows(alg, S)
             for sk in enumerate_skeleta(alg, S):
-                assert annihilating_arrows(alg, S, skeleton=sk) == base
+                assert annihilating_arrows_by_skeleton(alg, S, sk) == closed
 
 
 def test_annihilating_arrows_unrealizable(double_back):
