@@ -328,13 +328,20 @@ def enumerate_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector,
 # JSON interfaces
 # ---------------------------------------------------------------------------
 
+def _json_int(x) -> int:
+    """An integer JSON value; bool, float and str are rejected, never coerced."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def algebra_from_json(data: dict) -> TruncatedAlgebra:
     """Quiver input: {"vertices": [...], "arrows": [{"name","source","target"}], "max_path_length": L}."""
     try:
         vertices = data["vertices"]
         arrows = [Arrow(str(a["name"]), str(a["source"]), str(a["target"])) for a in data["arrows"]]
-        L = int(data["max_path_length"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        L = _json_int(data["max_path_length"])
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed algebra input: {exc}") from None
     return TruncatedAlgebra(Quiver(vertices, arrows), L)
 
@@ -350,8 +357,8 @@ def algebra_to_json(alg: TruncatedAlgebra) -> dict:
 def sequence_from_json(data: dict, alg: TruncatedAlgebra) -> SemisimpleSequence:
     """Sequence input: {"layers": [[...], ...]}, rows l = 0..L, columns in vertex order."""
     try:
-        rows = [tuple(int(x) for x in row) for row in data["layers"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows = [tuple(_json_int(x) for x in row) for row in data["layers"]]
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed sequence input: {exc}") from None
     S = check_sequence(alg, SemisimpleSequence(tuple(rows)))
     if S.total_dim == 0:

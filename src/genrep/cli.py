@@ -90,12 +90,15 @@ def _sequence2(args, alg):
     return None
 
 
-def _field(args) -> FieldSpec:
-    if getattr(args, "exact", False):
+def _field(args, default: FieldSpec = FieldSpec()) -> FieldSpec:
+    """``--exact`` or ``--modulus P`` (which must be prime), else ``default``."""
+    if args.exact:
+        if args.modulus is not None:
+            raise ValidationError("--exact and --modulus are mutually exclusive")
         return RATIONALS
-    if getattr(args, "modulus", None):
+    if args.modulus is not None:
         return FieldSpec(args.modulus)
-    return FieldSpec()
+    return default
 
 
 def _seed(args) -> int:
@@ -367,7 +370,7 @@ def cmd_components(args):
 
 def cmd_point_skeleta(args):
     alg = _algebra(args)
-    fs = RATIONALS if not args.modulus else FieldSpec(args.modulus)
+    fs = _field(args, default=RATIONALS)
     rep = module_point_from_json(_load_json(args.module), alg, fs)
     sks = distinguished_skeleta_of(rep, cap=args.cap)
     return _emit({"count": len(sks), "skeleta": [skeleton_to_json(sk) for sk in sks]})

@@ -6,13 +6,21 @@ point, and (in)decomposability certificates.
 
 Fields are either F_p for a large prime p (default the Mersenne prime
 2^61 - 1) or exact rationals.  Matrices are dense lists of Python ints
-(mod p) or Fractions; all arithmetic is exact.  Rank over the rationals
-uses fraction-free (Bareiss) elimination on a denominator-cleared integer
-matrix; rank mod p uses standard elimination.
+(mod p) or Fractions; all arithmetic is exact.  Every elimination over
+F_p, and every incremental span over either field, is one ``RowSpace``,
+whose loops are fixed per field when it is built.  Rank over the
+rationals uses fraction-free (Bareiss) elimination on a
+denominator-cleared integer matrix, which is faster there.
+
+Hom out of a generic module M = P/C is the kernel of the relation matrix
+of its presentation (``_presented_hom_dim``).  The intertwiner solver
+``hom_dim`` is kept as an independent route for the Ext^1 cross-check.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -22,6 +30,7 @@ from .algebra_core import (
     Path,
     SemisimpleSequence,
     TruncatedAlgebra,
+    _json_int,
     realizable,
     top_elements,
 )
@@ -165,32 +174,6 @@ def _dot(fs: FieldSpec, row, x):
     return acc
 
 
-def _rank_mod_p(rows, p):
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] % p:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % p:
-                c = rows[i][col]
-                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def _rank_bareiss(rows):
     # fraction-free elimination over the integers
     M = [list(r) for r in rows]
@@ -219,11 +202,16 @@ def _rank_bareiss(rows):
 
 
 def mat_rank(fs: FieldSpec, rows) -> int:
-    rows = [r for r in rows if any(x != 0 for x in r)]
+    rows = [r for r in rows if any(r)]
     if not rows:
         return 0
     if not fs.exact:
-        return _rank_mod_p(rows, fs.modulus)
+        space = RowSpace(fs, len(rows[0]))
+        for r in rows:
+            space.add(r)
+            if space.dim == space.width:
+                break
+        return space.dim
     cleared = []
     for r in rows:
         fracs = [Fraction(x) for x in r]
@@ -236,78 +224,69 @@ def kernel_dim(fs: FieldSpec, rows, ncols: int) -> int:
     return ncols - mat_rank(fs, rows)
 
 
-def kernel_basis(fs: FieldSpec, rows, ncols: int) -> list[list]:
-    """Basis of the right kernel, one vector per free column of the rref."""
-    R = [[fs.element(x) for x in r] for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(R)) if R[i][col] != 0), None)
-        if piv is None:
-            continue
-        R[rank], R[piv] = R[piv], R[rank]
-        inv = fs.inv(R[rank][col])
-        R[rank] = [fs.mul(inv, x) for x in R[rank]]
-        for i in range(len(R)):
-            if i != rank and R[i][col] != 0:
-                c = R[i][col]
-                R[i] = [fs.sub(a, fs.mul(c, b)) for a, b in zip(R[i], R[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(R):
-            break
-    basis = []
-    pivot_set = set(pivots)
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [fs.zero()] * ncols
-        v[free] = fs.one()
-        for i, pc in enumerate(pivots):
-            v[pc] = fs.neg(R[i][free])
-        basis.append(v)
-    return basis
+def _reduce_mod_p(p, rows, pivots, vec):
+    v = [x % p for x in vec]
+    for row, piv in zip(rows, pivots):
+        c = v[piv]
+        if c:
+            v[piv:] = [(a - c * b) % p for a, b in zip(v[piv:], row[piv:])]
+    return v
+
+
+def _scale_mod_p(p, v, piv):
+    inv = pow(v[piv], p - 2, p)
+    return [x * inv % p for x in v]
+
+
+def _reduce_rational(rows, pivots, vec):
+    v = [x if isinstance(x, Fraction) else Fraction(x) for x in vec]
+    for row, piv in zip(rows, pivots):
+        c = v[piv]
+        if c:
+            v[piv:] = [a - c * b if b else a for a, b in zip(v[piv:], row[piv:])]
+    return v
+
+
+def _scale_rational(v, piv):
+    inv = 1 / v[piv]
+    return [x * inv if x else x for x in v]
 
 
 class RowSpace:
-    """Incrementally maintained reduced row-echelon basis of a subspace."""
+    """Incrementally maintained row-echelon basis of a subspace.
+
+    ``rows`` are sorted by pivot column and have a leading 1, so reducing a
+    vector against them in order clears every pivot column.  The
+    elimination loops are fixed per field at construction: inline ``% p``
+    over F_p, plain Fraction arithmetic over Q.
+    """
 
     def __init__(self, fs: FieldSpec, width: int):
-        self.fs = fs
         self.width = width
         self.rows: list[list] = []
         self.pivots: list[int] = []
+        if fs.exact:
+            self._reduce, self._scale = _reduce_rational, _scale_rational
+        else:
+            self._reduce = functools.partial(_reduce_mod_p, fs.modulus)
+            self._scale = functools.partial(_scale_mod_p, fs.modulus)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def reduce(self, vec) -> list:
-        fs = self.fs
-        v = [fs.element(x) for x in vec]
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if c != 0:
-                v = [fs.sub(a, fs.mul(c, b)) for a, b in zip(v, row)]
-        return v
-
-    def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        """The unique vector of ``vec`` + span that is zero on every pivot column."""
+        return self._reduce(self.rows, self.pivots, vec)
 
     def add(self, vec):
         """Insert ``vec``; returns the new reduced basis row, or None if dependent."""
-        fs = self.fs
-        v = self.reduce(vec)
-        piv = next((i for i, x in enumerate(v) if x != 0), None)
+        v = self._reduce(self.rows, self.pivots, vec)
+        piv = next((i for i, x in enumerate(v) if x), None)
         if piv is None:
             return None
-        inv = fs.inv(v[piv])
-        v = [fs.mul(inv, x) for x in v]
-        for row in self.rows:
-            c = row[piv]
-            if c != 0:
-                row[:] = [fs.sub(a, fs.mul(c, b)) for a, b in zip(row, v)]
-        at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
+        v = self._scale(v, piv)
+        at = bisect.bisect(self.pivots, piv)
         self.rows.insert(at, v)
         self.pivots.insert(at, piv)
         return v
@@ -516,7 +495,13 @@ def socle(rep: Representation) -> tuple[int, ...]:
 
 
 def hom_dim(rep_a: Representation, rep_b: Representation) -> int:
-    """Dimension of the intertwiner space Hom(A, B)."""
+    """Dimension of the intertwiner space Hom(A, B), for any two representations.
+
+    It solves one linear system in all sum_v dim A_v * dim B_v unknowns, so
+    it is slow; generic modules take Hom from their relation matrix instead
+    (``_presented_hom_dim``), and this route stays independent of that one
+    for the Ext^1 cross-check in ``ext_dim_detail``.
+    """
     if not _same_algebra(rep_a.algebra, rep_b.algebra):
         raise ValidationError("representations live over different algebras")
     if rep_a.field != rep_b.field:
@@ -593,46 +578,62 @@ def _hom_from_cover_of_profile(alg, profile: SyzygyProfile, rep) -> int:
     return sum(m * rep.dim_at(c.vertex) for c, m in profile.items())
 
 
-def _ext1_restriction_method(pres: GenericPresentation, assign: ScalarAssignment,
-                             rep_n: Representation) -> int:
-    """dim Ext^1 as corank of the restriction map Hom(P, N) -> Hom(Omega^1, N).
+def _presented_hom_dim(pres: GenericPresentation, assign: ScalarAssignment,
+                       rep_n: Representation) -> int:
+    """dim Hom(M, N) for M = P/C, the evaluation of ``pres`` at ``assign``.
 
-    Uses the explicit embedding Omega^1 = C <= JP: a homomorphism P -> N is
-    a choice of images n_r in e(r)N, and its restriction to C is determined
-    by the values on the relation generators.
+    A map P -> N is a choice of images n_r in e(r)N, one per top z_r; it
+    factors through M iff it kills every relation generator of C.  So
+    Hom(M, N) is the kernel of the relation-evaluation matrix R on the
+    direct sum of the e(r)N, and dim Hom = sum_r dim e(r)N - rank R.
     """
     alg, fs = pres.algebra, rep_n.field
-    tops = pres.skeleton.top
-    offsets, total = [], 0
-    for v in tops:
-        offsets.append(total)
-        total += rep_n.dim_at(v)
-
-    hom_c = 0
+    offsets, width = [], 0
+    for v in pres.skeleton.top:
+        offsets.append(width)
+        width += rep_n.dim_at(v)
     rows = []
+    actions = {}   # relations share their sigma-set paths
     for rel in pres.relations:
         crit = rel.sigma_set.critical
         cpath = crit.path(alg)
-        end = alg.path_end(cpath)
-        hom_c += hom_dim_from_cyclic(
-            alg, CyclicType(end, alg.L + 1 - cpath.length), rep_n)
-        d_end = rep_n.dim_at(end)
-        blocks = [[fs.zero()] * total for _ in range(d_end)]
+        d_end = rep_n.dim_at(alg.path_end(cpath))
+        block = [[fs.zero()] * width for _ in range(d_end)]
 
         def accumulate(path: Path, r: int, scale):
-            mat = path_action(rep_n, path)
+            if path not in actions:
+                actions[path] = path_action(rep_n, path)
+            mat = actions[path]
             off = offsets[r - 1]
             for i in range(d_end):
                 for j in range(rep_n.dim_at(path.start)):
                     if mat[i][j] != 0:
-                        blocks[i][off + j] = fs.add(blocks[i][off + j],
-                                                    fs.mul(scale, mat[i][j]))
+                        block[i][off + j] = fs.add(block[i][off + j],
+                                                   fs.mul(scale, mat[i][j]))
 
         accumulate(cpath, crit.r, fs.one())
         for mem, sid in rel.terms:
             accumulate(mem[1], mem[0], fs.neg(fs.element(assign[sid])))
-        rows.extend(blocks)
-    return hom_c - mat_rank(fs, rows)
+        rows.extend(block)
+    return width - mat_rank(fs, rows)
+
+
+def _ext1_restriction_method(pres: GenericPresentation, assign: ScalarAssignment,
+                             rep_n: Representation) -> int:
+    """dim Ext^1 as corank of the restriction map Hom(P, N) -> Hom(Omega^1, N).
+
+    Uses the explicit embedding Omega^1 = C <= JP: the restriction map is
+    the relation-evaluation matrix R, whose kernel is Hom(M, N), so its
+    rank is dim Hom(P, N) - dim Hom(M, N).
+    """
+    alg = pres.algebra
+    hom_c = 0
+    for rel in pres.relations:
+        cpath = rel.sigma_set.critical.path(alg)
+        hom_c += hom_dim_from_cyclic(
+            alg, CyclicType(alg.path_end(cpath), alg.L + 1 - cpath.length), rep_n)
+    hom_p = _hom_from_projective_cover_of_top(pres.sequence.top, alg, rep_n)
+    return hom_c - hom_p + _presented_hom_dim(pres, assign, rep_n)
 
 
 def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence, rep_n: Representation,
@@ -879,6 +880,13 @@ class DecompositionVerdict:
     confidence: str           # certified | seeded-generic
 
 
+def _summands(pres: GenericPresentation) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(top index tuple, dimension vector) per top-element component of the hypergraph."""
+    trees = pres.skeleton.tree_dim_vectors()
+    return [(tuple(sorted(part)), tuple(map(sum, zip(*(trees[r] for r in part)))))
+            for part in hypergraph(pres).top_component_partition()]
+
+
 def graded_decomposition(alg: TruncatedAlgebra, S: SemisimpleSequence,
                          skeleton: Skeleton | None = None):
     """Direct summands of the graded generic module, from the auxiliary graph.
@@ -888,18 +896,7 @@ def graded_decomposition(alg: TruncatedAlgebra, S: SemisimpleSequence,
     in the other.  Returns (top index tuple, dimension vector) per
     component.
     """
-    pres = generic_presentation(alg, S, skeleton=skeleton, graded=True)
-    hg = hypergraph(pres)
-    parts = hg.top_component_partition()
-    trees = pres.skeleton.tree_dim_vectors()
-    out = []
-    for part in parts:
-        dims = [0] * alg.n
-        for r in part:
-            for j, d in enumerate(trees[r]):
-                dims[j] += d
-        out.append((tuple(sorted(part)), tuple(dims)))
-    return out
+    return _summands(generic_presentation(alg, S, skeleton=skeleton, graded=True))
 
 
 def decomposability(alg: TruncatedAlgebra, S: SemisimpleSequence, graded: bool = False,
@@ -914,43 +911,24 @@ def decomposability(alg: TruncatedAlgebra, S: SemisimpleSequence, graded: bool =
     if not realizable(alg, S):
         raise UnrealizableError(f"{S} is not realizable")
     squarefree = all(x <= 1 for x in S.top)
-    comps = graded_decomposition(alg, S)
-    if graded:
-        if len(comps) > 1:
-            return DecompositionVerdict(
-                "decomposable-certified",
-                {"components": [{"tops": list(zs), "dim_vector": list(dv)} for zs, dv in comps]},
-                "certified")
-        if squarefree:
-            return DecompositionVerdict(
-                "indecomposable-certified",
-                {"reason": "auxiliary graph connected, squarefree top"},
-                "certified")
-    else:
-        pres = generic_presentation(alg, S)
-        parts = hypergraph(pres).top_component_partition()
-        if len(parts) > 1:
-            trees = pres.skeleton.tree_dim_vectors()
-            witness = []
-            for part in parts:
-                dims = [0] * alg.n
-                for r in part:
-                    for j, d in enumerate(trees[r]):
-                        dims[j] += d
-                witness.append({"tops": sorted(part), "dim_vector": dims})
-            return DecompositionVerdict(
-                "decomposable-certified", {"components": witness}, "certified")
-        if len(comps) == 1 and squarefree:
-            return DecompositionVerdict(
-                "indecomposable-certified",
-                {"reason": "graded auxiliary graph connected, squarefree top"},
-                "certified")
+    graded_pres = generic_presentation(alg, S, graded=True)
+    pres = graded_pres if graded else generic_presentation(alg, S)
+    graded_parts = _summands(graded_pres)
+    parts = graded_parts if graded else _summands(pres)
+    if len(parts) > 1:
+        return DecompositionVerdict(
+            "decomposable-certified",
+            {"components": [{"tops": list(zs), "dim_vector": list(dv)} for zs, dv in parts]},
+            "certified")
+    if squarefree and (graded or len(graded_parts) == 1):
+        reason = ("auxiliary graph connected, squarefree top" if graded
+                  else "graded auxiliary graph connected, squarefree top")
+        return DecompositionVerdict("indecomposable-certified", {"reason": reason}, "certified")
     # fall back to an End = K witness on a materialized point
-    pres = generic_presentation(alg, S, graded=graded)
     end_dims = []
     for seed in seeds:
-        rep = materialize(pres, seeded_assignment(pres, seed, fs), fs)
-        e = hom_dim(rep, rep)
+        assign = seeded_assignment(pres, seed, fs)
+        e = _presented_hom_dim(pres, assign, materialize(pres, assign, fs))
         if e == 1:
             return DecompositionVerdict(
                 "indecomposable-certified",
@@ -990,8 +968,8 @@ def generic_end_dim(alg: TruncatedAlgebra, S: SemisimpleSequence, seeds=(0, 1, 2
     pres = generic_presentation(alg, S)
 
     def compute(seed):
-        rep = materialize(pres, seeded_assignment(pres, seed, fs), fs)
-        return hom_dim(rep, rep)
+        assign = seeded_assignment(pres, seed, fs)
+        return _presented_hom_dim(pres, assign, materialize(pres, assign, fs))
 
     return stable_over_seeds(compute, seeds)
 
@@ -1004,9 +982,10 @@ def generic_hom_dim(alg: TruncatedAlgebra, S_a: SemisimpleSequence,
     pres_b = generic_presentation(alg, S_b)
 
     def compute(seed):
-        rep_a = materialize(pres_a, seeded_assignment(pres_a, seed, fs), fs)
+        assign = seeded_assignment(pres_a, seed, fs)
+        materialize(pres_a, assign, fs)  # raises if this seed is degenerate for S_a
         rep_b = materialize(pres_b, seeded_assignment(pres_b, seed + seed_offset, fs), fs)
-        return hom_dim(rep_a, rep_b)
+        return _presented_hom_dim(pres_a, assign, rep_b)
 
     return stable_over_seeds(compute, seeds)
 
@@ -1029,7 +1008,7 @@ def module_point_from_json(data: dict, alg: TruncatedAlgebra,
     try:
         tops = [str(t["vertex"]) for t in data["tops"]]
         relations = [
-            [(_parse_coeff(term.get("coeff", 1), fs), int(term["r"]),
+            [(_parse_coeff(term.get("coeff", 1), fs), _json_int(term["r"]),
               tuple(str(a) for a in term["arrows"]))
              for term in rel]
             for rel in data["relations"]

@@ -94,13 +94,45 @@ def with_isolated():
     return _alg(["1", "2", "3"], [("a", "1", "2")], 2)
 
 
+def kernel_basis(fs, rows, ncols):
+    """Basis of the right kernel, one vector per free column of the rref."""
+    R = [[fs.element(x) for x in r] for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(R)) if R[i][col] != 0), None)
+        if piv is None:
+            continue
+        R[rank], R[piv] = R[piv], R[rank]
+        inv = fs.inv(R[rank][col])
+        R[rank] = [fs.mul(inv, x) for x in R[rank]]
+        for i in range(len(R)):
+            if i != rank and R[i][col] != 0:
+                c = R[i][col]
+                R[i] = [fs.sub(a, fs.mul(c, b)) for a, b in zip(R[i], R[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(R):
+            break
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [fs.zero()] * ncols
+        v[free] = fs.one()
+        for i, pc in enumerate(pivots):
+            v[pc] = fs.neg(R[i][free])
+        basis.append(v)
+    return basis
+
+
 def presentation_kernel_layering(alg, S, sd):
     """Kernel of the cover P -> G(S) at seed sd, computed as explicit
     matrices and layered as a subrepresentation of P."""
     from genrep.algebra_core import top_elements
     from genrep.generic_builder import generic_presentation
     from genrep.matrix_rep import (
-        FieldSpec, RowSpace, kernel_basis, mat_vec, materialize, path_action,
+        FieldSpec, RowSpace, mat_vec, materialize, path_action,
         projective_representation, seeded_assignment,
     )
 

@@ -187,7 +187,9 @@ def test_sequences(double_back_file, capsys):
     assert len(small) == 6
 
 
-def test_point_skeleta(tmp_path, capsys):
+@pytest.fixture()
+def point_files(tmp_path):
+    """The 9-dimensional worked module point over the six-vertex quiver."""
     alg_path = tmp_path / "alg.json"
     alg_path.write_text(json.dumps({
         "vertices": ["1", "2", "3", "4", "5", "6"],
@@ -214,8 +216,11 @@ def test_point_skeleta(tmp_path, capsys):
              {"coeff": 1, "r": 3, "arrows": ["g"]}],
         ],
     }))
-    code, out = run(capsys, ["point-skeleta", "--algebra", str(alg_path),
-                             "--module", str(mod_path)])
+    return ["--algebra", str(alg_path), "--module", str(mod_path)]
+
+
+def test_point_skeleta(point_files, capsys):
+    code, out = run(capsys, ["point-skeleta"] + point_files)
     assert code == 0
     assert json.loads(out)["count"] == 3
 
@@ -304,3 +309,48 @@ def test_malformed_max_path_length_exits_2(tmp_path, capsys, bound):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: malformed algebra input") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("layers", ["[[1.9,1],[0,1],[1,0]]", "[[1.0,1],[0,1],[1,0]]",
+                                    "[[true,1],[0,1],[1,0]]", '[["1",1],[0,1],[1,0]]'])
+def test_non_integer_layer_entry_exits_2(double_back_file, capsys, layers):
+    code = main(["realizable", "--algebra", double_back_file, "--layers", layers])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: malformed sequence input") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bound", ["true", "2.0", '"2"'])
+def test_non_integer_max_path_length_exits_2(tmp_path, capsys, bound):
+    path = tmp_path / "bad.json"
+    path.write_text('{"vertices": ["1"], "arrows": [], "max_path_length": %s}' % bound)
+    assert main(["realizable", "--algebra", str(path), "--layers", "[[1],[0]]"]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed algebra input")
+
+
+@pytest.mark.parametrize("r", [1.0, True, "1"])
+def test_non_integer_top_index_exits_2(point_files, capsys, r):
+    mod_path = point_files[-1]
+    data = json.load(open(mod_path))
+    data["relations"][0][0]["r"] = r
+    with open(mod_path, "w") as fh:
+        json.dump(data, fh)
+    assert main(["point-skeleta"] + point_files) == 2
+    assert capsys.readouterr().err.startswith("error: malformed module point")
+
+
+@pytest.mark.parametrize("command", ["hom", "socle", "point-skeleta"])
+@pytest.mark.parametrize("flags", [["--modulus", "0"], ["--exact", "--modulus", "1000003"]])
+def test_conflicting_or_zero_field_flags_exit_2(double_back_file, deep_file, point_files,
+                                                capsys, command, flags):
+    inputs = (point_files if command == "point-skeleta"
+              else ["--algebra", double_back_file, "--seq", deep_file])
+    assert main([command] + inputs + flags) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_point_skeleta_field_flags(point_files, capsys):
+    # rationals by default and with --exact; F_p with a prime --modulus
+    for flags in ([], ["--exact"], ["--modulus", "1000003"]):
+        code, out = run(capsys, ["point-skeleta"] + point_files + flags)
+        assert code == 0 and json.loads(out)["count"] == 3

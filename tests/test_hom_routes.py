@@ -1,0 +1,90 @@
+"""Cross-checks of the linear-algebra layer: the two Hom routes, the two
+fields, and the one row-space elimination against exact rank."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from genrep.algebra_core import enumerate_sequences
+from genrep.generic_builder import generic_presentation
+from genrep.matrix_rep import (
+    RATIONALS,
+    FieldSpec,
+    RowSpace,
+    _presented_hom_dim,
+    ext_dim,
+    generic_end_dim,
+    generic_socle,
+    hom_dim,
+    mat_rank,
+    materialize,
+    seeded_assignment,
+)
+
+CASES = [("double_back", (2, 2)), ("double_back", (3, 2)), ("relay", (1, 2, 1))]
+
+
+def _layerings(request, name, dimvec):
+    alg = request.getfixturevalue(name)
+    return alg, enumerate_sequences(alg, dimvec)
+
+
+@pytest.mark.parametrize("name,dimvec", CASES)
+def test_rationals_agree_with_mod_p(request, name, dimvec):
+    # socle, End and self-Ext^1 of every realizable layering, exact vs F_p
+    alg, seqs = _layerings(request, name, dimvec)
+    assert seqs
+    for S in seqs:
+        values = []
+        for fs in (RATIONALS, FieldSpec()):
+            pres = generic_presentation(alg, S)
+            rep = materialize(pres, seeded_assignment(pres, 0, fs), fs)
+            values.append((generic_socle(alg, S, fs=fs), generic_end_dim(alg, S, fs=fs),
+                           ext_dim(alg, S, rep, 1, seeds=[0], fs=fs)))
+        assert values[0] == values[1], S
+
+
+@pytest.mark.parametrize("fs", [RATIONALS, FieldSpec()], ids=["Q", "Fp"])
+@pytest.mark.parametrize("graded", [False, True], ids=["ungraded", "graded"])
+@pytest.mark.parametrize("name,dimvec", CASES)
+def test_relation_matrix_hom_matches_intertwiner(request, name, dimvec, graded, fs):
+    # Hom(M, N) as the kernel of the relation matrix of M's presentation,
+    # against the intertwiner system, on every ordered pair of layerings
+    alg, seqs = _layerings(request, name, dimvec)
+    points = []
+    for sd, S in enumerate(seqs):
+        pres = generic_presentation(alg, S, graded=graded)
+        assign = seeded_assignment(pres, sd, fs)
+        points.append((pres, assign, materialize(pres, assign, fs)))
+    for pres, assign, rep_m in points:
+        for _, _, rep_n in points:
+            assert _presented_hom_dim(pres, assign, rep_n) == hom_dim(rep_m, rep_n)
+
+
+matrices = st.integers(1, 6).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-5, 5), min_size=cols, max_size=cols), min_size=0, max_size=7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices)
+def test_row_space_rank_matches_exact_rank(rows):
+    # entries this small keep every minor below 2^61 - 1, so ranks agree
+    fp = FieldSpec()
+    assert mat_rank(fp, rows) == mat_rank(RATIONALS, rows)
+    for fs in (fp, RATIONALS):
+        if not rows:
+            continue
+        space = RowSpace(fs, len(rows[0]))
+        for r in rows:
+            space.add(r)
+        assert space.dim == mat_rank(fs, rows)
+        assert space.pivots == sorted(space.pivots)
+        for r in rows:
+            reduced = space.reduce(r)
+            assert not any(reduced)
+        probe = [1] * len(rows[0])
+        reduced = space.reduce(probe)
+        assert all(reduced[p] == 0 for p in space.pivots)
+        # probe - reduced lies in the span
+        diff = [fs.sub(fs.element(a), b) for a, b in zip(probe, reduced)]
+        assert mat_rank(fs, space.rows + [diff]) == space.dim

