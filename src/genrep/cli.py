@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
 from .algebra_core import (
@@ -125,8 +126,40 @@ def _dimvec(raw: str) -> tuple[int, ...]:
         raise ValidationError(f"malformed dimension vector {raw!r}") from None
 
 
+def _dumps(obj, pad: str, memo: dict) -> str:
+    """``json.dumps(obj, indent=2)`` without the pure-Python indenting encoder.
+
+    ``pad`` is a newline plus the indentation of ``obj``; ``memo`` maps the
+    (id, pad) of each list or tuple already encoded to its text, so a block
+    shared by many parents is encoded once.  Other value types go to
+    ``json.dumps``, re-indented by replacing each newline (encoded JSON
+    holds no raw newline).
+    """
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None or kind is bool:
+        return {None: "null", True: "true", False: "false"}[obj]
+    inner = pad + "  "
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        if (id(obj), pad) not in memo:
+            memo[id(obj), pad] = ("[" + inner + ("," + inner).join(
+                [_dumps(x, inner, memo) for x in obj]) + pad + "]")
+        return memo[id(obj), pad]
+    if kind is dict and all(type(k) is str for k in obj):
+        if not obj:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            [_encode_str(k) + ": " + _dumps(v, inner, memo) for k, v in obj.items()]) + pad + "}")
+    return json.dumps(obj, indent=2).replace("\n", pad)
+
+
 def _emit(data) -> int:
-    print(json.dumps(data, indent=2))
+    print(_dumps(data, "\n", {}))
     return 0
 
 
@@ -385,94 +418,67 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"genrep {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seq=True):
+    def add(name, func, help, seq=True, seeded=False, field=False, formats=(), cap=False):
+        """A subcommand with --algebra and the shared flags it honours."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--algebra", required=True, help="algebra JSON file")
         if seq:
             p.add_argument("--seq", help="semisimple sequence JSON file")
             p.add_argument("--layers", help="inline sequence, e.g. '[[1,1],[0,1],[1,0]]'")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed (fallback: GENREP_SEED, then 0)")
-        p.add_argument("--modulus", type=int, default=None, help="prime field modulus")
-        p.add_argument("--exact", action="store_true", help="exact rational arithmetic")
-        p.add_argument("--format", choices=["json", "dot", "text"], default="json")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None,
+                           help="seed (fallback: GENREP_SEED, then 0)")
+        if seeded or field:
+            p.add_argument("--modulus", type=int, default=None, help="prime field modulus")
+            p.add_argument("--exact", action="store_true", help="exact rational arithmetic")
+        if formats:
+            p.add_argument("--format", choices=["json", *formats], default="json")
+        if cap:
+            p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap")
+        return p
 
-    p = sub.add_parser("realizable", help="test realizability of a sequence")
-    common(p)
-    p.set_defaults(func=cmd_realizable)
+    add("realizable", cmd_realizable, "test realizability of a sequence")
 
-    p = sub.add_parser("sequences", help="enumerate realizable sequences")
-    common(p, seq=False)
+    p = add("sequences", cmd_sequences, "enumerate realizable sequences", seq=False)
     p.add_argument("--dimvec", required=True, help="comma-separated dimension vector")
     p.add_argument("--top", help="restrict to this top (comma-separated)")
-    p.set_defaults(func=cmd_sequences)
 
-    p = sub.add_parser("skeleta", help="enumerate compatible skeleta")
-    common(p)
+    p = add("skeleta", cmd_skeleta, "enumerate compatible skeleta",
+            formats=("dot", "text"), cap=True)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--index", type=int, default=0, help="skeleton index for DOT output")
-    p.set_defaults(func=cmd_skeleta)
 
-    p = sub.add_parser("critical", help="critical paths and sigma-sets")
-    common(p)
-    p.set_defaults(func=cmd_critical)
-
-    p = sub.add_parser("generic", help="generic projective presentation")
-    common(p)
+    add("critical", cmd_critical, "critical paths and sigma-sets", formats=("dot",))
+    p = add("generic", cmd_generic, "generic projective presentation", formats=("dot",))
     p.add_argument("--graded", action="store_true")
-    p.set_defaults(func=cmd_generic)
-
-    p = sub.add_parser("hypergraph", help="hypergraph of the generic module")
-    common(p)
+    p = add("hypergraph", cmd_generic, "hypergraph of the generic module", formats=("dot",))
     p.add_argument("--graded", action="store_true")
     p.add_argument("--dot", dest="format", action="store_const", const="dot")
-    p.set_defaults(func=cmd_generic)
 
-    p = sub.add_parser("geometry", help="bundle-tower dimensions N, N0, N1")
-    common(p)
-    p.set_defaults(func=cmd_geometry)
-
-    p = sub.add_parser("syzygy", help="iterated syzygy profile")
-    common(p)
+    add("geometry", cmd_geometry, "bundle-tower dimensions N, N0, N1")
+    p = add("syzygy", cmd_syzygy, "iterated syzygy profile")
     p.add_argument("--k", type=int, default=1)
-    p.set_defaults(func=cmd_syzygy)
+    add("projdim", cmd_projdim, "generic projective dimension")
 
-    p = sub.add_parser("projdim", help="generic projective dimension")
-    common(p)
-    p.set_defaults(func=cmd_projdim)
-
-    p = sub.add_parser("socle", help="generic socle (seeded)")
-    common(p)
-    p.set_defaults(func=cmd_socle)
-
-    p = sub.add_parser("hom", help="generic Hom / End dimension (seeded)")
-    common(p)
+    add("socle", cmd_socle, "generic socle (seeded)", seeded=True)
+    p = add("hom", cmd_hom, "generic Hom / End dimension (seeded)", seeded=True)
     p.add_argument("--seq2", help="second sequence file (independent generic copy)")
-    p.set_defaults(func=cmd_hom)
-
-    p = sub.add_parser("ext", help="generic Ext dimension (seeded, two methods at k=1)")
-    common(p)
+    p = add("ext", cmd_ext, "generic Ext dimension (seeded, two methods at k=1)", seeded=True)
     p.add_argument("--seq2", help="second sequence file (independent generic copy)")
     p.add_argument("--k", type=int, default=1)
-    p.set_defaults(func=cmd_ext)
-
-    p = sub.add_parser("decompose", help="(in)decomposability verdict")
-    common(p)
+    p = add("decompose", cmd_decompose, "(in)decomposability verdict", seeded=True)
     p.add_argument("--graded", action="store_true")
-    p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("components", help="irreducible-component sifting report")
-    common(p, seq=False)
+    p = add("components", cmd_components, "irreducible-component sifting report",
+            seq=False, seeded=True, formats=("dot",))
     p.add_argument("--dimvec", required=True)
     p.add_argument("--top", help="restrict to this top (comma-separated)")
     p.add_argument("--max-top-dim", type=int, default=None)
-    p.set_defaults(func=cmd_components)
 
-    p = sub.add_parser("point-skeleta", help="distinguished skeleta of a module point")
-    common(p, seq=False)
+    p = add("point-skeleta", cmd_point_skeleta, "distinguished skeleta of a module point",
+            seq=False, field=True, cap=True)
     p.add_argument("--module", required=True, help="module point JSON file")
-    p.set_defaults(func=cmd_point_skeleta)
-
     return parser
 
 

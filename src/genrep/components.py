@@ -14,13 +14,15 @@ Mod(S_outer), applied in order:
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 from .algebra_core import (
     DimensionVector,
     SemisimpleSequence,
     TruncatedAlgebra,
-    dominates,
+    _partial_sums,
     enumerate_sequences,
     realizable,
 )
@@ -68,33 +70,46 @@ class PruningVerdict:
     confidence: str     # certified | seeded-generic
 
 
+class _SiftFacts:
+    """Per-sequence facts of one sifting run, each computed at most once.
+
+    ``below[i][j]`` is ``dominates(sequences[i], sequences[j])``, read off
+    flattened partial sums; annihilators and generic socles are memoised.
+    """
+
+    def __init__(self, alg, sequences, seeds=(0, 1, 2), fs: FieldSpec = FieldSpec()):
+        if len({(len(S.layers), S.total_dim) for S in sequences}) > 1:
+            raise ValidationError("sequences have different layer counts or total dimension")
+        self.index = {S.layers: i for i, S in enumerate(sequences)}
+        sums = [sum(_partial_sums(S), ()) for S in sequences]
+        self.below = [[all(map(operator.le, a, b)) for b in sums] for a in sums]
+        self.annihilating_arrows = functools.cache(lambda S: annihilating_arrows(alg, S))
+        self.socle = functools.cache(lambda S: generic_socle(alg, S, seeds, fs))
+
+    def dominates(self, S, S2) -> bool:
+        return self.below[self.index[S.layers]][self.index[S2.layers]]
+
+
 def closure_containment_test(alg: TruncatedAlgebra, S_inner: SemisimpleSequence,
                              S_outer: SemisimpleSequence, seeds=(0, 1, 2),
                              fs: FieldSpec = FieldSpec(),
-                             _socle_cache: dict | None = None) -> PruningVerdict:
+                             _facts: _SiftFacts | None = None) -> PruningVerdict:
     """First implemented necessary condition that rules out containment, or ``possible``."""
-    if S_inner.dim_vector != S_outer.dim_vector:
-        raise ValidationError("containment test requires equal dimension vectors")
-    if not dominates(S_outer, S_inner):
+    if _facts is None:
+        if S_inner.dim_vector != S_outer.dim_vector:
+            raise ValidationError("containment test requires equal dimension vectors")
+        _facts = _SiftFacts(alg, (S_inner, S_outer), seeds, fs)
+    if not _facts.dominates(S_outer, S_inner):
         return PruningVerdict(S_inner, S_outer, "excluded-dominance",
                               {"reason": "inner sequence does not dominate outer"},
                               "certified")
-    ann_outer = annihilating_arrows(alg, S_outer)
-    ann_inner = annihilating_arrows(alg, S_inner)
+    ann_outer = _facts.annihilating_arrows(S_outer)
+    ann_inner = _facts.annihilating_arrows(S_inner)
     missing = sorted(ann_outer - ann_inner)
     if missing:
         return PruningVerdict(S_inner, S_outer, "excluded-annihilator",
                               {"arrows": missing}, "certified")
-
-    def soc(S):
-        if _socle_cache is not None and S.layers in _socle_cache:
-            return _socle_cache[S.layers]
-        value = generic_socle(alg, S, seeds, fs)
-        if _socle_cache is not None:
-            _socle_cache[S.layers] = value
-        return value
-
-    soc_outer, soc_inner = soc(S_outer), soc(S_inner)
+    soc_outer, soc_inner = _facts.socle(S_outer), _facts.socle(S_inner)
     if any(o > i for o, i in zip(soc_outer, soc_inner)):
         return PruningVerdict(S_inner, S_outer, "excluded-socle",
                               {"socle_outer": list(soc_outer),
@@ -112,18 +127,19 @@ class SequencePoset:
 
 def sequence_poset(alg: TruncatedAlgebra, sequences) -> SequencePoset:
     sequences = tuple(sequences)
-    below = {
-        (i, j)
-        for i, a in enumerate(sequences)
-        for j, b in enumerate(sequences)
-        if i != j and dominates(a, b)
-    }
+    return _poset(sequences, _SiftFacts(alg, sequences).below)
+
+
+def _poset(sequences, below) -> SequencePoset:
+    """Covers and minimal elements; j covers i when no k above i lies below j."""
+    n = len(sequences)
+    up = [{j for j in range(n) if j != i and below[i][j]} for i in range(n)]
     covers = []
-    for i, j in sorted(below):
-        if not any((i, k) in below and (k, j) in below for k in range(len(sequences))):
-            covers.append((i, j))
-    minimal = tuple(i for i in range(len(sequences))
-                    if not any((k, i) in below for k in range(len(sequences))))
+    for i in range(n):
+        through = set().union(*(up[k] for k in up[i]))
+        covers.extend((i, j) for j in sorted(up[i] - through))
+    minimal = tuple(i for i in range(n)
+                    if not any(below[k][i] for k in range(n) if k != i))
     return SequencePoset(sequences, tuple(covers), minimal)
 
 
@@ -160,15 +176,15 @@ def component_report(alg: TruncatedAlgebra, dimvec: DimensionVector,
     sequences = enumerate_sequences(alg, dimvec, top=top)
     if max_top_dim is not None:
         sequences = [S for S in sequences if sum(S.top) <= max_top_dim]
-    poset = sequence_poset(alg, sequences)
-    cache: dict = {}
+    facts = _SiftFacts(alg, sequences, seeds, fs)
+    poset = _poset(tuple(sequences), facts.below)
     verdicts = []
     containers: dict[int, list[int]] = {i: [] for i in range(len(sequences))}
     for i, inner in enumerate(sequences):
         for j, outer in enumerate(sequences):
             if i == j:
                 continue
-            v = closure_containment_test(alg, inner, outer, seeds, fs, _socle_cache=cache)
+            v = closure_containment_test(alg, inner, outer, seeds, fs, _facts=facts)
             verdicts.append(v)
             if v.verdict == "possible":
                 containers[i].append(j)
@@ -192,18 +208,10 @@ def component_report(alg: TruncatedAlgebra, dimvec: DimensionVector,
 # JSON interfaces
 # ---------------------------------------------------------------------------
 
-def verdict_to_json(v: PruningVerdict) -> dict:
-    return {
-        "inner": [list(r) for r in v.inner.layers],
-        "outer": [list(r) for r in v.outer.layers],
-        "verdict": v.verdict,
-        "evidence": v.evidence,
-        "confidence": v.confidence,
-    }
-
-
 def report_to_json(rep: ComponentReport) -> dict:
+    # every pair holds its sequences' own list objects, so the CLI encodes each once
     seqs = [[list(r) for r in S.layers] for S in rep.sequences]
+    by_layers = {S.layers: rows for S, rows in zip(rep.sequences, seqs)}
     return {
         "dim_vector": list(rep.dim_vector),
         "sequences": seqs,
@@ -216,7 +224,9 @@ def report_to_json(rep: ComponentReport) -> dict:
         ],
         "lower_bound": rep.lower_bound,
         "upper_bound": rep.upper_bound,
-        "pairs": [verdict_to_json(v) for v in rep.verdicts],
+        "pairs": [{"inner": by_layers[v.inner.layers], "outer": by_layers[v.outer.layers],
+                   "verdict": v.verdict, "evidence": v.evidence, "confidence": v.confidence}
+                  for v in rep.verdicts],
         "seed": list(rep.seeds),
         "field_modulus": rep.field_modulus,
         "confidence": "seeded-generic",

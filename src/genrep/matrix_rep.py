@@ -20,6 +20,7 @@ of its presentation (``_presented_hom_dim``).  The intertwiner solver
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import functools
 import math
 import random
@@ -144,34 +145,18 @@ def identity_matrix(fs: FieldSpec, n: int):
 def mat_mul(fs: FieldSpec, A, B):
     if not A or not B:
         return [[fs.zero()] * (len(B[0]) if B else 0) for _ in A]
-    rows, inner, cols = len(A), len(B), len(B[0])
-    out = zero_matrix(fs, rows, cols)
-    for i in range(rows):
-        Ai = A[i]
-        for k in range(inner):
-            a = Ai[k]
-            if a == 0:
-                continue
-            Bk = B[k]
-            Oi = out[i]
-            for j in range(cols):
-                Oi[j] = fs.add(Oi[j], fs.mul(a, Bk[j]))
-    return out
+    cols = list(zip(*B))
+    return [[_dot(fs, row, col) for col in cols] for row in A]
 
 
 def mat_vec(fs: FieldSpec, A, x):
-    return [
-        _dot(fs, row, x)
-        for row in A
-    ]
+    return [_dot(fs, row, x) for row in A]
 
 
 def _dot(fs: FieldSpec, row, x):
-    acc = fs.zero()
-    for a, b in zip(row, x):
-        if a != 0 and b != 0:
-            acc = fs.add(acc, fs.mul(a, b))
-    return acc
+    # one reduction per entry over F_p; the Fraction zero keeps Q sums Fractions
+    acc = sum([a * b for a, b in zip(row, x) if a and b], fs.zero())
+    return acc if fs.modulus is None else acc % fs.modulus
 
 
 def _rank_bareiss(rows):
@@ -300,7 +285,8 @@ class RowSpace:
 class Representation:
     """Per-vertex spaces and per-arrow matrices (target_dim x source_dim).
 
-    Matrices are tuples of tuples; treat instances as immutable.
+    Matrices are tuples of tuples; treat instances as immutable.  The only
+    state filled in later is the memo of ``path_action``.
     """
 
     algebra: TruncatedAlgebra
@@ -309,6 +295,7 @@ class Representation:
     matrices: dict[str, tuple]
     basis_labels: dict[str, tuple] | None = None
     top_elements: tuple[tuple[str, tuple], ...] | None = None
+    _path_actions: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def dim_at(self, v: str) -> int:
         return self.dims[self.algebra.vertex_pos(v)]
@@ -534,12 +521,17 @@ def hom_dim(rep_a: Representation, rep_b: Representation) -> int:
 
 
 def path_action(rep: Representation, p: Path):
-    """Matrix of the action of a path: component at start -> component at end."""
-    fs = rep.field
-    mat = identity_matrix(fs, rep.dim_at(p.start))
-    for name in reversed(p.arrows):
-        mat = mat_mul(fs, rep.matrices[name], mat)
-    return mat
+    """Matrix of the action of a path: component at start -> component at end.
+
+    Memoised per representation: the leftmost arrow's matrix times the
+    matrix of the initial subpath.
+    """
+    if p not in rep._path_actions:
+        rep._path_actions[p] = _freeze(
+            identity_matrix(rep.field, rep.dim_at(p.start)) if not p.arrows else
+            mat_mul(rep.field, rep.matrices[p.arrows[0]],
+                    path_action(rep, p.initial_subpath(p.length - 1))))
+    return rep._path_actions[p]
 
 
 def hom_dim_from_cyclic(alg: TruncatedAlgebra, c: CyclicType, rep: Representation) -> int:
@@ -593,7 +585,6 @@ def _presented_hom_dim(pres: GenericPresentation, assign: ScalarAssignment,
         offsets.append(width)
         width += rep_n.dim_at(v)
     rows = []
-    actions = {}   # relations share their sigma-set paths
     for rel in pres.relations:
         crit = rel.sigma_set.critical
         cpath = crit.path(alg)
@@ -601,9 +592,7 @@ def _presented_hom_dim(pres: GenericPresentation, assign: ScalarAssignment,
         block = [[fs.zero()] * width for _ in range(d_end)]
 
         def accumulate(path: Path, r: int, scale):
-            if path not in actions:
-                actions[path] = path_action(rep_n, path)
-            mat = actions[path]
+            mat = path_action(rep_n, path)
             off = offsets[r - 1]
             for i in range(d_end):
                 for j in range(rep_n.dim_at(path.start)):
@@ -838,6 +827,15 @@ def distinguished_skeleta_of(rep: Representation, cap: int = 10**6) -> list[Skel
     if tuple(v for v, _ in tops) != top_elements(alg, S):
         raise ValidationError("marked top elements do not match the layering's top")
 
+    images = {}
+
+    def image(r, p):
+        """p * m_r: the image of p's initial subpath times the leftmost arrow's matrix."""
+        if (r, p) not in images:
+            images[r, p] = (list(tops[r - 1][1]) if not p.arrows else mat_vec(
+                fs, rep.matrices[p.arrows[0]], image(r, p.initial_subpath(p.length - 1))))
+        return images[r, p]
+
     out = []
     count = 0
     for sk in iter_skeleta(alg, S):
@@ -851,8 +849,7 @@ def distinguished_skeleta_of(rep: Representation, cap: int = 10**6) -> list[Skel
                 continue
             probes = {v: None for v in alg.vertices}
             for r, p in layer:
-                v_top, vec = tops[r - 1]
-                w = mat_vec(fs, path_action(rep, p), list(vec))
+                w = list(image(r, p))
                 end = alg.path_end(p)
                 if probes[end] is None:
                     probe = RowSpace(fs, rep.dim_at(end))
@@ -1021,4 +1018,4 @@ def module_point_from_json(data: dict, alg: TruncatedAlgebra,
 def _parse_coeff(raw, fs: FieldSpec):
     if isinstance(raw, str):
         return fs.element(Fraction(raw)) if fs.exact else fs.element(int(raw))
-    return fs.element(raw)
+    return fs.element(_json_int(raw))

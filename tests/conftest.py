@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from genrep.algebra_core import Arrow, Quiver, SemisimpleSequence, TruncatedAlgebra
+
+
+# CI selects this profile (--hypothesis-profile=ci) so that property tests
+# replay the same examples on every run and slow runners cannot time out.
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
 
 
 def _alg(vertices, arrows, L):
@@ -236,3 +242,61 @@ def annihilating_arrows_by_skeleton(alg, S, sk):
         if kills_all:
             out.append(a.name)
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# per-pair and per-skeleton oracles for the memoised sifting paths
+# ---------------------------------------------------------------------------
+
+def sequence_poset_by_sets(sequences):
+    """Covers and minimal elements by probing every triple of a set of pairs."""
+    from genrep.algebra_core import dominates
+    from genrep.components import SequencePoset
+    sequences = tuple(sequences)
+    n = len(sequences)
+    below = {(i, j) for i in range(n) for j in range(n)
+             if i != j and dominates(sequences[i], sequences[j])}
+    covers = [(i, j) for i, j in sorted(below)
+              if not any((i, k) in below and (k, j) in below for k in range(n))]
+    minimal = tuple(i for i in range(n) if not any((k, i) in below for k in range(n)))
+    return SequencePoset(sequences, tuple(covers), minimal)
+
+
+def distinguished_skeleta_by_path_action(rep, cap=10**6):
+    """Distinguished skeleta with each p * m_r taken, member by member, as
+    ``path_action(rep, p)`` applied to m_r."""
+    from genrep.algebra_core import top_elements
+    from genrep.errors import EnumerationCapError, ValidationError
+    from genrep.matrix_rep import (
+        RowSpace, _check_tops_full, _radical_spaces, mat_vec, path_action, radical_layering,
+    )
+    from genrep.skeleta import iter_skeleta
+
+    alg, fs = rep.algebra, rep.field
+    spaces = _radical_spaces(rep)
+    _check_tops_full(rep, spaces)
+    S = radical_layering(rep)
+    tops = sorted(rep.top_elements, key=lambda t: alg.vertex_pos(t[0]))
+    if tuple(v for v, _ in tops) != top_elements(alg, S):
+        raise ValidationError("marked top elements do not match the layering's top")
+    out = []
+    for count, sk in enumerate(iter_skeleta(alg, S), 1):
+        if count > cap:
+            raise EnumerationCapError(cap)
+        good = True
+        for l in range(alg.L + 1):
+            probes = {}
+            for r, p in sk.layer(l):
+                end = alg.path_end(p)
+                if end not in probes:
+                    probes[end] = RowSpace(fs, rep.dim_at(end))
+                    for row in spaces[l + 1][end].rows:
+                        probes[end].add(row)
+                if probes[end].add(mat_vec(fs, path_action(rep, p), list(tops[r - 1][1]))) is None:
+                    good = False
+                    break
+            if not good:
+                break
+        if good:
+            out.append(sk)
+    return out

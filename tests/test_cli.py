@@ -3,8 +3,9 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
-from genrep.cli import main
+from genrep.cli import _dumps, main
 
 
 @pytest.fixture()
@@ -354,3 +355,108 @@ def test_point_skeleta_field_flags(point_files, capsys):
     for flags in ([], ["--exact"], ["--modulus", "1000003"]):
         code, out = run(capsys, ["point-skeleta"] + point_files + flags)
         assert code == 0 and json.loads(out)["count"] == 3
+
+
+# -- per-subcommand flag sets ---------------------------------------------------
+
+@pytest.mark.parametrize("command,flags", [
+    ("realizable", ["--modulus", "15"]),
+    ("realizable", ["--format", "dot"]),
+    ("geometry", ["--format", "dot"]),
+    ("projdim", ["--exact"]),
+    ("syzygy", ["--seed", "3"]),
+    ("critical", ["--cap", "5"]),
+    ("critical", ["--format", "text"]),
+    ("socle", ["--format", "dot"]),
+    ("hom", ["--cap", "5"]),
+])
+def test_sequence_command_rejects_foreign_flag(double_back_file, deep_file, capsys,
+                                               command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--algebra", double_back_file, "--seq", deep_file] + flags)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in err or "invalid choice" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("sequences", ["--seed", "1"]),
+    ("sequences", ["--cap", "5"]),
+    ("components", ["--cap", "5"]),
+    ("components", ["--format", "text"]),
+])
+def test_dimvec_command_rejects_foreign_flag(double_back_file, capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--algebra", double_back_file, "--dimvec", "1,1"] + flags)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--seed", "1"], ["--format", "dot"]])
+def test_point_skeleta_rejects_foreign_flag(point_files, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["point-skeleta"] + point_files + flags)
+    assert exc.value.code == 2
+
+
+def test_honoured_flags_still_accepted(double_back_file, deep_file, point_files, capsys):
+    seq_inputs = ["--algebra", double_back_file, "--seq", deep_file]
+    for argv in (["skeleta", "--format", "text", "--cap", "5"],
+                 ["generic", "--format", "dot"], ["hypergraph", "--format", "json"],
+                 ["decompose", "--seed", "2", "--exact"], ["ext", "--modulus", "1000003"]):
+        assert main(argv[:1] + seq_inputs + argv[1:]) == 0
+    assert main(["components", "--algebra", double_back_file, "--dimvec", "1,1",
+                 "--seed", "4", "--modulus", "1000003", "--format", "dot"]) == 0
+    assert main(["point-skeleta"] + point_files + ["--exact", "--cap", "10"]) == 0
+
+
+# -- module-point coefficients --------------------------------------------------
+
+@pytest.mark.parametrize("field", [[], ["--modulus", "1000003"]], ids=["Q", "Fp"])
+@pytest.mark.parametrize("coeff", [1.9, 1.0, True])
+def test_non_integer_coefficient_exits_2(point_files, capsys, field, coeff):
+    mod_path = point_files[-1]
+    data = json.load(open(mod_path))
+    data["relations"][0][0]["coeff"] = coeff
+    with open(mod_path, "w") as fh:
+        json.dump(data, fh)
+    assert main(["point-skeleta"] + point_files + field) == 2
+    assert capsys.readouterr().err.startswith("error: malformed module point")
+
+
+@pytest.mark.parametrize("field", [[], ["--modulus", "1000003"]], ids=["Q", "Fp"])
+@pytest.mark.parametrize("coeff", [1, "1"])
+def test_integer_or_string_coefficient_accepted(point_files, capsys, field, coeff):
+    mod_path = point_files[-1]
+    data = json.load(open(mod_path))
+    data["relations"][0][0]["coeff"] = coeff
+    with open(mod_path, "w") as fh:
+        json.dump(data, fh)
+    code, out = run(capsys, ["point-skeleta"] + point_files + field)
+    assert code == 0 and json.loads(out)["count"] == 3
+
+
+# -- JSON emitter ---------------------------------------------------------------
+
+ESCAPES = st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f é \U0001F600ab')
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
+    | st.floats() | st.text() | ESCAPES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text() | ESCAPES, inner, max_size=4)
+                   | st.dictionaries(st.integers() | st.text(), inner, max_size=3)),
+    max_leaves=30)
+
+
+@given(JSON_VALUES)
+def test_dumps_matches_json_dumps(value):
+    assert _dumps(value, "\n", {}) == json.dumps(value, indent=2)
+
+
+@given(JSON_VALUES)
+def test_dumps_shared_blocks_at_every_depth(value):
+    # one list object reused at several depths encodes by its own depth each time
+    block = [value, [value]]
+    data = {"a": block, "b": [block, {"c": block}], "d": (block, block)}
+    assert _dumps(data, "\n", {}) == json.dumps(data, indent=2)

@@ -1,5 +1,7 @@
 """Annihilating arrows, containment pruning, component reports."""
 
+import itertools
+
 import pytest
 
 from genrep.algebra_core import enumerate_sequences, projective_layering
@@ -13,7 +15,7 @@ from genrep.components import (
 from genrep.errors import UnrealizableError, ValidationError
 from genrep.skeleta import enumerate_skeleta
 
-from conftest import annihilating_arrows_by_skeleton, seq
+from conftest import annihilating_arrows_by_skeleton, seq, sequence_poset_by_sets
 
 S_TOP1 = seq((2, 0), (0, 2), (0, 0))
 S_TOP2 = seq((0, 2), (2, 0), (0, 0))
@@ -170,3 +172,29 @@ def test_poset_hasse(double_back):
 def test_report_json_embeds_seed(double_back):
     data = report_to_json(component_report(double_back, (1, 1)))
     assert "seed" in data and "field_modulus" in data and "confidence" in data
+
+
+SIFT_SEEDS = (5,)
+SIFT_CASES = [pytest.param(fixture, dv, id=fixture + "-" + "".join(map(str, dv)))
+              for fixture, bound in (("double_back", (4, 4)), ("relay", (2, 3, 2)))
+              for dv in itertools.product(*(range(x + 1) for x in bound)) if any(dv)]
+
+
+@pytest.mark.parametrize("fixture,dimvec", SIFT_CASES)
+def test_report_matches_pairwise_oracle(request, fixture, dimvec):
+    # the report shares per-sequence facts across pairs; every verdict, cover
+    # and minimal element must match one standalone test per ordered pair
+    alg = request.getfixturevalue(fixture)
+    rep = component_report(alg, dimvec, seeds=SIFT_SEEDS)
+    seqs = rep.sequences
+    assert rep.verdicts == tuple(closure_containment_test(alg, a, b, SIFT_SEEDS)
+                                 for i, a in enumerate(seqs)
+                                 for j, b in enumerate(seqs) if i != j)
+    oracle = sequence_poset_by_sets(seqs)
+    assert rep.poset == oracle == sequence_poset(alg, seqs)
+    assert rep.class0 == oracle.minimal
+
+
+def test_sequence_poset_rejects_mixed_totals(double_back):
+    with pytest.raises(ValidationError):
+        sequence_poset(double_back, [S_DEEP, seq((1, 0), (0, 1), (0, 0))])

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genrep.algebra_core import enumerate_sequences, projective_layering
-from genrep.errors import SeedStabilityError, ValidationError
+from genrep.errors import EnumerationCapError, SeedStabilityError, ValidationError
 from genrep.generic_builder import generic_presentation
 from genrep.homology import CyclicType, first_syzygy
 from genrep.matrix_rep import (
@@ -35,7 +36,7 @@ from genrep.matrix_rep import (
 )
 from genrep.skeleta import enumerate_skeleta
 
-from conftest import seq
+from conftest import distinguished_skeleta_by_path_action, seq
 
 S_DEEP = seq((1, 1), (0, 1), (1, 0))
 S_DIP = seq((0, 1), (2, 0), (0, 1))
@@ -293,18 +294,19 @@ def label_set(sk):
     return frozenset(("".join(p.arrows) or "e") + f"@z{r}" for r, p in sk.elements)
 
 
+WORKED_POINT = (
+    ("1", "1", "2", "3"),
+    [
+        [(1, 1, ("b2", "al"))],
+        [(1, 2, ("b1", "al"))],
+        [(1, 3, ("g",)), (-1, 4, ("e", "d"))],
+        [(1, 1, ("b1", "al")), (1, 2, ("b2", "al")), (1, 3, ("g",))],
+    ],
+)
+
+
 def worked_module(six_vertex):
-    return module_point(
-        six_vertex,
-        ("1", "1", "2", "3"),
-        [
-            [(1, 1, ("b2", "al"))],
-            [(1, 2, ("b1", "al"))],
-            [(1, 3, ("g",)), (-1, 4, ("e", "d"))],
-            [(1, 1, ("b1", "al")), (1, 2, ("b2", "al")), (1, 3, ("g",))],
-        ],
-        RATIONALS,
-    )
+    return module_point(six_vertex, *WORKED_POINT, RATIONALS)
 
 
 def test_module_point_layering(six_vertex):
@@ -350,6 +352,93 @@ def test_tops_required(double_back):
     rep2 = Representation(rep.algebra, rep.field, rep.dims, rep.matrices)
     with pytest.raises(ValidationError):
         distinguished_skeleta_of(rep2)
+
+
+SMALL_PRIME = FieldSpec(1000003)
+
+
+def outcome(compute):
+    """Labels of the skeleta ``compute()`` returns, or the type of error it raises."""
+    try:
+        return [label_set(sk) for sk in compute()]
+    except (ValidationError, EnumerationCapError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("fs", [RATIONALS, SMALL_PRIME], ids=["Q", "Fp"])
+def test_distinguished_skeleta_match_path_action_oracle(six_vertex, relay, fs):
+    # memoised path images against p * m_r recomputed per skeleton
+    worked = module_point(six_vertex, *WORKED_POINT, fs)
+    pres = generic_presentation(relay, S_DIM14)
+    generic = materialize(pres, seeded_assignment(pres, 3, fs), fs)
+    for rep in (worked, generic):
+        want = outcome(lambda: distinguished_skeleta_by_path_action(rep))
+        assert outcome(lambda: distinguished_skeleta_of(rep)) == want
+        assert want != [] and isinstance(want, list)
+
+
+def naive_action(rep, p):
+    """The action matrix of p as a product of arrow matrices, entry by entry."""
+    fs = rep.field
+    d = rep.dim_at(p.start)
+    mat = [[fs.one() if i == j else fs.zero() for j in range(d)] for i in range(d)]
+    for name in reversed(p.arrows):
+        A = rep.matrices[name]
+        prod = [[fs.zero()] * d for _ in A]
+        for i, row in enumerate(A):
+            for k, a in enumerate(row):
+                for j in range(d):
+                    prod[i][j] = fs.add(prod[i][j], fs.mul(a, mat[k][j]))
+        mat = prod
+    return mat
+
+
+@pytest.mark.parametrize("fs", [RATIONALS, SMALL_PRIME], ids=["Q", "Fp"])
+def test_memoised_path_action_matches_naive_product(relay, fs):
+    # longest paths first, so shorter ones are read back from the memo
+    from genrep.algebra_core import enumerate_paths
+    pres = generic_presentation(relay, S_DIM14)
+    rep = materialize(pres, seeded_assignment(pres, 3, fs), fs)
+    for v in relay.vertices:
+        for length in range(relay.L, -1, -1):
+            for p in enumerate_paths(relay, v, length):
+                got = [list(row) for row in path_action(rep, p)]
+                assert got == naive_action(rep, p)
+                assert {type(x) for row in got for x in row} <= {type(fs.zero())}
+
+
+@st.composite
+def module_point_specs(draw, alg):
+    """Tops and relations with small integer coefficients along composable paths."""
+    tops = draw(st.lists(st.sampled_from(alg.vertices), min_size=1, max_size=3))
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        rel = []
+        for _ in range(draw(st.integers(1, 3))):
+            r = draw(st.integers(1, len(tops)))
+            v, arrows = tops[r - 1], []
+            for _ in range(draw(st.integers(1, alg.L))):
+                outgoing = [a for a in alg.quiver.arrows if a.source == v]
+                if not outgoing:
+                    break
+                a = draw(st.sampled_from(outgoing))
+                arrows.insert(0, a.name)
+                v = a.target
+            rel.append((draw(st.integers(-2, 2)), r, tuple(arrows)))
+        relations.append(rel)
+    return tops, relations
+
+
+@pytest.mark.parametrize("fixture", ["double_back", "relay", "six_vertex"])
+@pytest.mark.parametrize("fs", [RATIONALS, SMALL_PRIME], ids=["Q", "Fp"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_distinguished_skeleta_match_oracle_on_drawn_points(request, fixture, fs, data):
+    alg = request.getfixturevalue(fixture)
+    tops, relations = data.draw(module_point_specs(alg))
+    rep = module_point(alg, tops, relations, fs)
+    assert (outcome(lambda: distinguished_skeleta_of(rep, cap=60))
+            == outcome(lambda: distinguished_skeleta_by_path_action(rep, cap=60)))
 
 
 # -- decomposability -----------------------------------------------------------
