@@ -23,7 +23,6 @@ from .algebra_core import (
     realizable,
 )
 from .errors import (
-    DegenerateAssignmentError,
     EnumerationCapError,
     GenrepError,
     MethodDisagreementError,
@@ -96,5 +95,5 @@ __all__ = [
     "ComponentReport", "annihilating_arrows", "closure_containment_test",
     "component_report",
     "GenrepError", "ValidationError", "UnrealizableError", "EnumerationCapError",
-    "DegenerateAssignmentError", "MethodDisagreementError", "SeedStabilityError",
+    "MethodDisagreementError", "SeedStabilityError",
 ]

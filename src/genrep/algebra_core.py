@@ -118,9 +118,6 @@ class TruncatedAlgebra:
         idx = self.quiver.arrow_index
         return tuple(idx[a] for a in p.arrows)
 
-    def zero_vector(self) -> DimensionVector:
-        return (0,) * self.n
-
     def extension_counts(self, layer: DimensionVector) -> DimensionVector:
         """Per-vertex count of one-arrow extensions available from a layer.
 
@@ -344,14 +341,6 @@ def algebra_from_json(data: dict) -> TruncatedAlgebra:
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed algebra input: {exc}") from None
     return TruncatedAlgebra(Quiver(vertices, arrows), L)
-
-
-def algebra_to_json(alg: TruncatedAlgebra) -> dict:
-    return {
-        "vertices": list(alg.vertices),
-        "arrows": [{"name": a.name, "source": a.source, "target": a.target} for a in alg.quiver.arrows],
-        "max_path_length": alg.L,
-    }
 
 
 def sequence_from_json(data: dict, alg: TruncatedAlgebra) -> SemisimpleSequence:

@@ -35,6 +35,7 @@ from .generic_builder import (
 )
 from .homology import iterated_syzygy, profile_to_json, projdim_to_json, projective_dimension
 from .matrix_rep import (
+    PAIR_SEED_OFFSET,
     RATIONALS,
     FieldSpec,
     distinguished_skeleta_of,
@@ -55,8 +56,6 @@ from .skeleta import (
     enumerate_skeleta,
     skeleton_to_json,
 )
-
-PAIR_SEED_OFFSET = 0x9E3779B9
 
 
 def _load_json(path: str) -> dict:
@@ -346,8 +345,7 @@ def cmd_hom(args):
     if S2 is None:
         value = generic_end_dim(alg, S, seeds=_seeds(args), fs=fs)
     else:
-        value = generic_hom_dim(alg, S, S2, seeds=_seeds(args), fs=fs,
-                                seed_offset=PAIR_SEED_OFFSET)
+        value = generic_hom_dim(alg, S, S2, seeds=_seeds(args), fs=fs)
     return _emit(_stamp({"hom_dim": value}, args, fs, "seeded-generic"))
 
 

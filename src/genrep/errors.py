@@ -21,10 +21,6 @@ class EnumerationCapError(GenrepError):
         super().__init__(message or f"enumeration exceeds cap of {cap}")
 
 
-class DegenerateAssignmentError(GenrepError):
-    """A scalar assignment collapsed the radical layering."""
-
-
 class MethodDisagreementError(GenrepError):
     """Two independent computations of the same invariant disagree.
 

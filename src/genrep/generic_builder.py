@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra_core import SemisimpleSequence, TruncatedAlgebra, realizable
-from .errors import UnrealizableError, ValidationError
+from .algebra_core import SemisimpleSequence, TruncatedAlgebra
+from .errors import ValidationError
 from .skeleta import (
     Element,
     SigmaSet,
     Skeleton,
-    canonical_skeleton,
+    _compatible_skeleton,
     critical_paths,
     element_to_json,
     invariants_N,
@@ -78,10 +78,7 @@ def generic_presentation(alg: TruncatedAlgebra, S: SemisimpleSequence,
     Scalar identifiers enumerate the disjoint union indexing N (ungraded)
     or N0 (graded); relations follow the critical-path order of the skeleton.
     """
-    if skeleton is None:
-        if not realizable(alg, S):
-            raise UnrealizableError(f"{S} is not realizable")
-        skeleton = canonical_skeleton(alg, S)
+    skeleton = _compatible_skeleton(alg, S, skeleton)
     relations = []
     counter = 0
     for sset in critical_paths(alg, skeleton):
@@ -183,9 +180,7 @@ def bundle_tower(alg: TruncatedAlgebra, S: SemisimpleSequence) -> BundleReport:
     uses the extensions of layer l of the canonical skeleton.  The sum of
     the factor dimensions is N0 and the full variety has dimension N.
     """
-    if not realizable(alg, S):
-        raise UnrealizableError(f"{S} is not realizable")
-    sk = canonical_skeleton(alg, S)
+    sk = _compatible_skeleton(alg, S, None)
     N, N0, N1 = invariants_N(alg, S, skeleton=sk)
     levels = []
     for l in range(alg.L):

@@ -17,11 +17,10 @@ from .algebra_core import (
     DimensionVector,
     SemisimpleSequence,
     TruncatedAlgebra,
-    realizable,
     truncated_dim_vector,
 )
-from .errors import UnrealizableError, ValidationError
-from .skeleta import Skeleton, canonical_skeleton, critical_paths
+from .errors import ValidationError
+from .skeleta import Skeleton, _compatible_skeleton, critical_paths
 
 
 @dataclass(frozen=True)
@@ -101,12 +100,8 @@ def first_syzygy(alg: TruncatedAlgebra, S: SemisimpleSequence,
     One cyclic summand per critical path; the multiset does not depend on
     the compatible skeleton chosen.
     """
-    if skeleton is None:
-        if not realizable(alg, S):
-            raise UnrealizableError(f"{S} is not realizable")
-        skeleton = canonical_skeleton(alg, S)
     summands = []
-    for sset in critical_paths(alg, skeleton):
+    for sset in critical_paths(alg, _compatible_skeleton(alg, S, skeleton)):
         end = alg.path_end(sset.critical.path(alg))
         summands.append(CyclicType(end, alg.L + 1 - sset.critical.length))
     return SyzygyProfile(summands)

@@ -4,6 +4,11 @@ Materializes generic presentations at concrete scalars, computes radical
 layerings, socles, Hom/Ext dimensions, distinguished skeleta of a module
 point, and (in)decomposability certificates.
 
+A materialized point has the presentation's layering S by construction,
+at any scalars (see ``materialize``), so no point is checked after it is
+built and no seed is rejected as degenerate.  Materialized points and the
+projectives behind module points share one builder on a skeleton's basis.
+
 Fields are either F_p for a large prime p (default the Mersenne prime
 2^61 - 1) or exact rationals.  Matrices are dense lists of Python ints
 (mod p) or Fractions; all arithmetic is exact.  Every elimination over
@@ -20,6 +25,7 @@ of its presentation (``_presented_hom_dim``).  The intertwiner solver
 from __future__ import annotations
 
 import bisect
+import copy
 import dataclasses
 import functools
 import math
@@ -36,7 +42,6 @@ from .algebra_core import (
     top_elements,
 )
 from .errors import (
-    DegenerateAssignmentError,
     EnumerationCapError,
     MethodDisagreementError,
     SeedStabilityError,
@@ -49,6 +54,8 @@ from .skeleta import Skeleton, iter_skeleta
 
 MERSENNE_61 = 2**61 - 1
 MIN_RANDOM_MODULUS = 10**6
+# the second module of a pair is drawn at seed + PAIR_SEED_OFFSET
+PAIR_SEED_OFFSET = 0x9E3779B9
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -260,6 +267,12 @@ class RowSpace:
     def dim(self) -> int:
         return len(self.rows)
 
+    def copy(self) -> RowSpace:
+        """An independent space with the same basis (rows are never mutated, so shared)."""
+        other = copy.copy(self)
+        other.rows, other.pivots = list(self.rows), list(self.pivots)
+        return other
+
     def reduce(self, vec) -> list:
         """The unique vector of ``vec`` + span that is zero on every pivot column."""
         return self._reduce(self.rows, self.pivots, vec)
@@ -307,9 +320,6 @@ class Representation:
     @property
     def dim_vector(self) -> tuple[int, ...]:
         return self.dims
-
-    def matrix(self, arrow_name: str):
-        return self.matrices[arrow_name]
 
 
 def _same_algebra(a: TruncatedAlgebra, b: TruncatedAlgebra) -> bool:
@@ -374,64 +384,61 @@ def user_assignment(values: dict, fs: FieldSpec = FieldSpec()) -> ScalarAssignme
     return ScalarAssignment(vals, None, "user-supplied")
 
 
-def materialize(pres: GenericPresentation, assign: ScalarAssignment,
-                fs: FieldSpec = FieldSpec()) -> Representation:
-    """Evaluate a generic presentation at concrete scalars.
+def _skeleton_module(sk: Skeleton, relations, assign, fs: FieldSpec) -> Representation:
+    """The module on the basis ``sk.elements``, with marked tops z_r.
 
-    Basis = skeleton elements; the arrow action sends a basis element to a
-    basis element (inside the skeleton), to the assigned combination of its
-    sigma-set (critical), or to zero (beyond length L).  The result must
-    have the presentation's radical layering, otherwise the assignment was
-    degenerate and an error is raised.
+    An arrow sends a basis element to its extension when that lies in the
+    skeleton, to the assigned combination of the sigma-set of its relation
+    when the extension is critical, and to zero beyond length L.  Basis
+    vectors are grouped by end vertex in skeleton order.
     """
-    alg = pres.algebra
-    sk = pres.skeleton
+    alg = sk.alg
     by_vertex: dict[str, list] = {v: [] for v in alg.vertices}
     for el in sk.elements:
         by_vertex[sk.end(el)].append(el)
     index = {el: i for v in alg.vertices for i, el in enumerate(by_vertex[v])}
-    dims = tuple(len(by_vertex[v]) for v in alg.vertices)
-
-    rel_map = {}
-    for rel in pres.relations:
-        crit = rel.sigma_set.critical
-        rel_map[(crit.arrow, crit.parent)] = rel
-
-    for rel in pres.relations:
-        for _, sid in rel.terms:
-            if sid not in assign:
-                raise ValidationError(f"assignment missing scalar {sid.name}")
-
+    rel_map = {(rel.critical.arrow, rel.critical.parent): rel for rel in relations}
     matrices = {}
     for a in alg.quiver.arrows:
-        src, tgt = a.source, a.target
-        mat = zero_matrix(fs, len(by_vertex[tgt]), len(by_vertex[src]))
-        for j, el in enumerate(by_vertex[src]):
+        mat = zero_matrix(fs, len(by_vertex[a.target]), len(by_vertex[a.source]))
+        for j, el in enumerate(by_vertex[a.source]):
             r, p = el
             if p.length + 1 > alg.L:
                 continue
-            ext = alg.extend(p, a)
-            if (r, ext) in sk:
-                mat[index[(r, ext)]][j] = fs.one()
+            ext = (r, alg.extend(p, a))
+            if ext in sk:
+                mat[index[ext]][j] = fs.one()
                 continue
-            rel = rel_map[(a.name, el)]
-            for mem, sid in rel.terms:
+            for mem, sid in rel_map[(a.name, el)].terms:
                 mat[index[mem]][j] = fs.add(mat[index[mem]][j], fs.element(assign[sid]))
         matrices[a.name] = _freeze(mat)
-
     tops = []
     for r, v in enumerate(sk.top, start=1):
         vec = [fs.zero()] * len(by_vertex[v])
         vec[index[(r, alg.trivial_path(v))]] = fs.one()
         tops.append((v, tuple(vec)))
+    return Representation(alg, fs, tuple(len(by_vertex[v]) for v in alg.vertices), matrices,
+                          basis_labels={v: tuple(by_vertex[v]) for v in alg.vertices},
+                          top_elements=tuple(tops))
 
-    rep = Representation(alg, fs, dims, matrices,
-                         basis_labels={v: tuple(by_vertex[v]) for v in alg.vertices},
-                         top_elements=tuple(tops))
-    if radical_layering(rep) != pres.sequence:
-        raise DegenerateAssignmentError(
-            "assignment collapsed the radical layering; draw a fresh seed")
-    return rep
+
+def materialize(pres: GenericPresentation, assign: ScalarAssignment,
+                fs: FieldSpec = FieldSpec()) -> Representation:
+    """Evaluate a generic presentation at concrete scalars.
+
+    The result has the presentation's radical layering S for every choice
+    of scalars, zero included, so nothing is checked after the build.  A
+    basis element (r, p) is p z_r, so it lies in J^{len p} M.  Each arrow
+    sends a length-l basis element to a skeleton element of length l+1, to
+    sigma-set members of length >= l+1, or to zero, so J^l M lies in the
+    span of the basis elements of length >= l.  Hence J^l M is that span,
+    and layer l of M is layer l of the skeleton, which is S.
+    """
+    for rel in pres.relations:
+        for _, sid in rel.terms:
+            if sid not in assign:
+                raise ValidationError(f"assignment missing scalar {sid.name}")
+    return _skeleton_module(pres.skeleton, pres.relations, assign, fs)
 
 
 def _radical_spaces(rep: Representation) -> list[dict[str, RowSpace]]:
@@ -638,10 +645,10 @@ def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence, rep_n: Repres
         raise ValidationError("k must be >= 1")
     if not realizable(alg, S_M):
         raise UnrealizableError(f"{S_M} is not realizable")
-    pres = generic_presentation(alg, S_M)
     # only Hom(G, N) at k = 1 depends on the seed
     hom_k = hom_profile_dim(alg, iterated_syzygy(alg, S_M, k), rep_n)
     if k == 1:
+        pres = generic_presentation(alg, S_M)
         hom_cover = _hom_from_projective_cover_of_top(S_M.top, alg, rep_n)
     else:
         prev = iterated_syzygy(alg, S_M, k - 1)
@@ -649,19 +656,16 @@ def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence, rep_n: Repres
         hom_cover = _hom_from_cover_of_profile(alg, prev, rep_n)
     per_seed = []
     for seed in seeds:
+        if k > 1:
+            per_seed.append({"seed": seed, "alternating": hom_k - hom_cover + hom_km1})
+            continue
         assign = seeded_assignment(pres, seed, fs)
-        rep_g = materialize(pres, assign, fs)
-        if k == 1:
-            hom_km1 = hom_dim(rep_g, rep_n)
-        value = hom_k - hom_cover + hom_km1
-        record = {"seed": seed, "alternating": value}
-        if k == 1:
-            other = _ext1_restriction_method(pres, assign, rep_n)
-            record["restriction"] = other
-            if other != value:
-                raise MethodDisagreementError(
-                    f"ext methods disagree at seed {seed}: {value} vs {other}")
-        per_seed.append(record)
+        value = hom_k - hom_cover + hom_dim(materialize(pres, assign, fs), rep_n)
+        other = _ext1_restriction_method(pres, assign, rep_n)
+        if other != value:
+            raise MethodDisagreementError(
+                f"ext methods disagree at seed {seed}: {value} vs {other}")
+        per_seed.append({"seed": seed, "alternating": value, "restriction": other})
     values = {r["alternating"] for r in per_seed}
     if len(values) > 1:
         raise SeedStabilityError(f"ext value varies across seeds: {per_seed}")
@@ -680,35 +684,16 @@ def ext_dim(alg: TruncatedAlgebra, S_M: SemisimpleSequence, rep_n: Representatio
 
 def projective_representation(alg: TruncatedAlgebra, tops: tuple[str, ...],
                               fs: FieldSpec = RATIONALS) -> Representation:
-    """The projective P = ⊕_r Lambda z_r with its path basis and marked tops."""
+    """The projective P = ⊕_r Lambda z_r with its path basis and marked tops.
+
+    It is the module of the skeleton holding every path of length <= L on
+    each top, which has no critical paths and so no relations.
+    """
     from .algebra_core import enumerate_paths
 
-    elements = []
-    for r, v in enumerate(tops, start=1):
-        alg.vertex_pos(v)
-        for l in range(alg.L + 1):
-            for p in enumerate_paths(alg, v, l):
-                elements.append((r, p))
-    by_vertex: dict[str, list] = {v: [] for v in alg.vertices}
-    for el in sorted(elements, key=lambda e: (e[1].length, e[0], alg.path_sort_key(e[1]))):
-        by_vertex[alg.path_end(el[1])].append(el)
-    index = {el: i for v in alg.vertices for i, el in enumerate(by_vertex[v])}
-    dims = tuple(len(by_vertex[v]) for v in alg.vertices)
-    matrices = {}
-    for a in alg.quiver.arrows:
-        mat = zero_matrix(fs, len(by_vertex[a.target]), len(by_vertex[a.source]))
-        for j, (r, p) in enumerate(by_vertex[a.source]):
-            if p.length + 1 <= alg.L:
-                mat[index[(r, alg.extend(p, a))]][j] = fs.one()
-        matrices[a.name] = _freeze(mat)
-    top_vecs = []
-    for r, v in enumerate(tops, start=1):
-        vec = [fs.zero()] * len(by_vertex[v])
-        vec[index[(r, alg.trivial_path(v))]] = fs.one()
-        top_vecs.append((v, tuple(vec)))
-    return Representation(alg, fs, dims, matrices,
-                          basis_labels={v: tuple(by_vertex[v]) for v in alg.vertices},
-                          top_elements=tuple(top_vecs))
+    elements = [(r, p) for r, v in enumerate(tops, start=1)
+                for l in range(alg.L + 1) for p in enumerate_paths(alg, v, l)]
+    return _skeleton_module(Skeleton(alg, tops, elements), (), {}, fs)
 
 
 def quotient_representation(rep: Representation, sub_vectors) -> Representation:
@@ -793,7 +778,7 @@ def module_point(alg: TruncatedAlgebra, tops, relations,
 
 
 def _check_tops_full(rep: Representation, spaces) -> None:
-    alg, fs = rep.algebra, rep.field
+    alg = rep.algebra
     if rep.top_elements is None:
         raise ValidationError("representation has no marked top elements")
     radical = spaces[1]
@@ -801,9 +786,7 @@ def _check_tops_full(rep: Representation, spaces) -> None:
     if len(rep.top_elements) != top_dim:
         raise ValidationError("marked top elements do not form a full sequence")
     for v in alg.vertices:
-        probe = RowSpace(fs, rep.dim_at(v))
-        for row in radical[v].rows:
-            probe.add(row)
+        probe = radical[v].copy()
         for w, vec in rep.top_elements:
             if w == v and probe.add(list(vec)) is None:
                 raise ValidationError("marked top elements are dependent modulo JM")
@@ -852,10 +835,7 @@ def distinguished_skeleta_of(rep: Representation, cap: int = 10**6) -> list[Skel
                 w = list(image(r, p))
                 end = alg.path_end(p)
                 if probes[end] is None:
-                    probe = RowSpace(fs, rep.dim_at(end))
-                    for row in spaces[l + 1][end].rows:
-                        probe.add(row)
-                    probes[end] = probe
+                    probes[end] = spaces[l + 1][end].copy()
                 if probes[end].add(w) is None:
                     good = False
                     break
@@ -973,16 +953,14 @@ def generic_end_dim(alg: TruncatedAlgebra, S: SemisimpleSequence, seeds=(0, 1, 2
 
 def generic_hom_dim(alg: TruncatedAlgebra, S_a: SemisimpleSequence,
                     S_b: SemisimpleSequence, seeds=(0, 1, 2),
-                    fs: FieldSpec = FieldSpec(), seed_offset: int = 0x9E3779B9) -> int:
+                    fs: FieldSpec = FieldSpec()) -> int:
     """hom between independently materialized generic modules of two sequences."""
     pres_a = generic_presentation(alg, S_a)
     pres_b = generic_presentation(alg, S_b)
 
     def compute(seed):
-        assign = seeded_assignment(pres_a, seed, fs)
-        materialize(pres_a, assign, fs)  # raises if this seed is degenerate for S_a
-        rep_b = materialize(pres_b, seeded_assignment(pres_b, seed + seed_offset, fs), fs)
-        return _presented_hom_dim(pres_a, assign, rep_b)
+        rep_b = materialize(pres_b, seeded_assignment(pres_b, seed + PAIR_SEED_OFFSET, fs), fs)
+        return _presented_hom_dim(pres_a, seeded_assignment(pres_a, seed, fs), rep_b)
 
     return stable_over_seeds(compute, seeds)
 

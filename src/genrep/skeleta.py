@@ -176,6 +176,18 @@ def canonical_skeleton(alg: TruncatedAlgebra, S: SemisimpleSequence) -> Skeleton
     raise UnrealizableError(f"no skeleton compatible with {S}")
 
 
+def _compatible_skeleton(alg: TruncatedAlgebra, S: SemisimpleSequence,
+                         skeleton: Skeleton | None) -> Skeleton:
+    """``skeleton`` if it is compatible with S, the canonical skeleton if None."""
+    if skeleton is None:
+        if not realizable(alg, S):
+            raise UnrealizableError(f"{S} is not realizable")
+        return canonical_skeleton(alg, S)
+    if skeleton.sequence() != S:
+        raise ValidationError(f"skeleton is compatible with {skeleton.sequence()}, not {S}")
+    return skeleton
+
+
 def count_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence) -> int:
     """Closed form: product over levels and vertices of binomial(A, m).
 
@@ -227,11 +239,7 @@ def invariants_N(alg: TruncatedAlgebra, S: SemisimpleSequence,
     Independent of the skeleton choice; computed from the canonical one by
     default.
     """
-    if skeleton is None:
-        if not realizable(alg, S):
-            raise UnrealizableError(f"{S} is not realizable")
-        skeleton = canonical_skeleton(alg, S)
-    sets = critical_paths(alg, skeleton)
+    sets = critical_paths(alg, _compatible_skeleton(alg, S, skeleton))
     n0 = sum(len(s.zero_part) for s in sets)
     n1 = sum(len(s.one_part) for s in sets)
     return (n0 + n1, n0, n1)

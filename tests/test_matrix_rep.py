@@ -1,6 +1,8 @@
 """Materialized representations: layering, socle, Hom, Ext, decomposability."""
 
+import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from genrep.matrix_rep import (
     RATIONALS,
     FieldSpec,
     Representation,
+    ScalarAssignment,
     decomposability,
     distinguished_skeleta_of,
     ext_dim,
@@ -34,7 +37,7 @@ from genrep.matrix_rep import (
     user_assignment,
     zero_matrix,
 )
-from genrep.skeleta import enumerate_skeleta
+from genrep.skeleta import canonical_skeleton, enumerate_skeleta, invariants_N, iter_skeleta
 
 from conftest import distinguished_skeleta_by_path_action, seq
 
@@ -120,15 +123,50 @@ def test_materialize_no_relations(a2):
     assert radical_layering(rep) == S
 
 
-def test_layering_stable_on_whole_cell(double_back):
-    # every point of the affine cell has layering S, even at adversarial
-    # repeated values (the degeneracy guard in materialize is a pure
-    # safety assertion over truncated algebras)
-    S = seq((0, 2), (2, 0), (0, 0))
-    pres = generic_presentation(double_back, S)
-    values = {sid: 1 for sid in pres.scalar_ids}
-    rep = materialize(pres, user_assignment(values), FieldSpec())
-    assert radical_layering(rep) == S
+def test_layering_stable_on_whole_cell(double_back, relay, line_swing):
+    # materialize checks nothing after its build: every point of the affine
+    # cell of any skeleton of S has layering S, at any scalars, zero
+    # included, because no arrow lowers the length of a basis element.
+    # This test is where that claim is checked.
+    rng = random.Random(0)
+    draws = {
+        RATIONALS: lambda: Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)),
+        FieldSpec(): lambda: rng.randrange(FieldSpec().modulus),
+        FieldSpec(5): lambda: rng.randrange(5),
+    }
+    cases = 0
+    for alg, dimvec in ((double_back, (3, 3)), (relay, (2, 2, 1)), (line_swing, (2, 2, 1))):
+        for S in enumerate_sequences(alg, dimvec):
+            for sk in islice(iter_skeleta(alg, S), 4):
+                for graded in (False, True):
+                    pres = generic_presentation(alg, S, skeleton=sk, graded=graded)
+                    for fs, draw in draws.items():
+                        for scalar in (lambda: 0, lambda: 1, draw):
+                            values = {sid: fs.element(scalar()) for sid in pres.scalar_ids}
+                            rep = materialize(pres, ScalarAssignment(values, None, "test"), fs)
+                            assert radical_layering(rep) == S
+                            cases += 1
+    assert cases == 18 * (66 + 29 + 16)  # skeleta visited, times modes, fields, scalars
+
+
+def test_foreign_skeleton_rejected(relay):
+    # a skeleton of another layering would present the wrong module
+    others = [enumerate_sequences(relay, (2, 3, 2))[0],
+              next(S for S in enumerate_sequences(relay, (2, 7, 5)) if S != S_DIM14)]
+    for S in others:
+        sk = canonical_skeleton(relay, S)
+        calls = (
+            lambda: generic_presentation(relay, S_DIM14, skeleton=sk),
+            lambda: generic_presentation(relay, S_DIM14, skeleton=sk, graded=True),
+            lambda: first_syzygy(relay, S_DIM14, skeleton=sk),
+            lambda: invariants_N(relay, S_DIM14, skeleton=sk),
+            lambda: graded_decomposition(relay, S_DIM14, skeleton=sk),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError):
+                call()
+        # the skeleton still serves its own layering
+        assert generic_presentation(relay, S, skeleton=sk).skeleton is sk
 
 
 def test_nilpotency_of_materialized(double_back):
