@@ -325,19 +325,24 @@ def enumerate_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector,
 # JSON interfaces
 # ---------------------------------------------------------------------------
 
-def _json_int(x) -> int:
-    """An integer JSON value; bool, float and str are rejected, never coerced."""
-    if type(x) is not int:
-        raise TypeError(f"expected an integer, got {x!r}")
+def _json_as(x, kind=int):
+    """``x`` if it is a JSON value of type ``kind`` (int, list or dict).
+
+    Nothing is coerced: bool, float and str are no int, and a str, number
+    or object is no list, so none of them is read or iterated by mistake.
+    """
+    if type(x) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {x!r}")
     return x
 
 
 def algebra_from_json(data: dict) -> TruncatedAlgebra:
     """Quiver input: {"vertices": [...], "arrows": [{"name","source","target"}], "max_path_length": L}."""
     try:
-        vertices = data["vertices"]
-        arrows = [Arrow(str(a["name"]), str(a["source"]), str(a["target"])) for a in data["arrows"]]
-        L = _json_int(data["max_path_length"])
+        vertices = _json_as(data["vertices"], list)
+        arrows = [Arrow(str(a["name"]), str(a["source"]), str(a["target"]))
+                  for a in _json_as(data["arrows"], list)]
+        L = _json_as(data["max_path_length"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed algebra input: {exc}") from None
     return TruncatedAlgebra(Quiver(vertices, arrows), L)
@@ -346,7 +351,7 @@ def algebra_from_json(data: dict) -> TruncatedAlgebra:
 def sequence_from_json(data: dict, alg: TruncatedAlgebra) -> SemisimpleSequence:
     """Sequence input: {"layers": [[...], ...]}, rows l = 0..L, columns in vertex order."""
     try:
-        rows = [tuple(_json_int(x) for x in row) for row in data["layers"]]
+        rows = [tuple(_json_as(x) for x in row) for row in data["layers"]]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed sequence input: {exc}") from None
     S = check_sequence(alg, SemisimpleSequence(tuple(rows)))

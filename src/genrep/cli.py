@@ -361,7 +361,7 @@ def cmd_ext(args):
         details = []
         for sd in seeds:
             rep_n = materialize(pres, seeded_assignment(pres, sd, fs), fs)
-            details.append(ext_dim_detail(alg, S, rep_n, args.k, [sd], fs))
+            details.append(ext_dim_detail(alg, S, rep_n, args.k, [sd], fs, rep_m=rep_n))
         values = {d["value"] for d in details}
         if len(values) > 1:
             raise SeedStabilityError(f"ext value varies across seeds: {details}")

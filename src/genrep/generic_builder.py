@@ -125,21 +125,13 @@ class Hypergraph:
         return sorted((frozenset(g) for g in groups.values()), key=min)
 
 
-def hypergraph(pres: GenericPresentation, assignment=None) -> Hypergraph:
+def hypergraph(pres: GenericPresentation) -> Hypergraph:
     """Hyperedges of the presented module.
 
-    With no assignment, generic scalars are all nonzero and every declared
-    term survives; an explicit assignment (ScalarId -> field element)
-    filters the members down to the nonzero coefficients.
+    Generic scalars are all nonzero, so every declared term survives.
     """
-    edges = []
-    for rel in pres.relations:
-        if assignment is None:
-            members = tuple(mem for mem, _ in rel.terms)
-        else:
-            members = tuple(mem for mem, sid in rel.terms if assignment[sid] != 0)
-        edges.append((rel.sigma_set, members))
-    return Hypergraph(pres.skeleton, tuple(edges))
+    return Hypergraph(pres.skeleton, tuple((rel.sigma_set, tuple(mem for mem, _ in rel.terms))
+                                           for rel in pres.relations))
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,14 @@ built and no seed is rejected as degenerate.  Materialized points and the
 projectives behind module points share one builder on a skeleton's basis.
 
 Fields are either F_p for a large prime p (default the Mersenne prime
-2^61 - 1) or exact rationals.  Matrices are dense lists of Python ints
-(mod p) or Fractions; all arithmetic is exact.  Every elimination over
-F_p, and every incremental span over either field, is one ``RowSpace``,
-whose loops are fixed per field when it is built.  Rank over the
-rationals uses fraction-free (Bareiss) elimination on a
-denominator-cleared integer matrix, which is faster there.
+2^61 - 1) or exact rationals; all arithmetic is exact.  Arrow matrices
+are tuples of rows of Python ints (mod p) or Fractions.  Every rank, over
+either field, is one sparse elimination (``_rank``) on rows stored as
+``{column: value}`` dicts; both Hom systems are built that way from the
+start, and ``mat_rank`` adapts dense rows to it.  ``RowSpace``, an
+incremental echelon basis whose loops are fixed per field, is used where
+the reduced vectors themselves matter: radical filtrations, quotients and
+the distinguished skeleta probes.
 
 Hom out of a generic module M = P/C is the kernel of the relation matrix
 of its presentation (``_presented_hom_dim``).  The intertwiner solver
@@ -28,7 +30,6 @@ import bisect
 import copy
 import dataclasses
 import functools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +38,7 @@ from .algebra_core import (
     Path,
     SemisimpleSequence,
     TruncatedAlgebra,
-    _json_int,
+    _json_as,
     realizable,
     top_elements,
 )
@@ -111,20 +112,6 @@ class FieldSpec:
     def add(self, a, b):
         return a + b if self.exact else (a + b) % self.modulus
 
-    def sub(self, a, b):
-        return a - b if self.exact else (a - b) % self.modulus
-
-    def mul(self, a, b):
-        return a * b if self.exact else (a * b) % self.modulus
-
-    def inv(self, a):
-        if self.exact:
-            return Fraction(1) / a
-        return pow(a, self.modulus - 2, self.modulus)
-
-    def neg(self, a):
-        return -a if self.exact else (-a) % self.modulus
-
 
 RATIONALS = FieldSpec(None)
 
@@ -134,7 +121,7 @@ def _freeze(mat):
 
 
 # ---------------------------------------------------------------------------
-# dense linear algebra
+# linear algebra
 # ---------------------------------------------------------------------------
 
 def zero_matrix(fs: FieldSpec, rows: int, cols: int):
@@ -166,50 +153,64 @@ def _dot(fs: FieldSpec, row, x):
     return acc if fs.modulus is None else acc % fs.modulus
 
 
-def _rank_bareiss(rows):
-    # fraction-free elimination over the integers
-    M = [list(r) for r in rows]
-    m = len(M)
-    n = len(M[0]) if M else 0
+def _rank(p: int | None, rows: list[dict]) -> int:
+    """Rank of sparse rows ``{col: value}`` over F_p, or over Q when ``p`` is None.
+
+    Values must be nonzero field elements (reduced mod p); the rows are
+    consumed.  Rows are taken shortest first, in one order fixed at the
+    start, and each pivots on its nonzero column with the fewest entries
+    among the rows not yet taken (Markowitz's rule), which keeps fill-in
+    low.  The pivot column is then cleared from exactly the rows that
+    hold it, found through a column -> rows index.
+    """
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
     rank = 0
-    prev = 1
-    for col in range(n):
-        pivot = None
-        for i in range(rank, m):
-            if M[i][col]:
-                pivot = i
-                break
-        if pivot is None:
+    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
+        row = rows[i]
+        for c in row:
+            holders[c].discard(i)
+        if not row:
             continue
-        M[rank], M[pivot] = M[pivot], M[rank]
-        for i in range(rank + 1, m):
-            for j in range(col + 1, n):
-                M[i][j] = (M[rank][col] * M[i][j] - M[i][col] * M[rank][j]) // prev
-            M[i][col] = 0
-        prev = M[rank][col]
         rank += 1
-        if rank == m:
-            break
+        piv = min(row, key=lambda c: len(holders[c]))
+        inv = -1 / Fraction(row.pop(piv)) if p is None else p - pow(row.pop(piv), -1, p)
+        for j in holders.pop(piv):
+            other = rows[j]
+            f = other.pop(piv) * inv
+            for c, x in row.items():
+                y = other.get(c, 0) + f * x
+                if p is not None:
+                    y %= p
+                if y:
+                    if c not in other:
+                        holders[c].add(j)
+                    other[c] = y
+                else:
+                    del other[c]
+                    holders[c].discard(j)
     return rank
 
 
+def _add_entry(p: int | None, row: dict, c: int, y) -> None:
+    """``row[c] += y`` over F_p (or Q when ``p`` is None), keeping only nonzero entries."""
+    y += row.get(c, 0)
+    if p is not None:
+        y %= p
+    if y:
+        row[c] = y
+    else:
+        row.pop(c, None)
+
+
 def mat_rank(fs: FieldSpec, rows) -> int:
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    if not fs.exact:
-        space = RowSpace(fs, len(rows[0]))
-        for r in rows:
-            space.add(r)
-            if space.dim == space.width:
-                break
-        return space.dim
-    cleared = []
-    for r in rows:
-        fracs = [Fraction(x) for x in r]
-        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        cleared.append([int(f * den) for f in fracs])
-    return _rank_bareiss(cleared)
+    """Rank of dense rows: a thin adapter onto the sparse elimination ``_rank``."""
+    p = fs.modulus
+    if p is not None:
+        rows = [[x % p for x in r] for r in rows]
+    return _rank(p, [{j: x for j, x in enumerate(r) if x} for r in rows])
 
 
 def kernel_dim(fs: FieldSpec, rows, ncols: int) -> int:
@@ -377,13 +378,6 @@ def seeded_assignment(pres: GenericPresentation, seed: int,
     return ScalarAssignment(values, seed, "seeded-random")
 
 
-def user_assignment(values: dict, fs: FieldSpec = FieldSpec()) -> ScalarAssignment:
-    vals = {sid: fs.element(v) for sid, v in values.items()}
-    if any(v == 0 for v in vals.values()):
-        raise ValidationError("scalar assignments must be nonzero")
-    return ScalarAssignment(vals, None, "user-supplied")
-
-
 def _skeleton_module(sk: Skeleton, relations, assign, fs: FieldSpec) -> Representation:
     """The module on the basis ``sk.elements``, with marked tops z_r.
 
@@ -444,14 +438,11 @@ def materialize(pres: GenericPresentation, assign: ScalarAssignment,
 def _radical_spaces(rep: Representation) -> list[dict[str, RowSpace]]:
     """Bases of J^l M per vertex, l = 0..L+1; the last must be zero."""
     alg, fs = rep.algebra, rep.field
-    spaces = []
-    full = {}
-    for v in alg.vertices:
-        rs = RowSpace(fs, rep.dim_at(v))
-        for row in identity_matrix(fs, rep.dim_at(v)):
-            rs.add(row)
-        full[v] = rs
-    spaces.append(full)
+    full = {v: RowSpace(fs, rep.dim_at(v)) for v in alg.vertices}
+    for rs in full.values():
+        # J^0 M = M: the identity rows are already an echelon basis
+        rs.rows, rs.pivots = identity_matrix(fs, rs.width), list(range(rs.width))
+    spaces = [full]
     for _ in range(alg.L + 1):
         prev = spaces[-1]
         nxt = {v: RowSpace(fs, rep.dim_at(v)) for v in alg.vertices}
@@ -465,8 +456,11 @@ def _radical_spaces(rep: Representation) -> list[dict[str, RowSpace]]:
 
 def radical_layering(rep: Representation) -> SemisimpleSequence:
     """Per-vertex dimensions of J^l M / J^{l+1} M for l = 0..L."""
-    alg = rep.algebra
-    spaces = _radical_spaces(rep)
+    return _layering(rep.algebra, _radical_spaces(rep))
+
+
+def _layering(alg: TruncatedAlgebra, spaces) -> SemisimpleSequence:
+    """The radical layering read off the bases of ``_radical_spaces``."""
     if any(spaces[alg.L + 1][v].dim for v in alg.vertices):
         raise ValidationError("representation is not annihilated by paths of length L+1")
     layers = []
@@ -491,40 +485,36 @@ def socle(rep: Representation) -> tuple[int, ...]:
 def hom_dim(rep_a: Representation, rep_b: Representation) -> int:
     """Dimension of the intertwiner space Hom(A, B), for any two representations.
 
-    It solves one linear system in all sum_v dim A_v * dim B_v unknowns, so
-    it is slow; generic modules take Hom from their relation matrix instead
-    (``_presented_hom_dim``), and this route stays independent of that one
-    for the Ext^1 cross-check in ``ext_dim_detail``.
+    It solves one sparse linear system in all sum_v dim A_v * dim B_v
+    unknowns, a larger one than the relation matrix from which generic
+    modules take Hom (``_presented_hom_dim``); this route stays independent
+    of that one for the Ext^1 cross-check in ``ext_dim_detail``.
     """
     if not _same_algebra(rep_a.algebra, rep_b.algebra):
         raise ValidationError("representations live over different algebras")
     if rep_a.field != rep_b.field:
         raise ValidationError("representations live over different fields")
-    alg, fs = rep_a.algebra, rep_a.field
+    alg, p = rep_a.algebra, rep_a.field.modulus
     offsets, total = {}, 0
     for v in alg.vertices:
         offsets[v] = total
         total += rep_b.dim_at(v) * rep_a.dim_at(v)
     rows = []
     for a in alg.quiver.arrows:
-        A = rep_a.matrices[a.name]
-        B = rep_b.matrices[a.name]
+        # unknown (i, k) of the block at vertex v is column offsets[v] + i * dim A_v + k;
+        # the equation (i, j) of arrow a is (f_t A)_{ij} - (B f_s)_{ij} = 0
         s, t = a.source, a.target
         dAs, dAt = rep_a.dim_at(s), rep_a.dim_at(t)
-        dBs, dBt = rep_b.dim_at(s), rep_b.dim_at(t)
-        for i in range(dBt):
+        a_cols = [[(k, x) for k, x in enumerate(col) if x]
+                  for col in zip(*rep_a.matrices[a.name])] or [[]] * dAs
+        for i, b_row in enumerate(rep_b.matrices[a.name]):
+            b_terms = [(offsets[s] + k * dAs, -y) for k, y in enumerate(b_row) if y]
             for j in range(dAs):
-                row = [fs.zero()] * total
-                for k in range(dAt):
-                    if A[k][j] != 0:
-                        row[offsets[t] + i * dAt + k] = fs.add(
-                            row[offsets[t] + i * dAt + k], A[k][j])
-                for k in range(dBs):
-                    if B[i][k] != 0:
-                        idx = offsets[s] + k * dAs + j
-                        row[idx] = fs.sub(row[idx], B[i][k])
+                row = {offsets[t] + i * dAt + k: x for k, x in a_cols[j]}
+                for c, y in b_terms:
+                    _add_entry(p, row, c + j, y)
                 rows.append(row)
-    return kernel_dim(fs, rows, total)
+    return total - _rank(p, rows)
 
 
 def path_action(rep: Representation, p: Path):
@@ -586,7 +576,7 @@ def _presented_hom_dim(pres: GenericPresentation, assign: ScalarAssignment,
     Hom(M, N) is the kernel of the relation-evaluation matrix R on the
     direct sum of the e(r)N, and dim Hom = sum_r dim e(r)N - rank R.
     """
-    alg, fs = pres.algebra, rep_n.field
+    alg, fs, p = pres.algebra, rep_n.field, rep_n.field.modulus
     offsets, width = [], 0
     for v in pres.skeleton.top:
         offsets.append(width)
@@ -595,23 +585,17 @@ def _presented_hom_dim(pres: GenericPresentation, assign: ScalarAssignment,
     for rel in pres.relations:
         crit = rel.sigma_set.critical
         cpath = crit.path(alg)
-        d_end = rep_n.dim_at(alg.path_end(cpath))
-        block = [[fs.zero()] * width for _ in range(d_end)]
-
-        def accumulate(path: Path, r: int, scale):
-            mat = path_action(rep_n, path)
+        block = [{} for _ in range(rep_n.dim_at(alg.path_end(cpath)))]
+        terms = [(cpath, crit.r, 1)] + [(mem[1], mem[0], -fs.element(assign[sid]))
+                                        for mem, sid in rel.terms]
+        for path, r, scale in terms:
             off = offsets[r - 1]
-            for i in range(d_end):
-                for j in range(rep_n.dim_at(path.start)):
-                    if mat[i][j] != 0:
-                        block[i][off + j] = fs.add(block[i][off + j],
-                                                   fs.mul(scale, mat[i][j]))
-
-        accumulate(cpath, crit.r, fs.one())
-        for mem, sid in rel.terms:
-            accumulate(mem[1], mem[0], fs.neg(fs.element(assign[sid])))
-        rows.extend(block)
-    return width - mat_rank(fs, rows)
+            for row, mat_row in zip(block, path_action(rep_n, path)):
+                for j, x in enumerate(mat_row):
+                    if x:
+                        _add_entry(p, row, off + j, scale * x)
+        rows.extend(row for row in block if row)
+    return width - _rank(p, rows)
 
 
 def _ext1_restriction_method(pres: GenericPresentation, assign: ScalarAssignment,
@@ -633,16 +617,21 @@ def _ext1_restriction_method(pres: GenericPresentation, assign: ScalarAssignment
 
 
 def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence, rep_n: Representation,
-                   k: int, seeds, fs: FieldSpec = FieldSpec()) -> dict:
+                   k: int, seeds, fs: FieldSpec = FieldSpec(),
+                   rep_m: Representation | None = None) -> dict:
     """Per-seed Ext^k(G(S_M), N) with both methods at k = 1.
 
     Method 1 is the alternating formula on the minimal resolution read off
     the syzygy profiles; method 2 (k = 1 only) is the corank of the
     explicit restriction map.  Disagreement between methods or across seeds
-    is an error, never averaged.
+    is an error, never averaged.  ``rep_m``, when given, is G(S_M) already
+    materialized at the one seed in ``seeds`` (self-Ext passes N itself),
+    and method 1 uses it instead of materializing G(S_M) again.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
+    if rep_m is not None and len(seeds) != 1:
+        raise ValidationError("a materialized G(S_M) belongs to exactly one seed")
     if not realizable(alg, S_M):
         raise UnrealizableError(f"{S_M} is not realizable")
     # only Hom(G, N) at k = 1 depends on the seed
@@ -660,7 +649,8 @@ def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence, rep_n: Repres
             per_seed.append({"seed": seed, "alternating": hom_k - hom_cover + hom_km1})
             continue
         assign = seeded_assignment(pres, seed, fs)
-        value = hom_k - hom_cover + hom_dim(materialize(pres, assign, fs), rep_n)
+        rep = materialize(pres, assign, fs) if rep_m is None else rep_m
+        value = hom_k - hom_cover + hom_dim(rep, rep_n)
         other = _ext1_restriction_method(pres, assign, rep_n)
         if other != value:
             raise MethodDisagreementError(
@@ -803,7 +793,7 @@ def distinguished_skeleta_of(rep: Representation, cap: int = 10**6) -> list[Skel
     alg, fs = rep.algebra, rep.field
     spaces = _radical_spaces(rep)
     _check_tops_full(rep, spaces)
-    S = radical_layering(rep)
+    S = _layering(alg, spaces)
     order = sorted(range(len(rep.top_elements)),
                    key=lambda i: alg.vertex_pos(rep.top_elements[i][0]))
     tops = [rep.top_elements[i] for i in order]
@@ -965,28 +955,16 @@ def generic_hom_dim(alg: TruncatedAlgebra, S_a: SemisimpleSequence,
     return stable_over_seeds(compute, seeds)
 
 
-def representation_to_json(rep: Representation) -> dict:
-    def enc(x):
-        return str(x) if isinstance(x, Fraction) else int(x)
-
-    return {
-        "field_modulus": rep.field.modulus,
-        "dims": {v: rep.dim_at(v) for v in rep.algebra.vertices},
-        "matrices": {name: [[enc(x) for x in row] for row in mat]
-                     for name, mat in rep.matrices.items()},
-    }
-
-
 def module_point_from_json(data: dict, alg: TruncatedAlgebra,
                            fs: FieldSpec = RATIONALS) -> Representation:
     """{"tops":[{"vertex":...}],"relations":[[{"coeff","r","arrows"}...]]} -> P/C."""
     try:
         tops = [str(t["vertex"]) for t in data["tops"]]
         relations = [
-            [(_parse_coeff(term.get("coeff", 1), fs), _json_int(term["r"]),
-              tuple(str(a) for a in term["arrows"]))
-             for term in rel]
-            for rel in data["relations"]
+            [(_parse_coeff(term.get("coeff", 1), fs), _json_as(term["r"]),
+              tuple(str(a) for a in _json_as(term["arrows"], list)))
+             for term in (_json_as(t, dict) for t in _json_as(rel, list))]
+            for rel in _json_as(data["relations"], list)
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed module point: {exc}") from None
@@ -996,4 +974,4 @@ def module_point_from_json(data: dict, alg: TruncatedAlgebra,
 def _parse_coeff(raw, fs: FieldSpec):
     if isinstance(raw, str):
         return fs.element(Fraction(raw)) if fs.exact else fs.element(int(raw))
-    return fs.element(_json_int(raw))
+    return fs.element(_json_as(raw))

@@ -258,29 +258,3 @@ def skeleton_to_json(sk: Skeleton) -> dict:
         "top": [{"r": i + 1, "vertex": v} for i, v in enumerate(sk.top)],
         "elements": [element_to_json(el) for el in sk.elements],
     }
-
-
-def skeleton_from_json(data: dict, alg: TruncatedAlgebra) -> Skeleton:
-    try:
-        tops = sorted(data["top"], key=lambda t: int(t["r"]))
-        top = tuple(str(t["vertex"]) for t in tops)
-        raw = [(int(e["r"]), tuple(str(a) for a in e["arrows"])) for e in data["elements"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed skeleton input: {exc}") from None
-    elements = set()
-    for r, arrows in raw:
-        if not 1 <= r <= len(top):
-            raise ValidationError(f"skeleton element references unknown top index {r}")
-        p = alg.trivial_path(top[r - 1])
-        for name in reversed(arrows):
-            arrow = alg.quiver.arrow_by_name.get(name)
-            if arrow is None:
-                raise ValidationError(f"unknown arrow {name!r} in skeleton")
-            p = alg.extend(p, arrow)
-        if p.length > alg.L:
-            raise ValidationError("skeleton element longer than L")
-        for l in range(p.length + 1):
-            elements.add((r, p.initial_subpath(l)))
-    for r in range(1, len(top) + 1):
-        elements.add((r, alg.trivial_path(top[r - 1])))
-    return Skeleton(alg, top, elements)

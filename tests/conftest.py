@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import settings
 
@@ -71,6 +74,12 @@ def six_vertex():
 
 
 @pytest.fixture(scope="session")
+def triangle():
+    # 1 -a-> 2 -b-> 3 with a shortcut 1 -c-> 3: ba and c are parallel paths of different lengths
+    return _alg(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")], 2)
+
+
+@pytest.fixture(scope="session")
 def kronecker():
     return _alg(["1", "2"], [("al", "1", "2"), ("be", "1", "2")], 1)
 
@@ -100,6 +109,61 @@ def with_isolated():
     return _alg(["1", "2", "3"], [("a", "1", "2")], 2)
 
 
+# ---------------------------------------------------------------------------
+# field arithmetic, exact oracles and input helpers used only by the tests
+# ---------------------------------------------------------------------------
+
+def fs_sub(fs, a, b):
+    return a - b if fs.exact else (a - b) % fs.modulus
+
+
+def fs_mul(fs, a, b):
+    return a * b if fs.exact else (a * b) % fs.modulus
+
+
+def fs_neg(fs, a):
+    return -a if fs.exact else (-a) % fs.modulus
+
+
+def fs_inv(fs, a):
+    return Fraction(1) / a if fs.exact else pow(a, fs.modulus - 2, fs.modulus)
+
+
+def bareiss_rank(fs, rows):
+    """Rank by fraction-free (Bareiss) elimination, the exact oracle.
+
+    Over Q each row is cleared of denominators and every division by the
+    previous pivot is exact over the integers; over F_p the same
+    recurrence runs on residues, dividing by the previous pivot's inverse.
+    """
+    p = fs.modulus
+    if p is None:
+        M = []
+        for r in rows:
+            fracs = [Fraction(x) for x in r]
+            den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
+            M.append([int(f * den) for f in fracs])
+    else:
+        M = [[x % p for x in r] for r in rows]
+    m, n = len(M), len(M[0]) if M else 0
+    rank, prev = 0, 1
+    for col in range(n):
+        pivot = next((i for i in range(rank, m) if M[i][col]), None)
+        if pivot is None:
+            continue
+        M[rank], M[pivot] = M[pivot], M[rank]
+        for i in range(rank + 1, m):
+            for j in range(col + 1, n):
+                x = M[rank][col] * M[i][j] - M[i][col] * M[rank][j]
+                M[i][j] = x // prev if p is None else x * pow(prev, -1, p) % p
+            M[i][col] = 0
+        prev = M[rank][col]
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
 def kernel_basis(fs, rows, ncols):
     """Basis of the right kernel, one vector per free column of the rref."""
     R = [[fs.element(x) for x in r] for r in rows]
@@ -110,12 +174,12 @@ def kernel_basis(fs, rows, ncols):
         if piv is None:
             continue
         R[rank], R[piv] = R[piv], R[rank]
-        inv = fs.inv(R[rank][col])
-        R[rank] = [fs.mul(inv, x) for x in R[rank]]
+        inv = fs_inv(fs, R[rank][col])
+        R[rank] = [fs_mul(fs, inv, x) for x in R[rank]]
         for i in range(len(R)):
             if i != rank and R[i][col] != 0:
                 c = R[i][col]
-                R[i] = [fs.sub(a, fs.mul(c, b)) for a, b in zip(R[i], R[rank])]
+                R[i] = [fs_sub(fs, a, fs_mul(fs, c, b)) for a, b in zip(R[i], R[rank])]
         pivots.append(col)
         rank += 1
         if rank == len(R):
@@ -127,9 +191,70 @@ def kernel_basis(fs, rows, ncols):
         v = [fs.zero()] * ncols
         v[free] = fs.one()
         for i, pc in enumerate(pivots):
-            v[pc] = fs.neg(R[i][free])
+            v[pc] = fs_neg(fs, R[i][free])
         basis.append(v)
     return basis
+
+
+def user_assignment(values, fs=None):
+    """A ScalarAssignment from explicit nonzero values (ScalarId -> number)."""
+    from genrep.errors import ValidationError
+    from genrep.matrix_rep import FieldSpec, ScalarAssignment
+    fs = fs or FieldSpec()
+    vals = {sid: fs.element(v) for sid, v in values.items()}
+    if any(v == 0 for v in vals.values()):
+        raise ValidationError("scalar assignments must be nonzero")
+    return ScalarAssignment(vals, None, "user-supplied")
+
+
+def representation_to_json(rep):
+    def enc(x):
+        return str(x) if isinstance(x, Fraction) else int(x)
+
+    return {
+        "field_modulus": rep.field.modulus,
+        "dims": {v: rep.dim_at(v) for v in rep.algebra.vertices},
+        "matrices": {name: [[enc(x) for x in row] for row in mat]
+                     for name, mat in rep.matrices.items()},
+    }
+
+
+def hypergraph_at(pres, assignment):
+    """The hypergraph of ``pres`` at explicit scalars (ScalarId -> value):
+    each relation keeps the members whose coefficient is nonzero."""
+    from genrep.generic_builder import Hypergraph
+    return Hypergraph(pres.skeleton, tuple(
+        (rel.sigma_set, tuple(mem for mem, sid in rel.terms if assignment[sid] != 0))
+        for rel in pres.relations))
+
+
+def skeleton_from_json(data, alg):
+    """Inverse of ``skeleton_to_json``; every prefix of an element is added."""
+    from genrep.errors import ValidationError
+    from genrep.skeleta import Skeleton
+    try:
+        tops = sorted(data["top"], key=lambda t: int(t["r"]))
+        top = tuple(str(t["vertex"]) for t in tops)
+        raw = [(int(e["r"]), tuple(str(a) for a in e["arrows"])) for e in data["elements"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed skeleton input: {exc}") from None
+    elements = set()
+    for r, arrows in raw:
+        if not 1 <= r <= len(top):
+            raise ValidationError(f"skeleton element references unknown top index {r}")
+        p = alg.trivial_path(top[r - 1])
+        for name in reversed(arrows):
+            arrow = alg.quiver.arrow_by_name.get(name)
+            if arrow is None:
+                raise ValidationError(f"unknown arrow {name!r} in skeleton")
+            p = alg.extend(p, arrow)
+        if p.length > alg.L:
+            raise ValidationError("skeleton element longer than L")
+        for l in range(p.length + 1):
+            elements.add((r, p.initial_subpath(l)))
+    for r in range(1, len(top) + 1):
+        elements.add((r, alg.trivial_path(top[r - 1])))
+    return Skeleton(alg, top, elements)
 
 
 def presentation_kernel_layering(alg, S, sd):

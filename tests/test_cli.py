@@ -112,6 +112,24 @@ def test_ext_self(double_back_file, deep_file, capsys):
     assert all(r["alternating"] == r["restriction"] for r in data["per_seed"])
 
 
+def test_ext_self_materializes_once_per_seed(double_back_file, deep_file, capsys, monkeypatch):
+    # the intertwiner term reuses the point N = G(S) drawn at each seed
+    import genrep.cli
+    import genrep.matrix_rep
+    calls = []
+    original = genrep.matrix_rep.materialize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(genrep.matrix_rep, "materialize", counting)
+    monkeypatch.setattr(genrep.cli, "materialize", counting)
+    code, out = run(capsys, ["ext", "--k", "1", "--algebra", double_back_file, "--seq", deep_file])
+    assert code == 0 and json.loads(out)["ext_dim"] == 1
+    assert len(calls) == 3
+
+
 def test_decompose(tmp_path, double_back_file, deep_file, capsys):
     # S5 over the 3-arrow quiver is beyond the implemented certificates
     code, out = run(capsys, ["decompose", "--algebra", double_back_file, "--seq", deep_file])
@@ -327,6 +345,33 @@ def test_non_integer_max_path_length_exits_2(tmp_path, capsys, bound):
     path.write_text('{"vertices": ["1"], "arrows": [], "max_path_length": %s}' % bound)
     assert main(["realizable", "--algebra", str(path), "--layers", "[[1],[0]]"]) == 2
     assert capsys.readouterr().err.startswith("error: malformed algebra input")
+
+
+@pytest.mark.parametrize("vertices", ["3", "true", "null", '"12"', '{"1": 1}'])
+def test_non_list_vertices_exit_2(tmp_path, capsys, vertices):
+    # a string of vertex names was read as one vertex per character
+    path = tmp_path / "bad.json"
+    path.write_text('{"vertices": %s, "arrows": [], "max_path_length": 1}' % vertices)
+    code = main(["realizable", "--algebra", str(path), "--layers", "[[1],[0]]"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: malformed algebra input") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda data: data["relations"].__setitem__(0, {"coeff": 1, "r": 1, "arrows": ["b2", "al"]}),
+    lambda data: data["relations"][0].__setitem__(0, [1, 1, ["b2", "al"]]),
+    lambda data: data["relations"][2][0].__setitem__("arrows", "g"),
+], ids=["relation-object", "term-list", "arrows-string"])
+def test_malformed_module_point_containers_exit_2(point_files, capsys, mutate):
+    # "arrows": "g" used to be read as the path g, character by character
+    mod_path = point_files[-1]
+    data = json.load(open(mod_path))
+    mutate(data)
+    with open(mod_path, "w") as fh:
+        json.dump(data, fh)
+    assert main(["point-skeleta"] + point_files) == 2
+    assert capsys.readouterr().err.startswith("error: malformed module point")
 
 
 @pytest.mark.parametrize("r", [1.0, True, "1"])

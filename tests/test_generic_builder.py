@@ -12,7 +12,7 @@ from genrep.generic_builder import (
 )
 from genrep.skeleta import enumerate_skeleta, invariants_N
 
-from conftest import seq
+from conftest import hypergraph_at, seq
 
 
 def rel_strings(pres):
@@ -74,7 +74,7 @@ def test_hypergraph_generic_and_assigned(double_back):
     for sset, members in hg.edges:
         assert members == tuple(m for m, _ in
                                 next(r for r in pres.relations if r.sigma_set is sset).terms)
-    zeroed = hypergraph(pres, {sid: 0 for sid in pres.scalar_ids})
+    zeroed = hypergraph_at(pres, {sid: 0 for sid in pres.scalar_ids})
     assert all(members == () for _, members in zeroed.edges)
 
 
@@ -95,7 +95,7 @@ def test_hypergraph_worked_module(six_vertex):
             key = ("".join(crit.path(six_vertex).arrows), crit.r,
                    "".join(mem[1].arrows), mem[0])
             assignment[sid] = coeffs[key]
-    hg = hypergraph(pres, assignment)
+    hg = hypergraph_at(pres, assignment)
     labels = {
         ("".join(s.critical.path(six_vertex).arrows), s.critical.r):
             tuple(("".join(m[1].arrows), m[0]) for m in members)

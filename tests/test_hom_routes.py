@@ -1,5 +1,5 @@
 """Cross-checks of the linear-algebra layer: the two Hom routes, the two
-fields, and the one row-space elimination against exact rank."""
+fields, and the sparse elimination and the row space against exact rank."""
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +18,14 @@ from genrep.matrix_rep import (
     hom_dim,
     mat_rank,
     materialize,
+    module_point,
     seeded_assignment,
 )
 
-CASES = [("double_back", (2, 2)), ("double_back", (3, 2)), ("relay", (1, 2, 1))]
+from conftest import bareiss_rank, fs_sub, seq
+
+CASES = [("double_back", (2, 2)), ("double_back", (3, 2)), ("relay", (1, 2, 1)),
+         ("loop_out", (3, 2))]  # a loop: two unknowns of one equation can share a column
 
 
 def _layerings(request, name, dimvec):
@@ -61,6 +65,55 @@ def test_relation_matrix_hom_matches_intertwiner(request, name, dimvec, graded, 
             assert _presented_hom_dim(pres, assign, rep_n) == hom_dim(rep_m, rep_n)
 
 
+@pytest.mark.parametrize("fs", [RATIONALS, FieldSpec()], ids=["Q", "Fp"])
+def test_intertwiner_hom_sees_relation_signs(triangle, fs):
+    # M = P_1 / (ba - c), M' = P_1 / (ba + c).  e_1 M' is spanned by z', and
+    # ba - c sends z' to -2c z' != 0, so Hom(M, M') = 0 while End M = K.
+    # Generic modules cannot tell a sign slip in the system: negating every
+    # arrow of N only moves N to another generic point.
+    M = module_point(triangle, ("1",), [[(1, 1, ("b", "a")), (-1, 1, ("c",))]], fs)
+    M2 = module_point(triangle, ("1",), [[(1, 1, ("b", "a")), (1, 1, ("c",))]], fs)
+    assert (hom_dim(M, M), hom_dim(M, M2), hom_dim(M2, M2)) == (1, 0, 1)
+
+
+def test_exact_intertwiner_hom_on_relay_d28(relay):
+    # the d = 28 point of the relay ladder; its intertwiner system is 532 x 312
+    S = seq((4, 2, 2), (0, 10, 2), (0, 0, 6), (0, 2, 0))
+    pres = generic_presentation(relay, S)
+    values = []
+    for fs in (RATIONALS, FieldSpec()):
+        assign = seeded_assignment(pres, 0, fs)
+        rep = materialize(pres, assign, fs)
+        values += [hom_dim(rep, rep), _presented_hom_dim(pres, assign, rep)]
+    assert values == [33] * 4
+
+
+# entries that vanish in F_5 or F_(2^61 - 1) as well as small and large ones
+entries = st.one_of(st.integers(-6, 6), st.sampled_from([5, -10, 25, 2**61 - 1, 2**62 - 2, 3**40]))
+
+
+@st.composite
+def shaped_matrices(draw):
+    """(columns, rows): wide or tall, with zero rows and duplicated rows mixed in."""
+    cols = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), max_size=12))
+    rows += [[0] * cols] * draw(st.integers(0, 2))
+    if rows:
+        rows += [list(rows[i]) for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    return cols, draw(st.permutations(rows))
+
+
+@pytest.mark.parametrize("fs", [RATIONALS, FieldSpec(), FieldSpec(5)], ids=["Q", "F61", "F5"])
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrices())
+def test_sparse_rank_matches_row_space_and_bareiss(fs, shaped):
+    cols, rows = shaped
+    space = RowSpace(fs, cols)
+    for r in rows:
+        space.add(r)
+    assert mat_rank(fs, rows) == space.dim == bareiss_rank(fs, rows)
+
+
 matrices = st.integers(1, 6).flatmap(lambda cols: st.lists(
     st.lists(st.integers(-5, 5), min_size=cols, max_size=cols), min_size=0, max_size=7))
 
@@ -86,5 +139,5 @@ def test_row_space_rank_matches_exact_rank(rows):
         reduced = space.reduce(probe)
         assert all(reduced[p] == 0 for p in space.pivots)
         # probe - reduced lies in the span
-        diff = [fs.sub(fs.element(a), b) for a, b in zip(probe, reduced)]
+        diff = [fs_sub(fs, fs.element(a), b) for a, b in zip(probe, reduced)]
         assert mat_rank(fs, space.rows + [diff]) == space.dim

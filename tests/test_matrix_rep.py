@@ -34,12 +34,17 @@ from genrep.matrix_rep import (
     radical_layering,
     seeded_assignment,
     socle,
-    user_assignment,
     zero_matrix,
 )
 from genrep.skeleta import canonical_skeleton, enumerate_skeleta, invariants_N, iter_skeleta
 
-from conftest import distinguished_skeleta_by_path_action, seq
+from conftest import (
+    distinguished_skeleta_by_path_action,
+    fs_mul,
+    representation_to_json,
+    seq,
+    user_assignment,
+)
 
 S_DEEP = seq((1, 1), (0, 1), (1, 0))
 S_DIP = seq((0, 1), (2, 0), (0, 1))
@@ -426,7 +431,7 @@ def naive_action(rep, p):
         for i, row in enumerate(A):
             for k, a in enumerate(row):
                 for j in range(d):
-                    prod[i][j] = fs.add(prod[i][j], fs.mul(a, mat[k][j]))
+                    prod[i][j] = fs.add(prod[i][j], fs_mul(fs, a, mat[k][j]))
         mat = prod
     return mat
 
@@ -546,7 +551,6 @@ def test_graded_route_implies_connected_hypergraph(double_back, loop_out, y_quiv
 
 
 def test_representation_json_declares_field(double_back):
-    from genrep.matrix_rep import representation_to_json
     data = representation_to_json(mat_deep(double_back))
     assert data["field_modulus"] == 2**61 - 1
     assert data["dims"] == {"1": 2, "2": 2}

@@ -11,11 +11,10 @@ from genrep.skeleta import (
     enumerate_skeleta,
     invariants_N,
     iter_skeleta,
-    skeleton_from_json,
     skeleton_to_json,
 )
 
-from conftest import seq
+from conftest import seq, skeleton_from_json
 
 
 def label(el):
