@@ -300,9 +300,9 @@ def enumerate_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector,
 
     if top is not None:
         top = tuple(int(x) for x in top)
-        tops = [top] if (any(top) and all(t <= d for t, d in zip(top, dimvec))) else []
-    else:
-        tops = [t for t in vectors_upto(dimvec) if any(t)]
+        if len(top) != alg.n or min(top) < 0:
+            raise ValidationError("top must have one nonnegative entry per vertex")
+    tops = [t for t in vectors_upto(dimvec) if any(t) and top in (None, t)]
 
     results: list[SemisimpleSequence] = []
 

@@ -23,7 +23,7 @@ from .algebra_core import (
     enumerate_sequences,
 )
 from .components import component_report, report_to_json
-from .errors import EnumerationCapError, GenrepError, SeedStabilityError, ValidationError
+from .errors import EnumerationCapError, GenrepError, ValidationError
 from .generic_builder import (
     bundle_report_to_json,
     bundle_tower,
@@ -85,9 +85,7 @@ def _sequence(args, alg):
 
 
 def _sequence2(args, alg):
-    if getattr(args, "seq2", None):
-        return sequence_from_json(_load_json(args.seq2), alg)
-    return None
+    return sequence_from_json(_load_json(args.seq2), alg) if args.seq2 else None
 
 
 def _field(args, default: FieldSpec = FieldSpec()) -> FieldSpec:
@@ -354,25 +352,14 @@ def cmd_ext(args):
     S = _sequence(args, alg)
     S2 = _sequence2(args, alg)
     fs = _field(args)
-    seeds = _seeds(args)
     if S2 is None:
-        # self-Ext: resolve G(S) against the same materialized module
-        pres = generic_presentation(alg, S)
-        details = []
-        for sd in seeds:
-            rep_n = materialize(pres, seeded_assignment(pres, sd, fs), fs)
-            details.append(ext_dim_detail(alg, S, rep_n, args.k, [sd], fs, rep_m=rep_n))
-        values = {d["value"] for d in details}
-        if len(values) > 1:
-            raise SeedStabilityError(f"ext value varies across seeds: {details}")
-        data = {"ext_dim": values.pop(), "k": args.k,
-                "per_seed": [d["per_seed"][0] for d in details]}
+        detail = ext_dim_detail(alg, S, None, args.k, _seeds(args), fs)  # self-Ext
     else:
         pres2 = generic_presentation(alg, S2)
         rep_n = materialize(
             pres2, seeded_assignment(pres2, _seed(args) + PAIR_SEED_OFFSET, fs), fs)
-        detail = ext_dim_detail(alg, S, rep_n, args.k, seeds, fs)
-        data = {"ext_dim": detail["value"], "k": args.k, "per_seed": detail["per_seed"]}
+        detail = ext_dim_detail(alg, S, rep_n, args.k, _seeds(args), fs)
+    data = {"ext_dim": detail["value"], "k": args.k, "per_seed": detail["per_seed"]}
     return _emit(_stamp(data, args, fs, "seeded-generic"))
 
 
@@ -409,15 +396,23 @@ def cmd_point_skeleta(args):
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``genrep`` parser, with only the subparser of ``command`` if that names one.
+
+    On arguments that start with that name it acts and reports as the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="genrep",
         description="Generic-module invariants of truncated path algebras.")
     parser.add_argument("--version", action="version", version=f"genrep {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    names = []
 
     def add(name, func, help, seq=True, seeded=False, field=False, formats=(), cap=False):
-        """A subcommand with --algebra and the shared flags it honours."""
+        """A subcommand with --algebra and the shared flags it honours; None if not built."""
+        names.append(name)
+        if command is not None and name != command:
+            return None
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         p.add_argument("--algebra", required=True, help="algebra JSON file")
@@ -438,51 +433,59 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("realizable", cmd_realizable, "test realizability of a sequence")
 
-    p = add("sequences", cmd_sequences, "enumerate realizable sequences", seq=False)
-    p.add_argument("--dimvec", required=True, help="comma-separated dimension vector")
-    p.add_argument("--top", help="restrict to this top (comma-separated)")
+    if p := add("sequences", cmd_sequences, "enumerate realizable sequences", seq=False):
+        p.add_argument("--dimvec", required=True, help="comma-separated dimension vector")
+        p.add_argument("--top", help="restrict to this top (comma-separated)")
 
-    p = add("skeleta", cmd_skeleta, "enumerate compatible skeleta",
-            formats=("dot", "text"), cap=True)
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--index", type=int, default=0, help="skeleton index for DOT output")
+    if p := add("skeleta", cmd_skeleta, "enumerate compatible skeleta",
+                formats=("dot", "text"), cap=True):
+        p.add_argument("--count-only", action="store_true")
+        p.add_argument("--index", type=int, default=0, help="skeleton index for DOT output")
 
     add("critical", cmd_critical, "critical paths and sigma-sets", formats=("dot",))
-    p = add("generic", cmd_generic, "generic projective presentation", formats=("dot",))
-    p.add_argument("--graded", action="store_true")
-    p = add("hypergraph", cmd_generic, "hypergraph of the generic module", formats=("dot",))
-    p.add_argument("--graded", action="store_true")
-    p.add_argument("--dot", dest="format", action="store_const", const="dot")
+    if p := add("generic", cmd_generic, "generic projective presentation", formats=("dot",)):
+        p.add_argument("--graded", action="store_true")
+    if p := add("hypergraph", cmd_generic, "hypergraph of the generic module", formats=("dot",)):
+        p.add_argument("--graded", action="store_true")
+        p.add_argument("--dot", dest="format", action="store_const", const="dot")
 
     add("geometry", cmd_geometry, "bundle-tower dimensions N, N0, N1")
-    p = add("syzygy", cmd_syzygy, "iterated syzygy profile")
-    p.add_argument("--k", type=int, default=1)
+    if p := add("syzygy", cmd_syzygy, "iterated syzygy profile"):
+        p.add_argument("--k", type=int, default=1)
     add("projdim", cmd_projdim, "generic projective dimension")
 
     add("socle", cmd_socle, "generic socle (seeded)", seeded=True)
-    p = add("hom", cmd_hom, "generic Hom / End dimension (seeded)", seeded=True)
-    p.add_argument("--seq2", help="second sequence file (independent generic copy)")
-    p = add("ext", cmd_ext, "generic Ext dimension (seeded, two methods at k=1)", seeded=True)
-    p.add_argument("--seq2", help="second sequence file (independent generic copy)")
-    p.add_argument("--k", type=int, default=1)
-    p = add("decompose", cmd_decompose, "(in)decomposability verdict", seeded=True)
-    p.add_argument("--graded", action="store_true")
+    if p := add("hom", cmd_hom, "generic Hom / End dimension (seeded)", seeded=True):
+        p.add_argument("--seq2", help="second sequence file (independent generic copy)")
+    if p := add("ext", cmd_ext, "generic Ext dimension (seeded, two methods at k=1)",
+                seeded=True):
+        p.add_argument("--seq2", help="second sequence file (independent generic copy)")
+        p.add_argument("--k", type=int, default=1)
+    if p := add("decompose", cmd_decompose, "(in)decomposability verdict", seeded=True):
+        p.add_argument("--graded", action="store_true")
 
-    p = add("components", cmd_components, "irreducible-component sifting report",
-            seq=False, seeded=True, formats=("dot",))
-    p.add_argument("--dimvec", required=True)
-    p.add_argument("--top", help="restrict to this top (comma-separated)")
-    p.add_argument("--max-top-dim", type=int, default=None)
+    if p := add("components", cmd_components, "irreducible-component sifting report",
+                seq=False, seeded=True, formats=("dot",)):
+        p.add_argument("--dimvec", required=True)
+        p.add_argument("--top", help="restrict to this top (comma-separated)")
+        p.add_argument("--max-top-dim", type=int, default=None)
 
-    p = add("point-skeleta", cmd_point_skeleta, "distinguished skeleta of a module point",
-            seq=False, field=True, cap=True)
-    p.add_argument("--module", required=True, help="module point JSON file")
+    if p := add("point-skeleta", cmd_point_skeleta, "distinguished skeleta of a module point",
+                seq=False, field=True, cap=True):
+        p.add_argument("--module", required=True, help="module point JSON file")
+    if command not in (None, *names):
+        return build_parser()
+    if command is not None:
+        # the usage line lists every name, as the full parser's choices do; the full
+        # parser keeps no metavar, which would replace "command" in its errors
+        sub.metavar = "{" + ",".join(names) + "}"
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; only its own subparser is built when argv names one."""
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except EnumerationCapError as exc:

@@ -30,6 +30,7 @@ import bisect
 import copy
 import dataclasses
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -353,15 +354,8 @@ def seeded_assignment(pres: GenericPresentation, seed: int,
     """
     ids = pres.scalar_ids
     if fs.exact:
-        values = {}
-        n, primes = 2, []
-        while len(primes) < len(ids):
-            if _is_prime(n):
-                primes.append(n)
-            n += 1
-        for sid, p in zip(ids, primes):
-            values[sid] = Fraction(p)
-        return ScalarAssignment(values, seed, "exact-primes")
+        primes = map(Fraction, filter(_is_prime, itertools.count(2)))
+        return ScalarAssignment(dict(zip(ids, primes)), seed, "exact-primes")
     if fs.modulus <= MIN_RANDOM_MODULUS:
         raise ValidationError(
             f"field modulus must exceed {MIN_RANDOM_MODULUS} for randomized evaluation")
@@ -463,10 +457,9 @@ def _layering(alg: TruncatedAlgebra, spaces) -> SemisimpleSequence:
     """The radical layering read off the bases of ``_radical_spaces``."""
     if any(spaces[alg.L + 1][v].dim for v in alg.vertices):
         raise ValidationError("representation is not annihilated by paths of length L+1")
-    layers = []
-    for l in range(alg.L + 1):
-        layers.append(tuple(spaces[l][v].dim - spaces[l + 1][v].dim for v in alg.vertices))
-    return SemisimpleSequence(tuple(layers))
+    return SemisimpleSequence(tuple(
+        tuple(spaces[l][v].dim - spaces[l + 1][v].dim for v in alg.vertices)
+        for l in range(alg.L + 1)))
 
 
 def socle(rep: Representation) -> tuple[int, ...]:
@@ -475,9 +468,7 @@ def socle(rep: Representation) -> tuple[int, ...]:
     out = []
     for v in alg.vertices:
         d = rep.dim_at(v)
-        stacked = []
-        for a in alg.quiver.arrows_from[v]:
-            stacked.extend(rep.matrices[a.name])
+        stacked = [row for a in alg.quiver.arrows_from[v] for row in rep.matrices[a.name]]
         out.append(kernel_dim(fs, stacked, d) if stacked else d)
     return tuple(out)
 
@@ -545,9 +536,7 @@ def hom_dim_from_cyclic(alg: TruncatedAlgebra, c: CyclicType, rep: Representatio
     paths = enumerate_paths(alg, c.vertex, c.truncation)
     if not paths:
         return d
-    stacked = []
-    for p in paths:
-        stacked.extend(path_action(rep, p))
+    stacked = [row for p in paths for row in path_action(rep, p)]
     return kernel_dim(rep.field, stacked, d)
 
 
@@ -616,51 +605,55 @@ def _ext1_restriction_method(pres: GenericPresentation, assign: ScalarAssignment
     return hom_c - hom_p + _presented_hom_dim(pres, assign, rep_n)
 
 
-def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence, rep_n: Representation,
-                   k: int, seeds, fs: FieldSpec = FieldSpec(),
-                   rep_m: Representation | None = None) -> dict:
+def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence,
+                   rep_n: Representation | None, k: int, seeds,
+                   fs: FieldSpec = FieldSpec()) -> dict:
     """Per-seed Ext^k(G(S_M), N) with both methods at k = 1.
 
     Method 1 is the alternating formula on the minimal resolution read off
     the syzygy profiles; method 2 (k = 1 only) is the corank of the
     explicit restriction map.  Disagreement between methods or across seeds
-    is an error, never averaged.  ``rep_m``, when given, is G(S_M) already
-    materialized at the one seed in ``seeds`` (self-Ext passes N itself),
-    and method 1 uses it instead of materializing G(S_M) again.
+    is an error, never averaged.  ``rep_n`` None is self-Ext: N is G(S_M)
+    itself, the point drawn at each seed from one presentation.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    if rep_m is not None and len(seeds) != 1:
-        raise ValidationError("a materialized G(S_M) belongs to exactly one seed")
     if not realizable(alg, S_M):
         raise UnrealizableError(f"{S_M} is not realizable")
-    # only Hom(G, N) at k = 1 depends on the seed
-    hom_k = hom_profile_dim(alg, iterated_syzygy(alg, S_M, k), rep_n)
-    if k == 1:
-        pres = generic_presentation(alg, S_M)
-        hom_cover = _hom_from_projective_cover_of_top(S_M.top, alg, rep_n)
-    else:
-        prev = iterated_syzygy(alg, S_M, k - 1)
-        hom_km1 = hom_profile_dim(alg, prev, rep_n)
-        hom_cover = _hom_from_cover_of_profile(alg, prev, rep_n)
+    profile = iterated_syzygy(alg, S_M, k)
+    prev = iterated_syzygy(alg, S_M, k - 1) if k > 1 else None
+
+    @functools.cache
+    def rest(rep):
+        """Every term of the alternating formula but the seeded Hom(G, N) at k = 1."""
+        hom_k = hom_profile_dim(alg, profile, rep)
+        if k == 1:
+            return hom_k - _hom_from_projective_cover_of_top(S_M.top, alg, rep)
+        return hom_k - _hom_from_cover_of_profile(alg, prev, rep) + hom_profile_dim(alg, prev, rep)
+
+    # a point of G(S_M) per seed: for Hom(G, N) at k = 1, and as N in self-Ext
+    pres = generic_presentation(alg, S_M) if k == 1 or rep_n is None else None
     per_seed = []
-    for seed in seeds:
-        if k > 1:
-            per_seed.append({"seed": seed, "alternating": hom_k - hom_cover + hom_km1})
-            continue
-        assign = seeded_assignment(pres, seed, fs)
-        rep = materialize(pres, assign, fs) if rep_m is None else rep_m
-        value = hom_k - hom_cover + hom_dim(rep, rep_n)
-        other = _ext1_restriction_method(pres, assign, rep_n)
-        if other != value:
-            raise MethodDisagreementError(
-                f"ext methods disagree at seed {seed}: {value} vs {other}")
-        per_seed.append({"seed": seed, "alternating": value, "restriction": other})
-    values = {r["alternating"] for r in per_seed}
-    if len(values) > 1:
-        raise SeedStabilityError(f"ext value varies across seeds: {per_seed}")
-    return {"k": k, "value": values.pop(), "per_seed": per_seed,
-            "field_modulus": fs.modulus}
+
+    def compute(seed):
+        n = rep_n
+        if pres is not None:
+            assign = seeded_assignment(pres, seed, fs)
+            rep_m = materialize(pres, assign, fs)
+            n = rep_m if rep_n is None else rep_n
+        record = {"seed": seed, "alternating": rest(n)}
+        if k == 1:
+            record["alternating"] += hom_dim(rep_m, n)
+            record["restriction"] = _ext1_restriction_method(pres, assign, n)
+            if record["restriction"] != record["alternating"]:
+                raise MethodDisagreementError(
+                    f"ext: the two Ext^1 methods disagree for sequence {S_M} at seed {seed} "
+                    f"of seeds {list(seeds)}: {record}")
+        per_seed.append(record)
+        return record["alternating"]
+
+    value = stable_over_seeds(compute, seeds, "ext", f"sequence {S_M}")
+    return {"k": k, "value": value, "per_seed": per_seed, "field_modulus": fs.modulus}
 
 
 def ext_dim(alg: TruncatedAlgebra, S_M: SemisimpleSequence, rep_n: Representation,
@@ -910,12 +903,15 @@ def decomposability(alg: TruncatedAlgebra, S: SemisimpleSequence, graded: bool =
 # stability helpers and JSON
 # ---------------------------------------------------------------------------
 
-def stable_over_seeds(compute, seeds):
-    """Evaluate ``compute(seed)`` on every seed; all results must agree."""
+def stable_over_seeds(compute, seeds, stage: str = "stable_over_seeds", subject: str = ""):
+    """Evaluate ``compute(seed)`` on every seed; all results must agree.
+
+    A disagreement names the ``stage``, its ``subject`` and every seed's value.
+    """
     results = [(s, compute(s)) for s in seeds]
-    values = {v for _, v in results}
-    if len(values) > 1:
-        raise SeedStabilityError(f"seeded values disagree: {results}")
+    if len({v for _, v in results}) > 1:
+        raise SeedStabilityError(f"{stage}: seeded values disagree for {subject or 'input'} "
+                                 f"at seeds {list(seeds)}: {results}")
     return results[0][1]
 
 
@@ -927,7 +923,7 @@ def generic_socle(alg: TruncatedAlgebra, S: SemisimpleSequence, seeds=(0, 1, 2),
     def compute(seed):
         return socle(materialize(pres, seeded_assignment(pres, seed, fs), fs))
 
-    return stable_over_seeds(compute, seeds)
+    return stable_over_seeds(compute, seeds, "generic_socle", f"sequence {S}")
 
 
 def generic_end_dim(alg: TruncatedAlgebra, S: SemisimpleSequence, seeds=(0, 1, 2),
@@ -938,7 +934,7 @@ def generic_end_dim(alg: TruncatedAlgebra, S: SemisimpleSequence, seeds=(0, 1, 2
         assign = seeded_assignment(pres, seed, fs)
         return _presented_hom_dim(pres, assign, materialize(pres, assign, fs))
 
-    return stable_over_seeds(compute, seeds)
+    return stable_over_seeds(compute, seeds, "generic_end_dim", f"sequence {S}")
 
 
 def generic_hom_dim(alg: TruncatedAlgebra, S_a: SemisimpleSequence,
@@ -952,7 +948,8 @@ def generic_hom_dim(alg: TruncatedAlgebra, S_a: SemisimpleSequence,
         rep_b = materialize(pres_b, seeded_assignment(pres_b, seed + PAIR_SEED_OFFSET, fs), fs)
         return _presented_hom_dim(pres_a, seeded_assignment(pres_a, seed, fs), rep_b)
 
-    return stable_over_seeds(compute, seeds)
+    return stable_over_seeds(compute, seeds, "generic_hom_dim",
+                             f"sequences {S_a} and {S_b}")
 
 
 def module_point_from_json(data: dict, alg: TruncatedAlgebra,

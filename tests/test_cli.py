@@ -1,11 +1,13 @@
 """End-to-end CLI checks: subcommands, formats, exit codes, determinism."""
 
+import argparse
 import json
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from genrep.cli import _dumps, main
+from genrep.cli import _dumps, build_parser, main
 
 
 @pytest.fixture()
@@ -128,6 +130,43 @@ def test_ext_self_materializes_once_per_seed(double_back_file, deep_file, capsys
     code, out = run(capsys, ["ext", "--k", "1", "--algebra", double_back_file, "--seq", deep_file])
     assert code == 0 and json.loads(out)["ext_dim"] == 1
     assert len(calls) == 3
+
+
+def test_ext_self_builds_one_presentation(double_back_file, deep_file, capsys, monkeypatch):
+    # one presentation for all seeds, one assignment per seed, shared by both Ext^1 methods
+    import genrep.cli
+    import genrep.matrix_rep
+    calls = {"generic_presentation": 0, "seeded_assignment": 0}
+    for name in calls:
+        original = getattr(genrep.matrix_rep, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(genrep.matrix_rep, name, counting)
+        monkeypatch.setattr(genrep.cli, name, counting)
+    code, out = run(capsys, ["ext", "--k", "1", "--algebra", double_back_file, "--seq", deep_file])
+    assert code == 0 and json.loads(out)["ext_dim"] == 1
+    assert calls == {"generic_presentation": 1, "seeded_assignment": 3}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_ext_self_output_unchanged(double_back_file, deep_file, capsys, k):
+    # self-Ext is Ext of G(S) against the point drawn from the same seed
+    from genrep.algebra_core import algebra_from_json, sequence_from_json
+    from genrep.matrix_rep import FieldSpec, ext_dim_detail, materialize, seeded_assignment
+    from genrep.generic_builder import generic_presentation
+    alg = algebra_from_json(json.load(open(double_back_file)))
+    S = sequence_from_json(json.load(open(deep_file)), alg)
+    pres = generic_presentation(alg, S)
+    per_seed = []
+    for sd in (4, 5, 6):
+        rep_n = materialize(pres, seeded_assignment(pres, sd, FieldSpec()))
+        per_seed.extend(ext_dim_detail(alg, S, rep_n, k, [sd])["per_seed"])
+    code, out = run(capsys, ["ext", "--k", str(k), "--seed", "4",
+                             "--algebra", double_back_file, "--seq", deep_file])
+    assert code == 0 and json.loads(out)["per_seed"] == per_seed
 
 
 def test_decompose(tmp_path, double_back_file, deep_file, capsys):
@@ -310,6 +349,14 @@ def test_sequences_with_top(double_back_file, capsys):
     assert code == 0 and data["count"] == 1
     assert data["sequences"][0]["layers"] == [[2, 0], [0, 2], [0, 0]]
 
+
+
+@pytest.mark.parametrize("command", ["sequences", "components"])
+@pytest.mark.parametrize("top", ["-1", "1,1,1", "-1,2"])
+def test_malformed_top_exits_2(double_back_file, capsys, command, top):
+    # a short top was an IndexError traceback, a negative entry a silent empty answer
+    code = main([command, "--algebra", double_back_file, "--dimvec", "2,1", "--top=" + top])
+    assert code == 2 and "top must have" in capsys.readouterr().err
 
 def test_bad_modulus_exits_2(double_back_file, deep_file):
     assert main(["socle", "--algebra", double_back_file, "--seq", deep_file,
@@ -505,3 +552,100 @@ def test_dumps_shared_blocks_at_every_depth(value):
     block = [value, [value]]
     data = {"a": block, "b": [block, {"c": block}], "d": (block, block)}
     assert _dumps(data, "\n", {}) == json.dumps(data, indent=2)
+
+
+@pytest.mark.parametrize("command, patched, stage", [
+    ("socle", "socle", "generic_socle"),
+    ("hom", "_presented_hom_dim", "generic_end_dim"),
+    ("ext", "hom_dim", "ext"),
+])
+def test_seeded_errors_name_their_stage(double_back_file, deep_file, capsys, monkeypatch,
+                                        command, patched, stage):
+    import genrep.matrix_rep
+    calls = iter(range(100))
+    monkeypatch.setattr(genrep.matrix_rep, patched, lambda *args: next(calls))
+    code = main([command, "--seed", "4", "--algebra", double_back_file, "--seq", deep_file])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {stage}: ") and "([1, 1], [0, 1], [1, 0])" in err
+    assert "4, 5, 6" in err
+
+# -- one subparser per run -------------------------------------------------------
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+COMMANDS = list(_subparsers(build_parser()).choices)
+
+
+def _outcome(capsys, parse):
+    """(exit code or parse result, stdout, stderr) of one parse or run."""
+    try:
+        result = parse()
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def test_every_subcommand_listed():
+    assert len(COMMANDS) == 15 and "point-skeleta" in COMMANDS
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_subcommand_help_matches_full_parser(command, capsys):
+    expected = _subparsers(build_parser()).choices[command].format_help()
+    result, out, err = _outcome(capsys, lambda: main([command, "--help"]))
+    assert result == ("exit", 0) and err == ""
+    assert out == expected
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["nosuch"], ["--version"], ["-h"], ["--help"], ["hom", "--cap", "5"],
+    ["hom", "--algebra", "ALG", "--cap", "5"], ["hom", "--version"],
+    ["components", "--algebra", "ALG"],
+    ["skeleta", "--format", "xml", "--algebra", "ALG", "--layers", "[[1,1],[0,1],[1,0]]"],
+    ["ext", "--k", "x", "--algebra", "ALG"], ["realizable", "surplus", "--algebra", "ALG"],
+    ["point-skeleta"], ["--", "hom"],
+], ids=repr)
+def test_messages_match_full_parser(argv, double_back_file, capsys):
+    argv = [double_back_file if a == "ALG" else a for a in argv]
+    expected = _outcome(capsys, lambda: build_parser().parse_args(argv))
+    got = _outcome(capsys, lambda: main(argv))
+    assert expected[0][0] == "exit"
+    assert got == expected
+
+
+
+def test_full_parser_messages_pinned(double_back_file, capsys):
+    # the full parser names the missing subcommand "command" and lists every choice
+    _, _, err = _outcome(capsys, lambda: main([]))
+    assert err.endswith("genrep: error: the following arguments are required: command\n")
+    _, _, err = _outcome(capsys, lambda: main(["hom", "--algebra", double_back_file,
+                                                "--cap", "5"]))
+    assert "{" + ",".join(COMMANDS) + "}" in err
+    assert err.endswith("genrep: error: unrecognized arguments: --cap 5\n")
+
+def test_valid_subcommand_builds_one_subparser(double_back_file, deep_file, capsys, monkeypatch):
+    built = []
+    original = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return original(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert main(["projdim", "--algebra", double_back_file, "--seq", deep_file]) == 0
+    assert built == ["projdim"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["nosuch"])
+    assert built == COMMANDS
+
+
+def test_main_reads_sys_argv(double_back_file, deep_file, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["genrep", "realizable", "--algebra", double_back_file,
+                                      "--seq", deep_file])
+    code, out = run(capsys, None)
+    assert code == 0 and json.loads(out) == {"realizable": True}

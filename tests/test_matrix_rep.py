@@ -312,6 +312,64 @@ def test_seed_stability_error_surfaces():
         stable_over_seeds(lambda s: s, (1, 2))
 
 
+def _drifting(monkeypatch, name):
+    """Replace matrix_rep.<name> by a stand-in whose value changes with every call."""
+    import genrep.matrix_rep as mr
+    calls = iter(range(100))
+    monkeypatch.setattr(mr, name, lambda *args: next(calls))
+
+
+@pytest.mark.parametrize("stage, patched, run", [
+    ("generic_socle", "socle", lambda alg: generic_socle(alg, S_DEEP, seeds=(4, 5, 6))),
+    ("generic_end_dim", "_presented_hom_dim",
+     lambda alg: generic_end_dim(alg, S_DEEP, seeds=(4, 5, 6))),
+    ("generic_hom_dim", "_presented_hom_dim",
+     lambda alg: generic_hom_dim(alg, S_DEEP, S_DIP, seeds=(4, 5, 6))),
+])
+def test_seed_stability_error_names_stage_sequence_and_seeds(double_back, monkeypatch,
+                                                             stage, patched, run):
+    _drifting(monkeypatch, patched)
+    with pytest.raises(SeedStabilityError) as info:
+        run(double_back)
+    message = str(info.value)
+    assert message.startswith(stage + ": ")
+    assert str(S_DEEP) in message and "seeds [4, 5, 6]" in message
+    assert "(4, 0), (5, 1), (6, 2)" in message
+    if stage == "generic_hom_dim":
+        assert str(S_DIP) in message
+
+
+def test_ext_method_disagreement_names_stage_sequence_and_seeds(double_back, monkeypatch):
+    from genrep.errors import MethodDisagreementError
+    import genrep.matrix_rep as mr
+    monkeypatch.setattr(mr, "hom_dim", lambda a, b: 100)
+    with pytest.raises(MethodDisagreementError) as info:
+        ext_dim_detail(double_back, S_DEEP, None, 1, [4, 5, 6])
+    message = str(info.value)
+    assert message.startswith("ext: ") and str(S_DEEP) in message
+    assert "at seed 4 of seeds [4, 5, 6]" in message
+
+
+def test_ext_seed_instability_names_stage_sequence_and_seeds(double_back, monkeypatch):
+    # both Ext^1 methods shift by the same seed-dependent amount, so only the seeds disagree
+    import genrep.matrix_rep as mr
+    shift = {"by": 0}
+    hom, restriction = mr.hom_dim, mr._ext1_restriction_method
+
+    def shifted_restriction(*args):
+        value = restriction(*args) + shift["by"]
+        shift["by"] += 1
+        return value
+
+    monkeypatch.setattr(mr, "hom_dim", lambda a, b: hom(a, b) + shift["by"])
+    monkeypatch.setattr(mr, "_ext1_restriction_method", shifted_restriction)
+    with pytest.raises(SeedStabilityError) as info:
+        ext_dim_detail(double_back, S_DEEP, None, 1, [4, 5, 6])
+    message = str(info.value)
+    assert message.startswith("ext: ") and str(S_DEEP) in message
+    assert "seeds [4, 5, 6]: [(4, 1), (5, 2), (6, 3)]" in message
+
+
 # -- kernel oracle for syzygy profiles ----------------------------------------
 
 def test_syzygy_profile_matches_kernel_dims_relay(relay):
