@@ -156,7 +156,14 @@ def _dumps(obj, pad: str, memo: dict) -> str:
 
 
 def _emit(data) -> int:
-    print(_dumps(data, "\n", {}))
+    try:
+        text = _dumps(data, "\n", {})
+    except ValueError:
+        # only an int over the interpreter's digit limit fails to encode
+        limit = sys.get_int_max_str_digits()
+        raise EnumerationCapError(limit, "answer holds an integer over Python's "
+                                         f"{limit}-digit string limit") from None
+    print(text)
     return 0
 
 

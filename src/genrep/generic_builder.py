@@ -168,23 +168,18 @@ class BundleReport:
 def bundle_tower(alg: TruncatedAlgebra, S: SemisimpleSequence) -> BundleReport:
     """Grassmann-bundle tower of the graded base plus the affine fiber dimension.
 
-    Level 0 uses the length-one extensions available from the top; level l
-    uses the extensions of layer l of the canonical skeleton.  The sum of
-    the factor dimensions is N0 and the full variety has dimension N.
+    Level l chooses layer l+1 among the one-arrow extensions of layer l,
+    which number ``alg.extension_counts(S.layers[l])`` at each vertex.
+    The sum of the factor dimensions is N0 and the full variety has
+    dimension N.
     """
-    sk = _compatible_skeleton(alg, S, None)
-    N, N0, N1 = invariants_N(alg, S, skeleton=sk)
+    N, N0, N1 = invariants_N(alg, S)
     levels = []
     for l in range(alg.L):
-        counts = [0] * alg.n
-        for el in sk.layer(l):
-            end = alg.path_end(el[1])
-            for a in alg.quiver.arrows_from[end]:
-                counts[alg.vertex_pos(a.target)] += 1
-        factors = tuple(
+        counts = alg.extension_counts(S.layers[l])
+        levels.append(tuple(
             GrassmannFactor(v, counts[j] - S.layers[l + 1][j], counts[j])
-            for j, v in enumerate(alg.vertices))
-        levels.append(factors)
+            for j, v in enumerate(alg.vertices)))
     report = BundleReport(S, N1, tuple(levels), N, N0, N1)
     if sum(f.dim for lv in levels for f in lv) != N0:
         raise ValidationError("tower dimensions do not sum to N0")  # pragma: no cover

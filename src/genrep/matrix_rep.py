@@ -17,7 +17,9 @@ either field, is one sparse elimination (``_rank``) on rows stored as
 start, and ``mat_rank`` adapts dense rows to it.  ``RowSpace``, an
 incremental echelon basis whose loops are fixed per field, is used where
 the reduced vectors themselves matter: radical filtrations, quotients and
-the distinguished skeleta probes.
+the distinguished skeleta probes.  Distinguished skeleta are not a second
+walk: ``skeleta.iter_skeleta`` takes their memoised per-block independence
+test as its block predicate.
 
 Hom out of a generic module M = P/C is the kernel of the relation matrix
 of its presentation (``_presented_hom_dim``).  The intertwiner solver
@@ -52,7 +54,7 @@ from .errors import (
 )
 from .generic_builder import GenericPresentation, ScalarId, generic_presentation, hypergraph
 from .homology import CyclicType, SyzygyProfile, iterated_syzygy
-from .skeleta import Skeleton, iter_skeleta
+from .skeleta import Skeleton, count_skeleta, iter_skeleta
 
 MERSENNE_61 = 2**61 - 1
 MIN_RANDOM_MODULUS = 10**6
@@ -778,10 +780,12 @@ def _check_tops_full(rep: Representation, spaces) -> None:
 def distinguished_skeleta_of(rep: Representation, cap: int = 10**6) -> list[Skeleton]:
     """All distinguished skeleta of a module point with marked top elements.
 
-    A compatible abstract skeleton qualifies when, for every layer l, the
-    vectors p*m_r over its layer-l members are independent modulo J^{l+1}M.
-    Marked tops are grouped by vertex to align with the distinguished
-    indexing z_1..z_t.
+    A compatible abstract skeleton qualifies when, in each (layer l, end
+    vertex v) block, the vectors p*m_r are independent modulo J^{l+1}M_v.
+    That test is memoised per block and is ``iter_skeleta``'s predicate, so
+    a failing block cuts its subtree; layer 0 (the marked tops, grouped by
+    vertex to align with z_1..z_t) passes by ``_check_tops_full``.  Raises
+    iff the count of compatible abstract skeleta exceeds ``cap``.
     """
     alg, fs = rep.algebra, rep.field
     spaces = _radical_spaces(rep)
@@ -792,41 +796,23 @@ def distinguished_skeleta_of(rep: Representation, cap: int = 10**6) -> list[Skel
     tops = [rep.top_elements[i] for i in order]
     if tuple(v for v, _ in tops) != top_elements(alg, S):
         raise ValidationError("marked top elements do not match the layering's top")
+    if count_skeleta(alg, S) > cap:
+        raise EnumerationCapError(cap)
 
-    images = {}
-
+    @functools.cache
     def image(r, p):
         """p * m_r: the image of p's initial subpath times the leftmost arrow's matrix."""
-        if (r, p) not in images:
-            images[r, p] = (list(tops[r - 1][1]) if not p.arrows else mat_vec(
-                fs, rep.matrices[p.arrows[0]], image(r, p.initial_subpath(p.length - 1))))
-        return images[r, p]
+        return list(tops[r - 1][1]) if not p.arrows else mat_vec(
+            fs, rep.matrices[p.arrows[0]], image(r, p.initial_subpath(p.length - 1)))
 
-    out = []
-    count = 0
-    for sk in iter_skeleta(alg, S):
-        count += 1
-        if count > cap:
-            raise EnumerationCapError(cap)
-        good = True
-        for l in range(alg.L + 1):
-            layer = sk.layer(l)
-            if not layer:
-                continue
-            probes = {v: None for v in alg.vertices}
-            for r, p in layer:
-                w = list(image(r, p))
-                end = alg.path_end(p)
-                if probes[end] is None:
-                    probes[end] = spaces[l + 1][end].copy()
-                if probes[end].add(w) is None:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            out.append(sk)
-    return out
+    @functools.cache
+    def independent(l, v, chosen):
+        if not chosen:
+            return True
+        probe = spaces[l + 1][v].copy()
+        return all(probe.add(list(image(r, p))) is not None for r, p in chosen)
+
+    return list(iter_skeleta(alg, S, accept=independent))
 
 
 # ---------------------------------------------------------------------------

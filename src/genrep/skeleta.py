@@ -3,12 +3,15 @@
 A skeleton is a forest of labeled paths (r, p), one tree per distinguished
 top element z_r, closed under initial subpaths, whose length-l members
 realize layer l of the sequence vertex by vertex.
+
+``iter_skeleta`` is the one skeleton walk, a lazy descent with an optional
+block predicate; every cap is decided first by the closed form ``count_skeleta``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations
 from math import comb
 
 from .algebra_core import (
@@ -34,7 +37,7 @@ class Skeleton:
         self.top = tuple(top)
         self.element_set = frozenset(elements)
         self.elements: tuple[Element, ...] = tuple(
-            sorted(self.element_set, key=lambda e: self._key(e)))
+            sorted(self.element_set, key=self._key))
         layers: dict[int, list[Element]] = {}
         for el in self.elements:
             layers.setdefault(el[1].length, []).append(el)
@@ -119,69 +122,70 @@ class SigmaSet:
     one_part: tuple[Element, ...]
 
 
-def _level_candidates(sk_alg: TruncatedAlgebra, layer: tuple[Element, ...], vertex: str):
-    """Extension candidates into ``vertex``, ordered by (parent order, arrow order)."""
-    out = []
-    for el in layer:
-        end = sk_alg.path_end(el[1])
-        for a in sk_alg.quiver.arrows_from[end]:
-            if a.target == vertex:
-                out.append((el[0], sk_alg.extend(el[1], a)))
+def _level_candidates(alg: TruncatedAlgebra, layer: tuple[Element, ...]) -> dict[str, list]:
+    """Per vertex, the one-arrow extensions of ``layer`` ending there, in (parent, arrow) order."""
+    out = {v: [] for v in alg.vertices}
+    for r, p in layer:
+        for a in alg.quiver.arrows_from[alg.path_end(p)]:
+            out[a.target].append((r, alg.extend(p, a)))
     return out
 
 
-def iter_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence):
-    """Lazily yield all skeleta compatible with S, in canonical order.
+def iter_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence, accept=None):
+    """Lazily yield the skeleta compatible with S, in canonical order.
 
-    Level by level: at level l+1 and vertex j, every S_{l+1}[j]-subset of
-    the available extensions of layer l is a valid choice; subsets are taken
-    in combination order over candidates ordered by (parent, arrow).
+    The one skeleton walk.  It descends level by level and, within a level,
+    vertex by vertex: the block of layer l at vertex v is an
+    S_l[v]-subset of the extensions of layer l-1 into v, taken lazily in
+    combination order over candidates ordered by (parent, arrow).  The
+    candidate counts depend only on S (``alg.extension_counts``), so a
+    realizable S has no dead ends and an unrealizable one is not walked.
+    ``accept(l, v, chosen)``, if given, sees each block as it is chosen
+    (l >= 1), and a rejected block cuts its whole subtree.
     """
-    check_sequence(alg, S)
+    if not realizable(alg, S):
+        return
     top = top_elements(alg, S)
     base = tuple((r + 1, alg.trivial_path(v)) for r, v in enumerate(top))
 
-    def descend(l: int, layers):
-        if l == alg.L:
-            yield Skeleton(alg, top, [el for layer in layers for el in layer])
+    def descend(l, j, layers, cands):
+        # layers[-1] is layer l, filled at the vertices before position j
+        if j == alg.n:
+            if l == alg.L:
+                yield Skeleton(alg, top, [el for layer in layers for el in layer])
+            else:
+                yield from descend(l + 1, 0, layers + ((),), _level_candidates(alg, layers[-1]))
             return
-        prev = layers[-1]
-        per_vertex = []
-        for j, v in enumerate(alg.vertices):
-            cands = _level_candidates(alg, prev, v)
-            need = S.layers[l + 1][j]
-            if len(cands) < need:
-                return
-            per_vertex.append(combinations(cands, need))
-        for choice in product(*per_vertex):
-            nxt = tuple(el for group in choice for el in group)
-            yield from descend(l + 1, layers + [nxt])
+        v = alg.vertices[j]
+        for chosen in combinations(cands[v], S.layers[l][j]):
+            if accept is None or accept(l, v, chosen):
+                yield from descend(l, j + 1, layers[:-1] + (layers[-1] + chosen,), cands)
 
-    yield from descend(0, [base])
+    yield from descend(0, alg.n, (base,), None)
 
 
 def enumerate_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence,
                       cap: int = DEFAULT_CAP) -> list[Skeleton]:
-    """All compatible skeleta; empty iff S is unrealizable.  Raises above ``cap``."""
-    out = list(islice(iter_skeleta(alg, S), cap + 1))
-    if len(out) > cap:
+    """All compatible skeleta; empty iff S is unrealizable.
+
+    Raises iff their closed-form count exceeds ``cap``, before any walk.
+    """
+    if count_skeleta(alg, S) > cap:
         raise EnumerationCapError(cap)
-    return out
+    return list(iter_skeleta(alg, S))
 
 
 def canonical_skeleton(alg: TruncatedAlgebra, S: SemisimpleSequence) -> Skeleton:
-    """First skeleton in enumeration order; raises if S is unrealizable."""
+    """First skeleton in enumeration order, one pass deep; raises if S is unrealizable."""
     for sk in iter_skeleta(alg, S):
         return sk
-    raise UnrealizableError(f"no skeleton compatible with {S}")
+    raise UnrealizableError(f"{S} is not realizable")
 
 
 def _compatible_skeleton(alg: TruncatedAlgebra, S: SemisimpleSequence,
                          skeleton: Skeleton | None) -> Skeleton:
     """``skeleton`` if it is compatible with S, the canonical skeleton if None."""
     if skeleton is None:
-        if not realizable(alg, S):
-            raise UnrealizableError(f"{S} is not realizable")
         return canonical_skeleton(alg, S)
     if skeleton.sequence() != S:
         raise ValidationError(f"skeleton is compatible with {skeleton.sequence()}, not {S}")

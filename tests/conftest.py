@@ -387,16 +387,50 @@ def sequence_poset_by_sets(sequences):
     return SequencePoset(sequences, tuple(covers), minimal)
 
 
+def iter_skeleta_by_product(alg, S):
+    """Skeleta compatible with S by the eager descent, the order oracle.
+
+    At each level every vertex's ``combinations`` goes to
+    ``itertools.product``, which turns each one into a tuple before its
+    first yield; a vertex with too few candidates ends the branch.
+    """
+    from itertools import combinations, product
+    from genrep.algebra_core import check_sequence, top_elements
+    from genrep.skeleta import Skeleton
+
+    check_sequence(alg, S)
+    top = top_elements(alg, S)
+    base = tuple((r + 1, alg.trivial_path(v)) for r, v in enumerate(top))
+
+    def candidates(layer, vertex):
+        return [(r, alg.extend(p, a)) for r, p in layer
+                for a in alg.quiver.arrows_from[alg.path_end(p)] if a.target == vertex]
+
+    def descend(l, layers):
+        if l == alg.L:
+            yield Skeleton(alg, top, [el for layer in layers for el in layer])
+            return
+        per_vertex = []
+        for j, v in enumerate(alg.vertices):
+            cands = candidates(layers[-1], v)
+            need = S.layers[l + 1][j]
+            if len(cands) < need:
+                return
+            per_vertex.append(combinations(cands, need))
+        for choice in product(*per_vertex):
+            yield from descend(l + 1, layers + [tuple(el for group in choice for el in group)])
+
+    yield from descend(0, [base])
+
+
 def distinguished_skeleta_by_path_action(rep, cap=10**6):
     """Distinguished skeleta with each p * m_r taken, member by member, as
-    ``path_action(rep, p)`` applied to m_r."""
+    ``path_action(rep, p)`` applied to m_r, over the eager descent."""
     from genrep.algebra_core import top_elements
     from genrep.errors import EnumerationCapError, ValidationError
     from genrep.matrix_rep import (
         RowSpace, _check_tops_full, _radical_spaces, mat_vec, path_action, radical_layering,
     )
-    from genrep.skeleta import iter_skeleta
-
     alg, fs = rep.algebra, rep.field
     spaces = _radical_spaces(rep)
     _check_tops_full(rep, spaces)
@@ -405,7 +439,7 @@ def distinguished_skeleta_by_path_action(rep, cap=10**6):
     if tuple(v for v, _ in tops) != top_elements(alg, S):
         raise ValidationError("marked top elements do not match the layering's top")
     out = []
-    for count, sk in enumerate(iter_skeleta(alg, S), 1):
+    for count, sk in enumerate(iter_skeleta_by_product(alg, S), 1):
         if count > cap:
             raise EnumerationCapError(cap)
         good = True

@@ -82,6 +82,18 @@ def test_skeleta_cap_exit_3(double_back_file, deep_file, capsys):
     assert code == 3
 
 
+def test_skeleta_cap_exits_3_without_a_walk(tmp_path, capsys):
+    # one loop, L = 2, layering ((40), (20), (0)): C(40, 20) ~ 1.4e11 skeleta, so
+    # only the closed-form count, taken before any walk, can answer in time
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"vertices": ["1"], "arrows": [
+        {"name": "x", "source": "1", "target": "1"}], "max_path_length": 2}))
+    code = main(["skeleta", "--algebra", str(path), "--layers", "[[40],[20],[0]]",
+                 "--cap", "1"])
+    assert code == 3
+    assert "cap of 1" in capsys.readouterr().err
+
+
 def test_skeleta_text(double_back_file, deep_file, capsys):
     code, out = run(capsys, ["skeleta", "--format", "text",
                              "--algebra", double_back_file, "--seq", deep_file])
@@ -649,3 +661,19 @@ def test_main_reads_sys_argv(double_back_file, deep_file, capsys, monkeypatch):
                                       "--seq", deep_file])
     code, out = run(capsys, None)
     assert code == 0 and json.loads(out) == {"realizable": True}
+
+
+@pytest.mark.parametrize("command, k", [("syzygy", "5000"), ("ext", "20000")])
+def test_answer_over_int_digit_limit_exits_3(tmp_path, capsys, command, k):
+    # on the two-loop quiver the syzygy multiplicities grow exponentially in k
+    # and pass the interpreter's integer-to-string digit limit (4300 by default)
+    path = tmp_path / "two_loop.json"
+    path.write_text(json.dumps({"vertices": ["1", "2"], "arrows": [
+        {"name": "x", "source": "1", "target": "1"}, {"name": "y", "source": "1", "target": "1"},
+        {"name": "a", "source": "1", "target": "2"}, {"name": "b", "source": "2", "target": "1"},
+    ], "max_path_length": 6}))
+    layers = json.dumps([[1, 0]] + [[0, 0]] * 6)
+    code = main([command, "--algebra", str(path), "--layers", layers, "--k", k])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert f"{sys.get_int_max_str_digits()}-digit" in err

@@ -36,7 +36,13 @@ from genrep.matrix_rep import (
     socle,
     zero_matrix,
 )
-from genrep.skeleta import canonical_skeleton, enumerate_skeleta, invariants_N, iter_skeleta
+from genrep.skeleta import (
+    canonical_skeleton,
+    count_skeleta,
+    enumerate_skeleta,
+    invariants_N,
+    iter_skeleta,
+)
 
 from conftest import (
     distinguished_skeleta_by_path_action,
@@ -540,6 +546,60 @@ def test_distinguished_skeleta_match_oracle_on_drawn_points(request, fixture, fs
     rep = module_point(alg, tops, relations, fs)
     assert (outcome(lambda: distinguished_skeleta_of(rep, cap=60))
             == outcome(lambda: distinguished_skeleta_by_path_action(rep, cap=60)))
+
+
+# the 14-dimensional generic point of the relay fixture: one relation per
+# critical path of the canonical skeleton, small integer scalars
+GENERIC_POINT_14 = (
+    ("1", "1", "2", "3"),
+    [[(c, r, tuple(arrows.split())) for c, r, arrows in rel] for rel in (
+        [(1, 4, "g2"), (2, 1, "a1"), (-1, 1, "a2"), (3, 2, "a1"), (-1, 2, "a2"),
+         (3, 4, "g1"), (3, 1, "g1 b a1")],
+        [(1, 2, "b a2"), (3, 1, "b a1"), (2, 1, "b a2"), (-3, 2, "b a1")],
+        [(1, 3, "g1 b"), (1, 1, "g1 b a1")],
+        [(1, 3, "g2 b"), (-2, 1, "g1 b a1")],
+        [(1, 4, "b g1"), (3, 1, "b a1"), (-3, 1, "b a2"), (-2, 2, "b a1")],
+        [(1, 1, "g2 b a1"), (-3, 1, "g1 b a1")],
+        [(1, 1, "g1 b a2"), (-1, 1, "g1 b a1")],
+        [(1, 1, "g2 b a2"), (1, 1, "g1 b a1")],
+        [(1, 2, "g1 b a1"), (-2, 1, "g1 b a1")],
+        [(1, 2, "g2 b a1"), (1, 1, "g1 b a1")],
+    )],
+)
+
+
+def test_distinguished_block_test_is_memoised(relay, monkeypatch):
+    # 360 skeleta, all distinguished: one probe per distinct (layer, vertex,
+    # block) and per vertex of the tops check, not one per skeleton and layer
+    from genrep.matrix_rep import RowSpace
+    rep = module_point(relay, *GENERIC_POINT_14)
+    assert radical_layering(rep) == S_DIM14
+    copies = []
+    original = RowSpace.copy
+    monkeypatch.setattr(RowSpace, "copy", lambda self: copies.append(1) or original(self))
+    sks = distinguished_skeleta_of(rep)
+    assert sks == enumerate_skeleta(relay, S_DIM14)
+    assert len(copies) <= 50
+
+
+def test_caps_are_decided_by_the_abstract_count(six_vertex, relay):
+    # the worked point has 10 compatible abstract skeleta, 3 of them
+    # distinguished: a cap between the two raises, as the abstract count says
+    worked = module_point(six_vertex, *WORKED_POINT)
+    generic = module_point(relay, *GENERIC_POINT_14)
+    for rep in (worked, generic):
+        alg, S = rep.algebra, radical_layering(rep)
+        total = count_skeleta(alg, S)
+        for cap in sorted({0, 1, 3, 5, total - 1, total, total + 1}):
+            for compute in (lambda: enumerate_skeleta(alg, S, cap=cap),
+                            lambda: distinguished_skeleta_of(rep, cap=cap)):
+                if total > cap:
+                    with pytest.raises(EnumerationCapError):
+                        compute()
+                else:
+                    assert len(compute()) <= total
+    assert (count_skeleta(six_vertex, radical_layering(worked)), len(
+        distinguished_skeleta_of(worked, cap=10))) == (10, 3)
 
 
 # -- decomposability -----------------------------------------------------------

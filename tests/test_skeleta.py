@@ -14,7 +14,7 @@ from genrep.skeleta import (
     skeleton_to_json,
 )
 
-from conftest import seq, skeleton_from_json
+from conftest import _alg, iter_skeleta_by_product, seq, skeleton_from_json
 
 
 def label(el):
@@ -183,7 +183,7 @@ def test_skeleton_json_roundtrip(double_back):
     assert back == sk
 
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 random_layers = st.lists(
     st.lists(st.integers(min_value=0, max_value=2), min_size=2, max_size=2),
@@ -214,3 +214,69 @@ def test_count_skeleta_layer_mismatch(double_back):
     from genrep.errors import ValidationError
     with pytest.raises(ValidationError):
         count_skeleta(double_back, seq((1, 0), (0, 1)))
+
+
+@st.composite
+def realizable_layerings(draw, alg):
+    """A top of entries 0..2, then each layer within the extensions of the one before."""
+    rows = [tuple(draw(st.integers(0, 2)) for _ in alg.vertices)]
+    for _ in range(alg.L):
+        rows.append(tuple(draw(st.integers(0, min(a, 3)))
+                          for a in alg.extension_counts(rows[-1])))
+    return seq(*rows)
+
+
+FIXTURES = ["double_back", "relay", "loop_out", "chain_with_returns", "line_swing",
+            "six_vertex", "triangle", "kronecker", "a2", "diamond", "y_quiver", "with_isolated"]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_lazy_descent_matches_eager_oracle(request, fixture, data):
+    alg = request.getfixturevalue(fixture)
+    S = data.draw(realizable_layerings(alg))
+    assume(count_skeleta(alg, S) <= 500)
+    assert list(iter_skeleta(alg, S)) == list(iter_skeleta_by_product(alg, S))
+
+
+def test_accept_prunes_subtrees_in_order(relay):
+    # rejecting every block at vertex 3 of layer 2 that uses the first
+    # candidate keeps exactly the oracle's skeleta without it, in order
+    first = iter_skeleta_by_product(relay, S_DIM14).__next__().layer(2)[0]
+    seen = []
+
+    def accept(l, v, chosen):
+        seen.append((l, v))
+        return not (l == 2 and first in chosen)
+
+    want = [sk for sk in iter_skeleta_by_product(relay, S_DIM14) if first not in sk]
+    assert list(iter_skeleta(relay, S_DIM14, accept=accept)) == want
+    assert 0 < len(want) < 360
+    assert {l for l, _ in seen} == {1, 2, 3}
+
+
+def test_unrealizable_sequence_is_not_walked(double_back):
+    calls = []
+    S = seq((1, 0), (0, 0), (1, 0))
+    assert list(iter_skeleta(double_back, S, accept=lambda *b: calls.append(b))) == []
+    assert calls == []
+    with pytest.raises(UnrealizableError):
+        canonical_skeleton(double_back, S)
+
+
+def test_canonical_skeleton_is_one_pass_deep():
+    # one loop, L = 2, layering ((40), (20), (0)): C(40, 20) ~ 1.4e11 skeleta;
+    # the first yield takes the first 20 candidates and never tuples the rest
+    import tracemalloc
+    loop = _alg(["1"], [("x", "1", "1")], 2)
+    S = seq((40,), (20,), (0,))
+    tracemalloc.start()
+    try:
+        sk = canonical_skeleton(loop, S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert sk.sequence() == S
+    assert [r for r, _ in sk.layer(1)] == list(range(1, 21))
