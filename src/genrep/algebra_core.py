@@ -326,10 +326,11 @@ def enumerate_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector,
 # ---------------------------------------------------------------------------
 
 def _json_as(x, kind=int):
-    """``x`` if it is a JSON value of type ``kind`` (int, list or dict).
+    """``x`` if it is a JSON value of type ``kind`` (int, str, list or dict).
 
-    Nothing is coerced: bool, float and str are no int, and a str, number
-    or object is no list, so none of them is read or iterated by mistake.
+    Nothing is coerced: bool, float and str are no int, null and numbers
+    are no str, and a str, number or object is no list, so none of them is
+    read, renamed or iterated by mistake.
     """
     if type(x) is not kind:
         raise TypeError(f"expected {kind.__name__}, got {x!r}")
@@ -339,8 +340,8 @@ def _json_as(x, kind=int):
 def algebra_from_json(data: dict) -> TruncatedAlgebra:
     """Quiver input: {"vertices": [...], "arrows": [{"name","source","target"}], "max_path_length": L}."""
     try:
-        vertices = _json_as(data["vertices"], list)
-        arrows = [Arrow(str(a["name"]), str(a["source"]), str(a["target"]))
+        vertices = [_json_as(v, str) for v in _json_as(data["vertices"], list)]
+        arrows = [Arrow(*(_json_as(a[k], str) for k in ("name", "source", "target")))
                   for a in _json_as(data["arrows"], list)]
         L = _json_as(data["max_path_length"])
     except (KeyError, TypeError) as exc:

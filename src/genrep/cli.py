@@ -184,8 +184,8 @@ def _el_id(el) -> str:
     return f"z{r}" + ("_" + "_".join(p.arrows) if p.arrows else "")
 
 
-def skeleton_dot(alg, sk, with_critical=False, with_hyperedges=False,
-                 presentation=None) -> str:
+def skeleton_dot(alg, sk, critical=()) -> str:
+    """DOT of a skeleton, its ``critical`` (sigma-set, members) pairs dashed, hyperedges dotted."""
     lines = ["digraph skeleton {", '  rankdir=TB;']
     for el in sk.elements:
         lines.append(f'  "{_el_id(el)}" [label="{sk.end(el)}"];')
@@ -196,27 +196,20 @@ def skeleton_dot(alg, sk, with_critical=False, with_hyperedges=False,
         parent = (r, p.initial_subpath(p.length - 1))
         lines.append(f'  "{_el_id(parent)}" -> "{_el_id(el)}" '
                      f'[label="{p.arrows[0]}", style=solid];')
-    if with_critical or with_hyperedges:
-        sets = critical_paths(alg, sk)
-        for i, sset in enumerate(sets):
-            crit = sset.critical
-            cid = f"crit{i}"
-            end = alg.path_end(crit.path(alg))
-            lines.append(f'  "{cid}" [label="{end}"];')
-            lines.append(f'  "{_el_id(crit.parent)}" -> "{cid}" '
-                         f'[label="{crit.arrow}", style=dashed];')
-            if with_hyperedges:
-                members = sset.members
-                if presentation is not None:
-                    rel = presentation.relations[i]
-                    members = tuple(mem for mem, _ in rel.terms)
-                if not members:
-                    continue
-                hid = f"hyper{i}"
-                lines.append(f'  "{hid}" [shape=point];')
-                lines.append(f'  "{hid}" -> "{cid}" [style=dotted, dir=none];')
-                for mem in members:
-                    lines.append(f'  "{hid}" -> "{_el_id(mem)}" [style=dotted, dir=none];')
+    for i, (sset, members) in enumerate(critical):
+        crit = sset.critical
+        cid = f"crit{i}"
+        end = alg.path_end(crit.path(alg))
+        lines.append(f'  "{cid}" [label="{end}"];')
+        lines.append(f'  "{_el_id(crit.parent)}" -> "{cid}" '
+                     f'[label="{crit.arrow}", style=dashed];')
+        if not members:
+            continue
+        hid = f"hyper{i}"
+        lines.append(f'  "{hid}" [shape=point];')
+        lines.append(f'  "{hid}" -> "{cid}" [style=dotted, dir=none];')
+        for mem in members:
+            lines.append(f'  "{hid}" -> "{_el_id(mem)}" [style=dotted, dir=none];')
     lines.append("}")
     return "\n".join(lines)
 
@@ -297,7 +290,7 @@ def cmd_critical(args):
     S = _sequence(args, alg)
     sk = canonical_skeleton(alg, S)
     if args.format == "dot":
-        print(skeleton_dot(alg, sk, with_critical=True))
+        print(skeleton_dot(alg, sk, [(sset, ()) for sset in critical_paths(alg, sk)]))
         return 0
     return _emit(critical_report_json(alg, sk))
 
@@ -308,8 +301,8 @@ def cmd_generic(args):
     S = _sequence(args, alg)
     pres = generic_presentation(alg, S, graded=args.graded)
     if args.format == "dot":
-        print(skeleton_dot(alg, pres.skeleton, with_critical=True,
-                           with_hyperedges=True, presentation=pres))
+        print(skeleton_dot(alg, pres.skeleton, [(rel.sigma_set, [mem for mem, _ in rel.terms])
+                                                 for rel in pres.relations]))
         return 0
     if args.command == "hypergraph":
         return _emit(hypergraph_to_json(hypergraph(pres)))

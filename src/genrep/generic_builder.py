@@ -190,12 +190,16 @@ def bundle_tower(alg: TruncatedAlgebra, S: SemisimpleSequence) -> BundleReport:
 # JSON interfaces
 # ---------------------------------------------------------------------------
 
+def _critical_path_to_json(alg: TruncatedAlgebra, s: SigmaSet) -> dict:
+    return {"r": s.critical.r, "arrows": list(s.critical.path(alg).arrows)}
+
+
 def _sigma_set_to_json(alg: TruncatedAlgebra, s: SigmaSet) -> dict:
     crit = s.critical
     return {
         "arrow": crit.arrow,
         "parent": element_to_json(crit.parent),
-        "path": {"r": crit.r, "arrows": list(crit.path(alg).arrows)},
+        "path": _critical_path_to_json(alg, s),
         "sigma_set": [element_to_json(m) for m in s.members],
         "zero_part": [element_to_json(m) for m in s.zero_part],
         "one_part": [element_to_json(m) for m in s.one_part],
@@ -212,7 +216,7 @@ def presentation_to_json(pres: GenericPresentation) -> dict:
         "mode": pres.mode,
         "relations": [
             {
-                "critical": _sigma_set_to_json(alg, rel.sigma_set)["path"],
+                "critical": _critical_path_to_json(alg, rel.sigma_set),
                 "terms": [
                     {"member": element_to_json(mem), "scalar": sid.name}
                     for mem, sid in rel.terms
@@ -229,7 +233,7 @@ def hypergraph_to_json(hg: Hypergraph) -> dict:
         "skeleton": {"elements": [element_to_json(e) for e in hg.skeleton.elements]},
         "hyperedges": [
             {
-                "critical": _sigma_set_to_json(alg, sset)["path"],
+                "critical": _critical_path_to_json(alg, sset),
                 "members": [element_to_json(m) for m in members],
             }
             for sset, members in hg.edges

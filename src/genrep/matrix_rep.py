@@ -13,17 +13,18 @@ Fields are either F_p for a large prime p (default the Mersenne prime
 2^61 - 1) or exact rationals; all arithmetic is exact.  Arrow matrices
 are tuples of rows of Python ints (mod p) or Fractions.  Every rank, over
 either field, is one sparse elimination (``_rank``) on rows stored as
-``{column: value}`` dicts; both Hom systems are built that way from the
-start, and ``mat_rank`` adapts dense rows to it.  ``RowSpace``, an
-incremental echelon basis whose loops are fixed per field, is used where
-the reduced vectors themselves matter: radical filtrations, quotients and
-the distinguished skeleta probes.  Distinguished skeleta are not a second
+``{column: value}`` dicts and built that way from the start; ``mat_rank``,
+its dense adapter, is left for tests.  ``RowSpace``, an incremental echelon
+basis whose loops are fixed per field, is used where the reduced vectors
+themselves matter: radical filtrations, quotients and the distinguished
+skeleta probes.  Distinguished skeleta are not a second
 walk: ``skeleta.iter_skeleta`` takes their memoised per-block independence
 test as its block predicate.
 
-Hom out of a generic module M = P/C is the kernel of the relation matrix
-of its presentation (``_presented_hom_dim``).  The intertwiner solver
-``hom_dim`` is kept as an independent route for the Ext^1 cross-check.
+Hom out of any presented module (a generic M = P/C, a cyclic Lambda e / J^m e,
+a simple) is the kernel of one relation matrix (``_hom_out_of``).  The
+intertwiner solver ``hom_dim`` is an independent route to Hom(M, N), the
+only term in which the two Ext^1 methods differ.
 """
 
 from __future__ import annotations
@@ -214,10 +215,6 @@ def mat_rank(fs: FieldSpec, rows) -> int:
     if p is not None:
         rows = [[x % p for x in r] for r in rows]
     return _rank(p, [{j: x for j, x in enumerate(r) if x} for r in rows])
-
-
-def kernel_dim(fs: FieldSpec, rows, ncols: int) -> int:
-    return ncols - mat_rank(fs, rows)
 
 
 def _reduce_mod_p(p, rows, pivots, vec):
@@ -465,14 +462,10 @@ def _layering(alg: TruncatedAlgebra, spaces) -> SemisimpleSequence:
 
 
 def socle(rep: Representation) -> tuple[int, ...]:
-    """Per-vertex socle dimensions: joint kernel of all arrows leaving the vertex."""
-    alg, fs = rep.algebra, rep.field
-    out = []
-    for v in alg.vertices:
-        d = rep.dim_at(v)
-        stacked = [row for a in alg.quiver.arrows_from[v] for row in rep.matrices[a.name]]
-        out.append(kernel_dim(fs, stacked, d) if stacked else d)
-    return tuple(out)
+    """Per-vertex socle dimensions dim Hom(S_v, M): a relation per arrow out of v."""
+    return tuple(_hom_out_of(rep, (v,), [(rep.matrices[a.name], 0, ())
+                                         for a in rep.algebra.quiver.arrows_from[v]])
+                 for v in rep.algebra.vertices)
 
 
 def hom_dim(rep_a: Representation, rep_b: Representation) -> int:
@@ -514,32 +507,57 @@ def path_action(rep: Representation, p: Path):
     """Matrix of the action of a path: component at start -> component at end.
 
     Memoised per representation: the leftmost arrow's matrix times the
-    matrix of the initial subpath.
+    matrix of the initial subpath; a one-arrow path is its arrow's matrix.
     """
     if p not in rep._path_actions:
-        rep._path_actions[p] = _freeze(
-            identity_matrix(rep.field, rep.dim_at(p.start)) if not p.arrows else
-            mat_mul(rep.field, rep.matrices[p.arrows[0]],
-                    path_action(rep, p.initial_subpath(p.length - 1))))
+        rep._path_actions[p] = (
+            _freeze(identity_matrix(rep.field, rep.dim_at(p.start))) if not p.arrows else
+            rep.matrices[p.arrows[0]] if p.length == 1 else
+            _freeze(mat_mul(rep.field, rep.matrices[p.arrows[0]],
+                            path_action(rep, p.initial_subpath(p.length - 1)))))
     return rep._path_actions[p]
+
+
+def _hom_out_of(rep_n: Representation, tops, relations) -> int:
+    """dim Hom(P/C, N) for P = sum_r Lambda e(r), ``tops`` listing the e(r).
+
+    Each relation ``(lead, r, terms)`` generating C is lead z_r plus scale A z_s
+    for each ``(A, s, scale)`` in ``terms``, with lead and A action matrices.
+    A map P -> N, images n_r in e(r)N, factors through P/C iff it kills
+    every relation: dim Hom = sum_r dim e(r)N - rank R, R the relation matrix.
+    """
+    p = rep_n.field.modulus
+    offsets, width = [], 0
+    for v in tops:
+        offsets.append(width)
+        width += rep_n.dim_at(v)
+    rows = []
+    for lead, r, terms in relations:
+        off = offsets[r]
+        block = ([{off + j: x for j, x in enumerate(row) if x} for row in lead] if p is None else
+                 [{off + j: y for j, x in enumerate(row) if (y := x % p)} for row in lead])
+        for mat, s, scale in terms:
+            off = offsets[s]
+            for row, mat_row in zip(block, mat):
+                for j, x in enumerate(mat_row):
+                    if x:
+                        _add_entry(p, row, off + j, scale * x)
+        rows += block
+    return width - _rank(p, rows)
 
 
 def hom_dim_from_cyclic(alg: TruncatedAlgebra, c: CyclicType, rep: Representation) -> int:
     """dim Hom(Lambda e / J^m e, N) = dim { n in eN : J^m n = 0 }.
 
-    The kernel of the stacked action matrices of all length-m paths out of
-    e; a projective cyclic imposes no constraint.
+    One relation per length-m path out of e; a projective cyclic imposes
+    no constraint.
     """
     from .algebra_core import enumerate_paths
 
-    d = rep.dim_at(c.vertex)
     if c.truncation >= alg.L + 1:
-        return d
-    paths = enumerate_paths(alg, c.vertex, c.truncation)
-    if not paths:
-        return d
-    stacked = [row for p in paths for row in path_action(rep, p)]
-    return kernel_dim(rep.field, stacked, d)
+        return rep.dim_at(c.vertex)
+    return _hom_out_of(rep, (c.vertex,), [(path_action(rep, p), 0, ())
+                                          for p in enumerate_paths(alg, c.vertex, c.truncation)])
 
 
 def hom_profile_dim(alg: TruncatedAlgebra, profile: SyzygyProfile, rep: Representation) -> int:
@@ -550,61 +568,23 @@ def hom_profile_dim(alg: TruncatedAlgebra, profile: SyzygyProfile, rep: Represen
 # Ext dimensions, two ways
 # ---------------------------------------------------------------------------
 
-def _hom_from_projective_cover_of_top(S0, alg, rep) -> int:
-    return sum(S0[i] * rep.dims[i] for i in range(alg.n))
-
-
-def _hom_from_cover_of_profile(alg, profile: SyzygyProfile, rep) -> int:
-    return sum(m * rep.dim_at(c.vertex) for c, m in profile.items())
+def _hom_from_projective(rep: Representation, multiplicities) -> int:
+    """dim Hom(P, N) = sum_v m_v dim N_v for P = sum_v (Lambda e_v)^{m_v}, given as (v, m_v)."""
+    return sum(m * rep.dim_at(v) for v, m in multiplicities)
 
 
 def _presented_hom_dim(pres: GenericPresentation, assign: ScalarAssignment,
                        rep_n: Representation) -> int:
     """dim Hom(M, N) for M = P/C, the evaluation of ``pres`` at ``assign``.
 
-    A map P -> N is a choice of images n_r in e(r)N, one per top z_r; it
-    factors through M iff it kills every relation generator of C.  So
-    Hom(M, N) is the kernel of the relation-evaluation matrix R on the
-    direct sum of the e(r)N, and dim Hom = sum_r dim e(r)N - rank R.
+    One relation per critical path z_r: its action, minus the assigned
+    scalar times the action of each sigma-set member on its top z_s.
     """
-    alg, fs, p = pres.algebra, rep_n.field, rep_n.field.modulus
-    offsets, width = [], 0
-    for v in pres.skeleton.top:
-        offsets.append(width)
-        width += rep_n.dim_at(v)
-    rows = []
-    for rel in pres.relations:
-        crit = rel.sigma_set.critical
-        cpath = crit.path(alg)
-        block = [{} for _ in range(rep_n.dim_at(alg.path_end(cpath)))]
-        terms = [(cpath, crit.r, 1)] + [(mem[1], mem[0], -fs.element(assign[sid]))
-                                        for mem, sid in rel.terms]
-        for path, r, scale in terms:
-            off = offsets[r - 1]
-            for row, mat_row in zip(block, path_action(rep_n, path)):
-                for j, x in enumerate(mat_row):
-                    if x:
-                        _add_entry(p, row, off + j, scale * x)
-        rows.extend(row for row in block if row)
-    return width - _rank(p, rows)
-
-
-def _ext1_restriction_method(pres: GenericPresentation, assign: ScalarAssignment,
-                             rep_n: Representation) -> int:
-    """dim Ext^1 as corank of the restriction map Hom(P, N) -> Hom(Omega^1, N).
-
-    Uses the explicit embedding Omega^1 = C <= JP: the restriction map is
-    the relation-evaluation matrix R, whose kernel is Hom(M, N), so its
-    rank is dim Hom(P, N) - dim Hom(M, N).
-    """
-    alg = pres.algebra
-    hom_c = 0
-    for rel in pres.relations:
-        cpath = rel.sigma_set.critical.path(alg)
-        hom_c += hom_dim_from_cyclic(
-            alg, CyclicType(alg.path_end(cpath), alg.L + 1 - cpath.length), rep_n)
-    hom_p = _hom_from_projective_cover_of_top(pres.sequence.top, alg, rep_n)
-    return hom_c - hom_p + _presented_hom_dim(pres, assign, rep_n)
+    alg, fs = pres.algebra, rep_n.field
+    return _hom_out_of(rep_n, pres.skeleton.top, [
+        (path_action(rep_n, rel.critical.path(alg)), rel.critical.r - 1,
+         [(path_action(rep_n, q), s - 1, -fs.element(assign[sid])) for (s, q), sid in rel.terms])
+        for rel in pres.relations])
 
 
 def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence,
@@ -614,7 +594,9 @@ def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence,
 
     Method 1 is the alternating formula on the minimal resolution read off
     the syzygy profiles; method 2 (k = 1 only) is the corank of the
-    explicit restriction map.  Disagreement between methods or across seeds
+    restriction map Hom(P, N) -> Hom(Omega^1, N).  They share every term but
+    Hom(M, N), taken by ``hom_dim`` and by ``_presented_hom_dim``
+    respectively.  Disagreement between methods or across seeds
     is an error, never averaged.  ``rep_n`` None is self-Ext: N is G(S_M)
     itself, the point drawn at each seed from one presentation.
     """
@@ -630,8 +612,9 @@ def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence,
         """Every term of the alternating formula but the seeded Hom(G, N) at k = 1."""
         hom_k = hom_profile_dim(alg, profile, rep)
         if k == 1:
-            return hom_k - _hom_from_projective_cover_of_top(S_M.top, alg, rep)
-        return hom_k - _hom_from_cover_of_profile(alg, prev, rep) + hom_profile_dim(alg, prev, rep)
+            return hom_k - _hom_from_projective(rep, zip(alg.vertices, S_M.top))
+        return (hom_k - _hom_from_projective(rep, ((c.vertex, m) for c, m in prev.items()))
+                + hom_profile_dim(alg, prev, rep))
 
     # a point of G(S_M) per seed: for Hom(G, N) at k = 1, and as N in self-Ext
     pres = generic_presentation(alg, S_M) if k == 1 or rep_n is None else None
@@ -646,7 +629,7 @@ def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence,
         record = {"seed": seed, "alternating": rest(n)}
         if k == 1:
             record["alternating"] += hom_dim(rep_m, n)
-            record["restriction"] = _ext1_restriction_method(pres, assign, n)
+            record["restriction"] = rest(n) + _presented_hom_dim(pres, assign, n)
             if record["restriction"] != record["alternating"]:
                 raise MethodDisagreementError(
                     f"ext: the two Ext^1 methods disagree for sequence {S_M} at seed {seed} "
@@ -942,10 +925,10 @@ def module_point_from_json(data: dict, alg: TruncatedAlgebra,
                            fs: FieldSpec = RATIONALS) -> Representation:
     """{"tops":[{"vertex":...}],"relations":[[{"coeff","r","arrows"}...]]} -> P/C."""
     try:
-        tops = [str(t["vertex"]) for t in data["tops"]]
+        tops = [_json_as(t["vertex"], str) for t in data["tops"]]
         relations = [
             [(_parse_coeff(term.get("coeff", 1), fs), _json_as(term["r"]),
-              tuple(str(a) for a in _json_as(term["arrows"], list)))
+              tuple(_json_as(a, str) for a in _json_as(term["arrows"], list)))
              for term in (_json_as(t, dict) for t in _json_as(rel, list))]
             for rel in _json_as(data["relations"], list)
         ]

@@ -196,6 +196,27 @@ def kernel_basis(fs, rows, ncols):
     return basis
 
 
+def socle_by_stacking(rep):
+    """Per-vertex socle dimensions: the kernel of the stacked matrices of
+    every arrow leaving the vertex."""
+    from genrep.matrix_rep import mat_rank
+    return tuple(rep.dim_at(v) - mat_rank(rep.field, [
+        row for a in rep.algebra.quiver.arrows_from[v] for row in rep.matrices[a.name]])
+        for v in rep.algebra.vertices)
+
+
+def hom_dim_from_cyclic_by_stacking(alg, c, rep):
+    """dim Hom(Lambda e / J^m e, N): the kernel of the stacked action
+    matrices of every length-m path out of e."""
+    from genrep.algebra_core import enumerate_paths
+    from genrep.matrix_rep import mat_rank, path_action
+    d = rep.dim_at(c.vertex)
+    if c.truncation >= alg.L + 1:
+        return d
+    return d - mat_rank(rep.field, [row for p in enumerate_paths(alg, c.vertex, c.truncation)
+                                    for row in path_action(rep, p)])
+
+
 def user_assignment(values, fs=None):
     """A ScalarAssignment from explicit nonzero values (ScalarId -> number)."""
     from genrep.errors import ValidationError

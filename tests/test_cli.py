@@ -354,6 +354,179 @@ def test_generic_dot_and_critical_dot(double_back_file, deep_file, capsys):
     assert code == 0 and "style=dashed" in out and "shape=point" not in out
 
 
+RELAY = {"vertices": ["1", "2", "3"], "max_path_length": 3, "arrows": [
+    {"name": n, "source": s, "target": t} for n, s, t in
+    (("a1", "1", "2"), ("a2", "1", "2"), ("b", "2", "3"), ("g1", "3", "2"), ("g2", "3", "2"))]}
+DOT_LAYERS = {"double_back": "[[1,1],[0,1],[1,0]]", "relay": "[[1,0,0],[0,1,0],[0,0,1],[0,1,0]]"}
+DOT_COMMANDS = {"skeleta": ["skeleta", "--format", "dot"],
+                "critical": ["critical", "--format", "dot"],
+                "generic": ["generic", "--format", "dot"],
+                "generic-graded": ["generic", "--graded", "--format", "dot"],
+                "hypergraph": ["hypergraph", "--dot"]}
+# exact DOT output; hypergraph --dot draws the generic presentation
+DOT = {
+    ("double_back", "skeleta"): """\
+digraph skeleton {
+  rankdir=TB;
+  "z1" [label="1"];
+  "z2" [label="2"];
+  "z1_a" [label="2"];
+  "z1_b1_a" [label="1"];
+  "z1" -> "z1_a" [label="a", style=solid];
+  "z1_a" -> "z1_b1_a" [label="b1", style=solid];
+}
+""",
+    ("double_back", "critical"): """\
+digraph skeleton {
+  rankdir=TB;
+  "z1" [label="1"];
+  "z2" [label="2"];
+  "z1_a" [label="2"];
+  "z1_b1_a" [label="1"];
+  "z1" -> "z1_a" [label="a", style=solid];
+  "z1_a" -> "z1_b1_a" [label="b1", style=solid];
+  "crit0" [label="1"];
+  "z2" -> "crit0" [label="b1", style=dashed];
+  "crit1" [label="1"];
+  "z2" -> "crit1" [label="b2", style=dashed];
+  "crit2" [label="1"];
+  "z1_a" -> "crit2" [label="b2", style=dashed];
+}
+""",
+    ("double_back", "generic"): """\
+digraph skeleton {
+  rankdir=TB;
+  "z1" [label="1"];
+  "z2" [label="2"];
+  "z1_a" [label="2"];
+  "z1_b1_a" [label="1"];
+  "z1" -> "z1_a" [label="a", style=solid];
+  "z1_a" -> "z1_b1_a" [label="b1", style=solid];
+  "crit0" [label="1"];
+  "z2" -> "crit0" [label="b1", style=dashed];
+  "hyper0" [shape=point];
+  "hyper0" -> "crit0" [style=dotted, dir=none];
+  "hyper0" -> "z1_b1_a" [style=dotted, dir=none];
+  "crit1" [label="1"];
+  "z2" -> "crit1" [label="b2", style=dashed];
+  "hyper1" [shape=point];
+  "hyper1" -> "crit1" [style=dotted, dir=none];
+  "hyper1" -> "z1_b1_a" [style=dotted, dir=none];
+  "crit2" [label="1"];
+  "z1_a" -> "crit2" [label="b2", style=dashed];
+  "hyper2" [shape=point];
+  "hyper2" -> "crit2" [style=dotted, dir=none];
+  "hyper2" -> "z1_b1_a" [style=dotted, dir=none];
+}
+""",
+    ("double_back", "generic-graded"): """\
+digraph skeleton {
+  rankdir=TB;
+  "z1" [label="1"];
+  "z2" [label="2"];
+  "z1_a" [label="2"];
+  "z1_b1_a" [label="1"];
+  "z1" -> "z1_a" [label="a", style=solid];
+  "z1_a" -> "z1_b1_a" [label="b1", style=solid];
+  "crit0" [label="1"];
+  "z2" -> "crit0" [label="b1", style=dashed];
+  "crit1" [label="1"];
+  "z2" -> "crit1" [label="b2", style=dashed];
+  "crit2" [label="1"];
+  "z1_a" -> "crit2" [label="b2", style=dashed];
+  "hyper2" [shape=point];
+  "hyper2" -> "crit2" [style=dotted, dir=none];
+  "hyper2" -> "z1_b1_a" [style=dotted, dir=none];
+}
+""",
+    ("relay", "skeleta"): """\
+digraph skeleton {
+  rankdir=TB;
+  "z1" [label="1"];
+  "z1_a1" [label="2"];
+  "z1_b_a1" [label="3"];
+  "z1_g1_b_a1" [label="2"];
+  "z1" -> "z1_a1" [label="a1", style=solid];
+  "z1_a1" -> "z1_b_a1" [label="b", style=solid];
+  "z1_b_a1" -> "z1_g1_b_a1" [label="g1", style=solid];
+}
+""",
+    ("relay", "critical"): """\
+digraph skeleton {
+  rankdir=TB;
+  "z1" [label="1"];
+  "z1_a1" [label="2"];
+  "z1_b_a1" [label="3"];
+  "z1_g1_b_a1" [label="2"];
+  "z1" -> "z1_a1" [label="a1", style=solid];
+  "z1_a1" -> "z1_b_a1" [label="b", style=solid];
+  "z1_b_a1" -> "z1_g1_b_a1" [label="g1", style=solid];
+  "crit0" [label="2"];
+  "z1" -> "crit0" [label="a2", style=dashed];
+  "crit1" [label="2"];
+  "z1_b_a1" -> "crit1" [label="g2", style=dashed];
+}
+""",
+    ("relay", "generic"): """\
+digraph skeleton {
+  rankdir=TB;
+  "z1" [label="1"];
+  "z1_a1" [label="2"];
+  "z1_b_a1" [label="3"];
+  "z1_g1_b_a1" [label="2"];
+  "z1" -> "z1_a1" [label="a1", style=solid];
+  "z1_a1" -> "z1_b_a1" [label="b", style=solid];
+  "z1_b_a1" -> "z1_g1_b_a1" [label="g1", style=solid];
+  "crit0" [label="2"];
+  "z1" -> "crit0" [label="a2", style=dashed];
+  "hyper0" [shape=point];
+  "hyper0" -> "crit0" [style=dotted, dir=none];
+  "hyper0" -> "z1_a1" [style=dotted, dir=none];
+  "hyper0" -> "z1_g1_b_a1" [style=dotted, dir=none];
+  "crit1" [label="2"];
+  "z1_b_a1" -> "crit1" [label="g2", style=dashed];
+  "hyper1" [shape=point];
+  "hyper1" -> "crit1" [style=dotted, dir=none];
+  "hyper1" -> "z1_g1_b_a1" [style=dotted, dir=none];
+}
+""",
+    ("relay", "generic-graded"): """\
+digraph skeleton {
+  rankdir=TB;
+  "z1" [label="1"];
+  "z1_a1" [label="2"];
+  "z1_b_a1" [label="3"];
+  "z1_g1_b_a1" [label="2"];
+  "z1" -> "z1_a1" [label="a1", style=solid];
+  "z1_a1" -> "z1_b_a1" [label="b", style=solid];
+  "z1_b_a1" -> "z1_g1_b_a1" [label="g1", style=solid];
+  "crit0" [label="2"];
+  "z1" -> "crit0" [label="a2", style=dashed];
+  "hyper0" [shape=point];
+  "hyper0" -> "crit0" [style=dotted, dir=none];
+  "hyper0" -> "z1_a1" [style=dotted, dir=none];
+  "crit1" [label="2"];
+  "z1_b_a1" -> "crit1" [label="g2", style=dashed];
+  "hyper1" [shape=point];
+  "hyper1" -> "crit1" [style=dotted, dir=none];
+  "hyper1" -> "z1_g1_b_a1" [style=dotted, dir=none];
+}
+""",
+}
+
+
+@pytest.mark.parametrize("command", DOT_COMMANDS)
+@pytest.mark.parametrize("fixture", DOT_LAYERS)
+def test_dot_output_is_pinned(double_back_file, tmp_path, capsys, fixture, command):
+    alg_path = double_back_file
+    if fixture == "relay":
+        alg_path = tmp_path / "relay.json"
+        alg_path.write_text(json.dumps(RELAY))
+    code, out = run(capsys, DOT_COMMANDS[command] + ["--algebra", str(alg_path),
+                                                     "--layers", DOT_LAYERS[fixture]])
+    assert code == 0
+    assert out == DOT[fixture, "generic" if command == "hypergraph" else command]
+
 def test_sequences_with_top(double_back_file, capsys):
     code, out = run(capsys, ["sequences", "--algebra", double_back_file,
                              "--dimvec", "2,2", "--top", "2,0"])
@@ -416,6 +589,38 @@ def test_non_list_vertices_exit_2(tmp_path, capsys, vertices):
     assert code == 2
     assert err.startswith("error: malformed algebra input") and "Traceback" not in err
 
+
+@pytest.mark.parametrize("vertices, arrow", [
+    ('[null, true]', '{"name": "a", "source": null, "target": true}'),
+    ('[1, 2]', '{"name": "a", "source": "1", "target": "2"}'),
+    ('["1", "2"]', '{"name": null, "source": "1", "target": "2"}'),
+    ('["1", "2"]', '{"name": [1], "source": "1", "target": "2"}'),
+    ('["1", "2"]', '{"name": "a", "source": 1, "target": "2"}'),
+], ids=["vertices-null-true", "vertices-int", "name-null", "name-list", "source-int"])
+def test_non_string_identifiers_exit_2(tmp_path, capsys, vertices, arrow):
+    # identifiers were turned into text: null and true became the vertices "None" and "True"
+    path = tmp_path / "bad.json"
+    path.write_text('{"vertices": %s, "arrows": [%s], "max_path_length": 1}' % (vertices, arrow))
+    code = main(["realizable", "--algebra", str(path), "--layers", "[[1,0],[0,1]]"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: malformed algebra input") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda data: data["tops"][0].__setitem__("vertex", 1),
+    lambda data: data["tops"][2].__setitem__("vertex", None),
+    lambda data: data["relations"][2][0].__setitem__("arrows", [None]),
+    lambda data: data["relations"][0][0].__setitem__("arrows", ["b2", ["al"]]),
+], ids=["vertex-int", "vertex-null", "arrow-null", "arrow-list"])
+def test_non_string_module_point_identifiers_exit_2(point_files, capsys, mutate):
+    mod_path = point_files[-1]
+    data = json.load(open(mod_path))
+    mutate(data)
+    with open(mod_path, "w") as fh:
+        json.dump(data, fh)
+    assert main(["point-skeleta"] + point_files) == 2
+    assert capsys.readouterr().err.startswith("error: malformed module point")
 
 @pytest.mark.parametrize("mutate", [
     lambda data: data["relations"].__setitem__(0, {"coeff": 1, "r": 1, "arrows": ["b2", "al"]}),

@@ -10,8 +10,10 @@ from genrep.algebra_core import (
     projective_layering,
 )
 from genrep.errors import UnrealizableError
+from genrep.generic_builder import generic_presentation
 from genrep.homology import (
     CyclicType,
+    SyzygyProfile,
     cyclic_dim,
     cyclic_dim_vector,
     first_syzygy,
@@ -180,3 +182,16 @@ def test_iterated_syzygy_k_zero_rejected(double_back):
     from genrep.errors import ValidationError
     with pytest.raises(ValidationError):
         iterated_syzygy(double_back, S_DEEP, 0)
+
+
+@pytest.mark.parametrize("fixture, dimvec", [("double_back", (3, 3)), ("relay", (2, 2, 1)),
+                                             ("line_swing", (2, 2, 1))])
+def test_relation_cyclics_are_the_first_syzygy(request, fixture, dimvec):
+    # the Ext^1 restriction method reads Hom(Omega^1, N) off the relations'
+    # cyclic modules, the alternating method off first_syzygy
+    alg = request.getfixturevalue(fixture)
+    for S in enumerate_sequences(alg, dimvec):
+        pres = generic_presentation(alg, S)
+        cyclics = [CyclicType(alg.path_end(rel.critical.path(alg)),
+                              alg.L + 1 - rel.critical.length) for rel in pres.relations]
+        assert SyzygyProfile(cyclics) == first_syzygy(alg, S)

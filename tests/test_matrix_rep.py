@@ -47,8 +47,10 @@ from genrep.skeleta import (
 from conftest import (
     distinguished_skeleta_by_path_action,
     fs_mul,
+    hom_dim_from_cyclic_by_stacking,
     representation_to_json,
     seq,
+    socle_by_stacking,
     user_assignment,
 )
 
@@ -360,15 +362,15 @@ def test_ext_seed_instability_names_stage_sequence_and_seeds(double_back, monkey
     # both Ext^1 methods shift by the same seed-dependent amount, so only the seeds disagree
     import genrep.matrix_rep as mr
     shift = {"by": 0}
-    hom, restriction = mr.hom_dim, mr._ext1_restriction_method
+    hom, presented = mr.hom_dim, mr._presented_hom_dim
 
-    def shifted_restriction(*args):
-        value = restriction(*args) + shift["by"]
+    def shifted_presented(*args):
+        value = presented(*args) + shift["by"]
         shift["by"] += 1
         return value
 
     monkeypatch.setattr(mr, "hom_dim", lambda a, b: hom(a, b) + shift["by"])
-    monkeypatch.setattr(mr, "_ext1_restriction_method", shifted_restriction)
+    monkeypatch.setattr(mr, "_presented_hom_dim", shifted_presented)
     with pytest.raises(SeedStabilityError) as info:
         ext_dim_detail(double_back, S_DEEP, None, 1, [4, 5, 6])
     message = str(info.value)
@@ -546,6 +548,48 @@ def test_distinguished_skeleta_match_oracle_on_drawn_points(request, fixture, fs
     rep = module_point(alg, tops, relations, fs)
     assert (outcome(lambda: distinguished_skeleta_of(rep, cap=60))
             == outcome(lambda: distinguished_skeleta_by_path_action(rep, cap=60)))
+
+
+def assert_hom_out_of_matches_stacking(rep):
+    alg = rep.algebra
+    assert socle(rep) == socle_by_stacking(rep)
+    for v in alg.vertices:
+        for m in range(1, alg.L + 2):
+            c = CyclicType(v, m)
+            assert hom_dim_from_cyclic(alg, c, rep) == hom_dim_from_cyclic_by_stacking(alg, c, rep)
+
+
+@pytest.mark.parametrize("fixture", ["double_back", "relay", "six_vertex"])
+@pytest.mark.parametrize("fs", [RATIONALS, SMALL_PRIME, FieldSpec(5)], ids=["Q", "Fp", "F5"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_relation_matrix_hom_matches_stacking_on_drawn_points(request, fixture, fs, data):
+    # drawn coefficients include 0, so relations may vanish or lose terms
+    alg = request.getfixturevalue(fixture)
+    assert_hom_out_of_matches_stacking(module_point(alg, *data.draw(module_point_specs(alg)), fs))
+
+
+@pytest.mark.parametrize("fixture, dimvec", [("double_back", (2, 2)), ("relay", (2, 2, 1)),
+                                             ("line_swing", (2, 2, 1))])
+@pytest.mark.parametrize("fs", [RATIONALS, SMALL_PRIME], ids=["Q", "Fp"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_relation_matrix_hom_matches_stacking_on_generic_points(request, fixture, dimvec, fs,
+                                                                 data):
+    alg = request.getfixturevalue(fixture)
+    S = data.draw(st.sampled_from(enumerate_sequences(alg, dimvec)))
+    pres = generic_presentation(alg, S, graded=data.draw(st.booleans()))
+    assign = seeded_assignment(pres, data.draw(st.integers(0, 2**32)), fs)
+    assert_hom_out_of_matches_stacking(materialize(pres, assign, fs))
+
+
+def test_socle_reduces_unreduced_entries_mod_p(double_back):
+    # entries p and -1 stand for 0 and p - 1: a has rank 1, b1 and b2 together rank 2
+    fs = FieldSpec(7)
+    rep = Representation(double_back, fs, (2, 2), {
+        "a": ((7, -1), (0, 14)), "b1": ((-1, 7), (0, 0)), "b2": ((7, -8), (14, 0))})
+    assert socle(rep) == socle_by_stacking(rep) == (1, 0)
+    assert [hom_dim_from_cyclic(double_back, CyclicType(v, 1), rep) for v in "12"] == [1, 0]
 
 
 # the 14-dimensional generic point of the relay fixture: one relation per
@@ -756,11 +800,10 @@ def test_ext_k_zero_rejected(double_back):
 
 def test_kernel_basis_annihilates():
     from conftest import kernel_basis
-    from genrep.matrix_rep import kernel_dim
     fs = FieldSpec()
     rows = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]]
     basis = kernel_basis(fs, rows, 4)
-    assert len(basis) == kernel_dim(fs, rows, 4) == 2
+    assert len(basis) == 4 - mat_rank(fs, rows) == 2
     for v in basis:
         for r in rows:
             assert sum(a * b for a, b in zip(r, v)) % fs.modulus == 0
