@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .errors import ValidationError
+from .errors import EnumerationCapError, ValidationError
 
 DimensionVector = tuple[int, ...]
 
@@ -282,10 +282,12 @@ def realizable(alg: TruncatedAlgebra, S: SemisimpleSequence) -> bool:
 
 
 def enumerate_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector,
-                        top: DimensionVector | None = None) -> list[SemisimpleSequence]:
+                        top: DimensionVector | None = None,
+                        cap: int | None = None) -> list[SemisimpleSequence]:
     """All realizable sequences with layerwise sum ``dimvec`` (and given top).
 
-    Output is in lexicographic order on the flattened layer matrix.
+    Output is in lexicographic order on the flattened layer matrix.  Raises
+    ``EnumerationCapError`` as soon as sequence ``cap`` + 1 is found.
     """
     dimvec = tuple(int(x) for x in dimvec)
     if len(dimvec) != alg.n:
@@ -310,6 +312,8 @@ def enumerate_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector,
         if len(layers) == alg.L + 1:
             if not any(remaining):
                 results.append(SemisimpleSequence(tuple(layers)))
+                if cap is not None and len(results) > cap:
+                    raise EnumerationCapError(cap, f"realizable sequences exceed cap of {cap}")
             return
         avail = alg.extension_counts(layers[-1])
         caps = tuple(min(a, r) for a, r in zip(avail, remaining))

@@ -261,7 +261,7 @@ def cmd_realizable(args):
 def cmd_sequences(args):
     alg = _algebra(args)
     top = _dimvec(args.top) if args.top else None
-    seqs = enumerate_sequences(alg, _dimvec(args.dimvec), top=top)
+    seqs = enumerate_sequences(alg, _dimvec(args.dimvec), top=top, cap=args.cap)
     return _emit({"count": len(seqs), "sequences": [sequence_to_json(S) for S in seqs]})
 
 
@@ -377,7 +377,8 @@ def cmd_components(args):
     top = _dimvec(args.top) if args.top else None
     fs = _field(args)
     rep = component_report(alg, _dimvec(args.dimvec), top=top,
-                           max_top_dim=args.max_top_dim, seeds=_seeds(args), fs=fs)
+                           max_top_dim=args.max_top_dim, seeds=_seeds(args), fs=fs,
+                           cap=args.cap)
     if args.format == "dot":
         print(hasse_dot(rep))
         return 0
@@ -433,7 +434,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     add("realizable", cmd_realizable, "test realizability of a sequence")
 
-    if p := add("sequences", cmd_sequences, "enumerate realizable sequences", seq=False):
+    if p := add("sequences", cmd_sequences, "enumerate realizable sequences", seq=False,
+                cap=True):
         p.add_argument("--dimvec", required=True, help="comma-separated dimension vector")
         p.add_argument("--top", help="restrict to this top (comma-separated)")
 
@@ -465,7 +467,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--graded", action="store_true")
 
     if p := add("components", cmd_components, "irreducible-component sifting report",
-                seq=False, seeded=True, formats=("dot",)):
+                seq=False, seeded=True, formats=("dot",), cap=True):
         p.add_argument("--dimvec", required=True)
         p.add_argument("--top", help="restrict to this top (comma-separated)")
         p.add_argument("--max-top-dim", type=int, default=None)

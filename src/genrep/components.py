@@ -26,7 +26,7 @@ from .algebra_core import (
     enumerate_sequences,
     realizable,
 )
-from .errors import UnrealizableError, ValidationError
+from .errors import EnumerationCapError, UnrealizableError, ValidationError
 from .matrix_rep import FieldSpec, generic_socle
 
 
@@ -164,7 +164,8 @@ class ComponentReport:
 def component_report(alg: TruncatedAlgebra, dimvec: DimensionVector,
                      top: DimensionVector | None = None,
                      max_top_dim: int | None = None,
-                     seeds=(0, 1, 2), fs: FieldSpec = FieldSpec()) -> ComponentReport:
+                     seeds=(0, 1, 2), fs: FieldSpec = FieldSpec(),
+                     cap: int | None = None) -> ComponentReport:
     """Sift the realizable sequences of a dimension vector for component candidates.
 
     Every ordered pair is run through the containment test; a sequence that
@@ -172,10 +173,14 @@ def component_report(alg: TruncatedAlgebra, dimvec: DimensionVector,
     (reported with its potential containers).  Dominance-minimal sequences
     are components outright (class 0).  The candidate count is bracketed by
     the number of minimal sequences and the number of realizable ones.
+    ``cap`` bounds the realizable sequences and then the ordered pairs.
     """
-    sequences = enumerate_sequences(alg, dimvec, top=top)
+    sequences = enumerate_sequences(alg, dimvec, top=top, cap=cap)
     if max_top_dim is not None:
         sequences = [S for S in sequences if sum(S.top) <= max_top_dim]
+    if cap is not None and len(sequences) * (len(sequences) - 1) > cap:
+        raise EnumerationCapError(cap, f"{len(sequences) * (len(sequences) - 1)} ordered "
+                                       f"pairs exceed cap of {cap}")
     facts = _SiftFacts(alg, sequences, seeds, fs)
     poset = _poset(tuple(sequences), facts.below)
     verdicts = []

@@ -10,16 +10,17 @@ built and no seed is rejected as degenerate.  Materialized points and the
 projectives behind module points share one builder on a skeleton's basis.
 
 Fields are either F_p for a large prime p (default the Mersenne prime
-2^61 - 1) or exact rationals; all arithmetic is exact.  Arrow matrices
-are tuples of rows of Python ints (mod p) or Fractions.  Every rank, over
-either field, is one sparse elimination (``_rank``) on rows stored as
-``{column: value}`` dicts and built that way from the start; ``mat_rank``,
-its dense adapter, is left for tests.  ``RowSpace``, an incremental echelon
-basis whose loops are fixed per field, is used where the reduced vectors
-themselves matter: radical filtrations, quotients and the distinguished
-skeleta probes.  Distinguished skeleta are not a second
-walk: ``skeleta.iter_skeleta`` takes their memoised per-block independence
-test as its block predicate.
+2^61 - 1) or exact rationals; all arithmetic is exact.  Arrow matrices are
+tuples of rows of Python ints (mod p) or Fractions, a dense view: arrow and
+path actions are computed as sparse columns.  Every rank, over either
+field, is one sparse elimination (``_rank``) on rows stored as ``{column:
+value}`` dicts and built that way from the start; ``mat_rank``, its dense
+adapter, and ``mat_mul`` are left for tests.  ``RowSpace``, an incremental
+echelon basis whose loops are fixed per field, is used where the reduced
+vectors themselves matter: radical filtrations, quotients and the
+distinguished skeleta probes.  Distinguished skeleta are not a second walk:
+``skeleta.iter_skeleta`` takes their memoised per-block independence test
+as its block predicate.
 
 Hom out of any presented module (a generic M = P/C, a cyclic Lambda e / J^m e,
 a simple) is the kernel of one relation matrix (``_hom_out_of``).  The
@@ -113,9 +114,6 @@ class FieldSpec:
     def one(self):
         return Fraction(1) if self.exact else 1
 
-    def add(self, a, b):
-        return a + b if self.exact else (a + b) % self.modulus
-
 
 RATIONALS = FieldSpec(None)
 
@@ -133,16 +131,7 @@ def zero_matrix(fs: FieldSpec, rows: int, cols: int):
     return [[z] * cols for _ in range(rows)]
 
 
-def identity_matrix(fs: FieldSpec, n: int):
-    m = zero_matrix(fs, n, n)
-    for i in range(n):
-        m[i][i] = fs.one()
-    return m
-
-
 def mat_mul(fs: FieldSpec, A, B):
-    if not A or not B:
-        return [[fs.zero()] * (len(B[0]) if B else 0) for _ in A]
     cols = list(zip(*B))
     return [[_dot(fs, row, col) for col in cols] for row in A]
 
@@ -180,7 +169,12 @@ def _rank(p: int | None, rows: list[dict]) -> int:
             continue
         rank += 1
         piv = min(row, key=lambda c: len(holders[c]))
-        inv = -1 / Fraction(row.pop(piv)) if p is None else p - pow(row.pop(piv), -1, p)
+        x = row.pop(piv)
+        if not row:  # a unit row: drop its column, no inverse or products needed
+            for j in holders.pop(piv):
+                del rows[j][piv]
+            continue
+        inv = -1 / Fraction(x) if p is None else p - pow(x, -1, p)
         for j in holders.pop(piv):
             other = rows[j]
             f = other.pop(piv) * inv
@@ -198,15 +192,19 @@ def _rank(p: int | None, rows: list[dict]) -> int:
     return rank
 
 
-def _add_entry(p: int | None, row: dict, c: int, y) -> None:
-    """``row[c] += y`` over F_p (or Q when ``p`` is None), keeping only nonzero entries."""
-    y += row.get(c, 0)
-    if p is not None:
-        y %= p
-    if y:
-        row[c] = y
-    else:
-        row.pop(c, None)
+def _reduced(p: int | None, acc: dict) -> dict:
+    """``acc`` reduced mod p (untouched over Q, ``p`` None), without its zero entries."""
+    return ({c: y for c, y in acc.items() if y} if p is None else
+            {c: m for c, y in acc.items() if (m := y % p)})
+
+
+def _dense(fs: FieldSpec, cols: list[dict], height: int) -> tuple:
+    """The frozen dense matrix, ``height`` rows, of sparse columns."""
+    mat = zero_matrix(fs, height, len(cols))
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            mat[i][j] = x
+    return _freeze(mat)
 
 
 def mat_rank(fs: FieldSpec, rows) -> int:
@@ -299,8 +297,10 @@ class RowSpace:
 class Representation:
     """Per-vertex spaces and per-arrow matrices (target_dim x source_dim).
 
-    Matrices are tuples of tuples; treat instances as immutable.  The only
-    state filled in later is the memo of ``path_action``.
+    Matrices are tuples of tuples, a dense view; treat instances as
+    immutable.  Computation reads actions as sparse columns ``{target index:
+    nonzero value}``, one per source basis element, in one private memo
+    keyed by arrow name (``_columns``) and by ``Path`` (``_path_columns``).
     """
 
     algebra: TruncatedAlgebra
@@ -309,7 +309,7 @@ class Representation:
     matrices: dict[str, tuple]
     basis_labels: dict[str, tuple] | None = None
     top_elements: tuple[tuple[str, tuple], ...] | None = None
-    _path_actions: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
+    _cols: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def dim_at(self, v: str) -> int:
         return self.dims[self.algebra.vertex_pos(v)]
@@ -376,37 +376,34 @@ def _skeleton_module(sk: Skeleton, relations, assign, fs: FieldSpec) -> Represen
 
     An arrow sends a basis element to its extension when that lies in the
     skeleton, to the assigned combination of the sigma-set of its relation
-    when the extension is critical, and to zero beyond length L.  Basis
-    vectors are grouped by end vertex in skeleton order.
+    when the extension is critical, and to zero beyond length L; its
+    sparse columns are written directly.  Basis vectors are grouped by end
+    vertex in skeleton order.
     """
-    alg = sk.alg
+    alg, one = sk.alg, fs.one()
     by_vertex: dict[str, list] = {v: [] for v in alg.vertices}
     for el in sk.elements:
         by_vertex[sk.end(el)].append(el)
     index = {el: i for v in alg.vertices for i, el in enumerate(by_vertex[v])}
     rel_map = {(rel.critical.arrow, rel.critical.parent): rel for rel in relations}
-    matrices = {}
-    for a in alg.quiver.arrows:
-        mat = zero_matrix(fs, len(by_vertex[a.target]), len(by_vertex[a.source]))
-        for j, el in enumerate(by_vertex[a.source]):
-            r, p = el
-            if p.length + 1 > alg.L:
-                continue
-            ext = (r, alg.extend(p, a))
-            if ext in sk:
-                mat[index[ext]][j] = fs.one()
-                continue
-            for mem, sid in rel_map[(a.name, el)].terms:
-                mat[index[mem]][j] = fs.add(mat[index[mem]][j], fs.element(assign[sid]))
-        matrices[a.name] = _freeze(mat)
     tops = []
     for r, v in enumerate(sk.top, start=1):
         vec = [fs.zero()] * len(by_vertex[v])
-        vec[index[(r, alg.trivial_path(v))]] = fs.one()
+        vec[index[(r, alg.trivial_path(v))]] = one
         tops.append((v, tuple(vec)))
-    return Representation(alg, fs, tuple(len(by_vertex[v]) for v in alg.vertices), matrices,
-                          basis_labels={v: tuple(by_vertex[v]) for v in alg.vertices},
-                          top_elements=tuple(tops))
+    rep = Representation(alg, fs, tuple(len(by_vertex[v]) for v in alg.vertices), {},
+                         basis_labels={v: tuple(by_vertex[v]) for v in alg.vertices},
+                         top_elements=tuple(tops))
+    for a in alg.quiver.arrows:
+        cols = rep._cols[a.name] = []
+        for el in by_vertex[a.source]:
+            r, p = el
+            ext = (r, alg.extend(p, a)) if p.length < alg.L else None
+            cols.append({} if ext is None else {index[ext]: one} if ext in sk else
+                        {index[mem]: x for mem, sid in rel_map[(a.name, el)].terms
+                         if (x := fs.element(assign[sid]))})
+        rep.matrices[a.name] = _dense(fs, cols, len(by_vertex[a.target]))
+    return rep
 
 
 def materialize(pres: GenericPresentation, assign: ScalarAssignment,
@@ -432,9 +429,9 @@ def _radical_spaces(rep: Representation) -> list[dict[str, RowSpace]]:
     """Bases of J^l M per vertex, l = 0..L+1; the last must be zero."""
     alg, fs = rep.algebra, rep.field
     full = {v: RowSpace(fs, rep.dim_at(v)) for v in alg.vertices}
-    for rs in full.values():
-        # J^0 M = M: the identity rows are already an echelon basis
-        rs.rows, rs.pivots = identity_matrix(fs, rs.width), list(range(rs.width))
+    for v, rs in full.items():
+        # J^0 M = M: the rows of the identity, a trivial path's action, are an echelon basis
+        rs.rows, rs.pivots = list(path_action(rep, alg.trivial_path(v))), list(range(rs.width))
     spaces = [full]
     for _ in range(alg.L + 1):
         prev = spaces[-1]
@@ -463,7 +460,7 @@ def _layering(alg: TruncatedAlgebra, spaces) -> SemisimpleSequence:
 
 def socle(rep: Representation) -> tuple[int, ...]:
     """Per-vertex socle dimensions dim Hom(S_v, M): a relation per arrow out of v."""
-    return tuple(_hom_out_of(rep, (v,), [(rep.matrices[a.name], 0, ())
+    return tuple(_hom_out_of(rep, (v,), [(_columns(rep, a.name), 0, ())
                                          for a in rep.algebra.quiver.arrows_from[v]])
                  for v in rep.algebra.vertices)
 
@@ -481,68 +478,81 @@ def hom_dim(rep_a: Representation, rep_b: Representation) -> int:
     if rep_a.field != rep_b.field:
         raise ValidationError("representations live over different fields")
     alg, p = rep_a.algebra, rep_a.field.modulus
-    offsets, total = {}, 0
-    for v in alg.vertices:
-        offsets[v] = total
-        total += rep_b.dim_at(v) * rep_a.dim_at(v)
+    *starts, total = itertools.accumulate(
+        (rep_b.dim_at(v) * rep_a.dim_at(v) for v in alg.vertices), initial=0)
+    offsets = dict(zip(alg.vertices, starts))
     rows = []
     for a in alg.quiver.arrows:
         # unknown (i, k) of the block at vertex v is column offsets[v] + i * dim A_v + k;
         # the equation (i, j) of arrow a is (f_t A)_{ij} - (B f_s)_{ij} = 0
         s, t = a.source, a.target
         dAs, dAt = rep_a.dim_at(s), rep_a.dim_at(t)
-        a_cols = [[(k, x) for k, x in enumerate(col) if x]
-                  for col in zip(*rep_a.matrices[a.name])] or [[]] * dAs
+        a_cols = _columns(rep_a, a.name)
         for i, b_row in enumerate(rep_b.matrices[a.name]):
             b_terms = [(offsets[s] + k * dAs, -y) for k, y in enumerate(b_row) if y]
             for j in range(dAs):
-                row = {offsets[t] + i * dAt + k: x for k, x in a_cols[j]}
+                row = {offsets[t] + i * dAt + k: x for k, x in a_cols[j].items()}
                 for c, y in b_terms:
-                    _add_entry(p, row, c + j, y)
-                rows.append(row)
+                    row[c + j] = row.get(c + j, 0) + y
+                rows.append(_reduced(p, row))
     return total - _rank(p, rows)
 
 
-def path_action(rep: Representation, p: Path):
-    """Matrix of the action of a path: component at start -> component at end.
+def _columns(rep: Representation, name: str) -> list[dict]:
+    """Sparse columns of arrow ``name``, derived once from its matrix: entries
+    as field elements (reduced mod p), zeros dropped, one per source element."""
+    if name not in rep._cols:
+        fs, mat = rep.field, rep.matrices[name]
+        width = rep.dim_at(rep.algebra.quiver.arrow_by_name[name].source)
+        rep._cols[name] = [{i: x for i, row in enumerate(mat)
+                            if row[j] and (x := fs.element(row[j]))} for j in range(width)]
+    return rep._cols[name]
 
-    Memoised per representation: the leftmost arrow's matrix times the
-    matrix of the initial subpath; a one-arrow path is its arrow's matrix.
-    """
-    if p not in rep._path_actions:
-        rep._path_actions[p] = (
-            _freeze(identity_matrix(rep.field, rep.dim_at(p.start))) if not p.arrows else
-            rep.matrices[p.arrows[0]] if p.length == 1 else
-            _freeze(mat_mul(rep.field, rep.matrices[p.arrows[0]],
-                            path_action(rep, p.initial_subpath(p.length - 1)))))
-    return rep._path_actions[p]
+
+def _path_columns(rep: Representation, p: Path) -> list[dict]:
+    """Sparse columns of a path's action: the identity, an arrow's columns, or
+    (memoised per module) the leftmost arrow's composed with the initial subpath's."""
+    if len(p.arrows) == 1:
+        return _columns(rep, p.arrows[0])
+    if not p.arrows:
+        return [{j: rep.field.one()} for j in range(rep.dim_at(p.start))]
+    if p not in rep._cols:
+        arrow, cols = _columns(rep, p.arrows[0]), []
+        for col in _path_columns(rep, p.initial_subpath(p.length - 1)):
+            acc: dict = {}
+            for k, y in col.items():
+                for i, x in arrow[k].items():
+                    acc[i] = acc.get(i, 0) + x * y
+            cols.append(_reduced(rep.field.modulus, acc))
+        rep._cols[p] = cols
+    return rep._cols[p]
+
+
+def path_action(rep: Representation, p: Path):
+    """Matrix of the action of a path (start -> end): a dense view of ``_path_columns``."""
+    return _dense(rep.field, _path_columns(rep, p), rep.dim_at(rep.algebra.path_end(p)))
 
 
 def _hom_out_of(rep_n: Representation, tops, relations) -> int:
     """dim Hom(P/C, N) for P = sum_r Lambda e(r), ``tops`` listing the e(r).
 
     Each relation ``(lead, r, terms)`` generating C is lead z_r plus scale A z_s
-    for each ``(A, s, scale)`` in ``terms``, with lead and A action matrices.
-    A map P -> N, images n_r in e(r)N, factors through P/C iff it kills
-    every relation: dim Hom = sum_r dim e(r)N - rank R, R the relation matrix.
+    for each ``(A, s, scale)`` in ``terms``, with lead and A the sparse columns
+    of action matrices.  A map P -> N, images n_r in e(r)N, factors through
+    P/C iff it kills every relation: dim Hom = sum_r dim e(r)N - rank R, R the
+    relation matrix, whose rows are scattered from the columns.
     """
     p = rep_n.field.modulus
-    offsets, width = [], 0
-    for v in tops:
-        offsets.append(width)
-        width += rep_n.dim_at(v)
+    *offsets, width = itertools.accumulate((rep_n.dim_at(v) for v in tops), initial=0)
     rows = []
     for lead, r, terms in relations:
-        off = offsets[r]
-        block = ([{off + j: x for j, x in enumerate(row) if x} for row in lead] if p is None else
-                 [{off + j: y for j, x in enumerate(row) if (y := x % p)} for row in lead])
-        for mat, s, scale in terms:
-            off = offsets[s]
-            for row, mat_row in zip(block, mat):
-                for j, x in enumerate(mat_row):
-                    if x:
-                        _add_entry(p, row, off + j, scale * x)
-        rows += block
+        block: dict[int, dict] = {}
+        for cols, s, scale in ((lead, r, 1), *terms):
+            for c, col in enumerate(cols, offsets[s]):
+                for i, x in col.items():
+                    row = block.setdefault(i, {})
+                    row[c] = row.get(c, 0) + scale * x
+        rows += [_reduced(p, row) for row in block.values()]
     return width - _rank(p, rows)
 
 
@@ -556,7 +566,7 @@ def hom_dim_from_cyclic(alg: TruncatedAlgebra, c: CyclicType, rep: Representatio
 
     if c.truncation >= alg.L + 1:
         return rep.dim_at(c.vertex)
-    return _hom_out_of(rep, (c.vertex,), [(path_action(rep, p), 0, ())
+    return _hom_out_of(rep, (c.vertex,), [(_path_columns(rep, p), 0, ())
                                           for p in enumerate_paths(alg, c.vertex, c.truncation)])
 
 
@@ -582,8 +592,8 @@ def _presented_hom_dim(pres: GenericPresentation, assign: ScalarAssignment,
     """
     alg, fs = pres.algebra, rep_n.field
     return _hom_out_of(rep_n, pres.skeleton.top, [
-        (path_action(rep_n, rel.critical.path(alg)), rel.critical.r - 1,
-         [(path_action(rep_n, q), s - 1, -fs.element(assign[sid])) for (s, q), sid in rel.terms])
+        (_path_columns(rep_n, rel.critical.path(alg)), rel.critical.r - 1,
+         [(_path_columns(rep_n, q), s - 1, -fs.element(assign[sid])) for (s, q), sid in rel.terms])
         for rel in pres.relations])
 
 
@@ -717,6 +727,8 @@ def module_point(alg: TruncatedAlgebra, tops, relations,
     generator split into separate submodule generators.
     """
     tops = tuple(str(v) for v in tops)
+    if not tops:
+        raise ValidationError("zero module: a module point needs at least one top")
     P = projective_representation(alg, tops, fs)
     by_vertex = P.basis_labels
     index = {v: {el: i for i, el in enumerate(by_vertex[v])} for v in alg.vertices}
@@ -738,7 +750,7 @@ def module_point(alg: TruncatedAlgebra, tops, relations,
             end = alg.path_end(p)
             vec = comps.setdefault(end, [fs.zero()] * P.dim_at(end))
             i = index[end][(int(r), p)]
-            vec[i] = fs.add(vec[i], fs.element(coeff))
+            vec[i] = fs.element(vec[i] + fs.element(coeff))
         for v, vec in comps.items():
             if any(x != 0 for x in vec):
                 gens.append((v, vec))

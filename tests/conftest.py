@@ -113,6 +113,10 @@ def with_isolated():
 # field arithmetic, exact oracles and input helpers used only by the tests
 # ---------------------------------------------------------------------------
 
+def fs_add(fs, a, b):
+    return a + b if fs.exact else (a + b) % fs.modulus
+
+
 def fs_sub(fs, a, b):
     return a - b if fs.exact else (a - b) % fs.modulus
 
@@ -215,6 +219,31 @@ def hom_dim_from_cyclic_by_stacking(alg, c, rep):
         return d
     return d - mat_rank(rep.field, [row for p in enumerate_paths(alg, c.vertex, c.truncation)
                                     for row in path_action(rep, p)])
+
+
+def hom_dim_by_stacking(rep_a, rep_b):
+    """dim Hom(A, B): the kernel of the dense intertwiner system, ranked by
+    Bareiss; the unknown (i, k) of the block at v is f_v[i][k]."""
+    alg, fs = rep_a.algebra, rep_a.field
+    offsets, total = {}, 0
+    for v in alg.vertices:
+        offsets[v] = total
+        total += rep_b.dim_at(v) * rep_a.dim_at(v)
+    rows = []
+    for a in alg.quiver.arrows:
+        s, t = a.source, a.target
+        A, B = rep_a.matrices[a.name], rep_b.matrices[a.name]
+        dAs, dAt = rep_a.dim_at(s), rep_a.dim_at(t)
+        for i in range(rep_b.dim_at(t)):
+            for j in range(dAs):
+                # the (i, j) entry of f_t A - B f_s
+                row = [fs.zero()] * total
+                for k in range(dAt):
+                    row[offsets[t] + i * dAt + k] += A[k][j]
+                for k in range(rep_b.dim_at(s)):
+                    row[offsets[s] + k * dAs + j] -= B[i][k]
+                rows.append(row)
+    return total - bareiss_rank(fs, rows)
 
 
 def user_assignment(values, fs=None):

@@ -223,6 +223,39 @@ def test_components_dot(double_back_file, capsys):
     assert code == 0 and out.startswith("digraph dominance")
 
 
+def test_sequences_cap_stops_at_cap_plus_one(double_back_file, capsys, monkeypatch):
+    # dimension vector (2, 2) has 9 realizable sequences
+    from genrep import algebra_core
+    built = []
+    real = algebra_core.SemisimpleSequence
+    monkeypatch.setattr(algebra_core, "SemisimpleSequence",
+                        lambda layers: built.append(layers) or real(layers))
+    argv = ["sequences", "--algebra", double_back_file, "--dimvec", "2,2", "--cap"]
+    assert main(argv + ["3"]) == 3
+    assert len(built) == 4
+    assert "realizable sequences exceed cap of 3" in capsys.readouterr().err
+    code, out = run(capsys, argv + ["9"])
+    assert code == 0 and json.loads(out)["count"] == 9
+
+
+def test_components_cap_bounds_sequences_then_pairs(double_back_file, capsys, monkeypatch):
+    # 9 sequences make 72 ordered pairs; a cap below either exits 3 before any socle
+    from genrep import components
+
+    def no_socle(*args, **kwargs):
+        raise AssertionError("socle computed under an exceeded cap")
+
+    monkeypatch.setattr(components, "generic_socle", no_socle)
+    argv = ["components", "--algebra", double_back_file, "--dimvec", "2,2", "--cap"]
+    assert main(argv + ["8"]) == 3
+    assert "realizable sequences exceed cap of 8" in capsys.readouterr().err
+    assert main(argv + ["71"]) == 3
+    assert "72 ordered pairs exceed cap of 71" in capsys.readouterr().err
+    monkeypatch.undo()
+    code, out = run(capsys, argv + ["72"])
+    assert code == 0 and len(json.loads(out)["pairs"]) == 72
+
+
 def test_hypergraph_dot(double_back_file, deep_file, capsys):
     code, out = run(capsys, ["hypergraph", "--dot",
                              "--algebra", double_back_file, "--seq", deep_file])
@@ -293,6 +326,15 @@ def test_point_skeleta(point_files, capsys):
     code, out = run(capsys, ["point-skeleta"] + point_files)
     assert code == 0
     assert json.loads(out)["count"] == 3
+
+
+def test_point_skeleta_zero_module_exits_2(point_files, capsys):
+    # like the all-zero sequence, a module point without tops is rejected
+    with open(point_files[-1], "w") as fh:
+        json.dump({"tops": [], "relations": []}, fh)
+    assert main(["point-skeleta"] + point_files) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "zero module" in captured.err
 
 
 def test_env_seed_fallback(double_back_file, deep_file, capsys, monkeypatch):
@@ -691,8 +733,8 @@ def test_sequence_command_rejects_foreign_flag(double_back_file, deep_file, caps
 
 @pytest.mark.parametrize("command,flags", [
     ("sequences", ["--seed", "1"]),
-    ("sequences", ["--cap", "5"]),
-    ("components", ["--cap", "5"]),
+    ("sequences", ["--max-top-dim", "2"]),
+    ("components", ["--index", "0"]),
     ("components", ["--format", "text"]),
 ])
 def test_dimvec_command_rejects_foreign_flag(double_back_file, capsys, command, flags):

@@ -12,6 +12,7 @@ from genrep.errors import EnumerationCapError, SeedStabilityError, ValidationErr
 from genrep.generic_builder import generic_presentation
 from genrep.homology import CyclicType, first_syzygy
 from genrep.matrix_rep import (
+    MIN_RANDOM_MODULUS,
     RATIONALS,
     FieldSpec,
     Representation,
@@ -35,6 +36,8 @@ from genrep.matrix_rep import (
     seeded_assignment,
     socle,
     zero_matrix,
+    _columns,
+    _path_columns,
 )
 from genrep.skeleta import (
     canonical_skeleton,
@@ -46,7 +49,9 @@ from genrep.skeleta import (
 
 from conftest import (
     distinguished_skeleta_by_path_action,
+    fs_add,
     fs_mul,
+    hom_dim_by_stacking,
     hom_dim_from_cyclic_by_stacking,
     representation_to_json,
     seq,
@@ -188,9 +193,9 @@ def test_nilpotency_of_materialized(double_back):
     # every composable (L+1)-fold arrow product vanishes
     for v in double_back.vertices:
         for arrows in [p.arrows for p in _long_paths(double_back, v)]:
-            mat = None
-            from genrep.matrix_rep import identity_matrix, mat_mul
-            mat = identity_matrix(rep.field, rep.dim_at(v))
+            from genrep.matrix_rep import mat_mul
+            d = rep.dim_at(v)
+            mat = [[int(i == j) for j in range(d)] for i in range(d)]
             for name in reversed(arrows):
                 mat = mat_mul(rep.field, rep.matrices[name], mat)
             assert all(x == 0 for row in mat for x in row)
@@ -497,7 +502,7 @@ def naive_action(rep, p):
         for i, row in enumerate(A):
             for k, a in enumerate(row):
                 for j in range(d):
-                    prod[i][j] = fs.add(prod[i][j], fs_mul(fs, a, mat[k][j]))
+                    prod[i][j] = fs_add(fs, prod[i][j], fs_mul(fs, a, mat[k][j]))
         mat = prod
     return mat
 
@@ -581,6 +586,76 @@ def test_relation_matrix_hom_matches_stacking_on_generic_points(request, fixture
     pres = generic_presentation(alg, S, graded=data.draw(st.booleans()))
     assign = seeded_assignment(pres, data.draw(st.integers(0, 2**32)), fs)
     assert_hom_out_of_matches_stacking(materialize(pres, assign, fs))
+
+
+def dense_columns(fs, mat, width):
+    """Columns {row: entry} of a dense matrix, entries as field elements, zeros dropped."""
+    return [{i: x for i, row in enumerate(mat) if (x := fs.element(row[j]))}
+            for j in range(width)]
+
+
+def assert_columns_match_dense(rep):
+    fs, alg = rep.field, rep.algebra
+    for a in alg.quiver.arrows:
+        cols = _columns(rep, a.name)
+        assert cols == dense_columns(fs, rep.matrices[a.name], rep.dim_at(a.source))
+    from genrep.algebra_core import enumerate_paths
+    for v in alg.vertices:
+        for length in range(alg.L + 1):
+            for p in enumerate_paths(alg, v, length):
+                cols = _path_columns(rep, p)
+                assert cols == dense_columns(fs, naive_action(rep, p), rep.dim_at(v))
+                assert {type(x) for col in cols for x in col.values()} <= {type(fs.zero())}
+
+
+def unreduced(rep, shift):
+    """The same module with every entry moved by ``shift`` times p, or over Q
+    with integral entries as ints: equal matrices in other representatives."""
+    p = rep.field.modulus
+    entry = (lambda x: int(x) if x.denominator == 1 else x) if p is None else (
+        lambda x: x + shift * p)
+    return Representation(rep.algebra, rep.field, rep.dims, {
+        name: tuple(tuple(entry(x) for x in row) for row in mat)
+        for name, mat in rep.matrices.items()})
+
+
+@pytest.mark.parametrize("fixture", ["double_back", "relay", "line_swing"])
+@pytest.mark.parametrize("fs", [RATIONALS, SMALL_PRIME, FieldSpec(5)], ids=["Q", "Fp", "F5"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_sparse_columns_match_dense_on_drawn_points(request, fixture, fs, data):
+    # module points (coefficients include 0), the same points with unreduced
+    # entries, and seeded generic and graded points (drawn scalars over F_5)
+    alg = request.getfixturevalue(fixture)
+    point = module_point(alg, *data.draw(module_point_specs(alg)), fs)
+    assert_columns_match_dense(point)
+    assert_columns_match_dense(unreduced(point, data.draw(st.sampled_from([-1, 1, 2]))))
+    dimvec = {"double_back": (2, 2)}.get(fixture, (2, 2, 1))
+    S = data.draw(st.sampled_from(enumerate_sequences(alg, dimvec)))
+    pres = generic_presentation(alg, S, graded=data.draw(st.booleans()))
+    if fs.exact or fs.modulus > MIN_RANDOM_MODULUS:
+        assign = seeded_assignment(pres, data.draw(st.integers(0, 2**32)), fs)
+    else:
+        assign = ScalarAssignment({sid: fs.element(data.draw(st.integers(0, 4)))
+                                   for sid in pres.scalar_ids}, None, "drawn")
+    assert_columns_match_dense(materialize(pres, assign, fs))
+
+
+@pytest.mark.parametrize("fs", [RATIONALS, SMALL_PRIME, FieldSpec(7)], ids=["Q", "Fp", "F7"])
+def test_zero_dimensional_vertex_matches_stacking(relay, fs):
+    # vertex 1, then vertex 3, is zero: its arrows have no rows or no columns,
+    # and the F_7 entries 7 and -1 stand for 0 and 6
+    no_1 = Representation(relay, fs, (0, 2, 1), {
+        "a1": ((), ()), "a2": ((), ()), "b": ((1, 7),),
+        "g1": ((0,), (-1,)), "g2": ((0,), (0,))})
+    no_3 = Representation(relay, fs, (1, 2, 0), {
+        "a1": ((1,), (0,)), "a2": ((7,), (-1,)), "b": (), "g1": ((), ()), "g2": ((), ())})
+    for rep in (no_1, no_3):
+        assert_columns_match_dense(rep)
+        assert_hom_out_of_matches_stacking(rep)
+        for other in (no_1, no_3):
+            assert hom_dim(rep, other) == hom_dim_by_stacking(rep, other)
+    assert socle(no_1) == (0, 1, 0) and socle(no_3) == (0, 2, 0)
 
 
 def test_socle_reduces_unreduced_entries_mod_p(double_back):
