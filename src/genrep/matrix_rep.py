@@ -169,12 +169,7 @@ def _rank(p: int | None, rows: list[dict]) -> int:
             continue
         rank += 1
         piv = min(row, key=lambda c: len(holders[c]))
-        x = row.pop(piv)
-        if not row:  # a unit row: drop its column, no inverse or products needed
-            for j in holders.pop(piv):
-                del rows[j][piv]
-            continue
-        inv = -1 / Fraction(x) if p is None else p - pow(x, -1, p)
+        inv = -1 / Fraction(row.pop(piv)) if p is None else p - pow(row.pop(piv), -1, p)
         for j in holders.pop(piv):
             other = rows[j]
             f = other.pop(piv) * inv
@@ -429,9 +424,11 @@ def _radical_spaces(rep: Representation) -> list[dict[str, RowSpace]]:
     """Bases of J^l M per vertex, l = 0..L+1; the last must be zero."""
     alg, fs = rep.algebra, rep.field
     full = {v: RowSpace(fs, rep.dim_at(v)) for v in alg.vertices}
-    for v, rs in full.items():
-        # J^0 M = M: the rows of the identity, a trivial path's action, are an echelon basis
-        rs.rows, rs.pivots = list(path_action(rep, alg.trivial_path(v))), list(range(rs.width))
+    zero, one = fs.zero(), fs.one()
+    for rs in full.values():
+        # J^0 M = M: the identity rows are already an echelon basis
+        rs.rows = [[one if i == j else zero for j in range(rs.width)] for i in range(rs.width)]
+        rs.pivots = list(range(rs.width))
     spaces = [full]
     for _ in range(alg.L + 1):
         prev = spaces[-1]
@@ -478,18 +475,21 @@ def hom_dim(rep_a: Representation, rep_b: Representation) -> int:
     if rep_a.field != rep_b.field:
         raise ValidationError("representations live over different fields")
     alg, p = rep_a.algebra, rep_a.field.modulus
-    *starts, total = itertools.accumulate(
-        (rep_b.dim_at(v) * rep_a.dim_at(v) for v in alg.vertices), initial=0)
-    offsets = dict(zip(alg.vertices, starts))
+    offsets, total = {}, 0
+    for v in alg.vertices:
+        offsets[v] = total
+        total += rep_b.dim_at(v) * rep_a.dim_at(v)
     rows = []
     for a in alg.quiver.arrows:
         # unknown (i, k) of the block at vertex v is column offsets[v] + i * dim A_v + k;
         # the equation (i, j) of arrow a is (f_t A)_{ij} - (B f_s)_{ij} = 0
         s, t = a.source, a.target
         dAs, dAt = rep_a.dim_at(s), rep_a.dim_at(t)
-        a_cols = _columns(rep_a, a.name)
-        for i, b_row in enumerate(rep_b.matrices[a.name]):
-            b_terms = [(offsets[s] + k * dAs, -y) for k, y in enumerate(b_row) if y]
+        a_cols, b_rows = _columns(rep_a, a.name), [[] for _ in range(rep_b.dim_at(t))]
+        for k, col in enumerate(_columns(rep_b, a.name)):
+            for i, y in col.items():
+                b_rows[i].append((offsets[s] + k * dAs, -y))
+        for i, b_terms in enumerate(b_rows):
             for j in range(dAs):
                 row = {offsets[t] + i * dAt + k: x for k, x in a_cols[j].items()}
                 for c, y in b_terms:
@@ -543,7 +543,10 @@ def _hom_out_of(rep_n: Representation, tops, relations) -> int:
     relation matrix, whose rows are scattered from the columns.
     """
     p = rep_n.field.modulus
-    *offsets, width = itertools.accumulate((rep_n.dim_at(v) for v in tops), initial=0)
+    offsets, width = [], 0
+    for v in tops:
+        offsets.append(width)
+        width += rep_n.dim_at(v)
     rows = []
     for lead, r, terms in relations:
         block: dict[int, dict] = {}
@@ -704,14 +707,9 @@ def quotient_representation(rep: Representation, sub_vectors) -> Representation:
     dims = tuple(len(keep[v]) for v in alg.vertices)
     matrices = {}
     for a in alg.quiver.arrows:
-        src, tgt = a.source, a.target
-        cols = []
-        for i in keep[src]:
-            unit = [fs.zero()] * rep.dim_at(src)
-            unit[i] = fs.one()
-            cols.append(project(tgt, mat_vec(fs, rep.matrices[a.name], unit)))
-        matrices[a.name] = _freeze(
-            [[cols[j][i] for j in range(len(keep[src]))] for i in range(len(keep[tgt]))])
+        mat = rep.matrices[a.name]
+        cols = [project(a.target, [row[i] for row in mat]) for i in keep[a.source]]
+        matrices[a.name] = _freeze([[col[i] for col in cols] for i in range(len(keep[a.target]))])
     tops = None
     if rep.top_elements is not None:
         tops = tuple((v, tuple(project(v, list(vec)))) for v, vec in rep.top_elements)
@@ -730,8 +728,7 @@ def module_point(alg: TruncatedAlgebra, tops, relations,
     if not tops:
         raise ValidationError("zero module: a module point needs at least one top")
     P = projective_representation(alg, tops, fs)
-    by_vertex = P.basis_labels
-    index = {v: {el: i for i, el in enumerate(by_vertex[v])} for v in alg.vertices}
+    index = {el: i for labels in P.basis_labels.values() for i, el in enumerate(labels)}
     gens = []
     for rel in relations:
         comps: dict[str, list] = {}
@@ -747,9 +744,8 @@ def module_point(alg: TruncatedAlgebra, tops, relations,
                 v = a.target
             if p.length > alg.L:
                 continue
-            end = alg.path_end(p)
-            vec = comps.setdefault(end, [fs.zero()] * P.dim_at(end))
-            i = index[end][(int(r), p)]
+            vec = comps.setdefault(v, [fs.zero()] * P.dim_at(v))
+            i = index[(int(r), p)]
             vec[i] = fs.element(vec[i] + fs.element(coeff))
         for v, vec in comps.items():
             if any(x != 0 for x in vec):
