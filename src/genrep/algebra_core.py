@@ -232,14 +232,6 @@ def projective_dim_vector(alg: TruncatedAlgebra, vertex: str) -> DimensionVector
     return truncated_dim_vector(alg, vertex, alg.L + 1)
 
 
-def projective_layering(alg: TruncatedAlgebra, S0: DimensionVector) -> SemisimpleSequence:
-    """Radical layering of the projective cover of the top S0."""
-    return SemisimpleSequence(tuple(
-        tuple(sum(S0[i] * alg.path_counts[v][l][j] for i, v in enumerate(alg.vertices))
-              for j in range(alg.n))
-        for l in range(alg.L + 1)))
-
-
 def _partial_sums(S: SemisimpleSequence):
     acc = [0] * len(S.layers[0])
     out = []

@@ -128,9 +128,10 @@ def _dumps(obj, pad: str, memo: dict) -> str:
 
     ``pad`` is a newline plus the indentation of ``obj``; ``memo`` maps the
     (id, pad) of each list or tuple already encoded to its text, so a block
-    shared by many parents is encoded once.  Other value types go to
-    ``json.dumps``, re-indented by replacing each newline (encoded JSON
-    holds no raw newline).
+    shared by many parents is encoded once.  A dict encodes its ``str``
+    values and its memoised lists in place; a dict with a non-``str`` key,
+    like other value types, goes to ``json.dumps``, re-indented by replacing
+    each newline (encoded JSON holds no raw newline).
     """
     kind = type(obj)
     if kind is str:
@@ -147,11 +148,16 @@ def _dumps(obj, pad: str, memo: dict) -> str:
             memo[id(obj), pad] = ("[" + inner + ("," + inner).join(
                 [_dumps(x, inner, memo) for x in obj]) + pad + "]")
         return memo[id(obj), pad]
-    if kind is dict and all(type(k) is str for k in obj):
-        if not obj:
-            return "{}"
-        return ("{" + inner + ("," + inner).join(
-            [_encode_str(k) + ": " + _dumps(v, inner, memo) for k, v in obj.items()]) + pad + "}")
+    if kind is dict:
+        items = []
+        for k, v in obj.items():
+            if type(k) is not str:
+                break
+            items.append(_encode_str(k) + ": " + (
+                _encode_str(v) if type(v) is str else memo.get((id(v), inner))
+                or _dumps(v, inner, memo)))
+        else:
+            return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
     return json.dumps(obj, indent=2).replace("\n", pad)
 
 

@@ -11,7 +11,7 @@ In graded mode the sum runs over the equal-length part of the sigma-set only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra_core import SemisimpleSequence, TruncatedAlgebra
 from .errors import ValidationError
@@ -24,11 +24,6 @@ from .skeleta import (
     element_to_json,
     invariants_N,
 )
-
-
-def _element_key(el: Element):
-    r, p = el
-    return (r, p.start, p.arrows)
 
 
 @dataclass(frozen=True)
@@ -60,6 +55,8 @@ class GenericPresentation:
     skeleton: Skeleton
     graded: bool
     relations: tuple[Relation, ...]
+    # per-field column templates of ``matrix_rep.materialize``, built on first use
+    templates: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def scalar_ids(self) -> tuple[ScalarId, ...]:
@@ -86,7 +83,7 @@ def generic_presentation(alg: TruncatedAlgebra, S: SemisimpleSequence,
         crit_key = (sset.critical.r, sset.critical.parent[1].arrows, sset.critical.arrow)
         terms = []
         for mem in part:
-            sid = ScalarId(f"x_{counter}", crit_key, _element_key(mem))
+            sid = ScalarId(f"x_{counter}", crit_key, (mem[0], mem[1].start, mem[1].arrows))
             terms.append((mem, sid))
             counter += 1
         relations.append(Relation(sset, tuple(terms)))

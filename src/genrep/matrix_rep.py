@@ -4,23 +4,21 @@ Materializes generic presentations at concrete scalars, computes radical
 layerings, socles, Hom/Ext dimensions, distinguished skeleta of a module
 point, and (in)decomposability certificates.
 
-A materialized point has the presentation's layering S by construction,
-at any scalars (see ``materialize``), so no point is checked after it is
-built and no seed is rejected as degenerate.  Materialized points and the
-projectives behind module points share one builder on a skeleton's basis.
+A materialized point has the presentation's layering S by construction, at
+any scalars (see ``materialize``), so no point is checked after it is built.
+One builder on a skeleton's basis serves materialized points and the
+projectives behind module points.  It fixes each arrow's sparse columns once
+per presentation, and a seed only substitutes its scalars into the sigma-set
+columns.  Such a module stores no dense matrix: ``matrices`` builds one on
+first read, which only the radical filtration, quotients and tests do.
 
-Fields are either F_p for a large prime p (default the Mersenne prime
-2^61 - 1) or exact rationals; all arithmetic is exact.  Arrow matrices are
-tuples of rows of Python ints (mod p) or Fractions, a dense view: arrow and
-path actions are computed as sparse columns.  Every rank, over either
-field, is one sparse elimination (``_rank``) on rows stored as ``{column:
-value}`` dicts and built that way from the start; ``mat_rank``, its dense
-adapter, and ``mat_mul`` are left for tests.  ``RowSpace``, an incremental
-echelon basis whose loops are fixed per field, is used where the reduced
-vectors themselves matter: radical filtrations, quotients and the
-distinguished skeleta probes.  Distinguished skeleta are not a second walk:
-``skeleta.iter_skeleta`` takes their memoised per-block independence test
-as its block predicate.
+Fields are F_p for a large prime p (default 2^61 - 1) or exact rationals;
+all arithmetic is exact.  Every rank is one sparse elimination (``_rank``) on
+``{column: value}`` rows; ``mat_rank`` and ``mat_mul`` are left for tests.
+``RowSpace``, an incremental echelon basis whose loops are fixed per field,
+serves where the reduced vectors matter: radical filtrations, quotients and
+the distinguished skeleta probes, whose memoised per-block independence test
+is the block predicate of ``skeleta.iter_skeleta``.
 
 Hom out of any presented module (a generic M = P/C, a cyclic Lambda e / J^m e,
 a simple) is the kernel of one relation matrix (``_hom_out_of``).  The
@@ -36,6 +34,7 @@ import dataclasses
 import functools
 import itertools
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +43,7 @@ from .algebra_core import (
     SemisimpleSequence,
     TruncatedAlgebra,
     _json_as,
+    enumerate_paths,
     realizable,
     top_elements,
 )
@@ -54,7 +54,7 @@ from .errors import (
     UnrealizableError,
     ValidationError,
 )
-from .generic_builder import GenericPresentation, ScalarId, generic_presentation, hypergraph
+from .generic_builder import GenericPresentation, generic_presentation, hypergraph
 from .homology import CyclicType, SyzygyProfile, iterated_syzygy
 from .skeleta import Skeleton, count_skeleta, iter_skeleta
 
@@ -104,7 +104,7 @@ class FieldSpec:
         return self.modulus is None
 
     def element(self, x) -> object:
-        if self.exact:
+        if self.modulus is None:
             return x if isinstance(x, Fraction) else Fraction(x)
         return int(x) % self.modulus
 
@@ -118,18 +118,9 @@ class FieldSpec:
 RATIONALS = FieldSpec(None)
 
 
-def _freeze(mat):
-    return tuple(tuple(row) for row in mat)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
-
-def zero_matrix(fs: FieldSpec, rows: int, cols: int):
-    z = fs.zero()
-    return [[z] * cols for _ in range(rows)]
-
 
 def mat_mul(fs: FieldSpec, A, B):
     cols = list(zip(*B))
@@ -194,12 +185,9 @@ def _reduced(p: int | None, acc: dict) -> dict:
 
 
 def _dense(fs: FieldSpec, cols: list[dict], height: int) -> tuple:
-    """The frozen dense matrix, ``height`` rows, of sparse columns."""
-    mat = zero_matrix(fs, height, len(cols))
-    for j, col in enumerate(cols):
-        for i, x in col.items():
-            mat[i][j] = x
-    return _freeze(mat)
+    """The dense matrix, a tuple of ``height`` row tuples, of sparse columns."""
+    z = fs.zero()
+    return tuple(tuple(col.get(i, z) for col in cols) for i in range(height))
 
 
 def mat_rank(fs: FieldSpec, rows) -> int:
@@ -288,23 +276,43 @@ class RowSpace:
 # representations
 # ---------------------------------------------------------------------------
 
+class _DenseView(Mapping):
+    """Read-only ``{arrow name: dense matrix}``, each matrix built from sparse columns
+    on first read.  It holds the columns, field and heights but not the module, so
+    the two form no reference cycle."""
+
+    def __init__(self, fs: FieldSpec, cols: dict, heights: dict[str, int]):
+        self._fs, self._cols, self._heights, self._built = fs, cols, heights, {}
+
+    def __getitem__(self, name: str) -> tuple:
+        if name not in self._built:
+            self._built[name] = _dense(self._fs, self._cols[name], self._heights[name])
+        return self._built[name]
+
+    def __iter__(self):
+        return iter(self._heights)
+
+    def __len__(self) -> int:
+        return len(self._heights)
+
+
 @dataclass(eq=False)
 class Representation:
-    """Per-vertex spaces and per-arrow matrices (target_dim x source_dim).
+    """Per-vertex spaces and per-arrow matrices (target_dim x source_dim); immutable.
 
-    Matrices are tuples of tuples, a dense view; treat instances as
-    immutable.  Computation reads actions as sparse columns ``{target index:
-    nonzero value}``, one per source basis element, in one private memo
-    keyed by arrow name (``_columns``) and by ``Path`` (``_path_columns``).
+    Computation reads actions as sparse columns ``{target index: nonzero value}``,
+    one per source element, memoised by arrow name (``_columns``) and ``Path``
+    (``_path_columns``).  A skeleton module stores only the columns; its
+    ``matrices``, tuples of rows, is a ``_DenseView`` that builds each on first read.
     """
 
     algebra: TruncatedAlgebra
     field: FieldSpec
     dims: tuple[int, ...]
-    matrices: dict[str, tuple]
+    matrices: Mapping[str, tuple]
     basis_labels: dict[str, tuple] | None = None
     top_elements: tuple[tuple[str, tuple], ...] | None = None
-    _cols: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
+    _cols: dict = dataclasses.field(default_factory=dict, repr=False)
 
     def dim_at(self, v: str) -> int:
         return self.dims[self.algebra.vertex_pos(v)]
@@ -312,10 +320,6 @@ class Representation:
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
-
-    @property
-    def dim_vector(self) -> tuple[int, ...]:
-        return self.dims
 
 
 def _same_algebra(a: TruncatedAlgebra, b: TruncatedAlgebra) -> bool:
@@ -332,12 +336,6 @@ class ScalarAssignment:
     seed: int | None
     provenance: str
 
-    def __getitem__(self, sid: ScalarId):
-        return self.values[sid]
-
-    def __contains__(self, sid: ScalarId):
-        return sid in self.values
-
 
 def seeded_assignment(pres: GenericPresentation, seed: int,
                       fs: FieldSpec = FieldSpec()) -> ScalarAssignment:
@@ -353,71 +351,79 @@ def seeded_assignment(pres: GenericPresentation, seed: int,
     if fs.modulus <= MIN_RANDOM_MODULUS:
         raise ValidationError(
             f"field modulus must exceed {MIN_RANDOM_MODULUS} for randomized evaluation")
-    rng = random.Random(seed)
-    seen: set[int] = set()
-    values = {}
+    rng, seen, values = random.Random(seed), set(), {}
     for sid in ids:
-        while True:
-            x = rng.randrange(1, fs.modulus)
-            if x not in seen:
-                seen.add(x)
-                values[sid] = x
-                break
+        while (x := rng.randrange(1, fs.modulus)) in seen:
+            pass  # redraw until the value is new
+        seen.add(x)
+        values[sid] = x
     return ScalarAssignment(values, seed, "seeded-random")
 
 
-def _skeleton_module(sk: Skeleton, relations, assign, fs: FieldSpec) -> Representation:
-    """The module on the basis ``sk.elements``, with marked tops z_r.
+def _template(sk: Skeleton, relations, fs: FieldSpec):
+    """The module on the basis ``sk.elements``, with marked tops z_r, as a function of
+    the scalars (``ScalarId`` -> value); what does not depend on them is built once.
 
-    An arrow sends a basis element to its extension when that lies in the
-    skeleton, to the assigned combination of the sigma-set of its relation
-    when the extension is critical, and to zero beyond length L; its
-    sparse columns are written directly.  Basis vectors are grouped by end
-    vertex in skeleton order.
+    Basis vectors are grouped by end vertex in skeleton order.  An arrow sends a
+    basis element to its extension if that lies in the skeleton (a unit column),
+    to zero beyond length L (empty), else to the assigned combination of its
+    relation's sigma-set: the only columns built per call, from (index,
+    ``ScalarId``) pairs.  Unit and empty columns are shared read-only.
     """
-    alg, one = sk.alg, fs.one()
+    alg, one, element = sk.alg, fs.one(), fs.element
     by_vertex: dict[str, list] = {v: [] for v in alg.vertices}
     for el in sk.elements:
         by_vertex[sk.end(el)].append(el)
-    index = {el: i for v in alg.vertices for i, el in enumerate(by_vertex[v])}
+    # an element (r, p) is keyed by (r, p.arrows): r fixes the start of p
+    index = {(r, p.arrows): i for v in alg.vertices for i, (r, p) in enumerate(by_vertex[v])}
     rel_map = {(rel.critical.arrow, rel.critical.parent): rel for rel in relations}
-    tops = []
-    for r, v in enumerate(sk.top, start=1):
-        vec = [fs.zero()] * len(by_vertex[v])
-        vec[index[(r, alg.trivial_path(v))]] = one
-        tops.append((v, tuple(vec)))
-    rep = Representation(alg, fs, tuple(len(by_vertex[v]) for v in alg.vertices), {},
-                         basis_labels={v: tuple(by_vertex[v]) for v in alg.vertices},
-                         top_elements=tuple(tops))
+    dims = tuple(len(by_vertex[v]) for v in alg.vertices)
+    labels = {v: tuple(by_vertex[v]) for v in alg.vertices}
+    zero = fs.zero()
+    tops = tuple((v, tuple(one if i == index[r, ()] else zero for i in range(len(by_vertex[v]))))
+                 for r, v in enumerate(sk.top, start=1))
+    heights = {a.name: len(by_vertex[a.target]) for a in alg.quiver.arrows}
+    arrows, empty = [], {}
     for a in alg.quiver.arrows:
-        cols = rep._cols[a.name] = []
-        for el in by_vertex[a.source]:
-            r, p = el
-            ext = (r, alg.extend(p, a)) if p.length < alg.L else None
-            cols.append({} if ext is None else {index[ext]: one} if ext in sk else
-                        {index[mem]: x for mem, sid in rel_map[(a.name, el)].terms
-                         if (x := fs.element(assign[sid]))})
-        rep.matrices[a.name] = _dense(fs, cols, len(by_vertex[a.target]))
-    return rep
+        fixed, subs = [], []
+        for j, (r, p) in enumerate(by_vertex[a.source]):
+            ext = (r, (a.name,) + p.arrows)
+            fixed.append(empty if len(ext[1]) > alg.L else
+                         {index[ext]: one} if ext in index else None)
+            if fixed[-1] is None:
+                subs.append((j, [(index[s, q.arrows], sid)
+                                 for (s, q), sid in rel_map[(a.name, (r, p))].terms]))
+        arrows.append((a.name, fixed, subs))
+
+    def build(values) -> Representation:
+        cols = {}
+        for name, fixed, subs in arrows:
+            col = cols[name] = list(fixed)
+            for j, pairs in subs:
+                col[j] = {i: x for i, sid in pairs if (x := element(values[sid]))}
+        return Representation(alg, fs, dims, _DenseView(fs, cols, heights), dict(labels), tops,
+                              _cols=cols)
+    return build
 
 
 def materialize(pres: GenericPresentation, assign: ScalarAssignment,
                 fs: FieldSpec = FieldSpec()) -> Representation:
     """Evaluate a generic presentation at concrete scalars.
 
-    The result has the presentation's radical layering S for every choice
-    of scalars, zero included, so nothing is checked after the build.  A
-    basis element (r, p) is p z_r, so it lies in J^{len p} M.  Each arrow
-    sends a length-l basis element to a skeleton element of length l+1, to
-    sigma-set members of length >= l+1, or to zero, so J^l M lies in the
-    span of the basis elements of length >= l.  Hence J^l M is that span,
+    Each field's ``_template`` is made once and kept in ``pres.templates``.  The result
+    has the presentation's radical layering S for every choice of scalars, zero
+    included, so nothing is checked after the build.  A basis element (r, p) is p z_r,
+    so it lies in J^{len p} M.  Each arrow sends a length-l basis element to a skeleton
+    element of length l+1, to sigma-set members of length >= l+1, or to zero, so J^l M
+    lies in the span of the basis elements of length >= l.  Hence J^l M is that span,
     and layer l of M is layer l of the skeleton, which is S.
     """
-    for rel in pres.relations:
-        for _, sid in rel.terms:
-            if sid not in assign:
-                raise ValidationError(f"assignment missing scalar {sid.name}")
-    return _skeleton_module(pres.skeleton, pres.relations, assign, fs)
+    if fs not in pres.templates:
+        pres.templates[fs] = _template(pres.skeleton, pres.relations, fs)
+    try:
+        return pres.templates[fs](assign.values)
+    except KeyError as exc:
+        raise ValidationError(f"assignment missing scalar {exc.args[0]}") from None
 
 
 def _radical_spaces(rep: Representation) -> list[dict[str, RowSpace]]:
@@ -565,8 +571,6 @@ def hom_dim_from_cyclic(alg: TruncatedAlgebra, c: CyclicType, rep: Representatio
     One relation per length-m path out of e; a projective cyclic imposes
     no constraint.
     """
-    from .algebra_core import enumerate_paths
-
     if c.truncation >= alg.L + 1:
         return rep.dim_at(c.vertex)
     return _hom_out_of(rep, (c.vertex,), [(_path_columns(rep, p), 0, ())
@@ -593,10 +597,10 @@ def _presented_hom_dim(pres: GenericPresentation, assign: ScalarAssignment,
     One relation per critical path z_r: its action, minus the assigned
     scalar times the action of each sigma-set member on its top z_s.
     """
-    alg, fs = pres.algebra, rep_n.field
+    alg, fs, values = pres.algebra, rep_n.field, assign.values
     return _hom_out_of(rep_n, pres.skeleton.top, [
         (_path_columns(rep_n, rel.critical.path(alg)), rel.critical.r - 1,
-         [(_path_columns(rep_n, q), s - 1, -fs.element(assign[sid])) for (s, q), sid in rel.terms])
+         [(_path_columns(rep_n, q), s - 1, -fs.element(values[sid])) for (s, q), sid in rel.terms])
         for rel in pres.relations])
 
 
@@ -670,11 +674,9 @@ def projective_representation(alg: TruncatedAlgebra, tops: tuple[str, ...],
     It is the module of the skeleton holding every path of length <= L on
     each top, which has no critical paths and so no relations.
     """
-    from .algebra_core import enumerate_paths
-
     elements = [(r, p) for r, v in enumerate(tops, start=1)
                 for l in range(alg.L + 1) for p in enumerate_paths(alg, v, l)]
-    return _skeleton_module(Skeleton(alg, tops, elements), (), {}, fs)
+    return _template(Skeleton(alg, tops, elements), (), fs)({})
 
 
 def quotient_representation(rep: Representation, sub_vectors) -> Representation:
@@ -695,10 +697,7 @@ def quotient_representation(rep: Representation, sub_vectors) -> Representation:
         for a in alg.quiver.arrows_from[v]:
             pending.append((a.target, mat_vec(fs, rep.matrices[a.name], added)))
 
-    keep = {}
-    for v in alg.vertices:
-        pivots = set(spaces[v].pivots)
-        keep[v] = [i for i in range(rep.dim_at(v)) if i not in pivots]
+    keep = {v: sorted(set(range(rep.dim_at(v))) - set(spaces[v].pivots)) for v in alg.vertices}
 
     def project(v: str, vec):
         reduced = spaces[v].reduce(vec)
@@ -709,10 +708,9 @@ def quotient_representation(rep: Representation, sub_vectors) -> Representation:
     for a in alg.quiver.arrows:
         mat = rep.matrices[a.name]
         cols = [project(a.target, [row[i] for row in mat]) for i in keep[a.source]]
-        matrices[a.name] = _freeze([[col[i] for col in cols] for i in range(len(keep[a.target]))])
-    tops = None
-    if rep.top_elements is not None:
-        tops = tuple((v, tuple(project(v, list(vec)))) for v, vec in rep.top_elements)
+        matrices[a.name] = tuple(tuple(col[i] for col in cols) for i in range(len(keep[a.target])))
+    tops = None if rep.top_elements is None else tuple(
+        (v, tuple(project(v, list(vec)))) for v, vec in rep.top_elements)
     return Representation(alg, fs, dims, matrices, basis_labels=None, top_elements=tops)
 
 
@@ -782,9 +780,7 @@ def distinguished_skeleta_of(rep: Representation, cap: int = 10**6) -> list[Skel
     spaces = _radical_spaces(rep)
     _check_tops_full(rep, spaces)
     S = _layering(alg, spaces)
-    order = sorted(range(len(rep.top_elements)),
-                   key=lambda i: alg.vertex_pos(rep.top_elements[i][0]))
-    tops = [rep.top_elements[i] for i in order]
+    tops = sorted(rep.top_elements, key=lambda top: alg.vertex_pos(top[0]))
     if tuple(v for v, _ in tops) != top_elements(alg, S):
         raise ValidationError("marked top elements do not match the layering's top")
     if count_skeleta(alg, S) > cap:

@@ -30,17 +30,21 @@ Element = tuple[int, Path]  # (top index r, path starting at e(r)); r is 1-based
 
 
 class Skeleton:
-    """Immutable skeleton; equality and hashing ignore the algebra handle."""
+    """Immutable skeleton; equality and hashing ignore the algebra handle.
 
-    def __init__(self, alg: TruncatedAlgebra, top: tuple[str, ...], elements):
+    ``elements`` are sorted by ``_key`` unless ``ordered`` says they are already.
+    """
+
+    def __init__(self, alg: TruncatedAlgebra, top: tuple[str, ...], elements,
+                 ordered: bool = False):
         self.alg = alg
         self.top = tuple(top)
         self.element_set = frozenset(elements)
         self.elements: tuple[Element, ...] = tuple(
-            sorted(self.element_set, key=self._key))
+            elements if ordered else sorted(self.element_set, key=self._key))
         layers: dict[int, list[Element]] = {}
         for el in self.elements:
-            layers.setdefault(el[1].length, []).append(el)
+            layers.setdefault(len(el[1].arrows), []).append(el)
         self._layers = {l: tuple(els) for l, els in layers.items()}
 
     def _key(self, el: Element):
@@ -122,12 +126,14 @@ class SigmaSet:
     one_part: tuple[Element, ...]
 
 
-def _level_candidates(alg: TruncatedAlgebra, layer: tuple[Element, ...]) -> dict[str, list]:
-    """Per vertex, the one-arrow extensions of ``layer`` ending there, in (parent, arrow) order."""
+def _level_candidates(alg: TruncatedAlgebra, layer) -> dict[str, list]:
+    """Per vertex, the one-arrow extensions of ``layer`` ending there, in (parent, arrow)
+    order, as (key, element) pairs: alpha*p has key (r, index of alpha, key of p)."""
+    idx = alg.quiver.arrow_index
     out = {v: [] for v in alg.vertices}
-    for r, p in layer:
+    for key, (r, p) in layer:
         for a in alg.quiver.arrows_from[alg.path_end(p)]:
-            out[a.target].append((r, alg.extend(p, a)))
+            out[a.target].append(((r, idx[a.name], key), (r, alg.extend(p, a))))
     return out
 
 
@@ -141,24 +147,27 @@ def iter_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence, accept=None):
     candidate counts depend only on S (``alg.extension_counts``), so a
     realizable S has no dead ends and an unrealizable one is not walked.
     ``accept(l, v, chosen)``, if given, sees each block as it is chosen
-    (l >= 1), and a rejected block cuts its whole subtree.
+    (l >= 1), and a rejected block cuts its whole subtree.  Candidates carry
+    keys that sort a layer as ``Skeleton._key`` does, so a yielded skeleton
+    comes in order, each layer sorted by those keys.
     """
     if not realizable(alg, S):
         return
     top = top_elements(alg, S)
-    base = tuple((r + 1, alg.trivial_path(v)) for r, v in enumerate(top))
+    base = tuple((r, (r + 1, alg.trivial_path(v))) for r, v in enumerate(top))
 
     def descend(l, j, layers, cands):
         # layers[-1] is layer l, filled at the vertices before position j
         if j == alg.n:
             if l == alg.L:
-                yield Skeleton(alg, top, [el for layer in layers for el in layer])
+                yield Skeleton(alg, top, [el for layer in layers for _, el in sorted(layer)],
+                               ordered=True)
             else:
                 yield from descend(l + 1, 0, layers + ((),), _level_candidates(alg, layers[-1]))
             return
         v = alg.vertices[j]
         for chosen in combinations(cands[v], S.layers[l][j]):
-            if accept is None or accept(l, v, chosen):
+            if accept is None or accept(l, v, tuple(el for _, el in chosen)):
                 yield from descend(l, j + 1, layers[:-1] + (layers[-1] + chosen,), cands)
 
     yield from descend(0, alg.n, (base,), None)

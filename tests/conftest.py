@@ -133,6 +133,11 @@ def fs_inv(fs, a):
     return Fraction(1) / a if fs.exact else pow(a, fs.modulus - 2, fs.modulus)
 
 
+def zero_matrix(fs, rows, cols):
+    z = fs.zero()
+    return [[z] * cols for _ in range(rows)]
+
+
 def bareiss_rank(fs, rows):
     """Rank by fraction-free (Bareiss) elimination, the exact oracle.
 
@@ -269,6 +274,37 @@ def representation_to_json(rep):
     }
 
 
+def skeleton_module_by_lookup(sk, relations, assign, fs):
+    """The module on the basis ``sk.elements`` rebuilt from scratch, the oracle
+    of the column template: every arrow's columns are derived element by
+    element, and every dense matrix is built at once."""
+    from genrep.matrix_rep import Representation, _dense
+    alg, one = sk.alg, fs.one()
+    by_vertex = {v: [] for v in alg.vertices}
+    for el in sk.elements:
+        by_vertex[sk.end(el)].append(el)
+    index = {el: i for v in alg.vertices for i, el in enumerate(by_vertex[v])}
+    rel_map = {(rel.critical.arrow, rel.critical.parent): rel for rel in relations}
+    tops = []
+    for r, v in enumerate(sk.top, start=1):
+        vec = [fs.zero()] * len(by_vertex[v])
+        vec[index[(r, alg.trivial_path(v))]] = one
+        tops.append((v, tuple(vec)))
+    rep = Representation(alg, fs, tuple(len(by_vertex[v]) for v in alg.vertices), {},
+                         basis_labels={v: tuple(by_vertex[v]) for v in alg.vertices},
+                         top_elements=tuple(tops))
+    for a in alg.quiver.arrows:
+        cols = rep._cols[a.name] = []
+        for el in by_vertex[a.source]:
+            r, p = el
+            ext = (r, alg.extend(p, a)) if p.length < alg.L else None
+            cols.append({} if ext is None else {index[ext]: one} if ext in sk else
+                        {index[mem]: x for mem, sid in rel_map[(a.name, el)].terms
+                         if (x := fs.element(assign.values[sid]))})
+        rep.matrices[a.name] = _dense(fs, cols, len(by_vertex[a.target]))
+    return rep
+
+
 def hypergraph_at(pres, assignment):
     """The hypergraph of ``pres`` at explicit scalars (ScalarId -> value):
     each relation keeps the members whose coefficient is nonzero."""
@@ -387,6 +423,14 @@ def enum_syzygy_of_cyclic(alg, v, m):
         return SyzygyProfile([])
     return SyzygyProfile([CyclicType(alg.path_end(u), alg.L + 1 - m)
                           for u in enumerate_paths(alg, v, m)])
+
+
+def projective_layering(alg, S0):
+    """Radical layering of the projective cover of the top S0, read off the path-count table."""
+    return SemisimpleSequence(tuple(
+        tuple(sum(S0[i] * alg.path_counts[v][l][j] for i, v in enumerate(alg.vertices))
+              for j in range(alg.n))
+        for l in range(alg.L + 1)))
 
 
 def enum_projective_layering(alg, S0):

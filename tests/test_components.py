@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from genrep.algebra_core import enumerate_sequences, projective_layering
+from genrep.algebra_core import enumerate_sequences
 from genrep.components import (
     annihilating_arrows,
     closure_containment_test,
@@ -15,7 +15,9 @@ from genrep.components import (
 from genrep.errors import UnrealizableError, ValidationError
 from genrep.skeleta import enumerate_skeleta
 
-from conftest import annihilating_arrows_by_skeleton, seq, sequence_poset_by_sets
+from conftest import (
+    annihilating_arrows_by_skeleton, projective_layering, seq, sequence_poset_by_sets,
+)
 
 S_TOP1 = seq((2, 0), (0, 2), (0, 0))
 S_TOP2 = seq((0, 2), (2, 0), (0, 0))

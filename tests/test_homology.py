@@ -7,7 +7,6 @@ import pytest
 from genrep.algebra_core import (
     enumerate_sequences,
     projective_dim,
-    projective_layering,
 )
 from genrep.errors import UnrealizableError
 from genrep.generic_builder import generic_presentation
@@ -25,7 +24,7 @@ from genrep.homology import (
 )
 from genrep.skeleta import enumerate_skeleta
 
-from conftest import seq
+from conftest import projective_layering, seq
 
 S_DEEP = seq((1, 1), (0, 1), (1, 0))
 S_DIM14 = seq((2, 1, 1), (0, 5, 1), (0, 0, 3), (0, 1, 0))

@@ -7,7 +7,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genrep.algebra_core import enumerate_sequences, projective_layering
+from genrep.algebra_core import enumerate_sequences
 from genrep.errors import EnumerationCapError, SeedStabilityError, ValidationError
 from genrep.generic_builder import generic_presentation
 from genrep.homology import CyclicType, first_syzygy
@@ -35,11 +35,11 @@ from genrep.matrix_rep import (
     radical_layering,
     seeded_assignment,
     socle,
-    zero_matrix,
     _columns,
     _path_columns,
 )
 from genrep.skeleta import (
+    Skeleton,
     canonical_skeleton,
     count_skeleta,
     enumerate_skeleta,
@@ -53,10 +53,13 @@ from conftest import (
     fs_mul,
     hom_dim_by_stacking,
     hom_dim_from_cyclic_by_stacking,
+    projective_layering,
     representation_to_json,
     seq,
+    skeleton_module_by_lookup,
     socle_by_stacking,
     user_assignment,
+    zero_matrix,
 )
 
 S_DEEP = seq((1, 1), (0, 1), (1, 0))
@@ -639,6 +642,106 @@ def test_sparse_columns_match_dense_on_drawn_points(request, fixture, fs, data):
         assign = ScalarAssignment({sid: fs.element(data.draw(st.integers(0, 4)))
                                    for sid in pres.scalar_ids}, None, "drawn")
     assert_columns_match_dense(materialize(pres, assign, fs))
+
+
+def snapshot(rep):
+    """Everything a module exposes, as plain values: dims, labels, tops, arrow
+    columns and the dense view (its order of names included)."""
+    return (rep.dims, dict(rep.basis_labels), rep.top_elements,
+            {a.name: [dict(c) for c in _columns(rep, a.name)] for a in rep.algebra.quiver.arrows},
+            list(rep.matrices.items()))
+
+
+def drawn_assignment(data, pres, fs):
+    """Seeded generic scalars where the field allows them, else (and also on
+    request) small drawn values, zero included."""
+    if (fs.exact or fs.modulus > MIN_RANDOM_MODULUS) and data.draw(st.booleans()):
+        return seeded_assignment(pres, data.draw(st.integers(0, 2**32)), fs)
+    return ScalarAssignment({sid: fs.element(data.draw(st.integers(0, 4)))
+                             for sid in pres.scalar_ids}, None, "drawn")
+
+
+@pytest.mark.parametrize("fixture", ["double_back", "relay", "line_swing"])
+@pytest.mark.parametrize("fs", [RATIONALS, SMALL_PRIME, FieldSpec(5)], ids=["Q", "Fp", "F5"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_template_modules_match_rebuilt_oracle(request, fixture, fs, data):
+    # generic and graded presentations at seeded, small and zero scalars, two
+    # points per presentation so the second reuses the first one's template
+    alg = request.getfixturevalue(fixture)
+    dimvec = {"double_back": (2, 2)}.get(fixture, (2, 2, 1))
+    S = data.draw(st.sampled_from(enumerate_sequences(alg, dimvec)))
+    pres = generic_presentation(alg, S, graded=data.draw(st.booleans()))
+    for _ in range(2):
+        assign = drawn_assignment(data, pres, fs)
+        rep = materialize(pres, assign, fs)
+        oracle = skeleton_module_by_lookup(pres.skeleton, pres.relations, assign, fs)
+        assert snapshot(rep) == snapshot(oracle)
+        assert rep.matrices == oracle.matrices and len(rep.matrices) == len(oracle.matrices)
+        assert "nosuch" not in rep.matrices and all(a in rep.matrices for a in oracle.matrices)
+    assert list(pres.templates) == [fs]
+    tops = data.draw(st.lists(st.sampled_from(alg.vertices), min_size=1, max_size=2))
+    P = projective_representation(alg, tops, fs)
+    sk = Skeleton(alg, tops, [el for labels in P.basis_labels.values() for el in labels])
+    assert snapshot(P) == snapshot(skeleton_module_by_lookup(sk, (), {}, fs))
+
+
+def test_next_seed_leaves_earlier_module_unchanged(relay):
+    pres = generic_presentation(relay, S_DIM14)
+    rep0 = materialize(pres, seeded_assignment(pres, 0))
+    before = snapshot(rep0)
+    rep1 = materialize(pres, seeded_assignment(pres, 1))
+    assert snapshot(rep0) == before != snapshot(rep1)
+    assert socle(rep0) == socle(rep1)
+    oracle = skeleton_module_by_lookup(pres.skeleton, pres.relations,
+                                       seeded_assignment(pres, 0), FieldSpec())
+    assert snapshot(rep0) == snapshot(oracle)
+
+
+def test_assignment_missing_a_scalar_is_rejected(relay):
+    pres = generic_presentation(relay, S_DIM14)
+    values = dict(seeded_assignment(pres, 0).values)
+    dropped = pres.scalar_ids[-1]
+    del values[dropped]
+    with pytest.raises(ValidationError, match=f"assignment missing scalar {dropped.name}$"):
+        materialize(pres, ScalarAssignment(values, 0, "seeded-random"))
+
+
+def test_materialized_module_is_freed_without_the_cycle_collector(relay):
+    # the dense view holds the columns, not the module, so reference counting
+    # alone frees a module once its last name is gone
+    import gc
+    import weakref
+    pres = generic_presentation(relay, S_DIM14)
+    gc.disable()
+    try:
+        rep = materialize(pres, seeded_assignment(pres, 0))
+        assert len(rep.matrices["b"]) == rep.dim_at("3")
+        socle(rep)
+        ref = weakref.ref(rep)
+        del rep
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_generic_invariants_build_no_dense_matrix(double_back, relay, monkeypatch):
+    import genrep.matrix_rep
+    pres = generic_presentation(relay, S_DIM14)
+    stacked = socle_by_stacking(materialize(pres, seeded_assignment(pres, 0)))
+
+    def refuse(*args):
+        raise AssertionError("a dense matrix was built")
+
+    monkeypatch.setattr(genrep.matrix_rep, "_dense", refuse)
+    assert generic_socle(double_back, S_DEEP) == (1, 0)
+    assert generic_end_dim(double_back, S_DEEP) == 2
+    assert generic_socle(relay, S_DIM14) == stacked
+    generic_end_dim(relay, S_DIM14)
+    generic_hom_dim(relay, S_DIM14, S_DIM14)
+    generic_hom_dim(double_back, S_DEEP, seq((1, 1), (1, 1), (0, 0)))
+    with pytest.raises(AssertionError, match="dense"):
+        materialize(pres, seeded_assignment(pres, 0)).matrices["b"]
 
 
 @pytest.mark.parametrize("fs", [RATIONALS, SMALL_PRIME, FieldSpec(7)], ids=["Q", "Fp", "F7"])

@@ -2,7 +2,6 @@
 
 from hypothesis import given, settings, strategies as st
 
-from genrep.algebra_core import projective_layering
 from genrep.homology import CyclicType, cyclic_dim_vector, is_projective, syzygy_of_cyclic
 
 from conftest import (
@@ -12,6 +11,7 @@ from conftest import (
     enum_is_projective,
     enum_projective_layering,
     enum_syzygy_of_cyclic,
+    projective_layering,
 )
 
 

@@ -2,9 +2,10 @@
 
 import pytest
 
-from genrep.algebra_core import enumerate_sequences, projective_layering, realizable
+from genrep.algebra_core import enumerate_sequences, realizable
 from genrep.errors import EnumerationCapError, UnrealizableError
 from genrep.skeleta import (
+    Skeleton,
     canonical_skeleton,
     count_skeleta,
     critical_paths,
@@ -14,7 +15,7 @@ from genrep.skeleta import (
     skeleton_to_json,
 )
 
-from conftest import _alg, iter_skeleta_by_product, seq, skeleton_from_json
+from conftest import _alg, iter_skeleta_by_product, projective_layering, seq, skeleton_from_json
 
 
 def label(el):
@@ -238,6 +239,25 @@ def test_lazy_descent_matches_eager_oracle(request, fixture, data):
     S = data.draw(realizable_layerings(alg))
     assume(count_skeleta(alg, S) <= 500)
     assert list(iter_skeleta(alg, S)) == list(iter_skeleta_by_product(alg, S))
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_descent_builds_skeleta_in_canonical_order(request, fixture, data):
+    # the walk hands its elements over already ordered; sorting them again,
+    # as every other caller's Skeleton does, changes neither order nor layers
+    alg = request.getfixturevalue(fixture)
+    S = data.draw(realizable_layerings(alg))
+    assume(count_skeleta(alg, S) <= 500)
+    for got, want in zip(iter_skeleta(alg, S), iter_skeleta_by_product(alg, S)):
+        resorted = Skeleton(alg, got.top, reversed(got.elements))
+        assert got.elements == want.elements == resorted.elements
+        assert got.elements == tuple(sorted(got.element_set, key=got._key))
+        assert [got.layer(l) for l in range(alg.L + 1)] == \
+            [resorted.layer(l) for l in range(alg.L + 1)]
+        assert hash(got) == hash(resorted)
+    assert canonical_skeleton(alg, S).elements == next(iter_skeleta_by_product(alg, S)).elements
 
 
 def test_accept_prunes_subtrees_in_order(relay):
