@@ -9,13 +9,15 @@ any scalars (see ``materialize``), so no point is checked after it is built.
 One builder on a skeleton's basis serves materialized points and the
 projectives behind module points.  It fixes each arrow's sparse columns once
 per presentation, and a seed only substitutes its scalars into the sigma-set
-columns.  Such a module stores no dense matrix: ``matrices`` builds one on
-first read, which only the radical filtration, quotients and tests do.
+columns.  Quotients (module points) are written as columns too.  Such a
+module stores no dense matrix: ``matrices`` builds one on first read, and no
+reader in this module does; only tests and ``path_action`` build one.
 
 Fields are F_p for a large prime p (default 2^61 - 1) or exact rationals;
 all arithmetic is exact.  Every rank is one sparse elimination (``_rank``) on
-``{column: value}`` rows; ``mat_rank`` and ``mat_mul`` are left for tests.
-``RowSpace``, an incremental echelon basis whose loops are fixed per field,
+``{column: value}`` rows, and every action is applied to a sparse vector by
+``_apply``; ``mat_rank``, ``mat_mul`` and the dense matrix-vector product are
+left for tests.  ``RowSpace``, an incremental echelon basis of sparse rows,
 serves where the reduced vectors matter: radical filtrations, quotients and
 the distinguished skeleta probes, whose memoised per-block independence test
 is the block predicate of ``skeleta.iter_skeleta``.
@@ -184,6 +186,20 @@ def _reduced(p: int | None, acc: dict) -> dict:
             {c: m for c, y in acc.items() if (m := y % p)})
 
 
+def _apply(p: int | None, cols: list[dict], vec: dict) -> dict:
+    """The image of the sparse vector ``vec`` under sparse columns, reduced, without zeros."""
+    acc: dict = {}
+    for k, y in vec.items():
+        for i, x in cols[k].items():
+            acc[i] = acc.get(i, 0) + x * y
+    return _reduced(p, acc)
+
+
+def _sparse(fs: FieldSpec, vec) -> dict:
+    """The dense vector ``vec`` as ``{index: nonzero field element}``."""
+    return {i: x for i, e in enumerate(vec) if (x := fs.element(e))}
+
+
 def _dense(fs: FieldSpec, cols: list[dict], height: int) -> tuple:
     """The dense matrix, a tuple of ``height`` row tuples, of sparse columns."""
     z = fs.zero()
@@ -192,58 +208,22 @@ def _dense(fs: FieldSpec, cols: list[dict], height: int) -> tuple:
 
 def mat_rank(fs: FieldSpec, rows) -> int:
     """Rank of dense rows: a thin adapter onto the sparse elimination ``_rank``."""
-    p = fs.modulus
-    if p is not None:
-        rows = [[x % p for x in r] for r in rows]
-    return _rank(p, [{j: x for j, x in enumerate(r) if x} for r in rows])
-
-
-def _reduce_mod_p(p, rows, pivots, vec):
-    v = [x % p for x in vec]
-    for row, piv in zip(rows, pivots):
-        c = v[piv]
-        if c:
-            v[piv:] = [(a - c * b) % p for a, b in zip(v[piv:], row[piv:])]
-    return v
-
-
-def _scale_mod_p(p, v, piv):
-    inv = pow(v[piv], p - 2, p)
-    return [x * inv % p for x in v]
-
-
-def _reduce_rational(rows, pivots, vec):
-    v = [x if isinstance(x, Fraction) else Fraction(x) for x in vec]
-    for row, piv in zip(rows, pivots):
-        c = v[piv]
-        if c:
-            v[piv:] = [a - c * b if b else a for a, b in zip(v[piv:], row[piv:])]
-    return v
-
-
-def _scale_rational(v, piv):
-    inv = 1 / v[piv]
-    return [x * inv if x else x for x in v]
+    return _rank(fs.modulus, [_sparse(fs, r) for r in rows])
 
 
 class RowSpace:
-    """Incrementally maintained row-echelon basis of a subspace.
+    """Incrementally maintained row-echelon basis of a subspace, in sparse rows.
 
-    ``rows`` are sorted by pivot column and have a leading 1, so reducing a
-    vector against them in order clears every pivot column.  The
-    elimination loops are fixed per field at construction: inline ``% p``
-    over F_p, plain Fraction arithmetic over Q.
+    ``rows`` are ``{col: value}`` dicts, sorted by pivot, each with a leading 1
+    at its pivot, its leftmost nonzero column; reducing a vector against them
+    in order clears every pivot column.  Over F_p input entries are reduced
+    mod p; ``p`` is None over Q, as in ``_rank``.
     """
 
-    def __init__(self, fs: FieldSpec, width: int):
-        self.width = width
-        self.rows: list[list] = []
+    def __init__(self, fs: FieldSpec):
+        self.p = fs.modulus
+        self.rows: list[dict] = []
         self.pivots: list[int] = []
-        if fs.exact:
-            self._reduce, self._scale = _reduce_rational, _scale_rational
-        else:
-            self._reduce = functools.partial(_reduce_mod_p, fs.modulus)
-            self._scale = functools.partial(_scale_mod_p, fs.modulus)
 
     @property
     def dim(self) -> int:
@@ -255,17 +235,30 @@ class RowSpace:
         other.rows, other.pivots = list(self.rows), list(self.pivots)
         return other
 
-    def reduce(self, vec) -> list:
+    def reduce(self, vec: dict) -> dict:
         """The unique vector of ``vec`` + span that is zero on every pivot column."""
-        return self._reduce(self.rows, self.pivots, vec)
+        p, v = self.p, _reduced(self.p, vec)
+        for row, piv in zip(self.rows, self.pivots):
+            c = v.get(piv)
+            if c:
+                for col, x in row.items():
+                    y = v.get(col, 0) - c * x
+                    if p is not None:
+                        y %= p
+                    if y:
+                        v[col] = y
+                    else:
+                        del v[col]
+        return v
 
-    def add(self, vec):
+    def add(self, vec: dict):
         """Insert ``vec``; returns the new reduced basis row, or None if dependent."""
-        v = self._reduce(self.rows, self.pivots, vec)
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
+        v = self.reduce(vec)
+        if not v:
             return None
-        v = self._scale(v, piv)
+        piv, p = min(v), self.p
+        inv = 1 / Fraction(v[piv]) if p is None else pow(v[piv], -1, p)
+        v = _reduced(p, {c: x * inv for c, x in v.items()})
         at = bisect.bisect(self.pivots, piv)
         self.rows.insert(at, v)
         self.pivots.insert(at, piv)
@@ -302,8 +295,8 @@ class Representation:
 
     Computation reads actions as sparse columns ``{target index: nonzero value}``,
     one per source element, memoised by arrow name (``_columns``) and ``Path``
-    (``_path_columns``).  A skeleton module stores only the columns; its
-    ``matrices``, tuples of rows, is a ``_DenseView`` that builds each on first read.
+    (``_path_columns``).  A skeleton module or a quotient stores only the columns;
+    its ``matrices``, tuples of rows, is a ``_DenseView`` that builds each on first read.
     """
 
     algebra: TruncatedAlgebra
@@ -429,20 +422,19 @@ def materialize(pres: GenericPresentation, assign: ScalarAssignment,
 def _radical_spaces(rep: Representation) -> list[dict[str, RowSpace]]:
     """Bases of J^l M per vertex, l = 0..L+1; the last must be zero."""
     alg, fs = rep.algebra, rep.field
-    full = {v: RowSpace(fs, rep.dim_at(v)) for v in alg.vertices}
-    zero, one = fs.zero(), fs.one()
-    for rs in full.values():
+    full = {v: RowSpace(fs) for v in alg.vertices}
+    for v, rs in full.items():
         # J^0 M = M: the identity rows are already an echelon basis
-        rs.rows = [[one if i == j else zero for j in range(rs.width)] for i in range(rs.width)]
-        rs.pivots = list(range(rs.width))
+        rs.pivots = list(range(rep.dim_at(v)))
+        rs.rows = [{i: fs.one()} for i in rs.pivots]
     spaces = [full]
     for _ in range(alg.L + 1):
         prev = spaces[-1]
-        nxt = {v: RowSpace(fs, rep.dim_at(v)) for v in alg.vertices}
+        nxt = {v: RowSpace(fs) for v in alg.vertices}
         for a in alg.quiver.arrows:
-            mat = rep.matrices[a.name]
+            cols = _columns(rep, a.name)
             for row in prev[a.source].rows:
-                nxt[a.target].add(mat_vec(fs, mat, row))
+                nxt[a.target].add(_apply(fs.modulus, cols, row))
         spaces.append(nxt)
     return spaces
 
@@ -505,13 +497,13 @@ def hom_dim(rep_a: Representation, rep_b: Representation) -> int:
 
 
 def _columns(rep: Representation, name: str) -> list[dict]:
-    """Sparse columns of arrow ``name``, derived once from its matrix: entries
-    as field elements (reduced mod p), zeros dropped, one per source element."""
+    """Sparse columns of arrow ``name``; a hand-built module's are derived once from
+    its matrix: entries as field elements (reduced mod p), zeros dropped, one per
+    source element."""
     if name not in rep._cols:
         fs, mat = rep.field, rep.matrices[name]
         width = rep.dim_at(rep.algebra.quiver.arrow_by_name[name].source)
-        rep._cols[name] = [{i: x for i, row in enumerate(mat)
-                            if row[j] and (x := fs.element(row[j]))} for j in range(width)]
+        rep._cols[name] = [_sparse(fs, [row[j] for row in mat]) for j in range(width)]
     return rep._cols[name]
 
 
@@ -523,14 +515,9 @@ def _path_columns(rep: Representation, p: Path) -> list[dict]:
     if not p.arrows:
         return [{j: rep.field.one()} for j in range(rep.dim_at(p.start))]
     if p not in rep._cols:
-        arrow, cols = _columns(rep, p.arrows[0]), []
-        for col in _path_columns(rep, p.initial_subpath(p.length - 1)):
-            acc: dict = {}
-            for k, y in col.items():
-                for i, x in arrow[k].items():
-                    acc[i] = acc.get(i, 0) + x * y
-            cols.append(_reduced(rep.field.modulus, acc))
-        rep._cols[p] = cols
+        arrow = _columns(rep, p.arrows[0])
+        rep._cols[p] = [_apply(rep.field.modulus, arrow, col)
+                        for col in _path_columns(rep, p.initial_subpath(p.length - 1))]
     return rep._cols[p]
 
 
@@ -682,36 +669,45 @@ def projective_representation(alg: TruncatedAlgebra, tops: tuple[str, ...],
 def quotient_representation(rep: Representation, sub_vectors) -> Representation:
     """Quotient of ``rep`` by the submodule generated by the given vectors.
 
-    ``sub_vectors`` is an iterable of (vertex, vector); the span is closed
-    under the arrow action before forming the quotient.  Marked top elements
-    are carried along by projection.
+    ``sub_vectors`` is an iterable of (vertex, dense vector); the span is
+    closed under the arrow action before forming the quotient, whose basis is
+    the non-pivot coordinates of each vertex's span.  The quotient stores
+    sparse columns; marked top elements are carried along by projection.
     """
-    alg, fs = rep.algebra, rep.field
-    spaces = {v: RowSpace(fs, rep.dim_at(v)) for v in alg.vertices}
-    pending = [(v, list(vec)) for v, vec in sub_vectors]
+    alg, fs, p = rep.algebra, rep.field, rep.field.modulus
+    spaces = {v: RowSpace(fs) for v in alg.vertices}
+    pending = [(v, _sparse(fs, vec)) for v, vec in sub_vectors]
     while pending:
         v, vec = pending.pop()
         added = spaces[v].add(vec)
         if added is None:
             continue
         for a in alg.quiver.arrows_from[v]:
-            pending.append((a.target, mat_vec(fs, rep.matrices[a.name], added)))
+            pending.append((a.target, _apply(p, _columns(rep, a.name), added)))
 
-    keep = {v: sorted(set(range(rep.dim_at(v))) - set(spaces[v].pivots)) for v in alg.vertices}
+    keep = {v: {i: k for k, i in enumerate(sorted(set(range(rep.dim_at(v)))
+                                                  - set(spaces[v].pivots)))}
+            for v in alg.vertices}
 
-    def project(v: str, vec):
-        reduced = spaces[v].reduce(vec)
-        return [reduced[i] for i in keep[v]]
+    def project(v: str, vec: dict) -> dict:
+        # a reduced vector is zero on every pivot, so each of its columns is kept
+        return {keep[v][i]: x for i, x in spaces[v].reduce(vec).items()}
 
     dims = tuple(len(keep[v]) for v in alg.vertices)
-    matrices = {}
+    cols, heights = {}, {}
     for a in alg.quiver.arrows:
-        mat = rep.matrices[a.name]
-        cols = [project(a.target, [row[i] for row in mat]) for i in keep[a.source]]
-        matrices[a.name] = tuple(tuple(col[i] for col in cols) for i in range(len(keep[a.target])))
+        arrow = _columns(rep, a.name)
+        cols[a.name] = [project(a.target, arrow[i]) for i in keep[a.source]]
+        heights[a.name] = len(keep[a.target])
+
+    def dense_top(v: str, vec) -> tuple:
+        top, zero = project(v, _sparse(fs, vec)), fs.zero()
+        return v, tuple(top.get(k, zero) for k in range(len(keep[v])))
+
     tops = None if rep.top_elements is None else tuple(
-        (v, tuple(project(v, list(vec)))) for v, vec in rep.top_elements)
-    return Representation(alg, fs, dims, matrices, basis_labels=None, top_elements=tops)
+        dense_top(v, vec) for v, vec in rep.top_elements)
+    return Representation(alg, fs, dims, _DenseView(fs, cols, heights), basis_labels=None,
+                          top_elements=tops, _cols=cols)
 
 
 def module_point(alg: TruncatedAlgebra, tops, relations,
@@ -762,7 +758,7 @@ def _check_tops_full(rep: Representation, spaces) -> None:
     for v in alg.vertices:
         probe = radical[v].copy()
         for w, vec in rep.top_elements:
-            if w == v and probe.add(list(vec)) is None:
+            if w == v and probe.add(_sparse(rep.field, vec)) is None:
                 raise ValidationError("marked top elements are dependent modulo JM")
 
 
@@ -788,16 +784,16 @@ def distinguished_skeleta_of(rep: Representation, cap: int = 10**6) -> list[Skel
 
     @functools.cache
     def image(r, p):
-        """p * m_r: the image of p's initial subpath times the leftmost arrow's matrix."""
-        return list(tops[r - 1][1]) if not p.arrows else mat_vec(
-            fs, rep.matrices[p.arrows[0]], image(r, p.initial_subpath(p.length - 1)))
+        """p * m_r: the image of p's initial subpath under the leftmost arrow's columns."""
+        return _sparse(fs, tops[r - 1][1]) if not p.arrows else _apply(
+            fs.modulus, _columns(rep, p.arrows[0]), image(r, p.initial_subpath(p.length - 1)))
 
     @functools.cache
     def independent(l, v, chosen):
         if not chosen:
             return True
         probe = spaces[l + 1][v].copy()
-        return all(probe.add(list(image(r, p))) is not None for r, p in chosen)
+        return all(probe.add(image(r, p)) is not None for r, p in chosen)
 
     return list(iter_skeleta(alg, S, accept=independent))
 

@@ -10,6 +10,7 @@ block predicate; every cap is decided first by the closed form ``count_skeleta``
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -224,6 +225,11 @@ def critical_paths(alg: TruncatedAlgebra, sk: Skeleton) -> list[SigmaSet]:
     <= L and lies outside the skeleton.  Its sigma-set collects the members
     at least as long as alpha*p ending in the same vertex.
     """
+    by_end: dict[str, list[Element]] = {}
+    for mem in sk.elements:
+        by_end.setdefault(sk.end(mem), []).append(mem)
+    # skeleton order is by length first, so the members of one length form a slice
+    lengths = {v: [len(mem[1].arrows) for mem in group] for v, group in by_end.items()}
     out = []
     for el in sk.elements:
         r, p = el
@@ -233,13 +239,10 @@ def critical_paths(alg: TruncatedAlgebra, sk: Skeleton) -> list[SigmaSet]:
             ext = alg.extend(p, a)
             if (r, ext) in sk:
                 continue
-            length, end = ext.length, alg.path_end(ext)
-            zero, one = [], []
-            for mem in sk.elements:
-                if mem[1].length >= length and sk.end(mem) == end:
-                    (zero if mem[1].length == length else one).append(mem)
-            out.append(SigmaSet(CriticalPath(a.name, el), tuple(zero + one),
-                                tuple(zero), tuple(one)))
+            group, lens = by_end.get(a.target, []), lengths.get(a.target, [])
+            lo, hi = bisect_left(lens, ext.length), bisect_right(lens, ext.length)
+            zero, one = tuple(group[lo:hi]), tuple(group[hi:])
+            out.append(SigmaSet(CriticalPath(a.name, el), zero + one, zero, one))
     out.sort(key=lambda s: (s.critical.length, sk._key(s.critical.parent),
                             alg.quiver.arrow_index[s.critical.arrow]))
     return out

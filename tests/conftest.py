@@ -1,3 +1,6 @@
+import bisect
+import copy
+import functools
 import math
 from fractions import Fraction
 
@@ -205,6 +208,150 @@ def kernel_basis(fs, rows, ncols):
     return basis
 
 
+def _reduce_mod_p(p, rows, pivots, vec):
+    v = [x % p for x in vec]
+    for row, piv in zip(rows, pivots):
+        c = v[piv]
+        if c:
+            v[piv:] = [(a - c * b) % p for a, b in zip(v[piv:], row[piv:])]
+    return v
+
+
+def _scale_mod_p(p, v, piv):
+    inv = pow(v[piv], p - 2, p)
+    return [x * inv % p for x in v]
+
+
+def _reduce_rational(rows, pivots, vec):
+    v = [x if isinstance(x, Fraction) else Fraction(x) for x in vec]
+    for row, piv in zip(rows, pivots):
+        c = v[piv]
+        if c:
+            v[piv:] = [a - c * b if b else a for a, b in zip(v[piv:], row[piv:])]
+    return v
+
+
+def _scale_rational(v, piv):
+    inv = 1 / v[piv]
+    return [x * inv if x else x for x in v]
+
+
+class DenseRowSpace:
+    """Row-echelon basis of dense rows, the oracle of the sparse ``RowSpace``.
+
+    ``rows`` are lists sorted by pivot column, each with a leading 1 at its
+    leftmost nonzero column; the loops are fixed per field at construction.
+    """
+
+    def __init__(self, fs, width):
+        self.width = width
+        self.rows = []
+        self.pivots = []
+        if fs.exact:
+            self._reduce, self._scale = _reduce_rational, _scale_rational
+        else:
+            self._reduce = functools.partial(_reduce_mod_p, fs.modulus)
+            self._scale = functools.partial(_scale_mod_p, fs.modulus)
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def copy(self):
+        other = copy.copy(self)
+        other.rows, other.pivots = list(self.rows), list(self.pivots)
+        return other
+
+    def reduce(self, vec):
+        return self._reduce(self.rows, self.pivots, vec)
+
+    def add(self, vec):
+        v = self._reduce(self.rows, self.pivots, vec)
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            return None
+        v = self._scale(v, piv)
+        at = bisect.bisect(self.pivots, piv)
+        self.rows.insert(at, v)
+        self.pivots.insert(at, piv)
+        return v
+
+
+def dense_radical_spaces(rep, first):
+    """The spaces ``first`` (vertex -> ``DenseRowSpace``), J first, ...,
+    J^{L+1} first: each is spanned by the arrow matrices applied to the rows
+    of the one before."""
+    from genrep.matrix_rep import mat_vec
+    alg, fs = rep.algebra, rep.field
+    spaces = [first]
+    for _ in range(alg.L + 1):
+        prev = spaces[-1]
+        nxt = {v: DenseRowSpace(fs, rep.dim_at(v)) for v in alg.vertices}
+        for a in alg.quiver.arrows:
+            for row in prev[a.source].rows:
+                nxt[a.target].add(mat_vec(fs, rep.matrices[a.name], row))
+        spaces.append(nxt)
+    return spaces
+
+
+def quotient_representation_by_dense(rep, sub_vectors):
+    """Quotient of ``rep`` by the submodule generated by the given vectors,
+    built from dense matrices and dense row spaces: the closure applies each
+    arrow's matrix, and each kept column is projected in full."""
+    from genrep.matrix_rep import Representation, mat_vec
+    alg, fs = rep.algebra, rep.field
+    spaces = {v: DenseRowSpace(fs, rep.dim_at(v)) for v in alg.vertices}
+    pending = [(v, list(vec)) for v, vec in sub_vectors]
+    while pending:
+        v, vec = pending.pop()
+        added = spaces[v].add(vec)
+        if added is None:
+            continue
+        for a in alg.quiver.arrows_from[v]:
+            pending.append((a.target, mat_vec(fs, rep.matrices[a.name], added)))
+
+    keep = {v: sorted(set(range(rep.dim_at(v))) - set(spaces[v].pivots)) for v in alg.vertices}
+
+    def project(v, vec):
+        reduced = spaces[v].reduce(vec)
+        return [reduced[i] for i in keep[v]]
+
+    dims = tuple(len(keep[v]) for v in alg.vertices)
+    matrices = {}
+    for a in alg.quiver.arrows:
+        mat = rep.matrices[a.name]
+        cols = [project(a.target, [row[i] for row in mat]) for i in keep[a.source]]
+        matrices[a.name] = tuple(tuple(col[i] for col in cols) for i in range(len(keep[a.target])))
+    tops = None if rep.top_elements is None else tuple(
+        (v, tuple(project(v, list(vec)))) for v, vec in rep.top_elements)
+    return Representation(alg, fs, dims, matrices, basis_labels=None, top_elements=tops)
+
+
+def critical_paths_by_scan(alg, sk):
+    """Every critical path with its sigma-set, each sigma-set collected by
+    scanning every skeleton element again, the oracle of ``critical_paths``."""
+    from genrep.skeleta import CriticalPath, SigmaSet
+    out = []
+    for el in sk.elements:
+        r, p = el
+        if p.length + 1 > alg.L:
+            continue
+        for a in alg.quiver.arrows_from[alg.path_end(p)]:
+            ext = alg.extend(p, a)
+            if (r, ext) in sk:
+                continue
+            length, end = ext.length, alg.path_end(ext)
+            zero, one = [], []
+            for mem in sk.elements:
+                if mem[1].length >= length and sk.end(mem) == end:
+                    (zero if mem[1].length == length else one).append(mem)
+            out.append(SigmaSet(CriticalPath(a.name, el), tuple(zero + one),
+                                tuple(zero), tuple(one)))
+    out.sort(key=lambda s: (s.critical.length, sk._key(s.critical.parent),
+                            alg.quiver.arrow_index[s.critical.arrow]))
+    return out
+
+
 def socle_by_stacking(rep):
     """Per-vertex socle dimensions: the kernel of the stacked matrices of
     every arrow leaving the vertex."""
@@ -349,8 +496,8 @@ def presentation_kernel_layering(alg, S, sd):
     from genrep.algebra_core import top_elements
     from genrep.generic_builder import generic_presentation
     from genrep.matrix_rep import (
-        FieldSpec, RowSpace, mat_vec, materialize, path_action,
-        projective_representation, seeded_assignment,
+        FieldSpec, mat_vec, materialize, path_action, projective_representation,
+        seeded_assignment,
     )
 
     fs = FieldSpec()
@@ -365,19 +512,11 @@ def presentation_kernel_layering(alg, S, sd):
             cols.append(mat_vec(fs, path_action(G, p), list(tvec)))
         rows = [[cols[j][i] for j in range(len(cols))] for i in range(G.dim_at(v))]
         kernel[v] = kernel_basis(fs, rows, P.dim_at(v))
-    spaces = []
-    first = {v: RowSpace(fs, P.dim_at(v)) for v in alg.vertices}
+    first = {v: DenseRowSpace(fs, P.dim_at(v)) for v in alg.vertices}
     for v in alg.vertices:
         for vec in kernel[v]:
             first[v].add(vec)
-    spaces.append(first)
-    for _ in range(alg.L + 1):
-        prev = spaces[-1]
-        nxt = {v: RowSpace(fs, P.dim_at(v)) for v in alg.vertices}
-        for a in alg.quiver.arrows:
-            for row in prev[a.source].rows:
-                nxt[a.target].add(mat_vec(fs, P.matrices[a.name], row))
-        spaces.append(nxt)
+    spaces = dense_radical_spaces(P, first)
     assert all(spaces[alg.L + 1][v].dim == 0 for v in alg.vertices)
     return [tuple(spaces[l][v].dim - spaces[l + 1][v].dim for v in alg.vertices)
             for l in range(alg.L + 1)]
@@ -519,16 +658,21 @@ def iter_skeleta_by_product(alg, S):
 
 def distinguished_skeleta_by_path_action(rep, cap=10**6):
     """Distinguished skeleta with each p * m_r taken, member by member, as
-    ``path_action(rep, p)`` applied to m_r, over the eager descent."""
+    ``path_action(rep, p)`` applied to m_r, and independence tested in dense
+    row spaces of the radical filtration, over the eager descent."""
     from genrep.algebra_core import top_elements
     from genrep.errors import EnumerationCapError, ValidationError
     from genrep.matrix_rep import (
-        RowSpace, _check_tops_full, _radical_spaces, mat_vec, path_action, radical_layering,
+        _check_tops_full, _radical_spaces, mat_vec, path_action, radical_layering,
     )
     alg, fs = rep.algebra, rep.field
-    spaces = _radical_spaces(rep)
-    _check_tops_full(rep, spaces)
+    _check_tops_full(rep, _radical_spaces(rep))
     S = radical_layering(rep)
+    full = {v: DenseRowSpace(fs, rep.dim_at(v)) for v in alg.vertices}
+    for v, space in full.items():
+        for i in range(space.width):
+            space.add([fs.one() if j == i else fs.zero() for j in range(space.width)])
+    spaces = dense_radical_spaces(rep, full)
     tops = sorted(rep.top_elements, key=lambda t: alg.vertex_pos(t[0]))
     if tuple(v for v, _ in tops) != top_elements(alg, S):
         raise ValidationError("marked top elements do not match the layering's top")
@@ -542,7 +686,7 @@ def distinguished_skeleta_by_path_action(rep, cap=10**6):
             for r, p in sk.layer(l):
                 end = alg.path_end(p)
                 if end not in probes:
-                    probes[end] = RowSpace(fs, rep.dim_at(end))
+                    probes[end] = DenseRowSpace(fs, rep.dim_at(end))
                     for row in spaces[l + 1][end].rows:
                         probes[end].add(row)
                 if probes[end].add(mat_vec(fs, path_action(rep, p), list(tops[r - 1][1]))) is None:

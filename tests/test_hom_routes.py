@@ -1,5 +1,8 @@
 """Cross-checks of the linear-algebra layer: the two Hom routes, the two
-fields, and the sparse elimination and the row space against exact rank."""
+fields, the sparse elimination and the dense row-space oracle against exact
+rank, and the sparse row space against that oracle."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,7 @@ from genrep.matrix_rep import (
     seeded_assignment,
 )
 
-from conftest import bareiss_rank, fs_sub, seq
+from conftest import DenseRowSpace, bareiss_rank, fs_sub, seq
 
 CASES = [("double_back", (2, 2)), ("double_back", (3, 2)), ("relay", (1, 2, 1)),
          ("loop_out", (3, 2))]  # a loop: two unknowns of one equation can share a column
@@ -108,7 +111,7 @@ def shaped_matrices(draw):
 @given(shaped_matrices())
 def test_sparse_rank_matches_row_space_and_bareiss(fs, shaped):
     cols, rows = shaped
-    space = RowSpace(fs, cols)
+    space = DenseRowSpace(fs, cols)
     for r in rows:
         space.add(r)
     assert mat_rank(fs, rows) == space.dim == bareiss_rank(fs, rows)
@@ -127,7 +130,7 @@ def test_row_space_rank_matches_exact_rank(rows):
     for fs in (fp, RATIONALS):
         if not rows:
             continue
-        space = RowSpace(fs, len(rows[0]))
+        space = DenseRowSpace(fs, len(rows[0]))
         for r in rows:
             space.add(r)
         assert space.dim == mat_rank(fs, rows)
@@ -141,3 +144,46 @@ def test_row_space_rank_matches_exact_rank(rows):
         # probe - reduced lies in the span
         diff = [fs_sub(fs, fs.element(a), b) for a, b in zip(probe, reduced)]
         assert mat_rank(fs, space.rows + [diff]) == space.dim
+
+
+@st.composite
+def unreduced_rows(draw, fs):
+    """(width, rows) with entries p, -1, 2p + 3 and -p over F_p (fractions over Q),
+    zero rows and duplicated rows mixed in."""
+    p = fs.modulus
+    odd = [Fraction(1, 3), Fraction(-5, 2), 7, -1] if p is None else [p, -1, 2 * p + 3, -p]
+    width = draw(st.integers(1, 7))
+    cell = st.one_of(st.integers(-3, 3), st.sampled_from(odd))
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=8))
+    rows += [[0] * width] * draw(st.integers(0, 2))
+    if rows:
+        rows += [list(rows[i]) for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    return width, draw(st.permutations(rows))
+
+
+@pytest.mark.parametrize("fs", [RATIONALS, FieldSpec(), FieldSpec(5)], ids=["Q", "F61", "F5"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sparse_row_space_matches_dense_oracle(fs, data):
+    # same pivots, basis rows and reduced vectors read densely; add is None on
+    # the same rows, and a copy's add leaves the original as it was
+    width, rows = data.draw(unreduced_rows(fs))
+    sparse, dense = RowSpace(fs), DenseRowSpace(fs, width)
+
+    def read(vec):
+        return [vec.get(i, 0) for i in range(width)]
+
+    for r in rows:
+        vec = {i: x for i, x in enumerate(r) if x}
+        before = ([dict(row) for row in sparse.rows], list(sparse.pivots))
+        probe = sparse.copy()
+        assert (probe.add(vec) is None) == (dense.copy().add(r) is None)
+        assert ([dict(row) for row in sparse.rows], sparse.pivots) == before
+        assert read(sparse.reduce(vec)) == dense.reduce(r)
+        got, want = sparse.add(vec), dense.add(r)
+        assert (got is None) == (want is None)
+        assert got is None or read(got) == want
+        assert sparse.dim == dense.dim and sparse.pivots == dense.pivots
+        assert [read(row) for row in sparse.rows] == dense.rows
+    for r in rows + [[1] * width, [fs.modulus or 2] * width]:
+        assert read(sparse.reduce({i: x for i, x in enumerate(r) if x})) == dense.reduce(r)

@@ -32,6 +32,7 @@ from genrep.matrix_rep import (
     module_point,
     path_action,
     projective_representation,
+    quotient_representation,
     radical_layering,
     seeded_assignment,
     socle,
@@ -54,6 +55,7 @@ from conftest import (
     hom_dim_by_stacking,
     hom_dim_from_cyclic_by_stacking,
     projective_layering,
+    quotient_representation_by_dense,
     representation_to_json,
     seq,
     skeleton_module_by_lookup,
@@ -759,6 +761,60 @@ def test_zero_dimensional_vertex_matches_stacking(relay, fs):
         for other in (no_1, no_3):
             assert hom_dim(rep, other) == hom_dim_by_stacking(rep, other)
     assert socle(no_1) == (0, 1, 0) and socle(no_3) == (0, 2, 0)
+
+
+def assert_quotient_matches_dense(rep, sub_vectors):
+    got = quotient_representation(rep, sub_vectors)
+    want = quotient_representation_by_dense(rep, sub_vectors)
+    assert got.dims == want.dims and got.top_elements == want.top_elements
+    assert dict(got.matrices) == want.matrices
+    assert_columns_match_dense(got)
+    return got
+
+
+@st.composite
+def sub_vectors(draw, rep):
+    """Generators (vertex, dense vector) with entries such as p, -1 and 2p + 3."""
+    p = rep.field.modulus
+    cell = st.one_of(st.integers(-2, 2), st.sampled_from(
+        [Fraction(1, 2), 7] if p is None else [p, -1, 2 * p + 3]))
+    return [(v, draw(st.lists(cell, min_size=rep.dim_at(v), max_size=rep.dim_at(v))))
+            for v in draw(st.lists(st.sampled_from(rep.algebra.vertices), max_size=3))]
+
+
+@pytest.mark.parametrize("fixture", ["double_back", "relay", "six_vertex"])
+@pytest.mark.parametrize("fs", [RATIONALS, SMALL_PRIME, FieldSpec(5)], ids=["Q", "Fp", "F5"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_quotients_match_dense_oracle_on_drawn_points(request, fixture, fs, data):
+    # a drawn module point, and quotients of it and of its projective cover by
+    # drawn generators with unreduced entries
+    alg = request.getfixturevalue(fixture)
+    tops, relations = data.draw(module_point_specs(alg))
+    point = module_point(alg, tops, relations, fs)
+    assert_columns_match_dense(point)
+    for rep in (projective_representation(alg, tuple(tops), fs), point):
+        assert_quotient_matches_dense(rep, data.draw(sub_vectors(rep)))
+
+
+def test_quotients_of_hand_built_f7_module_match_dense_oracle(relay):
+    # entries 7 and -1 stand for 0 and 6; vertex 1 has dimension 0, and its
+    # empty generator is the zero vector.  b kills the first basis vector at 2
+    # and g1 sends vertex 3 back onto it, so a quotient may keep a coordinate
+    # that follows a pivot
+    fs = FieldSpec(7)
+    rep = Representation(relay, fs, (0, 2, 1), {
+        "a1": ((), ()), "a2": ((), ()), "b": ((7, 1),),
+        "g1": ((-1,), (0,)), "g2": ((0,), (14,))},
+        top_elements=(("2", (7, -1)), ("2", (1, 14))))
+    dims = {(): (0, 2, 1), (("1", ()),): (0, 2, 1), (("2", (1, 7)),): (0, 1, 1),
+            (("2", (8, -7)), ("1", ())): (0, 1, 1), (("3", (-1,)),): (0, 1, 0),
+            (("2", (7, 1)),): (0, 0, 0)}
+    for subs, want in dims.items():
+        assert assert_quotient_matches_dense(rep, [(v, list(vec)) for v, vec in subs]).dims == want
+    q = quotient_representation(rep, [("2", [1, 7])])
+    assert q.top_elements == (("2", (6,)), ("2", (0,)))
+    assert q.matrices["b"] == ((1,),) and q.matrices["g1"] == ((0,),)
 
 
 def test_socle_reduces_unreduced_entries_mod_p(double_back):

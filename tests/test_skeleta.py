@@ -1,5 +1,7 @@
 """Skeleton enumeration, critical paths, sigma-sets, N-invariants."""
 
+from itertools import islice
+
 import pytest
 
 from genrep.algebra_core import enumerate_sequences, realizable
@@ -15,7 +17,14 @@ from genrep.skeleta import (
     skeleton_to_json,
 )
 
-from conftest import _alg, iter_skeleta_by_product, projective_layering, seq, skeleton_from_json
+from conftest import (
+    _alg,
+    critical_paths_by_scan,
+    iter_skeleta_by_product,
+    projective_layering,
+    seq,
+    skeleton_from_json,
+)
 
 
 def label(el):
@@ -258,6 +267,19 @@ def test_descent_builds_skeleta_in_canonical_order(request, fixture, data):
             [resorted.layer(l) for l in range(alg.L + 1)]
         assert hash(got) == hash(resorted)
     assert canonical_skeleton(alg, S).elements == next(iter_skeleta_by_product(alg, S)).elements
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_critical_paths_match_scan_oracle(request, fixture, data):
+    # any skeleton of a drawn layering, not only the canonical one
+    alg = request.getfixturevalue(fixture)
+    S = data.draw(realizable_layerings(alg))
+    sks = list(islice(iter_skeleta(alg, S), 20))
+    assume(sks)
+    sk = data.draw(st.sampled_from(sks))
+    assert critical_paths(alg, sk) == critical_paths_by_scan(alg, sk)
 
 
 def test_accept_prunes_subtrees_in_order(relay):
