@@ -49,7 +49,6 @@ from .homology import (
 from .matrix_rep import (
     FieldSpec,
     Representation,
-    ScalarAssignment,
     decomposability,
     distinguished_skeleta_of,
     ext_dim,
@@ -88,7 +87,7 @@ __all__ = [
     "generic_presentation", "hypergraph",
     "CyclicType", "SyzygyProfile", "first_syzygy", "iterated_syzygy",
     "projective_dimension", "syzygy_of_cyclic",
-    "FieldSpec", "Representation", "ScalarAssignment", "decomposability",
+    "FieldSpec", "Representation", "decomposability",
     "distinguished_skeleta_of", "ext_dim", "graded_decomposition", "hom_dim",
     "hom_dim_from_cyclic", "materialize", "module_point", "radical_layering",
     "seeded_assignment", "socle",

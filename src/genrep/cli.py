@@ -64,7 +64,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from None
 
 
@@ -76,7 +76,7 @@ def _sequence(args, alg):
     if getattr(args, "layers", None):
         try:
             rows = json.loads(args.layers)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValidationError(f"malformed --layers value: {exc}") from None
         return sequence_from_json({"layers": rows}, alg)
     if getattr(args, "seq", None):

@@ -147,19 +147,10 @@ class BundleReport:
     """Dimension data of Grass(S) as a tower over the graded base."""
 
     sequence: SemisimpleSequence
-    fiber_dim: int                                  # N1: affine fiber over the graded base
     levels: tuple[tuple[GrassmannFactor, ...], ...]  # base factors, level 0..L-1
-    N: int
-    N0: int
-    N1: int
-
-    @property
-    def grass_dim(self) -> int:
-        return self.N
-
-    @property
-    def graded_dim(self) -> int:
-        return self.N0
+    N: int    # dim Grass(S)
+    N0: int   # dim of the graded base
+    N1: int   # dim of the affine fiber over the graded base
 
 
 def bundle_tower(alg: TruncatedAlgebra, S: SemisimpleSequence) -> BundleReport:
@@ -177,7 +168,7 @@ def bundle_tower(alg: TruncatedAlgebra, S: SemisimpleSequence) -> BundleReport:
         levels.append(tuple(
             GrassmannFactor(v, counts[j] - S.layers[l + 1][j], counts[j])
             for j, v in enumerate(alg.vertices)))
-    report = BundleReport(S, N1, tuple(levels), N, N0, N1)
+    report = BundleReport(S, tuple(levels), N, N0, N1)
     if sum(f.dim for lv in levels for f in lv) != N0:
         raise ValidationError("tower dimensions do not sum to N0")  # pragma: no cover
     return report
@@ -243,9 +234,9 @@ def bundle_report_to_json(rep: BundleReport) -> dict:
         "N": rep.N,
         "N0": rep.N0,
         "N1": rep.N1,
-        "dim_grass": rep.grass_dim,
-        "dim_graded_grass": rep.graded_dim,
-        "fiber_dim": rep.fiber_dim,
+        "dim_grass": rep.N,
+        "dim_graded_grass": rep.N0,
+        "fiber_dim": rep.N1,
         "tower": [
             {
                 "level": l,

@@ -9,18 +9,18 @@ any scalars (see ``materialize``), so no point is checked after it is built.
 One builder on a skeleton's basis serves materialized points and the
 projectives behind module points.  It fixes each arrow's sparse columns once
 per presentation, and a seed only substitutes its scalars into the sigma-set
-columns.  Quotients (module points) are written as columns too.  Such a
-module stores no dense matrix: ``matrices`` builds one on first read, and no
-reader in this module does; only tests and ``path_action`` build one.
+columns.  Quotients (module points) are written as columns too.  A module
+stores only sparse arrow columns and sparse top vectors.
 
 Fields are F_p for a large prime p (default 2^61 - 1) or exact rationals;
 all arithmetic is exact.  Every rank is one sparse elimination (``_rank``) on
 ``{column: value}`` rows, and every action is applied to a sparse vector by
-``_apply``; ``mat_rank``, ``mat_mul`` and the dense matrix-vector product are
-left for tests.  ``RowSpace``, an incremental echelon basis of sparse rows,
-serves where the reduced vectors matter: radical filtrations, quotients and
-the distinguished skeleta probes, whose memoised per-block independence test
-is the block predicate of ``skeleta.iter_skeleta``.
+``_apply``; ``mat_rank``, ``mat_mul``, the dense matrix-vector product and
+``path_action``, the one dense view of a module, are left for tests.
+``RowSpace``, an incremental echelon basis of sparse rows, serves where the
+reduced vectors matter: radical filtrations, quotients and the distinguished
+skeleta probes, whose memoised per-block independence test is the block
+predicate of ``skeleta.iter_skeleta``.
 
 Hom out of any presented module (a generic M = P/C, a cyclic Lambda e / J^m e,
 a simple) is the kernel of one relation matrix (``_hom_out_of``).  The
@@ -36,7 +36,6 @@ import dataclasses
 import functools
 import itertools
 import random
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -195,20 +194,10 @@ def _apply(p: int | None, cols: list[dict], vec: dict) -> dict:
     return _reduced(p, acc)
 
 
-def _sparse(fs: FieldSpec, vec) -> dict:
-    """The dense vector ``vec`` as ``{index: nonzero field element}``."""
-    return {i: x for i, e in enumerate(vec) if (x := fs.element(e))}
-
-
-def _dense(fs: FieldSpec, cols: list[dict], height: int) -> tuple:
-    """The dense matrix, a tuple of ``height`` row tuples, of sparse columns."""
-    z = fs.zero()
-    return tuple(tuple(col.get(i, z) for col in cols) for i in range(height))
-
-
 def mat_rank(fs: FieldSpec, rows) -> int:
     """Rank of dense rows: a thin adapter onto the sparse elimination ``_rank``."""
-    return _rank(fs.modulus, [_sparse(fs, r) for r in rows])
+    return _rank(fs.modulus, [{i: x for i, e in enumerate(r) if (x := fs.element(e))}
+                              for r in rows])
 
 
 class RowSpace:
@@ -269,43 +258,23 @@ class RowSpace:
 # representations
 # ---------------------------------------------------------------------------
 
-class _DenseView(Mapping):
-    """Read-only ``{arrow name: dense matrix}``, each matrix built from sparse columns
-    on first read.  It holds the columns, field and heights but not the module, so
-    the two form no reference cycle."""
-
-    def __init__(self, fs: FieldSpec, cols: dict, heights: dict[str, int]):
-        self._fs, self._cols, self._heights, self._built = fs, cols, heights, {}
-
-    def __getitem__(self, name: str) -> tuple:
-        if name not in self._built:
-            self._built[name] = _dense(self._fs, self._cols[name], self._heights[name])
-        return self._built[name]
-
-    def __iter__(self):
-        return iter(self._heights)
-
-    def __len__(self) -> int:
-        return len(self._heights)
-
-
 @dataclass(eq=False)
 class Representation:
-    """Per-vertex spaces and per-arrow matrices (target_dim x source_dim); immutable.
+    """Per-vertex spaces and per-arrow actions in sparse columns; immutable.
 
-    Computation reads actions as sparse columns ``{target index: nonzero value}``,
-    one per source element, memoised by arrow name (``_columns``) and ``Path``
-    (``_path_columns``).  A skeleton module or a quotient stores only the columns;
-    its ``matrices``, tuples of rows, is a ``_DenseView`` that builds each on first read.
+    ``columns[a]`` lists arrow a's columns in arrow order, one ``{target index:
+    nonzero field element}`` per source basis element, and each marked top is a
+    ``(vertex, {index: nonzero field element})`` pair.  A path's columns are
+    composed on first use and memoised in ``_paths`` (``_path_columns``).
     """
 
     algebra: TruncatedAlgebra
     field: FieldSpec
     dims: tuple[int, ...]
-    matrices: Mapping[str, tuple]
+    columns: dict[str, list[dict]]
     basis_labels: dict[str, tuple] | None = None
-    top_elements: tuple[tuple[str, tuple], ...] | None = None
-    _cols: dict = dataclasses.field(default_factory=dict, repr=False)
+    top_elements: tuple[tuple[str, dict], ...] | None = None
+    _paths: dict = dataclasses.field(default_factory=dict, repr=False)
 
     def dim_at(self, v: str) -> int:
         return self.dims[self.algebra.vertex_pos(v)]
@@ -321,18 +290,9 @@ def _same_algebra(a: TruncatedAlgebra, b: TruncatedAlgebra) -> bool:
             == [(x.name, x.source, x.target) for x in b.quiver.arrows])
 
 
-@dataclass(frozen=True)
-class ScalarAssignment:
-    """Nonzero field values for every formal scalar of a presentation."""
-
-    values: dict
-    seed: int | None
-    provenance: str
-
-
 def seeded_assignment(pres: GenericPresentation, seed: int,
-                      fs: FieldSpec = FieldSpec()) -> ScalarAssignment:
-    """Distinct nonzero values drawn from a seeded PRNG.
+                      fs: FieldSpec = FieldSpec()) -> dict:
+    """Distinct nonzero values (``ScalarId`` -> value) drawn from a seeded PRNG.
 
     In exact-rational mode the scalars are the first primes 2, 3, 5, ...
     so exact runs are reproducible without a modulus.
@@ -340,7 +300,7 @@ def seeded_assignment(pres: GenericPresentation, seed: int,
     ids = pres.scalar_ids
     if fs.exact:
         primes = map(Fraction, filter(_is_prime, itertools.count(2)))
-        return ScalarAssignment(dict(zip(ids, primes)), seed, "exact-primes")
+        return dict(zip(ids, primes))
     if fs.modulus <= MIN_RANDOM_MODULUS:
         raise ValidationError(
             f"field modulus must exceed {MIN_RANDOM_MODULUS} for randomized evaluation")
@@ -350,7 +310,7 @@ def seeded_assignment(pres: GenericPresentation, seed: int,
             pass  # redraw until the value is new
         seen.add(x)
         values[sid] = x
-    return ScalarAssignment(values, seed, "seeded-random")
+    return values
 
 
 def _template(sk: Skeleton, relations, fs: FieldSpec):
@@ -361,7 +321,7 @@ def _template(sk: Skeleton, relations, fs: FieldSpec):
     basis element to its extension if that lies in the skeleton (a unit column),
     to zero beyond length L (empty), else to the assigned combination of its
     relation's sigma-set: the only columns built per call, from (index,
-    ``ScalarId``) pairs.  Unit and empty columns are shared read-only.
+    ``ScalarId``) pairs.  Unit and empty columns and the tops are shared read-only.
     """
     alg, one, element = sk.alg, fs.one(), fs.element
     by_vertex: dict[str, list] = {v: [] for v in alg.vertices}
@@ -372,10 +332,7 @@ def _template(sk: Skeleton, relations, fs: FieldSpec):
     rel_map = {(rel.critical.arrow, rel.critical.parent): rel for rel in relations}
     dims = tuple(len(by_vertex[v]) for v in alg.vertices)
     labels = {v: tuple(by_vertex[v]) for v in alg.vertices}
-    zero = fs.zero()
-    tops = tuple((v, tuple(one if i == index[r, ()] else zero for i in range(len(by_vertex[v]))))
-                 for r, v in enumerate(sk.top, start=1))
-    heights = {a.name: len(by_vertex[a.target]) for a in alg.quiver.arrows}
+    tops = tuple((v, {index[r, ()]: one}) for r, v in enumerate(sk.top, start=1))
     arrows, empty = [], {}
     for a in alg.quiver.arrows:
         fixed, subs = [], []
@@ -394,14 +351,13 @@ def _template(sk: Skeleton, relations, fs: FieldSpec):
             col = cols[name] = list(fixed)
             for j, pairs in subs:
                 col[j] = {i: x for i, sid in pairs if (x := element(values[sid]))}
-        return Representation(alg, fs, dims, _DenseView(fs, cols, heights), dict(labels), tops,
-                              _cols=cols)
+        return Representation(alg, fs, dims, cols, dict(labels), tops)
     return build
 
 
-def materialize(pres: GenericPresentation, assign: ScalarAssignment,
+def materialize(pres: GenericPresentation, values: dict,
                 fs: FieldSpec = FieldSpec()) -> Representation:
-    """Evaluate a generic presentation at concrete scalars.
+    """Evaluate a generic presentation at concrete scalars (``ScalarId`` -> value).
 
     Each field's ``_template`` is made once and kept in ``pres.templates``.  The result
     has the presentation's radical layering S for every choice of scalars, zero
@@ -414,7 +370,7 @@ def materialize(pres: GenericPresentation, assign: ScalarAssignment,
     if fs not in pres.templates:
         pres.templates[fs] = _template(pres.skeleton, pres.relations, fs)
     try:
-        return pres.templates[fs](assign.values)
+        return pres.templates[fs](values)
     except KeyError as exc:
         raise ValidationError(f"assignment missing scalar {exc.args[0]}") from None
 
@@ -432,7 +388,7 @@ def _radical_spaces(rep: Representation) -> list[dict[str, RowSpace]]:
         prev = spaces[-1]
         nxt = {v: RowSpace(fs) for v in alg.vertices}
         for a in alg.quiver.arrows:
-            cols = _columns(rep, a.name)
+            cols = rep.columns[a.name]
             for row in prev[a.source].rows:
                 nxt[a.target].add(_apply(fs.modulus, cols, row))
         spaces.append(nxt)
@@ -455,7 +411,7 @@ def _layering(alg: TruncatedAlgebra, spaces) -> SemisimpleSequence:
 
 def socle(rep: Representation) -> tuple[int, ...]:
     """Per-vertex socle dimensions dim Hom(S_v, M): a relation per arrow out of v."""
-    return tuple(_hom_out_of(rep, (v,), [(_columns(rep, a.name), 0, ())
+    return tuple(_hom_out_of(rep, (v,), [(rep.columns[a.name], 0, ())
                                          for a in rep.algebra.quiver.arrows_from[v]])
                  for v in rep.algebra.vertices)
 
@@ -483,8 +439,8 @@ def hom_dim(rep_a: Representation, rep_b: Representation) -> int:
         # the equation (i, j) of arrow a is (f_t A)_{ij} - (B f_s)_{ij} = 0
         s, t = a.source, a.target
         dAs, dAt = rep_a.dim_at(s), rep_a.dim_at(t)
-        a_cols, b_rows = _columns(rep_a, a.name), [[] for _ in range(rep_b.dim_at(t))]
-        for k, col in enumerate(_columns(rep_b, a.name)):
+        a_cols, b_rows = rep_a.columns[a.name], [[] for _ in range(rep_b.dim_at(t))]
+        for k, col in enumerate(rep_b.columns[a.name]):
             for i, y in col.items():
                 b_rows[i].append((offsets[s] + k * dAs, -y))
         for i, b_terms in enumerate(b_rows):
@@ -496,34 +452,26 @@ def hom_dim(rep_a: Representation, rep_b: Representation) -> int:
     return total - _rank(p, rows)
 
 
-def _columns(rep: Representation, name: str) -> list[dict]:
-    """Sparse columns of arrow ``name``; a hand-built module's are derived once from
-    its matrix: entries as field elements (reduced mod p), zeros dropped, one per
-    source element."""
-    if name not in rep._cols:
-        fs, mat = rep.field, rep.matrices[name]
-        width = rep.dim_at(rep.algebra.quiver.arrow_by_name[name].source)
-        rep._cols[name] = [_sparse(fs, [row[j] for row in mat]) for j in range(width)]
-    return rep._cols[name]
-
-
 def _path_columns(rep: Representation, p: Path) -> list[dict]:
     """Sparse columns of a path's action: the identity, an arrow's columns, or
     (memoised per module) the leftmost arrow's composed with the initial subpath's."""
     if len(p.arrows) == 1:
-        return _columns(rep, p.arrows[0])
+        return rep.columns[p.arrows[0]]
     if not p.arrows:
         return [{j: rep.field.one()} for j in range(rep.dim_at(p.start))]
-    if p not in rep._cols:
-        arrow = _columns(rep, p.arrows[0])
-        rep._cols[p] = [_apply(rep.field.modulus, arrow, col)
-                        for col in _path_columns(rep, p.initial_subpath(p.length - 1))]
-    return rep._cols[p]
+    if p not in rep._paths:
+        arrow = rep.columns[p.arrows[0]]
+        rep._paths[p] = [_apply(rep.field.modulus, arrow, col)
+                         for col in _path_columns(rep, p.initial_subpath(p.length - 1))]
+    return rep._paths[p]
 
 
-def path_action(rep: Representation, p: Path):
-    """Matrix of the action of a path (start -> end): a dense view of ``_path_columns``."""
-    return _dense(rep.field, _path_columns(rep, p), rep.dim_at(rep.algebra.path_end(p)))
+def path_action(rep: Representation, p: Path) -> tuple:
+    """Matrix of the action of a path (start -> end), a tuple of rows: the one dense
+    view of a module, built from ``_path_columns``."""
+    z, cols = rep.field.zero(), _path_columns(rep, p)
+    return tuple(tuple(col.get(i, z) for col in cols)
+                 for i in range(rep.dim_at(rep.algebra.path_end(p))))
 
 
 def _hom_out_of(rep_n: Representation, tops, relations) -> int:
@@ -577,14 +525,14 @@ def _hom_from_projective(rep: Representation, multiplicities) -> int:
     return sum(m * rep.dim_at(v) for v, m in multiplicities)
 
 
-def _presented_hom_dim(pres: GenericPresentation, assign: ScalarAssignment,
+def _presented_hom_dim(pres: GenericPresentation, values: dict,
                        rep_n: Representation) -> int:
-    """dim Hom(M, N) for M = P/C, the evaluation of ``pres`` at ``assign``.
+    """dim Hom(M, N) for M = P/C, the evaluation of ``pres`` at the scalars ``values``.
 
     One relation per critical path z_r: its action, minus the assigned
     scalar times the action of each sigma-set member on its top z_s.
     """
-    alg, fs, values = pres.algebra, rep_n.field, assign.values
+    alg, fs = pres.algebra, rep_n.field
     return _hom_out_of(rep_n, pres.skeleton.top, [
         (_path_columns(rep_n, rel.critical.path(alg)), rel.critical.r - 1,
          [(_path_columns(rep_n, q), s - 1, -fs.element(values[sid])) for (s, q), sid in rel.terms])
@@ -669,21 +617,21 @@ def projective_representation(alg: TruncatedAlgebra, tops: tuple[str, ...],
 def quotient_representation(rep: Representation, sub_vectors) -> Representation:
     """Quotient of ``rep`` by the submodule generated by the given vectors.
 
-    ``sub_vectors`` is an iterable of (vertex, dense vector); the span is
-    closed under the arrow action before forming the quotient, whose basis is
-    the non-pivot coordinates of each vertex's span.  The quotient stores
-    sparse columns; marked top elements are carried along by projection.
+    ``sub_vectors`` is an iterable of (vertex, ``{index: value}``), values reduced
+    on insertion; the span is closed under the arrow action before forming the
+    quotient, whose basis is the non-pivot coordinates of each vertex's span.
+    Columns and marked top elements are carried along by projection.
     """
     alg, fs, p = rep.algebra, rep.field, rep.field.modulus
     spaces = {v: RowSpace(fs) for v in alg.vertices}
-    pending = [(v, _sparse(fs, vec)) for v, vec in sub_vectors]
+    pending = list(sub_vectors)
     while pending:
         v, vec = pending.pop()
         added = spaces[v].add(vec)
         if added is None:
             continue
         for a in alg.quiver.arrows_from[v]:
-            pending.append((a.target, _apply(p, _columns(rep, a.name), added)))
+            pending.append((a.target, _apply(p, rep.columns[a.name], added)))
 
     keep = {v: {i: k for k, i in enumerate(sorted(set(range(rep.dim_at(v)))
                                                   - set(spaces[v].pivots)))}
@@ -694,20 +642,11 @@ def quotient_representation(rep: Representation, sub_vectors) -> Representation:
         return {keep[v][i]: x for i, x in spaces[v].reduce(vec).items()}
 
     dims = tuple(len(keep[v]) for v in alg.vertices)
-    cols, heights = {}, {}
-    for a in alg.quiver.arrows:
-        arrow = _columns(rep, a.name)
-        cols[a.name] = [project(a.target, arrow[i]) for i in keep[a.source]]
-        heights[a.name] = len(keep[a.target])
-
-    def dense_top(v: str, vec) -> tuple:
-        top, zero = project(v, _sparse(fs, vec)), fs.zero()
-        return v, tuple(top.get(k, zero) for k in range(len(keep[v])))
-
+    cols = {a.name: [project(a.target, rep.columns[a.name][i]) for i in keep[a.source]]
+            for a in alg.quiver.arrows}
     tops = None if rep.top_elements is None else tuple(
-        dense_top(v, vec) for v, vec in rep.top_elements)
-    return Representation(alg, fs, dims, _DenseView(fs, cols, heights), basis_labels=None,
-                          top_elements=tops, _cols=cols)
+        (v, project(v, vec)) for v, vec in rep.top_elements)
+    return Representation(alg, fs, dims, cols, top_elements=tops)
 
 
 def module_point(alg: TruncatedAlgebra, tops, relations,
@@ -738,12 +677,9 @@ def module_point(alg: TruncatedAlgebra, tops, relations,
                 v = a.target
             if p.length > alg.L:
                 continue
-            vec = comps.setdefault(v, [fs.zero()] * P.dim_at(v))
-            i = index[(int(r), p)]
-            vec[i] = fs.element(vec[i] + fs.element(coeff))
-        for v, vec in comps.items():
-            if any(x != 0 for x in vec):
-                gens.append((v, vec))
+            vec, i = comps.setdefault(v, {}), index[(int(r), p)]
+            vec[i] = fs.element(vec.get(i, 0) + fs.element(coeff))
+        gens += [(v, vec) for v, vec in comps.items() if any(vec.values())]
     return quotient_representation(P, gens)
 
 
@@ -758,7 +694,7 @@ def _check_tops_full(rep: Representation, spaces) -> None:
     for v in alg.vertices:
         probe = radical[v].copy()
         for w, vec in rep.top_elements:
-            if w == v and probe.add(_sparse(rep.field, vec)) is None:
+            if w == v and probe.add(vec) is None:
                 raise ValidationError("marked top elements are dependent modulo JM")
 
 
@@ -785,8 +721,8 @@ def distinguished_skeleta_of(rep: Representation, cap: int = 10**6) -> list[Skel
     @functools.cache
     def image(r, p):
         """p * m_r: the image of p's initial subpath under the leftmost arrow's columns."""
-        return _sparse(fs, tops[r - 1][1]) if not p.arrows else _apply(
-            fs.modulus, _columns(rep, p.arrows[0]), image(r, p.initial_subpath(p.length - 1)))
+        return tops[r - 1][1] if not p.arrows else _apply(
+            fs.modulus, rep.columns[p.arrows[0]], image(r, p.initial_subpath(p.length - 1)))
 
     @functools.cache
     def independent(l, v, chosen):
@@ -932,7 +868,7 @@ def module_point_from_json(data: dict, alg: TruncatedAlgebra,
              for term in (_json_as(t, dict) for t in _json_as(rel, list))]
             for rel in _json_as(data["relations"], list)
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed module point: {exc}") from None
     return module_point(alg, tops, relations, fs)
 

@@ -277,6 +277,37 @@ class DenseRowSpace:
         return v
 
 
+def representation_from_matrices(alg, fs, dims, matrices, top_elements=None):
+    """A hand-built module: dense arrow matrices (target_dim x source_dim, by arrow
+    name) and dense tops (vertex, vector), entries any representatives of field
+    elements, stored as ``Representation`` stores them: sparse columns and sparse
+    tops, each entry through ``fs.element``, zeros dropped."""
+    from genrep.matrix_rep import Representation
+
+    def sparse(vec):
+        return {i: x for i, e in enumerate(vec) if (x := fs.element(e))}
+
+    dims = tuple(dims)
+    columns = {a.name: [sparse([row[j] for row in matrices[a.name]])
+                        for j in range(dims[alg.vertex_pos(a.source)])]
+               for a in alg.quiver.arrows}
+    tops = None if top_elements is None else tuple((v, sparse(vec)) for v, vec in top_elements)
+    return Representation(alg, fs, dims, columns, top_elements=tops)
+
+
+def arrow_matrix(rep, name):
+    """The dense matrix of arrow ``name``, a tuple of rows, read off its sparse columns."""
+    z = rep.field.zero()
+    height = rep.dim_at(rep.algebra.quiver.arrow_by_name[name].target)
+    return tuple(tuple(col.get(i, z) for col in rep.columns[name]) for i in range(height))
+
+
+def top_vectors(rep):
+    """The marked tops as (vertex, dense list), read off their sparse vectors."""
+    z = rep.field.zero()
+    return [(v, [vec.get(i, z) for i in range(rep.dim_at(v))]) for v, vec in rep.top_elements]
+
+
 def dense_radical_spaces(rep, first):
     """The spaces ``first`` (vertex -> ``DenseRowSpace``), J first, ...,
     J^{L+1} first: each is spanned by the arrow matrices applied to the rows
@@ -289,7 +320,7 @@ def dense_radical_spaces(rep, first):
         nxt = {v: DenseRowSpace(fs, rep.dim_at(v)) for v in alg.vertices}
         for a in alg.quiver.arrows:
             for row in prev[a.source].rows:
-                nxt[a.target].add(mat_vec(fs, rep.matrices[a.name], row))
+                nxt[a.target].add(mat_vec(fs, arrow_matrix(rep, a.name), row))
         spaces.append(nxt)
     return spaces
 
@@ -297,8 +328,9 @@ def dense_radical_spaces(rep, first):
 def quotient_representation_by_dense(rep, sub_vectors):
     """Quotient of ``rep`` by the submodule generated by the given vectors,
     built from dense matrices and dense row spaces: the closure applies each
-    arrow's matrix, and each kept column is projected in full."""
-    from genrep.matrix_rep import Representation, mat_vec
+    arrow's matrix, and each kept column is projected in full.  The generators
+    are (vertex, dense vector)."""
+    from genrep.matrix_rep import mat_vec
     alg, fs = rep.algebra, rep.field
     spaces = {v: DenseRowSpace(fs, rep.dim_at(v)) for v in alg.vertices}
     pending = [(v, list(vec)) for v, vec in sub_vectors]
@@ -308,7 +340,7 @@ def quotient_representation_by_dense(rep, sub_vectors):
         if added is None:
             continue
         for a in alg.quiver.arrows_from[v]:
-            pending.append((a.target, mat_vec(fs, rep.matrices[a.name], added)))
+            pending.append((a.target, mat_vec(fs, arrow_matrix(rep, a.name), added)))
 
     keep = {v: sorted(set(range(rep.dim_at(v))) - set(spaces[v].pivots)) for v in alg.vertices}
 
@@ -319,12 +351,12 @@ def quotient_representation_by_dense(rep, sub_vectors):
     dims = tuple(len(keep[v]) for v in alg.vertices)
     matrices = {}
     for a in alg.quiver.arrows:
-        mat = rep.matrices[a.name]
+        mat = arrow_matrix(rep, a.name)
         cols = [project(a.target, [row[i] for row in mat]) for i in keep[a.source]]
         matrices[a.name] = tuple(tuple(col[i] for col in cols) for i in range(len(keep[a.target])))
-    tops = None if rep.top_elements is None else tuple(
-        (v, tuple(project(v, list(vec)))) for v, vec in rep.top_elements)
-    return Representation(alg, fs, dims, matrices, basis_labels=None, top_elements=tops)
+    tops = None if rep.top_elements is None else [
+        (v, project(v, vec)) for v, vec in top_vectors(rep)]
+    return representation_from_matrices(alg, fs, dims, matrices, tops)
 
 
 def critical_paths_by_scan(alg, sk):
@@ -357,7 +389,7 @@ def socle_by_stacking(rep):
     every arrow leaving the vertex."""
     from genrep.matrix_rep import mat_rank
     return tuple(rep.dim_at(v) - mat_rank(rep.field, [
-        row for a in rep.algebra.quiver.arrows_from[v] for row in rep.matrices[a.name]])
+        row for a in rep.algebra.quiver.arrows_from[v] for row in arrow_matrix(rep, a.name)])
         for v in rep.algebra.vertices)
 
 
@@ -384,7 +416,7 @@ def hom_dim_by_stacking(rep_a, rep_b):
     rows = []
     for a in alg.quiver.arrows:
         s, t = a.source, a.target
-        A, B = rep_a.matrices[a.name], rep_b.matrices[a.name]
+        A, B = arrow_matrix(rep_a, a.name), arrow_matrix(rep_b, a.name)
         dAs, dAt = rep_a.dim_at(s), rep_a.dim_at(t)
         for i in range(rep_b.dim_at(t)):
             for j in range(dAs):
@@ -399,14 +431,14 @@ def hom_dim_by_stacking(rep_a, rep_b):
 
 
 def user_assignment(values, fs=None):
-    """A ScalarAssignment from explicit nonzero values (ScalarId -> number)."""
+    """Scalars (ScalarId -> field element) from explicit nonzero values."""
     from genrep.errors import ValidationError
-    from genrep.matrix_rep import FieldSpec, ScalarAssignment
+    from genrep.matrix_rep import FieldSpec
     fs = fs or FieldSpec()
     vals = {sid: fs.element(v) for sid, v in values.items()}
     if any(v == 0 for v in vals.values()):
         raise ValidationError("scalar assignments must be nonzero")
-    return ScalarAssignment(vals, None, "user-supplied")
+    return vals
 
 
 def representation_to_json(rep):
@@ -416,40 +448,36 @@ def representation_to_json(rep):
     return {
         "field_modulus": rep.field.modulus,
         "dims": {v: rep.dim_at(v) for v in rep.algebra.vertices},
-        "matrices": {name: [[enc(x) for x in row] for row in mat]
-                     for name, mat in rep.matrices.items()},
+        "matrices": {name: [[enc(x) for x in row] for row in arrow_matrix(rep, name)]
+                     for name in rep.columns},
     }
 
 
 def skeleton_module_by_lookup(sk, relations, assign, fs):
     """The module on the basis ``sk.elements`` rebuilt from scratch, the oracle
     of the column template: every arrow's columns are derived element by
-    element, and every dense matrix is built at once."""
-    from genrep.matrix_rep import Representation, _dense
+    element.  ``assign`` maps each ScalarId to its value."""
+    from genrep.matrix_rep import Representation
     alg, one = sk.alg, fs.one()
     by_vertex = {v: [] for v in alg.vertices}
     for el in sk.elements:
         by_vertex[sk.end(el)].append(el)
     index = {el: i for v in alg.vertices for i, el in enumerate(by_vertex[v])}
     rel_map = {(rel.critical.arrow, rel.critical.parent): rel for rel in relations}
-    tops = []
-    for r, v in enumerate(sk.top, start=1):
-        vec = [fs.zero()] * len(by_vertex[v])
-        vec[index[(r, alg.trivial_path(v))]] = one
-        tops.append((v, tuple(vec)))
-    rep = Representation(alg, fs, tuple(len(by_vertex[v]) for v in alg.vertices), {},
-                         basis_labels={v: tuple(by_vertex[v]) for v in alg.vertices},
-                         top_elements=tuple(tops))
+    tops = tuple((v, {index[(r, alg.trivial_path(v))]: one})
+                 for r, v in enumerate(sk.top, start=1))
+    columns = {}
     for a in alg.quiver.arrows:
-        cols = rep._cols[a.name] = []
+        cols = columns[a.name] = []
         for el in by_vertex[a.source]:
             r, p = el
             ext = (r, alg.extend(p, a)) if p.length < alg.L else None
             cols.append({} if ext is None else {index[ext]: one} if ext in sk else
                         {index[mem]: x for mem, sid in rel_map[(a.name, el)].terms
-                         if (x := fs.element(assign.values[sid]))})
-        rep.matrices[a.name] = _dense(fs, cols, len(by_vertex[a.target]))
-    return rep
+                         if (x := fs.element(assign[sid]))})
+    return Representation(alg, fs, tuple(len(by_vertex[v]) for v in alg.vertices), columns,
+                          basis_labels={v: tuple(by_vertex[v]) for v in alg.vertices},
+                          top_elements=tops)
 
 
 def hypergraph_at(pres, assignment):
@@ -504,12 +532,11 @@ def presentation_kernel_layering(alg, S, sd):
     pres = generic_presentation(alg, S)
     G = materialize(pres, seeded_assignment(pres, sd), fs)
     P = projective_representation(alg, top_elements(alg, S), fs)
-    kernel = {}
+    kernel, tops = {}, top_vectors(G)
     for v in alg.vertices:
         cols = []
         for r, p in P.basis_labels[v]:
-            _, tvec = G.top_elements[r - 1]
-            cols.append(mat_vec(fs, path_action(G, p), list(tvec)))
+            cols.append(mat_vec(fs, path_action(G, p), tops[r - 1][1]))
         rows = [[cols[j][i] for j in range(len(cols))] for i in range(G.dim_at(v))]
         kernel[v] = kernel_basis(fs, rows, P.dim_at(v))
     first = {v: DenseRowSpace(fs, P.dim_at(v)) for v in alg.vertices}
@@ -673,7 +700,7 @@ def distinguished_skeleta_by_path_action(rep, cap=10**6):
         for i in range(space.width):
             space.add([fs.one() if j == i else fs.zero() for j in range(space.width)])
     spaces = dense_radical_spaces(rep, full)
-    tops = sorted(rep.top_elements, key=lambda t: alg.vertex_pos(t[0]))
+    tops = sorted(top_vectors(rep), key=lambda t: alg.vertex_pos(t[0]))
     if tuple(v for v, _ in tops) != top_elements(alg, S):
         raise ValidationError("marked top elements do not match the layering's top")
     out = []
@@ -689,7 +716,7 @@ def distinguished_skeleta_by_path_action(rep, cap=10**6):
                     probes[end] = DenseRowSpace(fs, rep.dim_at(end))
                     for row in spaces[l + 1][end].rows:
                         probes[end].add(row)
-                if probes[end].add(mat_vec(fs, path_action(rep, p), list(tops[r - 1][1]))) is None:
+                if probes[end].add(mat_vec(fs, path_action(rep, p), tops[r - 1][1])) is None:
                     good = False
                     break
             if not good:

@@ -680,6 +680,41 @@ def test_malformed_module_point_containers_exit_2(point_files, capsys, mutate):
     assert capsys.readouterr().err.startswith("error: malformed module point")
 
 
+@pytest.mark.parametrize("flags", [[], ["--exact"]])
+def test_zero_denominator_coefficient_exits_2(point_files, capsys, flags):
+    # Fraction("1/0") raised ZeroDivisionError out of the loader
+    mod_path = point_files[-1]
+    data = json.load(open(mod_path))
+    data["relations"][2][1]["coeff"] = "1/0"
+    with open(mod_path, "w") as fh:
+        json.dump(data, fh)
+    assert main(["point-skeleta"] + point_files + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: malformed module point: Fraction(1, 0)")
+
+
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("flag", ["--algebra", "--seq", "--module", "--layers"])
+def test_deeply_nested_json_exits_2(tmp_path, double_back_file, point_files, capsys, flag):
+    # json raised RecursionError on nesting this deep; each loader names its input
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    argv = {
+        "--algebra": ["realizable", "--algebra", str(deep), "--layers", "[[1]]"],
+        "--seq": ["realizable", "--algebra", double_back_file, "--seq", str(deep)],
+        "--module": ["point-skeleta", point_files[0], point_files[1], "--module", str(deep)],
+        "--layers": ["realizable", "--algebra", double_back_file, "--layers", DEEP_JSON],
+    }[flag]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    named = "--layers value" if flag == "--layers" else f"JSON in {deep}"
+    assert captured.err.startswith(f"error: malformed {named}: maximum recursion depth")
+
+
 @pytest.mark.parametrize("r", [1.0, True, "1"])
 def test_non_integer_top_index_exits_2(point_files, capsys, r):
     mod_path = point_files[-1]

@@ -118,7 +118,7 @@ def test_bundle_tower_double_back(double_back):
     S = seq((1, 1), (0, 1), (1, 0))
     rep = bundle_tower(double_back, S)
     assert (rep.N, rep.N0, rep.N1) == (3, 1, 2)
-    assert rep.fiber_dim == 2
+    assert rep.N1 == 2
     level0 = [(f.subspace_dim, f.ambient_dim) for f in rep.levels[0]]
     assert level0 == [(2, 2), (0, 1)]           # two point factors
     assert all(f.dim == 0 for f in rep.levels[0])

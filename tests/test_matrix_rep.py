@@ -16,7 +16,6 @@ from genrep.matrix_rep import (
     RATIONALS,
     FieldSpec,
     Representation,
-    ScalarAssignment,
     decomposability,
     distinguished_skeleta_of,
     ext_dim,
@@ -36,7 +35,6 @@ from genrep.matrix_rep import (
     radical_layering,
     seeded_assignment,
     socle,
-    _columns,
     _path_columns,
 )
 from genrep.skeleta import (
@@ -49,6 +47,7 @@ from genrep.skeleta import (
 )
 
 from conftest import (
+    arrow_matrix,
     distinguished_skeleta_by_path_action,
     fs_add,
     fs_mul,
@@ -56,10 +55,12 @@ from conftest import (
     hom_dim_from_cyclic_by_stacking,
     projective_layering,
     quotient_representation_by_dense,
+    representation_from_matrices,
     representation_to_json,
     seq,
     skeleton_module_by_lookup,
     socle_by_stacking,
+    top_vectors,
     user_assignment,
     zero_matrix,
 )
@@ -110,7 +111,7 @@ def test_materialize_deep_dims_and_depth(double_back):
     rep = mat_deep(double_back)
     assert rep.dims == (2, 2)
     # J^2 does not kill the top at vertex 1
-    v, vec = rep.top_elements[0]
+    v, vec = top_vectors(rep)[0]
     assert v == "1"
     from genrep.algebra_core import enumerate_paths
     hits = []
@@ -166,7 +167,7 @@ def test_layering_stable_on_whole_cell(double_back, relay, line_swing):
                     for fs, draw in draws.items():
                         for scalar in (lambda: 0, lambda: 1, draw):
                             values = {sid: fs.element(scalar()) for sid in pres.scalar_ids}
-                            rep = materialize(pres, ScalarAssignment(values, None, "test"), fs)
+                            rep = materialize(pres, values, fs)
                             assert radical_layering(rep) == S
                             cases += 1
     assert cases == 18 * (66 + 29 + 16)  # skeleta visited, times modes, fields, scalars
@@ -202,7 +203,7 @@ def test_nilpotency_of_materialized(double_back):
             d = rep.dim_at(v)
             mat = [[int(i == j) for j in range(d)] for i in range(d)]
             for name in reversed(arrows):
-                mat = mat_mul(rep.field, rep.matrices[name], mat)
+                mat = mat_mul(rep.field, arrow_matrix(rep, name), mat)
             assert all(x == 0 for row in mat for x in row)
 
 
@@ -223,9 +224,9 @@ def _long_paths(alg, start):
 
 def test_radical_layering_zero_arrows(double_back):
     fs = FieldSpec()
-    rep = Representation(double_back, fs, (2, 1),
-                         {a.name: zero_matrix(fs, *_shape(double_back, a, (2, 1)))
-                          for a in double_back.quiver.arrows})
+    rep = representation_from_matrices(double_back, fs, (2, 1),
+                                       {a.name: zero_matrix(fs, *_shape(double_back, a, (2, 1)))
+                                        for a in double_back.quiver.arrows})
     assert radical_layering(rep) == seq((2, 1), (0, 0), (0, 0))
     assert socle(rep) == (2, 1)
 
@@ -468,7 +469,7 @@ def test_generic_module_has_all_skeleta(double_back, relay):
 
 def test_tops_required(double_back):
     rep = mat_deep(double_back)
-    rep2 = Representation(rep.algebra, rep.field, rep.dims, rep.matrices)
+    rep2 = Representation(rep.algebra, rep.field, rep.dims, rep.columns)
     with pytest.raises(ValidationError):
         distinguished_skeleta_of(rep2)
 
@@ -502,7 +503,7 @@ def naive_action(rep, p):
     d = rep.dim_at(p.start)
     mat = [[fs.one() if i == j else fs.zero() for j in range(d)] for i in range(d)]
     for name in reversed(p.arrows):
-        A = rep.matrices[name]
+        A = arrow_matrix(rep, name)
         prod = [[fs.zero()] * d for _ in A]
         for i, row in enumerate(A):
             for k, a in enumerate(row):
@@ -527,8 +528,9 @@ def test_memoised_path_action_matches_naive_product(relay, fs):
 
 
 @st.composite
-def module_point_specs(draw, alg):
-    """Tops and relations with small integer coefficients along composable paths."""
+def module_point_specs(draw, alg, coeffs=st.integers(-2, 2)):
+    """Tops and relations with drawn coefficients (small integers by default)
+    along composable paths."""
     tops = draw(st.lists(st.sampled_from(alg.vertices), min_size=1, max_size=3))
     relations = []
     for _ in range(draw(st.integers(0, 3))):
@@ -543,7 +545,7 @@ def module_point_specs(draw, alg):
                 a = draw(st.sampled_from(outgoing))
                 arrows.insert(0, a.name)
                 v = a.target
-            rel.append((draw(st.integers(-2, 2)), r, tuple(arrows)))
+            rel.append((draw(coeffs), r, tuple(arrows)))
         relations.append(rel)
     return tops, relations
 
@@ -602,8 +604,8 @@ def dense_columns(fs, mat, width):
 def assert_columns_match_dense(rep):
     fs, alg = rep.field, rep.algebra
     for a in alg.quiver.arrows:
-        cols = _columns(rep, a.name)
-        assert cols == dense_columns(fs, rep.matrices[a.name], rep.dim_at(a.source))
+        cols = rep.columns[a.name]
+        assert cols == dense_columns(fs, arrow_matrix(rep, a.name), rep.dim_at(a.source))
     from genrep.algebra_core import enumerate_paths
     for v in alg.vertices:
         for length in range(alg.L + 1):
@@ -619,9 +621,9 @@ def unreduced(rep, shift):
     p = rep.field.modulus
     entry = (lambda x: int(x) if x.denominator == 1 else x) if p is None else (
         lambda x: x + shift * p)
-    return Representation(rep.algebra, rep.field, rep.dims, {
-        name: tuple(tuple(entry(x) for x in row) for row in mat)
-        for name, mat in rep.matrices.items()})
+    return representation_from_matrices(rep.algebra, rep.field, rep.dims, {
+        name: tuple(tuple(entry(x) for x in row) for row in arrow_matrix(rep, name))
+        for name in rep.columns})
 
 
 @pytest.mark.parametrize("fixture", ["double_back", "relay", "line_swing"])
@@ -641,17 +643,16 @@ def test_sparse_columns_match_dense_on_drawn_points(request, fixture, fs, data):
     if fs.exact or fs.modulus > MIN_RANDOM_MODULUS:
         assign = seeded_assignment(pres, data.draw(st.integers(0, 2**32)), fs)
     else:
-        assign = ScalarAssignment({sid: fs.element(data.draw(st.integers(0, 4)))
-                                   for sid in pres.scalar_ids}, None, "drawn")
+        assign = {sid: fs.element(data.draw(st.integers(0, 4))) for sid in pres.scalar_ids}
     assert_columns_match_dense(materialize(pres, assign, fs))
 
 
 def snapshot(rep):
     """Everything a module exposes, as plain values: dims, labels, tops, arrow
-    columns and the dense view (its order of names included)."""
+    columns and their dense matrices (the order of arrow names included)."""
     return (rep.dims, dict(rep.basis_labels), rep.top_elements,
-            {a.name: [dict(c) for c in _columns(rep, a.name)] for a in rep.algebra.quiver.arrows},
-            list(rep.matrices.items()))
+            {name: [dict(c) for c in cols] for name, cols in rep.columns.items()},
+            [(name, arrow_matrix(rep, name)) for name in rep.columns])
 
 
 def drawn_assignment(data, pres, fs):
@@ -659,8 +660,7 @@ def drawn_assignment(data, pres, fs):
     request) small drawn values, zero included."""
     if (fs.exact or fs.modulus > MIN_RANDOM_MODULUS) and data.draw(st.booleans()):
         return seeded_assignment(pres, data.draw(st.integers(0, 2**32)), fs)
-    return ScalarAssignment({sid: fs.element(data.draw(st.integers(0, 4)))
-                             for sid in pres.scalar_ids}, None, "drawn")
+    return {sid: fs.element(data.draw(st.integers(0, 4))) for sid in pres.scalar_ids}
 
 
 @pytest.mark.parametrize("fixture", ["double_back", "relay", "line_swing"])
@@ -679,8 +679,8 @@ def test_template_modules_match_rebuilt_oracle(request, fixture, fs, data):
         rep = materialize(pres, assign, fs)
         oracle = skeleton_module_by_lookup(pres.skeleton, pres.relations, assign, fs)
         assert snapshot(rep) == snapshot(oracle)
-        assert rep.matrices == oracle.matrices and len(rep.matrices) == len(oracle.matrices)
-        assert "nosuch" not in rep.matrices and all(a in rep.matrices for a in oracle.matrices)
+        assert all(arrow_matrix(rep, a) == arrow_matrix(oracle, a) for a in oracle.columns)
+        assert list(rep.columns) == [a.name for a in alg.quiver.arrows]
     assert list(pres.templates) == [fs]
     tops = data.draw(st.lists(st.sampled_from(alg.vertices), min_size=1, max_size=2))
     P = projective_representation(alg, tops, fs)
@@ -702,23 +702,23 @@ def test_next_seed_leaves_earlier_module_unchanged(relay):
 
 def test_assignment_missing_a_scalar_is_rejected(relay):
     pres = generic_presentation(relay, S_DIM14)
-    values = dict(seeded_assignment(pres, 0).values)
+    values = seeded_assignment(pres, 0)
     dropped = pres.scalar_ids[-1]
     del values[dropped]
     with pytest.raises(ValidationError, match=f"assignment missing scalar {dropped.name}$"):
-        materialize(pres, ScalarAssignment(values, 0, "seeded-random"))
+        materialize(pres, values)
 
 
 def test_materialized_module_is_freed_without_the_cycle_collector(relay):
-    # the dense view holds the columns, not the module, so reference counting
-    # alone frees a module once its last name is gone
+    # a module holds its columns, tops and path memo, none of which refers back
+    # to it, so reference counting alone frees it once its last name is gone
     import gc
     import weakref
     pres = generic_presentation(relay, S_DIM14)
     gc.disable()
     try:
         rep = materialize(pres, seeded_assignment(pres, 0))
-        assert len(rep.matrices["b"]) == rep.dim_at("3")
+        assert len(arrow_matrix(rep, "b")) == rep.dim_at("3")
         socle(rep)
         ref = weakref.ref(rep)
         del rep
@@ -727,33 +727,43 @@ def test_materialized_module_is_freed_without_the_cycle_collector(relay):
         gc.enable()
 
 
-def test_generic_invariants_build_no_dense_matrix(double_back, relay, monkeypatch):
+def test_generic_invariants_build_no_dense_matrix(double_back, relay, six_vertex, monkeypatch):
+    # path_action is the one dense view of a module: no invariant, module
+    # point or distinguished-skeleta search may call it
     import genrep.matrix_rep
+    from genrep.algebra_core import Path
     pres = generic_presentation(relay, S_DIM14)
     stacked = socle_by_stacking(materialize(pres, seeded_assignment(pres, 0)))
+    points = ((relay, GENERIC_POINT_14), (six_vertex, WORKED_POINT))
+    want = [distinguished_skeleta_by_path_action(module_point(alg, *point))
+            for alg, point in points]
 
     def refuse(*args):
         raise AssertionError("a dense matrix was built")
 
-    monkeypatch.setattr(genrep.matrix_rep, "_dense", refuse)
+    monkeypatch.setattr(genrep.matrix_rep, "path_action", refuse)
     assert generic_socle(double_back, S_DEEP) == (1, 0)
     assert generic_end_dim(double_back, S_DEEP) == 2
     assert generic_socle(relay, S_DIM14) == stacked
     generic_end_dim(relay, S_DIM14)
     generic_hom_dim(relay, S_DIM14, S_DIM14)
     generic_hom_dim(double_back, S_DEEP, seq((1, 1), (1, 1), (0, 0)))
+    for (alg, point), skeleta in zip(points, want):
+        rep = module_point(alg, *point)
+        assert radical_layering(rep) == skeleta[0].sequence()
+        assert distinguished_skeleta_of(rep) == skeleta != []
     with pytest.raises(AssertionError, match="dense"):
-        materialize(pres, seeded_assignment(pres, 0)).matrices["b"]
+        genrep.matrix_rep.path_action(rep, Path("1", ("al",)))
 
 
 @pytest.mark.parametrize("fs", [RATIONALS, SMALL_PRIME, FieldSpec(7)], ids=["Q", "Fp", "F7"])
 def test_zero_dimensional_vertex_matches_stacking(relay, fs):
     # vertex 1, then vertex 3, is zero: its arrows have no rows or no columns,
     # and the F_7 entries 7 and -1 stand for 0 and 6
-    no_1 = Representation(relay, fs, (0, 2, 1), {
+    no_1 = representation_from_matrices(relay, fs, (0, 2, 1), {
         "a1": ((), ()), "a2": ((), ()), "b": ((1, 7),),
         "g1": ((0,), (-1,)), "g2": ((0,), (0,))})
-    no_3 = Representation(relay, fs, (1, 2, 0), {
+    no_3 = representation_from_matrices(relay, fs, (1, 2, 0), {
         "a1": ((1,), (0,)), "a2": ((7,), (-1,)), "b": (), "g1": ((), ()), "g2": ((), ())})
     for rep in (no_1, no_3):
         assert_columns_match_dense(rep)
@@ -764,10 +774,12 @@ def test_zero_dimensional_vertex_matches_stacking(relay, fs):
 
 
 def assert_quotient_matches_dense(rep, sub_vectors):
-    got = quotient_representation(rep, sub_vectors)
+    # the generators go in sparse, with their unreduced entries kept
+    got = quotient_representation(rep, [(v, {i: x for i, x in enumerate(vec) if x})
+                                        for v, vec in sub_vectors])
     want = quotient_representation_by_dense(rep, sub_vectors)
     assert got.dims == want.dims and got.top_elements == want.top_elements
-    assert dict(got.matrices) == want.matrices
+    assert all(arrow_matrix(got, a) == arrow_matrix(want, a) for a in want.columns)
     assert_columns_match_dense(got)
     return got
 
@@ -780,6 +792,58 @@ def sub_vectors(draw, rep):
         [Fraction(1, 2), 7] if p is None else [p, -1, 2 * p + 3]))
     return [(v, draw(st.lists(cell, min_size=rep.dim_at(v), max_size=rep.dim_at(v))))
             for v in draw(st.lists(st.sampled_from(rep.algebra.vertices), max_size=3))]
+
+
+def assert_stored_form(rep):
+    """A module as ``Representation`` stores it: arrow columns in arrow order, one
+    dict per source basis element, and sparse tops, every index below its
+    vertex's dimension and every value a nonzero, reduced field element of the
+    field's own type."""
+    fs, alg = rep.field, rep.algebra
+
+    def check(vec, height):
+        assert type(vec) is dict
+        for i, x in vec.items():
+            assert type(i) is int and 0 <= i < height
+            assert type(x) is type(fs.zero()) and x != 0
+            assert fs.exact or 0 < x < fs.modulus
+
+    assert list(rep.columns) == [a.name for a in alg.quiver.arrows]
+    for a in alg.quiver.arrows:
+        assert len(rep.columns[a.name]) == rep.dim_at(a.source)
+        for col in rep.columns[a.name]:
+            check(col, rep.dim_at(a.target))
+    for v, vec in rep.top_elements or ():
+        check(vec, rep.dim_at(v))
+
+
+@pytest.mark.parametrize("fixture", ["double_back", "relay", "line_swing"])
+@pytest.mark.parametrize("fs", [RATIONALS, SMALL_PRIME, FieldSpec(5), FieldSpec(7)],
+                         ids=["Q", "Fp", "F5", "F7"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_every_built_module_has_the_stored_form(request, fixture, fs, data):
+    # materialized generic and graded points at seeded, small and zero scalars,
+    # projectives, module points (coefficients 7 and -1 among them, a simple
+    # with zero-dimensional vertices) and quotients by unreduced generators
+    alg = request.getfixturevalue(fixture)
+    dimvec = {"double_back": (2, 2)}.get(fixture, (2, 2, 1))
+    S = data.draw(st.sampled_from(enumerate_sequences(alg, dimvec)))
+    pres = generic_presentation(alg, S, graded=data.draw(st.booleans()))
+    points = [materialize(pres, drawn_assignment(data, pres, fs), fs) for _ in range(2)]
+    tops, relations = data.draw(module_point_specs(
+        alg, st.one_of(st.integers(-2, 2), st.sampled_from([7, -1]))))
+    v = data.draw(st.sampled_from(alg.vertices))
+    simple = module_point(alg, (v,), [[(1, 1, (a.name,))] for a in alg.quiver.arrows_from[v]], fs)
+    assert simple.dims == tuple(int(w == v) for w in alg.vertices)
+    points += [projective_representation(alg, tuple(tops), fs),
+               module_point(alg, tops, relations, fs), simple]
+    for rep in points[:]:
+        subs = [(w, {i: x for i, x in enumerate(vec) if x})
+                for w, vec in data.draw(sub_vectors(rep))]
+        points.append(quotient_representation(rep, subs))
+    for rep in points:
+        assert_stored_form(rep)
 
 
 @pytest.mark.parametrize("fixture", ["double_back", "relay", "six_vertex"])
@@ -803,7 +867,7 @@ def test_quotients_of_hand_built_f7_module_match_dense_oracle(relay):
     # and g1 sends vertex 3 back onto it, so a quotient may keep a coordinate
     # that follows a pivot
     fs = FieldSpec(7)
-    rep = Representation(relay, fs, (0, 2, 1), {
+    rep = representation_from_matrices(relay, fs, (0, 2, 1), {
         "a1": ((), ()), "a2": ((), ()), "b": ((7, 1),),
         "g1": ((-1,), (0,)), "g2": ((0,), (14,))},
         top_elements=(("2", (7, -1)), ("2", (1, 14))))
@@ -812,15 +876,15 @@ def test_quotients_of_hand_built_f7_module_match_dense_oracle(relay):
             (("2", (7, 1)),): (0, 0, 0)}
     for subs, want in dims.items():
         assert assert_quotient_matches_dense(rep, [(v, list(vec)) for v, vec in subs]).dims == want
-    q = quotient_representation(rep, [("2", [1, 7])])
-    assert q.top_elements == (("2", (6,)), ("2", (0,)))
-    assert q.matrices["b"] == ((1,),) and q.matrices["g1"] == ((0,),)
+    q = quotient_representation(rep, [("2", {0: 1, 1: 7})])
+    assert q.top_elements == (("2", {0: 6}), ("2", {}))
+    assert arrow_matrix(q, "b") == ((1,),) and arrow_matrix(q, "g1") == ((0,),)
 
 
 def test_socle_reduces_unreduced_entries_mod_p(double_back):
     # entries p and -1 stand for 0 and p - 1: a has rank 1, b1 and b2 together rank 2
     fs = FieldSpec(7)
-    rep = Representation(double_back, fs, (2, 2), {
+    rep = representation_from_matrices(double_back, fs, (2, 2), {
         "a": ((7, -1), (0, 14)), "b1": ((-1, 7), (0, 0)), "b2": ((7, -8), (14, 0))})
     assert socle(rep) == socle_by_stacking(rep) == (1, 0)
     assert [hom_dim_from_cyclic(double_back, CyclicType(v, 1), rep) for v in "12"] == [1, 0]
@@ -958,7 +1022,7 @@ def test_representation_json_declares_field(double_back):
 
 def test_partial_tops_rejected(six_vertex):
     rep = worked_module(six_vertex)
-    clipped = Representation(rep.algebra, rep.field, rep.dims, rep.matrices,
+    clipped = Representation(rep.algebra, rep.field, rep.dims, rep.columns,
                              top_elements=rep.top_elements[:2])
     with pytest.raises(ValidationError):
         distinguished_skeleta_of(clipped)
@@ -970,7 +1034,8 @@ def test_exact_rational_mode_matches_mod_p(double_back):
     # the whole pipeline over exact rationals (distinct-prime scalars)
     pres = generic_presentation(double_back, S_DEEP)
     assign = seeded_assignment(pres, 0, RATIONALS)
-    assert assign.provenance == "exact-primes"
+    assert list(assign.values())[:3] == [2, 3, 5]
+    assert {type(x) for x in assign.values()} == {Fraction}
     rep = materialize(pres, assign, RATIONALS)
     assert radical_layering(rep) == S_DEEP
     assert socle(rep) == (1, 0)
@@ -990,7 +1055,7 @@ def test_hom_dim_against_sympy_nullspace(double_back):
         total += rep.dim_at(v) ** 2
     rows = []
     for a in alg.quiver.arrows:
-        A = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rep.matrices[a.name]])
+        A = sympy.Matrix([[sympy.Rational(x) for x in row] for row in arrow_matrix(rep, a.name)])
         s, t = a.source, a.target
         ds, dt = rep.dim_at(s), rep.dim_at(t)
         for i in range(dt):
@@ -1012,7 +1077,7 @@ def test_socle_against_sympy(double_back):
     for i, v in enumerate(double_back.vertices):
         stacked = []
         for a in double_back.quiver.arrows_from[v]:
-            stacked.extend([list(r) for r in rep.matrices[a.name]])
+            stacked.extend([list(r) for r in arrow_matrix(rep, a.name)])
         if stacked:
             M = sympy.Matrix([[sympy.Rational(x) for x in row] for row in stacked])
             expect = rep.dim_at(v) - M.rank()
