@@ -292,22 +292,28 @@ def enumerate_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector,
     def vectors_upto(caps):
         return product(*(range(c + 1) for c in caps))
 
-    if top is not None:
+    if top is None:
+        tops = (t for t in vectors_upto(dimvec) if any(t))
+    else:
         top = tuple(int(x) for x in top)
         if len(top) != alg.n or min(top) < 0:
             raise ValidationError("top must have one nonnegative entry per vertex")
-    tops = [t for t in vectors_upto(dimvec) if any(t) and top in (None, t)]
+        tops = [top] if any(top) and all(t <= d for t, d in zip(top, dimvec)) else []
 
     results: list[SemisimpleSequence] = []
 
     def descend(layers, remaining):
         if len(layers) == alg.L + 1:
-            if not any(remaining):
-                results.append(SemisimpleSequence(tuple(layers)))
-                if cap is not None and len(results) > cap:
-                    raise EnumerationCapError(cap, f"realizable sequences exceed cap of {cap}")
+            results.append(SemisimpleSequence(tuple(layers)))
+            if cap is not None and len(results) > cap:
+                raise EnumerationCapError(cap, f"realizable sequences exceed cap of {cap}")
             return
         avail = alg.extension_counts(layers[-1])
+        if len(layers) == alg.L:
+            # the last layer takes exactly what remains
+            if all(r <= a for r, a in zip(remaining, avail)):
+                descend(layers + [remaining], (0,) * alg.n)
+            return
         caps = tuple(min(a, r) for a, r in zip(avail, remaining))
         for nxt in vectors_upto(caps):
             descend(layers + [nxt], tuple(r - x for r, x in zip(remaining, nxt)))

@@ -2,7 +2,8 @@
 
 Every randomized artifact embeds the seed, the field modulus, and a
 confidence label; output is byte-identical for identical inputs and seed.
-Exit codes: 0 success, 2 validation error, 3 enumeration cap exceeded.
+Exit codes: 0 success, 2 validation error, 3 enumeration cap exceeded (or an
+input that nests deeper than Python's recursion limit).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
@@ -51,9 +53,10 @@ from .matrix_rep import (
 from .skeleta import (
     DEFAULT_CAP,
     canonical_skeleton,
+    capped_count,
     count_skeleta,
     critical_paths,
-    enumerate_skeleta,
+    iter_skeleta,
     skeleton_to_json,
 )
 
@@ -68,18 +71,14 @@ def _load_json(path: str) -> dict:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from None
 
 
-def _algebra(args) -> TruncatedAlgebra:
-    return algebra_from_json(_load_json(args.algebra))
-
-
-def _sequence(args, alg):
-    if getattr(args, "layers", None):
+def _sequence(args, alg: TruncatedAlgebra):
+    if args.layers:
         try:
             rows = json.loads(args.layers)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ValidationError(f"malformed --layers value: {exc}") from None
         return sequence_from_json({"layers": rows}, alg)
-    if getattr(args, "seq", None):
+    if args.seq:
         return sequence_from_json(_load_json(args.seq), alg)
     raise ValidationError("a sequence is required (--seq FILE or --layers JSON)")
 
@@ -258,42 +257,35 @@ def skeleton_text(alg, sk) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_realizable(args):
-    alg = _algebra(args)
-    S = _sequence(args, alg)
+def cmd_realizable(args, alg, S):
     return _emit({"realizable": realizable(alg, S)})
 
 
-def cmd_sequences(args):
-    alg = _algebra(args)
+def cmd_sequences(args, alg, S):
     top = _dimvec(args.top) if args.top else None
     seqs = enumerate_sequences(alg, _dimvec(args.dimvec), top=top, cap=args.cap)
-    return _emit({"count": len(seqs), "sequences": [sequence_to_json(S) for S in seqs]})
+    return _emit({"count": len(seqs), "sequences": [sequence_to_json(s) for s in seqs]})
 
 
-def cmd_skeleta(args):
-    alg = _algebra(args)
-    S = _sequence(args, alg)
+def cmd_skeleta(args, alg, S):
     if args.count_only:
         return _emit({"count": count_skeleta(alg, S)})
-    sks = enumerate_skeleta(alg, S, cap=args.cap)
+    count = capped_count(alg, S, args.cap)
+    sks = iter_skeleta(alg, S)
     if args.format == "dot":
-        if not 0 <= args.index < len(sks):
-            raise ValidationError(f"skeleton index {args.index} out of range "
-                                  f"(found {len(sks)})")
-        print(skeleton_dot(alg, sks[args.index]))
+        if not 0 <= args.index < count:
+            raise ValidationError(f"skeleton index {args.index} out of range (found {count})")
+        print(skeleton_dot(alg, next(islice(sks, args.index, None))))
         return 0
     if args.format == "text":
         for i, sk in enumerate(sks):
             print(f"# skeleton {i}")
             print(skeleton_text(alg, sk))
         return 0
-    return _emit({"count": len(sks), "skeleta": [skeleton_to_json(sk) for sk in sks]})
+    return _emit({"count": count, "skeleta": [skeleton_to_json(sk) for sk in sks]})
 
 
-def cmd_critical(args):
-    alg = _algebra(args)
-    S = _sequence(args, alg)
+def cmd_critical(args, alg, S):
     sk = canonical_skeleton(alg, S)
     if args.format == "dot":
         print(skeleton_dot(alg, sk, [(sset, ()) for sset in critical_paths(alg, sk)]))
@@ -301,10 +293,8 @@ def cmd_critical(args):
     return _emit(critical_report_json(alg, sk))
 
 
-def cmd_generic(args):
+def cmd_generic(args, alg, S):
     """``generic`` and ``hypergraph``: the generic presentation as DOT, or as JSON."""
-    alg = _algebra(args)
-    S = _sequence(args, alg)
     pres = generic_presentation(alg, S, graded=args.graded)
     if args.format == "dot":
         print(skeleton_dot(alg, pres.skeleton, [(rel.sigma_set, [mem for mem, _ in rel.terms])
@@ -315,35 +305,25 @@ def cmd_generic(args):
     return _emit(presentation_to_json(pres))
 
 
-def cmd_geometry(args):
-    alg = _algebra(args)
-    S = _sequence(args, alg)
+def cmd_geometry(args, alg, S):
     return _emit(bundle_report_to_json(bundle_tower(alg, S)))
 
 
-def cmd_syzygy(args):
-    alg = _algebra(args)
-    S = _sequence(args, alg)
+def cmd_syzygy(args, alg, S):
     return _emit(profile_to_json(iterated_syzygy(alg, S, args.k)))
 
 
-def cmd_projdim(args):
-    alg = _algebra(args)
-    S = _sequence(args, alg)
+def cmd_projdim(args, alg, S):
     return _emit(projdim_to_json(projective_dimension(alg, S)))
 
 
-def cmd_socle(args):
-    alg = _algebra(args)
-    S = _sequence(args, alg)
+def cmd_socle(args, alg, S):
     fs = _field(args)
     soc = generic_socle(alg, S, seeds=_seeds(args), fs=fs)
     return _emit(_stamp({"socle": list(soc)}, args, fs, "seeded-generic"))
 
 
-def cmd_hom(args):
-    alg = _algebra(args)
-    S = _sequence(args, alg)
+def cmd_hom(args, alg, S):
     S2 = _sequence2(args, alg)
     fs = _field(args)
     if S2 is None:
@@ -353,9 +333,7 @@ def cmd_hom(args):
     return _emit(_stamp({"hom_dim": value}, args, fs, "seeded-generic"))
 
 
-def cmd_ext(args):
-    alg = _algebra(args)
-    S = _sequence(args, alg)
+def cmd_ext(args, alg, S):
     S2 = _sequence2(args, alg)
     fs = _field(args)
     if S2 is None:
@@ -369,17 +347,14 @@ def cmd_ext(args):
     return _emit(_stamp(data, args, fs, "seeded-generic"))
 
 
-def cmd_decompose(args):
-    alg = _algebra(args)
-    S = _sequence(args, alg)
+def cmd_decompose(args, alg, S):
     fs = _field(args)
     v = decomposability(alg, S, graded=args.graded, seeds=_seeds(args), fs=fs)
     return _emit(_stamp({"verdict": v.verdict, "witness": v.witness},
                         args, fs, v.confidence))
 
 
-def cmd_components(args):
-    alg = _algebra(args)
+def cmd_components(args, alg, S):
     top = _dimvec(args.top) if args.top else None
     fs = _field(args)
     rep = component_report(alg, _dimvec(args.dimvec), top=top,
@@ -393,8 +368,7 @@ def cmd_components(args):
     return _emit(data)
 
 
-def cmd_point_skeleta(args):
-    alg = _algebra(args)
+def cmd_point_skeleta(args, alg, S):
     fs = _field(args, default=RATIONALS)
     rep = module_point_from_json(_load_json(args.module), alg, fs)
     sks = distinguished_skeleta_of(rep, cap=args.cap)
@@ -491,17 +465,24 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; only its own subparser is built when argv names one."""
+    """Run one subcommand, building only its parser, on the algebra and then the sequence
+    (for a subcommand with ``--seq``/``--layers``), each loaded here once."""
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.func(args)
+        alg = algebra_from_json(_load_json(args.algebra))
+        S = _sequence(args, alg) if hasattr(args, "layers") else None
+        return args.func(args, alg, S)
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except GenrepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input needs more than Python's recursion limit of "
+              f"{sys.getrecursionlimit()} nested calls", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -116,14 +116,6 @@ def syzygy_of_cyclic(alg: TruncatedAlgebra, c: CyclicType) -> SyzygyProfile:
         for w, k in zip(alg.vertices, alg.path_counts[c.vertex][c.truncation]))
 
 
-def _omega(alg: TruncatedAlgebra, profile: SyzygyProfile) -> SyzygyProfile:
-    out = []
-    for c, m in profile.items():
-        for c2, m2 in syzygy_of_cyclic(alg, c).items():
-            out.append((c2, m * m2))
-    return SyzygyProfile(out)
-
-
 def iterated_syzygy(alg: TruncatedAlgebra, S: SemisimpleSequence, k: int) -> SyzygyProfile:
     """Omega^k of the generic module, k >= 1.
 
@@ -135,52 +127,30 @@ def iterated_syzygy(alg: TruncatedAlgebra, S: SemisimpleSequence, k: int) -> Syz
         raise ValidationError("k must be >= 1")
     profile = first_syzygy(alg, S)
     for _ in range(k - 1):
-        profile = _omega(alg, profile)
+        profile = SyzygyProfile((c2, m * m2) for c, m in profile.items()
+                                for c2, m2 in syzygy_of_cyclic(alg, c).items())
     return profile
 
 
 def projective_dimension(alg: TruncatedAlgebra, S: SemisimpleSequence):
     """Generic projective dimension: an integer, or math.inf.
 
-    Computed on the finite state graph of cyclic types (vertex, m), m <= L:
-    pd of a projective state is 0, otherwise 1 + max over syzygy summands;
-    any state on or reaching a cycle has infinite dimension.  The answer is
-    0 when the first syzygy is empty, else 1 + max over its summands.
+    Walks the sets of cyclic types of Omega^1, Omega^2, ..., stepping each
+    type once into ``succ``; pd is the number of nonempty sets.  A nonempty
+    d-th set ends a chain of d+1 types from ``succ``, so once d >= len(succ)
+    the chain passes a cycle and pd is infinite (by d = n(L+1) at the latest).
     """
-    memo: dict[CyclicType, object] = {}
-    onstack: set[CyclicType] = set()
-
-    def pd(c: CyclicType):
-        if c in memo:
-            return memo[c]
-        if is_projective(alg, c):
-            memo[c] = 0
-            return 0
-        if c in onstack:
+    succ = {}
+    types = {c for c, _ in first_syzygy(alg, S).items()}
+    d = 0
+    while types:
+        for c in types - succ.keys():
+            succ[c] = {c2 for c2, _ in syzygy_of_cyclic(alg, c).items()}
+        if d >= len(succ):
             return math.inf
-        onstack.add(c)
-        best = 0
-        for c2, _ in syzygy_of_cyclic(alg, c).items():
-            sub = pd(c2)
-            if sub == math.inf:
-                best = math.inf
-                break
-            best = max(best, sub)
-        onstack.discard(c)
-        result = math.inf if best == math.inf else 1 + best
-        memo[c] = result
-        return result
-
-    omega1 = first_syzygy(alg, S)
-    if omega1.is_empty:
-        return 0
-    worst = 0
-    for c, _ in omega1.items():
-        sub = pd(c)
-        if sub == math.inf:
-            return math.inf
-        worst = max(worst, sub)
-    return 1 + worst
+        types = set().union(*map(succ.get, types))
+        d += 1
+    return d
 
 
 # ---------------------------------------------------------------------------

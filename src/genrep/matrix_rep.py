@@ -49,7 +49,6 @@ from .algebra_core import (
     top_elements,
 )
 from .errors import (
-    EnumerationCapError,
     MethodDisagreementError,
     SeedStabilityError,
     UnrealizableError,
@@ -57,7 +56,7 @@ from .errors import (
 )
 from .generic_builder import GenericPresentation, generic_presentation, hypergraph
 from .homology import CyclicType, SyzygyProfile, iterated_syzygy
-from .skeleta import Skeleton, count_skeleta, iter_skeleta
+from .skeleta import Skeleton, capped_count, iter_skeleta
 
 MERSENNE_61 = 2**61 - 1
 MIN_RANDOM_MODULUS = 10**6
@@ -715,8 +714,7 @@ def distinguished_skeleta_of(rep: Representation, cap: int = 10**6) -> list[Skel
     tops = sorted(rep.top_elements, key=lambda top: alg.vertex_pos(top[0]))
     if tuple(v for v, _ in tops) != top_elements(alg, S):
         raise ValidationError("marked top elements do not match the layering's top")
-    if count_skeleta(alg, S) > cap:
-        raise EnumerationCapError(cap)
+    capped_count(alg, S, cap)
 
     @functools.cache
     def image(r, p):

@@ -174,14 +174,18 @@ def iter_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence, accept=None):
     yield from descend(0, alg.n, (base,), None)
 
 
+def capped_count(alg: TruncatedAlgebra, S: SemisimpleSequence, cap: int) -> int:
+    """``count_skeleta``; raises EnumerationCapError iff it exceeds ``cap``."""
+    count = count_skeleta(alg, S)
+    if count > cap:
+        raise EnumerationCapError(cap)
+    return count
+
+
 def enumerate_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence,
                       cap: int = DEFAULT_CAP) -> list[Skeleton]:
-    """All compatible skeleta; empty iff S is unrealizable.
-
-    Raises iff their closed-form count exceeds ``cap``, before any walk.
-    """
-    if count_skeleta(alg, S) > cap:
-        raise EnumerationCapError(cap)
+    """All compatible skeleta (none iff S is unrealizable); raises iff more than ``cap``."""
+    capped_count(alg, S, cap)
     return list(iter_skeleta(alg, S))
 
 

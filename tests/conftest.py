@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from genrep.algebra_core import Arrow, Quiver, SemisimpleSequence, TruncatedAlgebra
 
@@ -21,6 +21,20 @@ def _alg(vertices, arrows, L):
 
 def seq(*layers):
     return SemisimpleSequence(tuple(tuple(row) for row in layers))
+
+
+FIXTURES = ["double_back", "relay", "loop_out", "chain_with_returns", "line_swing",
+            "six_vertex", "triangle", "kronecker", "a2", "diamond", "y_quiver", "with_isolated"]
+
+
+@st.composite
+def realizable_layerings(draw, alg):
+    """A top of entries 0..2, then each layer within the extensions of the one before."""
+    rows = [tuple(draw(st.integers(0, 2)) for _ in alg.vertices)]
+    for _ in range(alg.L):
+        rows.append(tuple(draw(st.integers(0, min(a, 3)))
+                          for a in alg.extension_counts(rows[-1])))
+    return seq(*rows)
 
 
 @pytest.fixture(scope="session")
@@ -589,6 +603,51 @@ def enum_syzygy_of_cyclic(alg, v, m):
         return SyzygyProfile([])
     return SyzygyProfile([CyclicType(alg.path_end(u), alg.L + 1 - m)
                           for u in enumerate_paths(alg, v, m)])
+
+
+def projective_dimension_by_dfs(alg, S):
+    """Generic projective dimension by a depth-first search of the cyclic types.
+
+    pd of a projective type is 0, otherwise 1 + max over its syzygy summands;
+    a type met again while still on the search stack lies on a cycle, and
+    makes the dimension infinite.  The answer is 0 when Omega^1 is empty,
+    else 1 + max over its summands.
+    """
+    from genrep.homology import first_syzygy, is_projective, syzygy_of_cyclic
+    memo = {}
+    onstack = set()
+
+    def pd(c):
+        if c in memo:
+            return memo[c]
+        if is_projective(alg, c):
+            memo[c] = 0
+            return 0
+        if c in onstack:
+            return math.inf
+        onstack.add(c)
+        best = 0
+        for c2, _ in syzygy_of_cyclic(alg, c).items():
+            sub = pd(c2)
+            if sub == math.inf:
+                best = math.inf
+                break
+            best = max(best, sub)
+        onstack.discard(c)
+        result = math.inf if best == math.inf else 1 + best
+        memo[c] = result
+        return result
+
+    omega1 = first_syzygy(alg, S)
+    if omega1.is_empty:
+        return 0
+    worst = 0
+    for c, _ in omega1.items():
+        sub = pd(c)
+        if sub == math.inf:
+            return math.inf
+        worst = max(worst, sub)
+    return 1 + worst
 
 
 def projective_layering(alg, S0):

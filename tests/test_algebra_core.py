@@ -3,7 +3,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from genrep.algebra_core import (
     Arrow,
@@ -19,7 +19,7 @@ from genrep.algebra_core import (
     sequence_from_json,
     top_elements,
 )
-from genrep.errors import ValidationError
+from genrep.errors import EnumerationCapError, ValidationError
 
 from conftest import seq
 
@@ -153,7 +153,10 @@ def test_enumerate_sequences_single_simple(double_back):
 
 
 def brute_force_sequences(alg, dimvec, top=None):
-    """Oracle: all layer matrices summing to dimvec, filtered by realizable()."""
+    """Oracle: all layer matrices summing to dimvec, filtered by realizable().
+
+    Their layers in lexicographic order of the flattened matrix.
+    """
     L = alg.L
     out = []
 
@@ -169,20 +172,62 @@ def brute_force_sequences(alg, dimvec, top=None):
     keep = [s for s in out if realizable(alg, s) and any(s.top)]
     if top is not None:
         keep = [s for s in keep if s.top == tuple(top)]
-    return {s.layers for s in keep}
+    return [s.layers for s in keep]
 
 
 def test_enumerate_sequences_against_oracle(loop_out):
     got = enumerate_sequences(loop_out, (2, 1), top=(1, 0))
-    assert {s.layers for s in got} == brute_force_sequences(loop_out, (2, 1), top=(1, 0))
+    assert [s.layers for s in got] == brute_force_sequences(loop_out, (2, 1), top=(1, 0))
     assert {s.layers for s in got} == {
         ((1, 0), (1, 0), (0, 1)),
         ((1, 0), (1, 1), (0, 0)),
     }
 
 
+@pytest.mark.parametrize("fixture", ["double_back", "loop_out", "relay", "a2",
+                                     "kronecker", "with_isolated"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_enumerate_sequences_against_oracle_drawn(request, fixture, data):
+    # a drawn top may be zero or exceed the dimension vector
+    alg = request.getfixturevalue(fixture)
+    vectors = st.tuples(*[st.integers(0, 3)] * alg.n)
+    dimvec = data.draw(vectors.filter(any))
+    top = data.draw(st.none() | vectors)
+    cap = data.draw(st.none() | st.integers(0, 8))
+    want = brute_force_sequences(alg, dimvec, top)
+    if cap is not None and len(want) > cap:
+        with pytest.raises(EnumerationCapError) as err:
+            enumerate_sequences(alg, dimvec, top=top, cap=cap)
+        assert err.value.cap == cap
+        assert str(err.value) == f"realizable sequences exceed cap of {cap}"
+    else:
+        got = enumerate_sequences(alg, dimvec, top=top, cap=cap)
+        assert [s.layers for s in got] == want
+
+
+def test_enumerate_sequences_draws_few_vectors(double_back, monkeypatch):
+    # the last layer takes what remains and a given top is the only top, so the
+    # cap trips, and the empty answer comes, after few drawn layer vectors
+    import genrep.algebra_core
+    drawn = []
+
+    def counting(*ranges):
+        for t in product(*ranges):
+            drawn.append(t)
+            yield t
+
+    monkeypatch.setattr(genrep.algebra_core, "product", counting)
+    with pytest.raises(EnumerationCapError):
+        enumerate_sequences(double_back, (60, 60), cap=1)
+    assert len(drawn) == 1053
+    drawn.clear()
+    assert enumerate_sequences(double_back, (200, 200), top=(1, 0)) == []
+    assert len(drawn) == 2
+
+
 def test_enumerate_sequences_oracle_double_back(double_back):
-    assert {s.layers for s in enumerate_sequences(double_back, (2, 2))} == \
+    assert [s.layers for s in enumerate_sequences(double_back, (2, 2))] == \
         brute_force_sequences(double_back, (2, 2))
 
 

@@ -959,3 +959,92 @@ def test_answer_over_int_digit_limit_exits_3(tmp_path, capsys, command, k):
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert f"{sys.get_int_max_str_digits()}-digit" in err
+
+
+def _write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _deep_input(tmp_path, command):
+    """argv of an input that nests deeper than the recursion limit, as its layer count
+    (one loop, layering one S1 per layer), vertex count (a line at L = 1) or total
+    dimension (``sequences --dimvec 1``) grows past it."""
+    limit = sys.getrecursionlimit()
+    loop = {"vertices": ["1"], "arrows": [{"name": "x", "source": "1", "target": "1"}]}
+    if command == "projdim-line":
+        n = limit + limit // 10
+        line = _write(tmp_path, "line.json", {
+            "vertices": [str(i) for i in range(n)], "max_path_length": 1,
+            "arrows": [{"name": f"a{i}", "source": str(i), "target": str(i + 1)}
+                       for i in range(n - 1)]})
+        layers = [[1] + [0] * (n - 1), [0, 1] + [0] * (n - 2)]
+        return ["projdim", "--algebra", line, "--layers", json.dumps(layers)]
+    if command == "sequences":
+        alg = _write(tmp_path, "loop.json", {**loop, "max_path_length": 3 * limit // 2})
+        return ["sequences", "--algebra", alg, "--dimvec", "1"]
+    alg = _write(tmp_path, "loop.json", {**loop, "max_path_length": limit})
+    if command == "point-skeleta":
+        # k[x]/x^2: the free module of rank one would take seconds to build at this L
+        module = _write(tmp_path, "m.json", {"tops": [{"vertex": "1"}], "relations": [
+            [{"coeff": 1, "r": 1, "arrows": ["x", "x"]}]]})
+        return ["point-skeleta", "--algebra", alg, "--module", module]
+    return [command, "--algebra", alg, "--layers", json.dumps([[1]] * (limit + 1))]
+
+
+@pytest.mark.parametrize("command", ["projdim", "critical", "geometry", "syzygy", "socle",
+                                     "skeleta", "point-skeleta", "sequences", "projdim-line"])
+def test_input_deeper_than_recursion_limit_exits_3(tmp_path, capsys, command):
+    code = main(_deep_input(tmp_path, command))
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err == ("error: input needs more than Python's recursion limit of "
+                   f"{sys.getrecursionlimit()} nested calls\n")
+
+
+def test_input_errors_keep_their_precedence(tmp_path, double_back_file, deep_file, capsys):
+    # the algebra is loaded before the sequence, and the sequence before any
+    # flag a handler reads
+    missing = str(tmp_path / "missing.json")
+    field = ["--exact", "--modulus", "7"]
+    for argv, named in [
+        (["realizable", "--algebra", missing, "--layers", "[[1"], f"cannot read {missing}"),
+        (["socle", "--algebra", double_back_file, "--layers", "[[1"] + field,
+         "malformed --layers value"),
+        (["hom", "--algebra", double_back_file, "--seq", deep_file, "--seq2", missing] + field,
+         f"cannot read {missing}"),
+    ]:
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named}")
+
+
+def test_skeleta_dot_index_walks_only_to_the_index(tmp_path, capsys, monkeypatch):
+    # three loops at L = 2, layering ((2), (3), (2)): C(6, 3) * C(9, 2) = 720 skeleta
+    import genrep.skeleta
+    from genrep.algebra_core import algebra_from_json, sequence_from_json
+    from genrep.cli import skeleton_dot
+
+    data = {"vertices": ["1"], "max_path_length": 2, "arrows": [
+        {"name": name, "source": "1", "target": "1"} for name in ("x", "y", "z")]}
+    path = _write(tmp_path, "loops.json", data)
+    alg = algebra_from_json(data)
+    S = sequence_from_json({"layers": [[2], [3], [2]]}, alg)
+    want = skeleton_dot(alg, list(genrep.skeleta.iter_skeleta(alg, S))[4]) + "\n"
+    built = []
+
+    class Counted(genrep.skeleta.Skeleton):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(genrep.skeleta, "Skeleton", Counted)
+    argv = ["skeleta", "--format", "dot", "--algebra", path, "--layers", "[[2],[3],[2]]"]
+    code, out = run(capsys, argv + ["--index", "4"])
+    assert code == 0 and out == want and len(built) == 5
+    assert main(argv + ["--index", "720"]) == 2
+    assert capsys.readouterr().err == "error: skeleton index 720 out of range (found 720)\n"
+    # the cap is decided before the index, as when every skeleton was built first
+    assert main(argv + ["--index", "720", "--cap", "719"]) == 3
+    assert "cap of 719" in capsys.readouterr().err
+    assert len(built) == 5

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genrep.algebra_core import (
     enumerate_sequences,
@@ -22,9 +23,17 @@ from genrep.homology import (
     projective_dimension,
     syzygy_of_cyclic,
 )
+from genrep import homology
 from genrep.skeleta import enumerate_skeleta
 
-from conftest import projective_layering, seq
+from conftest import (
+    FIXTURES,
+    _alg,
+    projective_dimension_by_dfs,
+    projective_layering,
+    realizable_layerings,
+    seq,
+)
 
 S_DEEP = seq((1, 1), (0, 1), (1, 0))
 S_DIM14 = seq((2, 1, 1), (0, 5, 1), (0, 0, 3), (0, 1, 0))
@@ -144,6 +153,64 @@ def test_projdim_consistent_with_profiles(double_back, loop_out, a2, with_isolat
             else:
                 assert not iterated_syzygy(alg, S, pd).is_empty
                 assert iterated_syzygy(alg, S, pd + 1).is_empty
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_projdim_walk_matches_dfs_oracle(request, fixture, data):
+    alg = request.getfixturevalue(fixture)
+    S = data.draw(realizable_layerings(alg))
+    assert projective_dimension(alg, S) == projective_dimension_by_dfs(alg, S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), L=st.integers(6, 12))
+def test_projdim_walk_matches_dfs_oracle_two_loops(data, L):
+    alg = _alg(["1"], [("x", "1", "1"), ("y", "1", "1")], L)
+    S = data.draw(realizable_layerings(alg))
+    assert projective_dimension(alg, S) == projective_dimension_by_dfs(alg, S)
+
+
+def _cycles(lengths):
+    """Separate cycles of the given lengths at L = 1, with one simple on each as the top."""
+    vertices, arrows, top = [], [], []
+    for n in lengths:
+        names = [f"{n}.{i}" for i in range(n)]
+        vertices += names
+        arrows += [(f"a{n}.{i}", names[i], names[(i + 1) % n]) for i in range(n)]
+        top += [1] + [0] * (n - 1)
+    alg = _alg(vertices, arrows, 1)
+    return alg, seq(top, [0] * alg.n)
+
+
+def _line(n):
+    """The line 1 -> 2 -> ... -> n at L = 1 and the simple at 1: pd n - 1."""
+    names = [str(i) for i in range(1, n + 1)]
+    alg = _alg(names, [(f"a{i}", names[i], names[i + 1]) for i in range(n - 1)], 1)
+    return alg, seq([1] + [0] * (n - 1), [0] * n)
+
+
+@pytest.mark.parametrize("case, expected", [
+    # Omega moves each simple one step round its cycle, so the set of types
+    # repeats only after lcm(2, 3, ..., 19) = 9,699,690 steps
+    (_cycles((2, 3, 5, 7, 11, 13, 17, 19)), math.inf),
+    # every step meets one new type, the longest finite walk per type
+    (_line(40), 39),
+])
+def test_projdim_steps_each_type_once(monkeypatch, case, expected):
+    alg, S = case
+    assert projective_dimension_by_dfs(alg, S) == expected
+    stepped = []
+
+    def counting(alg, c):
+        stepped.append(c)
+        assert len(stepped) <= alg.n * (alg.L + 1), "a type was stepped twice"
+        return syzygy_of_cyclic(alg, c)
+
+    monkeypatch.setattr(homology, "syzygy_of_cyclic", counting)
+    assert projective_dimension(alg, S) == expected
+    assert len(stepped) == len(set(stepped))
 
 
 def test_unrealizable_rejected(double_back):

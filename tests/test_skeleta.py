@@ -18,10 +18,12 @@ from genrep.skeleta import (
 )
 
 from conftest import (
+    FIXTURES,
     _alg,
     critical_paths_by_scan,
     iter_skeleta_by_product,
     projective_layering,
+    realizable_layerings,
     seq,
     skeleton_from_json,
 )
@@ -224,20 +226,6 @@ def test_count_skeleta_layer_mismatch(double_back):
     from genrep.errors import ValidationError
     with pytest.raises(ValidationError):
         count_skeleta(double_back, seq((1, 0), (0, 1)))
-
-
-@st.composite
-def realizable_layerings(draw, alg):
-    """A top of entries 0..2, then each layer within the extensions of the one before."""
-    rows = [tuple(draw(st.integers(0, 2)) for _ in alg.vertices)]
-    for _ in range(alg.L):
-        rows.append(tuple(draw(st.integers(0, min(a, 3)))
-                          for a in alg.extension_counts(rows[-1])))
-    return seq(*rows)
-
-
-FIXTURES = ["double_back", "relay", "loop_out", "chain_with_returns", "line_swing",
-            "six_vertex", "triangle", "kronecker", "a2", "diamond", "y_quiver", "with_isolated"]
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
