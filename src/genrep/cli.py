@@ -297,8 +297,7 @@ def cmd_generic(args, alg, S):
     """``generic`` and ``hypergraph``: the generic presentation as DOT, or as JSON."""
     pres = generic_presentation(alg, S, graded=args.graded)
     if args.format == "dot":
-        print(skeleton_dot(alg, pres.skeleton, [(rel.sigma_set, [mem for mem, _ in rel.terms])
-                                                 for rel in pres.relations]))
+        print(skeleton_dot(alg, pres.skeleton, hypergraph(pres).edges))
         return 0
     if args.command == "hypergraph":
         return _emit(hypergraph_to_json(hypergraph(pres)))

@@ -27,21 +27,12 @@ from .skeleta import (
 
 
 @dataclass(frozen=True)
-class ScalarId:
-    """Formal scalar x(critical, member); one per disjoint-union index of N."""
-
-    name: str
-    critical: tuple
-    member: tuple
-
-    def __str__(self):
-        return self.name
-
-
-@dataclass(frozen=True)
 class Relation:
+    """One relation per critical path; ``terms`` pairs each kept sigma-set member
+    with the number k of its scalar x_k."""
+
     sigma_set: SigmaSet
-    terms: tuple[tuple[Element, ScalarId], ...]
+    terms: tuple[tuple[Element, int], ...]
 
     @property
     def critical(self):
@@ -59,8 +50,9 @@ class GenericPresentation:
     templates: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
-    def scalar_ids(self) -> tuple[ScalarId, ...]:
-        return tuple(sid for rel in self.relations for _, sid in rel.terms)
+    def scalar_ids(self) -> range:
+        """The scalar numbers 0..N-1 (N0-1 graded), in relation order."""
+        return range(sum(len(rel.terms) for rel in self.relations))
 
     @property
     def mode(self) -> str:
@@ -72,21 +64,16 @@ def generic_presentation(alg: TruncatedAlgebra, S: SemisimpleSequence,
                          graded: bool = False) -> GenericPresentation:
     """Presentation of the generic (or graded-generic) module with layering S.
 
-    Scalar identifiers enumerate the disjoint union indexing N (ungraded)
-    or N0 (graded); relations follow the critical-path order of the skeleton.
+    Scalar k, written x_k, is the k-th term of the disjoint union indexing
+    N (ungraded) or N0 (graded); relations follow the critical-path order of
+    the skeleton.
     """
     skeleton = _compatible_skeleton(alg, S, skeleton)
-    relations = []
-    counter = 0
+    relations, k = [], 0
     for sset in critical_paths(alg, skeleton):
         part = sset.zero_part if graded else sset.members
-        crit_key = (sset.critical.r, sset.critical.parent[1].arrows, sset.critical.arrow)
-        terms = []
-        for mem in part:
-            sid = ScalarId(f"x_{counter}", crit_key, (mem[0], mem[1].start, mem[1].arrows))
-            terms.append((mem, sid))
-            counter += 1
-        relations.append(Relation(sset, tuple(terms)))
+        relations.append(Relation(sset, tuple(zip(part, range(k, k + len(part))))))
+        k += len(part)
     return GenericPresentation(alg, S, skeleton, graded, tuple(relations))
 
 
@@ -206,8 +193,8 @@ def presentation_to_json(pres: GenericPresentation) -> dict:
             {
                 "critical": _critical_path_to_json(alg, rel.sigma_set),
                 "terms": [
-                    {"member": element_to_json(mem), "scalar": sid.name}
-                    for mem, sid in rel.terms
+                    {"member": element_to_json(mem), "scalar": f"x_{k}"}
+                    for mem, k in rel.terms
                 ],
             }
             for rel in pres.relations

@@ -290,73 +290,61 @@ def _same_algebra(a: TruncatedAlgebra, b: TruncatedAlgebra) -> bool:
 
 
 def seeded_assignment(pres: GenericPresentation, seed: int,
-                      fs: FieldSpec = FieldSpec()) -> dict:
-    """Distinct nonzero values (``ScalarId`` -> value) drawn from a seeded PRNG.
+                      fs: FieldSpec = FieldSpec()) -> list:
+    """Distinct nonzero values drawn from a seeded PRNG, a list indexed by scalar number.
 
     In exact-rational mode the scalars are the first primes 2, 3, 5, ...
     so exact runs are reproducible without a modulus.
     """
-    ids = pres.scalar_ids
+    n = len(pres.scalar_ids)
     if fs.exact:
-        primes = map(Fraction, filter(_is_prime, itertools.count(2)))
-        return dict(zip(ids, primes))
+        return list(itertools.islice(map(Fraction, filter(_is_prime, itertools.count(2))), n))
     if fs.modulus <= MIN_RANDOM_MODULUS:
         raise ValidationError(
             f"field modulus must exceed {MIN_RANDOM_MODULUS} for randomized evaluation")
-    rng, seen, values = random.Random(seed), set(), {}
-    for sid in ids:
+    rng, seen, values = random.Random(seed), set(), []
+    for _ in range(n):
         while (x := rng.randrange(1, fs.modulus)) in seen:
             pass  # redraw until the value is new
         seen.add(x)
-        values[sid] = x
+        values.append(x)
     return values
 
 
 def _template(sk: Skeleton, relations, fs: FieldSpec):
-    """The module on the basis ``sk.elements``, with marked tops z_r, as a function of
-    the scalars (``ScalarId`` -> value); what does not depend on them is built once.
+    """The module on the basis ``sk.basis``, with marked tops z_r, as a function of
+    the scalars (indexed by scalar number); what does not depend on them is built once.
 
-    Basis vectors are grouped by end vertex in skeleton order.  An arrow sends a
-    basis element to its extension if that lies in the skeleton (a unit column),
-    to zero beyond length L (empty), else to the assigned combination of its
-    relation's sigma-set: the only columns built per call, from (index,
-    ``ScalarId``) pairs.  Unit and empty columns and the tops are shared read-only.
+    Every column starts empty (zero).  Each member alpha*p of the skeleton is the
+    unit column of arrow alpha at its parent p, and each relation's critical path
+    alpha*p takes the assigned combination of its sigma-set members at (alpha, p):
+    the only columns built per call, from (index, scalar number) pairs.  No other
+    extension has length <= L.  Unit and empty columns and the tops are shared
+    read-only.
     """
-    alg, one, element = sk.alg, fs.one(), fs.element
-    by_vertex: dict[str, list] = {v: [] for v in alg.vertices}
-    for el in sk.elements:
-        by_vertex[sk.end(el)].append(el)
+    alg, one, element, basis = sk.alg, fs.one(), fs.element, sk.basis
     # an element (r, p) is keyed by (r, p.arrows): r fixes the start of p
-    index = {(r, p.arrows): i for v in alg.vertices for i, (r, p) in enumerate(by_vertex[v])}
-    rel_map = {(rel.critical.arrow, rel.critical.parent): rel for rel in relations}
-    dims = tuple(len(by_vertex[v]) for v in alg.vertices)
-    labels = {v: tuple(by_vertex[v]) for v in alg.vertices}
+    index = {(r, p.arrows): i for els in basis.values() for i, (r, p) in enumerate(els)}
+    dims = tuple(len(basis[v]) for v in alg.vertices)
     tops = tuple((v, {index[r, ()]: one}) for r, v in enumerate(sk.top, start=1))
-    arrows, empty = [], {}
-    for a in alg.quiver.arrows:
-        fixed, subs = [], []
-        for j, (r, p) in enumerate(by_vertex[a.source]):
-            ext = (r, (a.name,) + p.arrows)
-            fixed.append(empty if len(ext[1]) > alg.L else
-                         {index[ext]: one} if ext in index else None)
-            if fixed[-1] is None:
-                subs.append((j, [(index[s, q.arrows], sid)
-                                 for (s, q), sid in rel_map[(a.name, (r, p))].terms]))
-        arrows.append((a.name, fixed, subs))
+    fixed = {a.name: [{}] * len(basis[a.source]) for a in alg.quiver.arrows}
+    for r, p in sk.elements:
+        if p.arrows:
+            fixed[p.arrows[0]][index[r, p.arrows[1:]]] = {index[r, p.arrows]: one}
+    subs = [(rel.critical.arrow, index[rel.critical.r, rel.critical.parent[1].arrows],
+             [(index[s, q.arrows], k) for (s, q), k in rel.terms]) for rel in relations]
 
     def build(values) -> Representation:
-        cols = {}
-        for name, fixed, subs in arrows:
-            col = cols[name] = list(fixed)
-            for j, pairs in subs:
-                col[j] = {i: x for i, sid in pairs if (x := element(values[sid]))}
-        return Representation(alg, fs, dims, cols, dict(labels), tops)
+        cols = {name: list(col) for name, col in fixed.items()}
+        for name, j, pairs in subs:
+            cols[name][j] = {i: x for i, k in pairs if (x := element(values[k]))}
+        return Representation(alg, fs, dims, cols, dict(basis), tops)
     return build
 
 
-def materialize(pres: GenericPresentation, values: dict,
+def materialize(pres: GenericPresentation, values,
                 fs: FieldSpec = FieldSpec()) -> Representation:
-    """Evaluate a generic presentation at concrete scalars (``ScalarId`` -> value).
+    """Evaluate a generic presentation at concrete scalars, ``values[k]`` for x_k.
 
     Each field's ``_template`` is made once and kept in ``pres.templates``.  The result
     has the presentation's radical layering S for every choice of scalars, zero
@@ -366,12 +354,11 @@ def materialize(pres: GenericPresentation, values: dict,
     lies in the span of the basis elements of length >= l.  Hence J^l M is that span,
     and layer l of M is layer l of the skeleton, which is S.
     """
+    if len(values) < len(pres.scalar_ids):
+        raise ValidationError(f"assignment missing scalar x_{len(values)}")
     if fs not in pres.templates:
         pres.templates[fs] = _template(pres.skeleton, pres.relations, fs)
-    try:
-        return pres.templates[fs](values)
-    except KeyError as exc:
-        raise ValidationError(f"assignment missing scalar {exc.args[0]}") from None
+    return pres.templates[fs](values)
 
 
 def _radical_spaces(rep: Representation) -> list[dict[str, RowSpace]]:
@@ -409,9 +396,8 @@ def _layering(alg: TruncatedAlgebra, spaces) -> SemisimpleSequence:
 
 
 def socle(rep: Representation) -> tuple[int, ...]:
-    """Per-vertex socle dimensions dim Hom(S_v, M): a relation per arrow out of v."""
-    return tuple(_hom_out_of(rep, (v,), [(rep.columns[a.name], 0, ())
-                                         for a in rep.algebra.quiver.arrows_from[v]])
+    """Per-vertex socle dimensions dim Hom(S_v, M), S_v the cyclic Lambda e_v / J e_v."""
+    return tuple(hom_dim_from_cyclic(rep.algebra, CyclicType(v, 1), rep)
                  for v in rep.algebra.vertices)
 
 
@@ -524,7 +510,7 @@ def _hom_from_projective(rep: Representation, multiplicities) -> int:
     return sum(m * rep.dim_at(v) for v, m in multiplicities)
 
 
-def _presented_hom_dim(pres: GenericPresentation, values: dict,
+def _presented_hom_dim(pres: GenericPresentation, values,
                        rep_n: Representation) -> int:
     """dim Hom(M, N) for M = P/C, the evaluation of ``pres`` at the scalars ``values``.
 
@@ -534,7 +520,7 @@ def _presented_hom_dim(pres: GenericPresentation, values: dict,
     alg, fs = pres.algebra, rep_n.field
     return _hom_out_of(rep_n, pres.skeleton.top, [
         (_path_columns(rep_n, rel.critical.path(alg)), rel.critical.r - 1,
-         [(_path_columns(rep_n, q), s - 1, -fs.element(values[sid])) for (s, q), sid in rel.terms])
+         [(_path_columns(rep_n, q), s - 1, -fs.element(values[k])) for (s, q), k in rel.terms])
         for rel in pres.relations])
 
 
@@ -606,11 +592,16 @@ def projective_representation(alg: TruncatedAlgebra, tops: tuple[str, ...],
     """The projective P = ⊕_r Lambda z_r with its path basis and marked tops.
 
     It is the module of the skeleton holding every path of length <= L on
-    each top, which has no critical paths and so no relations.
+    each top, which has no critical paths and so no relations.  The paths are
+    built one length at a time, each extending a path of the previous length once.
     """
-    elements = [(r, p) for r, v in enumerate(tops, start=1)
-                for l in range(alg.L + 1) for p in enumerate_paths(alg, v, l)]
-    return _template(Skeleton(alg, tops, elements), (), fs)({})
+    level = [(r, alg.trivial_path(v)) for r, v in enumerate(tops, start=1)]
+    elements = list(level)
+    for _ in range(alg.L):
+        level = [(r, alg.extend(p, a)) for r, p in level
+                 for a in alg.quiver.arrows_from[alg.path_end(p)]]
+        elements += level
+    return _template(Skeleton(alg, tops, elements), (), fs)([])
 
 
 def quotient_representation(rep: Representation, sub_vectors) -> Representation:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -57,6 +58,15 @@ class Skeleton:
 
     def end(self, el: Element) -> str:
         return self.alg.path_end(el[1])
+
+    @cached_property
+    def basis(self) -> dict[str, tuple[Element, ...]]:
+        """Per vertex, the members ending there in skeleton order: the basis of the
+        skeleton's modules, and each vertex's candidates for a sigma-set."""
+        out: dict[str, list[Element]] = {v: [] for v in self.alg.vertices}
+        for el in self.elements:
+            out[self.end(el)].append(el)
+        return {v: tuple(els) for v, els in out.items()}
 
     def __contains__(self, el: Element) -> bool:
         return el in self.element_set
@@ -229,11 +239,9 @@ def critical_paths(alg: TruncatedAlgebra, sk: Skeleton) -> list[SigmaSet]:
     <= L and lies outside the skeleton.  Its sigma-set collects the members
     at least as long as alpha*p ending in the same vertex.
     """
-    by_end: dict[str, list[Element]] = {}
-    for mem in sk.elements:
-        by_end.setdefault(sk.end(mem), []).append(mem)
+    basis = sk.basis
     # skeleton order is by length first, so the members of one length form a slice
-    lengths = {v: [len(mem[1].arrows) for mem in group] for v, group in by_end.items()}
+    lengths = {v: [len(mem[1].arrows) for mem in group] for v, group in basis.items()}
     out = []
     for el in sk.elements:
         r, p = el
@@ -243,9 +251,9 @@ def critical_paths(alg: TruncatedAlgebra, sk: Skeleton) -> list[SigmaSet]:
             ext = alg.extend(p, a)
             if (r, ext) in sk:
                 continue
-            group, lens = by_end.get(a.target, []), lengths.get(a.target, [])
+            group, lens = basis[a.target], lengths[a.target]
             lo, hi = bisect_left(lens, ext.length), bisect_right(lens, ext.length)
-            zero, one = tuple(group[lo:hi]), tuple(group[hi:])
+            zero, one = group[lo:hi], group[hi:]
             out.append(SigmaSet(CriticalPath(a.name, el), zero + one, zero, one))
     out.sort(key=lambda s: (s.critical.length, sk._key(s.critical.parent),
                             alg.quiver.arrow_index[s.critical.arrow]))

@@ -445,7 +445,7 @@ def hom_dim_by_stacking(rep_a, rep_b):
 
 
 def user_assignment(values, fs=None):
-    """Scalars (ScalarId -> field element) from explicit nonzero values."""
+    """Scalars (scalar number -> field element) from explicit nonzero values."""
     from genrep.errors import ValidationError
     from genrep.matrix_rep import FieldSpec
     fs = fs or FieldSpec()
@@ -470,7 +470,7 @@ def representation_to_json(rep):
 def skeleton_module_by_lookup(sk, relations, assign, fs):
     """The module on the basis ``sk.elements`` rebuilt from scratch, the oracle
     of the column template: every arrow's columns are derived element by
-    element.  ``assign`` maps each ScalarId to its value."""
+    element.  ``assign[k]`` is the value of scalar x_k."""
     from genrep.matrix_rep import Representation
     alg, one = sk.alg, fs.one()
     by_vertex = {v: [] for v in alg.vertices}
@@ -487,15 +487,15 @@ def skeleton_module_by_lookup(sk, relations, assign, fs):
             r, p = el
             ext = (r, alg.extend(p, a)) if p.length < alg.L else None
             cols.append({} if ext is None else {index[ext]: one} if ext in sk else
-                        {index[mem]: x for mem, sid in rel_map[(a.name, el)].terms
-                         if (x := fs.element(assign[sid]))})
+                        {index[mem]: x for mem, k in rel_map[(a.name, el)].terms
+                         if (x := fs.element(assign[k]))})
     return Representation(alg, fs, tuple(len(by_vertex[v]) for v in alg.vertices), columns,
                           basis_labels={v: tuple(by_vertex[v]) for v in alg.vertices},
                           top_elements=tops)
 
 
 def hypergraph_at(pres, assignment):
-    """The hypergraph of ``pres`` at explicit scalars (ScalarId -> value):
+    """The hypergraph of ``pres`` at explicit scalars (scalar number -> value):
     each relation keeps the members whose coefficient is nonzero."""
     from genrep.generic_builder import Hypergraph
     return Hypergraph(pres.skeleton, tuple(

@@ -240,6 +240,20 @@ def test_radical_layering_projective(double_back):
     assert radical_layering(rep) == seq((1, 0), (0, 1), (2, 0))
 
 
+def test_projective_extends_each_path_once(monkeypatch):
+    # one loop at L = 50: every basis path but the tops is one extension of a
+    # shorter one, where enumerating each length afresh takes L(L+1)/2 per top
+    from conftest import _alg
+    from genrep.algebra_core import TruncatedAlgebra
+    alg, calls, extend = _alg(["1"], [("x", "1", "1")], 50), [], TruncatedAlgebra.extend
+    monkeypatch.setattr(TruncatedAlgebra, "extend",
+                        lambda self, p, a: calls.append(p) or extend(self, p, a))
+    tops = ("1", "1")
+    rep = projective_representation(alg, tops, RATIONALS)
+    assert rep.dims == (102,)
+    assert len(calls) == rep.total_dim - len(tops) == 100
+
+
 def test_socle_deep(double_back):
     assert generic_socle(double_back, S_DEEP, seeds=(3, 5, 7)) == (1, 0)
 
@@ -669,19 +683,23 @@ def drawn_assignment(data, pres, fs):
 @given(data=st.data())
 def test_template_modules_match_rebuilt_oracle(request, fixture, fs, data):
     # generic and graded presentations at seeded, small and zero scalars, two
-    # points per presentation so the second reuses the first one's template
+    # points per presentation so the second reuses the first one's template;
+    # on the canonical skeleton and, where S has another, on a drawn one
     alg = request.getfixturevalue(fixture)
     dimvec = {"double_back": (2, 2)}.get(fixture, (2, 2, 1))
     S = data.draw(st.sampled_from(enumerate_sequences(alg, dimvec)))
-    pres = generic_presentation(alg, S, graded=data.draw(st.booleans()))
-    for _ in range(2):
-        assign = drawn_assignment(data, pres, fs)
-        rep = materialize(pres, assign, fs)
-        oracle = skeleton_module_by_lookup(pres.skeleton, pres.relations, assign, fs)
-        assert snapshot(rep) == snapshot(oracle)
-        assert all(arrow_matrix(rep, a) == arrow_matrix(oracle, a) for a in oracle.columns)
-        assert list(rep.columns) == [a.name for a in alg.quiver.arrows]
-    assert list(pres.templates) == [fs]
+    graded = data.draw(st.booleans())
+    others = list(islice(iter_skeleta(alg, S), 1, 8))
+    for skeleton in [None] + ([data.draw(st.sampled_from(others))] if others else []):
+        pres = generic_presentation(alg, S, skeleton=skeleton, graded=graded)
+        for _ in range(2):
+            assign = drawn_assignment(data, pres, fs)
+            rep = materialize(pres, assign, fs)
+            oracle = skeleton_module_by_lookup(pres.skeleton, pres.relations, assign, fs)
+            assert snapshot(rep) == snapshot(oracle)
+            assert all(arrow_matrix(rep, a) == arrow_matrix(oracle, a) for a in oracle.columns)
+            assert list(rep.columns) == [a.name for a in alg.quiver.arrows]
+        assert list(pres.templates) == [fs]
     tops = data.draw(st.lists(st.sampled_from(alg.vertices), min_size=1, max_size=2))
     P = projective_representation(alg, tops, fs)
     sk = Skeleton(alg, tops, [el for labels in P.basis_labels.values() for el in labels])
@@ -705,7 +723,7 @@ def test_assignment_missing_a_scalar_is_rejected(relay):
     values = seeded_assignment(pres, 0)
     dropped = pres.scalar_ids[-1]
     del values[dropped]
-    with pytest.raises(ValidationError, match=f"assignment missing scalar {dropped.name}$"):
+    with pytest.raises(ValidationError, match=f"assignment missing scalar x_{dropped}$"):
         materialize(pres, values)
 
 
@@ -1034,8 +1052,8 @@ def test_exact_rational_mode_matches_mod_p(double_back):
     # the whole pipeline over exact rationals (distinct-prime scalars)
     pres = generic_presentation(double_back, S_DEEP)
     assign = seeded_assignment(pres, 0, RATIONALS)
-    assert list(assign.values())[:3] == [2, 3, 5]
-    assert {type(x) for x in assign.values()} == {Fraction}
+    assert list(assign)[:3] == [2, 3, 5]
+    assert {type(x) for x in assign} == {Fraction}
     rep = materialize(pres, assign, RATIONALS)
     assert radical_layering(rep) == S_DEEP
     assert socle(rep) == (1, 0)
