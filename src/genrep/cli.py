@@ -24,7 +24,7 @@ from .algebra_core import (
     sequence_to_json,
     enumerate_sequences,
 )
-from .components import component_report, report_to_json
+from .components import component_report, report_to_json, sequence_poset, sifted_sequences
 from .errors import EnumerationCapError, GenrepError, ValidationError
 from .generic_builder import (
     bundle_report_to_json,
@@ -130,7 +130,8 @@ def _dumps(obj, pad: str, memo: dict) -> str:
     shared by many parents is encoded once.  A dict encodes its ``str``
     values and its memoised lists in place; a dict with a non-``str`` key,
     like other value types, goes to ``json.dumps``, re-indented by replacing
-    each newline (encoded JSON holds no raw newline).
+    each newline (encoded JSON holds no raw newline).  An ``_Encoded`` text, like
+    the components "pairs" from ``_pairs_text``, goes in as it is.
     """
     kind = type(obj)
     if kind is str:
@@ -157,7 +158,31 @@ def _dumps(obj, pad: str, memo: dict) -> str:
                 or _dumps(v, inner, memo)))
         else:
             return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if kind is _Encoded:
+        return obj
     return json.dumps(obj, indent=2).replace("\n", pad)
+
+
+class _Encoded(str):
+    """JSON text, encoded at the indentation of the place it is put in."""
+
+
+def _pairs_text(pairs: list, pad: str) -> str:
+    """``_dumps(pairs, pad, {})`` for the "pairs" of ``report_to_json``: an entry is its
+    sequences' texts, each encoded once at entry depth, and a tail (verdict, evidence,
+    confidence, closing brace) encoded once per distinct verdict, evidence object and
+    confidence; every dominance-excluded pair shares one evidence dict."""
+    entry, item = pad + "  ", pad + "    "
+    memo, tail, out = {}, {}, []
+    for p in pairs:
+        key = (p["verdict"], id(p["evidence"]), p["confidence"])
+        if key not in tail:
+            tail[key] = "".join(f',{item}"{k}": {_dumps(p[k], item, memo)}'
+                                for k in ("verdict", "evidence", "confidence")) + entry + "}"
+        a, b = p["inner"], p["outer"]
+        out.append(f'{{{item}"inner": {memo.get((id(a), item)) or _dumps(a, item, memo)},'
+                   f'{item}"outer": {memo.get((id(b), item)) or _dumps(b, item, memo)}{tail[key]}')
+    return "[" + entry + ("," + entry).join(out) + pad + "]" if out else "[]"
 
 
 def _emit(data) -> int:
@@ -219,12 +244,12 @@ def skeleton_dot(alg, sk, critical=()) -> str:
     return "\n".join(lines)
 
 
-def hasse_dot(report) -> str:
+def hasse_dot(poset) -> str:
     lines = ["digraph dominance {", "  rankdir=BT;"]
-    for i, S in enumerate(report.sequences):
+    for i, S in enumerate(poset.sequences):
         label = "|".join("".join(str(x) for x in row) for row in S.layers)
         lines.append(f'  "s{i}" [label="{label}"];')
-    for lo, hi in report.poset.hasse_edges:
+    for lo, hi in poset.hasse_edges:
         lines.append(f'  "s{lo}" -> "s{hi}";')
     lines.append("}")
     return "\n".join(lines)
@@ -355,14 +380,14 @@ def cmd_decompose(args, alg, S):
 
 def cmd_components(args, alg, S):
     top = _dimvec(args.top) if args.top else None
-    fs = _field(args)
-    rep = component_report(alg, _dimvec(args.dimvec), top=top,
-                           max_top_dim=args.max_top_dim, seeds=_seeds(args), fs=fs,
-                           cap=args.cap)
-    if args.format == "dot":
-        print(hasse_dot(rep))
+    fs, dimvec, seeds = _field(args), _dimvec(args.dimvec), _seeds(args)
+    if args.format == "dot":  # the Hasse diagram needs no verdict and no generic socle
+        sequences = sifted_sequences(alg, dimvec, top, args.max_top_dim, args.cap)
+        print(hasse_dot(sequence_poset(alg, sequences)))
         return 0
+    rep = component_report(alg, dimvec, top, args.max_top_dim, seeds, fs, args.cap)
     data = report_to_json(rep)
+    data["pairs"] = _Encoded(_pairs_text(data["pairs"], "\n  "))
     data["version"] = __version__
     return _emit(data)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra_core import (
     DimensionVector,
@@ -41,28 +42,18 @@ def annihilating_arrows(alg: TruncatedAlgebra, S: SemisimpleSequence) -> frozens
     """
     if not realizable(alg, S):
         raise UnrealizableError(f"{S} is not realizable")
-    tails = _tail_sums(alg, S)
     out = []
     for a in alg.quiver.arrows:
         i, j = alg.vertex_pos(a.source), alg.vertex_pos(a.target)
-        if not any(S.layers[l][i] and tails[l + 1][j] for l in range(alg.L)):
+        # the shortest member at i (first layer l < L holding i) has the most layers below
+        first = next((l for l in range(alg.L) if S.layers[l][i]), alg.L)
+        if not any(row[j] for row in S.layers[first + 1:]):
             out.append(a.name)
     return frozenset(out)
 
 
-def _tail_sums(alg: TruncatedAlgebra, S: SemisimpleSequence):
-    """tails[l][j] = number of layer entries at vertex j in layers l..L."""
-    acc = [0] * alg.n
-    tails = [None] * (alg.L + 2)
-    tails[alg.L + 1] = tuple(acc)
-    for l in range(alg.L, -1, -1):
-        acc = [a + b for a, b in zip(acc, S.layers[l])]
-        tails[l] = tuple(acc)
-    return tails
-
-
-@dataclass(frozen=True)
-class PruningVerdict:
+class PruningVerdict(NamedTuple):
+    """One ordered pair's verdict; a tuple, so making one writes no attributes."""
     inner: SemisimpleSequence
     outer: SemisimpleSequence
     verdict: str        # excluded-dominance | excluded-annihilator | excluded-socle | possible
@@ -70,24 +61,28 @@ class PruningVerdict:
     confidence: str     # certified | seeded-generic
 
 
+# evidence shared by every dominance-excluded and every possible verdict; never mutated
+_NOT_DOMINANT = {"reason": "inner sequence does not dominate outer"}
+_NO_EVIDENCE: dict = {}
+
+
 class _SiftFacts:
     """Per-sequence facts of one sifting run, each computed at most once.
 
-    ``below[i][j]`` is ``dominates(sequences[i], sequences[j])``, read off
-    flattened partial sums; annihilators and generic socles are memoised.
+    A sequence is found by its position, ``pos[id(S)]`` (the memos' closures keep
+    the sequences alive).  ``below[i][j]`` is ``dominates(sequences[i],
+    sequences[j])``, read off flattened partial sums; annihilators and generic
+    socles are memoised per position.
     """
 
     def __init__(self, alg, sequences, seeds=(0, 1, 2), fs: FieldSpec = FieldSpec()):
         if len({(len(S.layers), S.total_dim) for S in sequences}) > 1:
             raise ValidationError("sequences have different layer counts or total dimension")
-        self.index = {S.layers: i for i, S in enumerate(sequences)}
+        self.pos = {id(S): i for i, S in enumerate(sequences)}
         sums = [sum(_partial_sums(S), ()) for S in sequences]
         self.below = [[all(map(operator.le, a, b)) for b in sums] for a in sums]
-        self.annihilating_arrows = functools.cache(lambda S: annihilating_arrows(alg, S))
-        self.socle = functools.cache(lambda S: generic_socle(alg, S, seeds, fs))
-
-    def dominates(self, S, S2) -> bool:
-        return self.below[self.index[S.layers]][self.index[S2.layers]]
+        self.annihilators = functools.cache(lambda i: annihilating_arrows(alg, sequences[i]))
+        self.socle = functools.cache(lambda i: generic_socle(alg, sequences[i], seeds, fs))
 
 
 def closure_containment_test(alg: TruncatedAlgebra, S_inner: SemisimpleSequence,
@@ -99,23 +94,18 @@ def closure_containment_test(alg: TruncatedAlgebra, S_inner: SemisimpleSequence,
         if S_inner.dim_vector != S_outer.dim_vector:
             raise ValidationError("containment test requires equal dimension vectors")
         _facts = _SiftFacts(alg, (S_inner, S_outer), seeds, fs)
-    if not _facts.dominates(S_outer, S_inner):
-        return PruningVerdict(S_inner, S_outer, "excluded-dominance",
-                              {"reason": "inner sequence does not dominate outer"},
-                              "certified")
-    ann_outer = _facts.annihilating_arrows(S_outer)
-    ann_inner = _facts.annihilating_arrows(S_inner)
-    missing = sorted(ann_outer - ann_inner)
+    at_in, at_out = _facts.pos[id(S_inner)], _facts.pos[id(S_outer)]
+    if not _facts.below[at_out][at_in]:
+        return PruningVerdict(S_inner, S_outer, "excluded-dominance", _NOT_DOMINANT, "certified")
+    missing = sorted(_facts.annihilators(at_out) - _facts.annihilators(at_in))
     if missing:
         return PruningVerdict(S_inner, S_outer, "excluded-annihilator",
                               {"arrows": missing}, "certified")
-    soc_outer, soc_inner = _facts.socle(S_outer), _facts.socle(S_inner)
+    soc_outer, soc_inner = _facts.socle(at_out), _facts.socle(at_in)
     if any(o > i for o, i in zip(soc_outer, soc_inner)):
-        return PruningVerdict(S_inner, S_outer, "excluded-socle",
-                              {"socle_outer": list(soc_outer),
-                               "socle_inner": list(soc_inner)},
-                              "seeded-generic")
-    return PruningVerdict(S_inner, S_outer, "possible", {}, "seeded-generic")
+        return PruningVerdict(S_inner, S_outer, "excluded-socle", {
+            "socle_outer": list(soc_outer), "socle_inner": list(soc_inner)}, "seeded-generic")
+    return PruningVerdict(S_inner, S_outer, "possible", _NO_EVIDENCE, "seeded-generic")
 
 
 @dataclass(frozen=True)
@@ -161,6 +151,18 @@ class ComponentReport:
         return self.poset.sequences
 
 
+def sifted_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector, top=None,
+                     max_top_dim=None, cap=None) -> list[SemisimpleSequence]:
+    """The realizable sequences ``component_report`` sifts, with its two cap checks."""
+    sequences = enumerate_sequences(alg, dimvec, top=top, cap=cap)
+    if max_top_dim is not None:
+        sequences = [S for S in sequences if sum(S.top) <= max_top_dim]
+    if cap is not None and len(sequences) * (len(sequences) - 1) > cap:
+        raise EnumerationCapError(cap, f"{len(sequences) * (len(sequences) - 1)} ordered "
+                                       f"pairs exceed cap of {cap}")
+    return sequences
+
+
 def component_report(alg: TruncatedAlgebra, dimvec: DimensionVector,
                      top: DimensionVector | None = None,
                      max_top_dim: int | None = None,
@@ -175,12 +177,7 @@ def component_report(alg: TruncatedAlgebra, dimvec: DimensionVector,
     the number of minimal sequences and the number of realizable ones.
     ``cap`` bounds the realizable sequences and then the ordered pairs.
     """
-    sequences = enumerate_sequences(alg, dimvec, top=top, cap=cap)
-    if max_top_dim is not None:
-        sequences = [S for S in sequences if sum(S.top) <= max_top_dim]
-    if cap is not None and len(sequences) * (len(sequences) - 1) > cap:
-        raise EnumerationCapError(cap, f"{len(sequences) * (len(sequences) - 1)} ordered "
-                                       f"pairs exceed cap of {cap}")
+    sequences = sifted_sequences(alg, dimvec, top, max_top_dim, cap)
     facts = _SiftFacts(alg, sequences, seeds, fs)
     poset = _poset(tuple(sequences), facts.below)
     verdicts = []
@@ -189,7 +186,7 @@ def component_report(alg: TruncatedAlgebra, dimvec: DimensionVector,
         for j, outer in enumerate(sequences):
             if i == j:
                 continue
-            v = closure_containment_test(alg, inner, outer, seeds, fs, _facts=facts)
+            v = closure_containment_test(alg, inner, outer, seeds, fs, facts)
             verdicts.append(v)
             if v.verdict == "possible":
                 containers[i].append(j)

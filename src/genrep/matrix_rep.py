@@ -396,8 +396,10 @@ def _layering(alg: TruncatedAlgebra, spaces) -> SemisimpleSequence:
 
 
 def socle(rep: Representation) -> tuple[int, ...]:
-    """Per-vertex socle dimensions dim Hom(S_v, M), S_v the cyclic Lambda e_v / J e_v."""
-    return tuple(hom_dim_from_cyclic(rep.algebra, CyclicType(v, 1), rep)
+    """Per-vertex socle dimensions dim Hom(S_v, M), S_v the cyclic Lambda e_v / J e_v:
+    one relation per arrow out of v, its columns read straight off the module."""
+    out = rep.algebra.quiver.arrows_from
+    return tuple(_hom_out_of(rep, (v,), [(rep.columns[a.name], 0, ()) for a in out[v]])
                  for v in rep.algebra.vertices)
 
 

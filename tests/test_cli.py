@@ -5,9 +5,9 @@ import json
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from genrep.cli import _dumps, build_parser, main
+from genrep.cli import _dumps, build_parser, hasse_dot, main
 
 
 @pytest.fixture()
@@ -254,6 +254,120 @@ def test_components_cap_bounds_sequences_then_pairs(double_back_file, capsys, mo
     monkeypatch.undo()
     code, out = run(capsys, argv + ["72"])
     assert code == 0 and len(json.loads(out)["pairs"]) == 72
+
+
+def test_components_dot_sifts_no_pair(double_back_file, capsys, monkeypatch):
+    # the Hasse diagram is the full report's, with no verdict and no socle behind it;
+    # both caps still exit 3
+    from genrep import components
+    from genrep.algebra_core import algebra_from_json
+
+    alg = algebra_from_json(json.load(open(double_back_file)))
+    expected = hasse_dot(components.component_report(alg, (2, 2)).poset) + "\n"
+
+    def no_pairs(*args, **kwargs):
+        raise AssertionError("pair verdict computed for the Hasse diagram")
+
+    monkeypatch.setattr(components, "closure_containment_test", no_pairs)
+    monkeypatch.setattr(components, "generic_socle", no_pairs)
+    argv = ["components", "--algebra", double_back_file, "--dimvec", "2,2", "--format", "dot"]
+    code, out = run(capsys, argv)
+    assert code == 0 and out == expected
+    # no seeded evaluation, so a prime too small to draw scalars from is no error here
+    code, out = run(capsys, argv + ["--modulus", "7"])
+    assert code == 0 and out == expected
+    assert main(argv + ["--cap", "8"]) == 3
+    assert "realizable sequences exceed cap of 8" in capsys.readouterr().err
+    assert main(argv + ["--cap", "71"]) == 3
+    assert "72 ordered pairs exceed cap of 71" in capsys.readouterr().err
+
+
+# name -> (vertices, arrows, L) of the algebras the components stdout is drawn over
+COMPONENT_ALGEBRAS = {
+    "double_back": (["1", "2"], [("a", "1", "2"), ("b1", "2", "1"), ("b2", "2", "1")], 2),
+    "line_swing": (["1", "2", "3"], [("u", "1", "2"), ("v", "2", "3"), ("w", "3", "2")], 2),
+    "loop_out": (["1", "2"], [("a", "1", "1"), ("b", "1", "2")], 2),
+    "relay": (["1", "2", "3"], [("a1", "1", "2"), ("a2", "1", "2"), ("b", "2", "3"),
+                                ("g1", "3", "2"), ("g2", "3", "2")], 3),
+}
+
+
+@pytest.fixture(scope="module")
+def component_algebras(tmp_path_factory):
+    """name -> (algebra file, algebra) for each of ``COMPONENT_ALGEBRAS``."""
+    from genrep.algebra_core import algebra_from_json
+
+    out = {}
+    for name, (vertices, arrows, L) in COMPONENT_ALGEBRAS.items():
+        data = {"vertices": vertices, "max_path_length": L,
+                "arrows": [{"name": n, "source": s, "target": t} for n, s, t in arrows]}
+        path = tmp_path_factory.mktemp("components") / f"{name}.json"
+        path.write_text(json.dumps(data))
+        out[name] = (str(path), algebra_from_json(data))
+    return out
+
+
+def components_stdout_matches_stdlib(path, alg, dimvec, seed=0, top=None, max_top_dim=None,
+                                     field=()):
+    """The report ``components`` sifts, after checking that its stdout is the stdlib's
+    ``json.dumps(indent=2)`` of ``report_to_json`` plus the version."""
+    import contextlib
+    import io
+
+    from genrep import __version__
+    from genrep.components import component_report, report_to_json
+    from genrep.matrix_rep import RATIONALS, FieldSpec
+
+    argv = ["components", "--algebra", path, "--dimvec", ",".join(map(str, dimvec)),
+            "--seed", str(seed), *field]
+    if top is not None:
+        argv += ["--top", ",".join(map(str, top))]
+    if max_top_dim is not None:
+        argv += ["--max-top-dim", str(max_top_dim)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    fs = (RATIONALS if "--exact" in field else
+          FieldSpec(int(field[1])) if field else FieldSpec())
+    rep = component_report(alg, dimvec, top=top, max_top_dim=max_top_dim,
+                           seeds=(seed, seed + 1, seed + 2), fs=fs)
+    expected = json.dumps(report_to_json(rep) | {"version": __version__}, indent=2) + "\n"
+    assert out.getvalue() == expected
+    return rep
+
+
+@pytest.mark.parametrize("name, dimvec, options, sequences, verdicts", [
+    ("double_back", (2, 2), {"max_top_dim": 0}, 0, set()),
+    ("double_back", (1, 0), {}, 1, set()),
+    ("relay", (1, 2, 2), {}, 13, {"excluded-dominance", "excluded-annihilator",
+                                  "excluded-socle", "possible"}),
+    ("double_back", (2, 2), {"top": (1, 1), "seed": 3}, None, {"excluded-dominance"}),
+    ("line_swing", (1, 2, 2), {"field": ("--modulus", "1000003")}, 10, {"excluded-socle"}),
+    ("double_back", (2, 2), {"field": ("--exact",), "max_top_dim": 2}, 6, {"possible"}),
+], ids=["no-sequence", "one-sequence", "all-verdicts", "top", "modulus", "exact"])
+def test_components_stdout_is_stdlib_json(component_algebras, name, dimvec, options,
+                                          sequences, verdicts):
+    rep = components_stdout_matches_stdlib(*component_algebras[name], dimvec, **options)
+    assert sequences in (None, len(rep.sequences))
+    assert verdicts <= {v.verdict for v in rep.verdicts}
+    assert len(rep.verdicts) == len(rep.sequences) * (len(rep.sequences) - 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_components_stdout_is_stdlib_json_on_drawn_inputs(component_algebras, data):
+    name = data.draw(st.sampled_from(sorted(COMPONENT_ALGEBRAS)))
+    path, alg = component_algebras[name]
+    dimvec = tuple(data.draw(st.lists(st.integers(0, 2), min_size=alg.n, max_size=alg.n)
+                             .filter(lambda dv: 0 < sum(dv) <= 4)))
+    options = {"seed": data.draw(st.integers(0, 50))}
+    top = [data.draw(st.integers(0, x)) for x in dimvec]
+    if any(top) and data.draw(st.booleans()):
+        options["top"] = tuple(top)
+    if data.draw(st.booleans()):
+        options["max_top_dim"] = data.draw(st.integers(0, 4))
+    options["field"] = data.draw(st.sampled_from([(), ("--exact",), ("--modulus", "1000003")]))
+    components_stdout_matches_stdlib(path, alg, dimvec, **options)
 
 
 def test_hypergraph_dot(double_back_file, deep_file, capsys):

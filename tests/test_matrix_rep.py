@@ -585,6 +585,37 @@ def assert_hom_out_of_matches_stacking(rep):
             assert hom_dim_from_cyclic(alg, c, rep) == hom_dim_from_cyclic_by_stacking(alg, c, rep)
 
 
+@pytest.mark.parametrize("fixture, dimvec", [("double_back", (2, 2)), ("relay", (2, 2, 1)),
+                                             ("six_vertex", (1, 1, 1, 1, 1, 2))],
+                         ids=["double_back", "relay", "six_vertex"])
+@pytest.mark.parametrize("fs", [RATIONALS, SMALL_PRIME, FieldSpec(5)], ids=["Q", "Fp", "F5"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_socle_off_arrow_columns_matches_cyclic_hom(request, fixture, dimvec, fs, data):
+    # socle reads the arrows' columns; Hom out of Lambda e_v / J e_v builds the
+    # same relation matrix from the length-1 paths out of v.  Drawn module points,
+    # skeleton modules at drawn and at all-zero scalars, and a hand-built copy of
+    # the point without basis labels; vertex 6 of six_vertex is a sink
+    alg = request.getfixturevalue(fixture)
+    point = module_point(alg, *data.draw(module_point_specs(alg)), fs)
+    S = data.draw(st.sampled_from(enumerate_sequences(alg, dimvec)))
+    pres = generic_presentation(alg, S, graded=data.draw(st.booleans()))
+    hand = representation_from_matrices(alg, fs, point.dims, {
+        name: arrow_matrix(point, name) for name in point.columns})
+    assert hand.basis_labels is None
+    for rep in (point, hand, materialize(pres, drawn_assignment(data, pres, fs), fs),
+                materialize(pres, [fs.zero()] * len(pres.scalar_ids), fs)):
+        assert socle(rep) == tuple(hom_dim_from_cyclic(alg, CyclicType(v, 1), rep)
+                                   for v in alg.vertices)
+
+
+def test_socle_of_a_sink_is_its_whole_space(six_vertex):
+    # P_6 + P_4: all of P_6 and the two arrow images of e_4 at 6 lie in the socle
+    rep = module_point(six_vertex, ["6", "4"], [], RATIONALS)
+    assert not six_vertex.quiver.arrows_from["6"]
+    assert socle(rep) == (0, 0, 0, 0, 0, 3)
+
+
 @pytest.mark.parametrize("fixture", ["double_back", "relay", "six_vertex"])
 @pytest.mark.parametrize("fs", [RATIONALS, SMALL_PRIME, FieldSpec(5)], ids=["Q", "Fp", "F5"])
 @settings(max_examples=25, deadline=None)
