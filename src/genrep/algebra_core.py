@@ -275,8 +275,10 @@ def realizable(alg: TruncatedAlgebra, S: SemisimpleSequence) -> bool:
 
 def enumerate_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector,
                         top: DimensionVector | None = None,
-                        cap: int | None = None) -> list[SemisimpleSequence]:
-    """All realizable sequences with layerwise sum ``dimvec`` (and given top).
+                        cap: int | None = None,
+                        max_top_dim: int | None = None) -> list[SemisimpleSequence]:
+    """All realizable sequences with layerwise sum ``dimvec`` (and given top, and top
+    sum at most ``max_top_dim``; other tops are skipped before any descent).
 
     Output is in lexicographic order on the flattened layer matrix.  Raises
     ``EnumerationCapError`` as soon as sequence ``cap`` + 1 is found.
@@ -319,7 +321,8 @@ def enumerate_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector,
             descend(layers + [nxt], tuple(r - x for r, x in zip(remaining, nxt)))
 
     for t in tops:
-        descend([t], tuple(d - x for d, x in zip(dimvec, t)))
+        if max_top_dim is None or sum(t) <= max_top_dim:
+            descend([t], tuple(d - x for d, x in zip(dimvec, t)))
     return results
 
 

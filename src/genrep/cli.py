@@ -256,25 +256,15 @@ def hasse_dot(poset) -> str:
 
 
 def skeleton_text(alg, sk) -> str:
-    children: dict = {el: [] for el in sk.elements}
-    roots = []
-    for el in sk.elements:
-        r, p = el
-        if p.length == 0:
-            roots.append(el)
-        else:
-            children[(r, p.initial_subpath(p.length - 1))].append(el)
+    """Each tree in preorder, a member per line indented by its length: the order by
+    (r, arrow indices in application order), which puts a member after its parent and
+    its siblings by arrow."""
+    idx = alg.quiver.arrow_index
     lines = []
-
-    def walk(el, depth):
+    for el in sorted(sk.elements, key=lambda el: (el[0], [idx[a] for a in el[1].arrows[::-1]])):
         r, p = el
         tag = f"z{r} <{sk.end(el)}>" if p.length == 0 else f"{p.arrows[0]} -> {sk.end(el)}"
-        lines.append("  " * depth + tag)
-        for child in children[el]:
-            walk(child, depth + 1)
-
-    for root in roots:
-        walk(root, 0)
+        lines.append("  " * p.length + tag)
     return "\n".join(lines)
 
 

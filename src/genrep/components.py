@@ -154,9 +154,7 @@ class ComponentReport:
 def sifted_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector, top=None,
                      max_top_dim=None, cap=None) -> list[SemisimpleSequence]:
     """The realizable sequences ``component_report`` sifts, with its two cap checks."""
-    sequences = enumerate_sequences(alg, dimvec, top=top, cap=cap)
-    if max_top_dim is not None:
-        sequences = [S for S in sequences if sum(S.top) <= max_top_dim]
+    sequences = enumerate_sequences(alg, dimvec, top=top, cap=cap, max_top_dim=max_top_dim)
     if cap is not None and len(sequences) * (len(sequences) - 1) > cap:
         raise EnumerationCapError(cap, f"{len(sequences) * (len(sequences) - 1)} ordered "
                                        f"pairs exceed cap of {cap}")

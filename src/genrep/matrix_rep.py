@@ -18,9 +18,11 @@ all arithmetic is exact.  Every rank is one sparse elimination (``_rank``) on
 ``_apply``; ``mat_rank``, ``mat_mul``, the dense matrix-vector product and
 ``path_action``, the one dense view of a module, are left for tests.
 ``RowSpace``, an incremental echelon basis of sparse rows, serves where the
-reduced vectors matter: radical filtrations, quotients and the distinguished
+reduced vectors matter: ``radical_layering``, quotients and the distinguished
 skeleta probes, whose memoised per-block independence test is the block
-predicate of ``skeleta.iter_skeleta``.
+predicate of ``skeleta.iter_skeleta``.  Skeleton modules and their quotients
+(module points) keep a graded basis, so the probes read J^l M off the basis
+labels; ``radical_layering`` eliminates, and stays the independent route.
 
 Hom out of any presented module (a generic M = P/C, a cyclic Lambda e / J^m e,
 a simple) is the kernel of one relation matrix (``_hom_out_of``).  The
@@ -31,7 +33,6 @@ only term in which the two Ext^1 methods differ.
 from __future__ import annotations
 
 import bisect
-import copy
 import dataclasses
 import functools
 import itertools
@@ -46,7 +47,6 @@ from .algebra_core import (
     _json_as,
     enumerate_paths,
     realizable,
-    top_elements,
 )
 from .errors import (
     MethodDisagreementError,
@@ -217,12 +217,6 @@ class RowSpace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def copy(self) -> RowSpace:
-        """An independent space with the same basis (rows are never mutated, so shared)."""
-        other = copy.copy(self)
-        other.rows, other.pivots = list(self.rows), list(self.pivots)
-        return other
-
     def reduce(self, vec: dict) -> dict:
         """The unique vector of ``vec`` + span that is zero on every pivot column."""
         p, v = self.p, _reduced(self.p, vec)
@@ -265,6 +259,11 @@ class Representation:
     nonzero field element}`` per source basis element, and each marked top is a
     ``(vertex, {index: nonzero field element})`` pair.  A path's columns are
     composed on first use and memoised in ``_paths`` (``_path_columns``).
+
+    ``basis_labels[v]``, when present, names the basis at v: (r, p) is p z_r, a
+    skeleton member or its image in a quotient.  Each vertex's basis is sorted by
+    label length, and J^l M is the span of the basis elements whose labels have
+    length >= l (``materialize`` and ``quotient_representation`` prove it).
     """
 
     algebra: TruncatedAlgebra
@@ -382,12 +381,8 @@ def _radical_spaces(rep: Representation) -> list[dict[str, RowSpace]]:
 
 
 def radical_layering(rep: Representation) -> SemisimpleSequence:
-    """Per-vertex dimensions of J^l M / J^{l+1} M for l = 0..L."""
-    return _layering(rep.algebra, _radical_spaces(rep))
-
-
-def _layering(alg: TruncatedAlgebra, spaces) -> SemisimpleSequence:
-    """The radical layering read off the bases of ``_radical_spaces``."""
+    """Per-vertex dimensions of J^l M / J^{l+1} M for l = 0..L, by elimination."""
+    alg, spaces = rep.algebra, _radical_spaces(rep)
     if any(spaces[alg.L + 1][v].dim for v in alg.vertices):
         raise ValidationError("representation is not annihilated by paths of length L+1")
     return SemisimpleSequence(tuple(
@@ -607,12 +602,18 @@ def projective_representation(alg: TruncatedAlgebra, tops: tuple[str, ...],
 
 
 def quotient_representation(rep: Representation, sub_vectors) -> Representation:
-    """Quotient of ``rep`` by the submodule generated by the given vectors.
+    """Quotient of ``rep`` by the submodule C generated by the given vectors.
 
     ``sub_vectors`` is an iterable of (vertex, ``{index: value}``), values reduced
     on insertion; the span is closed under the arrow action before forming the
     quotient, whose basis is the non-pivot coordinates of each vertex's span.
-    Columns and marked top elements are carried along by projection.
+    Columns, marked top elements and basis labels are carried along (a kept
+    coordinate keeps its label).  The labels' contract holds in the quotient.
+    C is closed under the arrows, so J^l(M/C) = (J^l M + C)/C, and J^l M is
+    spanned by the basis elements e_j of length >= l.  Each echelon row of C_v
+    pivots at its leftmost coordinate, so reducing e_j leaves a vector on kept
+    coordinates i >= j, which are no shorter than e_j.  Hence (J^l M + C)/C is
+    spanned by the kept coordinates of length >= l, each the image of its own e_j.
     """
     alg, fs, p = rep.algebra, rep.field, rep.field.modulus
     spaces = {v: RowSpace(fs) for v in alg.vertices}
@@ -638,7 +639,9 @@ def quotient_representation(rep: Representation, sub_vectors) -> Representation:
             for a in alg.quiver.arrows}
     tops = None if rep.top_elements is None else tuple(
         (v, project(v, vec)) for v, vec in rep.top_elements)
-    return Representation(alg, fs, dims, cols, top_elements=tops)
+    labels = None if rep.basis_labels is None else {
+        v: tuple(rep.basis_labels[v][i] for i in keep[v]) for v in alg.vertices}
+    return Representation(alg, fs, dims, cols, labels, tops)
 
 
 def module_point(alg: TruncatedAlgebra, tops, relations,
@@ -675,39 +678,33 @@ def module_point(alg: TruncatedAlgebra, tops, relations,
     return quotient_representation(P, gens)
 
 
-def _check_tops_full(rep: Representation, spaces) -> None:
-    alg = rep.algebra
-    if rep.top_elements is None:
-        raise ValidationError("representation has no marked top elements")
-    radical = spaces[1]
-    top_dim = sum(rep.dims) - sum(radical[v].dim for v in alg.vertices)
-    if len(rep.top_elements) != top_dim:
-        raise ValidationError("marked top elements do not form a full sequence")
-    for v in alg.vertices:
-        probe = radical[v].copy()
-        for w, vec in rep.top_elements:
-            if w == v and probe.add(vec) is None:
-                raise ValidationError("marked top elements are dependent modulo JM")
-
-
 def distinguished_skeleta_of(rep: Representation, cap: int = 10**6) -> list[Skeleton]:
-    """All distinguished skeleta of a module point with marked top elements.
+    """All distinguished skeleta of a module point with marked top elements and labels.
 
-    A compatible abstract skeleton qualifies when, in each (layer l, end
-    vertex v) block, the vectors p*m_r are independent modulo J^{l+1}M_v.
-    That test is memoised per block and is ``iter_skeleta``'s predicate, so
-    a failing block cuts its subtree; layer 0 (the marked tops, grouped by
-    vertex to align with z_1..z_t) passes by ``_check_tops_full``.  Raises
-    iff the count of compatible abstract skeleta exceeds ``cap``.
+    The layering S and each J^l M_v are read off the label lengths (see
+    ``Representation``).  A compatible abstract skeleton qualifies when, in each
+    (layer l, end vertex v) block, the vectors p*m_r are independent modulo
+    J^{l+1}M_v; as p*m_r lies in J^l M_v, that is the independence of their
+    length-l coordinates, tested in a fresh ``RowSpace``.  The test is memoised
+    per block and is ``iter_skeleta``'s predicate, so a failing block cuts its
+    subtree.  The marked tops must number dim M/JM and pass the layer-0 test at
+    each vertex (grouped by vertex to align with z_1..z_t).  Raises iff the
+    count of compatible abstract skeleta exceeds ``cap``.
     """
     alg, fs = rep.algebra, rep.field
-    spaces = _radical_spaces(rep)
-    _check_tops_full(rep, spaces)
-    S = _layering(alg, spaces)
+    if rep.top_elements is None:
+        raise ValidationError("representation has no marked top elements")
+    if rep.basis_labels is None:
+        raise ValidationError("representation has no basis labels")
+    start = {}  # start[v][l]: the first basis index at v of length >= l, l = 0..L+1
+    for v in alg.vertices:
+        lengths = [p.length for _, p in rep.basis_labels[v]]
+        start[v] = [bisect.bisect_left(lengths, l) for l in range(alg.L + 2)]
+    S = SemisimpleSequence(tuple(tuple(start[v][l + 1] - start[v][l] for v in alg.vertices)
+                                 for l in range(alg.L + 1)))
+    if len(rep.top_elements) != sum(S.top):
+        raise ValidationError("marked top elements do not form a full sequence")
     tops = sorted(rep.top_elements, key=lambda top: alg.vertex_pos(top[0]))
-    if tuple(v for v, _ in tops) != top_elements(alg, S):
-        raise ValidationError("marked top elements do not match the layering's top")
-    capped_count(alg, S, cap)
 
     @functools.cache
     def image(r, p):
@@ -717,11 +714,15 @@ def distinguished_skeleta_of(rep: Representation, cap: int = 10**6) -> list[Skel
 
     @functools.cache
     def independent(l, v, chosen):
-        if not chosen:
-            return True
-        probe = spaces[l + 1][v].copy()
-        return all(probe.add(image(r, p)) is not None for r, p in chosen)
+        probe, end = RowSpace(fs), start[v][l + 1]
+        return all(probe.add({i: x for i, x in image(r, p).items() if i < end}) is not None
+                   for r, p in chosen)
 
+    for v in alg.vertices:
+        if not independent(0, v, tuple((r, Path(v)) for r, (w, _) in enumerate(tops, 1)
+                                       if w == v)):
+            raise ValidationError("marked top elements are dependent modulo JM")
+    capped_count(alg, S, cap)
     return list(iter_skeleta(alg, S, accept=independent))
 
 

@@ -742,17 +742,59 @@ def iter_skeleta_by_product(alg, S):
     yield from descend(0, [base])
 
 
+def skeleton_text_by_walk(alg, sk):
+    """The text of ``cli.skeleton_text`` by a recursive walk from each top, children
+    in skeleton order, a member indented by its depth."""
+    children = {el: [] for el in sk.elements}
+    roots = []
+    for el in sk.elements:
+        r, p = el
+        if p.length == 0:
+            roots.append(el)
+        else:
+            children[(r, p.initial_subpath(p.length - 1))].append(el)
+    lines = []
+
+    def walk(el, depth):
+        r, p = el
+        tag = f"z{r} <{sk.end(el)}>" if p.length == 0 else f"{p.arrows[0]} -> {sk.end(el)}"
+        lines.append("  " * depth + tag)
+        for child in children[el]:
+            walk(child, depth + 1)
+
+    for root in roots:
+        walk(root, 0)
+    return "\n".join(lines)
+
+
+def check_tops_full(rep, spaces):
+    """The marked tops number dim M/JM, and at each vertex they are independent
+    modulo JM, tested against ``spaces[1]`` of the eliminated radical filtration."""
+    from genrep.errors import ValidationError
+    alg = rep.algebra
+    if rep.top_elements is None:
+        raise ValidationError("representation has no marked top elements")
+    radical = spaces[1]
+    top_dim = sum(rep.dims) - sum(radical[v].dim for v in alg.vertices)
+    if len(rep.top_elements) != top_dim:
+        raise ValidationError("marked top elements do not form a full sequence")
+    for v in alg.vertices:
+        probe = copy.copy(radical[v])
+        probe.rows, probe.pivots = list(radical[v].rows), list(radical[v].pivots)
+        for w, vec in rep.top_elements:
+            if w == v and probe.add(vec) is None:
+                raise ValidationError("marked top elements are dependent modulo JM")
+
+
 def distinguished_skeleta_by_path_action(rep, cap=10**6):
     """Distinguished skeleta with each p * m_r taken, member by member, as
     ``path_action(rep, p)`` applied to m_r, and independence tested in dense
     row spaces of the radical filtration, over the eager descent."""
     from genrep.algebra_core import top_elements
     from genrep.errors import EnumerationCapError, ValidationError
-    from genrep.matrix_rep import (
-        _check_tops_full, _radical_spaces, mat_vec, path_action, radical_layering,
-    )
+    from genrep.matrix_rep import _radical_spaces, mat_vec, path_action, radical_layering
     alg, fs = rep.algebra, rep.field
-    _check_tops_full(rep, _radical_spaces(rep))
+    check_tops_full(rep, _radical_spaces(rep))
     S = radical_layering(rep)
     full = {v: DenseRowSpace(fs, rep.dim_at(v)) for v in alg.vertices}
     for v, space in full.items():

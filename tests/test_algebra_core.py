@@ -206,6 +206,28 @@ def test_enumerate_sequences_against_oracle_drawn(request, fixture, data):
         assert [s.layers for s in got] == want
 
 
+@pytest.mark.parametrize("fixture", ["double_back", "loop_out", "relay", "a2",
+                                     "kronecker", "with_isolated"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_max_top_dim_skips_tops_before_the_cap(request, fixture, data):
+    # the filtered enumeration is the unfiltered one filtered afterwards, and the
+    # cap counts only the sequences kept
+    alg = request.getfixturevalue(fixture)
+    vectors = st.tuples(*[st.integers(0, 3)] * alg.n)
+    dimvec = data.draw(vectors.filter(any))
+    top = data.draw(st.none() | vectors)
+    max_top_dim = data.draw(st.integers(-1, 4))
+    cap = data.draw(st.none() | st.integers(0, 8))
+    want = [S for S in enumerate_sequences(alg, dimvec, top=top) if sum(S.top) <= max_top_dim]
+    if cap is not None and len(want) > cap:
+        with pytest.raises(EnumerationCapError, match=f"cap of {cap}$"):
+            enumerate_sequences(alg, dimvec, top=top, cap=cap, max_top_dim=max_top_dim)
+    else:
+        assert enumerate_sequences(alg, dimvec, top=top, cap=cap,
+                                   max_top_dim=max_top_dim) == want
+
+
 def test_enumerate_sequences_draws_few_vectors(double_back, monkeypatch):
     # the last layer takes what remains and a given top is the only top, so the
     # cap trips, and the empty answer comes, after few drawn layer vectors

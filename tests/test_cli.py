@@ -3,11 +3,14 @@
 import argparse
 import json
 import sys
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genrep.cli import _dumps, build_parser, hasse_dot, main
+from genrep.cli import _dumps, build_parser, hasse_dot, main, skeleton_text
+
+from conftest import FIXTURES, realizable_layerings, skeleton_text_by_walk
 
 
 @pytest.fixture()
@@ -98,7 +101,26 @@ def test_skeleta_text(double_back_file, deep_file, capsys):
     code, out = run(capsys, ["skeleta", "--format", "text",
                              "--algebra", double_back_file, "--seq", deep_file])
     assert code == 0
-    assert "z1 <1>" in out and "a -> 2" in out
+    assert out == ("# skeleton 0\nz1 <1>\n  a -> 2\n    b1 -> 1\nz2 <2>\n"
+                   "# skeleton 1\nz1 <1>\n  a -> 2\n    b2 -> 1\nz2 <2>\n")
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_skeleton_text_matches_recursive_walk(request, fixture, data):
+    # a drawn skeleton of a drawn layering, and the projective's skeleton of every
+    # path on drawn tops, where siblings branch at every member
+    from genrep.matrix_rep import projective_representation
+    from genrep.skeleta import Skeleton, iter_skeleta
+    alg = request.getfixturevalue(fixture)
+    S = data.draw(realizable_layerings(alg))
+    sks = list(islice(iter_skeleta(alg, S), 20))
+    tops = data.draw(st.lists(st.sampled_from(alg.vertices), min_size=1, max_size=2))
+    labels = projective_representation(alg, tops).basis_labels
+    sks.append(Skeleton(alg, tops, [el for els in labels.values() for el in els]))
+    sk = data.draw(st.sampled_from(sks))
+    assert skeleton_text(alg, sk) == skeleton_text_by_walk(alg, sk)
 
 
 def test_socle_embeds_seed(double_back_file, deep_file, capsys):
@@ -254,6 +276,22 @@ def test_components_cap_bounds_sequences_then_pairs(double_back_file, capsys, mo
     monkeypatch.undo()
     code, out = run(capsys, argv + ["72"])
     assert code == 0 and len(json.loads(out)["pairs"]) == 72
+
+
+def test_max_top_dim_applies_before_the_cap(double_back_file, capsys):
+    # --max-top-dim 1 leaves one of the 9 sequences and no pair, so a cap of 8 holds;
+    # at --max-top-dim 2 the 6 sequences pass it and their 30 pairs exceed it
+    argv = ["components", "--algebra", double_back_file, "--dimvec", "2,2", "--cap", "8"]
+    code, out = run(capsys, argv + ["--max-top-dim", "1"])
+    data = json.loads(out)
+    assert code == 0 and data["sequences"] == [[[0, 1], [2, 0], [0, 1]]]
+    assert data["upper_bound"] == 1 and data["pairs"] == []
+    code, out = run(capsys, argv + ["--max-top-dim", "1", "--format", "dot"])
+    assert code == 0 and out == ('digraph dominance {\n  rankdir=BT;\n'
+                                 '  "s0" [label="01|20|01"];\n}\n')
+    for fmt in ("json", "dot"):
+        assert main(argv + ["--max-top-dim", "2", "--format", fmt]) == 3
+        assert "30 ordered pairs exceed cap of 8" in capsys.readouterr().err
 
 
 def test_components_dot_sifts_no_pair(double_back_file, capsys, monkeypatch):
@@ -440,6 +478,21 @@ def test_point_skeleta(point_files, capsys):
     code, out = run(capsys, ["point-skeleta"] + point_files)
     assert code == 0
     assert json.loads(out)["count"] == 3
+
+
+def test_point_skeleta_of_the_free_module_on_one_loop(tmp_path, capsys):
+    # P = k[x]/x^(L+1) at L = 300: one skeleton, the L+1 powers of x on z_1
+    L = 300
+    alg_path, mod_path = tmp_path / "loop.json", tmp_path / "free.json"
+    alg_path.write_text(json.dumps({"vertices": ["1"], "arrows": [
+        {"name": "x", "source": "1", "target": "1"}], "max_path_length": L}))
+    mod_path.write_text(json.dumps({"tops": [{"vertex": "1"}], "relations": []}))
+    code, out = run(capsys, ["point-skeleta", "--algebra", str(alg_path),
+                             "--module", str(mod_path)])
+    assert code == 0
+    assert json.loads(out) == {"count": 1, "skeleta": [{
+        "top": [{"r": 1, "vertex": "1"}],
+        "elements": [{"r": 1, "arrows": ["x"] * l} for l in range(L + 1)]}]}
 
 
 def test_point_skeleta_zero_module_exits_2(point_files, capsys):

@@ -488,6 +488,15 @@ def test_tops_required(double_back):
         distinguished_skeleta_of(rep2)
 
 
+def test_labels_required(six_vertex):
+    # a module with tops but no graded basis: no layering can be read off it
+    rep = worked_module(six_vertex)
+    unlabelled = Representation(rep.algebra, rep.field, rep.dims, rep.columns,
+                                top_elements=rep.top_elements)
+    with pytest.raises(ValidationError, match="no basis labels"):
+        distinguished_skeleta_of(unlabelled)
+
+
 SMALL_PRIME = FieldSpec(1000003)
 
 
@@ -500,12 +509,16 @@ def outcome(compute):
 
 
 @pytest.mark.parametrize("fs", [RATIONALS, SMALL_PRIME], ids=["Q", "Fp"])
-def test_distinguished_skeleta_match_path_action_oracle(six_vertex, relay, fs):
-    # memoised path images against p * m_r recomputed per skeleton
+def test_distinguished_skeleta_match_path_action_oracle(six_vertex, relay, loop_out, fs):
+    # memoised path images against p * m_r recomputed per skeleton; in the loop_out
+    # point b z_3 = -b a z_3 lies in J^2 M, not in J^3 M = 0, so a layer-1 block
+    # holding b z_3 is dependent, which only its length-1 coordinates show
     worked = module_point(six_vertex, *WORKED_POINT, fs)
     pres = generic_presentation(relay, S_DIM14)
     generic = materialize(pres, seeded_assignment(pres, 3, fs), fs)
-    for rep in (worked, generic):
+    deep = module_point(loop_out, ("1", "2", "1"), [[(1, 3, ("b",)), (1, 3, ("b", "a"))]], fs)
+    assert len(distinguished_skeleta_of(deep)) == 1
+    for rep in (worked, generic, deep):
         want = outcome(lambda: distinguished_skeleta_by_path_action(rep))
         assert outcome(lambda: distinguished_skeleta_of(rep)) == want
         assert want != [] and isinstance(want, list)
@@ -564,7 +577,7 @@ def module_point_specs(draw, alg, coeffs=st.integers(-2, 2)):
     return tops, relations
 
 
-@pytest.mark.parametrize("fixture", ["double_back", "relay", "six_vertex"])
+@pytest.mark.parametrize("fixture", ["double_back", "relay", "six_vertex", "loop_out"])
 @pytest.mark.parametrize("fs", [RATIONALS, SMALL_PRIME], ids=["Q", "Fp"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -574,6 +587,53 @@ def test_distinguished_skeleta_match_oracle_on_drawn_points(request, fixture, fs
     rep = module_point(alg, tops, relations, fs)
     assert (outcome(lambda: distinguished_skeleta_of(rep, cap=60))
             == outcome(lambda: distinguished_skeleta_by_path_action(rep, cap=60)))
+
+
+def test_distinguished_skeleta_eliminate_no_radical(six_vertex, relay, monkeypatch):
+    # the layering and every J^(l+1)M_v come from the basis labels
+    import genrep.matrix_rep
+    points = [module_point(six_vertex, *WORKED_POINT), module_point(relay, *GENERIC_POINT_14)]
+    want = [distinguished_skeleta_by_path_action(rep) for rep in points]
+
+    def refuse(rep):
+        raise AssertionError("the radical filtration was eliminated")
+
+    monkeypatch.setattr(genrep.matrix_rep, "_radical_spaces", refuse)
+    assert [distinguished_skeleta_of(rep) for rep in points] == want
+    assert [len(sks) for sks in want] == [3, 360]
+
+
+def assert_labels_grade_the_radical(rep):
+    """Each vertex's labels are sorted by length, and the eliminated J^l M_v is the
+    span of the coordinates whose labels have length >= l."""
+    from genrep.matrix_rep import _radical_spaces
+    for l, spaces in enumerate(_radical_spaces(rep)):
+        for v, space in spaces.items():
+            lengths = [p.length for _, p in rep.basis_labels[v]]
+            assert lengths == sorted(lengths) and len(lengths) == rep.dim_at(v)
+            graded = [i for i, n in enumerate(lengths) if n >= l]
+            assert space.dim == len(graded)
+            assert all(i >= graded[0] for row in space.rows for i in row)
+
+
+@pytest.mark.parametrize("fixture, dimvec", [("double_back", (2, 2)), ("relay", (2, 2, 1)),
+                                             ("six_vertex", (1, 1, 1, 1, 1, 2))],
+                         ids=["double_back", "relay", "six_vertex"])
+@pytest.mark.parametrize("fs", [RATIONALS, SMALL_PRIME, FieldSpec(5)], ids=["Q", "Fp", "F5"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_basis_labels_grade_the_radical_filtration(request, fixture, dimvec, fs, data):
+    # drawn module points, their quotients by drawn generators, and skeleton
+    # modules at drawn and at all-zero scalars
+    alg = request.getfixturevalue(fixture)
+    point = module_point(alg, *data.draw(module_point_specs(alg)), fs)
+    quotient = quotient_representation(point, [
+        (w, {i: x for i, x in enumerate(vec) if x}) for w, vec in data.draw(sub_vectors(point))])
+    S = data.draw(st.sampled_from(enumerate_sequences(alg, dimvec)))
+    pres = generic_presentation(alg, S, graded=data.draw(st.booleans()))
+    for rep in (point, quotient, materialize(pres, drawn_assignment(data, pres, fs), fs),
+                materialize(pres, [fs.zero()] * len(pres.scalar_ids), fs)):
+        assert_labels_grade_the_radical(rep)
 
 
 def assert_hom_out_of_matches_stacking(rep):
@@ -965,12 +1025,13 @@ def test_distinguished_block_test_is_memoised(relay, monkeypatch):
     from genrep.matrix_rep import RowSpace
     rep = module_point(relay, *GENERIC_POINT_14)
     assert radical_layering(rep) == S_DIM14
-    copies = []
-    original = RowSpace.copy
-    monkeypatch.setattr(RowSpace, "copy", lambda self: copies.append(1) or original(self))
+    probes = []
+    original = RowSpace.__init__
+    monkeypatch.setattr(RowSpace, "__init__",
+                        lambda self, fs: probes.append(1) or original(self, fs))
     sks = distinguished_skeleta_of(rep)
     assert sks == enumerate_skeleta(relay, S_DIM14)
-    assert len(copies) <= 50
+    assert 0 < len(probes) <= 50
 
 
 def test_caps_are_decided_by_the_abstract_count(six_vertex, relay):
@@ -1072,8 +1133,8 @@ def test_representation_json_declares_field(double_back):
 def test_partial_tops_rejected(six_vertex):
     rep = worked_module(six_vertex)
     clipped = Representation(rep.algebra, rep.field, rep.dims, rep.columns,
-                             top_elements=rep.top_elements[:2])
-    with pytest.raises(ValidationError):
+                             basis_labels=rep.basis_labels, top_elements=rep.top_elements[:2])
+    with pytest.raises(ValidationError, match="do not form a full sequence"):
         distinguished_skeleta_of(clipped)
 
 
