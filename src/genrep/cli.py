@@ -57,7 +57,7 @@ from .skeleta import (
     count_skeleta,
     critical_paths,
     iter_skeleta,
-    skeleton_to_json,
+    skeleta_to_json,
 )
 
 
@@ -126,12 +126,13 @@ def _dumps(obj, pad: str, memo: dict) -> str:
     """``json.dumps(obj, indent=2)`` without the pure-Python indenting encoder.
 
     ``pad`` is a newline plus the indentation of ``obj``; ``memo`` maps the
-    (id, pad) of each list or tuple already encoded to its text, so a block
-    shared by many parents is encoded once.  A dict encodes its ``str``
-    values and its memoised lists in place; a dict with a non-``str`` key,
-    like other value types, goes to ``json.dumps``, re-indented by replacing
-    each newline (encoded JSON holds no raw newline).  An ``_Encoded`` text, like
-    the components "pairs" from ``_pairs_text``, goes in as it is.
+    (id, pad) of each list, tuple or dict already encoded to its text, so a block
+    shared by many parents is encoded once.  Lists and dicts put their ``int``
+    and ``str`` entries and their memoised entries in place, without a call each.
+    A dict with a non-``str`` key, like other value types, goes to ``json.dumps``,
+    re-indented by replacing each newline (encoded JSON holds no raw newline).  An
+    ``_Encoded`` text, like the components "pairs" from ``_pairs_text``, goes in as
+    it is.
     """
     kind = type(obj)
     if kind is str:
@@ -140,49 +141,57 @@ def _dumps(obj, pad: str, memo: dict) -> str:
         return int.__repr__(obj)
     if obj is None or kind is bool:
         return {None: "null", True: "true", False: "false"}[obj]
-    inner = pad + "  "
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        if (id(obj), pad) not in memo:
-            memo[id(obj), pad] = ("[" + inner + ("," + inner).join(
-                [_dumps(x, inner, memo) for x in obj]) + pad + "]")
-        return memo[id(obj), pad]
-    if kind is dict:
-        items = []
-        for k, v in obj.items():
-            if type(k) is not str:
-                break
-            items.append(_encode_str(k) + ": " + (
-                _encode_str(v) if type(v) is str else memo.get((id(v), inner))
-                or _dumps(v, inner, memo)))
-        else:
-            return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
     if kind is _Encoded:
         return obj
-    return json.dumps(obj, indent=2).replace("\n", pad)
+    if (id(obj), pad) in memo:
+        return memo[id(obj), pad]
+    inner, parts = pad + "  ", None
+    if kind is list or kind is tuple:
+        parts, ends = [int.__repr__(x) if type(x) is int else _encode_str(x) if type(x) is str
+                       else memo.get((id(x), inner)) or _dumps(x, inner, memo) for x in obj], "[]"
+    elif kind is dict and all(type(k) is str for k in obj):
+        parts, ends = [_encode_str(k) + ": " + (
+            int.__repr__(v) if type(v) is int else _encode_str(v) if type(v) is str
+            else memo.get((id(v), inner)) or _dumps(v, inner, memo)) for k, v in obj.items()], "{}"
+    if parts is None:
+        text = json.dumps(obj, indent=2).replace("\n", pad)
+    elif parts:
+        # the brackets go onto the end parts, so a long middle part, like the components
+        # "pairs", is copied once, by the join
+        parts[0] = ends[0] + inner + parts[0]
+        parts[-1] += pad + ends[1]
+        text = ("," + inner).join(parts)
+    else:
+        text = ends
+    memo[id(obj), pad] = text
+    return text
 
 
 class _Encoded(str):
     """JSON text, encoded at the indentation of the place it is put in."""
 
 
-def _pairs_text(pairs: list, pad: str) -> str:
-    """``_dumps(pairs, pad, {})`` for the "pairs" of ``report_to_json``: an entry is its
-    sequences' texts, each encoded once at entry depth, and a tail (verdict, evidence,
-    confidence, closing brace) encoded once per distinct verdict, evidence object and
-    confidence; every dominance-excluded pair shares one evidence dict."""
+def _pairs_text(pairs: list, sequences: list, pad: str) -> str:
+    """``_dumps(pairs, pad, {})`` for the "pairs" of ``report_to_json``, whose entries
+    hold the list objects of its "sequences".  An entry is three texts, joined once with
+    all the others: a head up to the outer sequence, made once per inner sequence; the
+    outer sequence, encoded once; and a tail (verdict, evidence, confidence, closing
+    brace and separator), made once per distinct verdict, evidence object and
+    confidence."""
     entry, item = pad + "  ", pad + "    "
-    memo, tail, out = {}, {}, []
+    sep, memo, tails, out = "," + entry, {}, {}, ["[" + entry]
+    texts = {id(s): _dumps(s, item, memo) for s in sequences}
+    heads = {i: f'{{{item}"inner": {t},{item}"outer": ' for i, t in texts.items()}
     for p in pairs:
         key = (p["verdict"], id(p["evidence"]), p["confidence"])
-        if key not in tail:
-            tail[key] = "".join(f',{item}"{k}": {_dumps(p[k], item, memo)}'
-                                for k in ("verdict", "evidence", "confidence")) + entry + "}"
-        a, b = p["inner"], p["outer"]
-        out.append(f'{{{item}"inner": {memo.get((id(a), item)) or _dumps(a, item, memo)},'
-                   f'{item}"outer": {memo.get((id(b), item)) or _dumps(b, item, memo)}{tail[key]}')
-    return "[" + entry + ("," + entry).join(out) + pad + "]" if out else "[]"
+        if key not in tails:
+            tails[key] = "".join(f',{item}"{k}": {_dumps(p[k], item, memo)}' for k in (
+                "verdict", "evidence", "confidence")) + entry + "}" + sep
+        out += (heads[id(p["inner"])], texts[id(p["outer"])], tails[key])
+    if len(out) == 1:
+        return "[]"
+    out[-1] = out[-1][:-len(sep)] + pad + "]"
+    return "".join(out)
 
 
 def _emit(data) -> int:
@@ -297,7 +306,7 @@ def cmd_skeleta(args, alg, S):
             print(f"# skeleton {i}")
             print(skeleton_text(alg, sk))
         return 0
-    return _emit({"count": count, "skeleta": [skeleton_to_json(sk) for sk in sks]})
+    return _emit({"count": count, "skeleta": skeleta_to_json(sks)})
 
 
 def cmd_critical(args, alg, S):
@@ -377,7 +386,7 @@ def cmd_components(args, alg, S):
         return 0
     rep = component_report(alg, dimvec, top, args.max_top_dim, seeds, fs, args.cap)
     data = report_to_json(rep)
-    data["pairs"] = _Encoded(_pairs_text(data["pairs"], "\n  "))
+    data["pairs"] = _Encoded(_pairs_text(data["pairs"], data["sequences"], "\n  "))
     data["version"] = __version__
     return _emit(data)
 
@@ -386,7 +395,7 @@ def cmd_point_skeleta(args, alg, S):
     fs = _field(args, default=RATIONALS)
     rep = module_point_from_json(_load_json(args.module), alg, fs)
     sks = distinguished_skeleta_of(rep, cap=args.cap)
-    return _emit({"count": len(sks), "skeleta": [skeleton_to_json(sk) for sk in sks]})
+    return _emit({"count": len(sks), "skeleta": skeleta_to_json(sks)})
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,8 @@ class _SiftFacts:
     A sequence is found by its position, ``pos[id(S)]`` (the memos' closures keep
     the sequences alive).  ``below[i][j]`` is ``dominates(sequences[i],
     sequences[j])``, read off flattened partial sums; annihilators and generic
-    socles are memoised per position.
+    socles are memoised per position, and socle evidence per pair of socles (so
+    verdicts with equal socles share one evidence dict, never mutated).
     """
 
     def __init__(self, alg, sequences, seeds=(0, 1, 2), fs: FieldSpec = FieldSpec()):
@@ -83,6 +84,8 @@ class _SiftFacts:
         self.below = [[all(map(operator.le, a, b)) for b in sums] for a in sums]
         self.annihilators = functools.cache(lambda i: annihilating_arrows(alg, sequences[i]))
         self.socle = functools.cache(lambda i: generic_socle(alg, sequences[i], seeds, fs))
+        self.socle_evidence = functools.cache(lambda outer, inner: {
+            "socle_outer": list(outer), "socle_inner": list(inner)})
 
 
 def closure_containment_test(alg: TruncatedAlgebra, S_inner: SemisimpleSequence,
@@ -103,8 +106,8 @@ def closure_containment_test(alg: TruncatedAlgebra, S_inner: SemisimpleSequence,
                               {"arrows": missing}, "certified")
     soc_outer, soc_inner = _facts.socle(at_out), _facts.socle(at_in)
     if any(o > i for o, i in zip(soc_outer, soc_inner)):
-        return PruningVerdict(S_inner, S_outer, "excluded-socle", {
-            "socle_outer": list(soc_outer), "socle_inner": list(soc_inner)}, "seeded-generic")
+        return PruningVerdict(S_inner, S_outer, "excluded-socle",
+                              _facts.socle_evidence(soc_outer, soc_inner), "seeded-generic")
     return PruningVerdict(S_inner, S_outer, "possible", _NO_EVIDENCE, "seeded-generic")
 
 

@@ -25,9 +25,13 @@ predicate of ``skeleta.iter_skeleta``.  Skeleton modules and their quotients
 labels; ``radical_layering`` eliminates, and stays the independent route.
 
 Hom out of any presented module (a generic M = P/C, a cyclic Lambda e / J^m e,
-a simple) is the kernel of one relation matrix (``_hom_out_of``).  The
-intertwiner solver ``hom_dim`` is an independent route to Hom(M, N), the
-only term in which the two Ext^1 methods differ.
+a simple) into a given module is the kernel of one relation matrix
+(``_hom_out_of``); ``socle`` reads it off the columns of the arrows out of each
+vertex.  The generic socle builds no module: ``_socle_rows`` writes the rows of
+M_v -> sum of M_t(a) from the column template's parent links and relations once
+per presentation, and each seed substitutes its scalars (``_seeded_socle``).  The
+intertwiner solver ``hom_dim`` is an independent route to Hom(M, N), the only
+term in which the two Ext^1 methods differ.
 """
 
 from __future__ import annotations
@@ -310,28 +314,39 @@ def seeded_assignment(pres: GenericPresentation, seed: int,
     return values
 
 
-def _template(sk: Skeleton, relations, fs: FieldSpec):
-    """The module on the basis ``sk.basis``, with marked tops z_r, as a function of
-    the scalars (indexed by scalar number); what does not depend on them is built once.
+def _skeleton_columns(sk: Skeleton, relations):
+    """What a skeleton module's columns are at any scalars: (index, dims, units, subs).
 
-    Every column starts empty (zero).  Each member alpha*p of the skeleton is the
-    unit column of arrow alpha at its parent p, and each relation's critical path
-    alpha*p takes the assigned combination of its sigma-set members at (alpha, p):
-    the only columns built per call, from (index, scalar number) pairs.  No other
-    extension has length <= L.  Unit and empty columns and the tops are shared
-    read-only.
+    ``index`` numbers the basis ``sk.basis`` per vertex.  Every column starts empty
+    (zero).  Each member alpha*p of the skeleton is the unit column of arrow alpha at its
+    parent p: ``units`` lists (alpha, index of p, index of alpha*p).  Each relation's
+    critical path alpha*p takes the assigned combination of its sigma-set members at
+    (alpha, p): ``subs`` lists (alpha, index of p, [(member index, scalar number)]).  No
+    other extension has length <= L.
     """
-    alg, one, element, basis = sk.alg, fs.one(), fs.element, sk.basis
+    basis = sk.basis
     # an element (r, p) is keyed by (r, p.arrows): r fixes the start of p
     index = {(r, p.arrows): i for els in basis.values() for i, (r, p) in enumerate(els)}
-    dims = tuple(len(basis[v]) for v in alg.vertices)
-    tops = tuple((v, {index[r, ()]: one}) for r, v in enumerate(sk.top, start=1))
-    fixed = {a.name: [{}] * len(basis[a.source]) for a in alg.quiver.arrows}
-    for r, p in sk.elements:
-        if p.arrows:
-            fixed[p.arrows[0]][index[r, p.arrows[1:]]] = {index[r, p.arrows]: one}
+    dims = tuple(len(basis[v]) for v in sk.alg.vertices)
+    units = [(p.arrows[0], index[r, p.arrows[1:]], index[r, p.arrows])
+             for r, p in sk.elements if p.arrows]
     subs = [(rel.critical.arrow, index[rel.critical.r, rel.critical.parent[1].arrows],
              [(index[s, q.arrows], k) for (s, q), k in rel.terms]) for rel in relations]
+    return index, dims, units, subs
+
+
+def _template(sk: Skeleton, relations, fs: FieldSpec):
+    """The module on the basis ``sk.basis``, with marked tops z_r, as a function of
+    the scalars (indexed by scalar number); what does not depend on them is built once
+    (from ``_skeleton_columns``), and only the critical-path columns are built per call.
+    Unit and empty columns and the tops are shared read-only.
+    """
+    alg, one, element, basis = sk.alg, fs.one(), fs.element, sk.basis
+    index, dims, units, subs = _skeleton_columns(sk, relations)
+    tops = tuple((v, {index[r, ()]: one}) for r, v in enumerate(sk.top, start=1))
+    fixed = {a.name: [{}] * len(basis[a.source]) for a in alg.quiver.arrows}
+    for name, j, i in units:
+        fixed[name][j] = {i: one}
 
     def build(values) -> Representation:
         cols = {name: list(col) for name, col in fixed.items()}
@@ -812,13 +827,104 @@ def stable_over_seeds(compute, seeds, stage: str = "stable_over_seeds", subject:
     return results[0][1]
 
 
+def _peel(rows: list) -> tuple[int, list]:
+    """The rank that the supports of ``rows`` fix alone, and the rows still to eliminate.
+
+    ``rows`` are (units, pairs): a ``{column: value}`` dict and (column, scalar number)
+    pairs, all taking nonzero values.  A row holding a single column pivots there, so it
+    counts 1 and the column is cleared from the other rows without changing their
+    other entries.  A row holding a column that no other row holds is independent of the
+    rest, so it counts 1 and goes.  Both repeat until neither applies; an empty row
+    counts 0.  The rows left are cut down to the columns left.
+    """
+    supports = [{*units, *(c for c, _ in pairs)} for units, pairs in rows]
+    holders: dict = {}
+    for j, cols in enumerate(supports):
+        for c in cols:
+            holders.setdefault(c, set()).add(j)
+    rank, alive, pending = 0, set(range(len(rows))), list(range(len(rows)))
+    while pending:
+        j = pending.pop()
+        cols = supports[j]
+        if j not in alive or len(cols) > 1 and all(len(holders[c]) > 1 for c in cols):
+            continue
+        alive.discard(j)
+        rank += bool(cols)
+        if len(cols) == 1:
+            (c,) = cols
+            for i in holders.pop(c) - {j}:
+                supports[i].discard(c)
+                pending.append(i)
+            continue
+        for c in cols:
+            held = holders[c]
+            held.discard(j)
+            pending.extend(held if len(held) == 1 else ())
+    return rank, [({c: x for c, x in units.items() if c in supports[j]},
+                   [(c, k) for c, k in pairs if c in supports[j]])
+                  for j, (units, pairs) in enumerate(rows) if j in alive]
+
+
+def _socle_rows(pres: GenericPresentation, fs: FieldSpec) -> list:
+    """Per vertex v, the socle rows of ``pres``'s points: (dim M_v - peeled rank, rows).
+
+    soc_v M is the kernel of M_v -> sum of M_t(a) over the arrows a out of v, so its
+    dimension is dim M_v minus the rank of the rows that stack each basis element's
+    images, read off ``_skeleton_columns``: row j has the units of j's skeleton
+    extensions and, per critical path at j, a (column, scalar number) pair for each
+    sigma-set member.  Seeded scalars are nonzero, so each row's support is fixed and
+    ``_peel`` finds part of the rank once; ``_seeded_socle`` eliminates the rest.
+    """
+    alg, one = pres.algebra, fs.one()
+    _, dims, units, subs = _skeleton_columns(pres.skeleton, pres.relations)
+    rows = {v: [({}, []) for _ in range(d)] for v, d in zip(alg.vertices, dims)}
+    at, width = {}, dict.fromkeys(alg.vertices, 0)
+    for a in alg.quiver.arrows:
+        # arrow a's images take the next dim M_t(a) columns of the rows at its source
+        at[a.name] = rows[a.source], width[a.source]
+        width[a.source] += dims[alg.vertex_pos(a.target)]
+    for name, j, i in units:
+        source, o = at[name]
+        source[j][0][o + i] = one
+    for name, j, pairs in subs:
+        source, o = at[name]
+        source[j][1].extend([(o + i, k) for i, k in pairs])
+    out = []
+    for v, d in zip(alg.vertices, dims):
+        rank, left = _peel(rows[v])
+        out.append((d - rank, left))
+    return out
+
+
+def _seeded_socle(rows, values, fs: FieldSpec) -> tuple[int, ...]:
+    """The socle dimension vector at the scalars ``values`` (nonzero field elements, as
+    ``seeded_assignment`` draws them), from the rows of ``_socle_rows``."""
+    out = []
+    for d, left in rows:
+        if left:
+            mats = []
+            for units, pairs in left:
+                row = units.copy()
+                for c, k in pairs:
+                    row[c] = values[k]
+                mats.append(row)
+            d -= _rank(fs.modulus, mats)
+        out.append(d)
+    return tuple(out)
+
+
 def generic_socle(alg: TruncatedAlgebra, S: SemisimpleSequence, seeds=(0, 1, 2),
                   fs: FieldSpec = FieldSpec()) -> tuple[int, ...]:
-    """Socle dimension vector of the generic module, seed-stability checked."""
+    """Socle dimension vector of the generic module, seed-stability checked.
+
+    The rows of ``_socle_rows`` are built once; each seed substitutes its scalars into
+    them, so no module is built.  ``socle`` of a materialized point gives the same.
+    """
     pres = generic_presentation(alg, S)
+    rows = _socle_rows(pres, fs)
 
     def compute(seed):
-        return socle(materialize(pres, seeded_assignment(pres, seed, fs), fs))
+        return _seeded_socle(rows, seeded_assignment(pres, seed, fs), fs)
 
     return stable_over_seeds(compute, seeds, "generic_socle", f"sequence {S}")
 

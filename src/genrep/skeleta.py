@@ -282,7 +282,20 @@ def element_to_json(el: Element) -> dict:
 
 
 def skeleton_to_json(sk: Skeleton) -> dict:
-    return {
-        "top": [{"r": i + 1, "vertex": v} for i, v in enumerate(sk.top)],
-        "elements": [element_to_json(el) for el in sk.elements],
-    }
+    return skeleta_to_json([sk])[0]
+
+
+def skeleta_to_json(skeleta) -> list[dict]:
+    """``skeleton_to_json`` of each skeleton.  Across them each top, and each element
+    (keyed by its JSON, (r, arrows), so no path is hashed), is one shared object, which
+    an encoder that memoises by identity encodes once."""
+    shared, out = {}, []
+    for sk in skeleta:
+        if sk.top not in shared:
+            shared[sk.top] = [{"r": i + 1, "vertex": v} for i, v in enumerate(sk.top)]
+        elements = []
+        for el in sk.elements:
+            key = (el[0], el[1].arrows)
+            elements.append(shared.get(key) or shared.setdefault(key, element_to_json(el)))
+        out.append({"top": shared[sk.top], "elements": elements})
+    return out

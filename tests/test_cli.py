@@ -4,6 +4,7 @@ import argparse
 import json
 import sys
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,8 +192,8 @@ def test_ext_self_output_unchanged(double_back_file, deep_file, capsys, k):
     from genrep.algebra_core import algebra_from_json, sequence_from_json
     from genrep.matrix_rep import FieldSpec, ext_dim_detail, materialize, seeded_assignment
     from genrep.generic_builder import generic_presentation
-    alg = algebra_from_json(json.load(open(double_back_file)))
-    S = sequence_from_json(json.load(open(deep_file)), alg)
+    alg = algebra_from_json(json.loads(Path(double_back_file).read_text()))
+    S = sequence_from_json(json.loads(Path(deep_file).read_text()), alg)
     pres = generic_presentation(alg, S)
     per_seed = []
     for sd in (4, 5, 6):
@@ -300,7 +301,7 @@ def test_components_dot_sifts_no_pair(double_back_file, capsys, monkeypatch):
     from genrep import components
     from genrep.algebra_core import algebra_from_json
 
-    alg = algebra_from_json(json.load(open(double_back_file)))
+    alg = algebra_from_json(json.loads(Path(double_back_file).read_text()))
     expected = hasse_dot(components.component_report(alg, (2, 2)).poset) + "\n"
 
     def no_pairs(*args, **kwargs):
@@ -382,13 +383,24 @@ def components_stdout_matches_stdlib(path, alg, dimvec, seed=0, top=None, max_to
     ("double_back", (2, 2), {"top": (1, 1), "seed": 3}, None, {"excluded-dominance"}),
     ("line_swing", (1, 2, 2), {"field": ("--modulus", "1000003")}, 10, {"excluded-socle"}),
     ("double_back", (2, 2), {"field": ("--exact",), "max_top_dim": 2}, 6, {"possible"}),
-], ids=["no-sequence", "one-sequence", "all-verdicts", "top", "modulus", "exact"])
+    ("double_back", (4, 4), {}, 42, {"excluded-dominance", "excluded-socle", "possible"}),
+], ids=["no-sequence", "one-sequence", "all-verdicts", "top", "modulus", "exact", "large"])
 def test_components_stdout_is_stdlib_json(component_algebras, name, dimvec, options,
                                           sequences, verdicts):
     rep = components_stdout_matches_stdlib(*component_algebras[name], dimvec, **options)
     assert sequences in (None, len(rep.sequences))
     assert verdicts <= {v.verdict for v in rep.verdicts}
     assert len(rep.verdicts) == len(rep.sequences) * (len(rep.sequences) - 1)
+
+
+def test_components_modulus_below_random_threshold_exits_2(component_algebras, capsys):
+    # the socle test draws its scalars through seeded_assignment, which refuses small fields
+    path, _ = component_algebras["double_back"]
+    code = main(["components", "--algebra", path, "--dimvec", "2,2", "--modulus", "7"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: field modulus must exceed 1000000 for randomized "
+                            "evaluation\n")
 
 
 @settings(max_examples=25, deadline=None)
@@ -478,6 +490,28 @@ def test_point_skeleta(point_files, capsys):
     code, out = run(capsys, ["point-skeleta"] + point_files)
     assert code == 0
     assert json.loads(out)["count"] == 3
+
+
+def test_skeleta_stdout_is_stdlib_json(point_files, double_back_file, capsys):
+    # the skeleta of one output share their element dicts; the text is unchanged
+    from genrep.algebra_core import algebra_from_json, sequence_from_json
+    from genrep.matrix_rep import distinguished_skeleta_of, module_point_from_json
+    from genrep.skeleta import enumerate_skeleta, skeleton_to_json
+
+    code, out = run(capsys, ["point-skeleta"] + point_files)
+    alg = algebra_from_json(json.loads(Path(point_files[1]).read_text()))
+    sks = distinguished_skeleta_of(module_point_from_json(
+        json.loads(Path(point_files[3]).read_text()), alg))
+    expected = {"count": len(sks), "skeleta": [skeleton_to_json(sk) for sk in sks]}
+    assert code == 0 and out == json.dumps(expected, indent=2) + "\n"
+
+    layers = [[1, 1], [0, 1], [1, 0]]
+    code, out = run(capsys, ["skeleta", "--algebra", double_back_file,
+                             "--layers", json.dumps(layers)])
+    alg = algebra_from_json(json.loads(Path(double_back_file).read_text()))
+    sks = enumerate_skeleta(alg, sequence_from_json({"layers": layers}, alg))
+    expected = {"count": len(sks), "skeleta": [skeleton_to_json(sk) for sk in sks]}
+    assert code == 0 and len(sks) == 2 and out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_point_skeleta_of_the_free_module_on_one_loop(tmp_path, capsys):
@@ -824,7 +858,7 @@ def test_non_string_identifiers_exit_2(tmp_path, capsys, vertices, arrow):
 ], ids=["vertex-int", "vertex-null", "arrow-null", "arrow-list"])
 def test_non_string_module_point_identifiers_exit_2(point_files, capsys, mutate):
     mod_path = point_files[-1]
-    data = json.load(open(mod_path))
+    data = json.loads(Path(mod_path).read_text())
     mutate(data)
     with open(mod_path, "w") as fh:
         json.dump(data, fh)
@@ -839,7 +873,7 @@ def test_non_string_module_point_identifiers_exit_2(point_files, capsys, mutate)
 def test_malformed_module_point_containers_exit_2(point_files, capsys, mutate):
     # "arrows": "g" used to be read as the path g, character by character
     mod_path = point_files[-1]
-    data = json.load(open(mod_path))
+    data = json.loads(Path(mod_path).read_text())
     mutate(data)
     with open(mod_path, "w") as fh:
         json.dump(data, fh)
@@ -851,7 +885,7 @@ def test_malformed_module_point_containers_exit_2(point_files, capsys, mutate):
 def test_zero_denominator_coefficient_exits_2(point_files, capsys, flags):
     # Fraction("1/0") raised ZeroDivisionError out of the loader
     mod_path = point_files[-1]
-    data = json.load(open(mod_path))
+    data = json.loads(Path(mod_path).read_text())
     data["relations"][2][1]["coeff"] = "1/0"
     with open(mod_path, "w") as fh:
         json.dump(data, fh)
@@ -885,7 +919,7 @@ def test_deeply_nested_json_exits_2(tmp_path, double_back_file, point_files, cap
 @pytest.mark.parametrize("r", [1.0, True, "1"])
 def test_non_integer_top_index_exits_2(point_files, capsys, r):
     mod_path = point_files[-1]
-    data = json.load(open(mod_path))
+    data = json.loads(Path(mod_path).read_text())
     data["relations"][0][0]["r"] = r
     with open(mod_path, "w") as fh:
         json.dump(data, fh)
@@ -970,7 +1004,7 @@ def test_honoured_flags_still_accepted(double_back_file, deep_file, point_files,
 @pytest.mark.parametrize("coeff", [1.9, 1.0, True])
 def test_non_integer_coefficient_exits_2(point_files, capsys, field, coeff):
     mod_path = point_files[-1]
-    data = json.load(open(mod_path))
+    data = json.loads(Path(mod_path).read_text())
     data["relations"][0][0]["coeff"] = coeff
     with open(mod_path, "w") as fh:
         json.dump(data, fh)
@@ -982,7 +1016,7 @@ def test_non_integer_coefficient_exits_2(point_files, capsys, field, coeff):
 @pytest.mark.parametrize("coeff", [1, "1"])
 def test_integer_or_string_coefficient_accepted(point_files, capsys, field, coeff):
     mod_path = point_files[-1]
-    data = json.load(open(mod_path))
+    data = json.loads(Path(mod_path).read_text())
     data["relations"][0][0]["coeff"] = coeff
     with open(mod_path, "w") as fh:
         json.dump(data, fh)
@@ -1007,16 +1041,23 @@ def test_dumps_matches_json_dumps(value):
     assert _dumps(value, "\n", {}) == json.dumps(value, indent=2)
 
 
-@given(JSON_VALUES)
-def test_dumps_shared_blocks_at_every_depth(value):
-    # one list object reused at several depths encodes by its own depth each time
+@given(JSON_VALUES, st.integers(), st.text() | ESCAPES)
+def test_dumps_shared_blocks_at_every_depth(value, number, text):
+    # one list or dict object reused at several depths encodes by its own depth each
+    # time; ints, strs and blocks already encoded at that depth are put in place
     block = [value, [value]]
-    data = {"a": block, "b": [block, {"c": block}], "d": (block, block)}
-    assert _dumps(data, "\n", {}) == json.dumps(data, indent=2)
+    entry = {"r": number, "arrows": [text, value], "block": block, "empty": {}, "none": []}
+    data = {"a": block, "b": [block, {"c": block}], "d": (block, block),
+            "rows": [entry, [entry, [entry]], {"e": entry}, (number, text, entry)],
+            "entry": entry, "top": [entry, [], {}]}
+    memo = {}
+    assert _dumps(data, "\n", memo) == json.dumps(data, indent=2)
+    # a second encoding reads every block back from the memo
+    assert _dumps(data, "\n", memo) == json.dumps(data, indent=2)
 
 
 @pytest.mark.parametrize("command, patched, stage", [
-    ("socle", "socle", "generic_socle"),
+    ("socle", "_seeded_socle", "generic_socle"),
     ("hom", "_presented_hom_dim", "generic_end_dim"),
     ("ext", "hom_dim", "ext"),
 ])

@@ -36,6 +36,10 @@ from genrep.matrix_rep import (
     seeded_assignment,
     socle,
     _path_columns,
+    _peel,
+    _rank,
+    _seeded_socle,
+    _socle_rows,
 )
 from genrep.skeleta import (
     Skeleton,
@@ -55,6 +59,7 @@ from conftest import (
     hom_dim_from_cyclic_by_stacking,
     projective_layering,
     quotient_representation_by_dense,
+    realizable_layerings,
     representation_from_matrices,
     representation_to_json,
     seq,
@@ -353,7 +358,8 @@ def _drifting(monkeypatch, name):
 
 
 @pytest.mark.parametrize("stage, patched, run", [
-    ("generic_socle", "socle", lambda alg: generic_socle(alg, S_DEEP, seeds=(4, 5, 6))),
+    ("generic_socle", "_seeded_socle",
+     lambda alg: generic_socle(alg, S_DEEP, seeds=(4, 5, 6))),
     ("generic_end_dim", "_presented_hom_dim",
      lambda alg: generic_end_dim(alg, S_DEEP, seeds=(4, 5, 6))),
     ("generic_hom_dim", "_presented_hom_dim",
@@ -674,6 +680,90 @@ def test_socle_of_a_sink_is_its_whole_space(six_vertex):
     rep = module_point(six_vertex, ["6", "4"], [], RATIONALS)
     assert not six_vertex.quiver.arrows_from["6"]
     assert socle(rep) == (0, 0, 0, 0, 0, 3)
+
+
+GENERIC_FIELDS = pytest.mark.parametrize("fs", [FieldSpec(), RATIONALS, SMALL_PRIME],
+                                         ids=["F_2^61-1", "Q", "F_1000003"])
+
+
+@pytest.mark.parametrize("fixture", ["double_back", "line_swing", "loop_out", "relay"])
+@GENERIC_FIELDS
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_socle_rows_match_socle_of_materialized_point(request, fixture, fs, data):
+    # the component fixtures: at each seed, the socle read off the column template
+    # equals the socle of the point materialized at the same scalars
+    alg = request.getfixturevalue(fixture)
+    S = data.draw(realizable_layerings(alg).filter(lambda S: any(S.top)))
+    pres = generic_presentation(alg, S)
+    rows = _socle_rows(pres, fs)
+    seed = data.draw(st.integers(0, 10**6))
+    for sd in (seed, seed + 1, seed + 2):
+        values = seeded_assignment(pres, sd, fs)
+        assert _seeded_socle(rows, values, fs) == socle(materialize(pres, values, fs))
+    assert generic_socle(alg, S, (seed, seed + 1, seed + 2), fs) == _seeded_socle(
+        rows, seeded_assignment(pres, seed, fs), fs)
+
+
+@pytest.mark.parametrize("fixture, layers, shape", [
+    # the row of b1 z1 at 1 is empty (its one arrow leads past the last layer), and
+    # the row of z1 at 2 (b1 z1 and a unit, b2 z1 critical) peels
+    ("double_back", ((0, 1), (1, 0), (0, 0)), [(1, 0), (0, 0)]),
+    ("loop_out", ((1, 0), (0, 1), (0, 0)), [(0, 0), (1, 0)]),
+    # no row at 2 peels: z1 and z2 both hold the columns of b1 and b2 at 1
+    ("double_back", ((0, 2), (1, 0), (0, 0)), [(1, 0), (2, 2)]),
+    # at 1 one row peels and two are left to eliminate
+    ("loop_out", ((2, 0), (1, 1), (0, 1)), [(2, 2), (2, 0)]),
+], ids=["all-peel", "all-peel-loop", "none-peel", "some-peel"])
+@GENERIC_FIELDS
+def test_socle_rows_peel(request, fixture, layers, shape, fs):
+    # (dim M_v less the rank peeled off the supports, rows left) per vertex
+    alg = request.getfixturevalue(fixture)
+    pres = generic_presentation(alg, seq(*layers))
+    rows = _socle_rows(pres, fs)
+    assert [(d, len(left)) for d, left in rows] == shape
+    for seed in (0, 1, 2):
+        values = seeded_assignment(pres, seed, fs)
+        assert _seeded_socle(rows, values, fs) == socle(materialize(pres, values, fs))
+
+
+def test_peel_follows_columns_that_become_private():
+    # the second row holds no private column until the first, which holds column 3
+    # alone, goes; then column 2 is the second row's alone, and it goes too.  Columns
+    # 0 and 1 stay shared by the last two rows.  A chain of single columns peels to
+    # the end, and an empty row counts nothing
+    rows = [({2: 1, 3: 1}, []), ({1: 1}, [(2, 0)]), ({}, [(0, 1), (1, 2)]), ({0: 1}, [(1, 3)])]
+    assert _peel(rows) == (2, rows[2:])
+    chain = [({0: 1, 1: 1}, []), ({}, [(1, 0), (2, 1)]), ({2: 1}, []), ({}, [])]
+    assert _peel(chain) == (3, [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_peel_plus_elimination_is_the_rank(data):
+    # rows of drawn supports at drawn nonzero values: the rank _peel reads off the
+    # supports plus the rank of the rows it leaves is the rank of all the rows
+    p = 1000003
+    width = data.draw(st.integers(1, 6))
+    rows, values = [], []
+    for cols in data.draw(st.lists(st.sets(st.integers(0, width - 1), max_size=4), max_size=7)):
+        units, pairs = {}, []
+        for c in sorted(cols):
+            x = data.draw(st.sampled_from([1, 2, p - 1]) | st.integers(1, p - 1))
+            if data.draw(st.booleans()):
+                units[c] = x
+            else:
+                pairs.append((c, len(values)))
+                values.append(x)
+        rows.append((units, pairs))
+
+    def at_values(rows):
+        return [{**units, **{c: values[k] for c, k in pairs}} for units, pairs in rows]
+
+    full = at_values(rows)
+    peeled, left = _peel(rows)
+    assert peeled + _rank(p, at_values(left)) == _rank(p, full)
+    assert all(units or pairs for units, pairs in left)
 
 
 @pytest.mark.parametrize("fixture", ["double_back", "relay", "six_vertex"])

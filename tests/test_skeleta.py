@@ -14,6 +14,7 @@ from genrep.skeleta import (
     enumerate_skeleta,
     invariants_N,
     iter_skeleta,
+    skeleta_to_json,
     skeleton_to_json,
 )
 
@@ -208,6 +209,20 @@ random_layers = st.lists(
 def test_count_matches_enumeration_random(double_back, rows):
     S = seq(*rows)
     assert count_skeleta(double_back, S) == len(enumerate_skeleta(double_back, S))
+
+
+def test_skeleta_json_shares_one_object_per_element(relay):
+    # across the skeleta of one output each top and each element is one object,
+    # equal to the JSON made for that skeleton alone
+    sks = enumerate_skeleta(relay, S_DIM14)
+    data = skeleta_to_json(iter(sks))
+    assert len(sks) > 1 and data == [skeleton_to_json(sk) for sk in sks]
+    first = {}
+    for d in data:
+        assert d["top"] is data[0]["top"]
+        for el in d["elements"]:
+            assert first.setdefault((el["r"], tuple(el["arrows"])), el) is el
+    assert len(first) < sum(len(d["elements"]) for d in data)
 
 
 def test_skeleton_json_errors(double_back):
