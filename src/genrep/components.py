@@ -214,7 +214,7 @@ def component_report(alg: TruncatedAlgebra, dimvec: DimensionVector,
 def report_to_json(rep: ComponentReport) -> dict:
     # every pair holds its sequences' own list objects, so the CLI encodes each once
     seqs = [[list(r) for r in S.layers] for S in rep.sequences]
-    by_layers = {S.layers: rows for S, rows in zip(rep.sequences, seqs)}
+    rows = {id(S): r for S, r in zip(rep.sequences, seqs)}
     return {
         "dim_vector": list(rep.dim_vector),
         "sequences": seqs,
@@ -227,7 +227,7 @@ def report_to_json(rep: ComponentReport) -> dict:
         ],
         "lower_bound": rep.lower_bound,
         "upper_bound": rep.upper_bound,
-        "pairs": [{"inner": by_layers[v.inner.layers], "outer": by_layers[v.outer.layers],
+        "pairs": [{"inner": rows[id(v.inner)], "outer": rows[id(v.outer)],
                    "verdict": v.verdict, "evidence": v.evidence, "confidence": v.confidence}
                   for v in rep.verdicts],
         "seed": list(rep.seeds),

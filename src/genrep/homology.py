@@ -10,6 +10,7 @@ state graph.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,8 +20,10 @@ from .algebra_core import (
     TruncatedAlgebra,
     truncated_dim_vector,
 )
-from .errors import ValidationError
+from .errors import EnumerationCapError, ValidationError
 from .skeleta import Skeleton, _compatible_skeleton, critical_paths
+
+_MAX_BITS = 1 << 22  # a syzygy multiplicity out of reach of stepping one degree at a time
 
 
 @dataclass(frozen=True)
@@ -116,40 +119,52 @@ def syzygy_of_cyclic(alg: TruncatedAlgebra, c: CyclicType) -> SyzygyProfile:
         for w, k in zip(alg.vertices, alg.path_counts[c.vertex][c.truncation]))
 
 
-def iterated_syzygy(alg: TruncatedAlgebra, S: SemisimpleSequence, k: int) -> SyzygyProfile:
-    """Omega^k of the generic module, k >= 1.
+def _syzygy_graph(alg: TruncatedAlgebra):
+    """The syzygy graph: cyclic type c -> Omega of c as {type: multiplicity}, stepped once."""
+    return functools.cache(lambda c: dict(syzygy_of_cyclic(alg, c).items()))
 
-    Projective summands of an intermediate profile are genuine kernel
-    summands of that stage but contribute nothing further: minimal covers
-    of projectives have zero kernel.
+
+def iterated_syzygy(alg: TruncatedAlgebra, S: SemisimpleSequence, k: int) -> SyzygyProfile:
+    """Omega^k of the generic module, k >= 1: Omega^1 T^(k-1), row c of T being Omega of c.
+
+    Projective summands add nothing further: their minimal covers have zero
+    kernel.  T^(k-1) is taken by repeated squaring, row c of T^(2^j) built once
+    a product reaches c, so only types of Omega^1, ..., Omega^(k-1) are stepped.
     """
+    def times(profile, row):
+        out, room = {}, _MAX_BITS - len(profile).bit_length()
+        for c, m in profile.items():
+            r = row(c)
+            if m.bit_length() + max(r.values(), default=0).bit_length() >= room:
+                raise EnumerationCapError(_MAX_BITS, f"syzygy: Omega^{k} nears 2^{_MAX_BITS}")
+            for c2, m2 in r.items():
+                out[c2] = out.get(c2, 0) + m * m2
+        return out
+
     if k < 1:
         raise ValidationError("k must be >= 1")
-    profile = first_syzygy(alg, S)
-    for _ in range(k - 1):
-        profile = SyzygyProfile((c2, m * m2) for c, m in profile.items()
-                                for c2, m2 in syzygy_of_cyclic(alg, c).items())
-    return profile
+    profile, row = dict(first_syzygy(alg, S).items()), _syzygy_graph(alg)
+    for bit in f"{k - 1:b}"[::-1]:
+        if bit == "1":
+            profile = times(profile, row)
+        row = functools.cache(lambda c, row=row: times(row(c), row))
+    return SyzygyProfile(profile.items())
 
 
 def projective_dimension(alg: TruncatedAlgebra, S: SemisimpleSequence):
     """Generic projective dimension: an integer, or math.inf.
 
-    Walks the sets of cyclic types of Omega^1, Omega^2, ..., stepping each
-    type once into ``succ``; pd is the number of nonempty sets.  A nonempty
-    d-th set ends a chain of d+1 types from ``succ``, so once d >= len(succ)
-    the chain passes a cycle and pd is infinite (by d = n(L+1) at the latest).
+    Walks the syzygy graph through the sets of cyclic types of Omega^1,
+    Omega^2, ...; pd is the number of nonempty sets.  A nonempty set Omega^d
+    ends a chain of d stepped types, so once d passes their number the chain
+    passes a cycle and pd is infinite (by d = n(L+1) + 1 at the latest).
     """
-    succ = {}
+    succ, d = _syzygy_graph(alg), 0
     types = {c for c, _ in first_syzygy(alg, S).items()}
-    d = 0
     while types:
-        for c in types - succ.keys():
-            succ[c] = {c2 for c2, _ in syzygy_of_cyclic(alg, c).items()}
-        if d >= len(succ):
+        types, d = set().union(*map(succ, types)), d + 1
+        if d > succ.cache_info().currsize:
             return math.inf
-        types = set().union(*map(succ.get, types))
-        d += 1
     return d
 
 

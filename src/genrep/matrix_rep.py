@@ -60,7 +60,7 @@ from .errors import (
 )
 from .generic_builder import GenericPresentation, generic_presentation, hypergraph
 from .homology import CyclicType, SyzygyProfile, iterated_syzygy
-from .skeleta import Skeleton, capped_count, iter_skeleta
+from .skeleta import DEFAULT_CAP, Skeleton, capped_count, iter_skeleta
 
 MERSENNE_61 = 2**61 - 1
 MIN_RANDOM_MODULUS = 10**6
@@ -693,7 +693,7 @@ def module_point(alg: TruncatedAlgebra, tops, relations,
     return quotient_representation(P, gens)
 
 
-def distinguished_skeleta_of(rep: Representation, cap: int = 10**6) -> list[Skeleton]:
+def distinguished_skeleta_of(rep: Representation, cap: int = DEFAULT_CAP) -> list[Skeleton]:
     """All distinguished skeleta of a module point with marked top elements and labels.
 
     The layering S and each J^l M_v are read off the label lengths (see

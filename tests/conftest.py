@@ -605,6 +605,20 @@ def enum_syzygy_of_cyclic(alg, v, m):
                           for u in enumerate_paths(alg, v, m)])
 
 
+def iterated_syzygy_by_steps(alg, S, k):
+    """Omega^k of the generic module stepped one degree at a time, each step a
+    new sorted ``SyzygyProfile``: the oracle of ``iterated_syzygy``."""
+    from genrep.errors import ValidationError
+    from genrep.homology import SyzygyProfile, first_syzygy, syzygy_of_cyclic
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    profile = first_syzygy(alg, S)
+    for _ in range(k - 1):
+        profile = SyzygyProfile((c2, m * m2) for c, m in profile.items()
+                                for c2, m2 in syzygy_of_cyclic(alg, c).items())
+    return profile
+
+
 def projective_dimension_by_dfs(alg, S):
     """Generic projective dimension by a depth-first search of the cyclic types.
 

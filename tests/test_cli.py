@@ -9,9 +9,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genrep import cli, matrix_rep
+from genrep.algebra_core import algebra_from_json
 from genrep.cli import _dumps, build_parser, hasse_dot, main, skeleton_text
+from genrep.homology import profile_to_json
 
-from conftest import FIXTURES, realizable_layerings, skeleton_text_by_walk
+from conftest import (
+    FIXTURES,
+    iterated_syzygy_by_steps,
+    realizable_layerings,
+    seq,
+    skeleton_text_by_walk,
+)
 
 
 @pytest.fixture()
@@ -1167,6 +1176,61 @@ def test_answer_over_int_digit_limit_exits_3(tmp_path, capsys, command, k):
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert f"{sys.get_int_max_str_digits()}-digit" in err
+
+
+def _loops(tmp_path, names):
+    """One vertex with a loop per name, at L = 1."""
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps({"vertices": ["1"], "arrows": [
+        {"name": x, "source": "1", "target": "1"} for x in names], "max_path_length": 1}))
+    return str(path)
+
+
+def test_syzygy_multiplicity_grows_past_the_digit_limit(tmp_path, capsys):
+    # on two loops Omega^k of the module with layering [[1],[1]] is the simple, 2^(k-1) times
+    path = _loops(tmp_path, ["x", "y"])
+    argv = ["syzygy", "--algebra", path, "--layers", "[[1],[1]]", "--k"]
+    expected = iterated_syzygy_by_steps(algebra_from_json(json.loads(Path(path).read_text())),
+                                        seq([1], [1]), 14000)
+    code, out = run(capsys, argv + ["14000"])
+    assert code == 0 and json.loads(out) == profile_to_json(expected)
+    assert len(str(expected.items()[0][1])) == 4215
+    code = main(argv + ["14300"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert f"{sys.get_int_max_str_digits()}-digit" in err
+
+
+@pytest.mark.parametrize("command", ["syzygy", "ext"])
+def test_readme_algebra_at_k_2000_matches_the_step_loop(double_back_file, deep_file, capsys,
+                                                       monkeypatch, command):
+    argv = [command, "--algebra", double_back_file, "--seq", deep_file, "--k", "2000"]
+    code, out = run(capsys, argv)
+    monkeypatch.setattr(cli, "iterated_syzygy", iterated_syzygy_by_steps)
+    monkeypatch.setattr(matrix_rep, "iterated_syzygy", iterated_syzygy_by_steps)
+    assert code == 0 and run(capsys, argv) == (0, out)
+
+
+def test_huge_k(tmp_path, double_back_file, deep_file, capsys):
+    # over k[x]/x^2 the simple is its own syzygy, and Ext^k(S, S) is one-dimensional
+    path = _loops(tmp_path, ["x"])
+    for command, expected in [("syzygy", [{"vertex": "1", "truncation": 1, "multiplicity": 1}]),
+                              ("ext", 1)]:
+        code, out = run(capsys, [command, "--algebra", path, "--layers", "[[1],[0]]",
+                                 "--k", "1000000000"])
+        assert code == 0
+        data = json.loads(out)
+        assert (data if command == "syzygy" else data["ext_dim"]) == expected
+    # on the README algebra the multiplicities double every other degree: Omega^(10^9)
+    # passes the size guard, while the alternating sum of Ext^(10^6) cancels to 0
+    argv = ["--algebra", double_back_file, "--seq", deep_file, "--k"]
+    code = main(["syzygy"] + argv + ["1000000000"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and "Omega^1000000000" in err
+    code, out = run(capsys, ["ext"] + argv + ["1000000"])
+    data = json.loads(out)
+    assert code == 0 and data["ext_dim"] == 0
+    assert [r["alternating"] for r in data["per_seed"]] == [0, 0, 0]
 
 
 def _write(tmp_path, name, data):

@@ -13,7 +13,7 @@ import contextlib
 import io
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from genrep.cli import build_parser, main
 
@@ -87,12 +87,11 @@ def mutated(draw, base):
 
 VALUES = st.sampled_from([
     "alg.json", "seq.json", "seq2.json", "module.json", "missing.json", "garbage.json",
-    "0", "1", "2", "3", "-1", "x", "5",
+    "0", "1", "2", "3", "-1", "x", "5", "1000000007",
     "json", "dot", "text", "xml", "1,1", "2,1", "0,2", "1,a", "",
     "[[1,1],[0,1],[1,0]]", "[[1,0],[0,1],[1,0]]", "[[2,1],[1,1],[0,1]]", "[[1]]", "[]", "{",
 ])
-# a value each flag accepts on the unmutated files; only --modulus takes a large
-# number, since --k that large asks for that many syzygies
+# a value each flag accepts on the unmutated files
 GOOD = {"--algebra": "alg.json", "--seq": "seq.json", "--seq2": "seq2.json",
         "--module": "module.json", "--layers": "[[1,1],[0,1],[1,0]]", "--dimvec": "2,1",
         "--top": "1,1", "--format": "json", "--cap": "50", "--index": "0", "--k": "1",
@@ -117,6 +116,12 @@ def argvs(draw):
 
 
 @settings(settings.get_profile("ci"), max_examples=300)
+# the draws seldom put a 10-digit value after --k: on these files Omega^k would
+# pass the syzygy size guard, so both exit 3 at once
+@example(argv=["syzygy", "--algebra", "alg.json", "--seq", "seq.json", "--k", "1000000007"],
+         files=FILES)
+@example(argv=["ext", "--algebra", "alg.json", "--seq", "seq.json", "--k", "1000000007"],
+         files=FILES)
 @given(argv=argvs(), files=st.fixed_dictionaries(
     {name: st.one_of(st.just(base), mutated(base)) for name, base in FILES.items()}))
 def test_cli_exits_with_a_contract_code(tmp_path_factory, argv, files):

@@ -9,7 +9,7 @@ from genrep.algebra_core import (
     enumerate_sequences,
     projective_dim,
 )
-from genrep.errors import UnrealizableError
+from genrep.errors import EnumerationCapError, UnrealizableError
 from genrep.generic_builder import generic_presentation
 from genrep.homology import (
     CyclicType,
@@ -29,6 +29,7 @@ from genrep.skeleta import enumerate_skeleta
 from conftest import (
     FIXTURES,
     _alg,
+    iterated_syzygy_by_steps,
     projective_dimension_by_dfs,
     projective_layering,
     realizable_layerings,
@@ -211,6 +212,80 @@ def test_projdim_steps_each_type_once(monkeypatch, case, expected):
     monkeypatch.setattr(homology, "syzygy_of_cyclic", counting)
     assert projective_dimension(alg, S) == expected
     assert len(stepped) == len(set(stepped))
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), k=st.integers(1, 64))
+def test_iterated_syzygy_matches_step_oracle(request, fixture, data, k):
+    alg = request.getfixturevalue(fixture)
+    S = data.draw(realizable_layerings(alg))
+    assert iterated_syzygy(alg, S, k) == iterated_syzygy_by_steps(alg, S, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), L=st.integers(6, 8), k=st.integers(1, 64))
+def test_iterated_syzygy_matches_step_oracle_two_loops(data, L, k):
+    alg = _alg(["1"], [("x", "1", "1"), ("y", "1", "1")], L)
+    S = data.draw(realizable_layerings(alg))
+    assert iterated_syzygy(alg, S, k) == iterated_syzygy_by_steps(alg, S, k)
+
+
+README = (_alg(["1", "2"], [("a", "1", "2"), ("b1", "2", "1"), ("b2", "2", "1")], 2), S_DEEP)
+LONG_WALKS = [_cycles((2, 3, 5, 7, 11, 13, 17, 19)), _line(40)]
+
+
+@pytest.mark.parametrize("case", LONG_WALKS)
+def test_iterated_syzygy_matches_step_oracle_on_long_walks(case):
+    alg, S = case
+    for k in range(1, 65):
+        assert iterated_syzygy(alg, S, k) == iterated_syzygy_by_steps(alg, S, k)
+
+
+@pytest.mark.parametrize("case", LONG_WALKS + [README])
+@pytest.mark.parametrize("k", [2, 7, 64, 100_000])
+def test_iterated_syzygy_steps_each_type_once(monkeypatch, case, k):
+    alg, S = case
+    stepped = []
+
+    def counting(alg, c):
+        stepped.append(c)
+        return syzygy_of_cyclic(alg, c)
+
+    monkeypatch.setattr(homology, "syzygy_of_cyclic", counting)
+    iterated_syzygy(alg, S, k)
+    assert len(stepped) == len(set(stepped)), "a type was stepped twice"
+    monkeypatch.undo()
+    if k <= 7:
+        # no type beyond those the step loop steps, the types of Omega^1, ..., Omega^(k-1)
+        assert set(stepped) <= {c for j in range(1, k)
+                                for c, _ in iterated_syzygy_by_steps(alg, S, j).items()}
+
+
+def test_iterated_syzygy_stops_before_the_size_guard(monkeypatch):
+    # one vertex with two loops at L = 1: Omega^k of the radical-length-2 module is
+    # the simple, 2^(k-1) times
+    alg, S = _alg(["1"], [("x", "1", "1"), ("y", "1", "1")], 1), seq([1], [1])
+    monkeypatch.setattr(homology, "_MAX_BITS", 64)
+    answers = {}
+    for k in range(1, 80):
+        try:
+            answers[k] = as_dict(iterated_syzygy(alg, S, k))
+        except EnumerationCapError as exc:
+            assert f"Omega^{k} " in str(exc)
+            break
+    # every answer is the step loop's, and the guard stops within a few bits of 2^64
+    assert answers == {k: {("1", 1): 2 ** (k - 1)} for k in answers}
+    assert 60 <= len(answers) < 64
+
+
+def test_iterated_syzygy_at_huge_k():
+    # over k[x]/x^2 the simple is its own syzygy
+    alg = _alg(["1"], [("x", "1", "1")], 1)
+    assert as_dict(iterated_syzygy(alg, seq([1], [0]), 10**9)) == {("1", 1): 1}
+    # on the README algebra the multiplicities double every other step
+    with pytest.raises(EnumerationCapError, match=r"Omega\^1000000000 "):
+        iterated_syzygy(*README, 10**9)
 
 
 def test_unrealizable_rejected(double_back):
