@@ -342,7 +342,7 @@ def cmd_projdim(args, alg, S):
 
 def cmd_socle(args, alg, S):
     fs = _field(args)
-    soc = generic_socle(alg, S, seeds=_seeds(args), fs=fs)
+    soc = generic_socle(alg, S, fs)
     return _emit(_stamp({"socle": list(soc)}, args, fs, "seeded-generic"))
 
 

@@ -76,27 +76,26 @@ class _SiftFacts:
     verdicts with equal socles share one evidence dict, never mutated).
     """
 
-    def __init__(self, alg, sequences, seeds=(0, 1, 2), fs: FieldSpec = FieldSpec()):
+    def __init__(self, alg, sequences, fs: FieldSpec = FieldSpec()):
         if len({(len(S.layers), S.total_dim) for S in sequences}) > 1:
             raise ValidationError("sequences have different layer counts or total dimension")
         self.pos = {id(S): i for i, S in enumerate(sequences)}
         sums = [sum(_partial_sums(S), ()) for S in sequences]
         self.below = [[all(map(operator.le, a, b)) for b in sums] for a in sums]
         self.annihilators = functools.cache(lambda i: annihilating_arrows(alg, sequences[i]))
-        self.socle = functools.cache(lambda i: generic_socle(alg, sequences[i], seeds, fs))
+        self.socle = functools.cache(lambda i: generic_socle(alg, sequences[i], fs))
         self.socle_evidence = functools.cache(lambda outer, inner: {
             "socle_outer": list(outer), "socle_inner": list(inner)})
 
 
 def closure_containment_test(alg: TruncatedAlgebra, S_inner: SemisimpleSequence,
-                             S_outer: SemisimpleSequence, seeds=(0, 1, 2),
-                             fs: FieldSpec = FieldSpec(),
+                             S_outer: SemisimpleSequence, fs: FieldSpec = FieldSpec(),
                              _facts: _SiftFacts | None = None) -> PruningVerdict:
     """First implemented necessary condition that rules out containment, or ``possible``."""
     if _facts is None:
         if S_inner.dim_vector != S_outer.dim_vector:
             raise ValidationError("containment test requires equal dimension vectors")
-        _facts = _SiftFacts(alg, (S_inner, S_outer), seeds, fs)
+        _facts = _SiftFacts(alg, (S_inner, S_outer), fs)
     at_in, at_out = _facts.pos[id(S_inner)], _facts.pos[id(S_outer)]
     if not _facts.below[at_out][at_in]:
         return PruningVerdict(S_inner, S_outer, "excluded-dominance", _NOT_DOMINANT, "certified")
@@ -179,7 +178,7 @@ def component_report(alg: TruncatedAlgebra, dimvec: DimensionVector,
     ``cap`` bounds the realizable sequences and then the ordered pairs.
     """
     sequences = sifted_sequences(alg, dimvec, top, max_top_dim, cap)
-    facts = _SiftFacts(alg, sequences, seeds, fs)
+    facts = _SiftFacts(alg, sequences, fs)
     poset = _poset(tuple(sequences), facts.below)
     verdicts = []
     containers: dict[int, list[int]] = {i: [] for i in range(len(sequences))}
@@ -187,7 +186,7 @@ def component_report(alg: TruncatedAlgebra, dimvec: DimensionVector,
         for j, outer in enumerate(sequences):
             if i == j:
                 continue
-            v = closure_containment_test(alg, inner, outer, seeds, fs, facts)
+            v = closure_containment_test(alg, inner, outer, fs, facts)
             verdicts.append(v)
             if v.verdict == "possible":
                 containers[i].append(j)

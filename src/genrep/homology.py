@@ -125,11 +125,19 @@ def _syzygy_graph(alg: TruncatedAlgebra):
 
 
 def iterated_syzygy(alg: TruncatedAlgebra, S: SemisimpleSequence, k: int) -> SyzygyProfile:
-    """Omega^k of the generic module, k >= 1: Omega^1 T^(k-1), row c of T being Omega of c.
+    """Omega^k of the generic module, k >= 1, the second of ``last_two_syzygies``."""
+    return last_two_syzygies(alg, S, k)[1]
 
-    Projective summands add nothing further: their minimal covers have zero
-    kernel.  T^(k-1) is taken by repeated squaring, row c of T^(2^j) built once
-    a product reaches c, so only types of Omega^1, ..., Omega^(k-1) are stepped.
+
+def last_two_syzygies(alg: TruncatedAlgebra, S: SemisimpleSequence,
+                      k: int) -> tuple[SyzygyProfile | None, SyzygyProfile]:
+    """(Omega^(k-1), Omega^k) of the generic module, k >= 1, None standing for Omega^0.
+
+    Omega^(k-1) is Omega^1 T^(k-2), row c of T being Omega of c, and Omega^k is one step
+    more on the same graph.  Projective summands add nothing further: their minimal
+    covers have zero kernel.  T^(k-2) is taken by repeated squaring, row c of T^(2^j)
+    built once a product reaches c, so only types of Omega^1, ..., Omega^(k-1) are
+    stepped, each once.
     """
     def times(profile, row):
         out, room = {}, _MAX_BITS - len(profile).bit_length()
@@ -143,12 +151,15 @@ def iterated_syzygy(alg: TruncatedAlgebra, S: SemisimpleSequence, k: int) -> Syz
 
     if k < 1:
         raise ValidationError("k must be >= 1")
-    profile, row = dict(first_syzygy(alg, S).items()), _syzygy_graph(alg)
-    for bit in f"{k - 1:b}"[::-1]:
+    if k == 1:
+        return None, first_syzygy(alg, S)
+    profile, graph = dict(first_syzygy(alg, S).items()), _syzygy_graph(alg)
+    row = graph
+    for bit in f"{k - 2:b}"[::-1]:
         if bit == "1":
             profile = times(profile, row)
         row = functools.cache(lambda c, row=row: times(row(c), row))
-    return SyzygyProfile(profile.items())
+    return SyzygyProfile(profile.items()), SyzygyProfile(times(profile, graph).items())
 
 
 def projective_dimension(alg: TruncatedAlgebra, S: SemisimpleSequence):

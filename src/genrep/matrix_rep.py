@@ -27,9 +27,10 @@ labels; ``radical_layering`` eliminates, and stays the independent route.
 Hom out of any presented module (a generic M = P/C, a cyclic Lambda e / J^m e,
 a simple) into a given module is the kernel of one relation matrix
 (``_hom_out_of``); ``socle`` reads it off the columns of the arrows out of each
-vertex.  The generic socle builds no module: ``_socle_rows`` writes the rows of
-M_v -> sum of M_t(a) from the column template's parent links and relations once
-per presentation, and each seed substitutes its scalars (``_seeded_socle``).  The
+vertex.  The generic socle builds no module, draws no scalar and eliminates
+nothing: the supports of the rows of M_v -> sum of M_t(a) are read off the
+canonical skeleton (``_socle_supports``), and their generic rank is their term
+rank, a maximum matching (``_term_rank``; see ``generic_socle``).  The
 intertwiner solver ``hom_dim`` is an independent route to Hom(M, N), the only
 term in which the two Ext^1 methods differ.
 """
@@ -59,8 +60,8 @@ from .errors import (
     ValidationError,
 )
 from .generic_builder import GenericPresentation, generic_presentation, hypergraph
-from .homology import CyclicType, SyzygyProfile, iterated_syzygy
-from .skeleta import DEFAULT_CAP, Skeleton, capped_count, iter_skeleta
+from .homology import CyclicType, SyzygyProfile, last_two_syzygies
+from .skeleta import DEFAULT_CAP, Skeleton, canonical_skeleton, capped_count, iter_skeleta
 
 MERSENNE_61 = 2**61 - 1
 MIN_RANDOM_MODULUS = 10**6
@@ -182,6 +183,29 @@ def _rank(p: int | None, rows: list[dict]) -> int:
     return rank
 
 
+def _term_rank(rows: list) -> int:
+    """The size of a maximum matching of rows to columns, ``rows[j]`` listing the columns
+    of row j: each row in turn looks for an augmenting path, breadth first, through the
+    rows matched to the columns it reaches."""
+    owner, matched = {}, {}  # column -> its row, row -> its column
+    for j in range(len(rows)):
+        via, queue, free = {}, [j], None
+        for i in queue:  # the queue grows while it is read
+            for c in rows[i]:
+                if c not in via:
+                    via[c] = i
+                    if c not in owner:
+                        free = c
+                        break
+                    queue.append(owner[c])
+            if free is not None:
+                break
+        while free is not None:  # flip the path: each row on it takes the column it reached
+            i = via[free]
+            owner[free], matched[i], free = i, free, matched.get(i)
+    return len(matched)
+
+
 def _reduced(p: int | None, acc: dict) -> dict:
     """``acc`` reduced mod p (untouched over Q, ``p`` None), without its zero entries."""
     return ({c: y for c, y in acc.items() if y} if p is None else
@@ -292,6 +316,12 @@ def _same_algebra(a: TruncatedAlgebra, b: TruncatedAlgebra) -> bool:
             == [(x.name, x.source, x.target) for x in b.quiver.arrows])
 
 
+def _check_random_field(fs: FieldSpec) -> None:
+    if not fs.exact and fs.modulus <= MIN_RANDOM_MODULUS:
+        raise ValidationError(
+            f"field modulus must exceed {MIN_RANDOM_MODULUS} for randomized evaluation")
+
+
 def seeded_assignment(pres: GenericPresentation, seed: int,
                       fs: FieldSpec = FieldSpec()) -> list:
     """Distinct nonzero values drawn from a seeded PRNG, a list indexed by scalar number.
@@ -302,9 +332,7 @@ def seeded_assignment(pres: GenericPresentation, seed: int,
     n = len(pres.scalar_ids)
     if fs.exact:
         return list(itertools.islice(map(Fraction, filter(_is_prime, itertools.count(2))), n))
-    if fs.modulus <= MIN_RANDOM_MODULUS:
-        raise ValidationError(
-            f"field modulus must exceed {MIN_RANDOM_MODULUS} for randomized evaluation")
+    _check_random_field(fs)
     rng, seen, values = random.Random(seed), set(), []
     for _ in range(n):
         while (x := rng.randrange(1, fs.modulus)) in seen:
@@ -553,8 +581,7 @@ def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence,
         raise ValidationError("k must be >= 1")
     if not realizable(alg, S_M):
         raise UnrealizableError(f"{S_M} is not realizable")
-    profile = iterated_syzygy(alg, S_M, k)
-    prev = iterated_syzygy(alg, S_M, k - 1) if k > 1 else None
+    prev, profile = last_two_syzygies(alg, S_M, k)
 
     @functools.cache
     def rest(rep):
@@ -827,106 +854,63 @@ def stable_over_seeds(compute, seeds, stage: str = "stable_over_seeds", subject:
     return results[0][1]
 
 
-def _peel(rows: list) -> tuple[int, list]:
-    """The rank that the supports of ``rows`` fix alone, and the rows still to eliminate.
+def _socle_supports(sk: Skeleton) -> list[list[dict]]:
+    """Per vertex v, the supports of the rows of M_v -> sum of M_t(a) over the arrows a out
+    of v, for the modules on the basis ``sk.basis``: one ``{column: is unit}`` per member.
 
-    ``rows`` are (units, pairs): a ``{column: value}`` dict and (column, scalar number)
-    pairs, all taking nonzero values.  A row holding a single column pivots there, so it
-    counts 1 and the column is cleared from the other rows without changing their
-    other entries.  A row holding a column that no other row holds is independent of the
-    rest, so it counts 1 and goes.  Both repeat until neither applies; an empty row
-    counts 0.  The rows left are cut down to the columns left.
+    The row of a member (r, p) holds, per arrow a, a unit 1 in the column (a, a*p) if a*p
+    is a member; else, if a*p has length <= L, the scalar of each sigma-set member of the
+    critical path a*p in that member's column (a, q); else nothing.
     """
-    supports = [{*units, *(c for c, _ in pairs)} for units, pairs in rows]
-    holders: dict = {}
-    for j, cols in enumerate(supports):
-        for c in cols:
-            holders.setdefault(c, set()).add(j)
-    rank, alive, pending = 0, set(range(len(rows))), list(range(len(rows)))
-    while pending:
-        j = pending.pop()
-        cols = supports[j]
-        if j not in alive or len(cols) > 1 and all(len(holders[c]) > 1 for c in cols):
-            continue
-        alive.discard(j)
-        rank += bool(cols)
-        if len(cols) == 1:
-            (c,) = cols
-            for i in holders.pop(c) - {j}:
-                supports[i].discard(c)
-                pending.append(i)
-            continue
-        for c in cols:
-            held = holders[c]
-            held.discard(j)
-            pending.extend(held if len(held) == 1 else ())
-    return rank, [({c: x for c, x in units.items() if c in supports[j]},
-                   [(c, k) for c, k in pairs if c in supports[j]])
-                  for j, (units, pairs) in enumerate(rows) if j in alive]
-
-
-def _socle_rows(pres: GenericPresentation, fs: FieldSpec) -> list:
-    """Per vertex v, the socle rows of ``pres``'s points: (dim M_v - peeled rank, rows).
-
-    soc_v M is the kernel of M_v -> sum of M_t(a) over the arrows a out of v, so its
-    dimension is dim M_v minus the rank of the rows that stack each basis element's
-    images, read off ``_skeleton_columns``: row j has the units of j's skeleton
-    extensions and, per critical path at j, a (column, scalar number) pair for each
-    sigma-set member.  Seeded scalars are nonzero, so each row's support is fixed and
-    ``_peel`` finds part of the rank once; ``_seeded_socle`` eliminates the rest.
-    """
-    alg, one = pres.algebra, fs.one()
-    _, dims, units, subs = _skeleton_columns(pres.skeleton, pres.relations)
-    rows = {v: [({}, []) for _ in range(d)] for v, d in zip(alg.vertices, dims)}
-    at, width = {}, dict.fromkeys(alg.vertices, 0)
-    for a in alg.quiver.arrows:
-        # arrow a's images take the next dim M_t(a) columns of the rows at its source
-        at[a.name] = rows[a.source], width[a.source]
-        width[a.source] += dims[alg.vertex_pos(a.target)]
-    for name, j, i in units:
-        source, o = at[name]
-        source[j][0][o + i] = one
-    for name, j, pairs in subs:
-        source, o = at[name]
-        source[j][1].extend([(o + i, k) for i, k in pairs])
+    alg, basis = sk.alg, sk.basis
+    index = {(r, p.arrows): i for els in basis.values() for i, (r, p) in enumerate(els)}
+    # first[v][l]: the first basis index at v of length >= l; the sigma-set of a critical
+    # path of length l ending at v is every basis element from there on
+    first = {}
+    for v, els in basis.items():
+        lengths = [len(p.arrows) for _, p in els]
+        first[v] = [bisect.bisect_left(lengths, l) for l in range(alg.L + 1)]
     out = []
-    for v, d in zip(alg.vertices, dims):
-        rank, left = _peel(rows[v])
-        out.append((d - rank, left))
+    for v in alg.vertices:
+        rows = []
+        for r, p in basis[v]:
+            row, l = {}, len(p.arrows) + 1
+            for a in alg.quiver.arrows_from[v]:
+                i = index.get((r, (a.name,) + p.arrows))
+                if i is not None:
+                    row[a.name, i] = True
+                elif l <= alg.L:
+                    row.update(((a.name, q), False)
+                               for q in range(first[a.target][l], len(basis[a.target])))
+            rows.append(row)
+        out.append(rows)
     return out
 
 
-def _seeded_socle(rows, values, fs: FieldSpec) -> tuple[int, ...]:
-    """The socle dimension vector at the scalars ``values`` (nonzero field elements, as
-    ``seeded_assignment`` draws them), from the rows of ``_socle_rows``."""
-    out = []
-    for d, left in rows:
-        if left:
-            mats = []
-            for units, pairs in left:
-                row = units.copy()
-                for c, k in pairs:
-                    row[c] = values[k]
-                mats.append(row)
-            d -= _rank(fs.modulus, mats)
-        out.append(d)
-    return tuple(out)
-
-
-def generic_socle(alg: TruncatedAlgebra, S: SemisimpleSequence, seeds=(0, 1, 2),
+def generic_socle(alg: TruncatedAlgebra, S: SemisimpleSequence,
                   fs: FieldSpec = FieldSpec()) -> tuple[int, ...]:
-    """Socle dimension vector of the generic module, seed-stability checked.
+    """Socle dimension vector of the generic module: per vertex v, dim M_v minus the term
+    rank of the rows of M_v -> sum of M_t(a) (``_socle_supports``, canonical skeleton).
 
-    The rows of ``_socle_rows`` are built once; each seed substitutes its scalars into
-    them, so no module is built.  ``socle`` of a materialized point gives the same.
+    soc_v M is the kernel of that map, and the rank of its rows at algebraically
+    independent scalars is their term rank, the size of a maximum matching of rows to
+    the columns they hold (Edmonds).  Every entry that is not a unit is a distinct
+    scalar x_k, since each scalar belongs to one (critical path, member) pair, and each
+    column holds at most one unit, since a member's parent is unique.  Take a maximum
+    matching and its square minor.  Two permutations that give that minor the same
+    monomial use the same scalar entries; on the remaining rows both use units, and
+    each column's unit row is forced, so the two permutations are equal.  Hence no two
+    terms cancel and the minor is a nonzero polynomial, over every field.  A point at
+    any scalars has rank at most the term rank, with equality off a proper subvariety,
+    so ``socle`` of a seeded point (``materialize``) is this vector except there.
+
+    Nothing is drawn and no module is built, so the value is the same at every seed and
+    over every field; ``fs`` is refused as ``seeded_assignment`` refuses it, a prime
+    field too small for randomized evaluation.
     """
-    pres = generic_presentation(alg, S)
-    rows = _socle_rows(pres, fs)
-
-    def compute(seed):
-        return _seeded_socle(rows, seeded_assignment(pres, seed, fs), fs)
-
-    return stable_over_seeds(compute, seeds, "generic_socle", f"sequence {S}")
+    sk = canonical_skeleton(alg, S)
+    _check_random_field(fs)
+    return tuple(len(rows) - _term_rank(rows) for rows in _socle_supports(sk))
 
 
 def generic_end_dim(alg: TruncatedAlgebra, S: SemisimpleSequence, seeds=(0, 1, 2),

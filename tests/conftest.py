@@ -619,6 +619,13 @@ def iterated_syzygy_by_steps(alg, S, k):
     return profile
 
 
+def last_two_syzygies_by_steps(alg, S, k):
+    """(Omega^(k-1), Omega^k) from the step loop, None for Omega^0: the oracle of
+    ``last_two_syzygies``."""
+    return (iterated_syzygy_by_steps(alg, S, k - 1) if k > 1 else None,
+            iterated_syzygy_by_steps(alg, S, k))
+
+
 def projective_dimension_by_dfs(alg, S):
     """Generic projective dimension by a depth-first search of the cyclic types.
 

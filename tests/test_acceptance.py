@@ -27,6 +27,7 @@ from genrep.matrix_rep import (
     materialize,
     module_point,
     seeded_assignment,
+    socle,
 )
 from genrep.skeleta import (
     count_skeleta,
@@ -82,7 +83,7 @@ def test_criterion_3(double_back):
     assert {(c.vertex, c.truncation): m for c, m in prof.items()} == \
         {("1", 1): 1, ("1", 2): 2}
     assert projective_dimension(double_back, S5) == math.inf
-    assert generic_socle(double_back, S5, seeds=SEEDS) == (1, 0)
+    assert generic_socle(double_back, S5) == (1, 0)
     assert generic_end_dim(double_back, S5, seeds=SEEDS) == 2
 
 
@@ -222,19 +223,21 @@ def test_criterion_8(double_back, relay, loop_out, kronecker, y_quiver, a2):
                         for i, v in enumerate(alg.vertices))
             assert first_syzygy(alg, S).total_dim(alg) == dim_p - S.total_dim
 
-    # (e) + (f) seeded stability of socle/End/Ext and two-method agreement;
-    # generic_socle/generic_end_dim raise if any seed disagrees
+    # (e) + (f) the generic socle is the socle of the point at every seed, End and
+    # Ext are seed-stable (generic_end_dim raises if any seed disagrees), and the two
+    # Ext^1 methods agree
     fixtures = [(double_back, S5), (double_back, S6), (relay, S_DIM14),
                 (loop_out, seq((1, 0), (1, 0), (0, 1))),
                 (kronecker, seq((1, 0), (0, 1))),
                 (y_quiver, seq((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)))]
     for alg, S in fixtures:
-        generic_socle(alg, S, seeds=SEEDS)
+        soc = generic_socle(alg, S)
         generic_end_dim(alg, S, seeds=SEEDS)
         pres = generic_presentation(alg, S)
         per_seed = []
         for sd in SEEDS:
             rep_n = materialize(pres, seeded_assignment(pres, sd), FieldSpec())
+            assert socle(rep_n) == soc
             detail = ext_dim_detail(alg, S, rep_n, 1, [sd])
             rec = detail["per_seed"][0]
             assert rec["alternating"] == rec["restriction"]

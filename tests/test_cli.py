@@ -17,6 +17,7 @@ from genrep.homology import profile_to_json
 from conftest import (
     FIXTURES,
     iterated_syzygy_by_steps,
+    last_two_syzygies_by_steps,
     realizable_layerings,
     seq,
     skeleton_text_by_walk,
@@ -142,6 +143,27 @@ def test_socle_embeds_seed(double_back_file, deep_file, capsys):
     assert data["seed"] == 7
     assert data["field_modulus"] == 2**61 - 1
     assert data["confidence"] == "seeded-generic"
+
+
+def test_socle_output_is_seed_independent(double_back_file, deep_file, capsys):
+    # the generic socle is a term rank: nothing is drawn, so only the stamp moves
+    argv = ["socle", "--algebra", double_back_file, "--seq", deep_file, "--seed"]
+    (code4, out4), (code5, out5) = run(capsys, argv + ["4"]), run(capsys, argv + ["5"])
+    data4, data5 = json.loads(out4), json.loads(out5)
+    assert code4 == code5 == 0 and (data4["seed"], data5["seed"]) == (4, 5)
+    assert {k: v for k, v in data4.items() if k != "seed"} == \
+        {k: v for k, v in data5.items() if k != "seed"}
+
+
+def test_socle_modulus_below_random_threshold_exits_2(double_back_file, deep_file, capsys):
+    # a field too small for randomized evaluation is refused as seeded_assignment
+    # refuses it, when the first socle is needed
+    code = main(["socle", "--algebra", double_back_file, "--seq", deep_file,
+                 "--modulus", "7"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: field modulus must exceed 1000000 for randomized "
+                            "evaluation\n")
 
 
 def test_hom_end(double_back_file, deep_file, capsys):
@@ -403,7 +425,7 @@ def test_components_stdout_is_stdlib_json(component_algebras, name, dimvec, opti
 
 
 def test_components_modulus_below_random_threshold_exits_2(component_algebras, capsys):
-    # the socle test draws its scalars through seeded_assignment, which refuses small fields
+    # the socle test refuses a field too small for randomized evaluation
     path, _ = component_algebras["double_back"]
     code = main(["components", "--algebra", path, "--dimvec", "2,2", "--modulus", "7"])
     captured = capsys.readouterr()
@@ -1066,7 +1088,6 @@ def test_dumps_shared_blocks_at_every_depth(value, number, text):
 
 
 @pytest.mark.parametrize("command, patched, stage", [
-    ("socle", "_seeded_socle", "generic_socle"),
     ("hom", "_presented_hom_dim", "generic_end_dim"),
     ("ext", "hom_dim", "ext"),
 ])
@@ -1207,8 +1228,28 @@ def test_readme_algebra_at_k_2000_matches_the_step_loop(double_back_file, deep_f
     argv = [command, "--algebra", double_back_file, "--seq", deep_file, "--k", "2000"]
     code, out = run(capsys, argv)
     monkeypatch.setattr(cli, "iterated_syzygy", iterated_syzygy_by_steps)
-    monkeypatch.setattr(matrix_rep, "iterated_syzygy", iterated_syzygy_by_steps)
+    monkeypatch.setattr(matrix_rep, "last_two_syzygies", last_two_syzygies_by_steps)
     assert code == 0 and run(capsys, argv) == (0, out)
+
+
+@pytest.mark.parametrize("command", ["syzygy", "ext"])
+def test_one_syzygy_graph_per_run(double_back_file, deep_file, capsys, monkeypatch,
+                                  command):
+    # ext takes Omega^k as one step of Omega^(k-1): Omega^1 is built once and each of
+    # the four cyclic types of the README algebra is stepped once, as for syzygy
+    from genrep import homology
+    calls = {"first_syzygy": 0, "syzygy_of_cyclic": 0}
+    for name in calls:
+        original = getattr(homology, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(homology, name, counting)
+    code, _ = run(capsys, [command, "--algebra", double_back_file, "--seq", deep_file,
+                           "--k", "1000"])
+    assert code == 0 and calls == {"first_syzygy": 1, "syzygy_of_cyclic": 4}
 
 
 def test_huge_k(tmp_path, double_back_file, deep_file, capsys):

@@ -96,28 +96,33 @@ GOOD = {"--algebra": "alg.json", "--seq": "seq.json", "--seq2": "seq2.json",
         "--module": "module.json", "--layers": "[[1,1],[0,1],[1,0]]", "--dimvec": "2,1",
         "--top": "1,1", "--format": "json", "--cap": "50", "--index": "0", "--k": "1",
         "--seed": "3", "--modulus": "1000003", "--max-top-dim": "2"}
+# values aimed at one flag: the edges of its range and malformed entries
+EDGES = {"--modulus": ["7", "4", "1000003"], "--k": ["0", "-1", "1000000007"],
+         "--cap": ["-2", "0"], "--dimvec": ["1,a", "-1,1"], "--top": ["1,a", "-1,1"]}
+# per flag, its good value, one of its edges or any value, in equal shares
+FLAG_VALUES = {flag: st.one_of(st.just(GOOD[flag]), VALUES,
+                               *([st.sampled_from(EDGES[flag])] if flag in EDGES else []))
+               for flag in GOOD}
 
 
 @st.composite
 def argvs(draw):
-    """A subcommand (or none) with its own flags, mostly with values they accept,
-    and sometimes one flag of any subcommand with any value."""
+    """A subcommand (or none) with its own flags, and sometimes one flag of any
+    subcommand, each value-taking flag with a value drawn from ``FLAG_VALUES``."""
     command = draw(st.sampled_from(COMMANDS * 4 + ["nosuch", "-h", "--version"]))
     argv = [command]
     for flag, takes in OWN_FLAGS.get(command, {}).items():
         if draw(st.integers(0, 3)):
-            argv.append(flag)
-            if takes:
-                argv.append(GOOD[flag] if draw(st.integers(0, 3)) else draw(VALUES))
+            argv += [flag, draw(FLAG_VALUES[flag])] if takes else [flag]
     if not draw(st.integers(0, 3)):
         flag = draw(st.sampled_from(sorted(FLAGS)))
-        argv += [flag, draw(VALUES)] if FLAGS[flag] else [flag]
+        argv += [flag, draw(FLAG_VALUES[flag])] if FLAGS[flag] else [flag]
     return argv
 
 
 @settings(settings.get_profile("ci"), max_examples=300)
-# the draws seldom put a 10-digit value after --k: on these files Omega^k would
-# pass the syzygy size guard, so both exit 3 at once
+# a 10-digit --k on the unmutated files: Omega^k would pass the syzygy size guard,
+# so both exit 3 at once
 @example(argv=["syzygy", "--algebra", "alg.json", "--seq", "seq.json", "--k", "1000000007"],
          files=FILES)
 @example(argv=["ext", "--algebra", "alg.json", "--seq", "seq.json", "--k", "1000000007"],

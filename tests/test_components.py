@@ -189,7 +189,7 @@ def test_report_matches_pairwise_oracle(request, fixture, dimvec):
     alg = request.getfixturevalue(fixture)
     rep = component_report(alg, dimvec, seeds=SIFT_SEEDS)
     seqs = rep.sequences
-    assert rep.verdicts == tuple(closure_containment_test(alg, a, b, SIFT_SEEDS)
+    assert rep.verdicts == tuple(closure_containment_test(alg, a, b)
                                  for i, a in enumerate(seqs)
                                  for j, b in enumerate(seqs) if i != j)
     oracle = sequence_poset_by_sets(seqs)

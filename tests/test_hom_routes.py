@@ -23,6 +23,7 @@ from genrep.matrix_rep import (
     materialize,
     module_point,
     seeded_assignment,
+    socle,
 )
 
 from conftest import DenseRowSpace, bareiss_rank, fs_sub, seq
@@ -49,6 +50,18 @@ def test_rationals_agree_with_mod_p(request, name, dimvec):
             values.append((generic_socle(alg, S, fs=fs), generic_end_dim(alg, S, fs=fs),
                            ext_dim(alg, S, rep, 1, seeds=[0], fs=fs)))
         assert values[0] == values[1], S
+
+
+@pytest.mark.parametrize("fs", [RATIONALS, FieldSpec()], ids=["Q", "Fp"])
+@pytest.mark.parametrize("name,dimvec", CASES)
+def test_generic_socle_is_the_socle_of_seeded_points(request, name, dimvec, fs):
+    # the term rank of the socle rows against the rank at seeded scalars, every layering
+    alg, seqs = _layerings(request, name, dimvec)
+    for S in seqs:
+        pres = generic_presentation(alg, S)
+        soc = generic_socle(alg, S, fs)
+        for sd in (0, 1, 2):
+            assert soc == socle(materialize(pres, seeded_assignment(pres, sd, fs), fs)), S
 
 
 @pytest.mark.parametrize("fs", [RATIONALS, FieldSpec()], ids=["Q", "Fp"])

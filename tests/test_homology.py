@@ -19,6 +19,7 @@ from genrep.homology import (
     first_syzygy,
     is_projective,
     iterated_syzygy,
+    last_two_syzygies,
     profile_to_json,
     projective_dimension,
     syzygy_of_cyclic,
@@ -30,6 +31,7 @@ from conftest import (
     FIXTURES,
     _alg,
     iterated_syzygy_by_steps,
+    last_two_syzygies_by_steps,
     projective_dimension_by_dfs,
     projective_layering,
     realizable_layerings,
@@ -221,6 +223,7 @@ def test_iterated_syzygy_matches_step_oracle(request, fixture, data, k):
     alg = request.getfixturevalue(fixture)
     S = data.draw(realizable_layerings(alg))
     assert iterated_syzygy(alg, S, k) == iterated_syzygy_by_steps(alg, S, k)
+    assert last_two_syzygies(alg, S, k) == last_two_syzygies_by_steps(alg, S, k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -286,6 +289,8 @@ def test_iterated_syzygy_at_huge_k():
     # on the README algebra the multiplicities double every other step
     with pytest.raises(EnumerationCapError, match=r"Omega\^1000000000 "):
         iterated_syzygy(*README, 10**9)
+    with pytest.raises(EnumerationCapError, match=r"Omega\^1000000000 "):
+        last_two_syzygies(*README, 10**9)
 
 
 def test_unrealizable_rejected(double_back):
@@ -323,6 +328,8 @@ def test_iterated_syzygy_k_zero_rejected(double_back):
     from genrep.errors import ValidationError
     with pytest.raises(ValidationError):
         iterated_syzygy(double_back, S_DEEP, 0)
+    with pytest.raises(ValidationError):
+        last_two_syzygies(double_back, S_DEEP, 0)
 
 
 @pytest.mark.parametrize("fixture, dimvec", [("double_back", (3, 3)), ("relay", (2, 2, 1)),

@@ -12,6 +12,7 @@ from genrep.errors import EnumerationCapError, SeedStabilityError, ValidationErr
 from genrep.generic_builder import generic_presentation
 from genrep.homology import CyclicType, first_syzygy
 from genrep.matrix_rep import (
+    MERSENNE_61,
     MIN_RANDOM_MODULUS,
     RATIONALS,
     FieldSpec,
@@ -36,10 +37,9 @@ from genrep.matrix_rep import (
     seeded_assignment,
     socle,
     _path_columns,
-    _peel,
     _rank,
-    _seeded_socle,
-    _socle_rows,
+    _socle_supports,
+    _term_rank,
 )
 from genrep.skeleta import (
     Skeleton,
@@ -260,7 +260,7 @@ def test_projective_extends_each_path_once(monkeypatch):
 
 
 def test_socle_deep(double_back):
-    assert generic_socle(double_back, S_DEEP, seeds=(3, 5, 7)) == (1, 0)
+    assert generic_socle(double_back, S_DEEP) == (1, 0)
 
 
 def test_socle_dip_contains_s2(double_back):
@@ -358,8 +358,6 @@ def _drifting(monkeypatch, name):
 
 
 @pytest.mark.parametrize("stage, patched, run", [
-    ("generic_socle", "_seeded_socle",
-     lambda alg: generic_socle(alg, S_DEEP, seeds=(4, 5, 6))),
     ("generic_end_dim", "_presented_hom_dim",
      lambda alg: generic_end_dim(alg, S_DEEP, seeds=(4, 5, 6))),
     ("generic_hom_dim", "_presented_hom_dim",
@@ -686,84 +684,94 @@ GENERIC_FIELDS = pytest.mark.parametrize("fs", [FieldSpec(), RATIONALS, SMALL_PR
                                          ids=["F_2^61-1", "Q", "F_1000003"])
 
 
+def assert_socle_of_seeded_points(alg, S, fs, seeds):
+    """The generic socle equals the socle of the point materialized at each seed."""
+    pres = generic_presentation(alg, S)
+    soc = generic_socle(alg, S, fs)
+    for sd in seeds:
+        assert soc == socle(materialize(pres, seeded_assignment(pres, sd, fs), fs)), (S, sd)
+
+
 @pytest.mark.parametrize("fixture", ["double_back", "line_swing", "loop_out", "relay"])
 @GENERIC_FIELDS
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_socle_rows_match_socle_of_materialized_point(request, fixture, fs, data):
-    # the component fixtures: at each seed, the socle read off the column template
-    # equals the socle of the point materialized at the same scalars
+    # the component fixtures: the term rank of the socle rows' supports is the rank at
+    # seeded scalars, so the generic socle is the socle of each seeded point
     alg = request.getfixturevalue(fixture)
     S = data.draw(realizable_layerings(alg).filter(lambda S: any(S.top)))
-    pres = generic_presentation(alg, S)
-    rows = _socle_rows(pres, fs)
     seed = data.draw(st.integers(0, 10**6))
-    for sd in (seed, seed + 1, seed + 2):
-        values = seeded_assignment(pres, sd, fs)
-        assert _seeded_socle(rows, values, fs) == socle(materialize(pres, values, fs))
-    assert generic_socle(alg, S, (seed, seed + 1, seed + 2), fs) == _seeded_socle(
-        rows, seeded_assignment(pres, seed, fs), fs)
+    assert_socle_of_seeded_points(alg, S, fs, (seed, seed + 1, seed + 2))
 
 
 @pytest.mark.parametrize("fixture, layers, shape", [
-    # the row of b1 z1 at 1 is empty (its one arrow leads past the last layer), and
-    # the row of z1 at 2 (b1 z1 and a unit, b2 z1 critical) peels
-    ("double_back", ((0, 1), (1, 0), (0, 0)), [(1, 0), (0, 0)]),
-    ("loop_out", ((1, 0), (0, 1), (0, 0)), [(0, 0), (1, 0)]),
+    # a row peels when its support alone fixes its share of the rank: it holds a single
+    # column, or a column no other row holds.  The row of b1 z1 at 1 is empty (its one
+    # arrow leads past the last layer), and the row of z1 at 2 (b1 z1 and a unit, b2 z1
+    # critical) peels
+    ("double_back", ((0, 1), (1, 0), (0, 0)), [(1, 0), (1, 1)]),
+    ("loop_out", ((1, 0), (0, 1), (0, 0)), [(1, 1), (1, 0)]),
     # no row at 2 peels: z1 and z2 both hold the columns of b1 and b2 at 1
     ("double_back", ((0, 2), (1, 0), (0, 0)), [(1, 0), (2, 2)]),
-    # at 1 one row peels and two are left to eliminate
-    ("loop_out", ((2, 0), (1, 1), (0, 1)), [(2, 2), (2, 0)]),
+    # at 1 the row of a*z1 holds a single column and the other two share theirs
+    ("loop_out", ((2, 0), (1, 1), (0, 1)), [(3, 3), (2, 0)]),
 ], ids=["all-peel", "all-peel-loop", "none-peel", "some-peel"])
 @GENERIC_FIELDS
 def test_socle_rows_peel(request, fixture, layers, shape, fs):
-    # (dim M_v less the rank peeled off the supports, rows left) per vertex
+    # (dim M_v, term rank of the socle rows) per vertex, and the socle of seeded points
     alg = request.getfixturevalue(fixture)
-    pres = generic_presentation(alg, seq(*layers))
-    rows = _socle_rows(pres, fs)
-    assert [(d, len(left)) for d, left in rows] == shape
-    for seed in (0, 1, 2):
-        values = seeded_assignment(pres, seed, fs)
-        assert _seeded_socle(rows, values, fs) == socle(materialize(pres, values, fs))
+    S = seq(*layers)
+    supports = _socle_supports(canonical_skeleton(alg, S))
+    assert [(len(rows), _term_rank(rows)) for rows in supports] == shape
+    assert_socle_of_seeded_points(alg, S, fs, (0, 1, 2))
 
 
-def test_peel_follows_columns_that_become_private():
-    # the second row holds no private column until the first, which holds column 3
-    # alone, goes; then column 2 is the second row's alone, and it goes too.  Columns
-    # 0 and 1 stay shared by the last two rows.  A chain of single columns peels to
-    # the end, and an empty row counts nothing
-    rows = [({2: 1, 3: 1}, []), ({1: 1}, [(2, 0)]), ({}, [(0, 1), (1, 2)]), ({0: 1}, [(1, 3)])]
-    assert _peel(rows) == (2, rows[2:])
-    chain = [({0: 1, 1: 1}, []), ({}, [(1, 0), (2, 1)]), ({2: 1}, []), ({}, [])]
-    assert _peel(chain) == (3, [])
-
-
-@settings(max_examples=200, deadline=None)
+@pytest.mark.parametrize("fixture", ["double_back", "line_swing", "loop_out", "relay",
+                                     "triangle", "kronecker", "six_vertex"])
+@settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_peel_plus_elimination_is_the_rank(data):
-    # rows of drawn supports at drawn nonzero values: the rank _peel reads off the
-    # supports plus the rank of the rows it leaves is the rank of all the rows
-    p = 1000003
-    width = data.draw(st.integers(1, 6))
-    rows, values = [], []
-    for cols in data.draw(st.lists(st.sets(st.integers(0, width - 1), max_size=4), max_size=7)):
-        units, pairs = {}, []
-        for c in sorted(cols):
-            x = data.draw(st.sampled_from([1, 2, p - 1]) | st.integers(1, p - 1))
-            if data.draw(st.booleans()):
-                units[c] = x
-            else:
-                pairs.append((c, len(values)))
-                values.append(x)
-        rows.append((units, pairs))
+def test_socle_supports_hold_one_unit_per_column(request, fixture, data):
+    # on any compatible skeleton, not only the canonical one: the supports are those of
+    # the point materialized on it (a unit where its column holds 1, a scalar where it
+    # holds a drawn value, never 1 but with odds 1/p), each column holds at most one
+    # unit (a member's parent is unique), and the term rank is the point's rank
+    alg = request.getfixturevalue(fixture)
+    S = data.draw(realizable_layerings(alg).filter(lambda S: any(S.top)))
+    sk = data.draw(st.sampled_from(list(islice(iter_skeleta(alg, S), 20))))
+    pres = generic_presentation(alg, S, skeleton=sk)
+    point = materialize(pres, seeded_assignment(pres, data.draw(st.integers(0, 2**32))))
+    supports = _socle_supports(sk)
+    for v, rows in zip(alg.vertices, supports):
+        assert rows == [{(a.name, i): x == 1 for a in alg.quiver.arrows_from[v]
+                         for i, x in point.columns[a.name][j].items()}
+                        for j in range(point.dim_at(v))]
+        units = [c for row in rows for c, unit in row.items() if unit]
+        assert len(units) == len(set(units))
+    assert tuple(len(rows) - _term_rank(rows) for rows in supports) == socle(point)
 
-    def at_values(rows):
-        return [{**units, **{c: values[k] for c, k in pairs}} for units, pairs in rows]
 
-    full = at_values(rows)
-    peeled, left = _peel(rows)
-    assert peeled + _rank(p, at_values(left)) == _rank(p, full)
-    assert all(units or pairs for units, pairs in left)
+def test_term_rank_needs_one_unit_per_column():
+    # two units in one column can cancel: [[1, 1], [1, 1]] has term rank 2 and rank 1
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 1}]
+    assert _term_rank(rows) == 2 and _rank(MERSENNE_61, rows) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32))
+def test_term_rank_is_the_rank_of_independent_scalars(data, seed):
+    # supports with at most one unit per column, every other entry its own scalar: the
+    # term rank is the rank.  The scalars come from a drawn seed, never drawn one by
+    # one, which would shrink them to equal values that cancel
+    width = data.draw(st.integers(1, 7))
+    supports = data.draw(st.lists(st.sets(st.integers(0, width - 1), max_size=5), max_size=8))
+    unit_row = {c: data.draw(st.none() | st.sampled_from(holders))
+                for c in range(width)
+                if (holders := [j for j, cols in enumerate(supports) if c in cols])}
+    rng = random.Random(seed)
+    rows = [{c: 1 if unit_row.get(c) == j else rng.randrange(1, MERSENNE_61) for c in cols}
+            for j, cols in enumerate(supports)]
+    assert _term_rank(rows) == _rank(MERSENNE_61, [dict(row) for row in rows])
 
 
 @pytest.mark.parametrize("fixture", ["double_back", "relay", "six_vertex"])
