@@ -24,7 +24,8 @@ from .algebra_core import (
     sequence_to_json,
     enumerate_sequences,
 )
-from .components import component_report, report_to_json, sequence_poset, sifted_sequences
+from .components import (_DOMINANCE, _report_json, component_report, sequence_poset,
+                         sifted_sequences)
 from .errors import EnumerationCapError, GenrepError, ValidationError
 from .generic_builder import (
     bundle_report_to_json,
@@ -171,25 +172,29 @@ class _Encoded(str):
     """JSON text, encoded at the indentation of the place it is put in."""
 
 
-def _pairs_text(pairs: list, sequences: list, pad: str) -> str:
-    """``_dumps(pairs, pad, {})`` for the "pairs" of ``report_to_json``, whose entries
-    hold the list objects of its "sequences".  An entry is three texts, joined once with
-    all the others: a head up to the outer sequence, made once per inner sequence; the
-    outer sequence, encoded once; and a tail (verdict, evidence, confidence, closing
-    brace and separator), made once per distinct verdict, evidence object and
-    confidence."""
+def _pairs_text(rep, sequences: list, pad: str) -> str:
+    """``_dumps(pairs, pad, {})`` for the "pairs" of ``report_to_json(rep)``, whose
+    "sequences" are ``sequences``, one row (inner sequence) per join: the row's head joins
+    a copy of the dominance-excluded fragments (outer text and tail: verdict, evidence,
+    confidence, separator), with the admitted pairs' fragments written over."""
     entry, item = pad + "  ", pad + "    "
-    sep, memo, tails, out = "," + entry, {}, {}, ["[" + entry]
-    texts = {id(s): _dumps(s, item, memo) for s in sequences}
-    heads = {i: f'{{{item}"inner": {t},{item}"outer": ' for i, t in texts.items()}
-    for p in pairs:
-        key = (p["verdict"], id(p["evidence"]), p["confidence"])
-        if key not in tails:
-            tails[key] = "".join(f',{item}"{k}": {_dumps(p[k], item, memo)}' for k in (
-                "verdict", "evidence", "confidence")) + entry + "}" + sep
-        out += (heads[id(p["inner"])], texts[id(p["outer"])], tails[key])
-    if len(out) == 1:
+    sep, memo = "," + entry, {}
+    texts = [_dumps(s, item, memo) for s in sequences]
+    if len(texts) < 2:
         return "[]"
+    codes = {id(code): code for row in (*rep.rows, {0: _DOMINANCE}) for code in row.values()}
+    tails = {key: "".join(f',{item}"{k}": {_dumps(x, item, memo)}' for k, x in zip(
+        ("verdict", "evidence", "confidence"), code)) + entry + "}" + sep
+        for key, code in codes.items()}
+    excluded = [t + tails[id(_DOMINANCE)] for t in texts]
+    out = ["[" + entry]
+    for i, row in enumerate(rep.rows):
+        frags = excluded.copy()
+        for j, code in row.items():
+            frags[j] = texts[j] + tails[id(code)]
+        del frags[i]
+        head = f'{{{item}"inner": {texts[i]},{item}"outer": '
+        out.append(head + head.join(frags))
     out[-1] = out[-1][:-len(sep)] + pad + "]"
     return "".join(out)
 
@@ -385,8 +390,8 @@ def cmd_components(args, alg, S):
         print(hasse_dot(sequence_poset(alg, sequences)))
         return 0
     rep = component_report(alg, dimvec, top, args.max_top_dim, seeds, fs, args.cap)
-    data = report_to_json(rep)
-    data["pairs"] = _Encoded(_pairs_text(data["pairs"], data["sequences"], "\n  "))
+    data = _report_json(rep)
+    data["pairs"] = _Encoded(_pairs_text(rep, data["sequences"], "\n  "))
     data["version"] = __version__
     return _emit(data)
 

@@ -10,6 +10,10 @@ Mod(S_outer), applied in order:
   dominance    - the inner (more degenerate) sequence must dominate,
   annihilators - arrows killing all outer modules must kill inner ones,
   socle        - the outer generic socle embeds in the inner one.
+
+Dominance is two bitsets per sequence; a report keeps, per inner sequence, a row
+of the pairs dominance admits.  ``ComponentReport.verdicts`` is a view of the rows
+built on first read, and ``closure_containment_test`` the per-pair reference.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 from .algebra_core import (
@@ -61,53 +66,71 @@ class PruningVerdict(NamedTuple):
     confidence: str     # certified | seeded-generic
 
 
-# evidence shared by every dominance-excluded and every possible verdict; never mutated
+# the codes (verdict, evidence, confidence) of all dominance-excluded and possible pairs
 _NOT_DOMINANT = {"reason": "inner sequence does not dominate outer"}
-_NO_EVIDENCE: dict = {}
+_DOMINANCE = ("excluded-dominance", _NOT_DOMINANT, "certified")
+_POSSIBLE = ("possible", {}, "seeded-generic")
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    return [j for j, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
 
 
 class _SiftFacts:
     """Per-sequence facts of one sifting run, each computed at most once.
 
-    A sequence is found by its position, ``pos[id(S)]`` (the memos' closures keep
-    the sequences alive).  ``below[i][j]`` is ``dominates(sequences[i],
-    sequences[j])``, read off flattened partial sums; annihilators and generic
-    socles are memoised per position, and socle evidence per pair of socles (so
-    verdicts with equal socles share one evidence dict, never mutated).
+    Dominance is two bitsets per position, built from the flattened partial sums one
+    coordinate at a time: bit j of ``le[i]`` is set when the sums of j are at most
+    those of i (the outer j dominance admits for inner i), of ``ge[i]`` when at least.
+    Annihilators and generic socles are memoised per position, and the codes
+    ``(verdict, evidence, confidence)`` per missing arrows and per pair of socles,
+    so equal evidence is one dict, never mutated.
     """
 
     def __init__(self, alg, sequences, fs: FieldSpec = FieldSpec()):
         if len({(len(S.layers), S.total_dim) for S in sequences}) > 1:
             raise ValidationError("sequences have different layer counts or total dimension")
-        self.pos = {id(S): i for i, S in enumerate(sequences)}
-        sums = [sum(_partial_sums(S), ()) for S in sequences]
-        self.below = [[all(map(operator.le, a, b)) for b in sums] for a in sums]
+        self.le = self.ge = [(1 << len(sequences)) - 1] * len(sequences)
+        for column in zip(*(sum(_partial_sums(S), ()) for S in sequences)):
+            buckets: dict[int, int] = {}
+            for i, x in enumerate(column):
+                buckets[x] = buckets.get(x, 0) | 1 << i
+            up = sorted(buckets)
+            at_most = dict(zip(up, accumulate(map(buckets.get, up), operator.or_)))
+            at_least = dict(zip(up[::-1], accumulate(map(buckets.get, up[::-1]), operator.or_)))
+            self.le = [m & at_most[x] for m, x in zip(self.le, column)]
+            self.ge = [m & at_least[x] for m, x in zip(self.ge, column)]
         self.annihilators = functools.cache(lambda i: annihilating_arrows(alg, sequences[i]))
         self.socle = functools.cache(lambda i: generic_socle(alg, sequences[i], fs))
-        self.socle_evidence = functools.cache(lambda outer, inner: {
-            "socle_outer": list(outer), "socle_inner": list(inner)})
+        self.annihilator_code = functools.cache(lambda missing: (
+            "excluded-annihilator", {"arrows": list(missing)}, "certified"))
+        self.socle_code = functools.cache(lambda outer, inner: (
+            "excluded-socle", {"socle_outer": list(outer), "socle_inner": list(inner)},
+            "seeded-generic"))
+
+    def code(self, at_out: int, at_in: int) -> tuple:
+        """The code of a pair that dominance admits: the first of the annihilator and
+        socle conditions that excludes it, else ``possible``."""
+        missing = self.annihilators(at_out) - self.annihilators(at_in)
+        if missing:
+            return self.annihilator_code(tuple(sorted(missing)))
+        soc_outer, soc_inner = self.socle(at_out), self.socle(at_in)
+        if any(map(operator.gt, soc_outer, soc_inner)):
+            return self.socle_code(soc_outer, soc_inner)
+        return _POSSIBLE
 
 
 def closure_containment_test(alg: TruncatedAlgebra, S_inner: SemisimpleSequence,
-                             S_outer: SemisimpleSequence, fs: FieldSpec = FieldSpec(),
-                             _facts: _SiftFacts | None = None) -> PruningVerdict:
-    """First implemented necessary condition that rules out containment, or ``possible``."""
-    if _facts is None:
-        if S_inner.dim_vector != S_outer.dim_vector:
-            raise ValidationError("containment test requires equal dimension vectors")
-        _facts = _SiftFacts(alg, (S_inner, S_outer), fs)
-    at_in, at_out = _facts.pos[id(S_inner)], _facts.pos[id(S_outer)]
-    if not _facts.below[at_out][at_in]:
-        return PruningVerdict(S_inner, S_outer, "excluded-dominance", _NOT_DOMINANT, "certified")
-    missing = sorted(_facts.annihilators(at_out) - _facts.annihilators(at_in))
-    if missing:
-        return PruningVerdict(S_inner, S_outer, "excluded-annihilator",
-                              {"arrows": missing}, "certified")
-    soc_outer, soc_inner = _facts.socle(at_out), _facts.socle(at_in)
-    if any(o > i for o, i in zip(soc_outer, soc_inner)):
-        return PruningVerdict(S_inner, S_outer, "excluded-socle",
-                              _facts.socle_evidence(soc_outer, soc_inner), "seeded-generic")
-    return PruningVerdict(S_inner, S_outer, "possible", _NO_EVIDENCE, "seeded-generic")
+                             S_outer: SemisimpleSequence,
+                             fs: FieldSpec = FieldSpec()) -> PruningVerdict:
+    """First implemented necessary condition that rules out containment, or ``possible``:
+    the per-pair reference for the rows of ``component_report``."""
+    if S_inner.dim_vector != S_outer.dim_vector:
+        raise ValidationError("containment test requires equal dimension vectors")
+    facts, at_in, at_out = _SiftFacts(alg, (S_inner, S_outer), fs), 0, 1
+    code = facts.code(at_out, at_in) if facts.ge[at_out] >> at_in & 1 else _DOMINANCE
+    return PruningVerdict(S_inner, S_outer, *code)
 
 
 @dataclass(frozen=True)
@@ -119,19 +142,17 @@ class SequencePoset:
 
 def sequence_poset(alg: TruncatedAlgebra, sequences) -> SequencePoset:
     sequences = tuple(sequences)
-    return _poset(sequences, _SiftFacts(alg, sequences).below)
+    return _poset(sequences, _SiftFacts(alg, sequences))
 
 
-def _poset(sequences, below) -> SequencePoset:
+def _poset(sequences, facts: _SiftFacts) -> SequencePoset:
     """Covers and minimal elements; j covers i when no k above i lies below j."""
-    n = len(sequences)
-    up = [{j for j in range(n) if j != i and below[i][j]} for i in range(n)]
+    up = [m & ~(1 << i) for i, m in enumerate(facts.ge)]
     covers = []
-    for i in range(n):
-        through = set().union(*(up[k] for k in up[i]))
-        covers.extend((i, j) for j in sorted(up[i] - through))
-    minimal = tuple(i for i in range(n)
-                    if not any(below[k][i] for k in range(n) if k != i))
+    for i, above in enumerate(up):
+        through = functools.reduce(operator.or_, map(up.__getitem__, _bits(above)), 0)
+        covers.extend((i, j) for j in _bits(above & ~through))
+    minimal = tuple(i for i, m in enumerate(facts.le) if m == 1 << i)
     return SequencePoset(sequences, tuple(covers), minimal)
 
 
@@ -139,7 +160,8 @@ def _poset(sequences, below) -> SequencePoset:
 class ComponentReport:
     dim_vector: DimensionVector
     poset: SequencePoset
-    verdicts: tuple[PruningVerdict, ...]
+    # per inner i, {outer j: (verdict, evidence, confidence)} for the j != i dominance admits
+    rows: tuple[dict[int, tuple[str, dict, str]], ...]
     class0: tuple[int, ...]                    # dominance-minimal sequences
     candidates: tuple[int, ...]
     possibly_redundant: dict[int, tuple[int, ...]]
@@ -151,6 +173,18 @@ class ComponentReport:
     @property
     def sequences(self):
         return self.poset.sequences
+
+    def _pairs(self):
+        """(inner, outer, code) of every ordered pair, inner-major."""
+        n = len(self.rows)
+        return ((i, j, row.get(j, _DOMINANCE))
+                for i, row in enumerate(self.rows) for j in range(n) if j != i)
+
+    @functools.cached_property
+    def verdicts(self) -> tuple[PruningVerdict, ...]:
+        """Every ordered pair's verdict, inner-major, built from the rows on first read."""
+        seqs = self.sequences
+        return tuple(PruningVerdict(seqs[i], seqs[j], *code) for i, j, code in self._pairs())
 
 
 def sifted_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector, top=None,
@@ -170,35 +204,27 @@ def component_report(alg: TruncatedAlgebra, dimvec: DimensionVector,
                      cap: int | None = None) -> ComponentReport:
     """Sift the realizable sequences of a dimension vector for component candidates.
 
-    Every ordered pair is run through the containment test; a sequence that
-    is ``possible`` inside some other sequence is only possibly a component
-    (reported with its potential containers).  Dominance-minimal sequences
-    are components outright (class 0).  The candidate count is bracketed by
+    Each inner sequence's row runs the annihilator and socle tests on the outer
+    sequences dominance admits; every other pair is excluded by dominance.  A
+    sequence ``possible`` inside another is only possibly a component (reported
+    with its potential containers).  Dominance-minimal sequences are components
+    outright (class 0).  The candidate count is bracketed by
     the number of minimal sequences and the number of realizable ones.
     ``cap`` bounds the realizable sequences and then the ordered pairs.
     """
     sequences = sifted_sequences(alg, dimvec, top, max_top_dim, cap)
     facts = _SiftFacts(alg, sequences, fs)
-    poset = _poset(tuple(sequences), facts.below)
-    verdicts = []
-    containers: dict[int, list[int]] = {i: [] for i in range(len(sequences))}
-    for i, inner in enumerate(sequences):
-        for j, outer in enumerate(sequences):
-            if i == j:
-                continue
-            v = closure_containment_test(alg, inner, outer, fs, facts)
-            verdicts.append(v)
-            if v.verdict == "possible":
-                containers[i].append(j)
-    candidates = tuple(i for i in range(len(sequences)) if not containers[i])
-    redundant = {i: tuple(js) for i, js in containers.items() if js}
+    poset = _poset(tuple(sequences), facts)
+    rows = tuple({j: facts.code(j, i) for j in _bits(m & ~(1 << i))}
+                 for i, m in enumerate(facts.le))
+    containers = [tuple(j for j, code in row.items() if code is _POSSIBLE) for row in rows]
     return ComponentReport(
         dim_vector=tuple(dimvec),
         poset=poset,
-        verdicts=tuple(verdicts),
+        rows=rows,
         class0=poset.minimal,
-        candidates=candidates,
-        possibly_redundant=redundant,
+        candidates=tuple(i for i, js in enumerate(containers) if not js),
+        possibly_redundant={i: js for i, js in enumerate(containers) if js},
         lower_bound=len(poset.minimal),
         upper_bound=len(sequences),
         seeds=tuple(seeds),
@@ -211,9 +237,16 @@ def component_report(alg: TruncatedAlgebra, dimvec: DimensionVector,
 # ---------------------------------------------------------------------------
 
 def report_to_json(rep: ComponentReport) -> dict:
-    # every pair holds its sequences' own list objects, so the CLI encodes each once
+    data = _report_json(rep)
+    seqs = data["sequences"]
+    data["pairs"] = [{"inner": seqs[i], "outer": seqs[j], "verdict": v, "evidence": e,
+                      "confidence": c} for i, j, (v, e, c) in rep._pairs()]
+    return data
+
+
+def _report_json(rep: ComponentReport) -> dict:
+    """``report_to_json`` with "pairs" None, for the caller to set in place (in order)."""
     seqs = [[list(r) for r in S.layers] for S in rep.sequences]
-    rows = {id(S): r for S, r in zip(rep.sequences, seqs)}
     return {
         "dim_vector": list(rep.dim_vector),
         "sequences": seqs,
@@ -226,9 +259,7 @@ def report_to_json(rep: ComponentReport) -> dict:
         ],
         "lower_bound": rep.lower_bound,
         "upper_bound": rep.upper_bound,
-        "pairs": [{"inner": rows[id(v.inner)], "outer": rows[id(v.outer)],
-                   "verdict": v.verdict, "evidence": v.evidence, "confidence": v.confidence}
-                  for v in rep.verdicts],
+        "pairs": None,
         "seed": list(rep.seeds),
         "field_modulus": rep.field_modulus,
         "confidence": "seeded-generic",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra_core import (
     DimensionVector,
@@ -26,9 +26,8 @@ from .skeleta import Skeleton, _compatible_skeleton, critical_paths
 _MAX_BITS = 1 << 22  # a syzygy multiplicity out of reach of stepping one degree at a time
 
 
-@dataclass(frozen=True)
-class CyclicType:
-    """The cyclic module Lambda e / J^m e."""
+class CyclicType(NamedTuple):
+    """The cyclic module Lambda e / J^m e; a tuple, so it hashes in C."""
 
     vertex: str
     truncation: int  # m, 1 <= m <= L+1
@@ -59,10 +58,7 @@ class SyzygyProfile:
     def __init__(self, summands):
         counts: dict[CyclicType, int] = {}
         for item in summands:
-            if isinstance(item, tuple):
-                c, mult = item
-            else:
-                c, mult = item, 1
+            c, mult = (item, 1) if isinstance(item, CyclicType) else item
             if mult:
                 counts[c] = counts.get(c, 0) + mult
         self._items = tuple(sorted(counts.items(),

@@ -200,10 +200,18 @@ def enumerate_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence,
 
 
 def canonical_skeleton(alg: TruncatedAlgebra, S: SemisimpleSequence) -> Skeleton:
-    """First skeleton in enumeration order, one pass deep; raises if S is unrealizable."""
-    for sk in iter_skeleta(alg, S):
-        return sk
-    raise UnrealizableError(f"{S} is not realizable")
+    """The first skeleton of ``iter_skeleta``, written without the walk: layer l at v is
+    the first S_l[v] extensions into v of layer l-1 in block order; raises if unrealizable."""
+    if not realizable(alg, S):
+        raise UnrealizableError(f"{S} is not realizable")
+    top = top_elements(alg, S)
+    layer = [(r, (r + 1, alg.trivial_path(v))) for r, v in enumerate(top)]
+    elements = [el for _, el in layer]
+    for l in range(1, alg.L + 1):
+        cands = _level_candidates(alg, layer)
+        layer = [c for v, m in zip(alg.vertices, S.layers[l]) for c in cands[v][:m]]
+        elements += [el for _, el in sorted(layer)]
+    return Skeleton(alg, top, elements, ordered=True)
 
 
 def _compatible_skeleton(alg: TruncatedAlgebra, S: SemisimpleSequence,

@@ -27,6 +27,16 @@ FIXTURES = ["double_back", "relay", "loop_out", "chain_with_returns", "line_swin
             "six_vertex", "triangle", "kronecker", "a2", "diamond", "y_quiver", "with_isolated"]
 
 
+# name -> (vertices, arrows, L) of the algebras component sifting and its stdout are checked on
+COMPONENT_ALGEBRAS = {
+    "double_back": (["1", "2"], [("a", "1", "2"), ("b1", "2", "1"), ("b2", "2", "1")], 2),
+    "line_swing": (["1", "2", "3"], [("u", "1", "2"), ("v", "2", "3"), ("w", "3", "2")], 2),
+    "loop_out": (["1", "2"], [("a", "1", "1"), ("b", "1", "2")], 2),
+    "relay": (["1", "2", "3"], [("a1", "1", "2"), ("a2", "1", "2"), ("b", "2", "3"),
+                                ("g1", "3", "2"), ("g2", "3", "2")], 3),
+}
+
+
 @st.composite
 def realizable_layerings(draw, alg):
     """A top of entries 0..2, then each layer within the extensions of the one before."""

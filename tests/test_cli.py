@@ -15,6 +15,7 @@ from genrep.cli import _dumps, build_parser, hasse_dot, main, skeleton_text
 from genrep.homology import profile_to_json
 
 from conftest import (
+    COMPONENT_ALGEBRAS,
     FIXTURES,
     iterated_syzygy_by_steps,
     last_two_syzygies_by_steps,
@@ -350,16 +351,6 @@ def test_components_dot_sifts_no_pair(double_back_file, capsys, monkeypatch):
     assert "realizable sequences exceed cap of 8" in capsys.readouterr().err
     assert main(argv + ["--cap", "71"]) == 3
     assert "72 ordered pairs exceed cap of 71" in capsys.readouterr().err
-
-
-# name -> (vertices, arrows, L) of the algebras the components stdout is drawn over
-COMPONENT_ALGEBRAS = {
-    "double_back": (["1", "2"], [("a", "1", "2"), ("b1", "2", "1"), ("b2", "2", "1")], 2),
-    "line_swing": (["1", "2", "3"], [("u", "1", "2"), ("v", "2", "3"), ("w", "3", "2")], 2),
-    "loop_out": (["1", "2"], [("a", "1", "1"), ("b", "1", "2")], 2),
-    "relay": (["1", "2", "3"], [("a1", "1", "2"), ("a2", "1", "2"), ("b", "2", "3"),
-                                ("g1", "3", "2"), ("g2", "3", "2")], 3),
-}
 
 
 @pytest.fixture(scope="module")
@@ -1306,14 +1297,46 @@ def _deep_input(tmp_path, command):
     return [command, "--algebra", alg, "--layers", json.dumps([[1]] * (limit + 1))]
 
 
-@pytest.mark.parametrize("command", ["projdim", "critical", "geometry", "syzygy", "socle",
-                                     "skeleta", "point-skeleta", "sequences", "projdim-line"])
+@pytest.mark.parametrize("command", ["skeleta", "point-skeleta", "sequences"])
 def test_input_deeper_than_recursion_limit_exits_3(tmp_path, capsys, command):
     code = main(_deep_input(tmp_path, command))
     out, err = capsys.readouterr()
     assert code == 3 and out == "" and "Traceback" not in err
     assert err == ("error: input needs more than Python's recursion limit of "
                    f"{sys.getrecursionlimit()} nested calls\n")
+
+
+# the canonical skeleton is written level by level, so the subcommands built on it
+# answer these inputs: one S1 per layer on one loop is the projective k[x]/x^(L+1),
+# and (S0, S1) on the line at L = 1 the projective at vertex 0
+@pytest.mark.parametrize("command", ["projdim", "critical", "geometry", "syzygy", "socle",
+                                     "projdim-line"])
+def test_input_once_deeper_than_recursion_limit_is_answered(tmp_path, capsys, command):
+    code = main(_deep_input(tmp_path, command))
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    if command == "geometry":
+        assert (data["N"], data["N0"], data["N1"]) == (0, 0, 0)
+        assert len(data["tower"]) == sys.getrecursionlimit()  # levels 0..L-1
+    elif command == "socle":
+        assert data["socle"] == [1]
+    else:
+        assert data == {"projdim": {"projdim": 0}, "critical": [], "syzygy": [],
+                        "projdim-line": {"projdim": 0}}[command]
+
+
+@pytest.mark.parametrize("command, want", [
+    ("generic", {"mode": "ungraded", "relations": []}), ("socle", [1]), ("critical", []),
+    ("syzygy", []), ("projdim", {"projdim": 0}),
+])
+def test_one_loop_at_L_2000_is_answered_in_closed_form(tmp_path, capsys, command, want):
+    loop = _write(tmp_path, "loop.json", {
+        "vertices": ["1"], "arrows": [{"name": "x", "source": "1", "target": "1"}],
+        "max_path_length": 2000})
+    assert main([command, "--algebra", loop, "--layers", json.dumps([[1]] * 2001)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["socle"] if command == "socle" else data) == want
 
 
 def test_input_errors_keep_their_precedence(tmp_path, double_back_file, deep_file, capsys):

@@ -1,11 +1,16 @@
 """Annihilating arrows, containment pruning, component reports."""
 
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from genrep.algebra_core import enumerate_sequences
+from genrep.algebra_core import dominates, enumerate_sequences
 from genrep.components import (
+    _DOMINANCE,
+    _SiftFacts,
+    _poset,
     annihilating_arrows,
     closure_containment_test,
     component_report,
@@ -16,7 +21,12 @@ from genrep.errors import UnrealizableError, ValidationError
 from genrep.skeleta import enumerate_skeleta
 
 from conftest import (
-    annihilating_arrows_by_skeleton, projective_layering, seq, sequence_poset_by_sets,
+    COMPONENT_ALGEBRAS,
+    _alg,
+    annihilating_arrows_by_skeleton,
+    projective_layering,
+    seq,
+    sequence_poset_by_sets,
 )
 
 S_TOP1 = seq((2, 0), (0, 2), (0, 0))
@@ -200,3 +210,50 @@ def test_report_matches_pairwise_oracle(request, fixture, dimvec):
 def test_sequence_poset_rejects_mixed_totals(double_back):
     with pytest.raises(ValidationError):
         sequence_poset(double_back, [S_DEEP, seq((1, 0), (0, 1), (0, 0))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rows_bitsets_and_poset_match_pairwise_oracles(data):
+    # each row holds the codes of the outer sequences dominance admits, equal to the
+    # per-pair reference, and the bitsets are dominance itself
+    alg = _alg(*COMPONENT_ALGEBRAS[data.draw(st.sampled_from(sorted(COMPONENT_ALGEBRAS)))])
+    dimvec = tuple(data.draw(st.lists(st.integers(0, 3), min_size=alg.n, max_size=alg.n)
+                             .filter(lambda dv: 0 < sum(dv) <= 6)))
+    options = {}
+    if data.draw(st.booleans()):
+        options["top"] = tuple(data.draw(st.integers(0, x)) for x in dimvec)
+    if data.draw(st.booleans()):
+        options["max_top_dim"] = data.draw(st.integers(0, 4))
+    rep = component_report(alg, dimvec, **options)
+    seqs, n = rep.sequences, len(rep.sequences)
+    facts = _SiftFacts(alg, seqs)
+    for i, inner in enumerate(seqs):
+        for j, outer in enumerate(seqs):
+            assert facts.le[i] >> j & 1 == dominates(outer, inner)
+            assert facts.ge[i] >> j & 1 == dominates(inner, outer)
+            if i != j:
+                assert (j in rep.rows[i]) == dominates(outer, inner)
+                code = rep.rows[i].get(j, _DOMINANCE)
+                assert code == tuple(closure_containment_test(alg, inner, outer))[2:]
+    assert len(rep.verdicts) == n * (n - 1)
+    assert _poset(seqs, facts) == rep.poset == sequence_poset_by_sets(seqs)
+
+
+def test_annihilator_pairs_share_evidence_per_missing_arrows(relay):
+    rep = component_report(relay, (1, 2, 2))
+    found = [v for v in rep.verdicts if v.verdict == "excluded-annihilator"]
+    assert len(found) == 8
+    assert all(v.evidence is found[0].evidence for v in found)
+    pairs = [p for p in report_to_json(rep)["pairs"] if p["verdict"] == "excluded-annihilator"]
+    assert {json.dumps({k: p[k] for k in ("verdict", "evidence", "confidence")})
+            for p in pairs} == {'{"verdict": "excluded-annihilator", '
+                                '"evidence": {"arrows": ["g1", "g2"]}, '
+                                '"confidence": "certified"}'}
+
+
+def test_verdicts_are_built_once_from_the_rows(double_back):
+    rep = component_report(double_back, (2, 2))
+    assert "verdicts" not in vars(rep)
+    assert rep.verdicts is rep.verdicts
+    assert sum(len(row) for row in rep.rows) < len(rep.verdicts)

@@ -343,3 +343,14 @@ def test_relation_cyclics_are_the_first_syzygy(request, fixture, dimvec):
         cyclics = [CyclicType(alg.path_end(rel.critical.path(alg)),
                               alg.L + 1 - rel.critical.length) for rel in pres.relations]
         assert SyzygyProfile(cyclics) == first_syzygy(alg, S)
+
+
+def test_cyclic_type_is_a_tuple_with_its_fields_and_text():
+    # a NamedTuple, so it hashes in C; a profile still counts a bare type once
+    c = CyclicType("1", 2)
+    assert isinstance(c, tuple) and c._fields == ("vertex", "truncation")
+    assert hash(c) == hash(("1", 2))
+    assert str(c) == "1/J^2" and repr(c) == "CyclicType(vertex='1', truncation=2)"
+    profile = SyzygyProfile([c, (c, 2), CyclicType("1", 1)])
+    assert profile_to_json(profile) == [{"vertex": "1", "truncation": 1, "multiplicity": 1},
+                                        {"vertex": "1", "truncation": 2, "multiplicity": 3}]

@@ -1,6 +1,6 @@
 """Skeleton enumeration, critical paths, sigma-sets, N-invariants."""
 
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -270,6 +270,24 @@ def test_descent_builds_skeleta_in_canonical_order(request, fixture, data):
             [resorted.layer(l) for l in range(alg.L + 1)]
         assert hash(got) == hash(resorted)
     assert canonical_skeleton(alg, S).elements == next(iter_skeleta_by_product(alg, S)).elements
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_canonical_skeleton_is_the_walks_first(request, fixture):
+    # written level by level, the canonical skeleton is the walk's first skeleton,
+    # element for element, on every realizable layering of total dimension 1..4
+    alg = request.getfixturevalue(fixture)
+    count = 0
+    for dimvec in product(range(3), repeat=alg.n):
+        if not 0 < sum(dimvec) <= 4:
+            continue
+        for S in enumerate_sequences(alg, dimvec):
+            first, sk = next(iter_skeleta(alg, S)), canonical_skeleton(alg, S)
+            assert (sk.top, sk.elements) == (first.top, first.elements)
+            assert [sk.layer(l) for l in range(alg.L + 1)] == \
+                [first.layer(l) for l in range(alg.L + 1)]
+            count += 1
+    assert count
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
