@@ -69,6 +69,8 @@ class Quiver:
         self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
         self.arrow_index = {a.name: i for i, a in enumerate(self.arrows)}
         self.arrow_by_name = {a.name: a for a in self.arrows}
+        self.arrow_ends = tuple((self.vertex_index[a.source], self.vertex_index[a.target])
+                                for a in self.arrows)  # (source, target) position per arrow
         self.arrows_from = {v: tuple(a for a in self.arrows if a.source == v) for v in self.vertices}
         self.arrows_into = {v: tuple(a for a in self.arrows if a.target == v) for v in self.vertices}
 
@@ -124,8 +126,8 @@ class TruncatedAlgebra:
         Entry j is A_j = sum_i (#arrows i->j) * layer[i].
         """
         counts = [0] * self.n
-        for a in self.quiver.arrows:
-            counts[self.vertex_pos(a.target)] += layer[self.vertex_pos(a.source)]
+        for source, target in self.quiver.arrow_ends:
+            counts[target] += layer[source]
         return tuple(counts)
 
     @cached_property

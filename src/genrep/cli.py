@@ -1,9 +1,10 @@
 """Command-line front end: JSON in, JSON/DOT/text out.
 
-Every randomized artifact embeds the seed, the field modulus, and a
-confidence label; output is byte-identical for identical inputs and seed.
-Exit codes: 0 success, 2 validation error, 3 enumeration cap exceeded (or an
-input that nests deeper than Python's recursion limit).
+Every randomized artifact embeds the seed, the field modulus, and a confidence label;
+output is byte-identical for identical inputs and seed.  Exit codes: 0 success, 2
+validation error, 3 enumeration cap exceeded (or an input that nests deeper than Python's
+recursion limit).  ``main`` builds each subcommand's parser once per process, on its first
+use, and nothing at import; ``build_parser`` builds a new parser on every call.
 """
 
 from __future__ import annotations
@@ -405,8 +406,14 @@ def cmd_point_skeleta(args, alg, S):
 
 # ---------------------------------------------------------------------------
 
+_COMMANDS = ("realizable", "sequences", "skeleta", "critical", "generic", "hypergraph",
+             "geometry", "syzygy", "projdim", "socle", "hom", "ext", "decompose", "components",
+             "point-skeleta")
+_PARSERS = {}  # what main parses with: a subcommand's parser by its name, the full one by None
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``genrep`` parser, with only the subparser of ``command`` if that names one.
+    """A new ``genrep`` parser, with only the subparser of ``command`` if that names one.
 
     On arguments that start with that name it acts and reports as the full parser.
     """
@@ -415,15 +422,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Generic-module invariants of truncated path algebras.")
     parser.add_argument("--version", action="version", version=f"genrep {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    names = []
 
     def add(name, func, help, seq=True, seeded=False, field=False, formats=(), cap=False):
         """A subcommand with --algebra and the shared flags it honours; None if not built."""
-        names.append(name)
-        if command is not None and name != command:
+        if command in _COMMANDS and name != command:
             return None
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
+        # looked up by name at each run, so that a wrapper set on the module later runs
+        p.set_defaults(func=func.__name__)
         p.add_argument("--algebra", required=True, help="algebra JSON file")
         if seq:
             p.add_argument("--seq", help="semisimple sequence JSON file")
@@ -483,24 +489,26 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if p := add("point-skeleta", cmd_point_skeleta, "distinguished skeleta of a module point",
                 seq=False, field=True, cap=True):
         p.add_argument("--module", required=True, help="module point JSON file")
-    if command not in (None, *names):
-        return build_parser()
-    if command is not None:
+    if command in _COMMANDS:
         # the usage line lists every name, as the full parser's choices do; the full
         # parser keeps no metavar, which would replace "command" in its errors
-        sub.metavar = "{" + ",".join(names) + "}"
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one subcommand, building only its parser, on the algebra and then the sequence
-    (for a subcommand with ``--seq``/``--layers``), each loaded here once."""
+    """Run one subcommand on the algebra and then the sequence (for a subcommand with
+    ``--seq``/``--layers``), each loaded here once.  Its parser, or the full parser for any
+    other first argument, is built on first use and kept: a parse leaves no state in it."""
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
+    if name not in _PARSERS:
+        _PARSERS[name] = build_parser(name)
+    args = _PARSERS[name].parse_args(argv)
     try:
         alg = algebra_from_json(_load_json(args.algebra))
         S = _sequence(args, alg) if hasattr(args, "layers") else None
-        return args.func(args, alg, S)
+        return globals()[args.func](args, alg, S)
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

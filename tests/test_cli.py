@@ -1,13 +1,16 @@
 """End-to-end CLI checks: subcommands, formats, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from genrep import cli, matrix_rep
 from genrep.algebra_core import algebra_from_json
@@ -393,7 +396,16 @@ def components_stdout_matches_stdlib(path, alg, dimvec, seed=0, top=None, max_to
     rep = component_report(alg, dimvec, top=top, max_top_dim=max_top_dim,
                            seeds=(seed, seed + 1, seed + 2), fs=fs)
     expected = json.dumps(report_to_json(rep) | {"version": __version__}, indent=2) + "\n"
-    assert out.getvalue() == expected
+    got = out.getvalue()
+    if got != expected:
+        # a window around the first difference: pytest's own diff of two texts of megabytes
+        # runs for minutes
+        at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+                  min(len(got), len(expected)))
+        window = slice(max(at - 200, 0), at + 200)
+        pytest.fail(f"components stdout ({len(got)} characters) differs from json.dumps "
+                    f"({len(expected)} characters) first at offset {at}:\n"
+                    f"stdout:   {got[window]!r}\njson.dumps: {expected[window]!r}")
     return rep
 
 
@@ -1159,12 +1171,93 @@ def test_valid_subcommand_builds_one_subparser(double_back_file, deep_file, caps
         return original(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    assert main(["projdim", "--algebra", double_back_file, "--seq", deep_file]) == 0
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    argv = ["projdim", "--algebra", double_back_file, "--seq", deep_file]
+    assert main(argv) == 0
+    assert built == ["projdim"]
+    assert main(argv) == 0  # the parser is kept: a second run builds nothing
     assert built == ["projdim"]
     built.clear()
     with pytest.raises(SystemExit):
         main(["nosuch"])
     assert built == COMMANDS
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Placeholder -> path of the README algebra and its sequence."""
+    directory = tmp_path_factory.mktemp("warm")
+    (directory / "alg.json").write_text(json.dumps({
+        "vertices": ["1", "2"],
+        "arrows": [{"name": "a", "source": "1", "target": "2"},
+                   {"name": "b1", "source": "2", "target": "1"},
+                   {"name": "b2", "source": "2", "target": "1"}],
+        "max_path_length": 2}))
+    (directory / "seq.json").write_text(json.dumps({"layers": [[1, 1], [0, 1], [1, 0]]}))
+    return {"ALG": str(directory / "alg.json"), "SEQ": str(directory / "seq.json")}
+
+
+def _main_outcome(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# runs of argvs kept in order: a flag given in one run must not carry over to the next
+WARM_RUNS = [
+    (["projdim", "--algebra", "ALG", "--seq", "SEQ"],),
+    (["realizable", "--algebra", "ALG", "--layers", "[[0,0],[0,0],[0,0]]"],),
+    (["hypergraph", "--dot", "--algebra", "ALG", "--seq", "SEQ"],
+     ["hypergraph", "--algebra", "ALG", "--seq", "SEQ"]),
+    (["hom", "--seq2", "SEQ", "--algebra", "ALG", "--seq", "SEQ"],
+     ["hom", "--algebra", "ALG", "--seq", "SEQ"]),
+    (["components", "--algebra", "ALG", "--dimvec", "2,2", "--top", "1,1"],
+     ["components", "--algebra", "ALG", "--dimvec", "2,2"]),
+    (["hom", "--help"],), (["--help"],), (["--version"],), ([],), (["nosuch"],),
+    (["hom", "--cap", "5"],), (["ext", "--k", "x", "--algebra", "ALG"],), (["--", "hom"],),
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(runs=st.lists(st.sampled_from(WARM_RUNS), min_size=1, max_size=8))
+@example(runs=WARM_RUNS)
+def test_warm_main_matches_cold_main(cli_files, runs):
+    warm = {}
+    for argv in [[cli_files.get(a, a) for a in argv] for run in runs for argv in run]:
+        with mock.patch.object(cli, "_PARSERS", {}):
+            cold = _main_outcome(argv)
+        with mock.patch.object(cli, "_PARSERS", warm):
+            assert _main_outcome(argv) == cold
+    assert len(warm) <= 16
+
+
+def test_parser_table_does_not_grow_with_input(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    for i in range(100):
+        with pytest.raises(SystemExit):
+            main([f"nosuch{i}"])
+    assert list(cli._PARSERS) == [None]
+    for command in COMMANDS:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+    assert set(cli._PARSERS) == {None, *COMMANDS}
+    assert build_parser("hom") is not build_parser("hom")
+
+
+def test_kept_parser_runs_the_function_now_on_the_module(double_back_file, deep_file, capsys,
+                                                          monkeypatch):
+    # a wrapper put on the module after the parser was built, like perfbench's tracer
+    # or this patch, is what a later run calls
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    argv = ["projdim", "--algebra", double_back_file, "--seq", deep_file]
+    assert main(argv) == 0
+    monkeypatch.setattr(cli, "cmd_projdim", lambda args, alg, S: 7)
+    assert main(argv) == 7
 
 
 def test_main_reads_sys_argv(double_back_file, deep_file, capsys, monkeypatch):
