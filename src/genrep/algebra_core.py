@@ -304,28 +304,42 @@ def enumerate_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector,
             raise ValidationError("top must have one nonnegative entry per vertex")
         tops = [top] if any(top) and all(t <= d for t, d in zip(top, dimvec)) else []
 
-    results: list[SemisimpleSequence] = []
-
-    def descend(layers, remaining):
-        if len(layers) == alg.L + 1:
-            results.append(SemisimpleSequence(tuple(layers)))
-            if cap is not None and len(results) > cap:
-                raise EnumerationCapError(cap, f"realizable sequences exceed cap of {cap}")
-            return
-        avail = alg.extension_counts(layers[-1])
-        if len(layers) == alg.L:
-            # the last layer takes exactly what remains
-            if all(r <= a for r, a in zip(remaining, avail)):
-                descend(layers + [remaining], (0,) * alg.n)
-            return
+    def options(prefix):
+        # an entry is (layer, what remains); the last layer takes exactly what remains
+        if not prefix:
+            return ((t, tuple(d - x for d, x in zip(dimvec, t))) for t in tops
+                    if max_top_dim is None or sum(t) <= max_top_dim)
+        layer, remaining = prefix[-1]
+        avail = alg.extension_counts(layer)
+        if len(prefix) == alg.L:
+            return [(remaining, None)] if all(r <= a for r, a in zip(remaining, avail)) else []
         caps = tuple(min(a, r) for a, r in zip(avail, remaining))
-        for nxt in vectors_upto(caps):
-            descend(layers + [nxt], tuple(r - x for r, x in zip(remaining, nxt)))
+        return ((nxt, tuple(r - x for r, x in zip(remaining, nxt))) for nxt in vectors_upto(caps))
 
-    for t in tops:
-        if max_top_dim is None or sum(t) <= max_top_dim:
-            descend([t], tuple(d - x for d, x in zip(dimvec, t)))
+    results: list[SemisimpleSequence] = []
+    for chosen in _depth_first(options, alg.L + 1):
+        results.append(SemisimpleSequence(tuple(layer for layer, _ in chosen)))
+        if cap is not None and len(results) > cap:
+            raise EnumerationCapError(cap, f"realizable sequences exceed cap of {cap}")
     return results
+
+
+def _depth_first(options, depth):
+    """Every ``depth``-tuple (depth >= 1) whose entry k is drawn from ``options(prefix)``,
+    prefix the k entries before it (a live list, not to be kept), in depth-first order:
+    one iterator per level on a list, so no call nests deeper as ``depth`` grows."""
+    prefix, stack = [], [iter(options([]))]
+    while stack:
+        for x in stack[-1]:
+            if len(stack) == depth:
+                yield (*prefix, x)
+            else:
+                prefix.append(x)
+                stack.append(iter(options(prefix)))
+                break
+        else:
+            stack.pop()
+            del prefix[-1:]
 
 
 # ---------------------------------------------------------------------------

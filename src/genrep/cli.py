@@ -2,8 +2,8 @@
 
 Every randomized artifact embeds the seed, the field modulus, and a confidence label;
 output is byte-identical for identical inputs and seed.  Exit codes: 0 success, 2
-validation error, 3 enumeration cap exceeded (or an input that nests deeper than Python's
-recursion limit).  ``main`` builds each subcommand's parser once per process, on its first
+validation error, 3 enumeration cap exceeded (or a RecursionError, which no walk raises:
+each is iterative).  ``main`` builds each subcommand's parser once per process, on its first
 use, and nothing at import; ``build_parser`` builds a new parser on every call.
 """
 

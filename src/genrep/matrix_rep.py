@@ -286,7 +286,7 @@ class Representation:
     ``columns[a]`` lists arrow a's columns in arrow order, one ``{target index:
     nonzero field element}`` per source basis element, and each marked top is a
     ``(vertex, {index: nonzero field element})`` pair.  A path's columns are
-    composed on first use and memoised in ``_paths`` (``_path_columns``).
+    composed on first use and memoised in ``_paths`` by arrows (``_path_columns``).
 
     ``basis_labels[v]``, when present, names the basis at v: (r, p) is p z_r, a
     skeleton member or its image in a quotient.  Each vertex's basis is sorted by
@@ -478,17 +478,19 @@ def hom_dim(rep_a: Representation, rep_b: Representation) -> int:
 
 
 def _path_columns(rep: Representation, p: Path) -> list[dict]:
-    """Sparse columns of a path's action: the identity, an arrow's columns, or
-    (memoised per module) the leftmost arrow's composed with the initial subpath's."""
-    if len(p.arrows) == 1:
-        return rep.columns[p.arrows[0]]
-    if not p.arrows:
+    """Sparse columns of a path's action: the identity, an arrow's columns, or (memoised
+    per module by arrows) the leftmost arrow's composed with the initial subpath's."""
+    arrows, paths = p.arrows, rep._paths
+    if not arrows:
         return [{j: rep.field.one()} for j in range(rep.dim_at(p.start))]
-    if p not in rep._paths:
-        arrow = rep.columns[p.arrows[0]]
-        rep._paths[p] = [_apply(rep.field.modulus, arrow, col)
-                         for col in _path_columns(rep, p.initial_subpath(p.length - 1))]
-    return rep._paths[p]
+    i = 0  # arrows[i:] is the longest initial subpath at hand, a lone arrow at worst
+    while i < len(arrows) - 1 and arrows[i:] not in paths:
+        i += 1
+    cols = paths[arrows[i:]] if i < len(arrows) - 1 else rep.columns[arrows[i]]
+    for i in range(i - 1, -1, -1):  # then the longer ones, each memoised
+        cols = paths[arrows[i:]] = [_apply(rep.field.modulus, rep.columns[arrows[i]], col)
+                                    for col in cols]
+    return cols
 
 
 def path_action(rep: Representation, p: Path) -> tuple:

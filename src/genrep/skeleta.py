@@ -4,8 +4,8 @@ A skeleton is a forest of labeled paths (r, p), one tree per distinguished
 top element z_r, closed under initial subpaths, whose length-l members
 realize layer l of the sequence vertex by vertex.
 
-``iter_skeleta`` is the one skeleton walk, a lazy descent with an optional
-block predicate; every cap is decided first by the closed form ``count_skeleta``.
+``iter_skeleta`` is the one skeleton walk and ``canonical_skeleton`` its first result;
+every cap is decided first by the closed form ``count_skeleta``.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .algebra_core import (
     Path,
     SemisimpleSequence,
     TruncatedAlgebra,
+    _depth_first,
     check_sequence,
     realizable,
     top_elements,
@@ -137,24 +138,13 @@ class SigmaSet:
     one_part: tuple[Element, ...]
 
 
-def _level_candidates(alg: TruncatedAlgebra, layer) -> dict[str, list]:
-    """Per vertex, the one-arrow extensions of ``layer`` ending there, in (parent, arrow)
-    order, as (key, element) pairs: alpha*p has key (r, index of alpha, key of p)."""
-    idx = alg.quiver.arrow_index
-    out = {v: [] for v in alg.vertices}
-    for key, (r, p) in layer:
-        for a in alg.quiver.arrows_from[alg.path_end(p)]:
-            out[a.target].append(((r, idx[a.name], key), (r, alg.extend(p, a))))
-    return out
-
-
 def iter_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence, accept=None):
     """Lazily yield the skeleta compatible with S, in canonical order.
 
-    The one skeleton walk.  It descends level by level and, within a level,
-    vertex by vertex: the block of layer l at vertex v is an
-    S_l[v]-subset of the extensions of layer l-1 into v, taken lazily in
-    combination order over candidates ordered by (parent, arrow).  The
+    The one skeleton walk, an iterative descent (``algebra_core._depth_first``)
+    level by level and, within a level, vertex by vertex: the block of layer l
+    at vertex v is an S_l[v]-subset of the extensions of layer l-1 into v, taken
+    lazily in combination order over candidates ordered by (parent, arrow).  The
     candidate counts depend only on S (``alg.extension_counts``), so a
     realizable S has no dead ends and an unrealizable one is not walked.
     ``accept(l, v, chosen)``, if given, sees each block as it is chosen
@@ -164,24 +154,30 @@ def iter_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence, accept=None):
     """
     if not realizable(alg, S):
         return
-    top = top_elements(alg, S)
+    top, n, vertices, quiver = top_elements(alg, S), alg.n, alg.vertices, alg.quiver
     base = tuple((r, (r + 1, alg.trivial_path(v))) for r, v in enumerate(top))
+    cands = [None] * alg.L  # cands[l][v]: (key, element) extensions of layer l into v
 
-    def descend(l, j, layers, cands):
-        # layers[-1] is layer l, filled at the vertices before position j
-        if j == alg.n:
-            if l == alg.L:
-                yield Skeleton(alg, top, [el for layer in layers for _, el in sorted(layer)],
-                               ordered=True)
-            else:
-                yield from descend(l + 1, 0, layers + ((),), _level_candidates(alg, layers[-1]))
-            return
-        v = alg.vertices[j]
-        for chosen in combinations(cands[v], S.layers[l][j]):
-            if accept is None or accept(l, v, tuple(el for _, el in chosen)):
-                yield from descend(l, j + 1, layers[:-1] + (layers[-1] + chosen,), cands)
+    def options(prefix):
+        # entry k is the block of layer l + 1 at vertex j, for l, j = divmod(k, n);
+        # alpha*p has key (r, index of alpha, key of p)
+        k = len(prefix)
+        l, j = divmod(k, n)
+        if not j:
+            cands[l] = level = {v: [] for v in vertices}
+            for key, (r, p) in chain.from_iterable(prefix[k - n:]) if l else base:
+                for a in quiver.arrows_from[alg.path_end(p)]:
+                    level[a.target].append(((r, quiver.arrow_index[a.name], key),
+                                            (r, alg.extend(p, a))))
+        v = vertices[j]
+        blocks = combinations(cands[l][v], S.layers[l + 1][j])
+        return blocks if accept is None else (
+            b for b in blocks if accept(l + 1, v, tuple(el for _, el in b)))
 
-    yield from descend(0, alg.n, (base,), None)
+    for blocks in _depth_first(options, alg.L * n) if n else [()]:  # no vertex: no block
+        layers = [base] + [sorted(chain.from_iterable(blocks[l * n:l * n + n]))
+                           for l in range(alg.L)]
+        yield Skeleton(alg, top, [el for layer in layers for _, el in layer], ordered=True)
 
 
 def capped_count(alg: TruncatedAlgebra, S: SemisimpleSequence, cap: int) -> int:
@@ -200,18 +196,10 @@ def enumerate_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence,
 
 
 def canonical_skeleton(alg: TruncatedAlgebra, S: SemisimpleSequence) -> Skeleton:
-    """The first skeleton of ``iter_skeleta``, written without the walk: layer l at v is
-    the first S_l[v] extensions into v of layer l-1 in block order; raises if unrealizable."""
-    if not realizable(alg, S):
-        raise UnrealizableError(f"{S} is not realizable")
-    top = top_elements(alg, S)
-    layer = [(r, (r + 1, alg.trivial_path(v))) for r, v in enumerate(top)]
-    elements = [el for _, el in layer]
-    for l in range(1, alg.L + 1):
-        cands = _level_candidates(alg, layer)
-        layer = [c for v, m in zip(alg.vertices, S.layers[l]) for c in cands[v][:m]]
-        elements += [el for _, el in sorted(layer)]
-    return Skeleton(alg, top, elements, ordered=True)
+    """The first skeleton of ``iter_skeleta``; raises if S is unrealizable."""
+    for sk in iter_skeleta(alg, S):
+        return sk
+    raise UnrealizableError(f"{S} is not realizable")
 
 
 def _compatible_skeleton(alg: TruncatedAlgebra, S: SemisimpleSequence,

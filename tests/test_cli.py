@@ -1365,9 +1365,9 @@ def _write(tmp_path, name, data):
 
 
 def _deep_input(tmp_path, command):
-    """argv of an input that nests deeper than the recursion limit, as its layer count
-    (one loop, layering one S1 per layer), vertex count (a line at L = 1) or total
-    dimension (``sequences --dimvec 1``) grows past it."""
+    """argv of an input deeper than the recursion limit, as its layer count (one loop,
+    layering one S1 per layer), vertex count (a line at L = 1), total dimension
+    (``sequences --dimvec 1``) or path length (``ext`` on the simple) grows past it."""
     limit = sys.getrecursionlimit()
     loop = {"vertices": ["1"], "arrows": [{"name": "x", "source": "1", "target": "1"}]}
     if command == "projdim-line":
@@ -1387,36 +1387,58 @@ def _deep_input(tmp_path, command):
         module = _write(tmp_path, "m.json", {"tops": [{"vertex": "1"}], "relations": [
             [{"coeff": 1, "r": 1, "arrows": ["x", "x"]}]]})
         return ["point-skeleta", "--algebra", alg, "--module", module]
+    if command.startswith("ext-"):
+        return ["ext", "--algebra", alg, "--layers", json.dumps([[1]] + [[0]] * limit),
+                "--k", command.removeprefix("ext-")]
     return [command, "--algebra", alg, "--layers", json.dumps([[1]] * (limit + 1))]
 
 
-@pytest.mark.parametrize("command", ["skeleta", "point-skeleta", "sequences"])
-def test_input_deeper_than_recursion_limit_exits_3(tmp_path, capsys, command):
-    code = main(_deep_input(tmp_path, command))
-    out, err = capsys.readouterr()
-    assert code == 3 and out == "" and "Traceback" not in err
-    assert err == ("error: input needs more than Python's recursion limit of "
-                   f"{sys.getrecursionlimit()} nested calls\n")
-
-
-# the canonical skeleton is written level by level, so the subcommands built on it
-# answer these inputs: one S1 per layer on one loop is the projective k[x]/x^(L+1),
-# and (S0, S1) on the line at L = 1 the projective at vertex 0
+# no descent recurses, so every subcommand answers these inputs: one S1 per layer on
+# one loop is the projective k[x]/x^(L+1), whose one skeleton is the chain x^l z_1;
+# (S0, S1) on the line at L = 1 is the projective at vertex 0; the one realizable
+# sequence of dimension vector (1) is the simple S1; k[x]/x^2 has the one
+# distinguished skeleton {z_1, x z_1}; and Ext^k(S, S) of the simple S of
+# k[x]/x^(L+1) is 1 in every degree k
 @pytest.mark.parametrize("command", ["projdim", "critical", "geometry", "syzygy", "socle",
-                                     "projdim-line"])
+                                     "projdim-line", "skeleta", "point-skeleta", "sequences",
+                                     "ext-1", "ext-2"])
 def test_input_once_deeper_than_recursion_limit_is_answered(tmp_path, capsys, command):
     code = main(_deep_input(tmp_path, command))
     out, err = capsys.readouterr()
     assert code == 0 and err == ""
     data = json.loads(out)
+    limit, top = sys.getrecursionlimit(), [{"r": 1, "vertex": "1"}]
     if command == "geometry":
         assert (data["N"], data["N0"], data["N1"]) == (0, 0, 0)
-        assert len(data["tower"]) == sys.getrecursionlimit()  # levels 0..L-1
+        assert len(data["tower"]) == limit  # levels 0..L-1
     elif command == "socle":
         assert data["socle"] == [1]
+    elif command.startswith("ext-"):
+        assert data["ext_dim"] == 1
+    elif command == "skeleta":
+        assert data == {"count": 1, "skeleta": [{"top": top, "elements": [
+            {"r": 1, "arrows": ["x"] * l} for l in range(limit + 1)]}]}
+    elif command == "point-skeleta":
+        assert data == {"count": 1, "skeleta": [{"top": top, "elements": [
+            {"r": 1, "arrows": []}, {"r": 1, "arrows": ["x"]}]}]}
+    elif command == "sequences":
+        assert data == {"count": 1, "sequences": [{"layers": [[1]] + [[0]] * (3 * limit // 2)}]}
     else:
         assert data == {"projdim": {"projdim": 0}, "critical": [], "syzygy": [],
                         "projdim-line": {"projdim": 0}}[command]
+
+
+def test_recursion_error_exits_3_naming_the_limit(double_back_file, deep_file, capsys):
+    # no descent recurses now, but a RecursionError from a handler still exits 3
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    with mock.patch.object(cli, "cmd_projdim", too_deep):
+        code = main(["projdim", "--algebra", double_back_file, "--seq", deep_file])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == ("error: input needs more than Python's recursion limit of "
+                   f"{sys.getrecursionlimit()} nested calls\n")
 
 
 @pytest.mark.parametrize("command, want", [
