@@ -210,9 +210,9 @@ def enumerate_paths(alg: TruncatedAlgebra, start: str, length: int) -> list[Path
     alg.vertex_pos(start)
     if not 0 <= length <= alg.L:
         raise ValidationError(f"length must be in 0..{alg.L}")
-    paths = [alg.trivial_path(start)]
+    paths, arrows_from = [Path(start)], alg.quiver.arrows_from
     for _ in range(length):
-        paths = [alg.extend(p, a) for p in paths for a in alg.quiver.arrows_from[alg.path_end(p)]]
+        paths = [Path(start, (a.name,) + p.arrows) for p in paths for a in arrows_from[alg.path_end(p)]]
     paths.sort(key=alg.path_sort_key)
     return paths
 

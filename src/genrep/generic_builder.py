@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra_core import SemisimpleSequence, TruncatedAlgebra
-from .errors import ValidationError
 from .skeleta import (
     Element,
     SigmaSet,
@@ -145,20 +144,16 @@ def bundle_tower(alg: TruncatedAlgebra, S: SemisimpleSequence) -> BundleReport:
 
     Level l chooses layer l+1 among the one-arrow extensions of layer l,
     which number ``alg.extension_counts(S.layers[l])`` at each vertex.
-    The sum of the factor dimensions is N0 and the full variety has
-    dimension N.
+    The factor at vertex j has dimension (A - m) m, A those extensions and
+    m = S_{l+1}[j], which is the N0 term of ``invariants_N`` at (l, j), so the
+    factors sum to N0; the full variety has dimension N.
     """
     N, N0, N1 = invariants_N(alg, S)
     levels = []
     for l in range(alg.L):
-        counts = alg.extension_counts(S.layers[l])
-        levels.append(tuple(
-            GrassmannFactor(v, counts[j] - S.layers[l + 1][j], counts[j])
-            for j, v in enumerate(alg.vertices)))
-    report = BundleReport(S, tuple(levels), N, N0, N1)
-    if sum(f.dim for lv in levels for f in lv) != N0:
-        raise ValidationError("tower dimensions do not sum to N0")  # pragma: no cover
-    return report
+        counts = zip(alg.vertices, alg.extension_counts(S.layers[l]), S.layers[l + 1])
+        levels.append(tuple(GrassmannFactor(v, a - m, a) for v, a, m in counts))
+    return BundleReport(S, tuple(levels), N, N0, N1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Syzygies of generic modules: cyclic decompositions, iteration, projective dimension.
 
-Over a truncated path algebra the first syzygy of the generic module with
-layering S splits into cyclic summands, one per critical path alpha*p of a
-compatible skeleton, of type Lambda e / J^m e with e the endpoint of alpha
-and m = L+1 - len(alpha*p).  Iterating stays inside this finite family of
-cyclic types, so projective dimension reduces to reachability in a finite
-state graph.
+Over a truncated path algebra the first syzygy of the generic module with layering S
+splits into cyclic summands, one per critical path alpha*p of a compatible skeleton, of
+type Lambda e / J^m e, e the endpoint of alpha and m = L+1 - len(alpha*p).  Of the
+A_e(S_l) one-arrow extensions of layer l into e, S_{l+1}[e] are skeleton members and the
+rest critical, so Omega^1 = sum over l < L and e of (A_e(S_l) - S_{l+1}[e]) x e/J^(L-l).
+Iterating stays inside this finite family of cyclic types, so projective dimension
+reduces to reachability in a finite state graph.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .algebra_core import (
     truncated_dim_vector,
 )
 from .errors import EnumerationCapError, ValidationError
-from .skeleta import Skeleton, _compatible_skeleton, critical_paths
+from .skeleta import Skeleton, _critical_counts
 
 _MAX_BITS = 1 << 22  # a syzygy multiplicity out of reach of stepping one degree at a time
 
@@ -94,16 +95,13 @@ class SyzygyProfile:
 
 def first_syzygy(alg: TruncatedAlgebra, S: SemisimpleSequence,
                  skeleton: Skeleton | None = None) -> SyzygyProfile:
-    """Profile of the first syzygy of the generic module with layering S.
-
-    One cyclic summand per critical path; the multiset does not depend on
-    the compatible skeleton chosen.
+    """Profile of the first syzygy of the generic module with layering S: one cyclic
+    summand per critical path, A_e(S_l) - S_{l+1}[e] of type e/J^(L-l) per level l < L and
+    vertex e, as S_{l+1}[e] of the A_e(S_l) extensions of layer l into e are skeleton
+    members.  Read off S; ``skeleton``, if given, is only checked against S.
     """
-    summands = []
-    for sset in critical_paths(alg, _compatible_skeleton(alg, S, skeleton)):
-        end = alg.path_end(sset.critical.path(alg))
-        summands.append(CyclicType(end, alg.L + 1 - sset.critical.length))
-    return SyzygyProfile(summands)
+    return SyzygyProfile((CyclicType(alg.vertices[j], alg.L - l), count)
+                         for l, j, count, _, _ in _critical_counts(alg, S, skeleton))
 
 
 def syzygy_of_cyclic(alg: TruncatedAlgebra, c: CyclicType) -> SyzygyProfile:

@@ -51,12 +51,10 @@ from .algebra_core import (
     TruncatedAlgebra,
     _json_as,
     enumerate_paths,
-    realizable,
 )
 from .errors import (
     MethodDisagreementError,
     SeedStabilityError,
-    UnrealizableError,
     ValidationError,
 )
 from .generic_builder import GenericPresentation, generic_presentation, hypergraph
@@ -581,9 +579,7 @@ def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence,
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    if not realizable(alg, S_M):
-        raise UnrealizableError(f"{S_M} is not realizable")
-    prev, profile = last_two_syzygies(alg, S_M, k)
+    prev, profile = last_two_syzygies(alg, S_M, k)  # UnrealizableError if S_M is unrealizable
 
     @functools.cache
     def rest(rep):
@@ -639,7 +635,7 @@ def projective_representation(alg: TruncatedAlgebra, tops: tuple[str, ...],
     level = [(r, alg.trivial_path(v)) for r, v in enumerate(tops, start=1)]
     elements = list(level)
     for _ in range(alg.L):
-        level = [(r, alg.extend(p, a)) for r, p in level
+        level = [(r, Path(p.start, (a.name,) + p.arrows)) for r, p in level
                  for a in alg.quiver.arrows_from[alg.path_end(p)]]
         elements += level
     return _template(Skeleton(alg, tops, elements), (), fs)([])
@@ -809,11 +805,10 @@ def decomposability(alg: TruncatedAlgebra, S: SemisimpleSequence, graded: bool =
     auxiliary graph is connected with squarefree top, or a materialized
     evaluation has endomorphism ring K.  Anything else is undecided.
     """
-    if not realizable(alg, S):
-        raise UnrealizableError(f"{S} is not realizable")
+    sk = canonical_skeleton(alg, S)  # UnrealizableError if S is unrealizable
     squarefree = all(x <= 1 for x in S.top)
-    graded_pres = generic_presentation(alg, S, graded=True)
-    pres = graded_pres if graded else generic_presentation(alg, S)
+    graded_pres = generic_presentation(alg, S, sk, graded=True)
+    pres = graded_pres if graded else generic_presentation(alg, S, sk)
     graded_parts = _summands(graded_pres)
     parts = graded_parts if graded else _summands(pres)
     if len(parts) > 1:

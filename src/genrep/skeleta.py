@@ -168,7 +168,7 @@ def iter_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence, accept=None):
             for key, (r, p) in chain.from_iterable(prefix[k - n:]) if l else base:
                 for a in quiver.arrows_from[alg.path_end(p)]:
                     level[a.target].append(((r, quiver.arrow_index[a.name], key),
-                                            (r, alg.extend(p, a))))
+                                            (r, Path(p.start, (a.name,) + p.arrows))))
         v = vertices[j]
         blocks = combinations(cands[l][v], S.layers[l + 1][j])
         return blocks if accept is None else (
@@ -244,7 +244,7 @@ def critical_paths(alg: TruncatedAlgebra, sk: Skeleton) -> list[SigmaSet]:
         if p.length + 1 > alg.L:
             continue
         for a in alg.quiver.arrows_from[alg.path_end(p)]:
-            ext = alg.extend(p, a)
+            ext = Path(p.start, (a.name,) + p.arrows)
             if (r, ext) in sk:
                 continue
             group, lens = basis[a.target], lengths[a.target]
@@ -256,16 +256,33 @@ def critical_paths(alg: TruncatedAlgebra, sk: Skeleton) -> list[SigmaSet]:
     return out
 
 
+def _critical_counts(alg: TruncatedAlgebra, S: SemisimpleSequence,
+                     skeleton: Skeleton | None = None) -> list[tuple[int, ...]]:
+    """(l, j, count, zero, one): count critical paths of length l+1 end at vertex j, with
+    zero and one parts of those sizes (``invariants_N``); raises as ``_compatible_skeleton``."""
+    if skeleton is not None:
+        _compatible_skeleton(alg, S, skeleton)
+    if not realizable(alg, S):
+        raise UnrealizableError(f"{S} is not realizable")
+    out, longer = [], [0] * alg.n  # longer[j]: sum of S_m[j] over m >= l+2
+    for l in reversed(range(alg.L)):
+        below = S.layers[l + 1]
+        avail = alg.extension_counts(S.layers[l])
+        out += [(l, j, avail[j] - m, m, longer[j]) for j, m in enumerate(below) if avail[j] > m]
+        longer = [x + m for x, m in zip(longer, below)]
+    return out
+
+
 def invariants_N(alg: TruncatedAlgebra, S: SemisimpleSequence,
                  skeleton: Skeleton | None = None) -> tuple[int, int, int]:
-    """(N, N0, N1) summed over the critical paths of a compatible skeleton.
-
-    Independent of the skeleton choice; computed from the canonical one by
-    default.
+    """(N, N0, N1): N0 and N1 sum, over the critical paths of any compatible skeleton, the
+    sizes of their sigma-sets' zero and one parts.  Of the A_j(S_l) extensions of layer l into
+    vertex j, S_{l+1}[j] are members and the other A_j(S_l) - S_{l+1}[j] critical, each with
+    zero part S_{l+1}[j] and one part sum_{m >= l+2} S_m[j]; read off S, no skeleton built.
     """
-    sets = critical_paths(alg, _compatible_skeleton(alg, S, skeleton))
-    n0 = sum(len(s.zero_part) for s in sets)
-    n1 = sum(len(s.one_part) for s in sets)
+    n0 = n1 = 0
+    for _, _, count, zero, one in _critical_counts(alg, S, skeleton):
+        n0, n1 = n0 + count * zero, n1 + count * one
     return (n0 + n1, n0, n1)
 
 

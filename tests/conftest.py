@@ -408,6 +408,26 @@ def critical_paths_by_scan(alg, sk):
     return out
 
 
+def first_syzygy_by_critical_paths(alg, sk):
+    """One cyclic summand e/J^(L+1 - len(alpha*p)) per critical path alpha*p of ``sk``,
+    e its endpoint: the oracle of ``first_syzygy``, which counts them off the layering."""
+    from genrep.homology import CyclicType, SyzygyProfile
+    from genrep.skeleta import critical_paths
+    return SyzygyProfile(
+        CyclicType(alg.path_end(s.critical.path(alg)), alg.L + 1 - s.critical.length)
+        for s in critical_paths(alg, sk))
+
+
+def invariants_N_by_critical_paths(alg, sk):
+    """(N, N0, N1) as the sizes of the zero and one parts of the sigma-sets of ``sk``,
+    summed over its critical paths: the oracle of ``invariants_N``."""
+    from genrep.skeleta import critical_paths
+    sets = critical_paths(alg, sk)
+    n0 = sum(len(s.zero_part) for s in sets)
+    n1 = sum(len(s.one_part) for s in sets)
+    return (n0 + n1, n0, n1)
+
+
 def socle_by_stacking(rep):
     """Per-vertex socle dimensions: the kernel of the stacked matrices of
     every arrow leaving the vertex."""

@@ -1454,6 +1454,31 @@ def test_one_loop_at_L_2000_is_answered_in_closed_form(tmp_path, capsys, command
     assert (data["socle"] if command == "socle" else data) == want
 
 
+def test_one_loop_at_L_2000_counts_off_the_layering(tmp_path, capsys):
+    # N, N0, N1 of the projective k[x]/x^2001, and Omega^1 of its simple: the radical,
+    # cyclic of type 1/J^2000
+    loop = _write(tmp_path, "loop.json", {
+        "vertices": ["1"], "arrows": [{"name": "x", "source": "1", "target": "1"}],
+        "max_path_length": 2000})
+    assert main(["geometry", "--algebra", loop, "--layers", json.dumps([[1]] * 2001)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["N"], data["N0"], data["N1"]) == (0, 0, 0)
+    assert main(["syzygy", "--algebra", loop, "--k", "1",
+                 "--layers", json.dumps([[1]] + [[0]] * 2000)]) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {"vertex": "1", "truncation": 2000, "multiplicity": 1}]
+
+
+@pytest.mark.parametrize("command", [["syzygy", "--k", "1"], ["syzygy", "--k", "3"],
+                                     ["projdim"], ["geometry"], ["ext", "--k", "1"],
+                                     ["ext", "--k", "2"], ["decompose"]])
+def test_unrealizable_layering_exits_2(double_back_file, capsys, command):
+    code = main(command + ["--algebra", double_back_file, "--layers", "[[1,0],[0,0],[1,0]]"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: ([1, 0], [0, 0], [1, 0]) is not realizable\n"
+
+
 def test_input_errors_keep_their_precedence(tmp_path, double_back_file, deep_file, capsys):
     # the algebra is loaded before the sequence, and the sequence before any
     # flag a handler reads

@@ -1,16 +1,18 @@
 """Syzygy profiles, the cyclic recursion, projective dimension."""
 
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from genrep.algebra_core import (
+    TruncatedAlgebra,
     enumerate_sequences,
     projective_dim,
 )
-from genrep.errors import EnumerationCapError, UnrealizableError
-from genrep.generic_builder import generic_presentation
+from genrep.errors import EnumerationCapError, UnrealizableError, ValidationError
+from genrep.generic_builder import bundle_tower, generic_presentation
 from genrep.homology import (
     CyclicType,
     SyzygyProfile,
@@ -25,11 +27,13 @@ from genrep.homology import (
     syzygy_of_cyclic,
 )
 from genrep import homology
-from genrep.skeleta import enumerate_skeleta
+from genrep.skeleta import canonical_skeleton, enumerate_skeleta, invariants_N, iter_skeleta
 
 from conftest import (
     FIXTURES,
     _alg,
+    first_syzygy_by_critical_paths,
+    invariants_N_by_critical_paths,
     iterated_syzygy_by_steps,
     last_two_syzygies_by_steps,
     projective_dimension_by_dfs,
@@ -68,10 +72,49 @@ def test_first_syzygy_relay(relay):
 
 
 def test_first_syzygy_skeleton_independent(relay, double_back):
+    # the count off S is the critical-path multiset of every compatible skeleton
     for alg, S in [(relay, S_DIM14), (double_back, S_DEEP)]:
         base = first_syzygy(alg, S)
         for sk in enumerate_skeleta(alg, S):
-            assert first_syzygy(alg, S, skeleton=sk) == base
+            assert first_syzygy_by_critical_paths(alg, sk) == base
+
+
+@pytest.mark.parametrize("quiver", ["double_back", "relay", "line_swing", "loop_out",
+                                    "kronecker", "two_loops"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_counts_off_the_layering_match_critical_paths(request, quiver, data):
+    # Omega^1 and (N, N0, N1) read off S equal the sums over the critical paths of each
+    # of the first 50 skeleta, at L = 6..12; the bundle tower's factors sum to N0
+    fixed = (_alg(["1"], [("x", "1", "1"), ("y", "1", "1")], 1) if quiver == "two_loops"
+             else request.getfixturevalue(quiver))
+    alg = TruncatedAlgebra(fixed.quiver, data.draw(st.integers(6, 12), label="L"))
+    S = data.draw(realizable_layerings(alg))
+    omega1, N = first_syzygy(alg, S), invariants_N(alg, S)
+    tower = bundle_tower(alg, S)
+    assert (tower.N, tower.N0, tower.N1) == N
+    assert sum(f.dim for level in tower.levels for f in level) == N[1]
+    skeleta = list(islice(iter_skeleta(alg, S), 50))
+    assert skeleta
+    for sk in skeleta:
+        assert first_syzygy_by_critical_paths(alg, sk) == omega1
+        assert invariants_N_by_critical_paths(alg, sk) == N
+        assert first_syzygy(alg, S, skeleton=sk) == omega1
+        assert invariants_N(alg, S, skeleton=sk) == N
+
+
+@pytest.mark.parametrize("count", [first_syzygy, invariants_N])
+def test_counts_raise_as_the_skeleton_route(double_back, count):
+    unrealizable = seq((1, 0), (0, 0), (1, 0))  # layer 2 has nothing to extend
+    message = r"^\(\[1, 0\], \[0, 0\], \[1, 0\]\) is not realizable$"
+    with pytest.raises(UnrealizableError, match=message):
+        count(double_back, unrealizable)
+    for malformed in (seq((1, 0, 0), (0, 0, 0), (0, 0, 0)), seq((1, 0), (0, 1))):
+        with pytest.raises(ValidationError):  # wrong width, too few layers
+            count(double_back, malformed)
+    # a skeleton of another layering is refused before S is found unrealizable
+    with pytest.raises(ValidationError, match="skeleton is compatible with"):
+        count(double_back, unrealizable, skeleton=canonical_skeleton(double_back, S_DEEP))
 
 
 def test_dim_identity_small_sequences(double_back, loop_out):

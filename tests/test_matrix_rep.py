@@ -246,17 +246,18 @@ def test_radical_layering_projective(double_back):
 
 
 def test_projective_extends_each_path_once(monkeypatch):
-    # one loop at L = 50: every basis path but the tops is one extension of a
-    # shorter one, where enumerating each length afresh takes L(L+1)/2 per top
+    # one loop at L = 50: every basis path but the tops is built once, as one
+    # extension of a shorter one, where enumerating each length afresh takes
+    # L(L+1)/2 per top
     from conftest import _alg
-    from genrep.algebra_core import TruncatedAlgebra
-    alg, calls, extend = _alg(["1"], [("x", "1", "1")], 50), [], TruncatedAlgebra.extend
-    monkeypatch.setattr(TruncatedAlgebra, "extend",
-                        lambda self, p, a: calls.append(p) or extend(self, p, a))
+    from genrep import matrix_rep
+    alg, calls, path = _alg(["1"], [("x", "1", "1")], 50), [], matrix_rep.Path
+    monkeypatch.setattr(matrix_rep, "Path", lambda *args: calls.append(args) or path(*args))
     tops = ("1", "1")
     rep = projective_representation(alg, tops, RATIONALS)
     assert rep.dims == (102,)
     assert len(calls) == rep.total_dim - len(tops) == 100
+    assert len(set(calls)) == 50  # each path of length 1..50, once per top
 
 
 def test_socle_deep(double_back):

@@ -22,6 +22,7 @@ from conftest import (
     FIXTURES,
     _alg,
     critical_paths_by_scan,
+    invariants_N_by_critical_paths,
     iter_skeleta_by_product,
     projective_layering,
     realizable_layerings,
@@ -163,13 +164,14 @@ def test_invariants_match_closed_form_and_all_skeleta(double_back, dimvec):
         sks = enumerate_skeleta(double_back, S)
         if len(sks) <= 500:
             for sk in sks:
-                assert invariants_N(double_back, S, skeleton=sk) == (n, n0, n1)
+                assert invariants_N_by_critical_paths(double_back, sk) == (n, n0, n1)
 
 
 def test_invariants_skeleton_independent_relay(relay):
+    # the count off S is the critical-path sum of every compatible skeleton
     base = invariants_N(relay, S_DIM14)
     for sk in enumerate_skeleta(relay, S_DIM14):
-        assert invariants_N(relay, S_DIM14, skeleton=sk) == base
+        assert invariants_N_by_critical_paths(relay, sk) == base
 
 
 def test_realizable_iff_skeleton_exists_small(double_back, relay, loop_out, y_quiver):
