@@ -47,6 +47,9 @@ class Path:
             raise ValueError("bad subpath length")
         return Path(self.start, self.arrows[self.length - length:])
 
+    def then(self, arrow: Arrow) -> "Path":  # unchecked; ``TruncatedAlgebra.extend`` checks
+        return Path(self.start, (arrow.name,) + self.arrows)
+
 
 class Quiver:
     """Finite quiver with ordered vertices and arrows; loops and parallels allowed."""
@@ -114,7 +117,7 @@ class TruncatedAlgebra:
         """Left-compose ``arrow`` with ``p`` (apply p first, then arrow)."""
         if arrow.source != self.path_end(p):
             raise ValidationError(f"arrow {arrow.name} not composable with path")
-        return Path(p.start, (arrow.name,) + p.arrows)
+        return p.then(arrow)
 
     def path_sort_key(self, p: Path):
         idx = self.quiver.arrow_index
@@ -212,7 +215,7 @@ def enumerate_paths(alg: TruncatedAlgebra, start: str, length: int) -> list[Path
         raise ValidationError(f"length must be in 0..{alg.L}")
     paths, arrows_from = [Path(start)], alg.quiver.arrows_from
     for _ in range(length):
-        paths = [Path(start, (a.name,) + p.arrows) for p in paths for a in arrows_from[alg.path_end(p)]]
+        paths = [p.then(a) for p in paths for a in arrows_from[alg.path_end(p)]]
     paths.sort(key=alg.path_sort_key)
     return paths
 

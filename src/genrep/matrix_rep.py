@@ -635,8 +635,7 @@ def projective_representation(alg: TruncatedAlgebra, tops: tuple[str, ...],
     level = [(r, alg.trivial_path(v)) for r, v in enumerate(tops, start=1)]
     elements = list(level)
     for _ in range(alg.L):
-        level = [(r, Path(p.start, (a.name,) + p.arrows)) for r, p in level
-                 for a in alg.quiver.arrows_from[alg.path_end(p)]]
+        level = [(r, p.then(a)) for r, p in level for a in alg.quiver.arrows_from[alg.path_end(p)]]
         elements += level
     return _template(Skeleton(alg, tops, elements), (), fs)([])
 

@@ -167,8 +167,7 @@ def iter_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence, accept=None):
             cands[l] = level = {v: [] for v in vertices}
             for key, (r, p) in chain.from_iterable(prefix[k - n:]) if l else base:
                 for a in quiver.arrows_from[alg.path_end(p)]:
-                    level[a.target].append(((r, quiver.arrow_index[a.name], key),
-                                            (r, Path(p.start, (a.name,) + p.arrows))))
+                    level[a.target].append(((r, quiver.arrow_index[a.name], key), (r, p.then(a))))
         v = vertices[j]
         blocks = combinations(cands[l][v], S.layers[l + 1][j])
         return blocks if accept is None else (
@@ -244,7 +243,7 @@ def critical_paths(alg: TruncatedAlgebra, sk: Skeleton) -> list[SigmaSet]:
         if p.length + 1 > alg.L:
             continue
         for a in alg.quiver.arrows_from[alg.path_end(p)]:
-            ext = Path(p.start, (a.name,) + p.arrows)
+            ext = p.then(a)
             if (r, ext) in sk:
                 continue
             group, lens = basis[a.target], lengths[a.target]
@@ -262,12 +261,12 @@ def _critical_counts(alg: TruncatedAlgebra, S: SemisimpleSequence,
     zero and one parts of those sizes (``invariants_N``); raises as ``_compatible_skeleton``."""
     if skeleton is not None:
         _compatible_skeleton(alg, S, skeleton)
-    if not realizable(alg, S):
-        raise UnrealizableError(f"{S} is not realizable")
+    check_sequence(alg, S)
     out, longer = [], [0] * alg.n  # longer[j]: sum of S_m[j] over m >= l+2
     for l in reversed(range(alg.L)):
-        below = S.layers[l + 1]
-        avail = alg.extension_counts(S.layers[l])
+        below, avail = S.layers[l + 1], alg.extension_counts(S.layers[l])
+        if any(a < m for a, m in zip(avail, below)):
+            raise UnrealizableError(f"{S} is not realizable")
         out += [(l, j, avail[j] - m, m, longer[j]) for j, m in enumerate(below) if avail[j] > m]
         longer = [x + m for x, m in zip(longer, below)]
     return out
@@ -280,9 +279,8 @@ def invariants_N(alg: TruncatedAlgebra, S: SemisimpleSequence,
     vertex j, S_{l+1}[j] are members and the other A_j(S_l) - S_{l+1}[j] critical, each with
     zero part S_{l+1}[j] and one part sum_{m >= l+2} S_m[j]; read off S, no skeleton built.
     """
-    n0 = n1 = 0
-    for _, _, count, zero, one in _critical_counts(alg, S, skeleton):
-        n0, n1 = n0 + count * zero, n1 + count * one
+    terms = [(c * zero, c * one) for _, _, c, zero, one in _critical_counts(alg, S, skeleton)]
+    n0, n1 = sum(z for z, _ in terms), sum(o for _, o in terms)
     return (n0 + n1, n0, n1)
 
 

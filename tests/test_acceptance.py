@@ -36,7 +36,7 @@ from genrep.skeleta import (
     iter_skeleta,
 )
 
-from conftest import seq
+from conftest import invariants_N_by_critical_paths, seq
 
 S5 = seq((1, 1), (0, 1), (1, 0))
 S6 = seq((1, 1), (1, 0), (0, 1))
@@ -193,7 +193,8 @@ def _sequences_up_to(alg, dmax):
 @criterion(8, "property suites: invariance, counting, realizability, syzygy "
               "dimension, seeded stability, two-method Ext")
 def test_criterion_8(double_back, relay, loop_out, kronecker, y_quiver, a2):
-    # (a) (N, N0, N1) identical over all skeleta where count <= 500
+    # (a) (N, N0, N1), counted off S, equals the critical-path sums of every skeleton
+    # where count <= 500
     small = [(double_back, S) for S in enumerate_sequences(double_back, (2, 2))]
     small += [(loop_out, S) for S in enumerate_sequences(loop_out, (2, 1))]
     small += [(relay, S_DIM14)]
@@ -202,7 +203,7 @@ def test_criterion_8(double_back, relay, loop_out, kronecker, y_quiver, a2):
         if count_skeleta(alg, S) <= 500:
             base = invariants_N(alg, S)
             for sk in enumerate_skeleta(alg, S):
-                assert invariants_N(alg, S, skeleton=sk) == base
+                assert invariants_N_by_critical_paths(alg, sk) == base
 
     # (b) count_skeleta equals the enumeration exactly
     for alg, S in small:

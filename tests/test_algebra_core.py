@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from genrep.algebra_core import (
     Arrow,
+    Path,
     Quiver,
     SemisimpleSequence,
     TruncatedAlgebra,
@@ -77,6 +78,17 @@ def test_path_count_recursion(relay):
             for p in enumerate_paths(relay, start, l + 1):
                 nxt[relay.vertex_pos(relay.path_end(p))] += 1
             assert tuple(nxt) == expected
+
+
+def test_then_is_extend_without_the_check(double_back):
+    # Path.then prepends the arrow as TruncatedAlgebra.extend does; only extend checks it
+    p = enumerate_paths(double_back, "1", 1)[0]
+    for a in double_back.quiver.arrows_from[double_back.path_end(p)]:
+        assert p.then(a) == double_back.extend(p, a) == Path("1", (a.name,) + p.arrows)
+    bad = double_back.quiver.arrows_from["1"][0]
+    with pytest.raises(ValidationError):
+        double_back.extend(p, bad)
+    assert p.then(bad).arrows == (bad.name,) + p.arrows
 
 
 def test_enumerate_paths_unknown_vertex(double_back):

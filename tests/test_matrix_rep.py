@@ -250,14 +250,14 @@ def test_projective_extends_each_path_once(monkeypatch):
     # extension of a shorter one, where enumerating each length afresh takes
     # L(L+1)/2 per top
     from conftest import _alg
-    from genrep import matrix_rep
-    alg, calls, path = _alg(["1"], [("x", "1", "1")], 50), [], matrix_rep.Path
-    monkeypatch.setattr(matrix_rep, "Path", lambda *args: calls.append(args) or path(*args))
+    from genrep.algebra_core import Path
+    alg, calls, then = _alg(["1"], [("x", "1", "1")], 50), [], Path.then
+    monkeypatch.setattr(Path, "then", lambda p, a: calls.append(p) or then(p, a))
     tops = ("1", "1")
     rep = projective_representation(alg, tops, RATIONALS)
     assert rep.dims == (102,)
     assert len(calls) == rep.total_dim - len(tops) == 100
-    assert len(set(calls)) == 50  # each path of length 1..50, once per top
+    assert len(set(calls)) == 50  # each path of length 0..49 extended once per top
 
 
 def test_socle_deep(double_back):
