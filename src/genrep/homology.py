@@ -22,7 +22,7 @@ from .algebra_core import (
     truncated_dim_vector,
 )
 from .errors import EnumerationCapError, ValidationError
-from .skeleta import Skeleton, _critical_counts
+from .skeleta import _critical_counts
 
 _MAX_BITS = 1 << 22  # a syzygy multiplicity out of reach of stepping one degree at a time
 
@@ -93,15 +93,14 @@ class SyzygyProfile:
         return f"SyzygyProfile({inner})"
 
 
-def first_syzygy(alg: TruncatedAlgebra, S: SemisimpleSequence,
-                 skeleton: Skeleton | None = None) -> SyzygyProfile:
+def first_syzygy(alg: TruncatedAlgebra, S: SemisimpleSequence) -> SyzygyProfile:
     """Profile of the first syzygy of the generic module with layering S: one cyclic
     summand per critical path, A_e(S_l) - S_{l+1}[e] of type e/J^(L-l) per level l < L and
     vertex e, as S_{l+1}[e] of the A_e(S_l) extensions of layer l into e are skeleton
-    members.  Read off S; ``skeleton``, if given, is only checked against S.
+    members.  Read off S, no skeleton built.
     """
     return SyzygyProfile((CyclicType(alg.vertices[j], alg.L - l), count)
-                         for l, j, count, _, _ in _critical_counts(alg, S, skeleton))
+                         for l, j, count, _, _ in _critical_counts(alg, S))
 
 
 def syzygy_of_cyclic(alg: TruncatedAlgebra, c: CyclicType) -> SyzygyProfile:

@@ -27,12 +27,12 @@ labels; ``radical_layering`` eliminates, and stays the independent route.
 Hom out of any presented module (a generic M = P/C, a cyclic Lambda e / J^m e,
 a simple) into a given module is the kernel of one relation matrix
 (``_hom_out_of``); ``socle`` reads it off the columns of the arrows out of each
-vertex.  The generic socle builds no module, draws no scalar and eliminates
-nothing: the supports of the rows of M_v -> sum of M_t(a) are read off the
-canonical skeleton (``_socle_supports``), and their generic rank is their term
-rank, a maximum matching (``_term_rank``; see ``generic_socle``).  The
-intertwiner solver ``hom_dim`` is an independent route to Hom(M, N), the only
-term in which the two Ext^1 methods differ.
+vertex.  The generic socle builds no skeleton and no module, draws no scalar
+and eliminates nothing: it is counted off the layering, as dim M_v minus the
+least of L+1 vertex covers of the supports of the rows of M_v -> sum of M_t(a);
+that least cover is their term rank, and so their generic rank (see
+``generic_socle``).  The intertwiner solver ``hom_dim`` is an independent route
+to Hom(M, N), the only term in which the two Ext^1 methods differ.
 """
 
 from __future__ import annotations
@@ -51,10 +51,12 @@ from .algebra_core import (
     TruncatedAlgebra,
     _json_as,
     enumerate_paths,
+    realizable,
 )
 from .errors import (
     MethodDisagreementError,
     SeedStabilityError,
+    UnrealizableError,
     ValidationError,
 )
 from .generic_builder import GenericPresentation, generic_presentation, hypergraph
@@ -179,29 +181,6 @@ def _rank(p: int | None, rows: list[dict]) -> int:
                     del other[c]
                     holders[c].discard(j)
     return rank
-
-
-def _term_rank(rows: list) -> int:
-    """The size of a maximum matching of rows to columns, ``rows[j]`` listing the columns
-    of row j: each row in turn looks for an augmenting path, breadth first, through the
-    rows matched to the columns it reaches."""
-    owner, matched = {}, {}  # column -> its row, row -> its column
-    for j in range(len(rows)):
-        via, queue, free = {}, [j], None
-        for i in queue:  # the queue grows while it is read
-            for c in rows[i]:
-                if c not in via:
-                    via[c] = i
-                    if c not in owner:
-                        free = c
-                        break
-                    queue.append(owner[c])
-            if free is not None:
-                break
-        while free is not None:  # flip the path: each row on it takes the column it reached
-            i = via[free]
-            owner[free], matched[i], free = i, free, matched.get(i)
-    return len(matched)
 
 
 def _reduced(p: int | None, acc: dict) -> dict:
@@ -850,63 +829,64 @@ def stable_over_seeds(compute, seeds, stage: str = "stable_over_seeds", subject:
     return results[0][1]
 
 
-def _socle_supports(sk: Skeleton) -> list[list[dict]]:
-    """Per vertex v, the supports of the rows of M_v -> sum of M_t(a) over the arrows a out
-    of v, for the modules on the basis ``sk.basis``: one ``{column: is unit}`` per member.
-
-    The row of a member (r, p) holds, per arrow a, a unit 1 in the column (a, a*p) if a*p
-    is a member; else, if a*p has length <= L, the scalar of each sigma-set member of the
-    critical path a*p in that member's column (a, q); else nothing.
-    """
-    alg, basis = sk.alg, sk.basis
-    index = {(r, p.arrows): i for els in basis.values() for i, (r, p) in enumerate(els)}
-    # first[v][l]: the first basis index at v of length >= l; the sigma-set of a critical
-    # path of length l ending at v is every basis element from there on
-    first = {}
-    for v, els in basis.items():
-        lengths = [len(p.arrows) for _, p in els]
-        first[v] = [bisect.bisect_left(lengths, l) for l in range(alg.L + 1)]
-    out = []
-    for v in alg.vertices:
-        rows = []
-        for r, p in basis[v]:
-            row, l = {}, len(p.arrows) + 1
-            for a in alg.quiver.arrows_from[v]:
-                i = index.get((r, (a.name,) + p.arrows))
-                if i is not None:
-                    row[a.name, i] = True
-                elif l <= alg.L:
-                    row.update(((a.name, q), False)
-                               for q in range(first[a.target][l], len(basis[a.target])))
-            rows.append(row)
-        out.append(rows)
-    return out
-
-
 def generic_socle(alg: TruncatedAlgebra, S: SemisimpleSequence,
                   fs: FieldSpec = FieldSpec()) -> tuple[int, ...]:
-    """Socle dimension vector of the generic module: per vertex v, dim M_v minus the term
-    rank of the rows of M_v -> sum of M_t(a) (``_socle_supports``, canonical skeleton).
+    """Socle dimension vector of the generic module, counted off S: per vertex v,
 
-    soc_v M is the kernel of that map, and the rank of its rows at algebraically
-    independent scalars is their term rank, the size of a maximum matching of rows to
-    the columns they hold (Edmonds).  Every entry that is not a unit is a distinct
-    scalar x_k, since each scalar belongs to one (critical path, member) pair, and each
-    column holds at most one unit, since a member's parent is unique.  Take a maximum
-    matching and its square minor.  Two permutations that give that minor the same
-    monomial use the same scalar entries; on the remaining rows both use units, and
-    each column's unit row is forced, so the two permutations are equal.  Hence no two
-    terms cancel and the minor is a nonzero polynomial, over every field.  A point at
-    any scalars has rank at most the term rank, with equality off a proper subvariety,
-    so ``socle`` of a seeded point (``materialize``) is this vector except there.
+        soc_v = dim M_v - min over k = 0..L of (sum_{l<k} S_l[v] + sum_{a: v->t} sum_{m>k} S_m[t]),
 
-    Nothing is drawn and no module is built, so the value is the same at every seed and
-    over every field; ``fs`` is refused as ``seeded_assignment`` refuses it, a prime
-    field too small for randomized evaluation.
+    one term per arrow a out of v (parallel arrows each count), so a vertex with no
+    arrow out keeps dim M_v.  No skeleton is built and no module either.
+
+    On any compatible skeleton, soc_v M is the kernel of M_v -> sum of M_t(a): one row
+    per member (r, p) ending at v, one column (a, q) per arrow a: v -> t and member q
+    ending at t, each of its member's length.  The row of (r, p), of length l, holds per
+    arrow a a unit in (a, a*p) if a*p is a member; else, if l+1 <= L, a scalar in each
+    column (a, q) of the sigma-set of a*p, every q with len(q) >= l+1; else nothing.
+    With P_k the rows shorter than k and Q_k the columns of length >= k, term k of the
+    minimum is P_k + Q_{k+1}, and the minimum is the term rank of these rows, the size
+    of a maximum matching of rows to the columns they hold.
+
+    Upper bound: rows of length >= k reach only columns of length >= k+1, so the rows
+    shorter than k and the columns of length >= k+1 cover every entry, and by Konig's
+    theorem each term bounds the matching.
+    Lower bound: match greedily from the longest rows down.  At each length l, every
+    row with a member extension first takes its own unit column; a unit column belongs
+    to one row (a member's parent is unique) and no longer row reaches it, so it is
+    free.  Then every row whose extensions are all critical takes any free column of
+    length >= l+1, all of which it reaches.  If the greedy fails at some length, let k*
+    be the last (shortest) one: every column of length >= k*+1 is then taken, only by
+    rows of length >= k*, and every row shorter than k* is matched, so the matching
+    reaches P_{k*} + Q_{k*+1}.  If it never fails, it reaches P_L.
+
+    The rank of these rows at algebraically independent scalars is their term rank
+    (Edmonds).  Every entry that is not a unit is a distinct scalar x_k, since each
+    scalar belongs to one (critical path, member) pair, and each column holds at most
+    one unit.  Take a maximum matching and its square minor.  Two permutations that give
+    that minor the same monomial use the same scalar entries; on the remaining rows both
+    use units, and each column's unit row is forced, so the two permutations are equal.
+    Hence no two terms cancel and the minor is a nonzero polynomial, over every field.
+    A point at any scalars has rank at most the term rank, with equality off a proper
+    subvariety, so ``socle`` of a seeded point (``materialize``) is this vector except
+    there.
+
+    Nothing is drawn, so the value is the same at every seed and over every field; ``fs``
+    is refused as ``seeded_assignment`` refuses it, a prime field too small for
+    randomized evaluation, after S is checked and found realizable.
     """
-    sk = canonical_skeleton(alg, S)
+    if not realizable(alg, S):  # ValidationError first if S is malformed
+        raise UnrealizableError(f"{S} is not realizable")
     _check_random_field(fs)
-    return tuple(len(rows) - _term_rank(rows) for rows in _socle_supports(sk))
+    dims = [sum(col) for col in zip(*S.layers)]
+    shorter, cover = [0] * alg.n, list(dims)  # shorter[v]: sum of S_l[v] over l < k
+    for layer in S.layers:
+        upto = [s + x for s, x in zip(shorter, layer)]
+        term = list(shorter)
+        for v, t in alg.quiver.arrow_ends:
+            term[v] += dims[t] - upto[t]
+        cover = [min(c, x) for c, x in zip(cover, term)]
+        shorter = upto
+    return tuple(d - c for d, c in zip(dims, cover))
 
 
 def generic_end_dim(alg: TruncatedAlgebra, S: SemisimpleSequence, seeds=(0, 1, 2),

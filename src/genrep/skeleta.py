@@ -255,12 +255,9 @@ def critical_paths(alg: TruncatedAlgebra, sk: Skeleton) -> list[SigmaSet]:
     return out
 
 
-def _critical_counts(alg: TruncatedAlgebra, S: SemisimpleSequence,
-                     skeleton: Skeleton | None = None) -> list[tuple[int, ...]]:
+def _critical_counts(alg: TruncatedAlgebra, S: SemisimpleSequence) -> list[tuple[int, ...]]:
     """(l, j, count, zero, one): count critical paths of length l+1 end at vertex j, with
-    zero and one parts of those sizes (``invariants_N``); raises as ``_compatible_skeleton``."""
-    if skeleton is not None:
-        _compatible_skeleton(alg, S, skeleton)
+    zero and one parts of those sizes (``invariants_N``); raises as ``canonical_skeleton``."""
     check_sequence(alg, S)
     out, longer = [], [0] * alg.n  # longer[j]: sum of S_m[j] over m >= l+2
     for l in reversed(range(alg.L)):
@@ -272,14 +269,13 @@ def _critical_counts(alg: TruncatedAlgebra, S: SemisimpleSequence,
     return out
 
 
-def invariants_N(alg: TruncatedAlgebra, S: SemisimpleSequence,
-                 skeleton: Skeleton | None = None) -> tuple[int, int, int]:
+def invariants_N(alg: TruncatedAlgebra, S: SemisimpleSequence) -> tuple[int, int, int]:
     """(N, N0, N1): N0 and N1 sum, over the critical paths of any compatible skeleton, the
     sizes of their sigma-sets' zero and one parts.  Of the A_j(S_l) extensions of layer l into
     vertex j, S_{l+1}[j] are members and the other A_j(S_l) - S_{l+1}[j] critical, each with
     zero part S_{l+1}[j] and one part sum_{m >= l+2} S_m[j]; read off S, no skeleton built.
     """
-    terms = [(c * zero, c * one) for _, _, c, zero, one in _critical_counts(alg, S, skeleton)]
+    terms = [(c * zero, c * one) for _, _, c, zero, one in _critical_counts(alg, S)]
     n0, n1 = sum(z for z, _ in terms), sum(o for _, o in terms)
     return (n0 + n1, n0, n1)
 

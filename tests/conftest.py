@@ -437,6 +437,62 @@ def socle_by_stacking(rep):
         for v in rep.algebra.vertices)
 
 
+def _socle_supports(sk):
+    """Per vertex v, the supports of the rows of M_v -> sum of M_t(a) over the arrows a out
+    of v, for the modules on the basis ``sk.basis``: one ``{column: is unit}`` per member.
+
+    The row of a member (r, p) holds, per arrow a, a unit 1 in the column (a, a*p) if a*p
+    is a member; else, if a*p has length <= L, the scalar of each sigma-set member of the
+    critical path a*p in that member's column (a, q); else nothing.
+    """
+    alg, basis = sk.alg, sk.basis
+    index = {(r, p.arrows): i for els in basis.values() for i, (r, p) in enumerate(els)}
+    # first[v][l]: the first basis index at v of length >= l; the sigma-set of a critical
+    # path of length l ending at v is every basis element from there on
+    first = {}
+    for v, els in basis.items():
+        lengths = [len(p.arrows) for _, p in els]
+        first[v] = [bisect.bisect_left(lengths, l) for l in range(alg.L + 1)]
+    out = []
+    for v in alg.vertices:
+        rows = []
+        for r, p in basis[v]:
+            row, l = {}, len(p.arrows) + 1
+            for a in alg.quiver.arrows_from[v]:
+                i = index.get((r, (a.name,) + p.arrows))
+                if i is not None:
+                    row[a.name, i] = True
+                elif l <= alg.L:
+                    row.update(((a.name, q), False)
+                               for q in range(first[a.target][l], len(basis[a.target])))
+            rows.append(row)
+        out.append(rows)
+    return out
+
+
+def _term_rank(rows):
+    """The size of a maximum matching of rows to columns, ``rows[j]`` listing the columns
+    of row j: each row in turn looks for an augmenting path, breadth first, through the
+    rows matched to the columns it reaches."""
+    owner, matched = {}, {}  # column -> its row, row -> its column
+    for j in range(len(rows)):
+        via, queue, free = {}, [j], None
+        for i in queue:  # the queue grows while it is read
+            for c in rows[i]:
+                if c not in via:
+                    via[c] = i
+                    if c not in owner:
+                        free = c
+                        break
+                    queue.append(owner[c])
+            if free is not None:
+                break
+        while free is not None:  # flip the path: each row on it takes the column it reached
+            i = via[free]
+            owner[free], matched[i], free = i, free, matched.get(i)
+    return len(matched)
+
+
 def hom_dim_from_cyclic_by_stacking(alg, c, rep):
     """dim Hom(Lambda e / J^m e, N): the kernel of the stacked action
     matrices of every length-m path out of e."""

@@ -1469,9 +1469,38 @@ def test_one_loop_at_L_2000_counts_off_the_layering(tmp_path, capsys):
         {"vertex": "1", "truncation": 2000, "multiplicity": 1}]
 
 
+def test_generic_socle_walks_no_skeleton(tmp_path, capsys, monkeypatch, relay, double_back,
+                                        double_back_file, deep_file):
+    # the socle and component sifting count off the layering: with the skeleton walk and
+    # the canonical skeleton refused they still answer, on one loop at L = 2000 too
+    from genrep import skeleta
+    from genrep.components import component_report
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a skeleton was built")
+
+    monkeypatch.setattr(skeleta, "iter_skeleta", refuse)
+    monkeypatch.setattr(matrix_rep, "canonical_skeleton", refuse)
+    # the README's 14-dimensional relay module: at vertex 2, dim M_2 = 7 and
+    # min(0 + 4, 1 + 3, 6 + 0, 6 + 0) = 4
+    S_dim14 = seq((2, 1, 1), (0, 5, 1), (0, 0, 3), (0, 1, 0))
+    assert matrix_rep.generic_socle(relay, S_dim14) == (0, 3, 2)
+    report = component_report(double_back, (4, 4))
+    assert any(code[0] == "excluded-socle" for row in report.rows for code in row.values())
+    assert main(["socle", "--algebra", double_back_file, "--seq", deep_file]) == 0
+    assert json.loads(capsys.readouterr().out)["socle"] == [1, 0]
+    loop = _write(tmp_path, "loop.json", {
+        "vertices": ["1"], "arrows": [{"name": "x", "source": "1", "target": "1"}],
+        "max_path_length": 2000})
+    for layers in ([[1]] * 2001, [[1]] + [[0]] * 2000):  # k[x]/x^2001 and its simple
+        assert main(["socle", "--algebra", loop, "--layers", json.dumps(layers)]) == 0
+        assert json.loads(capsys.readouterr().out)["socle"] == [1]
+
+
 @pytest.mark.parametrize("command", [["syzygy", "--k", "1"], ["syzygy", "--k", "3"],
                                      ["projdim"], ["geometry"], ["ext", "--k", "1"],
-                                     ["ext", "--k", "2"], ["decompose"]])
+                                     ["ext", "--k", "2"], ["decompose"], ["socle"],
+                                     ["socle", "--modulus", "7"]])
 def test_unrealizable_layering_exits_2(double_back_file, capsys, command):
     code = main(command + ["--algebra", double_back_file, "--layers", "[[1,0],[0,0],[1,0]]"])
     out, err = capsys.readouterr()

@@ -27,7 +27,7 @@ from genrep.homology import (
     syzygy_of_cyclic,
 )
 from genrep import homology
-from genrep.skeleta import canonical_skeleton, enumerate_skeleta, invariants_N, iter_skeleta
+from genrep.skeleta import enumerate_skeleta, invariants_N, iter_skeleta
 
 from conftest import (
     FIXTURES,
@@ -99,8 +99,6 @@ def test_counts_off_the_layering_match_critical_paths(request, quiver, data):
     for sk in skeleta:
         assert first_syzygy_by_critical_paths(alg, sk) == omega1
         assert invariants_N_by_critical_paths(alg, sk) == N
-        assert first_syzygy(alg, S, skeleton=sk) == omega1
-        assert invariants_N(alg, S, skeleton=sk) == N
 
 
 @pytest.mark.parametrize("count", [first_syzygy, invariants_N])
@@ -112,9 +110,6 @@ def test_counts_raise_as_the_skeleton_route(double_back, count):
     for malformed in (seq((1, 0, 0), (0, 0, 0), (0, 0, 0)), seq((1, 0), (0, 1))):
         with pytest.raises(ValidationError):  # wrong width, too few layers
             count(double_back, malformed)
-    # a skeleton of another layering is refused before S is found unrealizable
-    with pytest.raises(ValidationError, match="skeleton is compatible with"):
-        count(double_back, unrealizable, skeleton=canonical_skeleton(double_back, S_DEEP))
 
 
 def test_dim_identity_small_sequences(double_back, loop_out):

@@ -7,7 +7,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genrep.algebra_core import enumerate_sequences
+from genrep.algebra_core import TruncatedAlgebra, enumerate_sequences
 from genrep.errors import EnumerationCapError, SeedStabilityError, ValidationError
 from genrep.generic_builder import generic_presentation
 from genrep.homology import CyclicType, first_syzygy
@@ -38,19 +38,19 @@ from genrep.matrix_rep import (
     socle,
     _path_columns,
     _rank,
-    _socle_supports,
-    _term_rank,
 )
 from genrep.skeleta import (
     Skeleton,
     canonical_skeleton,
     count_skeleta,
     enumerate_skeleta,
-    invariants_N,
     iter_skeleta,
 )
 
 from conftest import (
+    _alg,
+    _socle_supports,
+    _term_rank,
     arrow_matrix,
     distinguished_skeleta_by_path_action,
     fs_add,
@@ -182,18 +182,18 @@ def test_foreign_skeleton_rejected(relay):
     # a skeleton of another layering would present the wrong module
     others = [enumerate_sequences(relay, (2, 3, 2))[0],
               next(S for S in enumerate_sequences(relay, (2, 7, 5)) if S != S_DIM14)]
+    unrealizable = seq((1, 0, 0), (0, 0, 0), (1, 0, 0), (0, 0, 0))  # nothing to extend
     for S in others:
         sk = canonical_skeleton(relay, S)
-        calls = (
-            lambda: generic_presentation(relay, S_DIM14, skeleton=sk),
-            lambda: generic_presentation(relay, S_DIM14, skeleton=sk, graded=True),
-            lambda: first_syzygy(relay, S_DIM14, skeleton=sk),
-            lambda: invariants_N(relay, S_DIM14, skeleton=sk),
-            lambda: graded_decomposition(relay, S_DIM14, skeleton=sk),
-        )
-        for call in calls:
-            with pytest.raises(ValidationError):
-                call()
+        for target in (S_DIM14, unrealizable):  # refused before S is found unrealizable
+            calls = (
+                lambda: generic_presentation(relay, target, skeleton=sk),
+                lambda: generic_presentation(relay, target, skeleton=sk, graded=True),
+                lambda: graded_decomposition(relay, target, skeleton=sk),
+            )
+            for call in calls:
+                with pytest.raises(ValidationError, match="skeleton is compatible with"):
+                    call()
         # the skeleton still serves its own layering
         assert generic_presentation(relay, S, skeleton=sk).skeleton is sk
 
@@ -249,7 +249,6 @@ def test_projective_extends_each_path_once(monkeypatch):
     # one loop at L = 50: every basis path but the tops is built once, as one
     # extension of a shorter one, where enumerating each length afresh takes
     # L(L+1)/2 per top
-    from conftest import _alg
     from genrep.algebra_core import Path
     alg, calls, then = _alg(["1"], [("x", "1", "1")], 50), [], Path.then
     monkeypatch.setattr(Path, "then", lambda p, a: calls.append(p) or then(p, a))
@@ -773,6 +772,29 @@ def test_term_rank_is_the_rank_of_independent_scalars(data, seed):
     rows = [{c: 1 if unit_row.get(c) == j else rng.randrange(1, MERSENNE_61) for c in cols}
             for j, cols in enumerate(supports)]
     assert _term_rank(rows) == _rank(MERSENNE_61, [dict(row) for row in rows])
+
+
+# quivers beside the fixtures: three loops, and parallel arrows next to a loop
+SOCLE_QUIVERS = {
+    "three_loops": _alg(["1"], [(x, "1", "1") for x in "xyz"], 1).quiver,
+    "parallel_and_loop": _alg(["1", "2"], [("a1", "1", "2"), ("a2", "1", "2"),
+                                           ("c", "2", "2"), ("d", "2", "1")], 1).quiver,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_generic_socle_is_the_term_rank_on_every_skeleton(request, data):
+    # the count off S equals dim M_v minus the maximum matching of the socle rows'
+    # supports, on the canonical skeleton and on up to 40 others, at L <= 8
+    name = data.draw(st.sampled_from(["double_back", "relay", "line_swing", "six_vertex",
+                                      *SOCLE_QUIVERS]), label="quiver")
+    quiver = SOCLE_QUIVERS.get(name) or request.getfixturevalue(name).quiver
+    alg = TruncatedAlgebra(quiver, data.draw(st.integers(1, 8), label="L"))
+    S = data.draw(realizable_layerings(alg))
+    soc = generic_socle(alg, S)
+    for sk in [canonical_skeleton(alg, S), *islice(iter_skeleta(alg, S), 1, 41)]:
+        assert tuple(len(rows) - _term_rank(rows) for rows in _socle_supports(sk)) == soc
 
 
 @pytest.mark.parametrize("fixture", ["double_back", "relay", "six_vertex"])
