@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
+from operator import add, lt
 
-from .errors import EnumerationCapError, ValidationError
+from .errors import EnumerationCapError, UnrealizableError, ValidationError
 
 DimensionVector = tuple[int, ...]
 
@@ -262,19 +263,32 @@ def dominates(S: SemisimpleSequence, S2: SemisimpleSequence) -> bool:
     return True
 
 
-def realizable(alg: TruncatedAlgebra, S: SemisimpleSequence) -> bool:
-    """Whether some module has radical layering S.
+def _layer_table(alg: TruncatedAlgebra, S: SemisimpleSequence):
+    """(A, tail) of a realizable S, the one place S is read level by level.
 
-    Checks, for every level l in 0..L-1 and vertex j, that the one-arrow
-    extensions available from layer l cover layer l+1:
-    sum_i (#arrows i->j) * S_l[i] >= S_{l+1}[j].  Equivalent to the
-    existence of a compatible skeleton.
+    A[l] = ``alg.extension_counts(S_l)`` counts the one-arrow extensions of layer l
+    into each vertex, l < L; tail[l] = sum_{m >= l} S_m, l = 0..L+1, so tail[0] is the
+    dimension vector and tail[L+1] zero.  Raises ``ValidationError`` if S is malformed
+    (``check_sequence``), then ``UnrealizableError`` if some A[l][j] < S_{l+1}[j]: S is
+    realizable iff the extensions of every layer cover the next (BHT 2009), which is
+    equivalent to the existence of a compatible skeleton.
     """
     check_sequence(alg, S)
-    for l in range(alg.L):
-        avail = alg.extension_counts(S.layers[l])
-        if any(avail[j] < S.layers[l + 1][j] for j in range(alg.n)):
-            return False
+    A = [alg.extension_counts(row) for row in S.layers[:-1]]
+    if any(map(lt, chain.from_iterable(A), chain.from_iterable(S.layers[1:]))):
+        raise UnrealizableError(f"{S} is not realizable")
+    tail = [(0,) * alg.n]
+    for row in reversed(S.layers):
+        tail.append(tuple(map(add, tail[-1], row)))
+    return A, tail[::-1]
+
+
+def realizable(alg: TruncatedAlgebra, S: SemisimpleSequence) -> bool:
+    """Whether some module has radical layering S (``_layer_table`` finds no shortfall)."""
+    try:
+        _layer_table(alg, S)
+    except UnrealizableError:
+        return False
     return True
 
 

@@ -28,11 +28,11 @@ from .algebra_core import (
     DimensionVector,
     SemisimpleSequence,
     TruncatedAlgebra,
+    _layer_table,
     _partial_sums,
     enumerate_sequences,
-    realizable,
 )
-from .errors import EnumerationCapError, UnrealizableError, ValidationError
+from .errors import EnumerationCapError, ValidationError
 from .matrix_rep import FieldSpec, generic_socle
 
 
@@ -45,16 +45,11 @@ def annihilating_arrows(alg: TruncatedAlgebra, S: SemisimpleSequence) -> frozens
     extension survives iff vertex j occurs in some layer l+1..L, so the
     answer only depends on layer counts, never on the skeleton.
     """
-    if not realizable(alg, S):
-        raise UnrealizableError(f"{S} is not realizable")
-    out = []
-    for a in alg.quiver.arrows:
-        i, j = alg.vertex_pos(a.source), alg.vertex_pos(a.target)
-        # the shortest member at i (first layer l < L holding i) has the most layers below
-        first = next((l for l in range(alg.L) if S.layers[l][i]), alg.L)
-        if not any(row[j] for row in S.layers[first + 1:]):
-            out.append(a.name)
-    return frozenset(out)
+    _, tail = _layer_table(alg, S)  # tail[l]: the layers l..L summed
+    # the shortest member at i (first layer l < L holding i) has the most layers below
+    first = [next((l for l in range(alg.L) if S.layers[l][i]), alg.L) for i in range(alg.n)]
+    return frozenset(a.name for a, (i, j) in zip(alg.quiver.arrows, alg.quiver.arrow_ends)
+                     if not tail[first[i] + 1][j])
 
 
 class PruningVerdict(NamedTuple):

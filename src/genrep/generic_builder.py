@@ -19,9 +19,9 @@ from .skeleta import (
     SigmaSet,
     Skeleton,
     _compatible_skeleton,
+    _critical_counts,
     critical_paths,
     element_to_json,
-    invariants_N,
 )
 
 
@@ -142,18 +142,17 @@ class BundleReport:
 def bundle_tower(alg: TruncatedAlgebra, S: SemisimpleSequence) -> BundleReport:
     """Grassmann-bundle tower of the graded base plus the affine fiber dimension.
 
-    Level l chooses layer l+1 among the one-arrow extensions of layer l,
-    which number ``alg.extension_counts(S.layers[l])`` at each vertex.
-    The factor at vertex j has dimension (A - m) m, A those extensions and
-    m = S_{l+1}[j], which is the N0 term of ``invariants_N`` at (l, j), so the
-    factors sum to N0; the full variety has dimension N.
+    Level l chooses layer l+1 among the A one-arrow extensions of layer l into each
+    vertex j, so its factor at j is Grass(m, A) with m = S_{l+1}[j], of dimension
+    (A - m) m: the N0 term of ``invariants_N`` at (l, j), so the factors sum to N0.  The
+    full variety has dimension N = N0 + N1.  Factors and N1 come from one
+    ``_critical_counts`` call, whose count at (l, j) is A - m.
     """
-    N, N0, N1 = invariants_N(alg, S)
-    levels = []
-    for l in range(alg.L):
-        counts = zip(alg.vertices, alg.extension_counts(S.layers[l]), S.layers[l + 1])
-        levels.append(tuple(GrassmannFactor(v, a - m, a) for v, a, m in counts))
-    return BundleReport(S, tuple(levels), N, N0, N1)
+    counts = _critical_counts(alg, S)
+    factors = [GrassmannFactor(alg.vertices[j], c, c + m) for _, j, c, m, _ in counts]
+    N0, N1 = sum(f.dim for f in factors), sum(c * one for _, _, c, _, one in counts)
+    levels = tuple(tuple(factors[l * alg.n:(l + 1) * alg.n]) for l in range(alg.L))
+    return BundleReport(S, levels, N0 + N1, N0, N1)
 
 
 # ---------------------------------------------------------------------------

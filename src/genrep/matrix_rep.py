@@ -50,15 +50,10 @@ from .algebra_core import (
     SemisimpleSequence,
     TruncatedAlgebra,
     _json_as,
+    _layer_table,
     enumerate_paths,
-    realizable,
 )
-from .errors import (
-    MethodDisagreementError,
-    SeedStabilityError,
-    UnrealizableError,
-    ValidationError,
-)
+from .errors import MethodDisagreementError, SeedStabilityError, ValidationError
 from .generic_builder import GenericPresentation, generic_presentation, hypergraph
 from .homology import CyclicType, SyzygyProfile, last_two_syzygies
 from .skeleta import DEFAULT_CAP, Skeleton, canonical_skeleton, capped_count, iter_skeleta
@@ -874,18 +869,14 @@ def generic_socle(alg: TruncatedAlgebra, S: SemisimpleSequence,
     is refused as ``seeded_assignment`` refuses it, a prime field too small for
     randomized evaluation, after S is checked and found realizable.
     """
-    if not realizable(alg, S):  # ValidationError first if S is malformed
-        raise UnrealizableError(f"{S} is not realizable")
+    _, tail = _layer_table(alg, S)  # tail[k]: the layers k..L summed
     _check_random_field(fs)
-    dims = [sum(col) for col in zip(*S.layers)]
-    shorter, cover = [0] * alg.n, list(dims)  # shorter[v]: sum of S_l[v] over l < k
-    for layer in S.layers:
-        upto = [s + x for s, x in zip(shorter, layer)]
-        term = list(shorter)
+    dims, cover = tail[0], list(tail[0])
+    for at_k, below_k in zip(tail, tail[1:]):  # k = 0..L
+        term = [d - x for d, x in zip(dims, at_k)]
         for v, t in alg.quiver.arrow_ends:
-            term[v] += dims[t] - upto[t]
-        cover = [min(c, x) for c, x in zip(cover, term)]
-        shorter = upto
+            term[v] += below_k[t]
+        cover = list(map(min, cover, term))
     return tuple(d - c for d, c in zip(dims, cover))
 
 

@@ -14,14 +14,14 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from math import comb
+from math import comb, prod
 
 from .algebra_core import (
     Path,
     SemisimpleSequence,
     TruncatedAlgebra,
     _depth_first,
-    check_sequence,
+    _layer_table,
     realizable,
     top_elements,
 )
@@ -212,19 +212,15 @@ def _compatible_skeleton(alg: TruncatedAlgebra, S: SemisimpleSequence,
 
 
 def count_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence) -> int:
-    """Closed form: product over levels and vertices of binomial(A, m).
-
-    A is the number of available extensions into the vertex, m the required
-    layer multiplicity; a vanishing binomial (A < m) makes the count 0,
-    i.e. S unrealizable.
+    """Closed form: product over levels l < L and vertices j of binomial(A, m), A the
+    available extensions into j (``algebra_core._layer_table``), m = S_{l+1}[j]; 0 iff S
+    is unrealizable.
     """
-    check_sequence(alg, S)
-    total = 1
-    for l in range(alg.L):
-        avail = alg.extension_counts(S.layers[l])
-        for j in range(alg.n):
-            total *= comb(avail[j], S.layers[l + 1][j])
-    return total
+    try:
+        A, _ = _layer_table(alg, S)
+    except UnrealizableError:
+        return 0
+    return prod(map(comb, chain.from_iterable(A), chain.from_iterable(S.layers[1:])))
 
 
 def critical_paths(alg: TruncatedAlgebra, sk: Skeleton) -> list[SigmaSet]:
@@ -256,17 +252,13 @@ def critical_paths(alg: TruncatedAlgebra, sk: Skeleton) -> list[SigmaSet]:
 
 
 def _critical_counts(alg: TruncatedAlgebra, S: SemisimpleSequence) -> list[tuple[int, ...]]:
-    """(l, j, count, zero, one): count critical paths of length l+1 end at vertex j, with
-    zero and one parts of those sizes (``invariants_N``); raises as ``canonical_skeleton``."""
-    check_sequence(alg, S)
-    out, longer = [], [0] * alg.n  # longer[j]: sum of S_m[j] over m >= l+2
-    for l in reversed(range(alg.L)):
-        below, avail = S.layers[l + 1], alg.extension_counts(S.layers[l])
-        if any(a < m for a, m in zip(avail, below)):
-            raise UnrealizableError(f"{S} is not realizable")
-        out += [(l, j, avail[j] - m, m, longer[j]) for j, m in enumerate(below) if avail[j] > m]
-        longer = [x + m for x, m in zip(longer, below)]
-    return out
+    """(l, j, count, zero, one) for every level l < L and vertex j, in that order: count
+    critical paths of length l+1 end at j, with zero and one parts of those sizes
+    (``invariants_N``), read off ``algebra_core._layer_table``; raises as it does."""
+    A, tail = _layer_table(alg, S)
+    return [(l, j, a - m, m, tail[l + 2][j])
+            for l, (avail, below) in enumerate(zip(A, S.layers[1:]))
+            for j, (a, m) in enumerate(zip(avail, below))]
 
 
 def invariants_N(alg: TruncatedAlgebra, S: SemisimpleSequence) -> tuple[int, int, int]:

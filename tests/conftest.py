@@ -932,3 +932,104 @@ def distinguished_skeleta_by_path_action(rep, cap=10**6):
         if good:
             out.append(sk)
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-level oracles of the functions that read ``algebra_core._layer_table``: each
+# runs its own loop over the levels of S and checks realizability itself
+# ---------------------------------------------------------------------------
+
+def realizable_by_levels(alg, S):
+    """Whether the one-arrow extensions of every layer of S cover the next."""
+    from genrep.algebra_core import check_sequence
+    check_sequence(alg, S)
+    for l in range(alg.L):
+        avail = alg.extension_counts(S.layers[l])
+        if any(avail[j] < S.layers[l + 1][j] for j in range(alg.n)):
+            return False
+    return True
+
+
+def _require_realizable_by_levels(alg, S):
+    from genrep.errors import UnrealizableError
+    if not realizable_by_levels(alg, S):  # ValidationError first if S is malformed
+        raise UnrealizableError(f"{S} is not realizable")
+
+
+def count_skeleta_by_levels(alg, S):
+    """Product over levels and vertices of binomial(extensions, multiplicity)."""
+    from genrep.algebra_core import check_sequence
+    check_sequence(alg, S)
+    total = 1
+    for l in range(alg.L):
+        avail = alg.extension_counts(S.layers[l])
+        for j in range(alg.n):
+            total *= math.comb(avail[j], S.layers[l + 1][j])
+    return total
+
+
+def critical_counts_by_levels(alg, S):
+    """(l, j, count, zero, one) for the nonzero counts, from the bottom level up, the one
+    part a running sum of the layers below."""
+    from genrep.algebra_core import check_sequence
+    from genrep.errors import UnrealizableError
+    check_sequence(alg, S)
+    out, longer = [], [0] * alg.n  # longer[j]: sum of S_m[j] over m >= l+2
+    for l in reversed(range(alg.L)):
+        below, avail = S.layers[l + 1], alg.extension_counts(S.layers[l])
+        if any(a < m for a, m in zip(avail, below)):
+            raise UnrealizableError(f"{S} is not realizable")
+        out += [(l, j, avail[j] - m, m, longer[j]) for j, m in enumerate(below) if avail[j] > m]
+        longer = [x + m for x, m in zip(longer, below)]
+    return out
+
+
+def invariants_N_by_levels(alg, S):
+    terms = [(c * zero, c * one) for _, _, c, zero, one in critical_counts_by_levels(alg, S)]
+    n0, n1 = sum(z for z, _ in terms), sum(o for _, o in terms)
+    return (n0 + n1, n0, n1)
+
+
+def first_syzygy_by_levels(alg, S):
+    from genrep.homology import CyclicType, SyzygyProfile
+    return SyzygyProfile((CyclicType(alg.vertices[j], alg.L - l), count)
+                         for l, j, count, _, _ in critical_counts_by_levels(alg, S))
+
+
+def bundle_tower_by_levels(alg, S):
+    from genrep.generic_builder import BundleReport, GrassmannFactor
+    N, N0, N1 = invariants_N_by_levels(alg, S)
+    levels = []
+    for l in range(alg.L):
+        counts = zip(alg.vertices, alg.extension_counts(S.layers[l]), S.layers[l + 1])
+        levels.append(tuple(GrassmannFactor(v, a - m, a) for v, a, m in counts))
+    return BundleReport(S, tuple(levels), N, N0, N1)
+
+
+def generic_socle_by_levels(alg, S, fs):
+    """dim M_v minus the least term over k = 0..L, summed up from the top level down."""
+    from genrep.matrix_rep import _check_random_field
+    _require_realizable_by_levels(alg, S)
+    _check_random_field(fs)
+    dims = [sum(col) for col in zip(*S.layers)]
+    shorter, cover = [0] * alg.n, list(dims)  # shorter[v]: sum of S_l[v] over l < k
+    for layer in S.layers:
+        upto = [s + x for s, x in zip(shorter, layer)]
+        term = list(shorter)
+        for v, t in alg.quiver.arrow_ends:
+            term[v] += dims[t] - upto[t]
+        cover = [min(c, x) for c, x in zip(cover, term)]
+        shorter = upto
+    return tuple(d - c for d, c in zip(dims, cover))
+
+
+def annihilating_arrows_by_levels(alg, S):
+    """Arrows i -> j with no layer below the first layer l < L holding i holding j."""
+    _require_realizable_by_levels(alg, S)
+    out = []
+    for a in alg.quiver.arrows:
+        i, j = alg.vertex_pos(a.source), alg.vertex_pos(a.target)
+        first = next((l for l in range(alg.L) if S.layers[l][i]), alg.L)
+        if not any(row[j] for row in S.layers[first + 1:]):
+            out.append(a.name)
+    return frozenset(out)

@@ -829,6 +829,15 @@ def test_bad_dimvec_exits_2(double_back_file):
     assert main(["sequences", "--algebra", double_back_file, "--dimvec", "a,b"]) == 2
 
 
+@pytest.mark.parametrize("command", ["sequences", "components"])
+def test_mixed_sign_dimvec_exits_2(double_back_file, capsys, command):
+    # one negative entry among positive ones is refused, not an empty answer
+    code = main([command, "--algebra", double_back_file, "--dimvec=-1,3"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: negative entry in dimension vector\n"
+
+
 @pytest.mark.parametrize("bound", ['"x"', "1e999"])
 def test_malformed_max_path_length_exits_2(tmp_path, capsys, bound):
     path = tmp_path / "bad.json"
@@ -1500,12 +1509,23 @@ def test_generic_socle_walks_no_skeleton(tmp_path, capsys, monkeypatch, relay, d
 @pytest.mark.parametrize("command", [["syzygy", "--k", "1"], ["syzygy", "--k", "3"],
                                      ["projdim"], ["geometry"], ["ext", "--k", "1"],
                                      ["ext", "--k", "2"], ["decompose"], ["socle"],
-                                     ["socle", "--modulus", "7"]])
+                                     ["socle", "--modulus", "7"], ["critical"], ["generic"],
+                                     ["hypergraph"]])
 def test_unrealizable_layering_exits_2(double_back_file, capsys, command):
     code = main(command + ["--algebra", double_back_file, "--layers", "[[1,0],[0,0],[1,0]]"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == "error: ([1, 0], [0, 0], [1, 0]) is not realizable\n"
+
+
+@pytest.mark.parametrize("command, expected", [(["realizable"], {"realizable": False}),
+                                               (["skeleta", "--count-only"], {"count": 0})])
+def test_unrealizable_layering_answers_in_counts(double_back_file, capsys, command, expected):
+    # the commands that answer a count, or whether there is anything to count, exit 0
+    code = main(command + ["--algebra", double_back_file, "--layers", "[[1,0],[0,0],[1,0]]"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert json.loads(out) == expected
 
 
 def test_input_errors_keep_their_precedence(tmp_path, double_back_file, deep_file, capsys):
