@@ -12,9 +12,9 @@ stores its arrows in display order, i.e. ``arrows[0]`` is applied last and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, product
-from operator import add, lt
+from operator import add, lt, sub
 
 from .errors import EnumerationCapError, UnrealizableError, ValidationError
 
@@ -263,30 +263,32 @@ def dominates(S: SemisimpleSequence, S2: SemisimpleSequence) -> bool:
     return True
 
 
-def _layer_table(alg: TruncatedAlgebra, S: SemisimpleSequence):
-    """(A, tail) of a realizable S, the one place S is read level by level.
-
-    A[l] = ``alg.extension_counts(S_l)`` counts the one-arrow extensions of layer l
-    into each vertex, l < L; tail[l] = sum_{m >= l} S_m, l = 0..L+1, so tail[0] is the
-    dimension vector and tail[L+1] zero.  Raises ``ValidationError`` if S is malformed
-    (``check_sequence``), then ``UnrealizableError`` if some A[l][j] < S_{l+1}[j]: S is
-    realizable iff the extensions of every layer cover the next (BHT 2009), which is
-    equivalent to the existence of a compatible skeleton.
+def _extension_table(alg: TruncatedAlgebra, S: SemisimpleSequence):
+    """A of a realizable S, A[l] = ``alg.extension_counts(S_l)`` for l < L.  Raises
+    ``ValidationError`` if S is malformed (``check_sequence``), then ``UnrealizableError``
+    if some A[l][j] < S_{l+1}[j]: S is realizable iff the extensions of every layer cover
+    the next (BHT 2009), iff a compatible skeleton exists.
     """
     check_sequence(alg, S)
     A = [alg.extension_counts(row) for row in S.layers[:-1]]
     if any(map(lt, chain.from_iterable(A), chain.from_iterable(S.layers[1:]))):
         raise UnrealizableError(f"{S} is not realizable")
-    tail = [(0,) * alg.n]
+    return A
+
+
+def _layer_table(alg: TruncatedAlgebra, S: SemisimpleSequence):
+    """(A, tail), the one place S is read level by level: A of ``_extension_table``, which
+    raises as it does, and tail[l] = sum_{m >= l} S_m for l = 0..L+1."""
+    A, tail = _extension_table(alg, S), [(0,) * alg.n]
     for row in reversed(S.layers):
         tail.append(tuple(map(add, tail[-1], row)))
     return A, tail[::-1]
 
 
 def realizable(alg: TruncatedAlgebra, S: SemisimpleSequence) -> bool:
-    """Whether some module has radical layering S (``_layer_table`` finds no shortfall)."""
+    """Whether some module has radical layering S (``_extension_table`` finds no shortfall)."""
     try:
-        _layer_table(alg, S)
+        _extension_table(alg, S)
     except UnrealizableError:
         return False
     return True
@@ -301,6 +303,15 @@ def enumerate_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector,
 
     Output is in lexicographic order on the flattened layer matrix.  Raises
     ``EnumerationCapError`` as soon as sequence ``cap`` + 1 is found.
+
+    The walk keeps a layer only if what remains can still be placed below it, so every
+    prefix it expands yields a sequence.  Below a layer X, k levels can place R iff the
+    greedy reach G_0 = X, G_t = min(A(G_{t-1}), R - Q_{t-1}), with Q_t = G_1 + .. + G_t
+    and A = ``extension_counts``, ends at Q_k = R; then G_1..G_k is a completion.  Given
+    any completion Y_1..Y_k, Y_0 = X, with sums P_t, suppose Q_t >= P_t (as at t = 0).
+    At a vertex j with Q_{t+1}[j] < R[j] the greedy never capped j, so Q_{t+1}[j] =
+    A(X + Q_t)[j] >= A(X + P_t)[j] >= P_{t+1}[j], as A is linear with nonnegative
+    coefficients and each Y_s <= A(Y_{s-1}).  So Q_{t+1} >= P_{t+1}, and Q_k >= P_k = R.
     """
     dimvec = tuple(int(x) for x in dimvec)
     if len(dimvec) != alg.n:
@@ -321,17 +332,30 @@ def enumerate_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector,
             raise ValidationError("top must have one nonnegative entry per vertex")
         tops = [top] if any(top) and all(t <= d for t, d in zip(top, dimvec)) else []
 
+    @cache  # whether ``left`` levels below ``layer`` can place ``remaining``, per call
+    def live(layer, remaining, left):
+        while left and any(remaining) and any(layer):
+            layer = tuple(map(min, alg.extension_counts(layer), remaining))
+            remaining, left = tuple(map(sub, remaining, layer)), left - 1
+        return not any(remaining)
+
     def options(prefix):
-        # an entry is (layer, what remains); the last layer takes exactly what remains
+        # an entry is (layer, what remains), kept if live; the last layer takes exactly
+        # what remains, which the last live layer above it reaches
         if not prefix:
-            return ((t, tuple(d - x for d, x in zip(dimvec, t))) for t in tops
-                    if max_top_dim is None or sum(t) <= max_top_dim)
-        layer, remaining = prefix[-1]
-        avail = alg.extension_counts(layer)
-        if len(prefix) == alg.L:
-            return [(remaining, None)] if all(r <= a for r, a in zip(remaining, avail)) else []
-        caps = tuple(min(a, r) for a, r in zip(avail, remaining))
-        return ((nxt, tuple(r - x for r, x in zip(remaining, nxt))) for nxt in vectors_upto(caps))
+            layers = (t for t in tops if max_top_dim is None or sum(t) <= max_top_dim)
+            remaining = dimvec
+        elif len(prefix) == alg.L:
+            yield prefix[-1][1], None
+            return
+        else:
+            layer, remaining = prefix[-1]
+            layers = vectors_upto(map(min, alg.extension_counts(layer), remaining))
+        left = alg.L - len(prefix)
+        for nxt in layers:
+            rest = tuple(map(sub, remaining, nxt))
+            if live(nxt, rest, left):
+                yield nxt, rest
 
     results: list[SemisimpleSequence] = []
     for chosen in _depth_first(options, alg.L + 1):

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
@@ -127,14 +127,15 @@ def _dimvec(raw: str) -> tuple[int, ...]:
 def _dumps(obj, pad: str, memo: dict) -> str:
     """``json.dumps(obj, indent=2)`` without the pure-Python indenting encoder.
 
-    ``pad`` is a newline plus the indentation of ``obj``; ``memo`` maps the
-    (id, pad) of each list, tuple or dict already encoded to its text, so a block
-    shared by many parents is encoded once.  Lists and dicts put their ``int``
-    and ``str`` entries and their memoised entries in place, without a call each.
+    ``pad`` is a newline plus the indentation of ``obj``; ``memo`` maps the id of each
+    list, tuple or dict already encoded to its first (pad, text), so a block shared by
+    many parents is encoded once.  At another pad its text is that text with the old pad
+    replaced by the new, kept under (id, pad); that is exact, as encoded JSON holds no
+    raw newline and every newline in a block is followed by at least the block's pad.
+    Lists and dicts put their ``int`` and ``str`` entries in place, without a call each.
     A dict with a non-``str`` key, like other value types, goes to ``json.dumps``,
-    re-indented by replacing each newline (encoded JSON holds no raw newline).  An
-    ``_Encoded`` text, like the components "pairs" from ``_pairs_text``, goes in as
-    it is.
+    re-indented by replacing each newline.  ``_ROWS`` is a raw NUL, which no encoded
+    JSON holds.
     """
     kind = type(obj)
     if kind is str:
@@ -143,72 +144,78 @@ def _dumps(obj, pad: str, memo: dict) -> str:
         return int.__repr__(obj)
     if obj is None or kind is bool:
         return {None: "null", True: "true", False: "false"}[obj]
-    if kind is _Encoded:
-        return obj
-    if (id(obj), pad) in memo:
-        return memo[id(obj), pad]
+    if obj is _ROWS:
+        return "\0"
+    first = memo.get(id(obj))
+    if first:
+        old_pad, text = first
+        if old_pad != pad:
+            text = memo.get((id(obj), pad)) or memo.setdefault(
+                (id(obj), pad), text.replace(old_pad, pad))
+        return text
     inner, parts = pad + "  ", None
     if kind is list or kind is tuple:
         parts, ends = [int.__repr__(x) if type(x) is int else _encode_str(x) if type(x) is str
-                       else memo.get((id(x), inner)) or _dumps(x, inner, memo) for x in obj], "[]"
+                       else _dumps(x, inner, memo) for x in obj], "[]"
     elif kind is dict and all(type(k) is str for k in obj):
         parts, ends = [_encode_str(k) + ": " + (
             int.__repr__(v) if type(v) is int else _encode_str(v) if type(v) is str
-            else memo.get((id(v), inner)) or _dumps(v, inner, memo)) for k, v in obj.items()], "{}"
+            else _dumps(v, inner, memo)) for k, v in obj.items()], "{}"
     if parts is None:
         text = json.dumps(obj, indent=2).replace("\n", pad)
     elif parts:
-        # the brackets go onto the end parts, so a long middle part, like the components
-        # "pairs", is copied once, by the join
+        # the brackets go onto the end parts, so the parts are copied once, by the join
         parts[0] = ends[0] + inner + parts[0]
         parts[-1] += pad + ends[1]
         text = ("," + inner).join(parts)
     else:
         text = ends
-    memo[id(obj), pad] = text
+    memo[id(obj)] = pad, text
     return text
 
 
-class _Encoded(str):
-    """JSON text, encoded at the indentation of the place it is put in."""
+_ROWS = object()  # where ``_emit`` writes its rows
 
 
-def _pairs_text(rep, sequences: list, pad: str) -> str:
-    """``_dumps(pairs, pad, {})`` for the "pairs" of ``report_to_json(rep)``, whose
-    "sequences" are ``sequences``, one row (inner sequence) per join: the row's head joins
-    a copy of the dominance-excluded fragments (outer text and tail: verdict, evidence,
-    confidence, separator), with the admitted pairs' fragments written over."""
+def _pairs_text(rep, sequences: list, pad: str):
+    """The text of ``_dumps(pairs, pad, {})`` for the "pairs" of ``report_to_json(rep)``,
+    whose "sequences" are ``sequences``, one piece per row (inner sequence): the row's
+    head joins a copy of the dominance-excluded fragments (outer text and tail: verdict,
+    evidence, confidence, separator), with the admitted pairs' fragments written over."""
     entry, item = pad + "  ", pad + "    "
     sep, memo = "," + entry, {}
     texts = [_dumps(s, item, memo) for s in sequences]
     if len(texts) < 2:
-        return "[]"
+        yield "[]"
+        return
     codes = {id(code): code for row in (*rep.rows, {0: _DOMINANCE}) for code in row.values()}
     tails = {key: "".join(f',{item}"{k}": {_dumps(x, item, memo)}' for k, x in zip(
         ("verdict", "evidence", "confidence"), code)) + entry + "}" + sep
         for key, code in codes.items()}
     excluded = [t + tails[id(_DOMINANCE)] for t in texts]
-    out = ["[" + entry]
+    yield "[" + entry
     for i, row in enumerate(rep.rows):
         frags = excluded.copy()
         for j, code in row.items():
             frags[j] = texts[j] + tails[id(code)]
         del frags[i]
+        if i == len(texts) - 1:  # the last pair closes the list
+            frags[-1] = frags[-1][:-len(sep)] + pad + "]"
         head = f'{{{item}"inner": {texts[i]},{item}"outer": '
-        out.append(head + head.join(frags))
-    out[-1] = out[-1][:-len(sep)] + pad + "]"
-    return "".join(out)
+        yield head + head.join(frags)
 
 
-def _emit(data) -> int:
+def _emit(data, rows=()) -> int:
+    """Print ``data`` as ``json.dumps(data, indent=2)``, with the pieces of ``rows``
+    written one by one where it holds ``_ROWS``, after all the rest is encoded."""
     try:
-        text = _dumps(data, "\n", {})
+        head, _, rest = _dumps(data, "\n", {}).partition("\0")
     except ValueError:
         # only an int over the interpreter's digit limit fails to encode
         limit = sys.get_int_max_str_digits()
         raise EnumerationCapError(limit, "answer holds an integer over Python's "
                                          f"{limit}-digit string limit") from None
-    print(text)
+    sys.stdout.writelines(chain([head], rows, [rest + "\n"]))
     return 0
 
 
@@ -392,9 +399,9 @@ def cmd_components(args, alg, S):
         return 0
     rep = component_report(alg, dimvec, top, args.max_top_dim, seeds, fs, args.cap)
     data = _report_json(rep)
-    data["pairs"] = _Encoded(_pairs_text(rep, data["sequences"], "\n  "))
+    data["pairs"] = _ROWS
     data["version"] = __version__
-    return _emit(data)
+    return _emit(data, _pairs_text(rep, data["sequences"], "\n  "))
 
 
 def cmd_point_skeleta(args, alg, S):
@@ -508,7 +515,12 @@ def main(argv=None) -> int:
     try:
         alg = algebra_from_json(_load_json(args.algebra))
         S = _sequence(args, alg) if hasattr(args, "layers") else None
-        return globals()[args.func](args, alg, S)
+        code = globals()[args.func](args, alg, S)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout: the Python docs' recipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

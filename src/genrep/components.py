@@ -33,7 +33,7 @@ from .algebra_core import (
     enumerate_sequences,
 )
 from .errors import EnumerationCapError, ValidationError
-from .matrix_rep import FieldSpec, generic_socle
+from .matrix_rep import FieldSpec, _socle_of_tail
 
 
 def annihilating_arrows(alg: TruncatedAlgebra, S: SemisimpleSequence) -> frozenset[str]:
@@ -45,7 +45,11 @@ def annihilating_arrows(alg: TruncatedAlgebra, S: SemisimpleSequence) -> frozens
     extension survives iff vertex j occurs in some layer l+1..L, so the
     answer only depends on layer counts, never on the skeleton.
     """
-    _, tail = _layer_table(alg, S)  # tail[l]: the layers l..L summed
+    return _annihilators(alg, S, _layer_table(alg, S)[1])
+
+
+def _annihilators(alg: TruncatedAlgebra, S: SemisimpleSequence, tail) -> frozenset[str]:
+    """``annihilating_arrows`` of a realizable S, given tail[l], the layers l..L summed."""
     # the shortest member at i (first layer l < L holding i) has the most layers below
     first = [next((l for l in range(alg.L) if S.layers[l][i]), alg.L) for i in range(alg.n)]
     return frozenset(a.name for a, (i, j) in zip(alg.quiver.arrows, alg.quiver.arrow_ends)
@@ -78,9 +82,10 @@ class _SiftFacts:
     Dominance is two bitsets per position, built from the flattened partial sums one
     coordinate at a time: bit j of ``le[i]`` is set when the sums of j are at most
     those of i (the outer j dominance admits for inner i), of ``ge[i]`` when at least.
-    Annihilators and generic socles are memoised per position, and the codes
-    ``(verdict, evidence, confidence)`` per missing arrows and per pair of socles,
-    so equal evidence is one dict, never mutated.
+    Annihilators and generic socles are memoised per position, both read off one
+    ``_layer_table`` per sequence, and the codes ``(verdict, evidence, confidence)``
+    per missing arrows and per pair of socles, so equal evidence is one dict, never
+    mutated.
     """
 
     def __init__(self, alg, sequences, fs: FieldSpec = FieldSpec()):
@@ -96,8 +101,9 @@ class _SiftFacts:
             at_least = dict(zip(up[::-1], accumulate(map(buckets.get, up[::-1]), operator.or_)))
             self.le = [m & at_most[x] for m, x in zip(self.le, column)]
             self.ge = [m & at_least[x] for m, x in zip(self.ge, column)]
-        self.annihilators = functools.cache(lambda i: annihilating_arrows(alg, sequences[i]))
-        self.socle = functools.cache(lambda i: generic_socle(alg, sequences[i], fs))
+        tail = functools.cache(lambda i: _layer_table(alg, sequences[i])[1])
+        self.annihilators = functools.cache(lambda i: _annihilators(alg, sequences[i], tail(i)))
+        self.socle = functools.cache(lambda i: _socle_of_tail(alg, tail(i), fs))
         self.annihilator_code = functools.cache(lambda missing: (
             "excluded-annihilator", {"arrows": list(missing)}, "certified"))
         self.socle_code = functools.cache(lambda outer, inner: (

@@ -299,7 +299,8 @@ def seeded_assignment(pres: GenericPresentation, seed: int,
     """Distinct nonzero values drawn from a seeded PRNG, a list indexed by scalar number.
 
     In exact-rational mode the scalars are the first primes 2, 3, 5, ...
-    so exact runs are reproducible without a modulus.
+    so exact runs are reproducible without a modulus, and the seed is ignored: over Q
+    the three seeds are one point, which each caller evaluates once.
     """
     n = len(pres.scalar_ids)
     if fs.exact:
@@ -566,22 +567,24 @@ def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence,
 
     # a point of G(S_M) per seed: for Hom(G, N) at k = 1, and as N in self-Ext
     pres = generic_presentation(alg, S_M) if k == 1 or rep_n is None else None
-    per_seed = []
+    per_seed, points = [], {}  # points: each drawn point's terms, computed once
 
     def compute(seed):
-        n = rep_n
-        if pres is not None:
-            assign = seeded_assignment(pres, seed, fs)
-            rep_m = materialize(pres, assign, fs)
-            n = rep_m if rep_n is None else rep_n
-        record = {"seed": seed, "alternating": rest(n)}
-        if k == 1:
-            record["alternating"] += hom_dim(rep_m, n)
-            record["restriction"] = rest(n) + _presented_hom_dim(pres, assign, n)
-            if record["restriction"] != record["alternating"]:
-                raise MethodDisagreementError(
-                    f"ext: the two Ext^1 methods disagree for sequence {S_M} at seed {seed} "
-                    f"of seeds {list(seeds)}: {record}")
+        assign = None if pres is None else tuple(seeded_assignment(pres, seed, fs))
+        if assign not in points:
+            n = rep_n
+            if pres is not None:
+                rep_m = materialize(pres, assign, fs)
+                n = rep_m if rep_n is None else rep_n
+            terms = points[assign] = {"alternating": rest(n)}
+            if k == 1:
+                terms["alternating"] += hom_dim(rep_m, n)
+                terms["restriction"] = rest(n) + _presented_hom_dim(pres, assign, n)
+        record = {"seed": seed, **points[assign]}
+        if k == 1 and record["restriction"] != record["alternating"]:
+            raise MethodDisagreementError(
+                f"ext: the two Ext^1 methods disagree for sequence {S_M} at seed {seed} "
+                f"of seeds {list(seeds)}: {record}")
         per_seed.append(record)
         return record["alternating"]
 
@@ -794,10 +797,9 @@ def decomposability(alg: TruncatedAlgebra, S: SemisimpleSequence, graded: bool =
                   else "graded auxiliary graph connected, squarefree top")
         return DecompositionVerdict("indecomposable-certified", {"reason": reason}, "certified")
     # fall back to an End = K witness on a materialized point
-    end_dims = []
+    end_dims, end_dim = [], _end_dims(pres, fs)
     for seed in seeds:
-        assign = seeded_assignment(pres, seed, fs)
-        e = _presented_hom_dim(pres, assign, materialize(pres, assign, fs))
+        e = end_dim(seed)
         if e == 1:
             return DecompositionVerdict(
                 "indecomposable-certified",
@@ -869,7 +871,11 @@ def generic_socle(alg: TruncatedAlgebra, S: SemisimpleSequence,
     is refused as ``seeded_assignment`` refuses it, a prime field too small for
     randomized evaluation, after S is checked and found realizable.
     """
-    _, tail = _layer_table(alg, S)  # tail[k]: the layers k..L summed
+    return _socle_of_tail(alg, _layer_table(alg, S)[1], fs)
+
+
+def _socle_of_tail(alg: TruncatedAlgebra, tail, fs: FieldSpec) -> tuple[int, ...]:
+    """``generic_socle`` of a realizable S, given tail[k], the layers k..L summed."""
     _check_random_field(fs)
     dims, cover = tail[0], list(tail[0])
     for at_k, below_k in zip(tail, tail[1:]):  # k = 0..L
@@ -880,15 +886,17 @@ def generic_socle(alg: TruncatedAlgebra, S: SemisimpleSequence,
     return tuple(d - c for d, c in zip(dims, cover))
 
 
+def _end_dims(pres: GenericPresentation, fs: FieldSpec):
+    """seed -> dim End at the point the seed draws; over Q all seeds draw one, evaluated once."""
+    at = functools.cache(lambda assign: _presented_hom_dim(pres, assign,
+                                                           materialize(pres, assign, fs)))
+    return lambda seed: at(tuple(seeded_assignment(pres, seed, fs)))
+
+
 def generic_end_dim(alg: TruncatedAlgebra, S: SemisimpleSequence, seeds=(0, 1, 2),
                     fs: FieldSpec = FieldSpec()) -> int:
-    pres = generic_presentation(alg, S)
-
-    def compute(seed):
-        assign = seeded_assignment(pres, seed, fs)
-        return _presented_hom_dim(pres, assign, materialize(pres, assign, fs))
-
-    return stable_over_seeds(compute, seeds, "generic_end_dim", f"sequence {S}")
+    return stable_over_seeds(_end_dims(generic_presentation(alg, S), fs), seeds,
+                             "generic_end_dim", f"sequence {S}")
 
 
 def generic_hom_dim(alg: TruncatedAlgebra, S_a: SemisimpleSequence,
@@ -897,10 +905,11 @@ def generic_hom_dim(alg: TruncatedAlgebra, S_a: SemisimpleSequence,
     """hom between independently materialized generic modules of two sequences."""
     pres_a = generic_presentation(alg, S_a)
     pres_b = generic_presentation(alg, S_b)
+    at = functools.cache(lambda a, b: _presented_hom_dim(pres_a, a, materialize(pres_b, b, fs)))
 
     def compute(seed):
-        rep_b = materialize(pres_b, seeded_assignment(pres_b, seed + PAIR_SEED_OFFSET, fs), fs)
-        return _presented_hom_dim(pres_a, seeded_assignment(pres_a, seed, fs), rep_b)
+        assign_b = tuple(seeded_assignment(pres_b, seed + PAIR_SEED_OFFSET, fs))
+        return at(tuple(seeded_assignment(pres_a, seed, fs)), assign_b)
 
     return stable_over_seeds(compute, seeds, "generic_hom_dim",
                              f"sequences {S_a} and {S_b}")

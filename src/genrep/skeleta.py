@@ -21,6 +21,7 @@ from .algebra_core import (
     SemisimpleSequence,
     TruncatedAlgebra,
     _depth_first,
+    _extension_table,
     _layer_table,
     realizable,
     top_elements,
@@ -213,11 +214,11 @@ def _compatible_skeleton(alg: TruncatedAlgebra, S: SemisimpleSequence,
 
 def count_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence) -> int:
     """Closed form: product over levels l < L and vertices j of binomial(A, m), A the
-    available extensions into j (``algebra_core._layer_table``), m = S_{l+1}[j]; 0 iff S
-    is unrealizable.
+    available extensions into j (``algebra_core._extension_table``), m = S_{l+1}[j]; 0 iff
+    S is unrealizable.
     """
     try:
-        A, _ = _layer_table(alg, S)
+        A = _extension_table(alg, S)
     except UnrealizableError:
         return 0
     return prod(map(comb, chain.from_iterable(A), chain.from_iterable(S.layers[1:])))

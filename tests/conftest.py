@@ -3,6 +3,7 @@ import copy
 import functools
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -793,6 +794,60 @@ def annihilating_arrows_by_skeleton(alg, S, sk):
         if kills_all:
             out.append(a.name)
     return frozenset(out)
+
+
+@st.composite
+def drawn_algebras(draw, max_L=4):
+    """1-3 vertices, up to five arrows drawn as (source, target), so loops and parallel
+    arrows are common, and L = 1..max_L."""
+    n = draw(st.integers(1, 3))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=5))
+    return _alg([str(v) for v in range(n)],
+                [(f"a{k}", str(i), str(j)) for k, (i, j) in enumerate(ends)],
+                draw(st.integers(1, max_L)))
+
+
+def enumerate_sequences_unpruned(alg, dimvec, top=None, cap=None, max_top_dim=None):
+    """``enumerate_sequences`` by a walk that descends into every prefix within the
+    one-arrow caps and learns only at the last layer whether what remains fits."""
+    from genrep.algebra_core import _depth_first
+    from genrep.errors import EnumerationCapError, ValidationError
+    dimvec = tuple(int(x) for x in dimvec)
+    if len(dimvec) != alg.n:
+        raise ValidationError("dimension vector width does not match vertex count")
+    if any(x < 0 for x in dimvec):
+        raise ValidationError("negative entry in dimension vector")
+    if not any(dimvec):
+        raise ValidationError("dimension vector must be nonzero")
+
+    def vectors_upto(caps):
+        return product(*(range(c + 1) for c in caps))
+
+    if top is None:
+        tops = (t for t in vectors_upto(dimvec) if any(t))
+    else:
+        top = tuple(int(x) for x in top)
+        if len(top) != alg.n or min(top) < 0:
+            raise ValidationError("top must have one nonnegative entry per vertex")
+        tops = [top] if any(top) and all(t <= d for t, d in zip(top, dimvec)) else []
+
+    def options(prefix):
+        if not prefix:
+            return ((t, tuple(d - x for d, x in zip(dimvec, t))) for t in tops
+                    if max_top_dim is None or sum(t) <= max_top_dim)
+        layer, remaining = prefix[-1]
+        avail = alg.extension_counts(layer)
+        if len(prefix) == alg.L:
+            return [(remaining, None)] if all(r <= a for r, a in zip(remaining, avail)) else []
+        caps = tuple(min(a, r) for a, r in zip(avail, remaining))
+        return ((nxt, tuple(r - x for r, x in zip(remaining, nxt))) for nxt in vectors_upto(caps))
+
+    results = []
+    for chosen in _depth_first(options, alg.L + 1):
+        results.append(SemisimpleSequence(tuple(layer for layer, _ in chosen)))
+        if cap is not None and len(results) > cap:
+            raise EnumerationCapError(cap, f"realizable sequences exceed cap of {cap}")
+    return results
 
 
 # ---------------------------------------------------------------------------

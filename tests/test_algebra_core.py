@@ -20,9 +20,9 @@ from genrep.algebra_core import (
     sequence_from_json,
     top_elements,
 )
-from genrep.errors import EnumerationCapError, ValidationError
+from genrep.errors import EnumerationCapError, GenrepError, ValidationError
 
-from conftest import seq
+from conftest import drawn_algebras, enumerate_sequences_unpruned, seq
 
 
 def brute_force_paths(alg, start, length):
@@ -241,8 +241,9 @@ def test_max_top_dim_skips_tops_before_the_cap(request, fixture, data):
 
 
 def test_enumerate_sequences_draws_few_vectors(double_back, monkeypatch):
-    # the last layer takes what remains and a given top is the only top, so the
-    # cap trips, and the empty answer comes, after few drawn layer vectors
+    # the last layer takes what remains, a given top is the only top, and a layer is
+    # drawn only below a live one, so the cap trips, and the empty answer comes, after
+    # few drawn layer vectors (1,053 and 2 before dead prefixes were cut)
     import genrep.algebra_core
     drawn = []
 
@@ -254,10 +255,58 @@ def test_enumerate_sequences_draws_few_vectors(double_back, monkeypatch):
     monkeypatch.setattr(genrep.algebra_core, "product", counting)
     with pytest.raises(EnumerationCapError):
         enumerate_sequences(double_back, (60, 60), cap=1)
-    assert len(drawn) == 1053
+    assert len(drawn) == 154
     drawn.clear()
     assert enumerate_sequences(double_back, (200, 200), top=(1, 0)) == []
-    assert len(drawn) == 2
+    assert len(drawn) == 0
+
+
+def walk_outcome(walk, *args, **kwargs):
+    """The layers ``walk`` returns, or the class and message of the error it raises."""
+    try:
+        return [S.layers for S in walk(*args, **kwargs)]
+    except GenrepError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pruned_walk_matches_the_unpruned_walk(data):
+    # same sequences in the same order, or the same error: a malformed or negative
+    # dimension vector or top, or the cap
+    alg = data.draw(drawn_algebras(max_L=6))
+    width = data.draw(st.sampled_from([alg.n] * 5 + [alg.n + 1]))
+    dimvec = data.draw(st.lists(st.integers(0, 3) | st.just(-1), min_size=width,
+                                max_size=width))
+    top = data.draw(st.none() | st.lists(st.integers(0, 2), min_size=alg.n, max_size=alg.n)
+                    | st.lists(st.integers(-1, 2), min_size=width, max_size=width))
+    options = {"top": top, "cap": data.draw(st.none() | st.integers(0, 30)),
+               "max_top_dim": data.draw(st.none() | st.integers(0, 5))}
+    assert (walk_outcome(enumerate_sequences, alg, dimvec, **options)
+            == walk_outcome(enumerate_sequences_unpruned, alg, dimvec, **options))
+
+
+@pytest.mark.parametrize("fixture, dimvec, expanded", [
+    ("relay", (4, 5, 4), 309),
+    ("double_back", (8, 8), 363),
+    ("loop_out", (3, 2), None),
+    ("kronecker", (3, 4), None),
+])
+def test_every_expanded_prefix_yields_a_sequence(request, monkeypatch, fixture, dimvec,
+                                                 expanded):
+    # the walk asks for the options of exactly the proper prefixes of its sequences,
+    # each once; the unpruned walk expanded 3,545 and 1,035 prefixes on the first two
+    from genrep import algebra_core
+    alg, asked, walk = request.getfixturevalue(fixture), [], algebra_core._depth_first
+
+    def recording(options, depth):
+        return walk(lambda prefix: asked.append(tuple(x for x, _ in prefix)) or options(prefix),
+                    depth)
+
+    monkeypatch.setattr(algebra_core, "_depth_first", recording)
+    layers = [S.layers for S in enumerate_sequences(alg, dimvec)]
+    assert sorted(asked) == sorted({S[:k] for S in layers for k in range(alg.L + 1)})
+    assert expanded in (None, len(asked))
 
 
 def test_enumerate_sequences_oracle_double_back(double_back):

@@ -4,6 +4,8 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from itertools import islice
 from pathlib import Path
@@ -303,7 +305,7 @@ def test_components_cap_bounds_sequences_then_pairs(double_back_file, capsys, mo
     def no_socle(*args, **kwargs):
         raise AssertionError("socle computed under an exceeded cap")
 
-    monkeypatch.setattr(components, "generic_socle", no_socle)
+    monkeypatch.setattr(components, "_socle_of_tail", no_socle)
     argv = ["components", "--algebra", double_back_file, "--dimvec", "2,2", "--cap"]
     assert main(argv + ["8"]) == 3
     assert "realizable sequences exceed cap of 8" in capsys.readouterr().err
@@ -343,7 +345,7 @@ def test_components_dot_sifts_no_pair(double_back_file, capsys, monkeypatch):
         raise AssertionError("pair verdict computed for the Hasse diagram")
 
     monkeypatch.setattr(components, "closure_containment_test", no_pairs)
-    monkeypatch.setattr(components, "generic_socle", no_pairs)
+    monkeypatch.setattr(components, "_socle_of_tail", no_pairs)
     argv = ["components", "--algebra", double_back_file, "--dimvec", "2,2", "--format", "dot"]
     code, out = run(capsys, argv)
     assert code == 0 and out == expected
@@ -425,6 +427,22 @@ def test_components_stdout_is_stdlib_json(component_algebras, name, dimvec, opti
     assert sequences in (None, len(rep.sequences))
     assert verdicts <= {v.verdict for v in rep.verdicts}
     assert len(rep.verdicts) == len(rep.sequences) * (len(rep.sequences) - 1)
+
+
+def test_a_reader_closing_stdout_early_gets_exit_1_and_no_traceback(component_algebras):
+    # the relay report at 3,4,3 is some 4 MB, far more than a pipe holds, so the writer
+    # meets the closed pipe mid-report
+    path, _ = component_algebras["relay"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "genrep.cli", "components", "--algebra", path,
+            "--dimvec", "3,4,3"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert len(proc.stdout.read(64)) == 64
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=30) == 1
+    assert err == b""  # no traceback, and no message either
 
 
 def test_components_modulus_below_random_threshold_exits_2(component_algebras, capsys):
@@ -1097,6 +1115,32 @@ def test_dumps_shared_blocks_at_every_depth(value, number, text):
     assert _dumps(data, "\n", memo) == json.dumps(data, indent=2)
     # a second encoding reads every block back from the memo
     assert _dumps(data, "\n", memo) == json.dumps(data, indent=2)
+
+
+@pytest.mark.parametrize("field, points", [(["--exact"], 1), ([], 3)])
+def test_each_seeded_point_is_evaluated_once(double_back_file, deep_file, capsys,
+                                             monkeypatch, field, points):
+    # over Q seeded_assignment draws one point at every seed, so hom, hom --seq2,
+    # decompose and ext evaluate it once; the records still name all three seeds
+    calls, real = [], matrix_rep._presented_hom_dim
+    monkeypatch.setattr(matrix_rep, "_presented_hom_dim",
+                        lambda *args: calls.append(args) or real(*args))
+    per_seed = [{"seed": s, "alternating": 1, "restriction": 1} for s in (4, 5, 6)]
+    end_dims = [{"seed": s, "end_dim": 2} for s in (4, 5, 6)]
+    expected = [
+        (["hom"], {"hom_dim": 2}),
+        (["hom", "--seq2", deep_file], {"hom_dim": 2 if field else 1}),
+        (["decompose"], {"verdict": "undecided", "witness": {"end_dims": end_dims}}),
+        (["ext", "--k", "1"], {"ext_dim": 1, "k": 1, "per_seed": per_seed}),
+    ]
+    for command, data in expected:
+        calls.clear()
+        code, out = run(capsys, command + ["--algebra", double_back_file, "--seq", deep_file,
+                                           "--seed", "4"] + field)
+        data.update({"seed": 4, "field_modulus": None if field else matrix_rep.MERSENNE_61,
+                     "confidence": "seeded-generic", "version": cli.__version__})
+        assert code == 0 and out == json.dumps(data, indent=2) + "\n", command
+        assert len(calls) == points, command
 
 
 @pytest.mark.parametrize("command, patched, stage", [

@@ -17,10 +17,10 @@ from genrep.matrix_rep import RATIONALS, FieldSpec, generic_socle
 from genrep.skeleta import count_skeleta, invariants_N
 
 from conftest import (
-    _alg,
     annihilating_arrows_by_levels,
     bundle_tower_by_levels,
     count_skeleta_by_levels,
+    drawn_algebras,
     first_syzygy_by_levels,
     generic_socle_by_levels,
     invariants_N_by_levels,
@@ -35,17 +35,6 @@ READERS = [(realizable, realizable_by_levels), (count_skeleta, count_skeleta_by_
            (bundle_tower, bundle_tower_by_levels),
            (annihilating_arrows, annihilating_arrows_by_levels)]
 FIELDS = [FieldSpec(), RATIONALS, FieldSpec(7)]
-
-
-@st.composite
-def algebras(draw):
-    """1-3 vertices, up to five arrows drawn as (source, target), so loops and parallel
-    arrows are common, and L = 1..4."""
-    n = draw(st.integers(1, 3))
-    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=5))
-    return _alg([str(v) for v in range(n)],
-                [(f"a{k}", str(i), str(j)) for k, (i, j) in enumerate(ends)],
-                draw(st.integers(1, 4)))
 
 
 @st.composite
@@ -86,7 +75,7 @@ def test_readers_match_per_level_oracles_on_fixtures(request, fixture, data):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_readers_match_per_level_oracles_on_drawn_quivers(data):
-    alg = data.draw(algebras())
+    alg = data.draw(drawn_algebras())
     assert_readers_match_oracles(alg, data.draw(layerings(alg)), data.draw(st.sampled_from(FIELDS)))
 
 
