@@ -414,7 +414,8 @@ def algebra_from_json(data: dict) -> TruncatedAlgebra:
 def sequence_from_json(data: dict, alg: TruncatedAlgebra) -> SemisimpleSequence:
     """Sequence input: {"layers": [[...], ...]}, rows l = 0..L, columns in vertex order."""
     try:
-        rows = [tuple(_json_as(x) for x in row) for row in data["layers"]]
+        rows = [tuple(_json_as(x) for x in _json_as(row, list))
+                for row in _json_as(data["layers"], list)]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed sequence input: {exc}") from None
     S = check_sequence(alg, SemisimpleSequence(tuple(rows)))

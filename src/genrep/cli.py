@@ -513,6 +513,8 @@ def main(argv=None) -> int:
         _PARSERS[name] = build_parser(name)
     args = _PARSERS[name].parse_args(argv)
     try:
+        if getattr(args, "cap", 0) < 0:
+            raise ValidationError(f"--cap must be >= 0, got {args.cap}")
         alg = algebra_from_json(_load_json(args.algebra))
         S = _sequence(args, alg) if hasattr(args, "layers") else None
         code = globals()[args.func](args, alg, S)

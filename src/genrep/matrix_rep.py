@@ -24,15 +24,16 @@ predicate of ``skeleta.iter_skeleta``.  Skeleton modules and their quotients
 (module points) keep a graded basis, so the probes read J^l M off the basis
 labels; ``radical_layering`` eliminates, and stays the independent route.
 
-Hom out of any presented module (a generic M = P/C, a cyclic Lambda e / J^m e,
-a simple) into a given module is the kernel of one relation matrix
-(``_hom_out_of``); ``socle`` reads it off the columns of the arrows out of each
-vertex.  The generic socle builds no skeleton and no module, draws no scalar
-and eliminates nothing: it is counted off the layering, as dim M_v minus the
-least of L+1 vertex covers of the supports of the rows of M_v -> sum of M_t(a);
-that least cover is their term rank, and so their generic rank (see
-``generic_socle``).  The intertwiner solver ``hom_dim`` is an independent route
-to Hom(M, N), the only term in which the two Ext^1 methods differ.
+Every Hom into a given module is the kernel of one relation matrix of some
+presentation of its source (``_hom_out_of``): a generic M = P/C, a cyclic
+Lambda e / J^m e, a simple (``socle``), or any module by its own basis, the
+generators its basis elements and the relations its arrow actions (``hom_dim``).
+The two Ext^1 methods differ only in Hom(M, N), which they take from two
+different presentations of M.  The generic socle builds no skeleton and no
+module, draws no scalar and eliminates nothing: it is counted off the layering,
+as dim M_v minus the least of L+1 vertex covers of the supports of the rows of
+M_v -> sum of M_t(a); that least cover is their term rank, and so their generic
+rank (see ``generic_socle``).
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ MIN_RANDOM_MODULUS = 10**6
 # the second module of a pair is drawn at seed + PAIR_SEED_OFFSET
 PAIR_SEED_OFFSET = 0x9E3779B9
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# exact below 3.317e24 (Sorenson and Webster, Math. Comp. 86, 2017); a strong-PRP test above
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(n: int) -> bool:
@@ -407,47 +409,34 @@ def radical_layering(rep: Representation) -> SemisimpleSequence:
 
 
 def socle(rep: Representation) -> tuple[int, ...]:
-    """Per-vertex socle dimensions dim Hom(S_v, M), S_v the cyclic Lambda e_v / J e_v:
-    one relation per arrow out of v, its columns read straight off the module."""
-    out = rep.algebra.quiver.arrows_from
-    return tuple(_hom_out_of(rep, (v,), [(rep.columns[a.name], 0, ()) for a in out[v]])
-                 for v in rep.algebra.vertices)
+    """Per-vertex socle dimensions dim Hom(S_v, M), S_v the cyclic Lambda e_v / J e_v."""
+    alg = rep.algebra
+    return tuple(hom_dim_from_cyclic(alg, CyclicType(v, 1), rep) for v in alg.vertices)
 
 
 def hom_dim(rep_a: Representation, rep_b: Representation) -> int:
-    """Dimension of the intertwiner space Hom(A, B), for any two representations.
+    """dim Hom(A, B), for any two representations, out of A's basis presentation.
 
-    It solves one sparse linear system in all sum_v dim A_v * dim B_v
-    unknowns, a larger one than the relation matrix from which generic
-    modules take Hom (``_presented_hom_dim``); this route stays independent
-    of that one for the Ext^1 cross-check in ``ext_dim_detail``.
+    A generator z_k per basis element of A, grouped by vertex, and a relation
+    a z_j - sum_i A_a[i, j] z_i per arrow a and basis element j of A at its source,
+    i over A's basis at its target.  This presents A otherwise than the P/C of
+    ``_presented_hom_dim``, so the Ext^1 cross-check in ``ext_dim_detail`` compares
+    two presentations of M on one relation matrix.
     """
     if not _same_algebra(rep_a.algebra, rep_b.algebra):
         raise ValidationError("representations live over different algebras")
     if rep_a.field != rep_b.field:
         raise ValidationError("representations live over different fields")
-    alg, p = rep_a.algebra, rep_a.field.modulus
-    offsets, total = {}, 0
+    alg, one = rep_a.algebra, rep_b.field.one()
+    first, tops = {}, []
     for v in alg.vertices:
-        offsets[v] = total
-        total += rep_b.dim_at(v) * rep_a.dim_at(v)
-    rows = []
-    for a in alg.quiver.arrows:
-        # unknown (i, k) of the block at vertex v is column offsets[v] + i * dim A_v + k;
-        # the equation (i, j) of arrow a is (f_t A)_{ij} - (B f_s)_{ij} = 0
-        s, t = a.source, a.target
-        dAs, dAt = rep_a.dim_at(s), rep_a.dim_at(t)
-        a_cols, b_rows = rep_a.columns[a.name], [[] for _ in range(rep_b.dim_at(t))]
-        for k, col in enumerate(rep_b.columns[a.name]):
-            for i, y in col.items():
-                b_rows[i].append((offsets[s] + k * dAs, -y))
-        for i, b_terms in enumerate(b_rows):
-            for j in range(dAs):
-                row = {offsets[t] + i * dAt + k: x for k, x in a_cols[j].items()}
-                for c, y in b_terms:
-                    row[c + j] = row.get(c + j, 0) + y
-                rows.append(_reduced(p, row))
-    return total - _rank(p, rows)
+        first[v] = len(tops)
+        tops += [v] * rep_a.dim_at(v)
+    unit = {v: [{i: one} for i in range(rep_b.dim_at(v))] for v in alg.vertices}
+    return _hom_out_of(rep_b, tops, [
+        (rep_b.columns[a.name], first[a.source] + j,
+         [(unit[a.target], first[a.target] + i, -x) for i, x in col.items()])
+        for a in alg.quiver.arrows for j, col in enumerate(rep_a.columns[a.name])])
 
 
 def _path_columns(rep: Representation, p: Path) -> list[dict]:

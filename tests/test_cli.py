@@ -843,6 +843,31 @@ def test_bad_modulus_exits_2(double_back_file, deep_file):
                  "--modulus", "15"]) == 2
 
 
+# 399165290221 * 798330580441, the least strong pseudoprime to every prime base up to 37
+PSEUDOPRIME_TO_37 = 318665857834031151167461
+
+
+def test_strong_pseudoprime_modulus_exits_2(double_back_file, deep_file, capsys):
+    argv = ["hom", "--algebra", double_back_file, "--seq", deep_file, "--modulus"]
+    assert main(argv + [str(PSEUDOPRIME_TO_37)]) == 2
+    assert capsys.readouterr().err == f"error: {PSEUDOPRIME_TO_37} is not prime\n"
+    assert main(argv + [str(2**31 - 1)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["skeleta", "--layers", "[[1,0],[0,0],[1,0]]"],  # unrealizable: 0 skeleta
+    ["skeleta", "--layers", "[[1,1],[0,1],[1,0]]"],
+    ["sequences", "--dimvec", "2,2"],
+    ["sequences", "--dimvec", "0,0"],  # an empty enumeration
+    ["components", "--dimvec", "2,2"],
+    ["point-skeleta", "--module", "missing.json"],  # refused before the file is read
+], ids=["skeleta-unrealizable", "skeleta", "sequences", "sequences-empty", "components",
+        "point-skeleta"])
+def test_negative_cap_exits_2_before_any_work(double_back_file, capsys, argv):
+    assert main(argv + ["--algebra", double_back_file, "--cap", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --cap must be >= 0, got -1\n"
+
+
 def test_bad_dimvec_exits_2(double_back_file):
     assert main(["sequences", "--algebra", double_back_file, "--dimvec", "a,b"]) == 2
 
@@ -873,6 +898,19 @@ def test_non_integer_layer_entry_exits_2(double_back_file, capsys, layers):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: malformed sequence input") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("layers, got", [
+    ('{"0": [1, 1], "1": [0, 1]}', "{'0': [1, 1], '1': [0, 1]}"),
+    ('"110110"', "'110110'"),
+    ('[[1,1],"01",[1,0]]', "'01'"),
+    ('[[1,1],{"0": 0, "1": 1},[1,0]]', "{'0': 0, '1': 1}"),
+], ids=["dict", "string", "string-row", "dict-row"])
+def test_layers_and_rows_must_be_lists(double_back_file, capsys, layers, got):
+    # neither a dict's keys nor a string's characters are read as layers or entries
+    code = main(["realizable", "--algebra", double_back_file, "--layers", layers])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: malformed sequence input: expected list, got {got}\n"
 
 
 @pytest.mark.parametrize("bound", ["true", "2.0", '"2"'])

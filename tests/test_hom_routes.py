@@ -1,14 +1,18 @@
-"""Cross-checks of the linear-algebra layer: the two Hom routes, the two
-fields, the sparse elimination and the dense row-space oracle against exact
-rank, and the sparse row space against that oracle."""
+"""Cross-checks of the linear-algebra layer: Hom(M, N) out of two presentations
+of M on one relation matrix (the generic P/C and M's own basis, the intertwiner
+equations), the two fields, the sparse elimination and the dense row-space
+oracle against exact rank, and the sparse row space against that oracle."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genrep import matrix_rep
 from genrep.algebra_core import enumerate_sequences
+from genrep.errors import MethodDisagreementError
 from genrep.generic_builder import generic_presentation
 from genrep.matrix_rep import (
     RATIONALS,
@@ -16,6 +20,7 @@ from genrep.matrix_rep import (
     RowSpace,
     _presented_hom_dim,
     ext_dim,
+    ext_dim_detail,
     generic_end_dim,
     generic_socle,
     hom_dim,
@@ -102,6 +107,22 @@ def test_exact_intertwiner_hom_on_relay_d28(relay):
         rep = materialize(pres, assign, fs)
         values += [hom_dim(rep, rep), _presented_hom_dim(pres, assign, rep)]
     assert values == [33] * 4
+
+
+def test_ext_cross_check_catches_a_wrong_presentation(double_back, monkeypatch):
+    # the restriction method takes Hom(M, N) out of P/C and the alternating method out of
+    # M's basis presentation; P/C without its relation 0, at the same materialized point,
+    # presents a larger module, and the two methods must then disagree
+    S = seq((1, 1), (0, 1), (1, 0))  # the README layering
+    presented = matrix_rep._presented_hom_dim
+
+    def without_relation_0(pres, values, rep_n):
+        assert pres.sequence == S and pres.relations
+        return presented(dataclasses.replace(pres, relations=pres.relations[1:]), values, rep_n)
+
+    monkeypatch.setattr(matrix_rep, "_presented_hom_dim", without_relation_0)
+    with pytest.raises(MethodDisagreementError):
+        ext_dim_detail(double_back, S, None, 1, (0, 1, 2))
 
 
 # entries that vanish in F_5 or F_(2^61 - 1) as well as small and large ones
