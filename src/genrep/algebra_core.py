@@ -302,7 +302,7 @@ def enumerate_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector,
     sum at most ``max_top_dim``; other tops are skipped before any descent).
 
     Output is in lexicographic order on the flattened layer matrix.  Raises
-    ``EnumerationCapError`` as soon as sequence ``cap`` + 1 is found.
+    ``EnumerationCapError`` as soon as sequence ``cap`` + 1 is found (``cap`` >= 0).
 
     The walk keeps a layer only if what remains can still be placed below it, so every
     prefix it expands yields a sequence.  Below a layer X, k levels can place R iff the
@@ -313,6 +313,8 @@ def enumerate_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector,
     A(X + Q_t)[j] >= A(X + P_t)[j] >= P_{t+1}[j], as A is linear with nonnegative
     coefficients and each Y_s <= A(Y_{s-1}).  So Q_{t+1} >= P_{t+1}, and Q_k >= P_k = R.
     """
+    if cap is not None and cap < 0:
+        raise ValidationError(f"cap must be >= 0, got {cap}")
     dimvec = tuple(int(x) for x in dimvec)
     if len(dimvec) != alg.n:
         raise ValidationError("dimension vector width does not match vertex count")

@@ -12,12 +12,12 @@ per presentation, and a seed only substitutes its scalars into the sigma-set
 columns.  Quotients (module points) are written as columns too.  A module
 stores only sparse arrow columns and sparse top vectors.
 
-Fields are F_p for a large prime p (default 2^61 - 1) or exact rationals;
-all arithmetic is exact.  Every rank is one sparse elimination (``_rank``) on
-``{column: value}`` rows, and every action is applied to a sparse vector by
-``_apply``; ``mat_rank``, ``mat_mul``, the dense matrix-vector product and
-``path_action``, the one dense view of a module, are left for tests.
-``RowSpace``, an incremental echelon basis of sparse rows, serves where the
+Fields are F_p for a large prime p (default 2^61 - 1) or exact rationals; all
+arithmetic is exact.  Every rank is one sparse elimination (``_rank``) on ``{column:
+value}`` rows, lazily reduced: a row is reduced only when taken as a pivot row.  Every
+action is applied to a sparse vector by ``_apply``; ``mat_rank``, ``mat_mul``, the dense
+matrix-vector product and ``path_action``, the one dense view of a module, are left
+for tests.  ``RowSpace``, an incremental echelon basis of sparse rows, serves where the
 reduced vectors matter: ``radical_layering``, quotients and the distinguished
 skeleta probes, whose memoised per-block independence test is the block
 predicate of ``skeleta.iter_skeleta``.  Skeleton modules and their quotients
@@ -25,15 +25,15 @@ predicate of ``skeleta.iter_skeleta``.  Skeleton modules and their quotients
 labels; ``radical_layering`` eliminates, and stays the independent route.
 
 Every Hom into a given module is the kernel of one relation matrix of some
-presentation of its source (``_hom_out_of``): a generic M = P/C, a cyclic
-Lambda e / J^m e, a simple (``socle``), or any module by its own basis, the
-generators its basis elements and the relations its arrow actions (``hom_dim``).
-The two Ext^1 methods differ only in Hom(M, N), which they take from two
-different presentations of M.  The generic socle builds no skeleton and no
-module, draws no scalar and eliminates nothing: it is counted off the layering,
-as dim M_v minus the least of L+1 vertex covers of the supports of the rows of
-M_v -> sum of M_t(a); that least cover is their term rank, and so their generic
-rank (see ``generic_socle``).
+presentation of its source (``_hom_out_of``): a generic M = P/C, a cyclic Lambda e /
+J^m e, a simple (``socle``), or any module by its own basis, the generators its basis
+elements and the relations its arrow actions (``hom_dim``, which gives no column to an
+unknown that f(J^l A) in J^l B makes a structural zero).  The two Ext^1 methods differ
+only in Hom(M, N), which they take from two different presentations of M.  The generic
+socle builds no skeleton and no module, draws no scalar and eliminates nothing: it is
+counted off the layering, as dim M_v minus the least of L+1 vertex covers of the
+supports of the rows of M_v -> sum of M_t(a); that least cover is their term rank, and
+so their generic rank (see ``generic_socle``).
 """
 
 from __future__ import annotations
@@ -142,12 +142,14 @@ def _dot(fs: FieldSpec, row, x):
 def _rank(p: int | None, rows: list[dict]) -> int:
     """Rank of sparse rows ``{col: value}`` over F_p, or over Q when ``p`` is None.
 
-    Values must be nonzero field elements (reduced mod p); the rows are
-    consumed.  Rows are taken shortest first, in one order fixed at the
-    start, and each pivots on its nonzero column with the fewest entries
-    among the rows not yet taken (Markowitz's rule), which keeps fill-in
-    low.  The pivot column is then cleared from exactly the rows that
-    hold it, found through a column -> rows index.
+    Values are any integers over F_p, or rationals over Q, zeros included;
+    the rows are consumed.  Rows are taken shortest first, in one order fixed
+    at the start, and a row is reduced (mod p, zeros dropped) only when taken.
+    It pivots on the column held by the fewest rows not yet taken (Markowitz's
+    rule), which keeps fill-in low.  Each row holding the pivot column, found
+    through a column -> rows index, then adds f times the taken row, f reduced
+    once and skipped when zero; a cancelled entry stays, and is counted as
+    held, until its row is taken.  A lone pivot's column is just deleted.
     """
     holders: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
@@ -155,28 +157,28 @@ def _rank(p: int | None, rows: list[dict]) -> int:
             holders.setdefault(c, set()).add(i)
     rank = 0
     for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
-        row = rows[i]
-        for c in row:
+        for c in rows[i]:
             holders[c].discard(i)
-        if not row:
+        if not (row := _reduced(p, rows[i])):
             continue
         rank += 1
         piv = min(row, key=lambda c: len(holders[c]))
-        inv = -1 / Fraction(row.pop(piv)) if p is None else p - pow(row.pop(piv), -1, p)
+        a = row.pop(piv)
+        if not row:
+            for j in holders.pop(piv):
+                del rows[j][piv]
+            continue
+        inv = -1 / Fraction(a) if p is None else p - pow(a, -1, p)
         for j in holders.pop(piv):
             other = rows[j]
-            f = other.pop(piv) * inv
-            for c, x in row.items():
-                y = other.get(c, 0) + f * x
-                if p is not None:
-                    y %= p
-                if y:
-                    if c not in other:
+            f = other.pop(piv) * inv if p is None else other.pop(piv) * inv % p
+            if f:
+                for c, x in row.items():
+                    if (y := other.get(c)) is None:
+                        other[c] = f * x
                         holders[c].add(j)
-                    other[c] = y
-                else:
-                    del other[c]
-                    holders[c].discard(j)
+                    else:
+                        other[c] = y + f * x
     return rank
 
 
@@ -421,17 +423,21 @@ def hom_dim(rep_a: Representation, rep_b: Representation) -> int:
     a z_j - sum_i A_a[i, j] z_i per arrow a and basis element j of A at its source,
     i over A's basis at its target.  This presents A otherwise than the P/C of
     ``_presented_hom_dim``, so the Ext^1 cross-check in ``ext_dim_detail`` compares
-    two presentations of M on one relation matrix.
+    two presentations of M on one relation matrix.  When both modules carry basis
+    labels, z_k of length l maps into J^l B, so only B's basis from length l on is sought.
     """
     if not _same_algebra(rep_a.algebra, rep_b.algebra):
         raise ValidationError("representations live over different algebras")
     if rep_a.field != rep_b.field:
         raise ValidationError("representations live over different fields")
     alg, one = rep_a.algebra, rep_b.field.one()
+    labelled = rep_a.basis_labels is not None and rep_b.basis_labels is not None
     first, tops = {}, []
     for v in alg.vertices:
         first[v] = len(tops)
-        tops += [v] * rep_a.dim_at(v)
+        a_len = [q.length for _, q in rep_a.basis_labels[v]] if labelled else [0] * rep_a.dim_at(v)
+        b_len = [q.length for _, q in rep_b.basis_labels[v]] if labelled else []
+        tops += [(v, bisect.bisect_left(b_len, l)) for l in a_len]
     unit = {v: [{i: one} for i in range(rep_b.dim_at(v))] for v in alg.vertices}
     return _hom_out_of(rep_b, tops, [
         (rep_b.columns[a.name], first[a.source] + j,
@@ -464,29 +470,34 @@ def path_action(rep: Representation, p: Path) -> tuple:
 
 
 def _hom_out_of(rep_n: Representation, tops, relations) -> int:
-    """dim Hom(P/C, N) for P = sum_r Lambda e(r), ``tops`` listing the e(r).
+    """dim Hom(P/C, N) for P = sum_r Lambda e(r), ``tops`` listing (e(r), first index).
 
     Each relation ``(lead, r, terms)`` generating C is lead z_r plus scale A z_s
     for each ``(A, s, scale)`` in ``terms``, with lead and A the sparse columns
     of action matrices.  A map P -> N, images n_r in e(r)N, factors through
-    P/C iff it kills every relation: dim Hom = sum_r dim e(r)N - rank R, R the
-    relation matrix, whose rows are scattered from the columns.
+    P/C iff it kills every relation.  n_r is sought on e(r)N's basis from the first
+    index on, as every such map is known to meet: dim Hom = the number of these
+    unknowns - rank R, R the relation matrix, scattered from the columns unreduced.
     """
-    p = rep_n.field.modulus
-    offsets, width = [], 0
-    for v in tops:
-        offsets.append(width)
-        width += rep_n.dim_at(v)
+    starts, width = [], 0
+    for v, first in tops:
+        starts.append((first, width))
+        width += rep_n.dim_at(v) - first
     rows = []
     for lead, r, terms in relations:
         block: dict[int, dict] = {}
-        for cols, s, scale in ((lead, r, 1), *terms):
-            for c, col in enumerate(cols, offsets[s]):
+        first, c0 = starts[r]
+        for c, col in enumerate(lead[first:], c0):
+            for i, x in col.items():
+                block.setdefault(i, {})[c] = x
+        for cols, s, scale in terms:
+            first, c0 = starts[s]
+            for c, col in enumerate(cols[first:], c0):
                 for i, x in col.items():
                     row = block.setdefault(i, {})
                     row[c] = row.get(c, 0) + scale * x
-        rows += [_reduced(p, row) for row in block.values()]
-    return width - _rank(p, rows)
+        rows += block.values()
+    return width - _rank(rep_n.field.modulus, rows)
 
 
 def hom_dim_from_cyclic(alg: TruncatedAlgebra, c: CyclicType, rep: Representation) -> int:
@@ -497,7 +508,7 @@ def hom_dim_from_cyclic(alg: TruncatedAlgebra, c: CyclicType, rep: Representatio
     """
     if c.truncation >= alg.L + 1:
         return rep.dim_at(c.vertex)
-    return _hom_out_of(rep, (c.vertex,), [(_path_columns(rep, p), 0, ())
+    return _hom_out_of(rep, ((c.vertex, 0),), [(_path_columns(rep, p), 0, ())
                                           for p in enumerate_paths(alg, c.vertex, c.truncation)])
 
 
@@ -522,7 +533,7 @@ def _presented_hom_dim(pres: GenericPresentation, values,
     scalar times the action of each sigma-set member on its top z_s.
     """
     alg, fs = pres.algebra, rep_n.field
-    return _hom_out_of(rep_n, pres.skeleton.top, [
+    return _hom_out_of(rep_n, [(v, 0) for v in pres.skeleton.top], [
         (_path_columns(rep_n, rel.critical.path(alg)), rel.critical.r - 1,
          [(_path_columns(rep_n, q), s - 1, -fs.element(values[k])) for (s, q), k in rel.terms])
         for rel in pres.relations])

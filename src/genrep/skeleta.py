@@ -181,7 +181,9 @@ def iter_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence, accept=None):
 
 
 def capped_count(alg: TruncatedAlgebra, S: SemisimpleSequence, cap: int) -> int:
-    """``count_skeleta``; raises EnumerationCapError iff it exceeds ``cap``."""
+    """``count_skeleta``; raises EnumerationCapError iff it exceeds ``cap``, which must be >= 0."""
+    if cap < 0:
+        raise ValidationError(f"cap must be >= 0, got {cap}")
     count = count_skeleta(alg, S)
     if count > cap:
         raise EnumerationCapError(cap)

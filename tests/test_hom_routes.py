@@ -15,10 +15,12 @@ from genrep.algebra_core import enumerate_sequences
 from genrep.errors import MethodDisagreementError
 from genrep.generic_builder import generic_presentation
 from genrep.matrix_rep import (
+    MERSENNE_61,
     RATIONALS,
     FieldSpec,
     RowSpace,
     _presented_hom_dim,
+    _rank,
     ext_dim,
     ext_dim_detail,
     generic_end_dim,
@@ -193,6 +195,38 @@ def unreduced_rows(draw, fs):
     if rows:
         rows += [list(rows[i]) for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
     return width, draw(st.permutations(rows))
+
+
+@pytest.mark.parametrize("fs", [RATIONALS, FieldSpec(), FieldSpec(5)], ids=["Q", "F61", "F5"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rank_of_unreduced_rows_matches_bareiss(fs, data):
+    # _rank's input contract: any representatives, negative and unreduced ones
+    # included, and zero entries kept in a row (Fraction(0) over Q, 0 and p over F_p)
+    width, rows = data.draw(unreduced_rows(fs))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    sparse = [{i: x or fs.zero() for i, x in enumerate(r) if x or zeros}
+              for r, zeros in zip(rows, keep)]
+    assert _rank(fs.modulus, sparse) == bareiss_rank(fs, rows)
+
+
+@pytest.mark.parametrize("p", [MERSENNE_61, 5])
+def test_rank_reduces_a_cancelled_entry_when_its_row_is_taken(p):
+    # clearing column 0 leaves 2p in column 1 of the second row, nonzero as an
+    # integer, zero as a field element; a multiplier that is 0 mod p adds nothing
+    assert _rank(p, [{0: 1, 1: 1}, {0: 1, 1: 1 + p}]) == 1
+    assert _rank(p, [{0: 1, 1: 1}, {0: p, 1: 3}]) == 2
+
+
+@pytest.mark.parametrize("p", [None, MERSENNE_61, 5], ids=["Q", "F61", "F5"])
+def test_rank_when_every_taken_row_is_a_lone_pivot(p):
+    # rows are taken by initial length; each holds only its pivot once the earlier
+    # lone pivots' columns are deleted from it, and the last, left with an explicit
+    # zero, is empty when taken
+    zero = Fraction(0) if p is None else 0
+    rows = [{0: 1, 1: zero, 2: 6, 3: zero}, {0: 7, 1: 5, 2: -4}, {0: 3}, {0: 2, 1: -1}]
+    assert _rank(p, rows) == 3
+    assert _rank(p, [{0: 1}, {0: 1, 1: 1}, {1: 1}]) == 2
 
 
 @pytest.mark.parametrize("fs", [RATIONALS, FieldSpec(), FieldSpec(5)], ids=["Q", "F61", "F5"])

@@ -1,5 +1,6 @@
 """Materialized representations: layering, socle, Hom, Ext, decomposability."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import islice
@@ -7,6 +8,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genrep import matrix_rep
 from genrep.algebra_core import TruncatedAlgebra, enumerate_sequences
 from genrep.errors import EnumerationCapError, SeedStabilityError, ValidationError
 from genrep.generic_builder import generic_presentation
@@ -829,6 +831,69 @@ def test_relation_matrix_hom_matches_stacking_on_generic_points(request, fixture
     pres = generic_presentation(alg, S, graded=data.draw(st.booleans()))
     assign = seeded_assignment(pres, data.draw(st.integers(0, 2**32)), fs)
     assert_hom_out_of_matches_stacking(materialize(pres, assign, fs))
+
+
+def unlabelled(rep):
+    return dataclasses.replace(rep, basis_labels=None)
+
+
+@pytest.mark.parametrize("fixture, dimvec", [("double_back", (2, 2)), ("relay", (2, 2, 1)),
+                                             ("line_swing", (2, 2, 1))])
+@pytest.mark.parametrize("fs", [RATIONALS, SMALL_PRIME, FieldSpec(5)], ids=["Q", "Fp", "F5"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_pruned_hom_dim_matches_unpruned_and_stacking(request, fixture, dimvec, fs, data):
+    # hom_dim leaves out the unknowns J^l A -> J^l B makes zero when both modules carry
+    # basis labels: generic and graded points at drawn and at zero scalars, and module
+    # points; the same modules without labels, and a hand-built one, keep every unknown
+    alg = request.getfixturevalue(fixture)
+    reps = []
+    for _ in range(2):
+        S = data.draw(st.sampled_from(enumerate_sequences(alg, dimvec)))
+        pres = generic_presentation(alg, S, graded=data.draw(st.booleans()))
+        reps.append(materialize(pres, drawn_assignment(data, pres, fs), fs))
+    reps.append(materialize(pres, [fs.zero()] * len(pres.scalar_ids), fs))
+    reps.append(module_point(alg, *data.draw(module_point_specs(alg)), fs))
+    hand = representation_from_matrices(alg, fs, reps[-1].dims, {
+        name: arrow_matrix(reps[-1], name) for name in reps[-1].columns})
+    for rep_a in reps:
+        for rep_b in reps:
+            want = hom_dim(rep_a, rep_b)
+            assert want == hom_dim(unlabelled(rep_a), unlabelled(rep_b))
+            assert want == hom_dim(unlabelled(rep_a), rep_b) == hom_dim(rep_a, unlabelled(rep_b))
+        assert hom_dim(hand, rep_a) == hom_dim(reps[-1], rep_a)
+        assert hom_dim(rep_a, hand) == hom_dim(rep_a, reps[-1])
+    assert hand.basis_labels is None
+    for rep_a, rep_b in ((reps[0], reps[1]), (reps[2], reps[0]), (reps[0], reps[3]),
+                         (reps[3], reps[1])):  # the dense oracle, on the smaller pairs
+        assert hom_dim(rep_a, rep_b) == hom_dim_by_stacking(rep_a, rep_b)
+
+
+@pytest.mark.parametrize("fixture, S", [("double_back", S_DEEP), ("relay", S_DIM14)],
+                         ids=["readme", "relay-d14"])
+def test_hom_dim_keeps_only_the_unknowns_the_labels_allow(request, fixture, S, monkeypatch):
+    # the generator z_k maps into the basis elements of M at its vertex no shorter than
+    # it; without labels every (k, i) at one vertex is an unknown.  The width is hom_dim
+    # plus the rank of the rows handed to _rank, every row inside it
+    alg = request.getfixturevalue(fixture)
+    pres = generic_presentation(alg, S)
+    M = materialize(pres, seeded_assignment(pres, 0))
+    calls, rank_of = [], matrix_rep._rank
+
+    def spy(p, rows):
+        top = max((c for row in rows for c in row), default=-1)
+        calls.append((top, rank_of(p, rows)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(matrix_rep, "_rank", spy)
+    lengths = [[q.length for _, q in M.basis_labels[v]] for v in alg.vertices]
+    pruned = sum(sum(i >= k for i in ls) for ls in lengths for k in ls)
+    full = sum(d * d for d in M.dims)
+    for rep, width in ((M, pruned), (unlabelled(M), full)):
+        dim = hom_dim(rep, rep)
+        top, rank = calls.pop()
+        assert dim + rank == width and top < width
+    assert pruned < full and not calls
 
 
 def dense_columns(fs, mat, width):

@@ -5,10 +5,13 @@ from itertools import islice, product
 import pytest
 
 from genrep.algebra_core import enumerate_sequences, realizable
-from genrep.errors import EnumerationCapError, UnrealizableError
+from genrep.components import component_report
+from genrep.errors import EnumerationCapError, UnrealizableError, ValidationError
+from genrep.matrix_rep import distinguished_skeleta_of, module_point
 from genrep.skeleta import (
     Skeleton,
     canonical_skeleton,
+    capped_count,
     count_skeleta,
     critical_paths,
     enumerate_skeleta,
@@ -68,6 +71,28 @@ def test_enumeration_cap(relay):
     # lazy iteration is unaffected by large totals
     it = iter_skeleta(relay, S_DIM14)
     assert next(it) is not None
+
+
+# each entry point on double_back, the README algebra; the unrealizable layering has 0
+# skeleta, and the dimension vector (2, 2, 2) does not fit two vertices
+U = seq((1, 0), (0, 0), (1, 0))
+README_POINT = (("1", "2"), [[(1, 1, ("b1", "a")), (-1, 2, ("b2",))]])
+NEGATIVE_CAP_CALLS = {
+    "capped_count": lambda alg: capped_count(alg, U, -1),
+    "enumerate_skeleta": lambda alg: enumerate_skeleta(alg, U, cap=-1),
+    "enumerate_sequences": lambda alg: enumerate_sequences(alg, (2, 2, 2), cap=-1),
+    "distinguished_skeleta_of": lambda alg: distinguished_skeleta_of(
+        module_point(alg, *README_POINT), cap=-1),
+    "component_report": lambda alg: component_report(alg, (2, 2), cap=-1),
+}
+
+
+@pytest.mark.parametrize("entry", NEGATIVE_CAP_CALLS)
+def test_negative_cap_is_refused_before_any_work(double_back, entry):
+    # a cap below 0 is no cap: refused as invalid input, not reported as exceeded
+    # (by 0 skeleta) or checked after the dimension vector
+    with pytest.raises(ValidationError, match=r"^cap must be >= 0, got -1$"):
+        NEGATIVE_CAP_CALLS[entry](double_back)
 
 
 def test_skeleton_closure_and_compatibility(double_back):
