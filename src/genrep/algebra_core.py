@@ -315,6 +315,8 @@ def enumerate_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector,
     """
     if cap is not None and cap < 0:
         raise ValidationError(f"cap must be >= 0, got {cap}")
+    if max_top_dim is not None and max_top_dim < 0:
+        raise ValidationError(f"max_top_dim must be >= 0, got {max_top_dim}")
     dimvec = tuple(int(x) for x in dimvec)
     if len(dimvec) != alg.n:
         raise ValidationError("dimension vector width does not match vertex count")

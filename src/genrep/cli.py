@@ -2,9 +2,9 @@
 
 Every randomized artifact embeds the seed, the field modulus, and a confidence label;
 output is byte-identical for identical inputs and seed.  Exit codes: 0 success, 2
-validation error, 3 enumeration cap exceeded (or a RecursionError, which no walk raises:
-each is iterative).  ``main`` builds each subcommand's parser once per process, on its first
-use, and nothing at import; ``build_parser`` builds a new parser on every call.
+validation error, 3 enumeration cap exceeded (or a RecursionError, which no walk raises,
+or an input too large to hold).  ``main`` builds each subcommand's parser once per process,
+on its first use, and nothing at import; ``build_parser`` builds a new parser on every call.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .algebra_core import (
     sequence_to_json,
     enumerate_sequences,
 )
-from .components import (_DOMINANCE, _report_json, component_report, sequence_poset,
-                         sifted_sequences)
+from .components import (_DOMINANCE, _POSSIBLE, _report_json, component_report,
+                         sequence_poset, sifted_sequences)
 from .errors import EnumerationCapError, GenrepError, ValidationError
 from .generic_builder import (
     bundle_report_to_json,
@@ -132,10 +132,10 @@ def _dumps(obj, pad: str, memo: dict) -> str:
     many parents is encoded once.  At another pad its text is that text with the old pad
     replaced by the new, kept under (id, pad); that is exact, as encoded JSON holds no
     raw newline and every newline in a block is followed by at least the block's pad.
-    Lists and dicts put their ``int`` and ``str`` entries in place, without a call each.
-    A dict with a non-``str`` key, like other value types, goes to ``json.dumps``,
-    re-indented by replacing each newline.  ``_ROWS`` is a raw NUL, which no encoded
-    JSON holds.
+    Lists and dicts put their ``int`` and ``str`` entries, and those kept under (id, pad),
+    in place, without a call each.  A dict with a non-``str`` key, like other value types,
+    goes to ``json.dumps``, re-indented by replacing each newline.  ``_ROWS`` is a raw NUL,
+    which no encoded JSON holds.
     """
     kind = type(obj)
     if kind is str:
@@ -156,11 +156,11 @@ def _dumps(obj, pad: str, memo: dict) -> str:
     inner, parts = pad + "  ", None
     if kind is list or kind is tuple:
         parts, ends = [int.__repr__(x) if type(x) is int else _encode_str(x) if type(x) is str
-                       else _dumps(x, inner, memo) for x in obj], "[]"
+                       else memo.get((id(x), inner)) or _dumps(x, inner, memo) for x in obj], "[]"
     elif kind is dict and all(type(k) is str for k in obj):
         parts, ends = [_encode_str(k) + ": " + (
             int.__repr__(v) if type(v) is int else _encode_str(v) if type(v) is str
-            else _dumps(v, inner, memo)) for k, v in obj.items()], "{}"
+            else memo.get((id(v), inner)) or _dumps(v, inner, memo)) for k, v in obj.items()], "{}"
     if parts is None:
         text = json.dumps(obj, indent=2).replace("\n", pad)
     elif parts:
@@ -177,27 +177,30 @@ def _dumps(obj, pad: str, memo: dict) -> str:
 _ROWS = object()  # where ``_emit`` writes its rows
 
 
-def _pairs_text(rep, sequences: list, pad: str):
-    """The text of ``_dumps(pairs, pad, {})`` for the "pairs" of ``report_to_json(rep)``,
+def _pairs_text(rep, sequences: list, pad: str, memo: dict):
+    """The text of ``_dumps(pairs, pad, memo)`` for the "pairs" of ``report_to_json(rep)``,
     whose "sequences" are ``sequences``, one piece per row (inner sequence): the row's
     head joins a copy of the dominance-excluded fragments (outer text and tail: verdict,
-    evidence, confidence, separator), with the admitted pairs' fragments written over."""
+    evidence, confidence, separator), with the admitted pairs' fragments written over.
+    ``memo`` is the rest's, so a sequence is encoded once and here re-indented."""
     entry, item = pad + "  ", pad + "    "
-    sep, memo = "," + entry, {}
+    sep = "," + entry
     texts = [_dumps(s, item, memo) for s in sequences]
+    memo.clear()  # the rest's texts, not to be held while the rows are written
     if len(texts) < 2:
         yield "[]"
         return
-    codes = {id(code): code for row in (*rep.rows, {0: _DOMINANCE}) for code in row.values()}
+    codes = {id(c): c for row in (*rep.rows, {0: _DOMINANCE, 1: _POSSIBLE}) for c in row.values()}
     tails = {key: "".join(f',{item}"{k}": {_dumps(x, item, memo)}' for k, x in zip(
         ("verdict", "evidence", "confidence"), code)) + entry + "}" + sep
         for key, code in codes.items()}
     excluded = [t + tails[id(_DOMINANCE)] for t in texts]
+    possible = [t + tails[id(_POSSIBLE)] for t in texts]
     yield "[" + entry
     for i, row in enumerate(rep.rows):
         frags = excluded.copy()
         for j, code in row.items():
-            frags[j] = texts[j] + tails[id(code)]
+            frags[j] = possible[j] if code is _POSSIBLE else texts[j] + tails[id(code)]
         del frags[i]
         if i == len(texts) - 1:  # the last pair closes the list
             frags[-1] = frags[-1][:-len(sep)] + pad + "]"
@@ -205,11 +208,11 @@ def _pairs_text(rep, sequences: list, pad: str):
         yield head + head.join(frags)
 
 
-def _emit(data, rows=()) -> int:
+def _emit(data, rows=(), memo=None) -> int:
     """Print ``data`` as ``json.dumps(data, indent=2)``, with the pieces of ``rows``
-    written one by one where it holds ``_ROWS``, after all the rest is encoded."""
+    written one by one where it holds ``_ROWS``, after all the rest is encoded into ``memo``."""
     try:
-        head, _, rest = _dumps(data, "\n", {}).partition("\0")
+        head, _, rest = _dumps(data, "\n", {} if memo is None else memo).partition("\0")
     except ValueError:
         # only an int over the interpreter's digit limit fails to encode
         limit = sys.get_int_max_str_digits()
@@ -401,7 +404,7 @@ def cmd_components(args, alg, S):
     data = _report_json(rep)
     data["pairs"] = _ROWS
     data["version"] = __version__
-    return _emit(data, _pairs_text(rep, data["sequences"], "\n  "))
+    return _emit(data, _pairs_text(rep, data["sequences"], "\n  ", memo := {}), memo)
 
 
 def cmd_point_skeleta(args, alg, S):
@@ -515,6 +518,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "cap", 0) < 0:
             raise ValidationError(f"--cap must be >= 0, got {args.cap}")
+        if (getattr(args, "max_top_dim", None) or 0) < 0:
+            raise ValidationError(f"--max-top-dim must be >= 0, got {args.max_top_dim}")
         alg = algebra_from_json(_load_json(args.algebra))
         S = _sequence(args, alg) if hasattr(args, "layers") else None
         code = globals()[args.func](args, alg, S)
@@ -532,6 +537,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input needs more than Python's recursion limit of "
               f"{sys.getrecursionlimit()} nested calls", file=sys.stderr)
+        return 3
+    except (OverflowError, MemoryError) as exc:  # such as a --dimvec entry of 10**18 or more
+        print(f"error: input too large to hold ({type(exc).__name__})", file=sys.stderr)
         return 3
 
 

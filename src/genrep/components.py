@@ -11,9 +11,9 @@ Mod(S_outer), applied in order:
   annihilators - arrows killing all outer modules must kill inner ones,
   socle        - the outer generic socle embeds in the inner one.
 
-Dominance is two bitsets per sequence; a report keeps, per inner sequence, a row
-of the pairs dominance admits.  ``ComponentReport.verdicts`` is a view of the rows
-built on first read, and ``closure_containment_test`` the per-pair reference.
+Dominance is two bitsets per sequence; a report keeps, per inner sequence, a row of the
+pairs dominance admits, coded once per pair of classes.  ``ComponentReport.verdicts`` is a
+view of the rows built on first read, and ``closure_containment_test`` the per-pair reference.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .algebra_core import (
     enumerate_sequences,
 )
 from .errors import EnumerationCapError, ValidationError
-from .matrix_rep import FieldSpec, _socle_of_tail
+from .matrix_rep import FieldSpec, _check_random_field, _socle_of_tail
 
 
 def annihilating_arrows(alg: TruncatedAlgebra, S: SemisimpleSequence) -> frozenset[str]:
@@ -85,7 +85,8 @@ class _SiftFacts:
     Annihilators and generic socles are memoised per position, both read off one
     ``_layer_table`` per sequence, and the codes ``(verdict, evidence, confidence)``
     per missing arrows and per pair of socles, so equal evidence is one dict, never
-    mutated.
+    mutated.  ``code``, the per-pair reference, reads only the two classes (annihilators,
+    socle); it refuses ``fs`` (too small a field) only where it compares socles.
     """
 
     def __init__(self, alg, sequences, fs: FieldSpec = FieldSpec()):
@@ -101,9 +102,10 @@ class _SiftFacts:
             at_least = dict(zip(up[::-1], accumulate(map(buckets.get, up[::-1]), operator.or_)))
             self.le = [m & at_most[x] for m, x in zip(self.le, column)]
             self.ge = [m & at_least[x] for m, x in zip(self.ge, column)]
+        self.fs = fs
         tail = functools.cache(lambda i: _layer_table(alg, sequences[i])[1])
         self.annihilators = functools.cache(lambda i: _annihilators(alg, sequences[i], tail(i)))
-        self.socle = functools.cache(lambda i: _socle_of_tail(alg, tail(i), fs))
+        self.socle = functools.cache(lambda i: _socle_of_tail(alg, tail(i)))
         self.annihilator_code = functools.cache(lambda missing: (
             "excluded-annihilator", {"arrows": list(missing)}, "certified"))
         self.socle_code = functools.cache(lambda outer, inner: (
@@ -116,6 +118,7 @@ class _SiftFacts:
         missing = self.annihilators(at_out) - self.annihilators(at_in)
         if missing:
             return self.annihilator_code(tuple(sorted(missing)))
+        _check_random_field(self.fs)
         soc_outer, soc_inner = self.socle(at_out), self.socle(at_in)
         if any(map(operator.gt, soc_outer, soc_inner)):
             return self.socle_code(soc_outer, soc_inner)
@@ -216,7 +219,12 @@ def component_report(alg: TruncatedAlgebra, dimvec: DimensionVector,
     sequences = sifted_sequences(alg, dimvec, top, max_top_dim, cap)
     facts = _SiftFacts(alg, sequences, fs)
     poset = _poset(tuple(sequences), facts)
-    rows = tuple({j: facts.code(j, i) for j in _bits(m & ~(1 << i))}
+    # a sequence of an admitted pair stands for the first of its class: a code per class pair
+    first = {}
+    cls = [first.setdefault((facts.annihilators(i), facts.socle(i)), i)
+           if le | ge != 1 << i else None for i, (le, ge) in enumerate(zip(facts.le, facts.ge))]
+    code = functools.cache(facts.code)
+    rows = tuple({j: code(cls[j], cls[i]) for j in _bits(m & ~(1 << i))}
                  for i, m in enumerate(facts.le))
     containers = [tuple(j for j, code in row.items() if code is _POSSIBLE) for row in rows]
     return ComponentReport(

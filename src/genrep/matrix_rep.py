@@ -871,12 +871,13 @@ def generic_socle(alg: TruncatedAlgebra, S: SemisimpleSequence,
     is refused as ``seeded_assignment`` refuses it, a prime field too small for
     randomized evaluation, after S is checked and found realizable.
     """
-    return _socle_of_tail(alg, _layer_table(alg, S)[1], fs)
-
-
-def _socle_of_tail(alg: TruncatedAlgebra, tail, fs: FieldSpec) -> tuple[int, ...]:
-    """``generic_socle`` of a realizable S, given tail[k], the layers k..L summed."""
+    tail = _layer_table(alg, S)[1]
     _check_random_field(fs)
+    return _socle_of_tail(alg, tail)
+
+
+def _socle_of_tail(alg: TruncatedAlgebra, tail) -> tuple[int, ...]:
+    """``generic_socle`` of a realizable S, given tail[k], the layers k..L summed, unchecked."""
     dims, cover = tail[0], list(tail[0])
     for at_k, below_k in zip(tail, tail[1:]):  # k = 0..L
         term = [d - x for d, x in zip(dims, at_k)]

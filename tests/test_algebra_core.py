@@ -224,13 +224,17 @@ def test_enumerate_sequences_against_oracle_drawn(request, fixture, data):
 @given(data=st.data())
 def test_max_top_dim_skips_tops_before_the_cap(request, fixture, data):
     # the filtered enumeration is the unfiltered one filtered afterwards, and the
-    # cap counts only the sequences kept
+    # cap counts only the sequences kept; a negative bound is refused, not an empty answer
     alg = request.getfixturevalue(fixture)
     vectors = st.tuples(*[st.integers(0, 3)] * alg.n)
     dimvec = data.draw(vectors.filter(any))
     top = data.draw(st.none() | vectors)
     max_top_dim = data.draw(st.integers(-1, 4))
     cap = data.draw(st.none() | st.integers(0, 8))
+    if max_top_dim < 0:
+        with pytest.raises(ValidationError, match=r"^max_top_dim must be >= 0, got -1$"):
+            enumerate_sequences(alg, dimvec, top=top, cap=cap, max_top_dim=max_top_dim)
+        return
     want = [S for S in enumerate_sequences(alg, dimvec, top=top) if sum(S.top) <= max_top_dim]
     if cap is not None and len(want) > cap:
         with pytest.raises(EnumerationCapError, match=f"cap of {cap}$"):

@@ -455,6 +455,21 @@ def test_components_modulus_below_random_threshold_exits_2(component_algebras, c
                             "evaluation\n")
 
 
+def test_components_too_small_modulus_exits_2_only_where_socles_are_compared(
+        component_algebras, capsys):
+    # 1,0 has one sequence and no pair, so no socle is compared and the report prints;
+    # the six sequences of 2,2 within top dimension 2 have pairs that reach the socle test
+    path, _ = component_algebras["double_back"]
+    argv = ["components", "--algebra", path, "--modulus", "7", "--dimvec"]
+    code, out = run(capsys, argv + ["1,0"])
+    data = json.loads(out)
+    assert code == 0 and len(data["sequences"]) == 1 and data["pairs"] == []
+    assert data["field_modulus"] == 7
+    assert main(argv + ["2,2", "--max-top-dim", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: field modulus must exceed 1000000 for "
+                                       "randomized evaluation\n")
+
+
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_components_stdout_is_stdlib_json_on_drawn_inputs(component_algebras, data):
@@ -866,6 +881,25 @@ def test_strong_pseudoprime_modulus_exits_2(double_back_file, deep_file, capsys)
 def test_negative_cap_exits_2_before_any_work(double_back_file, capsys, argv):
     assert main(argv + ["--algebra", double_back_file, "--cap", "-1"]) == 2
     assert capsys.readouterr().err == "error: --cap must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_negative_max_top_dim_exits_2_before_any_work(capsys, fmt):
+    # refused before the algebra file is read, as a negative --cap is
+    assert main(["components", "--algebra", "missing.json", "--dimvec", "2,2",
+                 "--max-top-dim", "-1", "--format", fmt]) == 2
+    assert capsys.readouterr().err == "error: --max-top-dim must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["sequences", "components"])
+@pytest.mark.parametrize("cap", [[], ["--cap", "10"]], ids=["no-cap", "cap"])
+def test_huge_dimvec_entry_exits_3(double_back_file, capsys, command, cap):
+    # the scan over tops is refused by the interpreter (a range too long to index),
+    # which is an input too large to hold, not a traceback
+    code = main([command, "--algebra", double_back_file, "--dimvec", f"{10**20},1"] + cap)
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "error: input too large to hold (OverflowError)\n"
 
 
 def test_bad_dimvec_exits_2(double_back_file):

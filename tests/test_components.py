@@ -18,6 +18,7 @@ from genrep.components import (
     sequence_poset,
 )
 from genrep.errors import UnrealizableError, ValidationError
+from genrep.matrix_rep import generic_socle
 from genrep.skeleta import enumerate_skeleta
 
 from conftest import (
@@ -257,3 +258,39 @@ def test_verdicts_are_built_once_from_the_rows(double_back):
     assert "verdicts" not in vars(rep)
     assert rep.verdicts is rep.verdicts
     assert sum(len(row) for row in rep.rows) < len(rep.verdicts)
+
+
+def test_report_makes_one_code_per_class_pair(double_back, monkeypatch):
+    # a code reads only the two classes (annihilators, generic socle); double_back 6,6
+    # has 126 sequences and 3,257 admitted pairs in 30 classes, and each pair of classes
+    # that some admitted pair meets is coded once (one code per admitted pair was 3,257)
+    calls, code = [], _SiftFacts.code
+    monkeypatch.setattr(_SiftFacts, "code", lambda self, at_out, at_in: (
+        calls.append((at_out, at_in)) or code(self, at_out, at_in)))
+    rep = component_report(double_back, (6, 6))
+    cls = [(annihilating_arrows(double_back, S), generic_socle(double_back, S))
+           for S in rep.sequences]
+    met = {(cls[j], cls[i]) for i, row in enumerate(rep.rows) for j in row}
+    assert (len(cls), sum(map(len, rep.rows)), len(set(cls))) == (126, 3257, 30)
+    assert len(calls) == len({(cls[j], cls[i]) for j, i in calls}) == len(met)
+    assert all((cls[j], cls[i]) in met for j, i in calls)
+
+
+@pytest.mark.parametrize("fixture,dimvec", [("double_back", (5, 5)), ("relay", (3, 4, 3))])
+def test_rows_match_the_per_pair_reference_beyond_the_oracle(request, fixture, dimvec):
+    # past the exhaustive cases, every admitted pair's code, read off its classes, is the
+    # per-pair reference's, and every other pair is excluded by dominance
+    alg = request.getfixturevalue(fixture)
+    rep = component_report(alg, dimvec)
+    seqs = rep.sequences
+    assert sum(map(len, rep.rows)) > len(seqs)
+    assert rep.verdicts == tuple(closure_containment_test(alg, a, b)
+                                 for i, a in enumerate(seqs)
+                                 for j, b in enumerate(seqs) if i != j)
+
+
+def test_negative_max_top_dim_is_refused(double_back):
+    # a negative bound admits no top: refused as invalid input, not an empty report
+    for call in (enumerate_sequences, component_report):
+        with pytest.raises(ValidationError, match=r"^max_top_dim must be >= 0, got -1$"):
+            call(double_back, (2, 2), max_top_dim=-1)
