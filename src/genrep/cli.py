@@ -64,11 +64,14 @@ from .skeleta import (
 
 
 def _load_json(path: str) -> dict:
+    """The JSON in file ``path``, read as bytes and decoded as UTF-8 (a BOM is malformed)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return json.loads(fh.read().decode("utf-8"))
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot decode {path} as UTF-8: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from None
 
@@ -419,7 +422,7 @@ def cmd_point_skeleta(args, alg, S):
 _COMMANDS = ("realizable", "sequences", "skeleta", "critical", "generic", "hypergraph",
              "geometry", "syzygy", "projdim", "socle", "hom", "ext", "decompose", "components",
              "point-skeleta")
-_PARSERS = {}  # what main parses with: a subcommand's parser by its name, the full one by None
+_PARSERS = {}  # what main parses with: the _parsers of a subcommand's name, or of None
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -427,6 +430,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     On arguments that start with that name it acts and reports as the full parser.
     """
+    return _parsers(command)[0]
+
+
+def _parsers(command: str | None):
+    """(the parser ``build_parser(command)`` returns, its own parser of ``command``, or
+    None if ``command`` names no subcommand)."""
     parser = argparse.ArgumentParser(
         prog="genrep",
         description="Generic-module invariants of truncated path algebras.")
@@ -499,22 +508,32 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if p := add("point-skeleta", cmd_point_skeleta, "distinguished skeleta of a module point",
                 seq=False, field=True, cap=True):
         p.add_argument("--module", required=True, help="module point JSON file")
-    if command in _COMMANDS:
-        # the usage line lists every name, as the full parser's choices do; the full
-        # parser keeps no metavar, which would replace "command" in its errors
-        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
-    return parser
+    if command not in _COMMANDS:
+        return parser, None
+    # the usage line lists every name, as the full parser's choices do; the full
+    # parser keeps no metavar, which would replace "command" in its errors
+    sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+    return parser, sub.choices[command]
 
 
 def main(argv=None) -> int:
     """Run one subcommand on the algebra and then the sequence (for a subcommand with
     ``--seq``/``--layers``), each loaded here once.  Its parser, or the full parser for any
-    other first argument, is built on first use and kept: a parse leaves no state in it."""
+    other first argument, is built on first use and kept: a parse leaves no state in it.
+    A subcommand's parser parses once, as the full parser's subparser action does, and
+    the full parser reports what is left over, as its ``parse_args`` does."""
     argv = sys.argv[1:] if argv is None else argv
     name = argv[0] if argv and argv[0] in _COMMANDS else None
     if name not in _PARSERS:
-        _PARSERS[name] = build_parser(name)
-    args = _PARSERS[name].parse_args(argv)
+        _PARSERS[name] = _parsers(name)
+    parser, sub = _PARSERS[name]
+    if sub is None:
+        args = parser.parse_args(argv)
+    else:
+        args, rest = sub.parse_known_args(argv[1:])
+        if rest:
+            parser.error("unrecognized arguments: " + " ".join(rest))
+        args.command = name
     try:
         if getattr(args, "cap", 0) < 0:
             raise ValidationError(f"--cap must be >= 0, got {args.cap}")

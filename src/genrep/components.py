@@ -69,11 +69,14 @@ class PruningVerdict(NamedTuple):
 _NOT_DOMINANT = {"reason": "inner sequence does not dominate outer"}
 _DOMINANCE = ("excluded-dominance", _NOT_DOMINANT, "certified")
 _POSSIBLE = ("possible", {}, "seeded-generic")
+# the set bits of each byte value, ascending: those of b + 2^j are those of b, then j
+_BYTE_BITS = functools.reduce(lambda t, j: t + [b + (j,) for b in t], range(8), [()])
 
 
 def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, ascending."""
-    return [j for j, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
+    """The positions of the set bits of ``mask``, ascending, read byte by byte."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [8 * i + j for i, byte in enumerate(data) if byte for j in _BYTE_BITS[byte]]
 
 
 class _SiftFacts:

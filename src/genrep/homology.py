@@ -158,18 +158,28 @@ def last_two_syzygies(alg: TruncatedAlgebra, S: SemisimpleSequence,
 def projective_dimension(alg: TruncatedAlgebra, S: SemisimpleSequence):
     """Generic projective dimension: an integer, or math.inf.
 
-    Walks the syzygy graph through the sets of cyclic types of Omega^1,
-    Omega^2, ...; pd is the number of nonempty sets.  A nonempty set Omega^d
-    ends a chain of d stepped types, so once d passes their number the chain
-    passes a cycle and pd is infinite (by d = n(L+1) + 1 at the latest).
+    A depth-first walk of the syzygy graph on an explicit stack, from a root above the
+    types of Omega^1, each type stepped at most once.  pd is infinite at the first back
+    edge, to a type still on the stack, which closes a cycle.  Otherwise, in post-order,
+    depth(c) = 1 + the largest depth of c's successors (0 if none), and pd is the depth
+    of the root less one: the longest chain from Omega^1, 0 if Omega^1 is empty.
     """
-    succ, d = _syzygy_graph(alg), 0
-    types = {c for c, _ in first_syzygy(alg, S).items()}
-    while types:
-        types, d = set().union(*map(succ, types)), d + 1
-        if d > succ.cache_info().currsize:
-            return math.inf
-    return d
+    succ, roots = _syzygy_graph(alg), [c for c, _ in first_syzygy(alg, S).items()]
+    depth, stack = {}, [(None, iter(roots))]  # a type maps to None while on the stack
+    while stack:
+        c, todo = stack[-1]
+        for c2 in todo:
+            if c2 not in depth:
+                depth[c2] = None
+                stack.append((c2, iter(succ(c2))))
+                break
+            if depth[c2] is None:
+                return math.inf
+        else:
+            stack.pop()
+            depth[c] = 1 + max(map(depth.__getitem__, roots if c is None else succ(c)),
+                               default=0)
+    return depth[None] - 1
 
 
 # ---------------------------------------------------------------------------

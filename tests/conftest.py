@@ -713,6 +713,22 @@ def last_two_syzygies_by_steps(alg, S, k):
             iterated_syzygy_by_steps(alg, S, k))
 
 
+def projective_dimension_by_level_sets(alg, S):
+    """Generic projective dimension by walking the sets of cyclic types of Omega^1,
+    Omega^2, ... on the shared syzygy graph: pd is the number of nonempty sets.  A
+    nonempty set Omega^d ends a chain of d stepped types, so once d passes their number
+    the chain passes a cycle and pd is infinite.  It steps every type reachable from
+    Omega^1 before it can answer infinity: the oracle of ``projective_dimension``."""
+    from genrep.homology import _syzygy_graph, first_syzygy
+    succ, d = _syzygy_graph(alg), 0
+    types = {c for c, _ in first_syzygy(alg, S).items()}
+    while types:
+        types, d = set().union(*map(succ, types)), d + 1
+        if d > succ.cache_info().currsize:
+            return math.inf
+    return d
+
+
 def projective_dimension_by_dfs(alg, S):
     """Generic projective dimension by a depth-first search of the cyclic types.
 

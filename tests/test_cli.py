@@ -625,6 +625,24 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert main(["realizable", "--algebra", str(bad), "--layers", "[[1]]"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--algebra", "--seq", "--seq2", "--module"])
+@pytest.mark.parametrize("encoding, message", [
+    ("utf-16", "cannot decode {} as UTF-8: 'utf-8' codec can't decode byte 0xff"),
+    ("utf-8-sig", "malformed JSON in {}: Unexpected UTF-8 BOM"),  # a byte order mark
+])
+def test_input_file_not_utf8_exits_2(tmp_path, double_back_file, deep_file, point_files,
+                                      capsys, flag, encoding, message):
+    argv = (["point-skeleta", *point_files] if flag == "--module" else
+            ["hom", "--algebra", double_back_file, "--seq", deep_file, "--seq2", deep_file])
+    i = argv.index(flag) + 1
+    path = tmp_path / "encoded.json"
+    path.write_text(Path(argv[i]).read_text(), encoding=encoding)
+    argv[i] = str(path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: " + message.format(path))
+
+
 def test_inconsistent_dimensions_exit_2(double_back_file, capsys):
     assert main(["realizable", "--algebra", double_back_file,
                  "--layers", "[[1,1],[0,1]]"]) == 2
@@ -1268,6 +1286,12 @@ def test_subcommand_help_matches_full_parser(command, capsys):
     ["skeleta", "--format", "xml", "--algebra", "ALG", "--layers", "[[1,1],[0,1],[1,0]]"],
     ["ext", "--k", "x", "--algebra", "ALG"], ["realizable", "surplus", "--algebra", "ALG"],
     ["point-skeleta"], ["--", "hom"],
+    # an abbreviated flag, a repeated flag, help after other flags, an argument after
+    # "--", and a flag without its value
+    ["hom", "--alg", "ALG", "--cap", "5"], ["hom", "--alg"],
+    ["hom", "--algebra", "nosuch", "--algebra", "ALG", "--bogus"],
+    ["hom", "--algebra", "ALG", "--seed", "3", "-h"],
+    ["projdim", "--algebra", "ALG", "--", "x"], ["projdim", "--seq"],
 ], ids=repr)
 def test_messages_match_full_parser(argv, double_back_file, capsys):
     argv = [double_back_file if a == "ALG" else a for a in argv]
@@ -1275,6 +1299,21 @@ def test_messages_match_full_parser(argv, double_back_file, capsys):
     got = _outcome(capsys, lambda: main(argv))
     assert expected[0][0] == "exit"
     assert got == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["projdim", "--alg", "ALG", "--seq", "SEQ"],
+    ["projdim", "--algebra", "nosuch", "--seq", "nosuch", "--algebra", "ALG", "--seq", "SEQ"],
+    ["hom", "--seq", "SEQ", "--seed", "3", "--algebra", "ALG", "--exa"],
+    ["components", "--dimvec", "2,2", "--max-top", "1", "--algebra", "ALG"],
+], ids=repr)
+def test_arguments_match_full_parser(argv, double_back_file, deep_file, monkeypatch):
+    argv = [{"ALG": double_back_file, "SEQ": deep_file}.get(a, a) for a in argv]
+    expected = vars(build_parser().parse_args(argv))
+    seen = []
+    monkeypatch.setattr(cli, expected["func"], lambda args, alg, S: seen.append(vars(args)))
+    main(argv)
+    assert seen == [expected] and expected["command"] == argv[0]
 
 
 

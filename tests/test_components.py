@@ -10,6 +10,7 @@ from genrep.algebra_core import dominates, enumerate_sequences
 from genrep.components import (
     _DOMINANCE,
     _SiftFacts,
+    _bits,
     _poset,
     annihilating_arrows,
     closure_containment_test,
@@ -211,6 +212,14 @@ def test_report_matches_pairwise_oracle(request, fixture, dimvec):
 def test_sequence_poset_rejects_mixed_totals(double_back):
     with pytest.raises(ValidationError):
         sequence_poset(double_back, [S_DEEP, seq((1, 0), (0, 1), (0, 0))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=st.one_of(st.integers(0, 1 << 12),
+                      st.integers(0, 1 << 700),
+                      st.sets(st.integers(0, 700)).map(lambda js: sum(1 << j for j in js))))
+def test_bits_match_the_binary_string(mask):
+    assert _bits(mask) == [j for j, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
 
 
 @settings(max_examples=40, deadline=None)

@@ -37,6 +37,7 @@ from conftest import (
     iterated_syzygy_by_steps,
     last_two_syzygies_by_steps,
     projective_dimension_by_dfs,
+    projective_dimension_by_level_sets,
     projective_layering,
     realizable_layerings,
     seq,
@@ -202,7 +203,8 @@ def test_projdim_consistent_with_profiles(double_back, loop_out, a2, with_isolat
 def test_projdim_walk_matches_dfs_oracle(request, fixture, data):
     alg = request.getfixturevalue(fixture)
     S = data.draw(realizable_layerings(alg))
-    assert projective_dimension(alg, S) == projective_dimension_by_dfs(alg, S)
+    pd = projective_dimension(alg, S)
+    assert pd == projective_dimension_by_dfs(alg, S) == projective_dimension_by_level_sets(alg, S)
 
 
 @settings(max_examples=60, deadline=None)
@@ -210,7 +212,8 @@ def test_projdim_walk_matches_dfs_oracle(request, fixture, data):
 def test_projdim_walk_matches_dfs_oracle_two_loops(data, L):
     alg = _alg(["1"], [("x", "1", "1"), ("y", "1", "1")], L)
     S = data.draw(realizable_layerings(alg))
-    assert projective_dimension(alg, S) == projective_dimension_by_dfs(alg, S)
+    pd = projective_dimension(alg, S)
+    assert pd == projective_dimension_by_dfs(alg, S) == projective_dimension_by_level_sets(alg, S)
 
 
 def _cycles(lengths):
@@ -252,6 +255,37 @@ def test_projdim_steps_each_type_once(monkeypatch, case, expected):
     monkeypatch.setattr(homology, "syzygy_of_cyclic", counting)
     assert projective_dimension(alg, S) == expected
     assert len(stepped) == len(set(stepped))
+
+
+def _stepped(monkeypatch, walk, alg, S):
+    """(walk(alg, S), the cyclic types it stepped, in order)."""
+    stepped = []
+
+    def counting(alg, c):
+        stepped.append(c)
+        return syzygy_of_cyclic(alg, c)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(homology, "syzygy_of_cyclic", counting)
+        return walk(alg, S), stepped
+
+
+def test_projdim_stops_at_the_first_cycle(monkeypatch):
+    # a 2-cycle a0 <-> a1 and the line b1 -> ... -> b40 at L = 1, with the simples at a0
+    # and b1 as the top: Omega^1 is a1/J^1 (walked first) and b2/J^1, whose chain the
+    # level sets step to its end before their count passes the number of types
+    line = [f"b{i}" for i in range(1, 41)]
+    alg = _alg(["a0", "a1", *line],
+               [("x0", "a0", "a1"), ("x1", "a1", "a0")]
+               + [(f"y{i}", line[i], line[i + 1]) for i in range(39)], 1)
+    S = seq([1, 0, 1] + [0] * 39, [0] * alg.n)
+    assert [c for c, _ in first_syzygy(alg, S).items()] == [CyclicType("a1", 1),
+                                                            CyclicType("b2", 1)]
+    pd, stepped = _stepped(monkeypatch, projective_dimension, alg, S)
+    assert pd == math.inf and stepped == [CyclicType("a1", 1), CyclicType("a0", 1)]
+    pd, by_sets = _stepped(monkeypatch, projective_dimension_by_level_sets, alg, S)
+    assert pd == math.inf and len(by_sets) == 41 > len(stepped)
+    assert projective_dimension_by_dfs(alg, S) == math.inf
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
