@@ -163,20 +163,16 @@ def _critical_path_to_json(alg: TruncatedAlgebra, s: SigmaSet) -> dict:
     return {"r": s.critical.r, "arrows": list(s.critical.path(alg).arrows)}
 
 
-def _sigma_set_to_json(alg: TruncatedAlgebra, s: SigmaSet) -> dict:
-    crit = s.critical
-    return {
-        "arrow": crit.arrow,
-        "parent": element_to_json(crit.parent),
-        "path": _critical_path_to_json(alg, s),
-        "sigma_set": [element_to_json(m) for m in s.members],
-        "zero_part": [element_to_json(m) for m in s.zero_part],
-        "one_part": [element_to_json(m) for m in s.one_part],
-    }
-
-
 def critical_report_json(alg: TruncatedAlgebra, sk: Skeleton) -> list[dict]:
-    return [_sigma_set_to_json(alg, s) for s in critical_paths(alg, sk)]
+    """Each critical path with its sigma-set.  Each skeleton element (parents and members
+    are the skeleton's own tuples) is one object, which ``cli._dumps`` encodes once."""
+    shared = {id(el): element_to_json(el) for el in sk.elements}
+    return [{"arrow": s.critical.arrow, "parent": shared[id(s.critical.parent)],
+             "path": _critical_path_to_json(alg, s),
+             "sigma_set": [shared[id(el)] for el in s.members],
+             "zero_part": [shared[id(el)] for el in s.zero_part],
+             "one_part": [shared[id(el)] for el in s.one_part]}
+            for s in critical_paths(alg, sk)]
 
 
 def presentation_to_json(pres: GenericPresentation) -> dict:

@@ -105,16 +105,19 @@ def first_syzygy(alg: TruncatedAlgebra, S: SemisimpleSequence) -> SyzygyProfile:
 
 def syzygy_of_cyclic(alg: TruncatedAlgebra, c: CyclicType) -> SyzygyProfile:
     """Syzygy of Lambda e / J^m e: one summand (end(u), L+1-m) per length-m path u."""
-    if is_projective(alg, c):
-        return SyzygyProfile([])
-    return SyzygyProfile(
-        (CyclicType(w, alg.L + 1 - c.truncation), k)
-        for w, k in zip(alg.vertices, alg.path_counts[c.vertex][c.truncation]))
+    return SyzygyProfile([] if is_projective(alg, c) else _syzygy_row(alg, c).items())
+
+
+def _syzygy_row(alg: TruncatedAlgebra, c: CyclicType) -> dict[CyclicType, int]:
+    """Omega of c as {type: multiplicity}, read off the path counts; c is not checked."""
+    m = c.truncation
+    counts = alg.path_counts[c.vertex][m] if m <= alg.L else ()
+    return {CyclicType(w, alg.L + 1 - m): k for w, k in zip(alg.vertices, counts) if k}
 
 
 def _syzygy_graph(alg: TruncatedAlgebra):
     """The syzygy graph: cyclic type c -> Omega of c as {type: multiplicity}, stepped once."""
-    return functools.cache(lambda c: dict(syzygy_of_cyclic(alg, c).items()))
+    return functools.cache(lambda c: _syzygy_row(alg, c))
 
 
 def iterated_syzygy(alg: TruncatedAlgebra, S: SemisimpleSequence, k: int) -> SyzygyProfile:

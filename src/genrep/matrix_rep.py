@@ -42,6 +42,7 @@ import bisect
 import dataclasses
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -298,24 +299,36 @@ def _check_random_field(fs: FieldSpec) -> None:
             f"field modulus must exceed {MIN_RANDOM_MODULUS} for randomized evaluation")
 
 
+def _first_primes(n: int) -> list[int]:
+    """The first n primes, from one sieve up to p_n < n (ln n + ln ln n), n >= 6 (Rosser)."""
+    top = int(n * (math.log(n) + math.log(math.log(n)))) if n >= 6 else 11
+    sieve = bytearray([0, 0]) + bytearray([1]) * (top - 1)
+    for i in range(2, math.isqrt(top) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, top + 1, i)))
+    return list(itertools.islice(itertools.compress(itertools.count(), sieve), n))
+
+
 def seeded_assignment(pres: GenericPresentation, seed: int,
                       fs: FieldSpec = FieldSpec()) -> list:
     """Distinct nonzero values drawn from a seeded PRNG, a list indexed by scalar number.
 
-    In exact-rational mode the scalars are the first primes 2, 3, 5, ...
-    so exact runs are reproducible without a modulus, and the seed is ignored: over Q
-    the three seeds are one point, which each caller evaluates once.
+    Over F_p they are ``random.Random(seed).randrange(1, p)``, repeats redrawn, taken as
+    it takes them on Python 3.10-3.13: 1 + ``getrandbits(k)``, k = (p - 1).bit_length(),
+    redrawn while >= p.  Over Q they are the first n primes, so exact runs need no modulus
+    and ignore the seed: over Q the three seeds are one point, evaluated once per caller.
     """
     n = len(pres.scalar_ids)
     if fs.exact:
-        return list(itertools.islice(map(Fraction, filter(_is_prime, itertools.count(2))), n))
+        return list(map(Fraction, _first_primes(n)))
     _check_random_field(fs)
-    rng, seen, values = random.Random(seed), set(), []
+    width = fs.modulus - 1
+    bits, k, seen, values = random.Random(seed).getrandbits, width.bit_length(), set(), []
     for _ in range(n):
-        while (x := rng.randrange(1, fs.modulus)) in seen:
-            pass  # redraw until the value is new
-        seen.add(x)
-        values.append(x)
+        while (r := bits(k)) >= width or r in seen:
+            pass  # redraw until r is in range and new
+        seen.add(r)
+        values.append(1 + r)
     return values
 
 
@@ -555,15 +568,16 @@ def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence,
     if k < 1:
         raise ValidationError("k must be >= 1")
     prev, profile = last_two_syzygies(alg, S_M, k)  # UnrealizableError if S_M is unrealizable
+    if k == 1:  # Hom(Omega^1, N) - Hom(P_0, N)
+        cyclic, tops = profile, list(zip(alg.vertices, S_M.top))
+    else:  # Hom(Omega^k + Omega^(k-1), N) - Hom(P_(k-1), N): a type of both is ranked once
+        cyclic = SyzygyProfile([*profile.items(), *prev.items()])
+        tops = [(c.vertex, m) for c, m in prev.items()]
 
     @functools.cache
     def rest(rep):
         """Every term of the alternating formula but the seeded Hom(G, N) at k = 1."""
-        hom_k = hom_profile_dim(alg, profile, rep)
-        if k == 1:
-            return hom_k - _hom_from_projective(rep, zip(alg.vertices, S_M.top))
-        return (hom_k - _hom_from_projective(rep, ((c.vertex, m) for c, m in prev.items()))
-                + hom_profile_dim(alg, prev, rep))
+        return hom_profile_dim(alg, cyclic, rep) - _hom_from_projective(rep, tops)
 
     # a point of G(S_M) per seed: for Hom(G, N) at k = 1, and as N in self-Ext
     pres = generic_presentation(alg, S_M) if k == 1 or rep_n is None else None

@@ -231,26 +231,26 @@ def critical_paths(alg: TruncatedAlgebra, sk: Skeleton) -> list[SigmaSet]:
 
     A pair (arrow alpha, member (r,p)) is critical when alpha*p has length
     <= L and lies outside the skeleton.  Its sigma-set collects the members
-    at least as long as alpha*p ending in the same vertex.
+    at least as long as alpha*p ending in the same vertex.  Members come in ``_key``
+    order and arrows in index order, so this is (length, parent's key, arrow) order.
     """
-    basis = sk.basis
+    basis, arrows_from = sk.basis, alg.quiver.arrows_from
     # skeleton order is by length first, so the members of one length form a slice
     lengths = {v: [len(mem[1].arrows) for mem in group] for v, group in basis.items()}
+    members = {(r, p.arrows) for r, p in sk.elements}
     out = []
     for el in sk.elements:
         r, p = el
-        if p.length + 1 > alg.L:
-            continue
-        for a in alg.quiver.arrows_from[alg.path_end(p)]:
-            ext = p.then(a)
-            if (r, ext) in sk:
+        n = len(p.arrows) + 1
+        if n > alg.L:
+            break
+        for a in arrows_from[alg.path_end(p)]:
+            if (r, (a.name, *p.arrows)) in members:
                 continue
             group, lens = basis[a.target], lengths[a.target]
-            lo, hi = bisect_left(lens, ext.length), bisect_right(lens, ext.length)
+            lo, hi = bisect_left(lens, n), bisect_right(lens, n)
             zero, one = group[lo:hi], group[hi:]
             out.append(SigmaSet(CriticalPath(a.name, el), zero + one, zero, one))
-    out.sort(key=lambda s: (s.critical.length, sk._key(s.critical.parent),
-                            alg.quiver.arrow_index[s.critical.arrow]))
     return out
 
 

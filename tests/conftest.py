@@ -650,6 +650,49 @@ def presentation_kernel_layering(alg, S, sd):
             for l in range(alg.L + 1)]
 
 
+def first_primes_by_trial(n):
+    """The first n primes, a Miller-Rabin test on every integer from 2: the oracle of
+    ``matrix_rep._first_primes``."""
+    from itertools import count, islice
+    from genrep.matrix_rep import _is_prime
+    return list(islice(filter(_is_prime, count(2)), n))
+
+
+def seeded_assignment_by_randrange(pres, seed, fs):
+    """The scalars of ``seeded_assignment``: over F_p drawn by ``randrange(1, p)``, a
+    repeat drawn again, and over Q the primes found by trial, the oracle of its raw
+    ``getrandbits`` draws and its sieve."""
+    import random
+    n = len(pres.scalar_ids)
+    if fs.exact:
+        return list(map(Fraction, first_primes_by_trial(n)))
+    rng, seen, values = random.Random(seed), set(), []
+    for _ in range(n):
+        while (x := rng.randrange(1, fs.modulus)) in seen:
+            pass
+        seen.add(x)
+        values.append(x)
+    return values
+
+
+def ext_dims_by_two_profiles(alg, S, rep_n, k, seeds, fs):
+    """Ext^k(G(S), N) per seed, k >= 2, by the alternating formula with Omega^k and
+    Omega^(k-1) ranked as two profiles, N = G(S) drawn at each seed when ``rep_n`` is
+    None: the oracle of ``ext_dim_detail``, which ranks their union once."""
+    from genrep.generic_builder import generic_presentation
+    from genrep.homology import last_two_syzygies
+    from genrep.matrix_rep import hom_profile_dim, materialize, seeded_assignment
+    prev, profile = last_two_syzygies(alg, S, k)
+    pres, out = generic_presentation(alg, S), []
+    for sd in seeds:
+        n = rep_n if rep_n is not None else materialize(
+            pres, seeded_assignment(pres, sd, fs), fs)
+        out.append(hom_profile_dim(alg, profile, n)
+                   - sum(m * n.dim_at(c.vertex) for c, m in prev.items())
+                   + hom_profile_dim(alg, prev, n))
+    return out
+
+
 def profile_predicted_layering(alg, profile):
     from genrep.algebra_core import enumerate_paths
     layers = [[0] * alg.n for _ in range(alg.L + 1)]

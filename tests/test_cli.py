@@ -1486,7 +1486,7 @@ def test_one_syzygy_graph_per_run(double_back_file, deep_file, capsys, monkeypat
     # ext takes Omega^k as one step of Omega^(k-1): Omega^1 is built once and each of
     # the four cyclic types of the README algebra is stepped once, as for syzygy
     from genrep import homology
-    calls = {"first_syzygy": 0, "syzygy_of_cyclic": 0}
+    calls = {"first_syzygy": 0, "_syzygy_row": 0}
     for name in calls:
         original = getattr(homology, name)
 
@@ -1497,7 +1497,7 @@ def test_one_syzygy_graph_per_run(double_back_file, deep_file, capsys, monkeypat
         monkeypatch.setattr(homology, name, counting)
     code, _ = run(capsys, [command, "--algebra", double_back_file, "--seq", deep_file,
                            "--k", "1000"])
-    assert code == 0 and calls == {"first_syzygy": 1, "syzygy_of_cyclic": 4}
+    assert code == 0 and calls == {"first_syzygy": 1, "_syzygy_row": 4}
 
 
 def test_huge_k(tmp_path, double_back_file, deep_file, capsys):

@@ -6,11 +6,12 @@ from genrep.algebra_core import enumerate_sequences
 from genrep.errors import UnrealizableError
 from genrep.generic_builder import (
     bundle_tower,
+    critical_report_json,
     generic_presentation,
     hypergraph,
     presentation_to_json,
 )
-from genrep.skeleta import enumerate_skeleta, invariants_N
+from genrep.skeleta import critical_paths, element_to_json, enumerate_skeleta, invariants_N
 
 from conftest import hypergraph_at, seq
 
@@ -112,6 +113,27 @@ def test_presentation_json_shape(double_back):
     assert {r["critical"]["arrows"][0] for r in data["relations"]} >= {"b1", "b2"}
     scalars = [t["scalar"] for r in data["relations"] for t in r["terms"]]
     assert scalars == [f"x_{i}" for i in range(len(scalars))]
+
+
+def test_critical_report_shares_one_object_per_element(relay):
+    # each element is one object in every parent, sigma-set, zero and one part of the
+    # report, and the report equals one made with a fresh object per occurrence
+    S = seq((2, 1, 1), (0, 5, 1), (0, 0, 3), (0, 1, 0))
+    for sk in enumerate_skeleta(relay, S)[:3]:
+        data = critical_report_json(relay, sk)
+        assert data == [{
+            "arrow": s.critical.arrow, "parent": element_to_json(s.critical.parent),
+            "path": {"r": s.critical.r, "arrows": list(s.critical.path(relay).arrows)},
+            "sigma_set": [element_to_json(m) for m in s.members],
+            "zero_part": [element_to_json(m) for m in s.zero_part],
+            "one_part": [element_to_json(m) for m in s.one_part],
+        } for s in critical_paths(relay, sk)]
+        first, seen = {}, 0
+        for d in data:
+            for el in [d["parent"], *d["sigma_set"], *d["zero_part"], *d["one_part"]]:
+                assert first.setdefault((el["r"], tuple(el["arrows"])), el) is el
+                seen += 1
+        assert len(first) < seen
 
 
 def test_bundle_tower_double_back(double_back):

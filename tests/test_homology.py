@@ -16,6 +16,7 @@ from genrep.generic_builder import bundle_tower, generic_presentation
 from genrep.homology import (
     CyclicType,
     SyzygyProfile,
+    _syzygy_row,
     cyclic_dim,
     cyclic_dim_vector,
     first_syzygy,
@@ -250,9 +251,9 @@ def test_projdim_steps_each_type_once(monkeypatch, case, expected):
     def counting(alg, c):
         stepped.append(c)
         assert len(stepped) <= alg.n * (alg.L + 1), "a type was stepped twice"
-        return syzygy_of_cyclic(alg, c)
+        return _syzygy_row(alg, c)
 
-    monkeypatch.setattr(homology, "syzygy_of_cyclic", counting)
+    monkeypatch.setattr(homology, "_syzygy_row", counting)
     assert projective_dimension(alg, S) == expected
     assert len(stepped) == len(set(stepped))
 
@@ -263,10 +264,10 @@ def _stepped(monkeypatch, walk, alg, S):
 
     def counting(alg, c):
         stepped.append(c)
-        return syzygy_of_cyclic(alg, c)
+        return _syzygy_row(alg, c)
 
     with monkeypatch.context() as patch:
-        patch.setattr(homology, "syzygy_of_cyclic", counting)
+        patch.setattr(homology, "_syzygy_row", counting)
         return walk(alg, S), stepped
 
 
@@ -325,9 +326,9 @@ def test_iterated_syzygy_steps_each_type_once(monkeypatch, case, k):
 
     def counting(alg, c):
         stepped.append(c)
-        return syzygy_of_cyclic(alg, c)
+        return _syzygy_row(alg, c)
 
-    monkeypatch.setattr(homology, "syzygy_of_cyclic", counting)
+    monkeypatch.setattr(homology, "_syzygy_row", counting)
     iterated_syzygy(alg, S, k)
     assert len(stepped) == len(set(stepped)), "a type was stepped twice"
     monkeypatch.undo()

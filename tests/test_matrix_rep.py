@@ -50,11 +50,14 @@ from genrep.skeleta import (
 )
 
 from conftest import (
+    FIXTURES,
     _alg,
     _socle_supports,
     _term_rank,
     arrow_matrix,
     distinguished_skeleta_by_path_action,
+    ext_dims_by_two_profiles,
+    first_primes_by_trial,
     fs_add,
     fs_mul,
     hom_dim_by_stacking,
@@ -64,6 +67,7 @@ from conftest import (
     realizable_layerings,
     representation_from_matrices,
     representation_to_json,
+    seeded_assignment_by_randrange,
     seq,
     skeleton_module_by_lookup,
     socle_by_stacking,
@@ -105,6 +109,49 @@ def test_seeded_assignment_needs_large_modulus(double_back):
     pres = generic_presentation(double_back, S_DEEP)
     with pytest.raises(ValidationError):
         seeded_assignment(pres, 0, FieldSpec(7))
+
+
+RANDOM_MODULI = (1000003, 2**31 - 1, 2**61 - 1, 2**89 - 1)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_seeded_assignment_matches_randrange_oracle(request, fixture, data):
+    alg = request.getfixturevalue(fixture)
+    pres = generic_presentation(alg, data.draw(realizable_layerings(alg)))
+    for fs in map(FieldSpec, RANDOM_MODULI):
+        for sd in range(51):
+            assert seeded_assignment(pres, sd, fs) == seeded_assignment_by_randrange(pres, sd, fs)
+    assert seeded_assignment(pres, 0, RATIONALS) == seeded_assignment_by_randrange(
+        pres, 0, RATIONALS)
+
+
+@pytest.mark.parametrize("fixture, S", [("double_back", S_DEEP), ("relay", S_DIM14)])
+def test_seeded_assignment_matches_randrange_oracle_on_large_presentations(request,
+                                                                          fixture, S):
+    pres = generic_presentation(request.getfixturevalue(fixture), S)
+    for fs in [*map(FieldSpec, RANDOM_MODULI), RATIONALS]:
+        for sd in range(51):
+            assert seeded_assignment(pres, sd, fs) == seeded_assignment_by_randrange(pres, sd, fs)
+
+
+def test_seeded_assignment_redraws_p_minus_one(relay):
+    # at seed 21195 the 18th raw 20-bit draw is 1000002 = p - 1, whose value 1 + r would
+    # be p = 0 in F_p; it is redrawn, as randrange redraws it
+    pres, fs = generic_presentation(relay, S_DIM14), FieldSpec(1000003)
+    assert len(pres.scalar_ids) >= 18
+    draws = random.Random(21195).getrandbits
+    assert [draws(20) for _ in range(18)][-1] == fs.modulus - 1
+    values = seeded_assignment(pres, 21195, fs)
+    assert values == seeded_assignment_by_randrange(pres, 21195, fs)
+    assert 0 < min(values) and max(values) < fs.modulus
+
+
+def test_first_primes_match_trial_division_oracle():
+    primes = first_primes_by_trial(2000)
+    for n in range(2001):
+        assert matrix_rep._first_primes(n) == primes[:n]
 
 
 def test_rank_exact_with_fractions():
@@ -355,6 +402,26 @@ def test_ext2_stability(double_back):
     rep = mat_deep(double_back, 117)
     vals = {ext_dim(double_back, S_DEEP, rep, 2, seeds=[s]) for s in (5, 6, 7)}
     assert len(vals) == 1
+
+
+@pytest.mark.parametrize("fixture", ["double_back", "relay", "line_swing"])
+@pytest.mark.parametrize("k", [2, 3])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_ext_merged_profile_matches_two_profiles(request, fixture, k, data):
+    # Omega^k and Omega^(k-1) ranked as one profile give the two-profile sum, for
+    # N = G(S) at each seed and for a separately drawn N
+    alg = request.getfixturevalue(fixture)
+    S = data.draw(realizable_layerings(alg))
+    seeds = (0, 1, 2)
+    detail = ext_dim_detail(alg, S, None, k, seeds)
+    assert [r["alternating"] for r in detail["per_seed"]] == ext_dims_by_two_profiles(
+        alg, S, None, k, seeds, FieldSpec())
+    pres = generic_presentation(alg, data.draw(realizable_layerings(alg)))
+    rep_n = materialize(pres, seeded_assignment(pres, 1000), FieldSpec())
+    detail = ext_dim_detail(alg, S, rep_n, k, seeds)
+    assert [r["alternating"] for r in detail["per_seed"]] == ext_dims_by_two_profiles(
+        alg, S, rep_n, k, seeds, FieldSpec())
 
 
 def test_seed_stability_error_surfaces():
