@@ -160,7 +160,10 @@ class SemisimpleSequence:
     layers: tuple[DimensionVector, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(tuple(int(x) for x in row) for row in self.layers))
+        if kinds := set(map(type, chain.from_iterable(self.layers))) - {int}:  # one C-level pass
+            raise ValidationError("semisimple sequence entries must be int, got "
+                                  + ", ".join(sorted(k.__name__ for k in kinds)))
+        object.__setattr__(self, "layers", tuple(map(tuple, self.layers)))
         widths = {len(row) for row in self.layers}
         if len(widths) > 1:
             raise ValidationError("ragged semisimple sequence")

@@ -68,8 +68,13 @@ def generic_presentation(alg: TruncatedAlgebra, S: SemisimpleSequence,
     the skeleton.
     """
     skeleton = _compatible_skeleton(alg, S, skeleton)
+    return _presentation(alg, S, skeleton, critical_paths(alg, skeleton), graded)
+
+
+def _presentation(alg, S, skeleton, sigma_sets, graded: bool) -> GenericPresentation:
+    """``generic_presentation`` on a skeleton compatible with S, given its critical paths."""
     relations, k = [], 0
-    for sset in critical_paths(alg, skeleton):
+    for sset in sigma_sets:
         part = sset.zero_part if graded else sset.members
         relations.append(Relation(sset, tuple(zip(part, range(k, k + len(part))))))
         k += len(part)

@@ -14,7 +14,9 @@ stores only sparse arrow columns and sparse top vectors.
 
 Fields are F_p for a large prime p (default 2^61 - 1) or exact rationals; all
 arithmetic is exact.  Every rank is one sparse elimination (``_rank``) on ``{column:
-value}`` rows, lazily reduced: a row is reduced only when taken as a pivot row.  Every
+value}`` rows, lazily reduced: a row is reduced only when taken as a pivot row.  Over F_p
+a seeded Hom is ranked at its three points at once, on value triples (``_rank3``); a zero
+at only some of them, or rows of other supports, falls back to one point at a time.  Every
 action is applied to a sparse vector by ``_apply``; ``mat_rank``, ``mat_mul``, the dense
 matrix-vector product and ``path_action``, the one dense view of a module, are left
 for tests.  ``RowSpace``, an incremental echelon basis of sparse rows, serves where the
@@ -56,9 +58,10 @@ from .algebra_core import (
     enumerate_paths,
 )
 from .errors import MethodDisagreementError, SeedStabilityError, ValidationError
-from .generic_builder import GenericPresentation, generic_presentation, hypergraph
+from .generic_builder import GenericPresentation, _presentation, generic_presentation, hypergraph
 from .homology import CyclicType, SyzygyProfile, last_two_syzygies
-from .skeleta import DEFAULT_CAP, Skeleton, canonical_skeleton, capped_count, iter_skeleta
+from .skeleta import (DEFAULT_CAP, Skeleton, canonical_skeleton, capped_count, critical_paths,
+                      iter_skeleta)
 
 MERSENNE_61 = 2**61 - 1
 MIN_RANDOM_MODULUS = 10**6
@@ -180,6 +183,50 @@ def _rank(p: int | None, rows: list[dict]) -> int:
                         holders[c].add(j)
                     else:
                         other[c] = y + f * x
+    return rank
+
+
+def _rank3(p: int, rows: list[dict]) -> int | None:
+    """Three systems' common rank over F_p, ranked as one on rows ``{col: (x0, x1, x2)}``.
+
+    ``_rank``'s row order, holders and pivot choice serve all three systems (the rows are
+    consumed), and an update is skipped only when all three multipliers are zero.  None where
+    a pivot is zero in some system but not all (a taken row zero in some, say).
+    """
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+    rank = 0
+    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
+        for c in rows[i]:
+            holders[c].discard(i)
+        if not (row := {c: t for c, (x, y, z) in rows[i].items()
+                        if (t := (x % p, y % p, z % p)) != (0, 0, 0)}):
+            continue
+        rank += 1
+        piv = min(row, key=lambda c: len(holders[c]))
+        a, b, d = row.pop(piv)
+        if not (a and b and d):
+            return None
+        if not row:
+            for j in holders.pop(piv):
+                del rows[j][piv]
+            continue
+        inv = pow(a * b % p * d, -1, p)  # one inversion for the three negated inverses
+        ia, ib, id_ = p - inv * b * d % p, p - inv * a * d % p, p - inv * a * b % p
+        items = [(c, x, y, z) for c, (x, y, z) in row.items()]
+        for j in holders.pop(piv):
+            other = rows[j]
+            x, y, z = other.pop(piv)
+            if (f := x * ia % p) | (g := y * ib % p) | (h := z * id_ % p):
+                for c, x, y, z in items:
+                    if (t := other.get(c)) is None:
+                        other[c] = (f * x, g * y, h * z)
+                        holders[c].add(j)
+                    else:
+                        u, v, w = t
+                        other[c] = (u + f * x, v + g * y, w + h * z)
     return rank
 
 
@@ -435,27 +482,36 @@ def hom_dim(rep_a: Representation, rep_b: Representation) -> int:
     A generator z_k per basis element of A, grouped by vertex, and a relation
     a z_j - sum_i A_a[i, j] z_i per arrow a and basis element j of A at its source,
     i over A's basis at its target.  This presents A otherwise than the P/C of
-    ``_presented_hom_dim``, so the Ext^1 cross-check in ``ext_dim_detail`` compares
+    ``_presented_hom_dims``, so the Ext^1 cross-check in ``ext_dim_detail`` compares
     two presentations of M on one relation matrix.  When both modules carry basis
     labels, z_k of length l maps into J^l B, so only B's basis from length l on is sought.
     """
-    if not _same_algebra(rep_a.algebra, rep_b.algebra):
-        raise ValidationError("representations live over different algebras")
-    if rep_a.field != rep_b.field:
-        raise ValidationError("representations live over different fields")
-    alg, one = rep_a.algebra, rep_b.field.one()
-    labelled = rep_a.basis_labels is not None and rep_b.basis_labels is not None
-    first, tops = {}, []
-    for v in alg.vertices:
-        first[v] = len(tops)
-        a_len = [q.length for _, q in rep_a.basis_labels[v]] if labelled else [0] * rep_a.dim_at(v)
-        b_len = [q.length for _, q in rep_b.basis_labels[v]] if labelled else []
-        tops += [(v, bisect.bisect_left(b_len, l)) for l in a_len]
-    unit = {v: [{i: one} for i in range(rep_b.dim_at(v))] for v in alg.vertices}
-    return _hom_out_of(rep_b, tops, [
-        (rep_b.columns[a.name], first[a.source] + j,
-         [(unit[a.target], first[a.target] + i, -x) for i, x in col.items()])
-        for a in alg.quiver.arrows for j, col in enumerate(rep_a.columns[a.name])])
+    return _basis_hom_dims([(rep_a, rep_b)])[0]
+
+
+def _basis_hom_dims(pairs) -> list[int]:
+    """``hom_dim`` of each pair (A, B), their systems ranked together by ``_hom_out_of``."""
+    systems = []
+    for rep_a, rep_b in pairs:
+        if not _same_algebra(rep_a.algebra, rep_b.algebra):
+            raise ValidationError("representations live over different algebras")
+        if rep_a.field != rep_b.field:
+            raise ValidationError("representations live over different fields")
+        alg, one = rep_a.algebra, rep_b.field.one()
+        labelled = rep_a.basis_labels is not None and rep_b.basis_labels is not None
+        first, tops = {}, []
+        for v in alg.vertices:
+            first[v] = len(tops)
+            a_len = ([q.length for _, q in rep_a.basis_labels[v]] if labelled
+                     else [0] * rep_a.dim_at(v))
+            b_len = [q.length for _, q in rep_b.basis_labels[v]] if labelled else []
+            tops += [(v, bisect.bisect_left(b_len, l)) for l in a_len]
+        unit = {v: [{i: one} for i in range(rep_b.dim_at(v))] for v in alg.vertices}
+        systems.append((rep_b, tops, [
+            (rep_b.columns[a.name], first[a.source] + j,
+             [(unit[a.target], first[a.target] + i, -x) for i, x in col.items()])
+            for a in alg.quiver.arrows for j, col in enumerate(rep_a.columns[a.name])]))
+    return _hom_out_of(systems)
 
 
 def _path_columns(rep: Representation, p: Path) -> list[dict]:
@@ -482,15 +538,14 @@ def path_action(rep: Representation, p: Path) -> tuple:
                  for i in range(rep.dim_at(rep.algebra.path_end(p))))
 
 
-def _hom_out_of(rep_n: Representation, tops, relations) -> int:
-    """dim Hom(P/C, N) for P = sum_r Lambda e(r), ``tops`` listing (e(r), first index).
+def _relation_matrix(rep_n: Representation, tops, relations) -> tuple[int, list[dict]]:
+    """(number of unknowns, rows) of R, whose kernel is Hom(P/C, N), P = sum_r Lambda e(r).
 
-    Each relation ``(lead, r, terms)`` generating C is lead z_r plus scale A z_s
-    for each ``(A, s, scale)`` in ``terms``, with lead and A the sparse columns
-    of action matrices.  A map P -> N, images n_r in e(r)N, factors through
-    P/C iff it kills every relation.  n_r is sought on e(r)N's basis from the first
-    index on, as every such map is known to meet: dim Hom = the number of these
-    unknowns - rank R, R the relation matrix, scattered from the columns unreduced.
+    ``tops`` lists (e(r), first index).  Each relation ``(lead, r, terms)`` generating C
+    is lead z_r plus scale A z_s for each ``(A, s, scale)`` in ``terms``, with lead and A
+    the sparse columns of action matrices.  A map P -> N, images n_r in e(r)N, factors
+    through P/C iff it kills every relation.  n_r is sought on e(r)N's basis from the
+    first index on, as every such map is known to meet; rows are scattered unreduced.
     """
     starts, width = [], 0
     for v, first in tops:
@@ -510,46 +565,56 @@ def _hom_out_of(rep_n: Representation, tops, relations) -> int:
                     row = block.setdefault(i, {})
                     row[c] = row.get(c, 0) + scale * x
         rows += block.values()
-    return width - _rank(rep_n.field.modulus, rows)
+    return width, rows
+
+
+def _hom_out_of(systems) -> list[int]:
+    """dim Hom(P/C, N) of each system ``(N, tops, relations)`` (``_relation_matrix``).
+    Three systems over F_p, one presentation's at three points, are ranked as one matrix
+    of value triples (``_rank3``) where their rows' keys agree in order; else each alone.
+    """
+    built = [_relation_matrix(*system) for system in systems]
+    if len(built) == 3 and (p := systems[0][0].field.modulus) is not None:
+        (width, a), (_, b), (_, c) = built
+        if len(a) == len(b) == len(c) and all(list(x) == list(y) == list(z)
+                                              for x, y, z in zip(a, b, c)):
+            rank = _rank3(p, [dict(zip(x, zip(x.values(), y.values(), z.values())))
+                              for x, y, z in zip(a, b, c)])
+            if rank is not None:
+                return [width - rank] * 3
+    return [width - _rank(s[0].field.modulus, rows) for s, (width, rows) in zip(systems, built)]
 
 
 def hom_dim_from_cyclic(alg: TruncatedAlgebra, c: CyclicType, rep: Representation) -> int:
-    """dim Hom(Lambda e / J^m e, N) = dim { n in eN : J^m n = 0 }.
-
-    One relation per length-m path out of e; a projective cyclic imposes
-    no constraint.
-    """
-    if c.truncation >= alg.L + 1:
-        return rep.dim_at(c.vertex)
-    return _hom_out_of(rep, ((c.vertex, 0),), [(_path_columns(rep, p), 0, ())
-                                          for p in enumerate_paths(alg, c.vertex, c.truncation)])
+    """dim Hom(Lambda e / J^m e, N) = dim { n in eN : J^m n = 0 }."""
+    return _cyclic_dims(alg, c, [rep])[0]
 
 
-def hom_profile_dim(alg: TruncatedAlgebra, profile: SyzygyProfile, rep: Representation) -> int:
-    return sum(m * hom_dim_from_cyclic(alg, c, rep) for c, m in profile.items())
+def _cyclic_dims(alg: TruncatedAlgebra, c: CyclicType, reps) -> list[int]:
+    """``hom_dim_from_cyclic`` into each of ``reps``, one relation per length-m path out of e."""
+    if c.truncation >= alg.L + 1:  # a projective cyclic imposes no constraint
+        return [rep.dim_at(c.vertex) for rep in reps]
+    paths = enumerate_paths(alg, c.vertex, c.truncation)
+    return _hom_out_of([(rep, ((c.vertex, 0),), [(_path_columns(rep, p), 0, ()) for p in paths])
+                        for rep in reps])
 
 
 # ---------------------------------------------------------------------------
 # Ext dimensions, two ways
 # ---------------------------------------------------------------------------
 
-def _hom_from_projective(rep: Representation, multiplicities) -> int:
-    """dim Hom(P, N) = sum_v m_v dim N_v for P = sum_v (Lambda e_v)^{m_v}, given as (v, m_v)."""
-    return sum(m * rep.dim_at(v) for v, m in multiplicities)
-
-
-def _presented_hom_dim(pres: GenericPresentation, values,
-                       rep_n: Representation) -> int:
-    """dim Hom(M, N) for M = P/C, the evaluation of ``pres`` at the scalars ``values``.
+def _presented_hom_dims(pres: GenericPresentation, points) -> list[int]:
+    """dim Hom(M, N) at each point ``(values, N)``, M = P/C the evaluation of ``pres`` at
+    the scalars ``values``, the points' systems ranked together by ``_hom_out_of``.
 
     One relation per critical path z_r: its action, minus the assigned
     scalar times the action of each sigma-set member on its top z_s.
     """
-    alg, fs = pres.algebra, rep_n.field
-    return _hom_out_of(rep_n, [(v, 0) for v in pres.skeleton.top], [
-        (_path_columns(rep_n, rel.critical.path(alg)), rel.critical.r - 1,
-         [(_path_columns(rep_n, q), s - 1, -fs.element(values[k])) for (s, q), k in rel.terms])
-        for rel in pres.relations])
+    tops = [(v, 0) for v in pres.skeleton.top]
+    return _hom_out_of([(rep_n, tops, [
+        (_path_columns(rep_n, rel.critical.path(pres.algebra)), rel.critical.r - 1,
+         [(_path_columns(rep_n, q), s - 1, -rep_n.field.element(values[k]))
+          for (s, q), k in rel.terms]) for rel in pres.relations]) for values, rep_n in points])
 
 
 def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence,
@@ -560,8 +625,8 @@ def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence,
     Method 1 is the alternating formula on the minimal resolution read off
     the syzygy profiles; method 2 (k = 1 only) is the corank of the
     restriction map Hom(P, N) -> Hom(Omega^1, N).  They share every term but
-    Hom(M, N), taken by ``hom_dim`` and by ``_presented_hom_dim``
-    respectively.  Disagreement between methods or across seeds
+    Hom(M, N), taken out of M's basis (``hom_dim``) and out of P/C
+    (``_presented_hom_dims``) respectively.  Disagreement between methods or across seeds
     is an error, never averaged.  ``rep_n`` None is self-Ext: N is G(S_M)
     itself, the point drawn at each seed from one presentation.
     """
@@ -573,28 +638,27 @@ def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence,
     else:  # Hom(Omega^k + Omega^(k-1), N) - Hom(P_(k-1), N): a type of both is ranked once
         cyclic = SyzygyProfile([*profile.items(), *prev.items()])
         tops = [(c.vertex, m) for c, m in prev.items()]
-
-    @functools.cache
-    def rest(rep):
-        """Every term of the alternating formula but the seeded Hom(G, N) at k = 1."""
-        return hom_profile_dim(alg, cyclic, rep) - _hom_from_projective(rep, tops)
-
     # a point of G(S_M) per seed: for Hom(G, N) at k = 1, and as N in self-Ext
     pres = generic_presentation(alg, S_M) if k == 1 or rep_n is None else None
-    per_seed, points = [], {}  # points: each drawn point's terms, computed once
+
+    def evaluate(points):
+        ms = [None if a is None else materialize(pres, a, fs) for a in points]
+        ns = ms if rep_n is None else [rep_n]  # every term but Hom(G, N) is taken once per N
+        rest = [-sum(m * n.dim_at(v) for v, m in tops) for n in ns]  # Hom(P, N)
+        for c, m in cyclic.items():
+            rest = [r + m * d for r, d in zip(rest, _cyclic_dims(alg, c, ns))]
+        rest, ns = (rest, ns) if rep_n is None else (rest * len(ms), ns * len(ms))
+        if k > 1:
+            return [{"alternating": r} for r in rest]
+        return [{"alternating": r + h, "restriction": r + q} for r, h, q in zip(
+            rest, _basis_hom_dims(list(zip(ms, ns))),
+            _presented_hom_dims(pres, list(zip(points, ns))))]
+
+    per_seed, terms = [], _seeded_values(seeds, lambda seed: None if pres is None else tuple(
+        seeded_assignment(pres, seed, fs)), evaluate)
 
     def compute(seed):
-        assign = None if pres is None else tuple(seeded_assignment(pres, seed, fs))
-        if assign not in points:
-            n = rep_n
-            if pres is not None:
-                rep_m = materialize(pres, assign, fs)
-                n = rep_m if rep_n is None else rep_n
-            terms = points[assign] = {"alternating": rest(n)}
-            if k == 1:
-                terms["alternating"] += hom_dim(rep_m, n)
-                terms["restriction"] = rest(n) + _presented_hom_dim(pres, assign, n)
-        record = {"seed": seed, **points[assign]}
+        record = {"seed": seed, **terms(seed)}
         if k == 1 and record["restriction"] != record["alternating"]:
             raise MethodDisagreementError(
                 f"ext: the two Ext^1 methods disagree for sequence {S_M} at seed {seed} "
@@ -796,9 +860,9 @@ def decomposability(alg: TruncatedAlgebra, S: SemisimpleSequence, graded: bool =
     evaluation has endomorphism ring K.  Anything else is undecided.
     """
     sk = canonical_skeleton(alg, S)  # UnrealizableError if S is unrealizable
-    squarefree = all(x <= 1 for x in S.top)
-    graded_pres = generic_presentation(alg, S, sk, graded=True)
-    pres = graded_pres if graded else generic_presentation(alg, S, sk)
+    squarefree, sigma_sets = all(x <= 1 for x in S.top), critical_paths(alg, sk)
+    graded_pres = _presentation(alg, S, sk, sigma_sets, graded=True)
+    pres = graded_pres if graded else _presentation(alg, S, sk, sigma_sets, graded=False)
     graded_parts = _summands(graded_pres)
     parts = graded_parts if graded else _summands(pres)
     if len(parts) > 1:
@@ -811,7 +875,7 @@ def decomposability(alg: TruncatedAlgebra, S: SemisimpleSequence, graded: bool =
                   else "graded auxiliary graph connected, squarefree top")
         return DecompositionVerdict("indecomposable-certified", {"reason": reason}, "certified")
     # fall back to an End = K witness on a materialized point
-    end_dims, end_dim = [], _end_dims(pres, fs)
+    end_dims, end_dim = [], _end_dims(pres, fs, seeds)
     for seed in seeds:
         e = end_dim(seed)
         if e == 1:
@@ -901,16 +965,24 @@ def _socle_of_tail(alg: TruncatedAlgebra, tail) -> tuple[int, ...]:
     return tuple(d - c for d, c in zip(dims, cover))
 
 
-def _end_dims(pres: GenericPresentation, fs: FieldSpec):
-    """seed -> dim End at the point the seed draws; over Q all seeds draw one, evaluated once."""
-    at = functools.cache(lambda assign: _presented_hom_dim(pres, assign,
-                                                           materialize(pres, assign, fs)))
-    return lambda seed: at(tuple(seeded_assignment(pres, seed, fs)))
+def _seeded_values(seeds, draw, evaluate):
+    """seed -> the value at its point ``draw(seed)``; ``evaluate`` takes the list of distinct
+    points, in seed order, to their values at once (over Q every seed draws one point)."""
+    point = {seed: draw(seed) for seed in seeds}
+    value = dict(zip(distinct := list(dict.fromkeys(point.values())), evaluate(distinct)))
+    return lambda seed: value[point[seed]]
+
+
+def _end_dims(pres: GenericPresentation, fs: FieldSpec, seeds):
+    """seed -> dim End at the point the seed draws."""
+    return _seeded_values(seeds, lambda seed: tuple(seeded_assignment(pres, seed, fs)),
+                          lambda points: _presented_hom_dims(
+                              pres, [(a, materialize(pres, a, fs)) for a in points]))
 
 
 def generic_end_dim(alg: TruncatedAlgebra, S: SemisimpleSequence, seeds=(0, 1, 2),
                     fs: FieldSpec = FieldSpec()) -> int:
-    return stable_over_seeds(_end_dims(generic_presentation(alg, S), fs), seeds,
+    return stable_over_seeds(_end_dims(generic_presentation(alg, S), fs, seeds), seeds,
                              "generic_end_dim", f"sequence {S}")
 
 
@@ -920,12 +992,11 @@ def generic_hom_dim(alg: TruncatedAlgebra, S_a: SemisimpleSequence,
     """hom between independently materialized generic modules of two sequences."""
     pres_a = generic_presentation(alg, S_a)
     pres_b = generic_presentation(alg, S_b)
-    at = functools.cache(lambda a, b: _presented_hom_dim(pres_a, a, materialize(pres_b, b, fs)))
-
-    def compute(seed):
-        assign_b = tuple(seeded_assignment(pres_b, seed + PAIR_SEED_OFFSET, fs))
-        return at(tuple(seeded_assignment(pres_a, seed, fs)), assign_b)
-
+    compute = _seeded_values(
+        seeds, lambda seed: (tuple(seeded_assignment(pres_a, seed, fs)),
+                             tuple(seeded_assignment(pres_b, seed + PAIR_SEED_OFFSET, fs))),
+        lambda points: _presented_hom_dims(
+            pres_a, [(a, materialize(pres_b, b, fs)) for a, b in points]))
     return stable_over_seeds(compute, seeds, "generic_hom_dim",
                              f"sequences {S_a} and {S_b}")
 

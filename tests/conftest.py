@@ -506,6 +506,12 @@ def hom_dim_from_cyclic_by_stacking(alg, c, rep):
                                     for row in path_action(rep, p)])
 
 
+def hom_profile_dim(alg, profile, rep):
+    """dim Hom(sum of the profile's cyclics, N), one ``hom_dim_from_cyclic`` per type."""
+    from genrep.matrix_rep import hom_dim_from_cyclic
+    return sum(m * hom_dim_from_cyclic(alg, c, rep) for c, m in profile.items())
+
+
 def hom_dim_by_stacking(rep_a, rep_b):
     """dim Hom(A, B): the kernel of the dense intertwiner system, ranked by
     Bareiss; the unknown (i, k) of the block at v is f_v[i][k]."""
@@ -681,7 +687,7 @@ def ext_dims_by_two_profiles(alg, S, rep_n, k, seeds, fs):
     None: the oracle of ``ext_dim_detail``, which ranks their union once."""
     from genrep.generic_builder import generic_presentation
     from genrep.homology import last_two_syzygies
-    from genrep.matrix_rep import hom_profile_dim, materialize, seeded_assignment
+    from genrep.matrix_rep import materialize, seeded_assignment
     prev, profile = last_two_syzygies(alg, S, k)
     pres, out = generic_presentation(alg, S), []
     for sd in seeds:

@@ -91,6 +91,19 @@ def test_then_is_extend_without_the_check(double_back):
     assert p.then(bad).arrows == (bad.name,) + p.arrows
 
 
+@pytest.mark.parametrize("entry", [1.9, "2", True], ids=["float", "str", "bool"])
+def test_sequence_refuses_an_entry_that_is_no_int(entry):
+    # each was coerced once: 1.9 read as 1, "2" as 2 and True as 1
+    with pytest.raises(ValidationError, match="^semisimple sequence entries must be int, "
+                                              f"got {type(entry).__name__}$"):
+        SemisimpleSequence(((entry, 0), (0, 0)))
+
+
+def test_sequence_keeps_int_entries_as_tuples():
+    S = SemisimpleSequence([[1, 0], [0, 2]])
+    assert S.layers == ((1, 0), (0, 2)) and type(S.layers[1]) is tuple
+
+
 def test_enumerate_paths_unknown_vertex(double_back):
     with pytest.raises(ValidationError):
         enumerate_paths(double_back, "9", 1)

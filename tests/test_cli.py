@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -953,6 +954,17 @@ def test_non_integer_layer_entry_exits_2(double_back_file, capsys, layers):
 
 
 @pytest.mark.parametrize("layers, got", [
+    ("[[1.9,1],[0,1],[1,0]]", "1.9"), ('[["2",1],[0,1],[1,0]]', "'2'"),
+    ("[[true,1],[0,1],[1,0]]", "True")], ids=["float", "str", "bool"])
+def test_non_int_layer_entry_names_the_entry(double_back_file, capsys, layers, got):
+    # the JSON reader refuses the entry before any sequence is built, so SemisimpleSequence's
+    # own check leaves the message as it was
+    code = main(["realizable", "--algebra", double_back_file, "--layers", layers])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: malformed sequence input: expected int, got {got}\n"
+
+
+@pytest.mark.parametrize("layers, got", [
     ('{"0": [1, 1], "1": [0, 1]}', "{'0': [1, 1], '1': [0, 1]}"),
     ('"110110"', "'110110'"),
     ('[[1,1],"01",[1,0]]', "'01'"),
@@ -1212,9 +1224,9 @@ def test_each_seeded_point_is_evaluated_once(double_back_file, deep_file, capsys
                                              monkeypatch, field, points):
     # over Q seeded_assignment draws one point at every seed, so hom, hom --seq2,
     # decompose and ext evaluate it once; the records still name all three seeds
-    calls, real = [], matrix_rep._presented_hom_dim
-    monkeypatch.setattr(matrix_rep, "_presented_hom_dim",
-                        lambda *args: calls.append(args) or real(*args))
+    calls, real = [], matrix_rep._presented_hom_dims
+    monkeypatch.setattr(matrix_rep, "_presented_hom_dims",
+                        lambda pres, points: calls.extend(points) or real(pres, points))
     per_seed = [{"seed": s, "alternating": 1, "restriction": 1} for s in (4, 5, 6)]
     end_dims = [{"seed": s, "end_dim": 2} for s in (4, 5, 6)]
     expected = [
@@ -1233,15 +1245,47 @@ def test_each_seeded_point_is_evaluated_once(double_back_file, deep_file, capsys
         assert len(calls) == points, command
 
 
+def _count_calls(monkeypatch, fn):
+    """The argument tuples of every call of ``fn``, through any genrep module that holds it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "genrep" or name.startswith("genrep."):
+            for attr, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("command, spied, expected", [
+    # Omega^2 + Omega^1 of the README layering has three cyclic types that are not
+    # projective; each type's paths are enumerated once for all three points
+    (["ext", "--k", "2"], "algebra_core.enumerate_paths", 3),
+    # decompose builds the graded and the ungraded presentation from one critical_paths
+    (["decompose"], "skeleta.critical_paths", 1),
+], ids=["ext-k2", "decompose"])
+def test_seeded_jobs_do_shared_work_once(double_back_file, deep_file, capsys, monkeypatch,
+                                         command, spied, expected):
+    module, name = spied.split(".")
+    calls = _count_calls(monkeypatch, getattr(importlib.import_module(f"genrep.{module}"), name))
+    code, _ = run(capsys, command + ["--algebra", double_back_file, "--seq", deep_file])
+    assert code == 0 and len(calls) == expected
+
+
 @pytest.mark.parametrize("command, patched, stage", [
-    ("hom", "_presented_hom_dim", "generic_end_dim"),
-    ("ext", "hom_dim", "ext"),
+    ("hom", "_presented_hom_dims", "generic_end_dim"),
+    ("ext", "_basis_hom_dims", "ext"),
 ])
 def test_seeded_errors_name_their_stage(double_back_file, deep_file, capsys, monkeypatch,
                                         command, patched, stage):
+    # the batched route's stand-in gives each point it is handed (its last argument) a new value
     import genrep.matrix_rep
     calls = iter(range(100))
-    monkeypatch.setattr(genrep.matrix_rep, patched, lambda *args: next(calls))
+    monkeypatch.setattr(genrep.matrix_rep, patched, lambda *args: [next(calls) for _ in args[-1]])
     code = main([command, "--seed", "4", "--algebra", double_back_file, "--seq", deep_file])
     err = capsys.readouterr().err
     assert code == 2

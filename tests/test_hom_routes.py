@@ -4,6 +4,7 @@ equations), the two fields, the sparse elimination and the dense row-space
 oracle against exact rank, and the sparse row space against that oracle."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,9 +19,12 @@ from genrep.matrix_rep import (
     MERSENNE_61,
     RATIONALS,
     FieldSpec,
+    Representation,
     RowSpace,
-    _presented_hom_dim,
+    _hom_out_of,
+    _presented_hom_dims,
     _rank,
+    _rank3,
     ext_dim,
     ext_dim_detail,
     generic_end_dim,
@@ -85,7 +89,7 @@ def test_relation_matrix_hom_matches_intertwiner(request, name, dimvec, graded, 
         points.append((pres, assign, materialize(pres, assign, fs)))
     for pres, assign, rep_m in points:
         for _, _, rep_n in points:
-            assert _presented_hom_dim(pres, assign, rep_n) == hom_dim(rep_m, rep_n)
+            assert _presented_hom_dims(pres, [(assign, rep_n)]) == [hom_dim(rep_m, rep_n)]
 
 
 @pytest.mark.parametrize("fs", [RATIONALS, FieldSpec()], ids=["Q", "Fp"])
@@ -107,7 +111,7 @@ def test_exact_intertwiner_hom_on_relay_d28(relay):
     for fs in (RATIONALS, FieldSpec()):
         assign = seeded_assignment(pres, 0, fs)
         rep = materialize(pres, assign, fs)
-        values += [hom_dim(rep, rep), _presented_hom_dim(pres, assign, rep)]
+        values += [hom_dim(rep, rep), *_presented_hom_dims(pres, [(assign, rep)])]
     assert values == [33] * 4
 
 
@@ -116,13 +120,13 @@ def test_ext_cross_check_catches_a_wrong_presentation(double_back, monkeypatch):
     # M's basis presentation; P/C without its relation 0, at the same materialized point,
     # presents a larger module, and the two methods must then disagree
     S = seq((1, 1), (0, 1), (1, 0))  # the README layering
-    presented = matrix_rep._presented_hom_dim
+    presented = matrix_rep._presented_hom_dims
 
-    def without_relation_0(pres, values, rep_n):
-        assert pres.sequence == S and pres.relations
-        return presented(dataclasses.replace(pres, relations=pres.relations[1:]), values, rep_n)
+    def without_relation_0(pres, points):
+        assert pres.sequence == S and pres.relations and len(points) == 3
+        return presented(dataclasses.replace(pres, relations=pres.relations[1:]), points)
 
-    monkeypatch.setattr(matrix_rep, "_presented_hom_dim", without_relation_0)
+    monkeypatch.setattr(matrix_rep, "_presented_hom_dims", without_relation_0)
     with pytest.raises(MethodDisagreementError):
         ext_dim_detail(double_back, S, None, 1, (0, 1, 2))
 
@@ -227,6 +231,82 @@ def test_rank_when_every_taken_row_is_a_lone_pivot(p):
     rows = [{0: 1, 1: zero, 2: 6, 3: zero}, {0: 7, 1: 5, 2: -4}, {0: 3}, {0: 2, 1: -1}]
     assert _rank(p, rows) == 3
     assert _rank(p, [{0: 1}, {0: 1, 1: 1}, {1: 1}]) == 2
+
+
+# -- three points of F_p ranked as one matrix of value triples ---------------------
+
+@st.composite
+def same_support_points(draw, p):
+    """(width, three dense matrices with one support): the support is drawn, and each
+    point's entries on it come from a stream of a drawn seed, in [1, p), some moved by -p
+    or p.  The stream is not shrunk towards small entries, so they stay generic."""
+    width = draw(st.integers(1, 6))
+    support = draw(st.lists(st.lists(st.booleans(), min_size=width, max_size=width),
+                            max_size=8))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    return width, [[[rnd.randrange(1, p) + p * rnd.choice((0, 0, -1, 1)) if held else 0
+                     for held in row] for row in support] for _ in range(3)]
+
+
+def _sparse(mat):
+    """Sparse rows of a dense matrix, every entry that is not the integer 0 kept."""
+    return [{c: x for c, x in enumerate(row) if x != 0} for row in mat]
+
+
+def _point_systems(a2, p, width, mats):
+    """Per matrix, a system of ``_hom_out_of`` whose relation matrix it is: ``width``
+    unknowns at vertex 1 and one relation whose lead column c holds column c."""
+    rep = Representation(a2, FieldSpec(p), (width, 0), {})
+    return [(rep, [("1", 0)], [([{i: row[c] for i, row in enumerate(mat) if row[c] != 0}
+                                  for c in range(width)], 0, ())]) for mat in mats]
+
+
+@pytest.mark.parametrize("p", [MERSENNE_61, 5], ids=["F61", "F5"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_three_points_ranked_as_one_match_each_point(a2, p, data):
+    # with entries drawn in F_(2^61 - 1) the three ranks agree and nothing vanishes at one
+    # point alone, so _rank3 gives their rank; in F_5 it may give up, never a wrong rank
+    width, mats = data.draw(same_support_points(p))
+    ranks = [bareiss_rank(FieldSpec(p), mat) for mat in mats]
+    assert ranks == [_rank(p, _sparse(mat)) for mat in mats]
+    triples = [dict(zip(r0, zip(r0.values(), r1.values(), r2.values())))
+               for r0, r1, r2 in zip(*map(_sparse, mats))]
+    rank = _rank3(p, triples)
+    assert rank == ranks[0] == ranks[1] == ranks[2] or (p == 5 and rank is None)
+    assert _hom_out_of(_point_systems(a2, p, width, mats)) == [width - r for r in ranks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_three_points_fall_back_where_one_point_vanishes(a2, data):
+    # one point's entry or whole row is moved to a multiple of p (support kept: a pivot or
+    # a taken row zero at that point alone) or dropped (supports differ); each point's
+    # dimension is still its own
+    p = MERSENNE_61
+    width, mats = data.draw(same_support_points(p))
+    held = [(i, c) for i, row in enumerate(mats[0]) for c, x in enumerate(row) if x]
+    if held:
+        k, (i, c) = data.draw(st.integers(0, 2)), data.draw(st.sampled_from(held))
+        how, dropped = data.draw(st.sampled_from(["entry", "row"])), data.draw(st.booleans())
+        row = mats[k][i]
+        for j in (c,) if how == "entry" else range(width):
+            row[j] = 0 if dropped else p * data.draw(st.sampled_from([1, -1, 2]))
+    ranks = [bareiss_rank(FieldSpec(p), mat) for mat in mats]
+    assert _hom_out_of(_point_systems(a2, p, width, mats)) == [width - r for r in ranks]
+
+
+def test_a_row_vanishing_at_one_point_reranks_each_point(a2, monkeypatch):
+    # row 1 is row 0 at point 0 and independent of it elsewhere: _rank3 gives up when it
+    # takes row 1, and _rank ranks each point alone
+    p, calls = MERSENNE_61, []
+    rank_of = matrix_rep._rank
+    monkeypatch.setattr(matrix_rep, "_rank", lambda *args: calls.append(1) or rank_of(*args))
+    mats = [[[1, 2], [1, 2]], [[1, 2], [1, 3]], [[1, 2], [3, 1]]]
+    triples = [dict(zip(r0, zip(r0.values(), r1.values(), r2.values())))
+               for r0, r1, r2 in zip(*map(_sparse, mats))]
+    assert _rank3(p, triples) is None
+    assert _hom_out_of(_point_systems(a2, p, 2, mats)) == [1, 0, 0] and len(calls) == 3
 
 
 @pytest.mark.parametrize("fs", [RATIONALS, FieldSpec(), FieldSpec(5)], ids=["Q", "F61", "F5"])

@@ -356,7 +356,7 @@ def test_hom_dim_from_cyclic_deep(double_back):
 
 def test_hom_profile_matches_direct_sum(double_back):
     # Hom(Omega^1 G, G) for the deep sequence = 1 + 2*1 = 3
-    from genrep.matrix_rep import hom_profile_dim
+    from conftest import hom_profile_dim
     rep = mat_deep(double_back)
     assert hom_profile_dim(double_back, first_syzygy(double_back, S_DEEP), rep) == 3
 
@@ -431,16 +431,17 @@ def test_seed_stability_error_surfaces():
 
 
 def _drifting(monkeypatch, name):
-    """Replace matrix_rep.<name> by a stand-in whose value changes with every call."""
+    """Replace the batched route matrix_rep.<name> by a stand-in whose value changes with
+    every point it is handed (its last argument), in order."""
     import genrep.matrix_rep as mr
     calls = iter(range(100))
-    monkeypatch.setattr(mr, name, lambda *args: next(calls))
+    monkeypatch.setattr(mr, name, lambda *args: [next(calls) for _ in args[-1]])
 
 
 @pytest.mark.parametrize("stage, patched, run", [
-    ("generic_end_dim", "_presented_hom_dim",
+    ("generic_end_dim", "_presented_hom_dims",
      lambda alg: generic_end_dim(alg, S_DEEP, seeds=(4, 5, 6))),
-    ("generic_hom_dim", "_presented_hom_dim",
+    ("generic_hom_dim", "_presented_hom_dims",
      lambda alg: generic_hom_dim(alg, S_DEEP, S_DIP, seeds=(4, 5, 6))),
 ])
 def test_seed_stability_error_names_stage_sequence_and_seeds(double_back, monkeypatch,
@@ -459,7 +460,7 @@ def test_seed_stability_error_names_stage_sequence_and_seeds(double_back, monkey
 def test_ext_method_disagreement_names_stage_sequence_and_seeds(double_back, monkeypatch):
     from genrep.errors import MethodDisagreementError
     import genrep.matrix_rep as mr
-    monkeypatch.setattr(mr, "hom_dim", lambda a, b: 100)
+    monkeypatch.setattr(mr, "_basis_hom_dims", lambda pairs: [100] * len(pairs))
     with pytest.raises(MethodDisagreementError) as info:
         ext_dim_detail(double_back, S_DEEP, None, 1, [4, 5, 6])
     message = str(info.value)
@@ -468,18 +469,16 @@ def test_ext_method_disagreement_names_stage_sequence_and_seeds(double_back, mon
 
 
 def test_ext_seed_instability_names_stage_sequence_and_seeds(double_back, monkeypatch):
-    # both Ext^1 methods shift by the same seed-dependent amount, so only the seeds disagree
+    # both Ext^1 methods shift by the same seed-dependent amount, so only the seeds disagree:
+    # the point at seed 4 + i gains i in both batched routes
     import genrep.matrix_rep as mr
-    shift = {"by": 0}
-    hom, presented = mr.hom_dim, mr._presented_hom_dim
+    hom, presented = mr._basis_hom_dims, mr._presented_hom_dims
 
-    def shifted_presented(*args):
-        value = presented(*args) + shift["by"]
-        shift["by"] += 1
-        return value
+    def shifted(route):
+        return lambda *args: [d + i for i, d in enumerate(route(*args))]
 
-    monkeypatch.setattr(mr, "hom_dim", lambda a, b: hom(a, b) + shift["by"])
-    monkeypatch.setattr(mr, "_presented_hom_dim", shifted_presented)
+    monkeypatch.setattr(mr, "_basis_hom_dims", shifted(hom))
+    monkeypatch.setattr(mr, "_presented_hom_dims", shifted(presented))
     with pytest.raises(SeedStabilityError) as info:
         ext_dim_detail(double_back, S_DEEP, None, 1, [4, 5, 6])
     message = str(info.value)
@@ -941,25 +940,28 @@ def test_pruned_hom_dim_matches_unpruned_and_stacking(request, fixture, dimvec, 
 def test_hom_dim_keeps_only_the_unknowns_the_labels_allow(request, fixture, S, monkeypatch):
     # the generator z_k maps into the basis elements of M at its vertex no shorter than
     # it; without labels every (k, i) at one vertex is an unknown.  The width is hom_dim
-    # plus the rank of the rows handed to _rank, every row inside it
+    # plus the rank of the rows handed to the kernel, every row inside it: _rank at one
+    # point, and _rank3 at the three points of seeds 0, 1, 2, ranked as one matrix
     alg = request.getfixturevalue(fixture)
     pres = generic_presentation(alg, S)
-    M = materialize(pres, seeded_assignment(pres, 0))
-    calls, rank_of = [], matrix_rep._rank
+    reps = [materialize(pres, seeded_assignment(pres, sd)) for sd in (0, 1, 2)]
+    calls = []
+    for kernel in ("_rank", "_rank3"):
+        def spy(p, rows, _rank_of=getattr(matrix_rep, kernel), _kernel=kernel):
+            top = max((c for row in rows for c in row), default=-1)
+            calls.append((_kernel, top, _rank_of(p, rows)))
+            return calls[-1][2]
 
-    def spy(p, rows):
-        top = max((c for row in rows for c in row), default=-1)
-        calls.append((top, rank_of(p, rows)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(matrix_rep, "_rank", spy)
+        monkeypatch.setattr(matrix_rep, kernel, spy)
+    M = reps[0]
     lengths = [[q.length for _, q in M.basis_labels[v]] for v in alg.vertices]
     pruned = sum(sum(i >= k for i in ls) for ls in lengths for k in ls)
     full = sum(d * d for d in M.dims)
-    for rep, width in ((M, pruned), (unlabelled(M), full)):
-        dim = hom_dim(rep, rep)
-        top, rank = calls.pop()
-        assert dim + rank == width and top < width
+    for points, width in ((reps, pruned), (list(map(unlabelled, reps)), full)):
+        for at, kernel in ((points[:1], "_rank"), (points, "_rank3")):
+            dims = matrix_rep._basis_hom_dims([(rep, rep) for rep in at])
+            used, top, rank = calls.pop()
+            assert used == kernel and dims == [width - rank] * len(at) and top < width
     assert pruned < full and not calls
 
 
