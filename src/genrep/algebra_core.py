@@ -339,29 +339,32 @@ def enumerate_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector,
             raise ValidationError("top must have one nonnegative entry per vertex")
         tops = [top] if any(top) and all(t <= d for t, d in zip(top, dimvec)) else []
 
-    @cache  # whether ``left`` levels below ``layer`` can place ``remaining``, per call
-    def live(layer, remaining, left):
+    def reach(layer, remaining, left):
+        """Whether ``left`` levels below ``layer`` can place ``remaining``."""
         while left and any(remaining) and any(layer):
             layer = tuple(map(min, alg.extension_counts(layer), remaining))
             remaining, left = tuple(map(sub, remaining, layer)), left - 1
         return not any(remaining)
+
+    live = cache(reach)  # per call; deeper probes recur, but each top is probed once
 
     def options(prefix):
         # an entry is (layer, what remains), kept if live; the last layer takes exactly
         # what remains, which the last live layer above it reaches
         if not prefix:
             layers = (t for t in tops if max_top_dim is None or sum(t) <= max_top_dim)
-            remaining = dimvec
+            remaining, probe = dimvec, reach
         elif len(prefix) == alg.L:
             yield prefix[-1][1], None
             return
         else:
             layer, remaining = prefix[-1]
             layers = vectors_upto(map(min, alg.extension_counts(layer), remaining))
+            probe = live
         left = alg.L - len(prefix)
         for nxt in layers:
             rest = tuple(map(sub, remaining, nxt))
-            if live(nxt, rest, left):
+            if probe(nxt, rest, left):
                 yield nxt, rest
 
     results: list[SemisimpleSequence] = []

@@ -422,31 +422,31 @@ def cmd_point_skeleta(args, alg, S):
 _COMMANDS = ("realizable", "sequences", "skeleta", "critical", "generic", "hypergraph",
              "geometry", "syzygy", "projdim", "socle", "hom", "ext", "decompose", "components",
              "point-skeleta")
-_PARSERS = {}  # what main parses with: the _parsers of a subcommand's name, or of None
+_PARSERS = {}  # what main parses with: a subcommand's own parser, or the full one at None
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """A new ``genrep`` parser, with only the subparser of ``command`` if that names one.
-
-    On arguments that start with that name it acts and reports as the full parser.
-    """
-    return _parsers(command)[0]
+def build_parser() -> argparse.ArgumentParser:
+    """A new ``genrep`` parser, with every subcommand."""
+    return _parser(None)
 
 
-def _parsers(command: str | None):
-    """(the parser ``build_parser(command)`` returns, its own parser of ``command``, or
-    None if ``command`` names no subcommand)."""
-    parser = argparse.ArgumentParser(
-        prog="genrep",
-        description="Generic-module invariants of truncated path algebras.")
-    parser.add_argument("--version", action="version", version=f"genrep {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The full parser if ``command`` is None, else that subcommand's parser alone, with
+    the flags, help and messages of the full parser's subparser."""
+    if command is None:
+        parser = argparse.ArgumentParser(
+            prog="genrep",
+            description="Generic-module invariants of truncated path algebras.")
+        parser.add_argument("--version", action="version", version=f"genrep {__version__}")
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        parser = argparse.ArgumentParser(prog=f"genrep {command}")
 
     def add(name, func, help, seq=True, seeded=False, field=False, formats=(), cap=False):
         """A subcommand with --algebra and the shared flags it honours; None if not built."""
-        if command in _COMMANDS and name != command:
+        if command not in (None, name):
             return None
-        p = sub.add_parser(name, help=help)
+        p = parser if command else sub.add_parser(name, help=help)
         # looked up by name at each run, so that a wrapper set on the module later runs
         p.set_defaults(func=func.__name__)
         p.add_argument("--algebra", required=True, help="algebra JSON file")
@@ -508,31 +508,28 @@ def _parsers(command: str | None):
     if p := add("point-skeleta", cmd_point_skeleta, "distinguished skeleta of a module point",
                 seq=False, field=True, cap=True):
         p.add_argument("--module", required=True, help="module point JSON file")
-    if command not in _COMMANDS:
-        return parser, None
-    # the usage line lists every name, as the full parser's choices do; the full
-    # parser keeps no metavar, which would replace "command" in its errors
-    sub.metavar = "{" + ",".join(_COMMANDS) + "}"
-    return parser, sub.choices[command]
+    return parser
 
 
 def main(argv=None) -> int:
     """Run one subcommand on the algebra and then the sequence (for a subcommand with
-    ``--seq``/``--layers``), each loaded here once.  Its parser, or the full parser for any
-    other first argument, is built on first use and kept: a parse leaves no state in it.
-    A subcommand's parser parses once, as the full parser's subparser action does, and
-    the full parser reports what is left over, as its ``parse_args`` does."""
+    ``--seq``/``--layers``), each loaded here once.  Its own parser, or the full parser for
+    any other first argument, is built on first use and kept: a parse leaves no state in
+    it.  A subcommand's parser parses once, as the full parser's subparser action does, and
+    a new full parser reports what is left over, as its ``parse_args`` does."""
     argv = sys.argv[1:] if argv is None else argv
     name = argv[0] if argv and argv[0] in _COMMANDS else None
     if name not in _PARSERS:
-        _PARSERS[name] = _parsers(name)
-    parser, sub = _PARSERS[name]
-    if sub is None:
+        _PARSERS[name] = _parser(name)
+    parser = _PARSERS[name]
+    if name is None:
         args = parser.parse_args(argv)
     else:
-        args, rest = sub.parse_known_args(argv[1:])
+        args, rest = parser.parse_known_args(argv[1:])
         if rest:
-            parser.error("unrecognized arguments: " + " ".join(rest))
+            full = build_parser()
+            full.parse_args(argv)  # exits with the full parser's message
+            full.error("unrecognized arguments: " + " ".join(rest))
         args.command = name
     try:
         if getattr(args, "cap", 0) < 0:

@@ -13,18 +13,18 @@ columns.  Quotients (module points) are written as columns too.  A module
 stores only sparse arrow columns and sparse top vectors.
 
 Fields are F_p for a large prime p (default 2^61 - 1) or exact rationals; all
-arithmetic is exact.  Every rank is one sparse elimination (``_rank``) on ``{column:
-value}`` rows, lazily reduced: a row is reduced only when taken as a pivot row.  Over F_p
-a seeded Hom is ranked at its three points at once, on value triples (``_rank3``); a zero
-at only some of them, or rows of other supports, falls back to one point at a time.  Every
-action is applied to a sparse vector by ``_apply``; ``mat_rank``, ``mat_mul``, the dense
-matrix-vector product and ``path_action``, the one dense view of a module, are left
-for tests.  ``RowSpace``, an incremental echelon basis of sparse rows, serves where the
-reduced vectors matter: ``radical_layering``, quotients and the distinguished
-skeleta probes, whose memoised per-block independence test is the block
-predicate of ``skeleta.iter_skeleta``.  Skeleton modules and their quotients
-(module points) keep a graded basis, so the probes read J^l M off the basis
-labels; ``radical_layering`` eliminates, and stays the independent route.
+arithmetic is exact.  Every rank is one sparse elimination walk (``_pivots``) on ``{column:
+value}`` rows, lazily reduced: a row is reduced only when taken as a pivot row.  Its two
+callers keep only their row updates: one point (``_rank``), or over F_p a seeded Hom's
+three points at once, on value triples (``_rank3``); a zero at only some of them, or rows
+of other supports, falls back to one point at a time.  Every action is applied to a sparse
+vector by ``_apply``; ``mat_rank``, ``mat_mul``, the dense matrix-vector product and
+``path_action``, the one dense view of a module, are left for tests.  ``RowSpace``, an
+incremental echelon basis of sparse rows, serves where the reduced vectors matter:
+``radical_layering``, quotients and the distinguished skeleta probes, whose memoised
+per-block independence test is the block predicate of ``skeleta.iter_skeleta``.  Skeleton
+modules and their quotients (module points) keep a graded basis, so the probes read J^l M
+off the basis labels; ``radical_layering`` eliminates, and stays the independent route.
 
 Every Hom into a given module is the kernel of one relation matrix of some
 presentation of its source (``_hom_out_of``): a generic M = P/C, a cyclic Lambda e /
@@ -143,37 +143,47 @@ def _dot(fs: FieldSpec, row, x):
     return acc if fs.modulus is None else acc % fs.modulus
 
 
-def _rank(p: int | None, rows: list[dict]) -> int:
-    """Rank of sparse rows ``{col: value}`` over F_p, or over Q when ``p`` is None.
+def _pivots(rows: list[dict], reduced):
+    """The one elimination walk of sparse rows ``{col: value}``, which it consumes.
 
-    Values are any integers over F_p, or rationals over Q, zeros included;
-    the rows are consumed.  Rows are taken shortest first, in one order fixed
-    at the start, and a row is reduced (mod p, zeros dropped) only when taken.
-    It pivots on the column held by the fewest rows not yet taken (Markowitz's
-    rule), which keeps fill-in low.  Each row holding the pivot column, found
-    through a column -> rows index, then adds f times the taken row, f reduced
-    once and skipped when zero; a cancelled entry stays, and is counted as
-    held, until its row is taken.  A lone pivot's column is just deleted.
+    Rows are taken shortest first, in one order fixed at the start, and a row is reduced
+    (``reduced``, zeros dropped) only when taken; a cancelled entry stays, and is counted
+    as held, until then.  It pivots on the column held by the fewest untaken rows
+    (Markowitz's rule), which keeps fill-in low, and yields (pivot entry, rest of the row,
+    pivot column, the untaken rows holding it, the column -> rows holder index), to which
+    the caller adds its fill-in.  A lone pivot's column is just deleted from its holders,
+    and no holder is yielded.
     """
     holders: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for c in row:
             holders.setdefault(c, set()).add(i)
-    rank = 0
     for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
         for c in rows[i]:
             holders[c].discard(i)
-        if not (row := _reduced(p, rows[i])):
+        if not (row := reduced(rows[i])):
             continue
-        rank += 1
         piv = min(row, key=lambda c: len(holders[c]))
-        a = row.pop(piv)
+        a, holding = row.pop(piv), holders.pop(piv)
         if not row:
-            for j in holders.pop(piv):
+            for j in holding:
                 del rows[j][piv]
+            holding = ()
+        yield a, row, piv, holding, holders
+
+
+def _rank(p: int | None, rows: list[dict]) -> int:
+    """Rank of sparse rows ``{col: value}`` over F_p, or over Q when ``p`` is None: the
+    ``_pivots`` walk, in which each row holding the pivot column adds f times the taken
+    row, f reduced once and skipped when zero.  Values are any integers over F_p, or
+    rationals over Q, zeros included."""
+    rank = 0
+    for a, row, piv, holding, holders in _pivots(rows, functools.partial(_reduced, p)):
+        rank += 1
+        if not holding:
             continue
         inv = -1 / Fraction(a) if p is None else p - pow(a, -1, p)
-        for j in holders.pop(piv):
+        for j in holding:
             other = rows[j]
             f = other.pop(piv) * inv if p is None else other.pop(piv) * inv % p
             if f:
@@ -187,36 +197,24 @@ def _rank(p: int | None, rows: list[dict]) -> int:
 
 
 def _rank3(p: int, rows: list[dict]) -> int | None:
-    """Three systems' common rank over F_p, ranked as one on rows ``{col: (x0, x1, x2)}``.
+    """Three systems' common rank over F_p, ranked as one on rows ``{col: (x0, x1, x2)}``:
+    the ``_pivots`` walk, with one inversion per pivot, in which an update is skipped only
+    when all three multipliers are zero.  None where a pivot is zero in some system but
+    not all (a taken row zero in some, say)."""
+    def reduced(acc):  # mod p at each point, triples zero at all three dropped
+        return {c: t for c, (x, y, z) in acc.items() if (t := (x % p, y % p, z % p)) != (0, 0, 0)}
 
-    ``_rank``'s row order, holders and pivot choice serve all three systems (the rows are
-    consumed), and an update is skipped only when all three multipliers are zero.  None where
-    a pivot is zero in some system but not all (a taken row zero in some, say).
-    """
-    holders: dict[int, set[int]] = {}
-    for i, row in enumerate(rows):
-        for c in row:
-            holders.setdefault(c, set()).add(i)
     rank = 0
-    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
-        for c in rows[i]:
-            holders[c].discard(i)
-        if not (row := {c: t for c, (x, y, z) in rows[i].items()
-                        if (t := (x % p, y % p, z % p)) != (0, 0, 0)}):
-            continue
-        rank += 1
-        piv = min(row, key=lambda c: len(holders[c]))
-        a, b, d = row.pop(piv)
+    for (a, b, d), row, piv, holding, holders in _pivots(rows, reduced):
         if not (a and b and d):
             return None
-        if not row:
-            for j in holders.pop(piv):
-                del rows[j][piv]
+        rank += 1
+        if not holding:
             continue
         inv = pow(a * b % p * d, -1, p)  # one inversion for the three negated inverses
         ia, ib, id_ = p - inv * b * d % p, p - inv * a * d % p, p - inv * a * b % p
         items = [(c, x, y, z) for c, (x, y, z) in row.items()]
-        for j in holders.pop(piv):
+        for j in holding:
             other = rows[j]
             x, y, z = other.pop(piv)
             if (f := x * ia % p) | (g := y * ib % p) | (h := z * id_ % p):

@@ -1,5 +1,6 @@
 """Path combinatorics, dominance, realizability, sequence enumeration."""
 
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -255,6 +256,23 @@ def test_max_top_dim_skips_tops_before_the_cap(request, fixture, data):
     else:
         assert enumerate_sequences(alg, dimvec, top=top, cap=cap,
                                    max_top_dim=max_top_dim) == want
+
+
+def test_enumerate_sequences_keeps_no_scanned_top(double_back):
+    # each top is probed once, so only the deeper probes are cached: the 5,001 tops of
+    # (5000, 1) scanned for 6 sequences cost no memory (2.6 MB when every probe was kept)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert len(enumerate_sequences(double_back, (5000, 1), cap=10)) == 6
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_enumerate_sequences_draws_few_vectors(double_back, monkeypatch):

@@ -856,6 +856,31 @@ def test_dot_output_is_pinned(double_back_file, tmp_path, capsys, fixture, comma
     assert code == 0
     assert out == DOT[fixture, "generic" if command == "hypergraph" else command]
 
+
+# -- metamorphic: arrow order and arrow names reach no output -----------------------
+
+@pytest.mark.parametrize("fixture, layers", [("double_back", "[[1,1],[0,1],[1,0]]"),
+                                             ("relay", "[[2,1,1],[0,5,1],[0,0,3],[0,1,0]]")],
+                         ids=["readme", "relay-d14"])
+def test_arrow_reorder_and_rename_changes_no_output(tmp_path, capsys, fixture, layers):
+    # the arrows reversed and renamed n0, n1, ...: the relation matrices the elimination
+    # walk ranks can change (ext's do on relay), and every value, seeded ones included,
+    # stays the same
+    vertices, arrows, L = COMPONENT_ALGEBRAS[fixture]
+    outputs = []
+    for listed in (arrows, [(f"n{k}", s, t) for k, (_, s, t) in enumerate(reversed(arrows))]):
+        path = tmp_path / f"{len(outputs)}.json"
+        path.write_text(json.dumps({"vertices": vertices, "max_path_length": L, "arrows": [
+            {"name": a, "source": s, "target": t} for a, s, t in listed]}))
+        outputs.append([run(capsys, [*argv, "--algebra", str(path), "--layers", layers])
+                        for argv in (["realizable"], ["skeleta", "--count-only"],
+                                     ["geometry"], ["socle"], ["projdim"], ["syzygy"],
+                                     ["hom"], ["ext", "--k", "1"], ["decompose"])])
+    original, transformed = ([(code, json.loads(out)) for code, out in runs] for runs in outputs)
+    assert all(code == 0 for code, _ in original)
+    assert transformed == original
+
+
 def test_sequences_with_top(double_back_file, capsys):
     code, out = run(capsys, ["sequences", "--algebra", double_back_file,
                              "--dimvec", "2,2", "--top", "2,0"])
@@ -1371,24 +1396,44 @@ def test_full_parser_messages_pinned(double_back_file, capsys):
     assert err.endswith("genrep: error: unrecognized arguments: --cap 5\n")
 
 def test_valid_subcommand_builds_one_subparser(double_back_file, deep_file, capsys, monkeypatch):
+    # every parser built, by its prog: a subcommand's alone, or the full parser and then
+    # each subparser
     built = []
-    original = argparse._SubParsersAction.add_parser
+    original = argparse.ArgumentParser.__init__
 
-    def counting(self, name, **kwargs):
-        built.append(name)
-        return original(self, name, **kwargs)
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     monkeypatch.setattr(cli, "_PARSERS", {})
     argv = ["projdim", "--algebra", double_back_file, "--seq", deep_file]
     assert main(argv) == 0
-    assert built == ["projdim"]
+    assert built == ["genrep projdim"]
     assert main(argv) == 0  # the parser is kept: a second run builds nothing
-    assert built == ["projdim"]
+    assert built == ["genrep projdim"]
     built.clear()
     with pytest.raises(SystemExit):
         main(["nosuch"])
-    assert built == COMMANDS
+    assert built == ["genrep", *(f"genrep {command}" for command in COMMANDS)]
+    built.clear()
+    with pytest.raises(SystemExit):  # leftovers: a new full parser reports them
+        main(argv + ["--cap", "5"])
+    assert built == ["genrep", *(f"genrep {command}" for command in COMMANDS)]
+
+
+def test_leftovers_exit_even_where_the_full_parser_takes_them(double_back_file, deep_file,
+                                                              capsys, monkeypatch):
+    # a full parser that parses the argv cleanly must not let main run on without them
+    full = cli.build_parser()
+    monkeypatch.setattr(full, "parse_args", lambda argv: argparse.Namespace())
+    monkeypatch.setattr(cli, "build_parser", lambda: full)
+    with pytest.raises(SystemExit) as exit_:
+        main(["projdim", "--algebra", double_back_file, "--seq", deep_file, "extra"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: genrep ") and err.endswith(
+        "genrep: error: unrecognized arguments: extra\n")
 
 
 @pytest.fixture(scope="module")
@@ -1454,7 +1499,11 @@ def test_parser_table_does_not_grow_with_input(capsys, monkeypatch):
         with pytest.raises(SystemExit):
             main([command, "--help"])
     assert set(cli._PARSERS) == {None, *COMMANDS}
-    assert build_parser("hom") is not build_parser("hom")
+    kept = dict(cli._PARSERS)
+    with pytest.raises(SystemExit):
+        main(["hom", "--help"])
+    assert cli._PARSERS == kept and cli._PARSERS["hom"] is kept["hom"]
+    assert build_parser() is not build_parser()
 
 
 def test_kept_parser_runs_the_function_now_on_the_module(double_back_file, deep_file, capsys,

@@ -233,6 +233,54 @@ def test_rank_when_every_taken_row_is_a_lone_pivot(p):
     assert _rank(p, [{0: 1}, {0: 1, 1: 1}, {1: 1}]) == 2
 
 
+def _walked(monkeypatch, kernel, p, rows):
+    """(the kernel's rank of ``rows``, the pivot columns ``_pivots`` yielded to it)."""
+    columns, walk = [], matrix_rep._pivots
+
+    def spy(rows, reduced):
+        for step in walk(rows, reduced):
+            columns.append(step[2])
+            yield step
+
+    monkeypatch.setattr(matrix_rep, "_pivots", spy)
+    return kernel(p, rows), columns
+
+
+def test_the_walk_over_q_by_hand(monkeypatch):
+    # order r1, r2, r0, r3 (shortest first, ties kept in place).  r1 pivots on column 0,
+    # held by r0 alone (column 3 by r0 and r2), and cancels r0's column 3 to 0, which
+    # stays; r2 pivots on 2 (a tie with 3, taken in row order) and fills in r3's column 3;
+    # r0, reduced to {1: 1}, is a lone pivot whose column is deleted from r3; then r3
+    # pivots on 4, the first of its two entries, held by no row
+    rows = [{0: 1, 1: 1, 3: -1}, {0: 1, 3: -1}, {2: 1, 3: 1}, {1: 2, 2: 3, 4: 2}]
+    assert _walked(monkeypatch, _rank, None, rows) == (4, [0, 2, 1, 4])
+    assert rows[3] == {4: 2, 3: -3} and rows[0] == {1: 1, 3: 0}
+
+
+def test_the_walk_over_f5_by_hand(monkeypatch):
+    # order r1, r0, r2, r3, r4.  r1 is a lone pivot, so column 2 is deleted from r4;
+    # r0 pivots on 1 (a tie with 4), leaves 5 = 0 in r3's column 4 and fills in r4's
+    # column 4; r2 pivots on 0, held by no row (column 4 by r3 and r4); r3 is zero mod
+    # 5 when taken and is skipped; r4 pivots on 4
+    rows = [{1: 1, 4: 1}, {2: 1}, {0: -1, 4: 1}, {1: 1, 4: 1}, {1: -1, 2: 1}]
+    assert _walked(monkeypatch, _rank, 5, rows) == (4, [2, 1, 0, 4])
+    assert rows[3] == {4: 5} and rows[4] == {4: 1}
+
+
+@pytest.mark.parametrize("p", [MERSENNE_61, 5], ids=["F61", "F5"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_three_equal_points_take_the_pivots_of_one(p, data):
+    # _rank3 on rows whose three values are one point's takes _rank's pivots, in order
+    _, rows = data.draw(unreduced_rows(FieldSpec(p)))
+    sparse = [{i: x for i, x in enumerate(r) if x} for r in rows]
+    triples = [{i: (x, x, x) for i, x in r.items()} for r in sparse]
+    with pytest.MonkeyPatch.context() as patch:
+        one = _walked(patch, _rank, p, sparse)
+    with pytest.MonkeyPatch.context() as patch:
+        assert _walked(patch, _rank3, p, triples) == one
+
+
 # -- three points of F_p ranked as one matrix of value triples ---------------------
 
 @st.composite
