@@ -76,7 +76,6 @@ class Quiver:
         self.arrow_ends = tuple((self.vertex_index[a.source], self.vertex_index[a.target])
                                 for a in self.arrows)  # (source, target) position per arrow
         self.arrows_from = {v: tuple(a for a in self.arrows if a.source == v) for v in self.vertices}
-        self.arrows_into = {v: tuple(a for a in self.arrows if a.target == v) for v in self.vertices}
 
     def __repr__(self):
         return f"Quiver(vertices={list(self.vertices)}, arrows={[a.name for a in self.arrows]})"

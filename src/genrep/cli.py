@@ -72,7 +72,7 @@ def _load_json(path: str) -> dict:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"cannot decode {path} as UTF-8: {exc}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an over-long integer
         raise ValidationError(f"malformed JSON in {path}: {exc}") from None
 
 
@@ -80,7 +80,7 @@ def _sequence(args, alg: TruncatedAlgebra):
     if args.layers:
         try:
             rows = json.loads(args.layers)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # as in _load_json
             raise ValidationError(f"malformed --layers value: {exc}") from None
         return sequence_from_json({"layers": rows}, alg)
     if args.seq:

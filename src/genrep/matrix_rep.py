@@ -12,30 +12,30 @@ per presentation, and a seed only substitutes its scalars into the sigma-set
 columns.  Quotients (module points) are written as columns too.  A module
 stores only sparse arrow columns and sparse top vectors.
 
-Fields are F_p for a large prime p (default 2^61 - 1) or exact rationals; all
-arithmetic is exact.  Every rank is one sparse elimination walk (``_pivots``) on ``{column:
-value}`` rows, lazily reduced: a row is reduced only when taken as a pivot row.  Its two
-callers keep only their row updates: one point (``_rank``), or over F_p a seeded Hom's
-three points at once, on value triples (``_rank3``); a zero at only some of them, or rows
-of other supports, falls back to one point at a time.  Every action is applied to a sparse
-vector by ``_apply``; ``mat_rank``, ``mat_mul``, the dense matrix-vector product and
-``path_action``, the one dense view of a module, are left for tests.  ``RowSpace``, an
-incremental echelon basis of sparse rows, serves where the reduced vectors matter:
-``radical_layering``, quotients and the distinguished skeleta probes, whose memoised
-per-block independence test is the block predicate of ``skeleta.iter_skeleta``.  Skeleton
-modules and their quotients (module points) keep a graded basis, so the probes read J^l M
-off the basis labels; ``radical_layering`` eliminates, and stays the independent route.
+Fields are F_p for a large prime p (default 2^61 - 1) or exact rationals; all arithmetic
+is exact.  Every rank is one sparse elimination walk (``_pivots``) on ``{column: value}``
+rows, lazily reduced: a row is reduced only when taken as a pivot row.  Its two callers
+keep only their row updates: one point (``_rank``), or over F_p a seeded Hom's three
+points at once, on value triples (``_rank3``); a pivot zero at only some of them falls
+back to one point at a time.  Every action is applied to a sparse vector by ``_apply``;
+``mat_rank``, ``mat_mul``, the dense matrix-vector product and ``path_action``, the one
+dense view of a module, are left for tests.  ``RowSpace``, an incremental echelon basis of
+sparse rows, serves where the reduced vectors matter: ``radical_layering``, quotients and
+the distinguished skeleta probes, whose memoised per-block independence test is the block
+predicate of ``skeleta.iter_skeleta``.  Skeleton modules and their quotients (module
+points) keep a graded basis, so the probes read J^l M off the basis labels;
+``radical_layering`` eliminates, and stays the independent route.
 
-Every Hom into a given module is the kernel of one relation matrix of some
-presentation of its source (``_hom_out_of``): a generic M = P/C, a cyclic Lambda e /
-J^m e, a simple (``socle``), or any module by its own basis, the generators its basis
-elements and the relations its arrow actions (``hom_dim``, which gives no column to an
-unknown that f(J^l A) in J^l B makes a structural zero).  The two Ext^1 methods differ
-only in Hom(M, N), which they take from two different presentations of M.  The generic
-socle builds no skeleton and no module, draws no scalar and eliminates nothing: it is
-counted off the layering, as dim M_v minus the least of L+1 vertex covers of the
-supports of the rows of M_v -> sum of M_t(a); that least cover is their term rank, and
-so their generic rank (see ``generic_socle``).
+Every Hom into a given module is the kernel of one relation matrix, for all the points it
+is taken at, of some presentation of its source (``_hom_out_of``): a generic M = P/C, a
+cyclic Lambda e / J^m e, a simple (``socle``), or any module by its own basis, the
+generators its basis elements and the relations its arrow actions (``hom_dim``, which
+gives no column to an unknown that f(J^l A) in J^l B makes a structural zero).  The two
+Ext^1 methods differ only in Hom(M, N), which they take from two different presentations
+of M.  The generic socle builds no skeleton and no module, draws no scalar and eliminates
+nothing: it is counted off the layering, as dim M_v minus the least of L+1 vertex covers
+of the supports of the rows of M_v -> sum of M_t(a); that least cover is their term rank,
+and so their generic rank (see ``generic_socle``).
 """
 
 from __future__ import annotations
@@ -488,28 +488,28 @@ def hom_dim(rep_a: Representation, rep_b: Representation) -> int:
 
 
 def _basis_hom_dims(pairs) -> list[int]:
-    """``hom_dim`` of each pair (A, B), their systems ranked together by ``_hom_out_of``."""
-    systems = []
+    """``hom_dim`` of each pair (A, B), all of the first pair's shape, so that its tops and
+    unit columns serve every pair in one relation matrix (``_hom_out_of``)."""
     for rep_a, rep_b in pairs:
         if not _same_algebra(rep_a.algebra, rep_b.algebra):
             raise ValidationError("representations live over different algebras")
         if rep_a.field != rep_b.field:
             raise ValidationError("representations live over different fields")
-        alg, one = rep_a.algebra, rep_b.field.one()
-        labelled = rep_a.basis_labels is not None and rep_b.basis_labels is not None
-        first, tops = {}, []
-        for v in alg.vertices:
-            first[v] = len(tops)
-            a_len = ([q.length for _, q in rep_a.basis_labels[v]] if labelled
-                     else [0] * rep_a.dim_at(v))
-            b_len = [q.length for _, q in rep_b.basis_labels[v]] if labelled else []
-            tops += [(v, bisect.bisect_left(b_len, l)) for l in a_len]
-        unit = {v: [{i: one} for i in range(rep_b.dim_at(v))] for v in alg.vertices}
-        systems.append((rep_b, tops, [
-            (rep_b.columns[a.name], first[a.source] + j,
-             [(unit[a.target], first[a.target] + i, -x) for i, x in col.items()])
-            for a in alg.quiver.arrows for j, col in enumerate(rep_a.columns[a.name])]))
-    return _hom_out_of(systems)
+    rep_a, rep_b = pairs[0]
+    alg, one = rep_a.algebra, rep_b.field.one()
+    labelled = rep_a.basis_labels is not None and rep_b.basis_labels is not None
+    first, tops = {}, []
+    for v in alg.vertices:
+        first[v] = len(tops)
+        a_len = [q.length for _, q in rep_a.basis_labels[v]] if labelled else [0] * rep_a.dim_at(v)
+        b_len = [q.length for _, q in rep_b.basis_labels[v]] if labelled else []
+        tops += [(v, bisect.bisect_left(b_len, l)) for l in a_len]
+    unit = {v: [{i: one} for i in range(rep_b.dim_at(v))] for v in alg.vertices}
+    return _hom_out_of(tops, [(rep_b, [
+        (rep_b.columns[a.name], first[a.source] + j,
+         [(unit[a.target], first[a.target] + i, -x) for i, x in col.items()])
+        for a in alg.quiver.arrows for j, col in enumerate(rep_a.columns[a.name])])
+        for rep_a, rep_b in pairs])
 
 
 def _path_columns(rep: Representation, p: Path) -> list[dict]:
@@ -536,51 +536,51 @@ def path_action(rep: Representation, p: Path) -> tuple:
                  for i in range(rep.dim_at(rep.algebra.path_end(p))))
 
 
-def _relation_matrix(rep_n: Representation, tops, relations) -> tuple[int, list[dict]]:
-    """(number of unknowns, rows) of R, whose kernel is Hom(P/C, N), P = sum_r Lambda e(r).
+def _hom_out_of(tops, points) -> list[int]:
+    """dim Hom(P/C, N), P = sum_r Lambda e(r), at each point ``(N, relations)`` of one
+    presentation: the corank of one relation matrix R for all the points.
 
     ``tops`` lists (e(r), first index).  Each relation ``(lead, r, terms)`` generating C
     is lead z_r plus scale A z_s for each ``(A, s, scale)`` in ``terms``, with lead and A
     the sparse columns of action matrices.  A map P -> N, images n_r in e(r)N, factors
     through P/C iff it kills every relation.  n_r is sought on e(r)N's basis from the
-    first index on, as every such map is known to meet; rows are scattered unreduced.
+    first index on, as every such map is known to meet.  The points share ``tops``, N's
+    dimensions and the number of relations.  An entry of R is its unreduced value at one
+    point (where R may hold 10^6 entries), a list of one value per point at several.
+    Three points over F_p are ranked as one (``_rank3``); where it gives up, each alone.
     """
+    n, rep_n, p = len(points), points[0][0], points[0][0].field.modulus
     starts, width = [], 0
     for v, first in tops:
         starts.append((first, width))
         width += rep_n.dim_at(v) - first
     rows = []
-    for lead, r, terms in relations:
+    for relations in zip(*(relations for _, relations in points), strict=True):
         block: dict[int, dict] = {}
-        first, c0 = starts[r]
-        for c, col in enumerate(lead[first:], c0):
-            for i, x in col.items():
-                block.setdefault(i, {})[c] = x
-        for cols, s, scale in terms:
-            first, c0 = starts[s]
-            for c, col in enumerate(cols[first:], c0):
+        for k, (lead, r, terms) in enumerate(relations):
+            first, c0 = starts[r]
+            for c, col in enumerate(lead[first:], c0):  # first: no value at point k yet
                 for i, x in col.items():
                     row = block.setdefault(i, {})
-                    row[c] = row.get(c, 0) + scale * x
+                    if n == 1:
+                        row[c] = x
+                    else:
+                        (row.get(c) or row.setdefault(c, [0] * n))[k] = x
+            for cols, s, scale in terms:
+                first, c0 = starts[s]
+                for c, col in enumerate(cols[first:], c0):
+                    for i, x in col.items():
+                        row = block.setdefault(i, {})
+                        if n == 1:
+                            row[c] = row.get(c, 0) + scale * x
+                        else:
+                            (row.get(c) or row.setdefault(c, [0] * n))[k] += scale * x
         rows += block.values()
-    return width, rows
-
-
-def _hom_out_of(systems) -> list[int]:
-    """dim Hom(P/C, N) of each system ``(N, tops, relations)`` (``_relation_matrix``).
-    Three systems over F_p, one presentation's at three points, are ranked as one matrix
-    of value triples (``_rank3``) where their rows' keys agree in order; else each alone.
-    """
-    built = [_relation_matrix(*system) for system in systems]
-    if len(built) == 3 and (p := systems[0][0].field.modulus) is not None:
-        (width, a), (_, b), (_, c) = built
-        if len(a) == len(b) == len(c) and all(list(x) == list(y) == list(z)
-                                              for x, y, z in zip(a, b, c)):
-            rank = _rank3(p, [dict(zip(x, zip(x.values(), y.values(), z.values())))
-                              for x, y, z in zip(a, b, c)])
-            if rank is not None:
-                return [width - rank] * 3
-    return [width - _rank(s[0].field.modulus, rows) for s, (width, rows) in zip(systems, built)]
+    if n == 3 and p is not None and (rank := _rank3(p, [dict(row) for row in rows])) is not None:
+        return [width - rank] * 3
+    return [width - _rank(p, rows if n == 1 else  # else each point's values, zeros dropped
+                          [{c: v[k] for c, v in row.items() if v[k]} for row in rows])
+            for k in range(n)]
 
 
 def hom_dim_from_cyclic(alg: TruncatedAlgebra, c: CyclicType, rep: Representation) -> int:
@@ -593,8 +593,8 @@ def _cyclic_dims(alg: TruncatedAlgebra, c: CyclicType, reps) -> list[int]:
     if c.truncation >= alg.L + 1:  # a projective cyclic imposes no constraint
         return [rep.dim_at(c.vertex) for rep in reps]
     paths = enumerate_paths(alg, c.vertex, c.truncation)
-    return _hom_out_of([(rep, ((c.vertex, 0),), [(_path_columns(rep, p), 0, ()) for p in paths])
-                        for rep in reps])
+    return _hom_out_of(((c.vertex, 0),), [(rep, [(_path_columns(rep, p), 0, ()) for p in paths])
+                                          for rep in reps])
 
 
 # ---------------------------------------------------------------------------
@@ -603,13 +603,12 @@ def _cyclic_dims(alg: TruncatedAlgebra, c: CyclicType, reps) -> list[int]:
 
 def _presented_hom_dims(pres: GenericPresentation, points) -> list[int]:
     """dim Hom(M, N) at each point ``(values, N)``, M = P/C the evaluation of ``pres`` at
-    the scalars ``values``, the points' systems ranked together by ``_hom_out_of``.
+    the scalars ``values``, out of one relation matrix for all points (``_hom_out_of``).
 
     One relation per critical path z_r: its action, minus the assigned
     scalar times the action of each sigma-set member on its top z_s.
     """
-    tops = [(v, 0) for v in pres.skeleton.top]
-    return _hom_out_of([(rep_n, tops, [
+    return _hom_out_of([(v, 0) for v in pres.skeleton.top], [(rep_n, [
         (_path_columns(rep_n, rel.critical.path(pres.algebra)), rel.critical.r - 1,
          [(_path_columns(rep_n, q), s - 1, -rep_n.field.element(values[k]))
           for (s, q), k in rel.terms]) for rel in pres.relations]) for values, rep_n in points])

@@ -881,6 +881,49 @@ def test_arrow_reorder_and_rename_changes_no_output(tmp_path, capsys, fixture, l
     assert transformed == original
 
 
+def test_disjoint_union_adds_its_parts(tmp_path, capsys):
+    # relay at d = 14 and the README algebra at L = 3, joined with their vertices and arrows
+    # renamed: counts multiply, dimensions add, socles and syzygies concatenate, and the
+    # union, though each part is undecided, is certified decomposable
+    parts = {"r": ("relay", [[2, 1, 1], [0, 5, 1], [0, 0, 3], [0, 1, 0]]),
+             "d": ("double_back", [[1, 1], [0, 1], [1, 0], [0, 0]])}
+    commands = {"count": ["skeleta", "--count-only"], "geometry": ["geometry"],
+                "socle": ["socle"], "hom": ["hom"], "ext": ["ext", "--k", "1"],
+                "decompose": ["decompose"], "syzygy": ["syzygy", "--k", "1"],
+                "projdim": ["projdim"]}
+
+    def outputs(name, vertices, arrows, layers):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"vertices": vertices, "max_path_length": 3, "arrows": [
+            {"name": a, "source": s, "target": t} for a, s, t in arrows]}))
+        runs = {key: run(capsys, [*argv, "--algebra", str(path), "--layers", json.dumps(layers)])
+                for key, argv in commands.items()}
+        assert all(code == 0 for code, _ in runs.values())
+        return {key: json.loads(out) for key, (_, out) in runs.items()}
+
+    alone, vertices, arrows = {}, [], []
+    for tag, (fixture, layers) in parts.items():
+        vs, arrs, _ = COMPONENT_ALGEBRAS[fixture]
+        alone[tag] = outputs(fixture, vs, arrs, layers)
+        vertices += [tag + v for v in vs]
+        arrows += [(f"{tag}{a}", tag + s, tag + t) for a, s, t in arrs]
+    union = outputs("union", vertices, arrows,
+                    [a + b for a, b in zip(parts["r"][1], parts["d"][1])])
+    r, d = alone["r"], alone["d"]
+    assert union["count"] == {"count": 720} == {"count": r["count"]["count"] * d["count"]["count"]}
+    for key, value in (("N", 22), ("N0", 17), ("N1", 5)):
+        assert union["geometry"][key] == value == r["geometry"][key] + d["geometry"][key]
+    assert union["socle"]["socle"] == [0, 3, 2, 1, 0] == r["socle"]["socle"] + d["socle"]["socle"]
+    assert union["hom"]["hom_dim"] == 11 == r["hom"]["hom_dim"] + d["hom"]["hom_dim"]
+    assert union["ext"]["ext_dim"] == 36 == r["ext"]["ext_dim"] + d["ext"]["ext_dim"]
+    assert r["decompose"]["verdict"] == d["decompose"]["verdict"] == "undecided"
+    assert union["decompose"]["verdict"] == "decomposable-certified"
+    assert union["syzygy"] == sorted(
+        ({**c, "vertex": tag + c["vertex"]} for tag in parts for c in alone[tag]["syzygy"]),
+        key=lambda c: (c["vertex"], c["truncation"]))
+    assert union["projdim"] == r["projdim"] == d["projdim"] == {"projdim": "infinity"}
+
+
 def test_sequences_with_top(double_back_file, capsys):
     code, out = run(capsys, ["sequences", "--algebra", double_back_file,
                              "--dimvec", "2,2", "--top", "2,0"])
@@ -1102,6 +1145,36 @@ def test_deeply_nested_json_exits_2(tmp_path, double_back_file, point_files, cap
     assert captured.out == "" and "Traceback" not in captured.err
     named = "--layers value" if flag == "--layers" else f"JSON in {deep}"
     assert captured.err.startswith(f"error: malformed {named}: maximum recursion depth")
+
+
+OVER_DIGIT_LIMIT = "1" + "0" * 4999  # past the interpreter's 4300-digit default
+
+
+@pytest.mark.parametrize("flag", ["--algebra", "--seq", "--seq2", "--module", "--layers"])
+def test_integer_over_digit_limit_exits_2(tmp_path, double_back_file, deep_file, point_files,
+                                          capsys, flag):
+    # json.loads raises a plain ValueError on such an integer, not a JSONDecodeError
+    argv = (["point-skeleta", *point_files] if flag == "--module" else
+            ["hom", "--algebra", double_back_file, "--seq", deep_file, "--seq2", deep_file])
+    if flag == "--layers":
+        argv = ["hom", "--algebra", double_back_file,
+                "--layers", f"[[{OVER_DIGIT_LIMIT},1],[0,1],[1,0]]"]
+    else:
+        data = json.loads(Path(argv[argv.index(flag) + 1]).read_text())
+        if flag == "--algebra":
+            data["max_path_length"] = "BIG"
+        elif flag == "--module":
+            data["relations"][0][0]["coeff"] = "BIG"
+        else:
+            data["layers"][0][0] = "BIG"
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data).replace('"BIG"', OVER_DIGIT_LIMIT))
+        argv[argv.index(flag) + 1] = str(path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    named = "--layers value" if flag == "--layers" else f"JSON in {tmp_path / 'big.json'}"
+    assert captured.err.startswith(f"error: malformed {named}: Exceeds the limit")
 
 
 @pytest.mark.parametrize("r", [1.0, True, "1"])

@@ -302,10 +302,10 @@ def _sparse(mat):
 
 
 def _point_systems(a2, p, width, mats):
-    """Per matrix, a system of ``_hom_out_of`` whose relation matrix it is: ``width``
-    unknowns at vertex 1 and one relation whose lead column c holds column c."""
+    """(tops, points) of ``_hom_out_of`` whose relation matrix at point k is ``mats[k]``:
+    ``width`` unknowns at vertex 1 and one relation whose lead column c holds column c."""
     rep = Representation(a2, FieldSpec(p), (width, 0), {})
-    return [(rep, [("1", 0)], [([{i: row[c] for i, row in enumerate(mat) if row[c] != 0}
+    return [("1", 0)], [(rep, [([{i: row[c] for i, row in enumerate(mat) if row[c] != 0}
                                   for c in range(width)], 0, ())]) for mat in mats]
 
 
@@ -322,7 +322,7 @@ def test_three_points_ranked_as_one_match_each_point(a2, p, data):
                for r0, r1, r2 in zip(*map(_sparse, mats))]
     rank = _rank3(p, triples)
     assert rank == ranks[0] == ranks[1] == ranks[2] or (p == 5 and rank is None)
-    assert _hom_out_of(_point_systems(a2, p, width, mats)) == [width - r for r in ranks]
+    assert _hom_out_of(*_point_systems(a2, p, width, mats)) == [width - r for r in ranks]
 
 
 @settings(max_examples=150, deadline=None)
@@ -341,7 +341,20 @@ def test_three_points_fall_back_where_one_point_vanishes(a2, data):
         for j in (c,) if how == "entry" else range(width):
             row[j] = 0 if dropped else p * data.draw(st.sampled_from([1, -1, 2]))
     ranks = [bareiss_rank(FieldSpec(p), mat) for mat in mats]
-    assert _hom_out_of(_point_systems(a2, p, width, mats)) == [width - r for r in ranks]
+    assert _hom_out_of(*_point_systems(a2, p, width, mats)) == [width - r for r in ranks]
+
+
+def test_supports_that_differ_are_ranked_as_one_matrix(a2, monkeypatch):
+    # point 1 lacks an entry that points 0 and 2 hold, yet no pivot vanishes at any point:
+    # one _rank3 call ranks the three points, rank 2 at each, and no point is ranked alone
+    p, calls = MERSENNE_61, []
+    for kernel in ("_rank", "_rank3"):
+        real = getattr(matrix_rep, kernel)
+        monkeypatch.setattr(matrix_rep, kernel,
+                            lambda *args, _k=kernel, _real=real: calls.append(_k) or _real(*args))
+    mats = [[[1, 2], [3, 4]], [[1, 0], [3, 4]], [[1, 2], [3, 5]]]
+    assert [bareiss_rank(FieldSpec(p), mat) for mat in mats] == [2, 2, 2]
+    assert _hom_out_of(*_point_systems(a2, p, 2, mats)) == [0, 0, 0] and calls == ["_rank3"]
 
 
 def test_a_row_vanishing_at_one_point_reranks_each_point(a2, monkeypatch):
@@ -354,7 +367,7 @@ def test_a_row_vanishing_at_one_point_reranks_each_point(a2, monkeypatch):
     triples = [dict(zip(r0, zip(r0.values(), r1.values(), r2.values())))
                for r0, r1, r2 in zip(*map(_sparse, mats))]
     assert _rank3(p, triples) is None
-    assert _hom_out_of(_point_systems(a2, p, 2, mats)) == [1, 0, 0] and len(calls) == 3
+    assert _hom_out_of(*_point_systems(a2, p, 2, mats)) == [1, 0, 0] and len(calls) == 3
 
 
 @pytest.mark.parametrize("fs", [RATIONALS, FieldSpec(), FieldSpec(5)], ids=["Q", "F61", "F5"])
