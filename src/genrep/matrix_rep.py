@@ -1,41 +1,32 @@
 """Explicit quiver representations over a field, plus everything computed from them.
 
-Materializes generic presentations at concrete scalars, computes radical
-layerings, socles, Hom/Ext dimensions, distinguished skeleta of a module
-point, and (in)decomposability certificates.
+Materializes generic presentations at concrete scalars, computes radical layerings, socles,
+Hom/Ext dimensions, distinguished skeleta of a module point, and (in)decomposability
+certificates.  A materialized point has the presentation's layering S at any scalars
+(``materialize``), so no point is checked after it is built.  One builder on a skeleton's
+basis fixes each arrow's sparse columns once per presentation, and a point only substitutes
+its scalars into the sigma-set columns.  A module stores only sparse arrow columns and
+sparse top vectors; quotients (module points) are written as columns too.
 
-A materialized point has the presentation's layering S by construction, at
-any scalars (see ``materialize``), so no point is checked after it is built.
-One builder on a skeleton's basis serves materialized points and the
-projectives behind module points.  It fixes each arrow's sparse columns once
-per presentation, and a seed only substitutes its scalars into the sigma-set
-columns.  Quotients (module points) are written as columns too.  A module
-stores only sparse arrow columns and sparse top vectors.
+Over F_p a seeded Hom, End or Ext is read at three points, built as one module whose entries
+are value triples (x0, x1, x2), one value per point (``_module``): it is materialized, its
+paths composed and each Hom system scattered once, and ranked at the three at once
+(``_rank3``); a pivot zero at only some of them falls back to one point at a time.
 
-Fields are F_p for a large prime p (default 2^61 - 1) or exact rationals; all arithmetic
-is exact.  Every rank is one sparse elimination walk (``_pivots``) on ``{column: value}``
-rows, lazily reduced: a row is reduced only when taken as a pivot row.  Its two callers
-keep only their row updates: one point (``_rank``), or over F_p a seeded Hom's three
-points at once, on value triples (``_rank3``); a pivot zero at only some of them falls
-back to one point at a time.  Every action is applied to a sparse vector by ``_apply``;
-``mat_rank``, ``mat_mul``, the dense matrix-vector product and ``path_action``, the one
-dense view of a module, are left for tests.  ``RowSpace``, an incremental echelon basis of
-sparse rows, serves where the reduced vectors matter: ``radical_layering``, quotients and
-the distinguished skeleta probes, whose memoised per-block independence test is the block
-predicate of ``skeleta.iter_skeleta``.  Skeleton modules and their quotients (module
-points) keep a graded basis, so the probes read J^l M off the basis labels;
-``radical_layering`` eliminates, and stays the independent route.
+Fields are F_p for a large prime p (default 2^61 - 1) or exact rationals; all arithmetic is
+exact.  Every rank is one sparse elimination walk (``_pivots``) on ``{column: value}`` rows,
+a row reduced only when taken as a pivot row, for one point (``_rank``) or three.  Actions
+are applied to sparse vectors by ``_apply``; ``mat_rank``, ``mat_mul``, the dense
+matrix-vector product and ``path_action``, the one dense view of a module, are left for
+tests.  ``RowSpace``, an incremental echelon basis of sparse rows, serves where reduced
+vectors matter: ``radical_layering``, quotients and the distinguished skeleta probes, which
+read J^l M off a graded basis's labels, where ``radical_layering`` eliminates.
 
-Every Hom into a given module is the kernel of one relation matrix, for all the points it
-is taken at, of some presentation of its source (``_hom_out_of``): a generic M = P/C, a
-cyclic Lambda e / J^m e, a simple (``socle``), or any module by its own basis, the
-generators its basis elements and the relations its arrow actions (``hom_dim``, which
-gives no column to an unknown that f(J^l A) in J^l B makes a structural zero).  The two
-Ext^1 methods differ only in Hom(M, N), which they take from two different presentations
-of M.  The generic socle builds no skeleton and no module, draws no scalar and eliminates
-nothing: it is counted off the layering, as dim M_v minus the least of L+1 vertex covers
-of the supports of the rows of M_v -> sum of M_t(a); that least cover is their term rank,
-and so their generic rank (see ``generic_socle``).
+Every Hom into a module is the kernel of one relation matrix of a presentation of its source
+(``_hom_out_of``): a generic M = P/C, a cyclic Lambda e / J^m e, a simple (``socle``), or
+any module by its own basis (``hom_dim``).  The two Ext^1 methods take Hom(M, N) from two
+different presentations of M.  The generic socle builds no module: it is counted off the
+layering as a term rank, and so a generic rank (``generic_socle``).
 """
 
 from __future__ import annotations
@@ -201,11 +192,9 @@ def _rank3(p: int, rows: list[dict]) -> int | None:
     the ``_pivots`` walk, with one inversion per pivot, in which an update is skipped only
     when all three multipliers are zero.  None where a pivot is zero in some system but
     not all (a taken row zero in some, say)."""
-    def reduced(acc):  # mod p at each point, triples zero at all three dropped
-        return {c: t for c, (x, y, z) in acc.items() if (t := (x % p, y % p, z % p)) != (0, 0, 0)}
-
     rank = 0
-    for (a, b, d), row, piv, holding, holders in _pivots(rows, reduced):
+    for (a, b, d), row, piv, holding, holders in _pivots(rows, functools.partial(_reduced, p,
+                                                                             three=True)):
         if not (a and b and d):
             return None
         rank += 1
@@ -228,19 +217,30 @@ def _rank3(p: int, rows: list[dict]) -> int | None:
     return rank
 
 
-def _reduced(p: int | None, acc: dict) -> dict:
-    """``acc`` reduced mod p (untouched over Q, ``p`` None), without its zero entries."""
+def _reduced(p: int | None, acc: dict, three: bool = False) -> dict:
+    """``acc`` reduced mod p (untouched over Q, ``p`` None), without its zero entries; with
+    ``three``, value triples reduced at each point, dropped where zero at all three."""
+    if three:
+        return {c: t for c, (x, y, z) in acc.items() if (t := (x % p, y % p, z % p)) != (0, 0, 0)}
     return ({c: y for c, y in acc.items() if y} if p is None else
             {c: m for c, y in acc.items() if (m := y % p)})
 
 
-def _apply(p: int | None, cols: list[dict], vec: dict) -> dict:
-    """The image of the sparse vector ``vec`` under sparse columns, reduced, without zeros."""
+def _apply(p: int | None, cols: list[dict], vec: dict, three: bool = False) -> dict:
+    """The image of the sparse vector ``vec`` under sparse columns, reduced, without zeros;
+    with ``three``, of value triples, multiplied at each point."""
     acc: dict = {}
-    for k, y in vec.items():
-        for i, x in cols[k].items():
-            acc[i] = acc.get(i, 0) + x * y
-    return _reduced(p, acc)
+    if three:
+        for k, (u, v, w) in vec.items():
+            for i, (x, y, z) in cols[k].items():
+                t = acc.get(i)
+                acc[i] = (x * u, y * v, z * w) if t is None else (
+                    t[0] + x * u, t[1] + y * v, t[2] + z * w)
+    else:
+        for k, y in vec.items():
+            for i, x in cols[k].items():
+                acc[i] = acc.get(i, 0) + x * y
+    return _reduced(p, acc, three)
 
 
 def mat_rank(fs: FieldSpec, rows) -> int:
@@ -314,6 +314,9 @@ class Representation:
     skeleton member or its image in a quotient.  Each vertex's basis is sorted by
     label length, and J^l M is the span of the basis elements whose labels have
     length >= l (``materialize`` and ``quotient_representation`` prove it).
+
+    ``_three`` marks a module of three points over F_p (``_module``), read only by the Hom
+    routes: each entry is a triple (x0, x1, x2) of values at the points, each unit (1, 1, 1).
     """
 
     algebra: TruncatedAlgebra
@@ -322,6 +325,7 @@ class Representation:
     columns: dict[str, list[dict]]
     basis_labels: dict[str, tuple] | None = None
     top_elements: tuple[tuple[str, dict], ...] | None = None
+    _three: bool = dataclasses.field(default=False, repr=False)
     _paths: dict = dataclasses.field(default_factory=dict, repr=False)
 
     def dim_at(self, v: str) -> int:
@@ -377,45 +381,41 @@ def seeded_assignment(pres: GenericPresentation, seed: int,
     return values
 
 
-def _skeleton_columns(sk: Skeleton, relations):
-    """What a skeleton module's columns are at any scalars: (index, dims, units, subs).
+def _template(sk: Skeleton, relations, fs: FieldSpec):
+    """The module on the basis ``sk.basis``, with marked tops z_r, as a function of one or
+    three points' scalars (indexed by scalar number; see ``_module``).
 
-    ``index`` numbers the basis ``sk.basis`` per vertex.  Every column starts empty
-    (zero).  Each member alpha*p of the skeleton is the unit column of arrow alpha at its
-    parent p: ``units`` lists (alpha, index of p, index of alpha*p).  Each relation's
-    critical path alpha*p takes the assigned combination of its sigma-set members at
-    (alpha, p): ``subs`` lists (alpha, index of p, [(member index, scalar number)]).  No
-    other extension has length <= L.
+    ``index`` numbers the basis per vertex.  Every column starts empty (zero).  Each member
+    alpha*p of the skeleton is the unit column of arrow alpha at its parent p: ``units``
+    lists (alpha, index of p, index of alpha*p).  Each relation's critical path alpha*p
+    takes the assigned combination of its sigma-set members at (alpha, p): ``subs`` lists
+    (alpha, index of p, [(member index, scalar number)]).  No other extension has length
+    <= L.  Everything but the critical-path columns is built once per unit, shared read-only.
     """
-    basis = sk.basis
+    alg, element, basis = sk.alg, fs.element, sk.basis
     # an element (r, p) is keyed by (r, p.arrows): r fixes the start of p
     index = {(r, p.arrows): i for els in basis.values() for i, (r, p) in enumerate(els)}
-    dims = tuple(len(basis[v]) for v in sk.alg.vertices)
+    dims = tuple(len(basis[v]) for v in alg.vertices)
     units = [(p.arrows[0], index[r, p.arrows[1:]], index[r, p.arrows])
              for r, p in sk.elements if p.arrows]
     subs = [(rel.critical.arrow, index[rel.critical.r, rel.critical.parent[1].arrows],
              [(index[s, q.arrows], k) for (s, q), k in rel.terms]) for rel in relations]
-    return index, dims, units, subs
 
+    @functools.cache
+    def fixed(one):
+        cols = {a.name: [{}] * len(basis[a.source]) for a in alg.quiver.arrows}
+        for name, j, i in units:
+            cols[name][j] = {i: one}
+        return cols, tuple((v, {index[r, ()]: one}) for r, v in enumerate(sk.top, start=1))
 
-def _template(sk: Skeleton, relations, fs: FieldSpec):
-    """The module on the basis ``sk.basis``, with marked tops z_r, as a function of
-    the scalars (indexed by scalar number); what does not depend on them is built once
-    (from ``_skeleton_columns``), and only the critical-path columns are built per call.
-    Unit and empty columns and the tops are shared read-only.
-    """
-    alg, one, element, basis = sk.alg, fs.one(), fs.element, sk.basis
-    index, dims, units, subs = _skeleton_columns(sk, relations)
-    tops = tuple((v, {index[r, ()]: one}) for r, v in enumerate(sk.top, start=1))
-    fixed = {a.name: [{}] * len(basis[a.source]) for a in alg.quiver.arrows}
-    for name, j, i in units:
-        fixed[name][j] = {i: one}
-
-    def build(values) -> Representation:
-        cols = {name: list(col) for name, col in fixed.items()}
-        for name, j, pairs in subs:
-            cols[name][j] = {i: x for i, k in pairs if (x := element(values[k]))}
-        return Representation(alg, fs, dims, cols, dict(basis), tops)
+    def build(points) -> Representation:
+        values, three = (list(zip(*points)), True) if len(points) == 3 else (points[0], False)
+        cols, tops = fixed((1, 1, 1) if three else fs.one())
+        cols = {name: list(col) for name, col in cols.items()}
+        for name, j, pairs in subs:  # a seeded triple is nonzero at every point
+            cols[name][j] = ({i: values[k] for i, k in pairs} if three else
+                             {i: x for i, k in pairs if (x := element(values[k]))})
+        return Representation(alg, fs, dims, cols, dict(basis), tops, three)
     return build
 
 
@@ -433,9 +433,15 @@ def materialize(pres: GenericPresentation, values,
     """
     if len(values) < len(pres.scalar_ids):
         raise ValidationError(f"assignment missing scalar x_{len(values)}")
+    return _module(pres, [values], fs)
+
+
+def _module(pres: GenericPresentation, points, fs: FieldSpec) -> Representation:
+    """``pres`` at one point, or at three seeded points as one module on value triples:
+    scalar k is (a0[k], a1[k], a2[k]), each unit (1, 1, 1), and its layering S."""
     if fs not in pres.templates:
         pres.templates[fs] = _template(pres.skeleton, pres.relations, fs)
-    return pres.templates[fs](values)
+    return pres.templates[fs](points)
 
 
 def _radical_spaces(rep: Representation) -> list[dict[str, RowSpace]]:
@@ -484,19 +490,18 @@ def hom_dim(rep_a: Representation, rep_b: Representation) -> int:
     two presentations of M on one relation matrix.  When both modules carry basis
     labels, z_k of length l maps into J^l B, so only B's basis from length l on is sought.
     """
-    return _basis_hom_dims([(rep_a, rep_b)])[0]
+    return _basis_hom_dims(rep_a, rep_b)[0]
 
 
-def _basis_hom_dims(pairs) -> list[int]:
-    """``hom_dim`` of each pair (A, B), all of the first pair's shape, so that its tops and
-    unit columns serve every pair in one relation matrix (``_hom_out_of``)."""
-    for rep_a, rep_b in pairs:
-        if not _same_algebra(rep_a.algebra, rep_b.algebra):
-            raise ValidationError("representations live over different algebras")
-        if rep_a.field != rep_b.field:
-            raise ValidationError("representations live over different fields")
-    rep_a, rep_b = pairs[0]
-    alg, one = rep_a.algebra, rep_b.field.one()
+def _basis_hom_dims(rep_a: Representation, rep_b: Representation) -> list[int]:
+    """``hom_dim`` at each point of A and B, both at one point or both at the same three
+    (``_hom_out_of``); a term -A_a[i, j] z_i is A_a[i, j] times minus a unit column."""
+    if not _same_algebra(rep_a.algebra, rep_b.algebra):
+        raise ValidationError("representations live over different algebras")
+    if rep_a.field != rep_b.field:
+        raise ValidationError("representations live over different fields")
+    alg = rep_a.algebra
+    minus = (-1, -1, -1) if rep_b._three else -rep_b.field.one()
     labelled = rep_a.basis_labels is not None and rep_b.basis_labels is not None
     first, tops = {}, []
     for v in alg.vertices:
@@ -504,12 +509,11 @@ def _basis_hom_dims(pairs) -> list[int]:
         a_len = [q.length for _, q in rep_a.basis_labels[v]] if labelled else [0] * rep_a.dim_at(v)
         b_len = [q.length for _, q in rep_b.basis_labels[v]] if labelled else []
         tops += [(v, bisect.bisect_left(b_len, l)) for l in a_len]
-    unit = {v: [{i: one} for i in range(rep_b.dim_at(v))] for v in alg.vertices}
-    return _hom_out_of(tops, [(rep_b, [
+    unit = {v: [{i: minus} for i in range(rep_b.dim_at(v))] for v in alg.vertices}
+    return _hom_out_of(tops, rep_b, [
         (rep_b.columns[a.name], first[a.source] + j,
-         [(unit[a.target], first[a.target] + i, -x) for i, x in col.items()])
+         [(unit[a.target], first[a.target] + i, x) for i, x in col.items()])
         for a in alg.quiver.arrows for j, col in enumerate(rep_a.columns[a.name])])
-        for rep_a, rep_b in pairs])
 
 
 def _path_columns(rep: Representation, p: Path) -> list[dict]:
@@ -517,14 +521,15 @@ def _path_columns(rep: Representation, p: Path) -> list[dict]:
     per module by arrows) the leftmost arrow's composed with the initial subpath's."""
     arrows, paths = p.arrows, rep._paths
     if not arrows:
-        return [{j: rep.field.one()} for j in range(rep.dim_at(p.start))]
+        one = (1, 1, 1) if rep._three else rep.field.one()
+        return [{j: one} for j in range(rep.dim_at(p.start))]
     i = 0  # arrows[i:] is the longest initial subpath at hand, a lone arrow at worst
     while i < len(arrows) - 1 and arrows[i:] not in paths:
         i += 1
     cols = paths[arrows[i:]] if i < len(arrows) - 1 else rep.columns[arrows[i]]
     for i in range(i - 1, -1, -1):  # then the longer ones, each memoised
-        cols = paths[arrows[i:]] = [_apply(rep.field.modulus, rep.columns[arrows[i]], col)
-                                    for col in cols]
+        cols = paths[arrows[i:]] = [_apply(rep.field.modulus, rep.columns[arrows[i]], col,
+                                           rep._three) for col in cols]
     return cols
 
 
@@ -536,82 +541,93 @@ def path_action(rep: Representation, p: Path) -> tuple:
                  for i in range(rep.dim_at(rep.algebra.path_end(p))))
 
 
-def _hom_out_of(tops, points) -> list[int]:
-    """dim Hom(P/C, N), P = sum_r Lambda e(r), at each point ``(N, relations)`` of one
-    presentation: the corank of one relation matrix R for all the points.
+def _hom_out_of(tops, rep_n: Representation, relations) -> list[int]:
+    """dim Hom(P/C, N), P = sum_r Lambda e(r), at each point of N: the corank of one
+    relation matrix R.
 
     ``tops`` lists (e(r), first index).  Each relation ``(lead, r, terms)`` generating C
     is lead z_r plus scale A z_s for each ``(A, s, scale)`` in ``terms``, with lead and A
     the sparse columns of action matrices.  A map P -> N, images n_r in e(r)N, factors
     through P/C iff it kills every relation.  n_r is sought on e(r)N's basis from the
-    first index on, as every such map is known to meet.  The points share ``tops``, N's
-    dimensions and the number of relations.  An entry of R is its unreduced value at one
-    point (where R may hold 10^6 entries), a list of one value per point at several.
-    Three points over F_p are ranked as one (``_rank3``); where it gives up, each alone.
+    first index on, as every such map is known to meet.  An entry of R is unreduced: a
+    value at one point (where R may hold 10^6 entries), or a triple at three (``_module``),
+    scales too, multiplied at each point, and ranked as one (``_rank3``) or, where that
+    gives up, at each point alone.
     """
-    n, rep_n, p = len(points), points[0][0], points[0][0].field.modulus
+    p, three = rep_n.field.modulus, rep_n._three
     starts, width = [], 0
     for v, first in tops:
         starts.append((first, width))
         width += rep_n.dim_at(v) - first
     rows = []
-    for relations in zip(*(relations for _, relations in points), strict=True):
+    for lead, r, terms in relations:
         block: dict[int, dict] = {}
-        for k, (lead, r, terms) in enumerate(relations):
-            first, c0 = starts[r]
-            for c, col in enumerate(lead[first:], c0):  # first: no value at point k yet
-                for i, x in col.items():
-                    row = block.setdefault(i, {})
-                    if n == 1:
-                        row[c] = x
-                    else:
-                        (row.get(c) or row.setdefault(c, [0] * n))[k] = x
-            for cols, s, scale in terms:
-                first, c0 = starts[s]
+        first, c0 = starts[r]
+        for c, col in enumerate(lead[first:], c0):  # the lead comes first: (i, c) holds nothing
+            for i, x in col.items():
+                if (row := block.get(i)) is None:
+                    block[i] = {c: x}
+                else:
+                    row[c] = x
+        for cols, s, scale in terms:
+            first, c0 = starts[s]
+            if three:
+                f, g, h = scale
+                for c, col in enumerate(cols[first:], c0):
+                    for i, (x, y, z) in col.items():
+                        if (row := block.get(i)) is None:
+                            block[i] = {c: (f * x, g * y, h * z)}
+                        elif (t := row.get(c)) is None:
+                            row[c] = (f * x, g * y, h * z)
+                        else:
+                            row[c] = (t[0] + f * x, t[1] + g * y, t[2] + h * z)
+            else:
                 for c, col in enumerate(cols[first:], c0):
                     for i, x in col.items():
-                        row = block.setdefault(i, {})
-                        if n == 1:
-                            row[c] = row.get(c, 0) + scale * x
+                        if (row := block.get(i)) is None:
+                            block[i] = {c: scale * x}
                         else:
-                            (row.get(c) or row.setdefault(c, [0] * n))[k] += scale * x
+                            row[c] = row.get(c, 0) + scale * x
         rows += block.values()
-    if n == 3 and p is not None and (rank := _rank3(p, [dict(row) for row in rows])) is not None:
+    if not three:
+        return [width - _rank(p, rows)]
+    if (rank := _rank3(p, [dict(row) for row in rows])) is not None:
         return [width - rank] * 3
-    return [width - _rank(p, rows if n == 1 else  # else each point's values, zeros dropped
-                          [{c: v[k] for c, v in row.items() if v[k]} for row in rows])
-            for k in range(n)]
+    return [width - _rank(p, [{c: v[k] for c, v in row.items() if v[k]} for row in rows])
+            for k in range(3)]
 
 
 def hom_dim_from_cyclic(alg: TruncatedAlgebra, c: CyclicType, rep: Representation) -> int:
     """dim Hom(Lambda e / J^m e, N) = dim { n in eN : J^m n = 0 }."""
-    return _cyclic_dims(alg, c, [rep])[0]
+    return _cyclic_dims(alg, c, rep)[0]
 
 
-def _cyclic_dims(alg: TruncatedAlgebra, c: CyclicType, reps) -> list[int]:
-    """``hom_dim_from_cyclic`` into each of ``reps``, one relation per length-m path out of e."""
+def _cyclic_dims(alg: TruncatedAlgebra, c: CyclicType, rep: Representation) -> list[int]:
+    """``hom_dim_from_cyclic`` at each point of ``rep``, one relation per length-m path out of e."""
     if c.truncation >= alg.L + 1:  # a projective cyclic imposes no constraint
-        return [rep.dim_at(c.vertex) for rep in reps]
+        return [rep.dim_at(c.vertex)] * (3 if rep._three else 1)
     paths = enumerate_paths(alg, c.vertex, c.truncation)
-    return _hom_out_of(((c.vertex, 0),), [(rep, [(_path_columns(rep, p), 0, ()) for p in paths])
-                                          for rep in reps])
+    return _hom_out_of(((c.vertex, 0),), rep, [(_path_columns(rep, p), 0, ()) for p in paths])
 
 
 # ---------------------------------------------------------------------------
 # Ext dimensions, two ways
 # ---------------------------------------------------------------------------
 
-def _presented_hom_dims(pres: GenericPresentation, points) -> list[int]:
-    """dim Hom(M, N) at each point ``(values, N)``, M = P/C the evaluation of ``pres`` at
-    the scalars ``values``, out of one relation matrix for all points (``_hom_out_of``).
+def _presented_hom_dims(pres: GenericPresentation, rep_n: Representation, points) -> list[int]:
+    """dim Hom(M, N) at each of ``points``, M = P/C the evaluation of ``pres`` at a point's
+    scalars, out of one relation matrix (``_hom_out_of``): one point and N, or three and N
+    the module of three points, each scale then a value triple.
 
     One relation per critical path z_r: its action, minus the assigned
     scalar times the action of each sigma-set member on its top z_s.
     """
-    return _hom_out_of([(v, 0) for v in pres.skeleton.top], [(rep_n, [
+    scales = ([-rep_n.field.element(x) for x in points[0]] if len(points) == 1 else
+              [(-x, -y, -z) for x, y, z in zip(*points)])
+    return _hom_out_of([(v, 0) for v in pres.skeleton.top], rep_n, [
         (_path_columns(rep_n, rel.critical.path(pres.algebra)), rel.critical.r - 1,
-         [(_path_columns(rep_n, q), s - 1, -rep_n.field.element(values[k]))
-          for (s, q), k in rel.terms]) for rel in pres.relations]) for values, rep_n in points])
+         [(_path_columns(rep_n, q), s - 1, scales[k]) for (s, q), k in rel.terms])
+        for rel in pres.relations])
 
 
 def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence,
@@ -638,18 +654,23 @@ def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence,
     # a point of G(S_M) per seed: for Hom(G, N) at k = 1, and as N in self-Ext
     pres = generic_presentation(alg, S_M) if k == 1 or rep_n is None else None
 
+    # a given N, broadcast once to three equal points to meet G(S_M) at three
+    three_ns = functools.cache(lambda: Representation(alg, fs, rep_n.dims, {
+        a: [{i: (x, x, x) for i, x in col.items()} for col in cols]
+        for a, cols in rep_n.columns.items()}, rep_n.basis_labels, None, True))
+
     def evaluate(points):
-        ms = [None if a is None else materialize(pres, a, fs) for a in points]
-        ns = ms if rep_n is None else [rep_n]  # every term but Hom(G, N) is taken once per N
-        rest = [-sum(m * n.dim_at(v) for v, m in tops) for n in ns]  # Hom(P, N)
+        g = None if pres is None else _module(pres, points, fs)
+        n = g if rep_n is None else rep_n  # every term but Hom(G, N) is taken at N's points
+        rest = [-sum(m * n.dim_at(v) for v, m in tops)] * (3 if n._three else 1)  # Hom(P, N)
         for c, m in cyclic.items():
-            rest = [r + m * d for r, d in zip(rest, _cyclic_dims(alg, c, ns))]
-        rest, ns = (rest, ns) if rep_n is None else (rest * len(ms), ns * len(ms))
+            rest = [r + m * d for r, d in zip(rest, _cyclic_dims(alg, c, n))]
+        if len(rest) < len(points):  # a given N, and G at three points
+            rest, n = rest * 3, three_ns()
         if k > 1:
             return [{"alternating": r} for r in rest]
         return [{"alternating": r + h, "restriction": r + q} for r, h, q in zip(
-            rest, _basis_hom_dims(list(zip(ms, ns))),
-            _presented_hom_dims(pres, list(zip(points, ns))))]
+            rest, _basis_hom_dims(g, n), _presented_hom_dims(pres, n, points))]
 
     per_seed, terms = [], _seeded_values(seeds, lambda seed: None if pres is None else tuple(
         seeded_assignment(pres, seed, fs)), evaluate)
@@ -689,7 +710,7 @@ def projective_representation(alg: TruncatedAlgebra, tops: tuple[str, ...],
     for _ in range(alg.L):
         level = [(r, p.then(a)) for r, p in level for a in alg.quiver.arrows_from[alg.path_end(p)]]
         elements += level
-    return _template(Skeleton(alg, tops, elements), (), fs)([])
+    return _template(Skeleton(alg, tops, elements), (), fs)([[]])
 
 
 def quotient_representation(rep: Representation, sub_vectors) -> Representation:
@@ -963,10 +984,14 @@ def _socle_of_tail(alg: TruncatedAlgebra, tail) -> tuple[int, ...]:
 
 
 def _seeded_values(seeds, draw, evaluate):
-    """seed -> the value at its point ``draw(seed)``; ``evaluate`` takes the list of distinct
-    points, in seed order, to their values at once (over Q every seed draws one point)."""
+    """seed -> the value at its point ``draw(seed)``; ``evaluate`` takes the distinct points,
+    in seed order, three at a time and any remainder one at a time, to their values (over Q,
+    or without scalars, every seed draws one point)."""
     point = {seed: draw(seed) for seed in seeds}
-    value = dict(zip(distinct := list(dict.fromkeys(point.values())), evaluate(distinct)))
+    distinct, value = list(dict.fromkeys(point.values())), {}
+    cut = len(distinct) - len(distinct) % 3
+    for group in [distinct[i:i + 3] for i in range(0, cut, 3)] + [[x] for x in distinct[cut:]]:
+        value.update(zip(group, evaluate(group)))
     return lambda seed: value[point[seed]]
 
 
@@ -974,7 +999,7 @@ def _end_dims(pres: GenericPresentation, fs: FieldSpec, seeds):
     """seed -> dim End at the point the seed draws."""
     return _seeded_values(seeds, lambda seed: tuple(seeded_assignment(pres, seed, fs)),
                           lambda points: _presented_hom_dims(
-                              pres, [(a, materialize(pres, a, fs)) for a in points]))
+                              pres, _module(pres, points, fs), points))
 
 
 def generic_end_dim(alg: TruncatedAlgebra, S: SemisimpleSequence, seeds=(0, 1, 2),
@@ -993,7 +1018,7 @@ def generic_hom_dim(alg: TruncatedAlgebra, S_a: SemisimpleSequence,
         seeds, lambda seed: (tuple(seeded_assignment(pres_a, seed, fs)),
                              tuple(seeded_assignment(pres_b, seed + PAIR_SEED_OFFSET, fs))),
         lambda points: _presented_hom_dims(
-            pres_a, [(a, materialize(pres_b, b, fs)) for a, b in points]))
+            pres_a, _module(pres_b, [b for _, b in points], fs), [a for a, _ in points]))
     return stable_over_seeds(compute, seeds, "generic_hom_dim",
                              f"sequences {S_a} and {S_b}")
 

@@ -188,21 +188,23 @@ def test_ext_self(double_back_file, deep_file, capsys):
 
 
 def test_ext_self_materializes_once_per_seed(double_back_file, deep_file, capsys, monkeypatch):
-    # the intertwiner term reuses the point N = G(S) drawn at each seed
+    # the intertwiner term reuses the point N = G(S) drawn at each seed: the three seeds'
+    # points are built once, as one module of three points, and nothing else is built
     import genrep.cli
     import genrep.matrix_rep
     calls = []
-    original = genrep.matrix_rep.materialize
+    for name in ("materialize", "_module"):
+        original = getattr(genrep.matrix_rep, name)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append((_name, len(args[1])))
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(genrep.matrix_rep, "materialize", counting)
-    monkeypatch.setattr(genrep.cli, "materialize", counting)
+        monkeypatch.setattr(genrep.matrix_rep, name, counting)
+        monkeypatch.setattr(genrep.cli, name, counting, raising=False)
     code, out = run(capsys, ["ext", "--k", "1", "--algebra", double_back_file, "--seq", deep_file])
     assert code == 0 and json.loads(out)["ext_dim"] == 1
-    assert len(calls) == 3
+    assert calls == [("_module", 3)]
 
 
 def test_ext_self_builds_one_presentation(double_back_file, deep_file, capsys, monkeypatch):
@@ -1323,8 +1325,8 @@ def test_each_seeded_point_is_evaluated_once(double_back_file, deep_file, capsys
     # over Q seeded_assignment draws one point at every seed, so hom, hom --seq2,
     # decompose and ext evaluate it once; the records still name all three seeds
     calls, real = [], matrix_rep._presented_hom_dims
-    monkeypatch.setattr(matrix_rep, "_presented_hom_dims",
-                        lambda pres, points: calls.extend(points) or real(pres, points))
+    monkeypatch.setattr(matrix_rep, "_presented_hom_dims", lambda pres, rep_n, points:
+                        calls.extend(points) or real(pres, rep_n, points))
     per_seed = [{"seed": s, "alternating": 1, "restriction": 1} for s in (4, 5, 6)]
     end_dims = [{"seed": s, "end_dim": 2} for s in (4, 5, 6)]
     expected = [
@@ -1374,16 +1376,40 @@ def test_seeded_jobs_do_shared_work_once(double_back_file, deep_file, capsys, mo
     assert code == 0 and len(calls) == expected
 
 
+@pytest.mark.parametrize("command, one_seed", [
+    (["hom"], lambda alg, S: matrix_rep.generic_end_dim(alg, S, seeds=(0,))),
+    (["decompose"], lambda alg, S: matrix_rep.decomposability(alg, S, seeds=(0,))),
+    (["ext", "--k", "1"], lambda alg, S: matrix_rep.ext_dim_detail(alg, S, None, 1, (0,))),
+], ids=["hom", "decompose", "ext-k1"])
+def test_three_seeds_do_the_work_of_one(tmp_path, capsys, monkeypatch, command, one_seed):
+    # over F_p the three seeds' points are one module of value triples: relay at d = 14
+    # builds one module for its one presentation, and composes as many path columns
+    # (_apply calls) as one seed's point alone, not three times as many
+    path, layers = tmp_path / "relay.json", [[2, 1, 1], [0, 5, 1], [0, 0, 3], [0, 1, 0]]
+    path.write_text(json.dumps(RELAY))
+    built = _count_calls(monkeypatch, matrix_rep.Representation)
+    applied = _count_calls(monkeypatch, matrix_rep._apply)
+    one_seed(algebra_from_json(RELAY), seq(*layers))
+    assert len(built) == 1
+    once = len(applied)
+    built.clear()
+    applied.clear()
+    code, _ = run(capsys, command + ["--algebra", str(path), "--layers", json.dumps(layers)])
+    assert code == 0 and len(built) == 1 and len(applied) == once > 0
+
+
 @pytest.mark.parametrize("command, patched, stage", [
     ("hom", "_presented_hom_dims", "generic_end_dim"),
     ("ext", "_basis_hom_dims", "ext"),
 ])
 def test_seeded_errors_name_their_stage(double_back_file, deep_file, capsys, monkeypatch,
                                         command, patched, stage):
-    # the batched route's stand-in gives each point it is handed (its last argument) a new value
+    # the batched route's stand-in gives each point of the module it is handed (N, its
+    # second argument) a new value
     import genrep.matrix_rep
     calls = iter(range(100))
-    monkeypatch.setattr(genrep.matrix_rep, patched, lambda *args: [next(calls) for _ in args[-1]])
+    monkeypatch.setattr(genrep.matrix_rep, patched,
+                        lambda *args: [next(calls) for _ in range(3 if args[1]._three else 1)])
     code = main([command, "--seed", "4", "--algebra", double_back_file, "--seq", deep_file])
     err = capsys.readouterr().err
     assert code == 2

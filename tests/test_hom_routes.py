@@ -8,26 +8,33 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genrep import matrix_rep
-from genrep.algebra_core import enumerate_sequences
+from genrep.algebra_core import enumerate_paths, enumerate_sequences
 from genrep.errors import MethodDisagreementError
 from genrep.generic_builder import generic_presentation
+from genrep.homology import CyclicType
 from genrep.matrix_rep import (
     MERSENNE_61,
+    PAIR_SEED_OFFSET,
     RATIONALS,
     FieldSpec,
     Representation,
     RowSpace,
+    _basis_hom_dims,
+    _cyclic_dims,
     _hom_out_of,
+    _module,
+    _path_columns,
     _presented_hom_dims,
     _rank,
     _rank3,
     ext_dim,
     ext_dim_detail,
     generic_end_dim,
+    generic_hom_dim,
     generic_socle,
     hom_dim,
     mat_rank,
@@ -37,7 +44,7 @@ from genrep.matrix_rep import (
     socle,
 )
 
-from conftest import DenseRowSpace, bareiss_rank, fs_sub, seq
+from conftest import FIXTURES, DenseRowSpace, bareiss_rank, fs_sub, realizable_layerings, seq
 
 CASES = [("double_back", (2, 2)), ("double_back", (3, 2)), ("relay", (1, 2, 1)),
          ("loop_out", (3, 2))]  # a loop: two unknowns of one equation can share a column
@@ -89,7 +96,7 @@ def test_relation_matrix_hom_matches_intertwiner(request, name, dimvec, graded, 
         points.append((pres, assign, materialize(pres, assign, fs)))
     for pres, assign, rep_m in points:
         for _, _, rep_n in points:
-            assert _presented_hom_dims(pres, [(assign, rep_n)]) == [hom_dim(rep_m, rep_n)]
+            assert _presented_hom_dims(pres, rep_n, [assign]) == [hom_dim(rep_m, rep_n)]
 
 
 @pytest.mark.parametrize("fs", [RATIONALS, FieldSpec()], ids=["Q", "Fp"])
@@ -111,7 +118,7 @@ def test_exact_intertwiner_hom_on_relay_d28(relay):
     for fs in (RATIONALS, FieldSpec()):
         assign = seeded_assignment(pres, 0, fs)
         rep = materialize(pres, assign, fs)
-        values += [hom_dim(rep, rep), *_presented_hom_dims(pres, [(assign, rep)])]
+        values += [hom_dim(rep, rep), *_presented_hom_dims(pres, rep, [assign])]
     assert values == [33] * 4
 
 
@@ -122,9 +129,9 @@ def test_ext_cross_check_catches_a_wrong_presentation(double_back, monkeypatch):
     S = seq((1, 1), (0, 1), (1, 0))  # the README layering
     presented = matrix_rep._presented_hom_dims
 
-    def without_relation_0(pres, points):
+    def without_relation_0(pres, rep_n, points):
         assert pres.sequence == S and pres.relations and len(points) == 3
-        return presented(dataclasses.replace(pres, relations=pres.relations[1:]), points)
+        return presented(dataclasses.replace(pres, relations=pres.relations[1:]), rep_n, points)
 
     monkeypatch.setattr(matrix_rep, "_presented_hom_dims", without_relation_0)
     with pytest.raises(MethodDisagreementError):
@@ -302,11 +309,12 @@ def _sparse(mat):
 
 
 def _point_systems(a2, p, width, mats):
-    """(tops, points) of ``_hom_out_of`` whose relation matrix at point k is ``mats[k]``:
-    ``width`` unknowns at vertex 1 and one relation whose lead column c holds column c."""
-    rep = Representation(a2, FieldSpec(p), (width, 0), {})
-    return [("1", 0)], [(rep, [([{i: row[c] for i, row in enumerate(mat) if row[c] != 0}
-                                  for c in range(width)], 0, ())]) for mat in mats]
+    """(tops, N, relations) of ``_hom_out_of`` whose relation matrix at point k is
+    ``mats[k]``: N a module of three points with ``width`` unknowns at vertex 1, and one
+    relation whose lead column c holds column c of the three, as value triples."""
+    rep, rows = Representation(a2, FieldSpec(p), (width, 0), {}, _three=True), range(len(mats[0]))
+    return [("1", 0)], rep, [([{i: t for i in rows if (t := tuple(mat[i][c] for mat in mats))
+                                != (0, 0, 0)} for c in range(width)], 0, ())]
 
 
 @pytest.mark.parametrize("p", [MERSENNE_61, 5], ids=["F61", "F5"])
@@ -368,6 +376,75 @@ def test_a_row_vanishing_at_one_point_reranks_each_point(a2, monkeypatch):
                for r0, r1, r2 in zip(*map(_sparse, mats))]
     assert _rank3(p, triples) is None
     assert _hom_out_of(*_point_systems(a2, p, 2, mats)) == [1, 0, 0] and len(calls) == 3
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+@pytest.mark.parametrize("p", [MERSENNE_61, 1000003, 5], ids=["F61", "Fp", "F5"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_the_module_of_three_points_matches_each_point(request, fixture, p, data):
+    # at three drawn points, the module of value triples against each point's own module:
+    # Hom out of the presentation, out of the basis and out of every cyclic, and every
+    # path's columns read at each point; in F_5 _rank3 may give up, and each point is
+    # then ranked alone
+    alg, fs = request.getfixturevalue(fixture), FieldSpec(p)
+    S = data.draw(realizable_layerings(alg))
+    assume(any(S.top))
+    pres = generic_presentation(alg, S, graded=data.draw(st.booleans()))
+    points = [tuple(data.draw(st.integers(1, p - 1)) for _ in pres.scalar_ids) for _ in range(3)]
+    three, ones = _module(pres, points, fs), [_module(pres, [a], fs) for a in points]
+    assert three._three and not any(rep._three for rep in ones)
+    assert _presented_hom_dims(pres, three, points) == [
+        _presented_hom_dims(pres, rep, [a])[0] for a, rep in zip(points, ones)]
+    assert _basis_hom_dims(three, three) == [_basis_hom_dims(rep, rep)[0] for rep in ones]
+    for v in alg.vertices:
+        for m in range(1, alg.L + 2):
+            c = CyclicType(v, m)
+            assert _cyclic_dims(alg, c, three) == [_cyclic_dims(alg, c, rep)[0] for rep in ones]
+        for length in range(alg.L + 1):
+            for path in enumerate_paths(alg, v, length):
+                cols = _path_columns(three, path)
+                for k, rep in enumerate(ones):
+                    assert _path_columns(rep, path) == [
+                        {i: t[k] % p for i, t in col.items() if t[k] % p} for col in cols]
+
+
+@pytest.mark.parametrize("seeds", [(5,), (0, 1), (0, 1, 2, 3)], ids=["one", "two", "four"])
+def test_any_seed_count_matches_each_seed_alone(relay, seeds, monkeypatch):
+    # the distinct points are taken three at a time, then one at a time: any number of seeds
+    # gives each seed's value and record as that seed alone does, N given or not
+    S = seq((2, 1, 1), (0, 5, 1), (0, 0, 3), (0, 1, 0))
+    pres = generic_presentation(relay, S)
+    rep_n = materialize(pres, seeded_assignment(pres, 7 + PAIR_SEED_OFFSET))
+    runs = [lambda sds: generic_end_dim(relay, S, seeds=sds),
+            lambda sds: generic_hom_dim(relay, S, S, seeds=sds),
+            lambda sds: ext_dim_detail(relay, S, None, 1, sds),
+            lambda sds: ext_dim_detail(relay, S, rep_n, 1, sds)]
+    built, module_of = [], matrix_rep._module
+    monkeypatch.setattr(matrix_rep, "_module",
+                        lambda pres, points, fs: built.append(len(points)) or module_of(
+                            pres, points, fs))
+    ns, presented = [], matrix_rep._presented_hom_dims
+    monkeypatch.setattr(matrix_rep, "_presented_hom_dims",
+                        lambda pres, n, points: ns.append(n) or presented(pres, n, points))
+    for run in runs:
+        alone = [run((seed,)) for seed in seeds]
+        built.clear()
+        ns.clear()
+        together = run(seeds)
+        assert built == [3] * (len(seeds) // 3) + [1] * (len(seeds) % 3)
+        if isinstance(together, dict):
+            assert together["per_seed"] == [r for a in alone for r in a["per_seed"]]
+            assert [together["value"]] * len(seeds) == [a["value"] for a in alone]
+        else:
+            assert [together] * len(seeds) == alone
+    for n in ns:  # the last run's: the given N, read at each point it is met at, is N
+        if n._three:
+            for k in range(3):
+                assert {a: [{i: t[k] for i, t in col.items()} for col in cols]
+                        for a, cols in n.columns.items()} == rep_n.columns
+        else:
+            assert n is rep_n
 
 
 @pytest.mark.parametrize("fs", [RATIONALS, FieldSpec(), FieldSpec(5)], ids=["Q", "F61", "F5"])

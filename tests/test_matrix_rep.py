@@ -460,7 +460,8 @@ def test_seed_stability_error_names_stage_sequence_and_seeds(double_back, monkey
 def test_ext_method_disagreement_names_stage_sequence_and_seeds(double_back, monkeypatch):
     from genrep.errors import MethodDisagreementError
     import genrep.matrix_rep as mr
-    monkeypatch.setattr(mr, "_basis_hom_dims", lambda pairs: [100] * len(pairs))
+    monkeypatch.setattr(mr, "_basis_hom_dims",
+                        lambda rep_a, rep_b: [100] * (3 if rep_b._three else 1))
     with pytest.raises(MethodDisagreementError) as info:
         ext_dim_detail(double_back, S_DEEP, None, 1, [4, 5, 6])
     message = str(info.value)
@@ -944,7 +945,8 @@ def test_hom_dim_keeps_only_the_unknowns_the_labels_allow(request, fixture, S, m
     # point, and _rank3 at the three points of seeds 0, 1, 2, ranked as one matrix
     alg = request.getfixturevalue(fixture)
     pres = generic_presentation(alg, S)
-    reps = [materialize(pres, seeded_assignment(pres, sd)) for sd in (0, 1, 2)]
+    points = [seeded_assignment(pres, sd) for sd in (0, 1, 2)]
+    reps = [materialize(pres, points[0]), matrix_rep._module(pres, points, FieldSpec())]
     calls = []
     for kernel in ("_rank", "_rank3"):
         def spy(p, rows, _rank_of=getattr(matrix_rep, kernel), _kernel=kernel):
@@ -957,11 +959,11 @@ def test_hom_dim_keeps_only_the_unknowns_the_labels_allow(request, fixture, S, m
     lengths = [[q.length for _, q in M.basis_labels[v]] for v in alg.vertices]
     pruned = sum(sum(i >= k for i in ls) for ls in lengths for k in ls)
     full = sum(d * d for d in M.dims)
-    for points, width in ((reps, pruned), (list(map(unlabelled, reps)), full)):
-        for at, kernel in ((points[:1], "_rank"), (points, "_rank3")):
-            dims = matrix_rep._basis_hom_dims([(rep, rep) for rep in at])
+    for at, width in ((reps, pruned), (list(map(unlabelled, reps)), full)):
+        for rep, kernel, n in zip(at, ("_rank", "_rank3"), (1, 3)):
+            dims = matrix_rep._basis_hom_dims(rep, rep)
             used, top, rank = calls.pop()
-            assert used == kernel and dims == [width - rank] * len(at) and top < width
+            assert used == kernel and dims == [width - rank] * n and top < width
     assert pruned < full and not calls
 
 
