@@ -86,10 +86,11 @@ class _SiftFacts:
     coordinate at a time: bit j of ``le[i]`` is set when the sums of j are at most
     those of i (the outer j dominance admits for inner i), of ``ge[i]`` when at least.
     Annihilators and generic socles are memoised per position, both read off one
-    ``_layer_table`` per sequence, and the codes ``(verdict, evidence, confidence)``
-    per missing arrows and per pair of socles, so equal evidence is one dict, never
-    mutated.  ``code``, the per-pair reference, reads only the two classes (annihilators,
-    socle); it refuses ``fs`` (too small a field) only where it compares socles.
+    ``_layer_table`` per sequence, and the codes ``(verdict, evidence, confidence)`` per
+    missing arrows, so equal annihilator evidence is one dict, never mutated; a socle code
+    is built per call, which ``component_report`` makes once per pair of classes.
+    ``code``, the per-pair reference, reads only the two classes (annihilators, socle); it
+    refuses ``fs`` (too small a field) only where it compares socles.
     """
 
     def __init__(self, alg, sequences, fs: FieldSpec = FieldSpec()):
@@ -111,9 +112,6 @@ class _SiftFacts:
         self.socle = functools.cache(lambda i: _socle_of_tail(alg, tail(i)))
         self.annihilator_code = functools.cache(lambda missing: (
             "excluded-annihilator", {"arrows": list(missing)}, "certified"))
-        self.socle_code = functools.cache(lambda outer, inner: (
-            "excluded-socle", {"socle_outer": list(outer), "socle_inner": list(inner)},
-            "seeded-generic"))
 
     def code(self, at_out: int, at_in: int) -> tuple:
         """The code of a pair that dominance admits: the first of the annihilator and
@@ -124,7 +122,8 @@ class _SiftFacts:
         _check_random_field(self.fs)
         soc_outer, soc_inner = self.socle(at_out), self.socle(at_in)
         if any(map(operator.gt, soc_outer, soc_inner)):
-            return self.socle_code(soc_outer, soc_inner)
+            return ("excluded-socle", {"socle_outer": list(soc_outer),
+                                       "socle_inner": list(soc_inner)}, "seeded-generic")
         return _POSSIBLE
 
 

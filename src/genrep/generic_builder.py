@@ -11,7 +11,7 @@ In graded mode the sum runs over the equal-length part of the sigma-set only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra_core import SemisimpleSequence, TruncatedAlgebra
 from .skeleta import (
@@ -45,8 +45,6 @@ class GenericPresentation:
     skeleton: Skeleton
     graded: bool
     relations: tuple[Relation, ...]
-    # per-field column templates of ``matrix_rep.materialize``, built on first use
-    templates: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def scalar_ids(self) -> range:

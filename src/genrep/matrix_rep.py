@@ -4,9 +4,9 @@ Materializes generic presentations at concrete scalars, computes radical layerin
 Hom/Ext dimensions, distinguished skeleta of a module point, and (in)decomposability
 certificates.  A materialized point has the presentation's layering S at any scalars
 (``materialize``), so no point is checked after it is built.  One builder on a skeleton's
-basis fixes each arrow's sparse columns once per presentation, and a point only substitutes
-its scalars into the sigma-set columns.  A module stores only sparse arrow columns and
-sparse top vectors; quotients (module points) are written as columns too.
+basis writes each arrow's sparse columns in one pass, units and the points' scalars alike
+(``_module``).  A module stores only sparse arrow columns and sparse top vectors; quotients
+(module points) are written as columns too.
 
 Over F_p a seeded Hom, End or Ext is read at three points, built as one module whose entries
 are value triples (x0, x1, x2), one value per point (``_module``): it is materialized, its
@@ -381,67 +381,48 @@ def seeded_assignment(pres: GenericPresentation, seed: int,
     return values
 
 
-def _template(sk: Skeleton, relations, fs: FieldSpec):
-    """The module on the basis ``sk.basis``, with marked tops z_r, as a function of one or
-    three points' scalars (indexed by scalar number; see ``_module``).
-
-    ``index`` numbers the basis per vertex.  Every column starts empty (zero).  Each member
-    alpha*p of the skeleton is the unit column of arrow alpha at its parent p: ``units``
-    lists (alpha, index of p, index of alpha*p).  Each relation's critical path alpha*p
-    takes the assigned combination of its sigma-set members at (alpha, p): ``subs`` lists
-    (alpha, index of p, [(member index, scalar number)]).  No other extension has length
-    <= L.  Everything but the critical-path columns is built once per unit, shared read-only.
-    """
-    alg, element, basis = sk.alg, fs.element, sk.basis
-    # an element (r, p) is keyed by (r, p.arrows): r fixes the start of p
-    index = {(r, p.arrows): i for els in basis.values() for i, (r, p) in enumerate(els)}
-    dims = tuple(len(basis[v]) for v in alg.vertices)
-    units = [(p.arrows[0], index[r, p.arrows[1:]], index[r, p.arrows])
-             for r, p in sk.elements if p.arrows]
-    subs = [(rel.critical.arrow, index[rel.critical.r, rel.critical.parent[1].arrows],
-             [(index[s, q.arrows], k) for (s, q), k in rel.terms]) for rel in relations]
-
-    @functools.cache
-    def fixed(one):
-        cols = {a.name: [{}] * len(basis[a.source]) for a in alg.quiver.arrows}
-        for name, j, i in units:
-            cols[name][j] = {i: one}
-        return cols, tuple((v, {index[r, ()]: one}) for r, v in enumerate(sk.top, start=1))
-
-    def build(points) -> Representation:
-        values, three = (list(zip(*points)), True) if len(points) == 3 else (points[0], False)
-        cols, tops = fixed((1, 1, 1) if three else fs.one())
-        cols = {name: list(col) for name, col in cols.items()}
-        for name, j, pairs in subs:  # a seeded triple is nonzero at every point
-            cols[name][j] = ({i: values[k] for i, k in pairs} if three else
-                             {i: x for i, k in pairs if (x := element(values[k]))})
-        return Representation(alg, fs, dims, cols, dict(basis), tops, three)
-    return build
-
-
 def materialize(pres: GenericPresentation, values,
                 fs: FieldSpec = FieldSpec()) -> Representation:
     """Evaluate a generic presentation at concrete scalars, ``values[k]`` for x_k.
 
-    Each field's ``_template`` is made once and kept in ``pres.templates``.  The result
-    has the presentation's radical layering S for every choice of scalars, zero
-    included, so nothing is checked after the build.  A basis element (r, p) is p z_r,
-    so it lies in J^{len p} M.  Each arrow sends a length-l basis element to a skeleton
-    element of length l+1, to sigma-set members of length >= l+1, or to zero, so J^l M
-    lies in the span of the basis elements of length >= l.  Hence J^l M is that span,
-    and layer l of M is layer l of the skeleton, which is S.
+    The module is built in one pass (``_module``).  It has the presentation's radical
+    layering S for every choice of scalars, zero included, so nothing is checked after the
+    build.  A basis element (r, p) is p z_r, so it lies in J^{len p} M.  Each arrow sends a
+    length-l basis element to a skeleton element of length l+1, to sigma-set members of
+    length >= l+1, or to zero, so J^l M lies in the span of the basis elements of length
+    >= l.  Hence J^l M is that span, and layer l of M is layer l of the skeleton, which is S.
     """
     if len(values) < len(pres.scalar_ids):
         raise ValidationError(f"assignment missing scalar x_{len(values)}")
-    return _module(pres, [values], fs)
+    return _module(pres.skeleton, pres.relations, [values], fs)
 
 
-def _module(pres: GenericPresentation, points, fs: FieldSpec) -> Representation:
-    """``pres`` at one point, or at three seeded points as one module on value triples:
-    scalar k is (a0[k], a1[k], a2[k]), each unit (1, 1, 1), and its layering S."""
-    if fs not in pres.templates:
-        pres.templates[fs] = _template(pres.skeleton, pres.relations, fs)
-    return pres.templates[fs](points)
+def _module(sk: Skeleton, relations, points, fs: FieldSpec) -> Representation:
+    """The module on the basis ``sk.basis``, with marked tops z_r, at one point's scalars
+    (indexed by scalar number), or at three seeded points as one module on value triples:
+    scalar k is (a0[k], a1[k], a2[k]), each unit (1, 1, 1).
+
+    ``index`` numbers the basis per vertex.  Every column starts empty (zero).  Each member
+    alpha*p of the skeleton is the unit column of arrow alpha at its parent p.  Each
+    relation's critical path alpha*p takes the assigned combination of its sigma-set
+    members at (alpha, p).  No other extension has length <= L.
+    """
+    alg, element, basis, three = sk.alg, fs.element, sk.basis, len(points) == 3
+    values, one = (list(zip(*points)), (1, 1, 1)) if three else (points[0], fs.one())
+    # an element (r, p) is keyed by (r, p.arrows): r fixes the start of p
+    index = {(r, p.arrows): i for els in basis.values() for i, (r, p) in enumerate(els)}
+    cols = {a.name: [{}] * len(basis[a.source]) for a in alg.quiver.arrows}
+    for r, p in sk.elements:
+        if p.arrows:
+            cols[p.arrows[0]][index[r, p.arrows[1:]]] = {index[r, p.arrows]: one}
+    for rel in relations:  # a seeded triple is nonzero at every point
+        c, terms = rel.critical, [(index[s, q.arrows], k) for (s, q), k in rel.terms]
+        cols[c.arrow][index[c.r, c.parent[1].arrows]] = (
+            {i: values[k] for i, k in terms} if three else
+            {i: x for i, k in terms if (x := element(values[k]))})
+    tops = tuple((v, {index[r, ()]: one}) for r, v in enumerate(sk.top, start=1))
+    return Representation(alg, fs, tuple(len(basis[v]) for v in alg.vertices), cols,
+                          dict(basis), tops, three)
 
 
 def _radical_spaces(rep: Representation) -> list[dict[str, RowSpace]]:
@@ -654,19 +635,16 @@ def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence,
     # a point of G(S_M) per seed: for Hom(G, N) at k = 1, and as N in self-Ext
     pres = generic_presentation(alg, S_M) if k == 1 or rep_n is None else None
 
-    # a given N, broadcast once to three equal points to meet G(S_M) at three
-    three_ns = functools.cache(lambda: Representation(alg, fs, rep_n.dims, {
-        a: [{i: (x, x, x) for i, x in col.items()} for col in cols]
-        for a, cols in rep_n.columns.items()}, rep_n.basis_labels, None, True))
-
     def evaluate(points):
-        g = None if pres is None else _module(pres, points, fs)
+        g = None if pres is None else _module(pres.skeleton, pres.relations, points, fs)
         n = g if rep_n is None else rep_n  # every term but Hom(G, N) is taken at N's points
         rest = [-sum(m * n.dim_at(v) for v, m in tops)] * (3 if n._three else 1)  # Hom(P, N)
         for c, m in cyclic.items():
             rest = [r + m * d for r, d in zip(rest, _cyclic_dims(alg, c, n))]
-        if len(rest) < len(points):  # a given N, and G at three points
-            rest, n = rest * 3, three_ns()
+        if len(rest) < len(points):  # a given N, broadcast to three equal points to meet G
+            rest, n = rest * 3, Representation(alg, fs, rep_n.dims, {
+                a: [{i: (x, x, x) for i, x in col.items()} for col in cols]
+                for a, cols in rep_n.columns.items()}, rep_n.basis_labels, None, True)
         if k > 1:
             return [{"alternating": r} for r in rest]
         return [{"alternating": r + h, "restriction": r + q} for r, h, q in zip(
@@ -710,7 +688,7 @@ def projective_representation(alg: TruncatedAlgebra, tops: tuple[str, ...],
     for _ in range(alg.L):
         level = [(r, p.then(a)) for r, p in level for a in alg.quiver.arrows_from[alg.path_end(p)]]
         elements += level
-    return _template(Skeleton(alg, tops, elements), (), fs)([[]])
+    return _module(Skeleton(alg, tops, elements), (), [[]], fs)
 
 
 def quotient_representation(rep: Representation, sub_vectors) -> Representation:
@@ -893,6 +871,8 @@ def decomposability(alg: TruncatedAlgebra, S: SemisimpleSequence, graded: bool =
                   else "graded auxiliary graph connected, squarefree top")
         return DecompositionVerdict("indecomposable-certified", {"reason": reason}, "certified")
     # fall back to an End = K witness on a materialized point
+    if not seeds:
+        raise ValidationError(f"decomposability: no seeds given for sequence {S}")
     end_dims, end_dim = [], _end_dims(pres, fs, seeds)
     for seed in seeds:
         e = end_dim(seed)
@@ -916,6 +896,8 @@ def stable_over_seeds(compute, seeds, stage: str = "stable_over_seeds", subject:
     A disagreement names the ``stage``, its ``subject`` and every seed's value.
     """
     results = [(s, compute(s)) for s in seeds]
+    if not results:
+        raise ValidationError(f"{stage}: no seeds given for {subject or 'input'}")
     if len({v for _, v in results}) > 1:
         raise SeedStabilityError(f"{stage}: seeded values disagree for {subject or 'input'} "
                                  f"at seeds {list(seeds)}: {results}")
@@ -999,7 +981,7 @@ def _end_dims(pres: GenericPresentation, fs: FieldSpec, seeds):
     """seed -> dim End at the point the seed draws."""
     return _seeded_values(seeds, lambda seed: tuple(seeded_assignment(pres, seed, fs)),
                           lambda points: _presented_hom_dims(
-                              pres, _module(pres, points, fs), points))
+                              pres, _module(pres.skeleton, pres.relations, points, fs), points))
 
 
 def generic_end_dim(alg: TruncatedAlgebra, S: SemisimpleSequence, seeds=(0, 1, 2),
@@ -1018,7 +1000,8 @@ def generic_hom_dim(alg: TruncatedAlgebra, S_a: SemisimpleSequence,
         seeds, lambda seed: (tuple(seeded_assignment(pres_a, seed, fs)),
                              tuple(seeded_assignment(pres_b, seed + PAIR_SEED_OFFSET, fs))),
         lambda points: _presented_hom_dims(
-            pres_a, _module(pres_b, [b for _, b in points], fs), [a for a, _ in points]))
+            pres_a, _module(pres_b.skeleton, pres_b.relations, [b for _, b in points], fs),
+            [a for a, _ in points]))
     return stable_over_seeds(compute, seeds, "generic_hom_dim",
                              f"sequences {S_a} and {S_b}")
 

@@ -193,11 +193,12 @@ def test_ext_self_materializes_once_per_seed(double_back_file, deep_file, capsys
     import genrep.cli
     import genrep.matrix_rep
     calls = []
-    for name in ("materialize", "_module"):
+    # materialize takes its point at argument 1, _module its points at argument 2
+    for name, at in (("materialize", 1), ("_module", 2)):
         original = getattr(genrep.matrix_rep, name)
 
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls.append((_name, len(args[1])))
+        def counting(*args, _name=name, _at=at, _original=original, **kwargs):
+            calls.append((_name, len(args[_at])))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(genrep.matrix_rep, name, counting)
@@ -924,6 +925,58 @@ def test_disjoint_union_adds_its_parts(tmp_path, capsys):
         ({**c, "vertex": tag + c["vertex"]} for tag in parts for c in alone[tag]["syzygy"]),
         key=lambda c: (c["vertex"], c["truncation"]))
     assert union["projdim"] == r["projdim"] == d["projdim"] == {"projdim": "infinity"}
+
+
+RELAY_D14 = [[2, 1, 1], [0, 5, 1], [0, 0, 3], [0, 1, 0]]
+NINE_COMMANDS = {"realizable": ["realizable"], "count": ["skeleta", "--count-only"],
+                 "geometry": ["geometry"], "socle": ["socle"], "projdim": ["projdim"],
+                 "syzygy": ["syzygy", "--k", "1"], "hom": ["hom"], "ext": ["ext", "--k", "1"],
+                 "decompose": ["decompose"]}
+
+
+def relay_outputs(tmp_path, capsys, vertices, L, layers):
+    """The nine subcommands' parsed stdout on the relay quiver, vertices listed in the order
+    given and paths bounded by L, each after checking that it exits 0."""
+    path = tmp_path / f"relay-{''.join(vertices)}-{L}.json"
+    path.write_text(json.dumps({"vertices": vertices, "max_path_length": L, "arrows": [
+        {"name": a, "source": s, "target": t} for a, s, t in COMPONENT_ALGEBRAS["relay"][1]]}))
+    runs = {key: run(capsys, [*argv, "--algebra", str(path), "--layers", json.dumps(layers)])
+            for key, argv in NINE_COMMANDS.items()}
+    assert all(code == 0 for code, _ in runs.values())
+    return {key: json.loads(out) for key, (_, out) in runs.items()}
+
+
+def test_vertex_permutation_permutes_socle_and_geometry_factors(tmp_path, capsys):
+    # relay at d = 14, its vertices listed as 3, 1, 2 and the columns of S with them: the
+    # socle and each level's geometry factors come in the new vertex order, and every other
+    # value, the syzygy (sorted by vertex name) and the seeded ones included, is equal
+    order = [2, 0, 1]
+    original = relay_outputs(tmp_path, capsys, ["1", "2", "3"], 3, RELAY_D14)
+    permuted = relay_outputs(tmp_path, capsys, ["3", "1", "2"], 3,
+                             [[row[i] for i in order] for row in RELAY_D14])
+    socle = original["socle"].pop("socle")
+    assert permuted["socle"].pop("socle") == [socle[i] for i in order]
+    for level in original["geometry"]["tower"]:
+        level["factors"] = [level["factors"][i] for i in order]
+    assert permuted == original
+
+
+def test_zero_layer_appended_keeps_the_module_values(tmp_path, capsys):
+    # relay at d = 14 against L = 4 and S + [0]: the modules are the same, so the skeleton
+    # count, N, N0, N1, socle, projdim, hom and the decompose verdict are equal; the
+    # projectives gain a layer, so each syzygy summand reappears one longer, beside new
+    # simple summands, and ext changes (33 -> 49) and is not compared
+    original = relay_outputs(tmp_path, capsys, ["1", "2", "3"], 3, RELAY_D14)
+    padded = relay_outputs(tmp_path, capsys, ["1", "2", "3"], 4, RELAY_D14 + [[0, 0, 0]])
+    for key in ("realizable", "count", "socle", "projdim", "hom"):
+        assert padded[key] == original[key]
+    for key in ("N", "N0", "N1"):
+        assert padded["geometry"][key] == original["geometry"][key]
+    assert padded["decompose"]["verdict"] == original["decompose"]["verdict"] == "undecided"
+    longer = [{**c, "truncation": c["truncation"] + 1} for c in original["syzygy"]]
+    assert [c for c in padded["syzygy"] if c not in longer] == [
+        {"vertex": "3", "truncation": 1, "multiplicity": 1}]
+    assert all(c in padded["syzygy"] for c in longer)
 
 
 def test_sequences_with_top(double_back_file, capsys):

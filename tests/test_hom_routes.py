@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from genrep import matrix_rep
 from genrep.algebra_core import enumerate_paths, enumerate_sequences
-from genrep.errors import MethodDisagreementError
+from genrep.errors import MethodDisagreementError, ValidationError
 from genrep.generic_builder import generic_presentation
 from genrep.homology import CyclicType
 from genrep.matrix_rep import (
@@ -31,6 +31,7 @@ from genrep.matrix_rep import (
     _presented_hom_dims,
     _rank,
     _rank3,
+    decomposability,
     ext_dim,
     ext_dim_detail,
     generic_end_dim,
@@ -392,7 +393,8 @@ def test_the_module_of_three_points_matches_each_point(request, fixture, p, data
     assume(any(S.top))
     pres = generic_presentation(alg, S, graded=data.draw(st.booleans()))
     points = [tuple(data.draw(st.integers(1, p - 1)) for _ in pres.scalar_ids) for _ in range(3)]
-    three, ones = _module(pres, points, fs), [_module(pres, [a], fs) for a in points]
+    three, ones = (_module(pres.skeleton, pres.relations, points, fs),
+                   [_module(pres.skeleton, pres.relations, [a], fs) for a in points])
     assert three._three and not any(rep._three for rep in ones)
     assert _presented_hom_dims(pres, three, points) == [
         _presented_hom_dims(pres, rep, [a])[0] for a, rep in zip(points, ones)]
@@ -409,6 +411,19 @@ def test_the_module_of_three_points_matches_each_point(request, fixture, p, data
                         {i: t[k] % p for i, t in col.items() if t[k] % p} for col in cols]
 
 
+@pytest.mark.parametrize("stage, run", [
+    ("generic_end_dim", lambda alg, S: generic_end_dim(alg, S, seeds=())),
+    ("generic_hom_dim", lambda alg, S: generic_hom_dim(alg, S, S, seeds=())),
+    ("ext", lambda alg, S: ext_dim_detail(alg, S, None, 1, ())),
+    ("decomposability", lambda alg, S: decomposability(alg, S, seeds=())),
+], ids=["end", "hom", "ext", "decompose"])
+def test_no_seeds_is_refused_naming_the_stage(relay, stage, run):
+    # no seed draws no point: a value or a verdict read off none is refused, never empty
+    S = seq((2, 1, 1), (0, 5, 1), (0, 0, 3), (0, 1, 0))
+    with pytest.raises(ValidationError, match=f"^{stage}: no seeds given"):
+        run(relay, S)
+
+
 @pytest.mark.parametrize("seeds", [(5,), (0, 1), (0, 1, 2, 3)], ids=["one", "two", "four"])
 def test_any_seed_count_matches_each_seed_alone(relay, seeds, monkeypatch):
     # the distinct points are taken three at a time, then one at a time: any number of seeds
@@ -422,8 +437,8 @@ def test_any_seed_count_matches_each_seed_alone(relay, seeds, monkeypatch):
             lambda sds: ext_dim_detail(relay, S, rep_n, 1, sds)]
     built, module_of = [], matrix_rep._module
     monkeypatch.setattr(matrix_rep, "_module",
-                        lambda pres, points, fs: built.append(len(points)) or module_of(
-                            pres, points, fs))
+                        lambda sk, relations, points, fs: built.append(len(points)) or module_of(
+                            sk, relations, points, fs))
     ns, presented = [], matrix_rep._presented_hom_dims
     monkeypatch.setattr(matrix_rep, "_presented_hom_dims",
                         lambda pres, n, points: ns.append(n) or presented(pres, n, points))

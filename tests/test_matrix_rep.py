@@ -946,7 +946,8 @@ def test_hom_dim_keeps_only_the_unknowns_the_labels_allow(request, fixture, S, m
     alg = request.getfixturevalue(fixture)
     pres = generic_presentation(alg, S)
     points = [seeded_assignment(pres, sd) for sd in (0, 1, 2)]
-    reps = [materialize(pres, points[0]), matrix_rep._module(pres, points, FieldSpec())]
+    reps = [materialize(pres, points[0]),
+            matrix_rep._module(pres.skeleton, pres.relations, points, FieldSpec())]
     calls = []
     for kernel in ("_rank", "_rank3"):
         def spy(p, rows, _rank_of=getattr(matrix_rep, kernel), _kernel=kernel):
@@ -1041,7 +1042,7 @@ def drawn_assignment(data, pres, fs):
 @given(data=st.data())
 def test_template_modules_match_rebuilt_oracle(request, fixture, fs, data):
     # generic and graded presentations at seeded, small and zero scalars, two
-    # points per presentation so the second reuses the first one's template;
+    # points per presentation, each built afresh on the presentation's skeleton;
     # on the canonical skeleton and, where S has another, on a drawn one
     alg = request.getfixturevalue(fixture)
     dimvec = {"double_back": (2, 2)}.get(fixture, (2, 2, 1))
@@ -1057,11 +1058,20 @@ def test_template_modules_match_rebuilt_oracle(request, fixture, fs, data):
             assert snapshot(rep) == snapshot(oracle)
             assert all(arrow_matrix(rep, a) == arrow_matrix(oracle, a) for a in oracle.columns)
             assert list(rep.columns) == [a.name for a in alg.quiver.arrows]
-        assert list(pres.templates) == [fs]
     tops = data.draw(st.lists(st.sampled_from(alg.vertices), min_size=1, max_size=2))
     P = projective_representation(alg, tops, fs)
     sk = Skeleton(alg, tops, [el for labels in P.basis_labels.values() for el in labels])
     assert snapshot(P) == snapshot(skeleton_module_by_lookup(sk, (), {}, fs))
+
+
+def test_building_a_module_leaves_its_presentation_as_built(relay):
+    # materialize and the module of three points keep nothing on the presentation:
+    # attribute by attribute, it equals a fresh presentation of the same S
+    pres = generic_presentation(relay, S_DIM14)
+    points = [seeded_assignment(pres, sd) for sd in (0, 1, 2)]
+    materialize(pres, points[0])
+    matrix_rep._module(pres.skeleton, pres.relations, points, FieldSpec())
+    assert vars(pres) == vars(generic_presentation(relay, S_DIM14))
 
 
 def test_next_seed_leaves_earlier_module_unchanged(relay):
