@@ -336,10 +336,13 @@ class Representation:
         return sum(self.dims)
 
 
-def _same_algebra(a: TruncatedAlgebra, b: TruncatedAlgebra) -> bool:
-    return (a.vertices == b.vertices and a.L == b.L
-            and [(x.name, x.source, x.target) for x in a.quiver.arrows]
-            == [(x.name, x.source, x.target) for x in b.quiver.arrows])
+def _check_over(alg: TruncatedAlgebra, fs: FieldSpec, rep: Representation) -> None:
+    """Refuse ``rep`` unless it lives over ``alg`` (its vertices, L and arrows) and ``fs``."""
+    b = rep.algebra  # an Arrow equals one of the same name, source and target
+    if (b.vertices, b.L, b.quiver.arrows) != (alg.vertices, alg.L, alg.quiver.arrows):
+        raise ValidationError("representations live over different algebras")
+    if rep.field != fs:
+        raise ValidationError("representations live over different fields")
 
 
 def _check_random_field(fs: FieldSpec) -> None:
@@ -364,14 +367,16 @@ def seeded_assignment(pres: GenericPresentation, seed: int,
 
     Over F_p they are ``random.Random(seed).randrange(1, p)``, repeats redrawn, taken as
     it takes them on Python 3.10-3.13: 1 + ``getrandbits(k)``, k = (p - 1).bit_length(),
-    redrawn while >= p.  Over Q they are the first n primes, so exact runs need no modulus
-    and ignore the seed: over Q the three seeds are one point, evaluated once per caller.
+    redrawn while >= p; n > p - 1 scalars are refused before any draw.  Over Q they are the
+    first n primes, so exact runs need no modulus and ignore the seed: over Q the three
+    seeds are one point, evaluated once per caller.
     """
     n = len(pres.scalar_ids)
     if fs.exact:
         return list(map(Fraction, _first_primes(n)))
     _check_random_field(fs)
-    width = fs.modulus - 1
+    if n > (width := fs.modulus - 1):
+        raise ValidationError(f"{n} distinct nonzero scalars exceed the {width} of F_{fs.modulus}")
     bits, k, seen, values = random.Random(seed).getrandbits, width.bit_length(), set(), []
     for _ in range(n):
         while (r := bits(k)) >= width or r in seen:
@@ -477,10 +482,7 @@ def hom_dim(rep_a: Representation, rep_b: Representation) -> int:
 def _basis_hom_dims(rep_a: Representation, rep_b: Representation) -> list[int]:
     """``hom_dim`` at each point of A and B, both at one point or both at the same three
     (``_hom_out_of``); a term -A_a[i, j] z_i is A_a[i, j] times minus a unit column."""
-    if not _same_algebra(rep_a.algebra, rep_b.algebra):
-        raise ValidationError("representations live over different algebras")
-    if rep_a.field != rep_b.field:
-        raise ValidationError("representations live over different fields")
+    _check_over(rep_a.algebra, rep_a.field, rep_b)
     alg = rep_a.algebra
     minus = (-1, -1, -1) if rep_b._three else -rep_b.field.one()
     labelled = rep_a.basis_labels is not None and rep_b.basis_labels is not None
@@ -622,10 +624,13 @@ def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence,
     Hom(M, N), taken out of M's basis (``hom_dim``) and out of P/C
     (``_presented_hom_dims``) respectively.  Disagreement between methods or across seeds
     is an error, never averaged.  ``rep_n`` None is self-Ext: N is G(S_M)
-    itself, the point drawn at each seed from one presentation.
+    itself, the point drawn at each seed from one presentation; a given N must live over
+    ``alg`` and ``fs``.  ``seeds`` is any iterable, read once (``_seeded``).
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
+    if rep_n is not None:
+        _check_over(alg, fs, rep_n)
     prev, profile = last_two_syzygies(alg, S_M, k)  # UnrealizableError if S_M is unrealizable
     if k == 1:  # Hom(Omega^1, N) - Hom(P_0, N)
         cyclic, tops = profile, list(zip(alg.vertices, S_M.top))
@@ -650,19 +655,16 @@ def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence,
         return [{"alternating": r + h, "restriction": r + q} for r, h, q in zip(
             rest, _basis_hom_dims(g, n), _presented_hom_dims(pres, n, points))]
 
-    per_seed, terms = [], _seeded_values(seeds, lambda seed: None if pres is None else tuple(
+    where = "ext", f"sequence {S_M}"
+    pairs = _seeded(where, seeds, lambda seed: None if pres is None else tuple(
         seeded_assignment(pres, seed, fs)), evaluate)
-
-    def compute(seed):
-        record = {"seed": seed, **terms(seed)}
+    per_seed = [{"seed": seed, **terms} for seed, terms in pairs]
+    for record in per_seed:
         if k == 1 and record["restriction"] != record["alternating"]:
             raise MethodDisagreementError(
-                f"ext: the two Ext^1 methods disagree for sequence {S_M} at seed {seed} "
-                f"of seeds {list(seeds)}: {record}")
-        per_seed.append(record)
-        return record["alternating"]
-
-    value = stable_over_seeds(compute, seeds, "ext", f"sequence {S_M}")
+                f"ext: the two Ext^1 methods disagree for sequence {S_M} at seed "
+                f"{record['seed']} of seeds {[s for s, _ in pairs]}: {record}")
+    value = _agreed(where, [(r["seed"], r["alternating"]) for r in per_seed])
     return {"k": k, "value": value, "per_seed": per_seed, "field_modulus": fs.modulus}
 
 
@@ -871,38 +873,21 @@ def decomposability(alg: TruncatedAlgebra, S: SemisimpleSequence, graded: bool =
                   else "graded auxiliary graph connected, squarefree top")
         return DecompositionVerdict("indecomposable-certified", {"reason": reason}, "certified")
     # fall back to an End = K witness on a materialized point
-    if not seeds:
-        raise ValidationError(f"decomposability: no seeds given for sequence {S}")
-    end_dims, end_dim = [], _end_dims(pres, fs, seeds)
-    for seed in seeds:
-        e = end_dim(seed)
+    pairs = _end_dims(("decomposability", f"sequence {S}"), pres, fs, seeds)
+    for seed, e in pairs:
         if e == 1:
             return DecompositionVerdict(
                 "indecomposable-certified",
                 {"reason": "endomorphism ring K at a verified point",
                  "seed": seed, "end_dim": 1},
                 "certified")
-        end_dims.append({"seed": seed, "end_dim": e})
+    end_dims = [{"seed": s, "end_dim": e} for s, e in pairs]
     return DecompositionVerdict("undecided", {"end_dims": end_dims}, "seeded-generic")
 
 
 # ---------------------------------------------------------------------------
-# stability helpers and JSON
+# seeded values and JSON
 # ---------------------------------------------------------------------------
-
-def stable_over_seeds(compute, seeds, stage: str = "stable_over_seeds", subject: str = ""):
-    """Evaluate ``compute(seed)`` on every seed; all results must agree.
-
-    A disagreement names the ``stage``, its ``subject`` and every seed's value.
-    """
-    results = [(s, compute(s)) for s in seeds]
-    if not results:
-        raise ValidationError(f"{stage}: no seeds given for {subject or 'input'}")
-    if len({v for _, v in results}) > 1:
-        raise SeedStabilityError(f"{stage}: seeded values disagree for {subject or 'input'} "
-                                 f"at seeds {list(seeds)}: {results}")
-    return results[0][1]
-
 
 def generic_socle(alg: TruncatedAlgebra, S: SemisimpleSequence,
                   fs: FieldSpec = FieldSpec()) -> tuple[int, ...]:
@@ -965,29 +950,41 @@ def _socle_of_tail(alg: TruncatedAlgebra, tail) -> tuple[int, ...]:
     return tuple(d - c for d, c in zip(dims, cover))
 
 
-def _seeded_values(seeds, draw, evaluate):
-    """seed -> the value at its point ``draw(seed)``; ``evaluate`` takes the distinct points,
-    in seed order, three at a time and any remainder one at a time, to their values (over Q,
-    or without scalars, every seed draws one point)."""
+def _seeded(where: tuple[str, str], seeds, draw, evaluate) -> list[tuple]:
+    """(seed, value at the point ``draw(seed)``) in seed order, ``seeds`` any iterable, read
+    once.  ``evaluate`` takes the distinct points, in seed order, three at a time and any
+    remainder one at a time, to their values (over Q, or without scalars, every seed draws
+    one point).  No seeds are refused, naming ``where``: the stage and its subject."""
+    if not (seeds := tuple(seeds)):
+        raise ValidationError(f"{where[0]}: no seeds given for {where[1]}")
     point = {seed: draw(seed) for seed in seeds}
     distinct, value = list(dict.fromkeys(point.values())), {}
     cut = len(distinct) - len(distinct) % 3
     for group in [distinct[i:i + 3] for i in range(0, cut, 3)] + [[x] for x in distinct[cut:]]:
         value.update(zip(group, evaluate(group)))
-    return lambda seed: value[point[seed]]
+    return [(seed, value[point[seed]]) for seed in seeds]
 
 
-def _end_dims(pres: GenericPresentation, fs: FieldSpec, seeds):
-    """seed -> dim End at the point the seed draws."""
-    return _seeded_values(seeds, lambda seed: tuple(seeded_assignment(pres, seed, fs)),
-                          lambda points: _presented_hom_dims(
-                              pres, _module(pres.skeleton, pres.relations, points, fs), points))
+def _agreed(where: tuple[str, str], pairs: list[tuple]):
+    """The value every (seed, value) pair holds; a disagreement names the stage, its subject
+    and every seed's value."""
+    if len({v for _, v in pairs}) > 1:
+        raise SeedStabilityError(f"{where[0]}: seeded values disagree for {where[1]} "
+                                 f"at seeds {[s for s, _ in pairs]}: {pairs}")
+    return pairs[0][1]
+
+
+def _end_dims(where: tuple[str, str], pres: GenericPresentation, fs: FieldSpec, seeds):
+    """(seed, dim End at the point the seed draws), in seed order."""
+    return _seeded(where, seeds, lambda seed: tuple(seeded_assignment(pres, seed, fs)),
+                   lambda points: _presented_hom_dims(
+                       pres, _module(pres.skeleton, pres.relations, points, fs), points))
 
 
 def generic_end_dim(alg: TruncatedAlgebra, S: SemisimpleSequence, seeds=(0, 1, 2),
                     fs: FieldSpec = FieldSpec()) -> int:
-    return stable_over_seeds(_end_dims(generic_presentation(alg, S), fs, seeds), seeds,
-                             "generic_end_dim", f"sequence {S}")
+    where = "generic_end_dim", f"sequence {S}"
+    return _agreed(where, _end_dims(where, generic_presentation(alg, S), fs, seeds))
 
 
 def generic_hom_dim(alg: TruncatedAlgebra, S_a: SemisimpleSequence,
@@ -996,14 +993,13 @@ def generic_hom_dim(alg: TruncatedAlgebra, S_a: SemisimpleSequence,
     """hom between independently materialized generic modules of two sequences."""
     pres_a = generic_presentation(alg, S_a)
     pres_b = generic_presentation(alg, S_b)
-    compute = _seeded_values(
-        seeds, lambda seed: (tuple(seeded_assignment(pres_a, seed, fs)),
-                             tuple(seeded_assignment(pres_b, seed + PAIR_SEED_OFFSET, fs))),
+    where = "generic_hom_dim", f"sequences {S_a} and {S_b}"
+    return _agreed(where, _seeded(
+        where, seeds, lambda seed: (tuple(seeded_assignment(pres_a, seed, fs)),
+                                    tuple(seeded_assignment(pres_b, seed + PAIR_SEED_OFFSET, fs))),
         lambda points: _presented_hom_dims(
             pres_a, _module(pres_b.skeleton, pres_b.relations, [b for _, b in points], fs),
-            [a for a, _ in points]))
-    return stable_over_seeds(compute, seeds, "generic_hom_dim",
-                             f"sequences {S_a} and {S_b}")
+            [a for a, _ in points])))
 
 
 def module_point_from_json(data: dict, alg: TruncatedAlgebra,

@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genrep import matrix_rep
-from genrep.algebra_core import enumerate_paths, enumerate_sequences
+from genrep.algebra_core import (Arrow, Quiver, TruncatedAlgebra, enumerate_paths,
+                                 enumerate_sequences)
 from genrep.errors import MethodDisagreementError, ValidationError
 from genrep.generic_builder import generic_presentation
 from genrep.homology import CyclicType
@@ -422,6 +423,55 @@ def test_no_seeds_is_refused_naming_the_stage(relay, stage, run):
     S = seq((2, 1, 1), (0, 5, 1), (0, 0, 3), (0, 1, 0))
     with pytest.raises(ValidationError, match=f"^{stage}: no seeds given"):
         run(relay, S)
+
+
+@pytest.mark.parametrize("run", [
+    lambda alg, S, N, seeds: generic_end_dim(alg, S, seeds=seeds),
+    lambda alg, S, N, seeds: generic_hom_dim(alg, S, S, seeds=seeds),
+    lambda alg, S, N, seeds: ext_dim_detail(alg, S, None, 1, seeds),
+    lambda alg, S, N, seeds: ext_dim_detail(alg, S, N, 1, seeds),
+    lambda alg, S, N, seeds: decomposability(alg, S, seeds=seeds),
+], ids=["end", "hom", "ext", "ext-given", "decompose"])
+def test_seeds_may_be_read_only_once(relay, run):
+    # seeds are read once, so a one-shot iterator gives what the tuple of its seeds gives
+    S = seq((2, 1, 1), (0, 5, 1), (0, 0, 3), (0, 1, 0))
+    pres = generic_presentation(relay, S)
+    N = materialize(pres, seeded_assignment(pres, 7 + PAIR_SEED_OFFSET))
+    assert run(relay, S, N, iter((0, 1, 2))) == run(relay, S, N, (0, 1, 2))
+
+
+def test_end_k_witness_from_seeds_read_only_once(double_back):
+    # the End = K witness is found on the first seed an iterator gives
+    S = seq((0, 2), (3, 0), (0, 0))
+    for seeds in [(5, 6, 7), iter((5, 6, 7))]:
+        verdict = decomposability(double_back, S, seeds=seeds)
+        assert verdict.verdict == "indecomposable-certified"
+        assert verdict.witness == {"reason": "endomorphism ring K at a verified point",
+                                   "seed": 5, "end_dim": 1}
+
+
+def _renamed(alg, names):
+    """``alg`` with arrows renamed by ``names``, each keeping its ends."""
+    return TruncatedAlgebra(Quiver(alg.vertices, [
+        Arrow(names.get(a.name, a.name), a.source, a.target) for a in alg.quiver.arrows]), alg.L)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("over, refused", [
+    ("algebra", "representations live over different algebras"),
+    ("field", "representations live over different fields"),
+])
+def test_ext_refuses_a_given_n_over_another_algebra_or_field(relay, k, over, refused):
+    # N must live over the algebra and the field of the Ext it enters: an N whose arrows
+    # a1, a2 are named c1, c2, or an N over Q where the seeds draw over F_p, is refused
+    # (k = 2 reads no a1 or a2 of N, so a renamed N would give a value)
+    S = seq((2, 1, 1), (0, 5, 1), (0, 0, 3), (0, 1, 0))
+    alg, fs = ((_renamed(relay, {"a1": "c1", "a2": "c2"}), FieldSpec()) if over == "algebra"
+               else (relay, RATIONALS))
+    pres = generic_presentation(alg, S)
+    N = materialize(pres, seeded_assignment(pres, 7, fs), fs)
+    with pytest.raises(ValidationError, match=f"^{refused}$"):
+        ext_dim_detail(relay, S, N, k, (0, 1, 2))
 
 
 @pytest.mark.parametrize("seeds", [(5,), (0, 1), (0, 1, 2, 3)], ids=["one", "two", "four"])

@@ -4,6 +4,7 @@ import dataclasses
 import random
 from fractions import Fraction
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,6 +147,25 @@ def test_seeded_assignment_redraws_p_minus_one(relay):
     values = seeded_assignment(pres, 21195, fs)
     assert values == seeded_assignment_by_randrange(pres, 21195, fs)
     assert 0 < min(values) and max(values) < fs.modulus
+
+
+def test_more_scalars_than_nonzero_values_are_refused_before_any_draw(monkeypatch):
+    # p scalars cannot take distinct values among the p - 1 nonzero ones of F_p, so the
+    # redraw loop would never end: they are refused before the first draw, p - 1 are not
+    class Drawn(Exception):
+        pass
+
+    class NoDraws(random.Random):
+        def getrandbits(self, k):
+            raise Drawn
+
+    monkeypatch.setattr(matrix_rep.random, "Random", NoDraws)
+    p = 1000003
+    with pytest.raises(ValidationError, match=f"^{p} distinct nonzero scalars exceed the "
+                                              f"{p - 1} of F_{p}$"):
+        seeded_assignment(SimpleNamespace(scalar_ids=range(p)), 0, FieldSpec(p))
+    with pytest.raises(Drawn):
+        seeded_assignment(SimpleNamespace(scalar_ids=range(p - 1)), 0, FieldSpec(p))
 
 
 def test_first_primes_match_trial_division_oracle():
@@ -425,9 +445,14 @@ def test_ext_merged_profile_matches_two_profiles(request, fixture, k, data):
 
 
 def test_seed_stability_error_surfaces():
-    with pytest.raises(SeedStabilityError):
-        from genrep.matrix_rep import stable_over_seeds
-        stable_over_seeds(lambda s: s, (1, 2))
+    # the one agreement check returns the value every seed holds, or names the stage, its
+    # subject and each seed's value
+    where = ("generic_end_dim", f"sequence {S_DEEP}")
+    assert matrix_rep._agreed(where, [(1, 7), (2, 7)]) == 7
+    with pytest.raises(SeedStabilityError) as info:
+        matrix_rep._agreed(where, [(1, 7), (2, 8)])
+    assert str(info.value) == (f"generic_end_dim: seeded values disagree for sequence {S_DEEP} "
+                               "at seeds [1, 2]: [(1, 7), (2, 8)]")
 
 
 def _drifting(monkeypatch, name):
