@@ -18,9 +18,9 @@ exact.  Every rank is one sparse elimination walk (``_pivots``) on ``{column: va
 a row reduced only when taken as a pivot row, for one point (``_rank``) or three.  Actions
 are applied to sparse vectors by ``_apply``; ``mat_rank``, ``mat_mul``, the dense
 matrix-vector product and ``path_action``, the one dense view of a module, are left for
-tests.  ``RowSpace``, an incremental echelon basis of sparse rows, serves where reduced
-vectors matter: ``radical_layering``, quotients and the distinguished skeleta probes, which
-read J^l M off a graded basis's labels, where ``radical_layering`` eliminates.
+tests.  ``RowSpace``, an incremental echelon basis of sparse rows keyed by pivot, whose
+``reduce`` reads only the rows of the pivots a vector reaches, serves ``radical_layering``,
+quotients and the distinguished skeleta probes (which read J^l M off the basis labels).
 
 Every Hom into a module is the kernel of one relation matrix of a presentation of its source
 (``_hom_out_of``): a generic M = P/C, a cyclic Lambda e / J^m e, a simple (``socle``), or
@@ -34,6 +34,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import functools
+import heapq
 import itertools
 import math
 import random
@@ -252,16 +253,15 @@ def mat_rank(fs: FieldSpec, rows) -> int:
 class RowSpace:
     """Incrementally maintained row-echelon basis of a subspace, in sparse rows.
 
-    ``rows`` are ``{col: value}`` dicts, sorted by pivot, each with a leading 1
-    at its pivot, its leftmost nonzero column; reducing a vector against them
-    in order clears every pivot column.  Over F_p input entries are reduced
-    mod p; ``p`` is None over Q, as in ``_rank``.
+    ``rows`` maps each pivot to its ``{col: value}`` row, with a leading 1 at the pivot, its
+    leftmost nonzero column.  ``reduce`` clears the pivots a vector reaches, smallest first:
+    a row's other entries lie right of its pivot, so no cleared column is touched again.
+    Over F_p input entries are reduced mod p; ``p`` is None over Q, as in ``_rank``.
     """
 
     def __init__(self, fs: FieldSpec):
         self.p = fs.modulus
-        self.rows: list[dict] = []
-        self.pivots: list[int] = []
+        self.rows: dict[int, dict] = {}
 
     @property
     def dim(self) -> int:
@@ -269,15 +269,18 @@ class RowSpace:
 
     def reduce(self, vec: dict) -> dict:
         """The unique vector of ``vec`` + span that is zero on every pivot column."""
-        p, v = self.p, _reduced(self.p, vec)
-        for row, piv in zip(self.rows, self.pivots):
-            c = v.get(piv)
-            if c:
-                for col, x in row.items():
+        p, v, rows = self.p, _reduced(self.p, vec), self.rows
+        heap = sorted(c for c in v if c in rows)  # a sorted list is a heap
+        while heap:
+            piv = heapq.heappop(heap)
+            if c := v.get(piv):
+                for col, x in rows[piv].items():
                     y = v.get(col, 0) - c * x
                     if p is not None:
                         y %= p
                     if y:
+                        if col not in v and col in rows:  # a pivot the update reaches
+                            heapq.heappush(heap, col)
                         v[col] = y
                     else:
                         del v[col]
@@ -290,10 +293,7 @@ class RowSpace:
             return None
         piv, p = min(v), self.p
         inv = 1 / Fraction(v[piv]) if p is None else pow(v[piv], -1, p)
-        v = _reduced(p, {c: x * inv for c, x in v.items()})
-        at = bisect.bisect(self.pivots, piv)
-        self.rows.insert(at, v)
-        self.pivots.insert(at, piv)
+        self.rows[piv] = v = _reduced(p, {c: x * inv for c, x in v.items()})
         return v
 
 
@@ -433,18 +433,16 @@ def _module(sk: Skeleton, relations, points, fs: FieldSpec) -> Representation:
 def _radical_spaces(rep: Representation) -> list[dict[str, RowSpace]]:
     """Bases of J^l M per vertex, l = 0..L+1; the last must be zero."""
     alg, fs = rep.algebra, rep.field
-    full = {v: RowSpace(fs) for v in alg.vertices}
-    for v, rs in full.items():
+    spaces = [{v: RowSpace(fs) for v in alg.vertices}]
+    for v, rs in spaces[0].items():
         # J^0 M = M: the identity rows are already an echelon basis
-        rs.pivots = list(range(rep.dim_at(v)))
-        rs.rows = [{i: fs.one()} for i in rs.pivots]
-    spaces = [full]
+        rs.rows = {i: {i: fs.one()} for i in range(rep.dim_at(v))}
     for _ in range(alg.L + 1):
         prev = spaces[-1]
         nxt = {v: RowSpace(fs) for v in alg.vertices}
         for a in alg.quiver.arrows:
             cols = rep.columns[a.name]
-            for row in prev[a.source].rows:
+            for row in prev[a.source].rows.values():
                 nxt[a.target].add(_apply(fs.modulus, cols, row))
         spaces.append(nxt)
     return spaces
@@ -719,7 +717,7 @@ def quotient_representation(rep: Representation, sub_vectors) -> Representation:
             pending.append((a.target, _apply(p, rep.columns[a.name], added)))
 
     keep = {v: {i: k for k, i in enumerate(sorted(set(range(rep.dim_at(v)))
-                                                  - set(spaces[v].pivots)))}
+                                                  - spaces[v].rows.keys()))}
             for v in alg.vertices}
 
     def project(v: str, vec: dict) -> dict:

@@ -1007,7 +1007,7 @@ def check_tops_full(rep, spaces):
         raise ValidationError("marked top elements do not form a full sequence")
     for v in alg.vertices:
         probe = copy.copy(radical[v])
-        probe.rows, probe.pivots = list(radical[v].rows), list(radical[v].pivots)
+        probe.rows = dict(radical[v].rows)
         for w, vec in rep.top_elements:
             if w == v and probe.add(vec) is None:
                 raise ValidationError("marked top elements are dependent modulo JM")

@@ -517,7 +517,8 @@ def test_any_seed_count_matches_each_seed_alone(relay, seeds, monkeypatch):
 @given(data=st.data())
 def test_sparse_row_space_matches_dense_oracle(fs, data):
     # same pivots, basis rows and reduced vectors read densely; add is None on
-    # the same rows, and add on a space sharing the rows leaves the original as it was
+    # the same rows, and add on a space sharing the rows leaves the original as it was;
+    # the rows added in a second order give the same pivots and reduced vectors
     width, rows = data.draw(unreduced_rows(fs))
     sparse, dense = RowSpace(fs), DenseRowSpace(fs, width)
 
@@ -526,16 +527,44 @@ def test_sparse_row_space_matches_dense_oracle(fs, data):
 
     for r in rows:
         vec = {i: x for i, x in enumerate(r) if x}
-        before = ([dict(row) for row in sparse.rows], list(sparse.pivots))
+        before = {piv: dict(row) for piv, row in sparse.rows.items()}
         probe = RowSpace(fs)
-        probe.rows, probe.pivots = list(sparse.rows), list(sparse.pivots)
+        probe.rows = dict(sparse.rows)
         assert (probe.add(vec) is None) == (dense.copy().add(r) is None)
-        assert ([dict(row) for row in sparse.rows], sparse.pivots) == before
+        assert {piv: dict(row) for piv, row in sparse.rows.items()} == before
         assert read(sparse.reduce(vec)) == dense.reduce(r)
         got, want = sparse.add(vec), dense.add(r)
         assert (got is None) == (want is None)
         assert got is None or read(got) == want
-        assert sparse.dim == dense.dim and sparse.pivots == dense.pivots
-        assert [read(row) for row in sparse.rows] == dense.rows
+        assert sparse.dim == dense.dim and sorted(sparse.rows) == dense.pivots
+        assert [read(sparse.rows[piv]) for piv in sorted(sparse.rows)] == dense.rows
+    reordered = RowSpace(fs)
+    for r in data.draw(st.permutations(rows)):
+        reordered.add({i: x for i, x in enumerate(r) if x})
+    assert sorted(reordered.rows) == sorted(sparse.rows)
     for r in rows + [[1] * width, [fs.modulus or 2] * width]:
-        assert read(sparse.reduce({i: x for i, x in enumerate(r) if x})) == dense.reduce(r)
+        vec = {i: x for i, x in enumerate(r) if x}
+        assert read(sparse.reduce(vec)) == dense.reduce(r)
+        assert reordered.reduce(vec) == sparse.reduce(vec)
+
+
+@pytest.mark.parametrize("fs", [RATIONALS, FieldSpec()], ids=["Q", "F61"])
+def test_reduce_reads_only_the_rows_of_the_pivots_it_reaches(fs, monkeypatch):
+    # 10,000 rows pivoting at the even columns; the vector holds pivots 0 and 5,000,
+    # and row 0 adds an entry at pivot 2, so k = 3 rows of two entries are read:
+    # each entry of v is looked up once per pivot popped and per row entry, not per row
+    space = RowSpace(fs)
+    for i in range(10_000):
+        space.add({0: 1, 2: 1} if i == 0 else {2 * i: 1, 2 * i + 1: 1})
+    gets = []
+
+    class CountingGets(dict):
+        def get(self, *args):
+            gets.append(args[0])
+            return super().get(*args)
+
+    reduced = matrix_rep._reduced
+    monkeypatch.setattr(matrix_rep, "_reduced", lambda p, acc: CountingGets(reduced(p, acc)))
+    got = space.reduce({0: 1, 7: 1, 5000: 1})
+    assert got == {3: fs.one(), 7: fs.one(), 5001: fs.element(-1)}
+    assert len(gets) <= sum(1 + len(space.rows[piv]) for piv in (0, 2, 5000)) == 9

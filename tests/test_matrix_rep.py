@@ -722,7 +722,7 @@ def assert_labels_grade_the_radical(rep):
             assert lengths == sorted(lengths) and len(lengths) == rep.dim_at(v)
             graded = [i for i, n in enumerate(lengths) if n >= l]
             assert space.dim == len(graded)
-            assert all(i >= graded[0] for row in space.rows for i in row)
+            assert all(i >= graded[0] for row in space.rows.values() for i in row)
 
 
 @pytest.mark.parametrize("fixture, dimvec", [("double_back", (2, 2)), ("relay", (2, 2, 1)),
@@ -1330,7 +1330,7 @@ def test_distinguished_block_test_is_memoised(relay, monkeypatch):
     probes = []
     original = RowSpace.__init__
     monkeypatch.setattr(RowSpace, "__init__",
-                        lambda self, fs: probes.append(1) or original(self, fs))
+                        lambda self, *args: probes.append(1) or original(self, *args))
     sks = distinguished_skeleta_of(rep)
     assert sks == enumerate_skeleta(relay, S_DIM14)
     assert 0 < len(probes) <= 50
