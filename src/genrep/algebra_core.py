@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, product
+from itertools import chain
 from operator import add, lt, sub
 
 from .errors import EnumerationCapError, UnrealizableError, ValidationError
@@ -300,11 +300,22 @@ def enumerate_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector,
                         top: DimensionVector | None = None,
                         cap: int | None = None,
                         max_top_dim: int | None = None) -> list[SemisimpleSequence]:
-    """All realizable sequences with layerwise sum ``dimvec`` (and given top, and top
-    sum at most ``max_top_dim``; other tops are skipped before any descent).
+    """Realizable sequences of layerwise sum ``dimvec`` (top ``top``, top sum <= ``max_top_dim``).
 
     Output is in lexicographic order on the flattened layer matrix.  Raises
     ``EnumerationCapError`` as soon as sequence ``cap`` + 1 is found (``cap`` >= 0).
+
+    Every layer, the top included, is drawn by one rule.  Below a layer X with R left,
+    call y in the box [0, min(A(X), R)] live if R - y can be placed below y.  The live
+    y form an up-set of the box: if y is live and y + e_v is in the box, y + e_v is
+    live.  As y_v < R_v, a completion of y has a node at v in some deeper level; so
+    move it, with its subtree, up to level y.  It takes a free (parent, arrow) slot
+    into v in X, which exists as y_v + 1 <= A(X)_v; every other node keeps its parent
+    and arrow, and no level gets deeper.  The tops are the case with no X, in the box
+    [0, d], where the moved node becomes a root.  So with the later coordinates at their
+    caps, the live values of a coordinate run from the least one, which a bisection
+    finds, up to the cap, and the work before ``cap`` stops the walk is a few probes
+    per coordinate of each layer kept, however large the box.
 
     The walk keeps a layer only if what remains can still be placed below it, so every
     prefix it expands yields a sequence.  Below a layer X, k levels can place R iff the
@@ -327,44 +338,45 @@ def enumerate_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector,
     if not any(dimvec):
         raise ValidationError("dimension vector must be nonzero")
 
-    def vectors_upto(caps):
-        return product(*(range(c + 1) for c in caps))
-
-    if top is None:
-        tops = (t for t in vectors_upto(dimvec) if any(t))
-    else:
+    if top is not None:
         top = tuple(int(x) for x in top)
         if len(top) != alg.n or min(top) < 0:
             raise ValidationError("top must have one nonnegative entry per vertex")
-        tops = [top] if any(top) and all(t <= d for t, d in zip(top, dimvec)) else []
+        if any(map(lt, dimvec, top)):
+            return []
 
-    def reach(layer, remaining, left):
-        """Whether ``left`` levels below ``layer`` can place ``remaining``."""
+    @cache  # per call: whether ``left`` levels below ``layer`` place the rest of ``remaining``
+    def live(layer, remaining, left):
+        remaining = tuple(map(sub, remaining, layer))
         while left and any(remaining) and any(layer):
             layer = tuple(map(min, alg.extension_counts(layer), remaining))
             remaining, left = tuple(map(sub, remaining, layer)), left - 1
         return not any(remaining)
 
-    live = cache(reach)  # per call; deeper probes recur, but each top is probed once
-
     def options(prefix):
         # an entry is (layer, what remains), kept if live; the last layer takes exactly
         # what remains, which the last live layer above it reaches
-        if not prefix:
-            layers = (t for t in tops if max_top_dim is None or sum(t) <= max_top_dim)
-            remaining, probe = dimvec, reach
-        elif len(prefix) == alg.L:
-            yield prefix[-1][1], None
-            return
-        else:
+        if len(prefix) == alg.L:
+            return [(prefix[-1][1], None)]
+        if prefix:
             layer, remaining = prefix[-1]
-            layers = vectors_upto(map(min, alg.extension_counts(layer), remaining))
-            probe = live
+            lo, caps = (0,) * alg.n, tuple(map(min, alg.extension_counts(layer), remaining))
+        else:
+            remaining, lo, caps = dimvec, top or (0,) * alg.n, top or dimvec
+        room = sum(caps) if prefix or max_top_dim is None else max_top_dim
         left = alg.L - len(prefix)
-        for nxt in layers:
-            rest = tuple(map(sub, remaining, nxt))
-            if probe(nxt, rest, left):
-                yield nxt, rest
+
+        def coordinate(head):
+            # with later coordinates at their caps, the live x run from the least up to caps[j]
+            # (live under any head, chosen so): bisect for the least, stop at the room left
+            j, tail = len(head), caps[len(head) + 1:]
+            x, end = lo[j], caps[j] + (not head)
+            while x < end:
+                mid = (x + end) // 2
+                x, end = (x, mid) if live((*head, mid, *tail), remaining, left) else (mid + 1, end)
+            return range(x, min(caps[j], room - sum(head)) + 1)
+        return ((layer, tuple(map(sub, remaining, layer)))
+                for layer in _depth_first(coordinate, alg.n))
 
     results: list[SemisimpleSequence] = []
     for chosen in _depth_first(options, alg.L + 1):

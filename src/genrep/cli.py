@@ -305,7 +305,7 @@ def cmd_realizable(args, alg, S):
 
 
 def cmd_sequences(args, alg, S):
-    top = _dimvec(args.top) if args.top else None
+    top = _dimvec(args.top) if args.top is not None else None
     seqs = enumerate_sequences(alg, _dimvec(args.dimvec), top=top, cap=args.cap)
     return _emit({"count": len(seqs), "sequences": [sequence_to_json(s) for s in seqs]})
 
@@ -397,7 +397,7 @@ def cmd_decompose(args, alg, S):
 
 
 def cmd_components(args, alg, S):
-    top = _dimvec(args.top) if args.top else None
+    top = _dimvec(args.top) if args.top is not None else None
     fs, dimvec, seeds = _field(args), _dimvec(args.dimvec), _seeds(args)
     if args.format == "dot":  # the Hasse diagram needs no verdict and no generic socle
         sequences = sifted_sequences(alg, dimvec, top, args.max_top_dim, args.cap)

@@ -259,8 +259,8 @@ def test_max_top_dim_skips_tops_before_the_cap(request, fixture, data):
 
 
 def test_enumerate_sequences_keeps_no_scanned_top(double_back):
-    # each top is probed once, so only the deeper probes are cached: the 5,001 tops of
-    # (5000, 1) scanned for 6 sequences cost no memory (2.6 MB when every probe was kept)
+    # each coordinate is bisected, so the 6 sequences of (5000, 1) cost a few dozen
+    # probes and no memory (2.6 MB when every probe of the 5,001 tops scanned was kept)
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -276,24 +276,40 @@ def test_enumerate_sequences_keeps_no_scanned_top(double_back):
 
 
 def test_enumerate_sequences_draws_few_vectors(double_back, monkeypatch):
-    # the last layer takes what remains, a given top is the only top, and a layer is
-    # drawn only below a live one, so the cap trips, and the empty answer comes, after
-    # few drawn layer vectors (1,053 and 2 before dead prefixes were cut)
-    import genrep.algebra_core
-    drawn = []
-
-    def counting(*ranges):
-        for t in product(*ranges):
-            drawn.append(t)
-            yield t
-
-    monkeypatch.setattr(genrep.algebra_core, "product", counting)
+    # the last layer takes what remains, a given top is the only top, and each coordinate
+    # of a layer is bisected below a live one, so the cap trips, and the empty answer
+    # comes, after few probes (184 and 2 extension counts when each vector of a layer's
+    # box was drawn and probed)
+    from genrep.algebra_core import TruncatedAlgebra
+    probed, real = [], TruncatedAlgebra.extension_counts
+    monkeypatch.setattr(TruncatedAlgebra, "extension_counts",
+                        lambda self, layer: probed.append(layer) or real(self, layer))
     with pytest.raises(EnumerationCapError):
         enumerate_sequences(double_back, (60, 60), cap=1)
-    assert len(drawn) == 154
-    drawn.clear()
+    assert len(probed) == 30
+    probed.clear()
     assert enumerate_sequences(double_back, (200, 200), top=(1, 0)) == []
-    assert len(drawn) == 0
+    assert len(probed) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_live_layers_form_an_up_set(data):
+    # if a layer of a sequence can grow at v within its box (d at the top, the extensions
+    # of the layer above capped by what remains below it), some sequence starts with the
+    # grown layer: the fact each coordinate's bisection rests on
+    alg = data.draw(drawn_algebras())
+    dimvec = data.draw(st.tuples(*[st.integers(0, 3)] * alg.n).filter(any))
+    found = [S.layers for S in enumerate_sequences(alg, dimvec)]
+    starts = {S[:k] for S in found for k in range(1, alg.L + 2)}
+    for S in found:
+        remaining = box = dimvec
+        for l, layer in enumerate(S):
+            for v in range(alg.n):
+                if layer[v] < box[v]:
+                    assert S[:l] + (layer[:v] + (layer[v] + 1,) + layer[v + 1:],) in starts
+            remaining = tuple(r - x for r, x in zip(remaining, layer))
+            box = tuple(map(min, alg.extension_counts(layer), remaining))
 
 
 def walk_outcome(walk, *args, **kwargs):
@@ -330,18 +346,24 @@ def test_pruned_walk_matches_the_unpruned_walk(data):
 def test_every_expanded_prefix_yields_a_sequence(request, monkeypatch, fixture, dimvec,
                                                  expanded):
     # the walk asks for the options of exactly the proper prefixes of its sequences,
-    # each once; the unpruned walk expanded 3,545 and 1,035 prefixes on the first two
+    # each once; the unpruned walk expanded 3,545 and 1,035 prefixes on the first two.
+    # The first walk is the one over layers; the walks over a layer's coordinates come
+    # after it, and their prefixes are not recorded
     from genrep import algebra_core
     alg, asked, walk = request.getfixturevalue(fixture), [], algebra_core._depth_first
+    walks = []
 
     def recording(options, depth):
+        walks.append(depth)
+        if len(walks) > 1:
+            return walk(options, depth)
         return walk(lambda prefix: asked.append(tuple(x for x, _ in prefix)) or options(prefix),
                     depth)
 
     monkeypatch.setattr(algebra_core, "_depth_first", recording)
     layers = [S.layers for S in enumerate_sequences(alg, dimvec)]
     assert sorted(asked) == sorted({S[:k] for S in layers for k in range(alg.L + 1)})
-    assert expanded in (None, len(asked))
+    assert expanded in (None, len(asked)) and walks[0] == alg.L + 1
 
 
 def test_enumerate_sequences_oracle_double_back(double_back):

@@ -995,6 +995,15 @@ def test_malformed_top_exits_2(double_back_file, capsys, command, top):
     code = main([command, "--algebra", double_back_file, "--dimvec", "2,1", "--top=" + top])
     assert code == 2 and "top must have" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("command", ["sequences", "components"])
+def test_empty_top_exits_2(double_back_file, capsys, command):
+    # an empty top is malformed, as an empty --dimvec is, not "no top" (all 9 sequences)
+    code = main([command, "--algebra", double_back_file, "--dimvec", "2,2", "--top", ""])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: malformed dimension vector ''\n"
+
 def test_bad_modulus_exits_2(double_back_file, deep_file):
     assert main(["socle", "--algebra", double_back_file, "--seq", deep_file,
                  "--modulus", "15"]) == 2
@@ -1033,15 +1042,63 @@ def test_negative_max_top_dim_exits_2_before_any_work(capsys, fmt):
     assert capsys.readouterr().err == "error: --max-top-dim must be >= 0, got -1\n"
 
 
-@pytest.mark.parametrize("command", ["sequences", "components"])
 @pytest.mark.parametrize("cap", [[], ["--cap", "10"]], ids=["no-cap", "cap"])
-def test_huge_dimvec_entry_exits_3(double_back_file, capsys, command, cap):
-    # the scan over tops is refused by the interpreter (a range too long to index),
-    # which is an input too large to hold, not a traceback
-    code = main([command, "--algebra", double_back_file, "--dimvec", f"{10**20},1"] + cap)
+def test_huge_dimvec_entry_answers(double_back_file, capsys, cap):
+    # each coordinate is bisected, so an entry of 10**20 costs a few dozen probes: the
+    # six layerings of (N, 1), as at N = 3
+    N = 10**20
+    code, out = run(capsys, ["sequences", "--algebra", double_back_file,
+                             "--dimvec", f"{N},1"] + cap)
+    assert code == 0
+    assert [S["layers"] for S in json.loads(out)["sequences"]] == [
+        [[N - 2, 0], [0, 1], [2, 0]], [[N - 2, 1], [2, 0], [0, 0]],
+        [[N - 1, 0], [0, 1], [1, 0]], [[N - 1, 1], [1, 0], [0, 0]],
+        [[N, 0], [0, 1], [0, 0]], [[N, 1], [0, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize("cap", [[], ["--cap", "10"]], ids=["no-cap", "cap"])
+def test_huge_dimvec_entry_components(double_back_file, capsys, cap):
+    # the same six layerings, sifted: their 30 ordered pairs are within the default cap,
+    # and a cap of 10 stops at the pairs, not at the sequences or an overflow
+    code = main(["components", "--algebra", double_back_file, "--dimvec", f"{10**20},1"] + cap)
+    out, err = capsys.readouterr()
+    if cap:
+        assert code == 3 and out == "" and err == "error: 30 ordered pairs exceed cap of 10\n"
+    else:
+        assert code == 0 and len(json.loads(out)["sequences"]) == 6
+
+
+def test_huge_dimvec_cap_exits_3(double_back_file, capsys):
+    # (N, N) has more than 10 layerings: the cap stops the walk at once
+    code = main(["sequences", "--algebra", double_back_file, "--dimvec", f"{10**20},{10**20}",
+                 "--cap", "10"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "error: realizable sequences exceed cap of 10\n"
+
+
+@pytest.mark.parametrize("command", ["skeleta", "critical"])
+def test_huge_layer_entry_exits_3(double_back_file, capsys, command):
+    # listing 10**20 top elements is refused by the interpreter (a list too long to
+    # hold), which is an input too large to hold, not a traceback
+    code = main([command, "--algebra", double_back_file,
+                 "--layers", f"[[{10**20},0],[0,0],[0,0]]"])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert err == "error: input too large to hold (OverflowError)\n"
+
+
+def test_sequences_cap_bounds_the_probes(double_back_file, capsys, monkeypatch):
+    # the walk stops at the cap, not after a scan of all 200,002 tops of (100000, 1)
+    # (400,006 extension counts when the tops were scanned)
+    from genrep.algebra_core import TruncatedAlgebra
+    calls, real = [], TruncatedAlgebra.extension_counts
+    monkeypatch.setattr(TruncatedAlgebra, "extension_counts",
+                        lambda self, layer: calls.append(layer) or real(self, layer))
+    code, out = run(capsys, ["sequences", "--algebra", double_back_file,
+                             "--dimvec", "100000,1", "--cap", "10"])
+    assert code == 0 and json.loads(out)["count"] == 6
+    assert len(calls) <= 100
 
 
 def test_bad_dimvec_exits_2(double_back_file):
