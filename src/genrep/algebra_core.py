@@ -15,21 +15,20 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
 from operator import add, lt, sub
+from typing import NamedTuple
 
 from .errors import EnumerationCapError, UnrealizableError, ValidationError
 
 DimensionVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A path in the quiver, tagged by its start vertex.
 
     ``arrows`` is in display order (leftmost = last applied).  The trivial

@@ -39,6 +39,7 @@ from .generic_builder import (
 )
 from .homology import iterated_syzygy, profile_to_json, projdim_to_json, projective_dimension
 from .matrix_rep import (
+    DEFAULT_FIELD,
     PAIR_SEED_OFFSET,
     RATIONALS,
     FieldSpec,
@@ -92,7 +93,7 @@ def _sequence2(args, alg):
     return sequence_from_json(_load_json(args.seq2), alg) if args.seq2 else None
 
 
-def _field(args, default: FieldSpec = FieldSpec()) -> FieldSpec:
+def _field(args, default: FieldSpec = DEFAULT_FIELD) -> FieldSpec:
     """``--exact`` or ``--modulus P`` (which must be prime), else ``default``."""
     if args.exact:
         if args.modulus is not None:

@@ -33,7 +33,7 @@ from .algebra_core import (
     enumerate_sequences,
 )
 from .errors import EnumerationCapError, ValidationError
-from .matrix_rep import FieldSpec, _check_random_field, _socle_of_tail
+from .matrix_rep import DEFAULT_FIELD, FieldSpec, _check_random_field, _socle_of_tail
 
 
 def annihilating_arrows(alg: TruncatedAlgebra, S: SemisimpleSequence) -> frozenset[str]:
@@ -93,7 +93,7 @@ class _SiftFacts:
     refuses ``fs`` (too small a field) only where it compares socles.
     """
 
-    def __init__(self, alg, sequences, fs: FieldSpec = FieldSpec()):
+    def __init__(self, alg, sequences, fs: FieldSpec = DEFAULT_FIELD):
         if len({(len(S.layers), S.total_dim) for S in sequences}) > 1:
             raise ValidationError("sequences have different layer counts or total dimension")
         self.le = self.ge = [(1 << len(sequences)) - 1] * len(sequences)
@@ -129,7 +129,7 @@ class _SiftFacts:
 
 def closure_containment_test(alg: TruncatedAlgebra, S_inner: SemisimpleSequence,
                              S_outer: SemisimpleSequence,
-                             fs: FieldSpec = FieldSpec()) -> PruningVerdict:
+                             fs: FieldSpec = DEFAULT_FIELD) -> PruningVerdict:
     """First implemented necessary condition that rules out containment, or ``possible``:
     the per-pair reference for the rows of ``component_report``."""
     if S_inner.dim_vector != S_outer.dim_vector:
@@ -139,8 +139,7 @@ def closure_containment_test(alg: TruncatedAlgebra, S_inner: SemisimpleSequence,
     return PruningVerdict(S_inner, S_outer, *code)
 
 
-@dataclass(frozen=True)
-class SequencePoset:
+class SequencePoset(NamedTuple):
     sequences: tuple[SemisimpleSequence, ...]
     hasse_edges: tuple[tuple[int, int], ...]   # (lower, upper) index pairs, covers only
     minimal: tuple[int, ...]
@@ -206,7 +205,7 @@ def sifted_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector, top=None,
 def component_report(alg: TruncatedAlgebra, dimvec: DimensionVector,
                      top: DimensionVector | None = None,
                      max_top_dim: int | None = None,
-                     seeds=(0, 1, 2), fs: FieldSpec = FieldSpec(),
+                     seeds=(0, 1, 2), fs: FieldSpec = DEFAULT_FIELD,
                      cap: int | None = None) -> ComponentReport:
     """Sift the realizable sequences of a dimension vector for component candidates.
 

@@ -11,7 +11,7 @@ In graded mode the sum runs over the equal-length part of the sigma-set only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra_core import SemisimpleSequence, TruncatedAlgebra
 from .skeleta import (
@@ -25,8 +25,7 @@ from .skeleta import (
 )
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """One relation per critical path; ``terms`` pairs each kept sigma-set member
     with the number k of its scalar x_k."""
 
@@ -38,8 +37,7 @@ class Relation:
         return self.sigma_set.critical
 
 
-@dataclass(frozen=True)
-class GenericPresentation:
+class GenericPresentation(NamedTuple):
     algebra: TruncatedAlgebra
     sequence: SemisimpleSequence
     skeleton: Skeleton
@@ -79,8 +77,7 @@ def _presentation(alg, S, skeleton, sigma_sets, graded: bool) -> GenericPresenta
     return GenericPresentation(alg, S, skeleton, graded, tuple(relations))
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(NamedTuple):
     """Skeleton plus, per critical path, the sigma-set members with nonzero coefficient."""
 
     skeleton: Skeleton
@@ -120,8 +117,7 @@ def hypergraph(pres: GenericPresentation) -> Hypergraph:
                                            for rel in pres.relations))
 
 
-@dataclass(frozen=True)
-class GrassmannFactor:
+class GrassmannFactor(NamedTuple):
     vertex: str
     subspace_dim: int   # v - u: codimension left after carving out the layer
     ambient_dim: int    # v: available extensions into the vertex
@@ -131,8 +127,7 @@ class GrassmannFactor:
         return self.subspace_dim * (self.ambient_dim - self.subspace_dim)
 
 
-@dataclass(frozen=True)
-class BundleReport:
+class BundleReport(NamedTuple):
     """Dimension data of Grass(S) as a tower over the graded base."""
 
     sequence: SemisimpleSequence

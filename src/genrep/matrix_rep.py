@@ -19,8 +19,9 @@ a row reduced only when taken as a pivot row, for one point (``_rank``) or three
 are applied to sparse vectors by ``_apply``; ``mat_rank``, ``mat_mul``, the dense
 matrix-vector product and ``path_action``, the one dense view of a module, are left for
 tests.  ``RowSpace``, an incremental echelon basis of sparse rows keyed by pivot, whose
-``reduce`` reads only the rows of the pivots a vector reaches, serves ``radical_layering``,
-quotients and the distinguished skeleta probes (which read J^l M off the basis labels).
+``reduce`` reads only the rows of the pivots a vector reaches, serves ``radical_layering``
+and quotients; a distinguished skeleta probe (which reads J^l M off the basis labels) is
+one ``_rank``.
 
 Every Hom into a module is the kernel of one relation matrix of a presentation of its source
 (``_hom_out_of``): a generic M = P/C, a cyclic Lambda e / J^m e, a simple (``socle``), or
@@ -40,6 +41,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra_core import (
     Path,
@@ -62,6 +64,11 @@ PAIR_SEED_OFFSET = 0x9E3779B9
 
 # exact below 3.317e24 (Sorenson and Webster, Math. Comp. 86, 2017); a strong-PRP test above
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_k, the least strong pseudoprime to the first k bases (OEIS A014233; Jaeschke, Math.
+# Comp. 61, 1993): below psi_k the first k bases decide, so n takes bisect_right + 1 of them
+_MR_BOUNDS = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+              3825123056546413051, 318665857834031151167461)
 
 
 def _is_prime(n: int) -> bool:
@@ -74,7 +81,7 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:bisect.bisect_right(_MR_BOUNDS, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -114,6 +121,7 @@ class FieldSpec:
 
 
 RATIONALS = FieldSpec(None)
+DEFAULT_FIELD = FieldSpec()  # F_p, p = 2^61 - 1: every default, checked prime once
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +370,7 @@ def _first_primes(n: int) -> list[int]:
 
 
 def seeded_assignment(pres: GenericPresentation, seed: int,
-                      fs: FieldSpec = FieldSpec()) -> list:
+                      fs: FieldSpec = DEFAULT_FIELD) -> list:
     """Distinct nonzero values drawn from a seeded PRNG, a list indexed by scalar number.
 
     Over F_p they are ``random.Random(seed).randrange(1, p)``, repeats redrawn, taken as
@@ -387,7 +395,7 @@ def seeded_assignment(pres: GenericPresentation, seed: int,
 
 
 def materialize(pres: GenericPresentation, values,
-                fs: FieldSpec = FieldSpec()) -> Representation:
+                fs: FieldSpec = DEFAULT_FIELD) -> Representation:
     """Evaluate a generic presentation at concrete scalars, ``values[k]`` for x_k.
 
     The module is built in one pass (``_module``).  It has the presentation's radical
@@ -613,7 +621,7 @@ def _presented_hom_dims(pres: GenericPresentation, rep_n: Representation, points
 
 def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence,
                    rep_n: Representation | None, k: int, seeds,
-                   fs: FieldSpec = FieldSpec()) -> dict:
+                   fs: FieldSpec = DEFAULT_FIELD) -> dict:
     """Per-seed Ext^k(G(S_M), N) with both methods at k = 1.
 
     Method 1 is the alternating formula on the minimal resolution read off
@@ -667,7 +675,7 @@ def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence,
 
 
 def ext_dim(alg: TruncatedAlgebra, S_M: SemisimpleSequence, rep_n: Representation,
-            k: int, seeds, fs: FieldSpec = FieldSpec()) -> int:
+            k: int, seeds, fs: FieldSpec = DEFAULT_FIELD) -> int:
     return ext_dim_detail(alg, S_M, rep_n, k, seeds, fs)["value"]
 
 
@@ -775,7 +783,7 @@ def distinguished_skeleta_of(rep: Representation, cap: int = DEFAULT_CAP) -> lis
     ``Representation``).  A compatible abstract skeleton qualifies when, in each
     (layer l, end vertex v) block, the vectors p*m_r are independent modulo
     J^{l+1}M_v; as p*m_r lies in J^l M_v, that is the independence of their
-    length-l coordinates, tested in a fresh ``RowSpace``.  The test is memoised
+    length-l coordinates, tested by one ``_rank``.  The test is memoised
     per block and is ``iter_skeleta``'s predicate, so a failing block cuts its
     subtree.  The marked tops must number dim M/JM and pass the layer-0 test at
     each vertex (grouped by vertex to align with z_1..z_t).  Raises iff the
@@ -804,9 +812,9 @@ def distinguished_skeleta_of(rep: Representation, cap: int = DEFAULT_CAP) -> lis
 
     @functools.cache
     def independent(l, v, chosen):
-        probe, end = RowSpace(fs), start[v][l + 1]
-        return all(probe.add({i: x for i, x in image(r, p).items() if i < end}) is not None
-                   for r, p in chosen)
+        end = start[v][l + 1]
+        return _rank(fs.modulus, [{i: x for i, x in image(r, p).items() if i < end}
+                                  for r, p in chosen]) == len(chosen)
 
     for v in alg.vertices:
         if not independent(0, v, tuple((r, Path(v)) for r, (w, _) in enumerate(tops, 1)
@@ -820,8 +828,7 @@ def distinguished_skeleta_of(rep: Representation, cap: int = DEFAULT_CAP) -> lis
 # decomposability
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecompositionVerdict:
+class DecompositionVerdict(NamedTuple):
     verdict: str              # indecomposable-certified | decomposable-certified | undecided
     witness: dict
     confidence: str           # certified | seeded-generic
@@ -847,7 +854,7 @@ def graded_decomposition(alg: TruncatedAlgebra, S: SemisimpleSequence,
 
 
 def decomposability(alg: TruncatedAlgebra, S: SemisimpleSequence, graded: bool = False,
-                    seeds=(0, 1, 2), fs: FieldSpec = FieldSpec()) -> DecompositionVerdict:
+                    seeds=(0, 1, 2), fs: FieldSpec = DEFAULT_FIELD) -> DecompositionVerdict:
     """Certify (in)decomposability of the generic module with layering S.
 
     Decomposable: the generic hypergraph splits the top elements (graded
@@ -888,7 +895,7 @@ def decomposability(alg: TruncatedAlgebra, S: SemisimpleSequence, graded: bool =
 # ---------------------------------------------------------------------------
 
 def generic_socle(alg: TruncatedAlgebra, S: SemisimpleSequence,
-                  fs: FieldSpec = FieldSpec()) -> tuple[int, ...]:
+                  fs: FieldSpec = DEFAULT_FIELD) -> tuple[int, ...]:
     """Socle dimension vector of the generic module, counted off S: per vertex v,
 
         soc_v = dim M_v - min over k = 0..L of (sum_{l<k} S_l[v] + sum_{a: v->t} sum_{m>k} S_m[t]),
@@ -980,14 +987,14 @@ def _end_dims(where: tuple[str, str], pres: GenericPresentation, fs: FieldSpec, 
 
 
 def generic_end_dim(alg: TruncatedAlgebra, S: SemisimpleSequence, seeds=(0, 1, 2),
-                    fs: FieldSpec = FieldSpec()) -> int:
+                    fs: FieldSpec = DEFAULT_FIELD) -> int:
     where = "generic_end_dim", f"sequence {S}"
     return _agreed(where, _end_dims(where, generic_presentation(alg, S), fs, seeds))
 
 
 def generic_hom_dim(alg: TruncatedAlgebra, S_a: SemisimpleSequence,
                     S_b: SemisimpleSequence, seeds=(0, 1, 2),
-                    fs: FieldSpec = FieldSpec()) -> int:
+                    fs: FieldSpec = DEFAULT_FIELD) -> int:
     """hom between independently materialized generic modules of two sequences."""
     pres_a = generic_presentation(alg, S_a)
     pres_b = generic_presentation(alg, S_b)

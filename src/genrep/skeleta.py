@@ -11,10 +11,10 @@ every cap is decided first by the closed form ``count_skeleta``.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb, prod
+from typing import NamedTuple
 
 from .algebra_core import (
     Path,
@@ -106,8 +106,7 @@ class Skeleton:
         return {r: tuple(v) for r, v in out.items()}
 
 
-@dataclass(frozen=True)
-class CriticalPath:
+class CriticalPath(NamedTuple):
     """An arrow extension alpha*p of a skeleton member that left the skeleton."""
 
     arrow: str
@@ -125,8 +124,7 @@ class CriticalPath:
         return self.parent[1].length + 1
 
 
-@dataclass(frozen=True)
-class SigmaSet:
+class SigmaSet(NamedTuple):
     """A critical path with its sigma-set, split by length.
 
     ``zero_part`` holds the members of the same length as the critical path,
@@ -237,6 +235,7 @@ def critical_paths(alg: TruncatedAlgebra, sk: Skeleton) -> list[SigmaSet]:
     basis, arrows_from = sk.basis, alg.quiver.arrows_from
     # skeleton order is by length first, so the members of one length form a slice
     lengths = {v: [len(mem[1].arrows) for mem in group] for v, group in basis.items()}
+    # an extension is looked up as (r, arrow tuple): cheaper than building its Path
     members = {(r, p.arrows) for r, p in sk.elements}
     out = []
     for el in sk.elements:
@@ -288,16 +287,14 @@ def skeleton_to_json(sk: Skeleton) -> dict:
 
 
 def skeleta_to_json(skeleta) -> list[dict]:
-    """``skeleton_to_json`` of each skeleton.  Across them each top, and each element
-    (keyed by its JSON, (r, arrows), so no path is hashed), is one shared object, which
-    an encoder that memoises by identity encodes once."""
+    """``skeleton_to_json`` of each skeleton.  Across them each top, and each element, is
+    one shared object, which an encoder that memoises by identity encodes once."""
     shared, out = {}, []
     for sk in skeleta:
         if sk.top not in shared:
             shared[sk.top] = [{"r": i + 1, "vertex": v} for i, v in enumerate(sk.top)]
         elements = []
         for el in sk.elements:
-            key = (el[0], el[1].arrows)
-            elements.append(shared.get(key) or shared.setdefault(key, element_to_json(el)))
+            elements.append(shared.get(el) or shared.setdefault(el, element_to_json(el)))
         out.append({"top": shared[sk.top], "elements": elements})
     return out

@@ -3,7 +3,6 @@ of M on one relation matrix (the generic P/C and M's own basis, the intertwiner
 equations), the two fields, the sparse elimination and the dense row-space
 oracle against exact rank, and the sparse row space against that oracle."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -133,7 +132,7 @@ def test_ext_cross_check_catches_a_wrong_presentation(double_back, monkeypatch):
 
     def without_relation_0(pres, rep_n, points):
         assert pres.sequence == S and pres.relations and len(points) == 3
-        return presented(dataclasses.replace(pres, relations=pres.relations[1:]), rep_n, points)
+        return presented(pres._replace(relations=pres.relations[1:]), rep_n, points)
 
     monkeypatch.setattr(matrix_rep, "_presented_hom_dims", without_relation_0)
     with pytest.raises(MethodDisagreementError):

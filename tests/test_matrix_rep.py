@@ -1,9 +1,10 @@
 """Materialized representations: layering, socle, Hom, Ext, decomposability."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from types import SimpleNamespace
 
 import pytest
@@ -104,6 +105,85 @@ def test_strong_pseudoprime_to_bases_up_to_37_is_refused():
         FieldSpec(n)
     for prime in (2**61 - 1, 2**31 - 1, 1000003):
         assert FieldSpec(prime).modulus == prime
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases (OEIS A014233), k = 1..13,
+# each with its factors
+PSI = {2047: (23, 89), 1373653: (829, 1657), 25326001: (2251, 11251),
+       3215031751: (151, 751, 28351), 2152302898747: (6763, 10627, 29947),
+       3474749660383: (1303, 16927, 157543), 341550071728321: (10670053, 32010157),
+       3825123056546413051: (149491, 747451, 34233211),
+       318665857834031151167461: (399165290221, 798330580441),
+       3317044064679887385961981: (1287836182261, 2575672364521)}
+PSI_K = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+         341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+         3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n, a):
+    """n odd > a passes the strong test to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+def is_prime_by_13_bases(n):
+    """Trial division by the 13 bases, then the strong test to all 13."""
+    if n < 2:
+        return False
+    if any(n % a == 0 for a in MR_BASES):
+        return n in MR_BASES
+    return all(strong_probable_prime(n, a) for a in MR_BASES)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_each_least_strong_pseudoprime_is_refused(k):
+    # psi_k is composite and passes the first k bases, so the test must take more than k
+    # of them at psi_k: a bound written one place off lets it pass as prime
+    n = PSI_K[k - 1]
+    assert math.prod(PSI[n]) == n and all(strong_probable_prime(n, a) for a in MR_BASES[:k])
+    with pytest.raises(ValidationError, match=f"^{n} is not prime$"):
+        FieldSpec(n)
+
+
+def test_primality_takes_the_bases_its_size_needs(monkeypatch):
+    # the bases a prime takes, counted as the pow calls modulo it: k + 1 from psi_k on,
+    # as few as 1 below psi_1, and all 13 from psi_12 on (so 3.317e24, psi_13, stays the
+    # exact bound); the first prime from each bound on and the last one below it
+    def primes_near(b):
+        up = next(n for n in count(b) if is_prime_by_13_bases(n))
+        down = next(n for n in count(b - 1, -1) if is_prime_by_13_bases(n))
+        return up, down
+
+    calls = []
+    monkeypatch.setattr(matrix_rep, "pow", lambda *args: calls.append(args[2]) or pow(*args),
+                        raising=False)
+    for b in sorted(set(PSI_K)):
+        for n in primes_near(b):
+            calls.clear()
+            assert matrix_rep._is_prime(n)
+            assert len(calls) == min(13, 1 + sum(n > psi for psi in PSI_K)) and set(calls) == {n}
+    for n in (2**89 - 1, 2**127 - 1):
+        calls.clear()
+        assert matrix_rep._is_prime(n) and len(calls) == 13
+
+
+# odd draws, Chernick's Carmichael numbers (6k+1)(12k+1)(18k+1), and the least strong
+# pseudoprimes with their neighbours, all up to 10^25
+prime_candidates = st.one_of(
+    st.integers(0, 10**25),
+    st.integers(0, 5 * 10**24).map(lambda n: 2 * n + 1),
+    st.integers(1, 10**7).map(lambda k: (6 * k + 1) * (12 * k + 1) * (18 * k + 1)),
+    st.sampled_from(PSI_K[:12]).flatmap(lambda n: st.integers(n - 10**4, n + 10**4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=prime_candidates)
+def test_primality_agrees_with_all_13_bases(n):
+    assert matrix_rep._is_prime(n) == is_prime_by_13_bases(n)
 
 
 def test_seeded_assignment_needs_large_modulus(double_back):
@@ -1090,13 +1170,14 @@ def test_template_modules_match_rebuilt_oracle(request, fixture, fs, data):
 
 
 def test_building_a_module_leaves_its_presentation_as_built(relay):
-    # materialize and the module of three points keep nothing on the presentation:
-    # attribute by attribute, it equals a fresh presentation of the same S
+    # materialize and the module of three points keep nothing on the presentation: it
+    # has no attribute dict to keep it in, and it equals a fresh presentation of the same S
     pres = generic_presentation(relay, S_DIM14)
     points = [seeded_assignment(pres, sd) for sd in (0, 1, 2)]
     materialize(pres, points[0])
     matrix_rep._module(pres.skeleton, pres.relations, points, FieldSpec())
-    assert vars(pres) == vars(generic_presentation(relay, S_DIM14))
+    assert not hasattr(pres, "__dict__")
+    assert pres == generic_presentation(relay, S_DIM14)
 
 
 def test_next_seed_leaves_earlier_module_unchanged(relay):
@@ -1322,15 +1403,14 @@ GENERIC_POINT_14 = (
 
 
 def test_distinguished_block_test_is_memoised(relay, monkeypatch):
-    # 360 skeleta, all distinguished: one probe per distinct (layer, vertex,
+    # 360 skeleta, all distinguished: one probe, a rank, per distinct (layer, vertex,
     # block) and per vertex of the tops check, not one per skeleton and layer
-    from genrep.matrix_rep import RowSpace
     rep = module_point(relay, *GENERIC_POINT_14)
     assert radical_layering(rep) == S_DIM14
     probes = []
-    original = RowSpace.__init__
-    monkeypatch.setattr(RowSpace, "__init__",
-                        lambda self, *args: probes.append(1) or original(self, *args))
+    original = matrix_rep._rank
+    monkeypatch.setattr(matrix_rep, "_rank",
+                        lambda *args: probes.append(1) or original(*args))
     sks = distinguished_skeleta_of(rep)
     assert sks == enumerate_skeleta(relay, S_DIM14)
     assert 0 < len(probes) <= 50
