@@ -3,8 +3,9 @@
 Every randomized artifact embeds the seed, the field modulus, and a confidence label;
 output is byte-identical for identical inputs and seed.  Exit codes: 0 success, 2
 validation error, 3 enumeration cap exceeded (or a RecursionError, which no walk raises,
-or an input too large to hold).  ``main`` builds each subcommand's parser once per process,
-on its first use, and nothing at import; ``build_parser`` builds a new parser on every call.
+or an input too large to hold).  ``main`` builds one parser, with every subcommand, on its
+first call and keeps it; nothing is built at import.  ``build_parser`` builds a new parser
+on every call.
 """
 
 from __future__ import annotations
@@ -238,37 +239,45 @@ def _stamp(data: dict, args, fs: FieldSpec, confidence: str) -> dict:
 # DOT and text rendering
 # ---------------------------------------------------------------------------
 
+def _quoted(text: str) -> str:
+    """``text`` as a quoted DOT string, each backslash and double quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _el_id(el) -> str:
+    """The quoted DOT id of a skeleton member: ``z{r}``, then ``_`` and each arrow name
+    with its ``%`` and ``_`` written ``%25`` and ``%5F``, so that no two members share one."""
     r, p = el
-    return f"z{r}" + ("_" + "_".join(p.arrows) if p.arrows else "")
+    return _quoted("_".join([f"z{r}", *(a.replace("%", "%25").replace("_", "%5F")
+                                        for a in p.arrows)]))
 
 
 def skeleton_dot(alg, sk, critical=()) -> str:
     """DOT of a skeleton, its ``critical`` (sigma-set, members) pairs dashed, hyperedges dotted."""
     lines = ["digraph skeleton {", '  rankdir=TB;']
     for el in sk.elements:
-        lines.append(f'  "{_el_id(el)}" [label="{sk.end(el)}"];')
+        lines.append(f'  {_el_id(el)} [label={_quoted(sk.end(el))}];')
     for el in sk.elements:
         r, p = el
         if p.length == 0:
             continue
         parent = (r, p.initial_subpath(p.length - 1))
-        lines.append(f'  "{_el_id(parent)}" -> "{_el_id(el)}" '
-                     f'[label="{p.arrows[0]}", style=solid];')
+        lines.append(f'  {_el_id(parent)} -> {_el_id(el)} '
+                     f'[label={_quoted(p.arrows[0])}, style=solid];')
     for i, (sset, members) in enumerate(critical):
         crit = sset.critical
         cid = f"crit{i}"
         end = alg.path_end(crit.path(alg))
-        lines.append(f'  "{cid}" [label="{end}"];')
-        lines.append(f'  "{_el_id(crit.parent)}" -> "{cid}" '
-                     f'[label="{crit.arrow}", style=dashed];')
+        lines.append(f'  "{cid}" [label={_quoted(end)}];')
+        lines.append(f'  {_el_id(crit.parent)} -> "{cid}" '
+                     f'[label={_quoted(crit.arrow)}, style=dashed];')
         if not members:
             continue
         hid = f"hyper{i}"
         lines.append(f'  "{hid}" [shape=point];')
         lines.append(f'  "{hid}" -> "{cid}" [style=dotted, dir=none];')
         for mem in members:
-            lines.append(f'  "{hid}" -> "{_el_id(mem)}" [style=dotted, dir=none];')
+            lines.append(f'  "{hid}" -> {_el_id(mem)} [style=dotted, dir=none];')
     lines.append("}")
     return "\n".join(lines)
 
@@ -277,7 +286,7 @@ def hasse_dot(poset) -> str:
     lines = ["digraph dominance {", "  rankdir=BT;"]
     for i, S in enumerate(poset.sequences):
         label = "|".join("".join(str(x) for x in row) for row in S.layers)
-        lines.append(f'  "s{i}" [label="{label}"];')
+        lines.append(f'  "s{i}" [label={_quoted(label)}];')
     for lo, hi in poset.hasse_edges:
         lines.append(f'  "s{lo}" -> "s{hi}";')
     lines.append("}")
@@ -420,34 +429,16 @@ def cmd_point_skeleta(args, alg, S):
 
 # ---------------------------------------------------------------------------
 
-_COMMANDS = ("realizable", "sequences", "skeleta", "critical", "generic", "hypergraph",
-             "geometry", "syzygy", "projdim", "socle", "hom", "ext", "decompose", "components",
-             "point-skeleta")
-_PARSERS = {}  # what main parses with: a subcommand's own parser, or the full one at None
-
-
 def build_parser() -> argparse.ArgumentParser:
     """A new ``genrep`` parser, with every subcommand."""
-    return _parser(None)
-
-
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    """The full parser if ``command`` is None, else that subcommand's parser alone, with
-    the flags, help and messages of the full parser's subparser."""
-    if command is None:
-        parser = argparse.ArgumentParser(
-            prog="genrep",
-            description="Generic-module invariants of truncated path algebras.")
-        parser.add_argument("--version", action="version", version=f"genrep {__version__}")
-        sub = parser.add_subparsers(dest="command", required=True)
-    else:
-        parser = argparse.ArgumentParser(prog=f"genrep {command}")
+    parser = argparse.ArgumentParser(
+        prog="genrep", description="Generic-module invariants of truncated path algebras.")
+    parser.add_argument("--version", action="version", version=f"genrep {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help, seq=True, seeded=False, field=False, formats=(), cap=False):
-        """A subcommand with --algebra and the shared flags it honours; None if not built."""
-        if command not in (None, name):
-            return None
-        p = parser if command else sub.add_parser(name, help=help)
+        """A subcommand with --algebra and the shared flags it honours."""
+        p = sub.add_parser(name, help=help)
         # looked up by name at each run, so that a wrapper set on the module later runs
         p.set_defaults(func=func.__name__)
         p.add_argument("--algebra", required=True, help="algebra JSON file")
@@ -468,70 +459,71 @@ def _parser(command: str | None) -> argparse.ArgumentParser:
 
     add("realizable", cmd_realizable, "test realizability of a sequence")
 
-    if p := add("sequences", cmd_sequences, "enumerate realizable sequences", seq=False,
-                cap=True):
-        p.add_argument("--dimvec", required=True, help="comma-separated dimension vector")
-        p.add_argument("--top", help="restrict to this top (comma-separated)")
+    p = add("sequences", cmd_sequences, "enumerate realizable sequences", seq=False, cap=True)
+    p.add_argument("--dimvec", required=True, help="comma-separated dimension vector")
+    p.add_argument("--top", help="restrict to this top (comma-separated)")
 
-    if p := add("skeleta", cmd_skeleta, "enumerate compatible skeleta",
-                formats=("dot", "text"), cap=True):
-        p.add_argument("--count-only", action="store_true")
-        p.add_argument("--index", type=int, default=0, help="skeleton index for DOT output")
+    p = add("skeleta", cmd_skeleta, "enumerate compatible skeleta", formats=("dot", "text"),
+            cap=True)
+    p.add_argument("--count-only", action="store_true")
+    p.add_argument("--index", type=int, default=0, help="skeleton index for DOT output")
 
     add("critical", cmd_critical, "critical paths and sigma-sets", formats=("dot",))
-    if p := add("generic", cmd_generic, "generic projective presentation", formats=("dot",)):
-        p.add_argument("--graded", action="store_true")
-    if p := add("hypergraph", cmd_generic, "hypergraph of the generic module", formats=("dot",)):
-        p.add_argument("--graded", action="store_true")
-        p.add_argument("--dot", dest="format", action="store_const", const="dot")
+    p = add("generic", cmd_generic, "generic projective presentation", formats=("dot",))
+    p.add_argument("--graded", action="store_true")
+    p = add("hypergraph", cmd_generic, "hypergraph of the generic module", formats=("dot",))
+    p.add_argument("--graded", action="store_true")
+    p.add_argument("--dot", dest="format", action="store_const", const="dot")
 
     add("geometry", cmd_geometry, "bundle-tower dimensions N, N0, N1")
-    if p := add("syzygy", cmd_syzygy, "iterated syzygy profile"):
-        p.add_argument("--k", type=int, default=1)
+    p = add("syzygy", cmd_syzygy, "iterated syzygy profile")
+    p.add_argument("--k", type=int, default=1)
     add("projdim", cmd_projdim, "generic projective dimension")
 
     add("socle", cmd_socle, "generic socle (seeded)", seeded=True)
-    if p := add("hom", cmd_hom, "generic Hom / End dimension (seeded)", seeded=True):
-        p.add_argument("--seq2", help="second sequence file (independent generic copy)")
-    if p := add("ext", cmd_ext, "generic Ext dimension (seeded, two methods at k=1)",
-                seeded=True):
-        p.add_argument("--seq2", help="second sequence file (independent generic copy)")
-        p.add_argument("--k", type=int, default=1)
-    if p := add("decompose", cmd_decompose, "(in)decomposability verdict", seeded=True):
-        p.add_argument("--graded", action="store_true")
+    p = add("hom", cmd_hom, "generic Hom / End dimension (seeded)", seeded=True)
+    p.add_argument("--seq2", help="second sequence file (independent generic copy)")
+    p = add("ext", cmd_ext, "generic Ext dimension (seeded, two methods at k=1)", seeded=True)
+    p.add_argument("--seq2", help="second sequence file (independent generic copy)")
+    p.add_argument("--k", type=int, default=1)
+    p = add("decompose", cmd_decompose, "(in)decomposability verdict", seeded=True)
+    p.add_argument("--graded", action="store_true")
 
-    if p := add("components", cmd_components, "irreducible-component sifting report",
-                seq=False, seeded=True, formats=("dot",), cap=True):
-        p.add_argument("--dimvec", required=True)
-        p.add_argument("--top", help="restrict to this top (comma-separated)")
-        p.add_argument("--max-top-dim", type=int, default=None)
+    p = add("components", cmd_components, "irreducible-component sifting report", seq=False,
+            seeded=True, formats=("dot",), cap=True)
+    p.add_argument("--dimvec", required=True)
+    p.add_argument("--top", help="restrict to this top (comma-separated)")
+    p.add_argument("--max-top-dim", type=int, default=None)
 
-    if p := add("point-skeleta", cmd_point_skeleta, "distinguished skeleta of a module point",
-                seq=False, field=True, cap=True):
-        p.add_argument("--module", required=True, help="module point JSON file")
+    p = add("point-skeleta", cmd_point_skeleta, "distinguished skeleta of a module point",
+            seq=False, field=True, cap=True)
+    p.add_argument("--module", required=True, help="module point JSON file")
     return parser
+
+
+_TREE = None  # the parser main parses with, built on its first call: a parse leaves no state
 
 
 def main(argv=None) -> int:
     """Run one subcommand on the algebra and then the sequence (for a subcommand with
-    ``--seq``/``--layers``), each loaded here once.  Its own parser, or the full parser for
-    any other first argument, is built on first use and kept: a parse leaves no state in
-    it.  A subcommand's parser parses once, as the full parser's subparser action does, and
-    a new full parser reports what is left over, as its ``parse_args`` does."""
+    ``--seq``/``--layers``), each loaded here once.  The arguments after a subcommand's
+    name are parsed once, by that subcommand's node of the kept parser, as the parser's
+    subparser action does, and the whole parser reports what is left over, as its
+    ``parse_args`` does; any other argv goes to the whole parser."""
+    global _TREE
     argv = sys.argv[1:] if argv is None else argv
-    name = argv[0] if argv and argv[0] in _COMMANDS else None
-    if name not in _PARSERS:
-        _PARSERS[name] = _parser(name)
-    parser = _PARSERS[name]
-    if name is None:
-        args = parser.parse_args(argv)
+    if _TREE is None:
+        _TREE = build_parser()
+    # the subcommand nodes by name, as the parser's one positional, its subparsers, holds them
+    node = _TREE._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
+    if node is None:
+        args = _TREE.parse_args(argv)
     else:
-        args, rest = parser.parse_known_args(argv[1:])
+        args, rest = node.parse_known_args(argv[1:])
         if rest:
-            full = build_parser()
-            full.parse_args(argv)  # exits with the full parser's message
-            full.error("unrecognized arguments: " + " ".join(rest))
-        args.command = name
+            _TREE.parse_args(argv)  # exits with the whole parser's message
+            _TREE.error("unrecognized arguments: " + " ".join(rest))
+        args.command = argv[0]
     try:
         if getattr(args, "cap", 0) < 0:
             raise ValidationError(f"--cap must be >= 0, got {args.cap}")

@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import islice
@@ -860,6 +861,46 @@ def test_dot_output_is_pinned(double_back_file, tmp_path, capsys, fixture, comma
     assert out == DOT[fixture, "generic" if command == "hypergraph" else command]
 
 
+DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')  # a quoted DOT string, its escapes kept
+
+
+def test_dot_ids_do_not_collide(tmp_path, capsys):
+    # arrows a: 1 -> 2, b: 2 -> 3 and b_a: 1 -> 3: the members b_a z1 and b a z1 are two
+    # nodes, and each edge ends on its own member
+    alg_path = tmp_path / "collide.json"
+    alg_path.write_text(json.dumps({"vertices": ["1", "2", "3"], "max_path_length": 2,
+                                    "arrows": [{"name": n, "source": s, "target": t} for n, s, t
+                                               in (("a", "1", "2"), ("b", "2", "3"),
+                                                   ("b_a", "1", "3"))]}))
+    argv = ["--algebra", str(alg_path), "--layers", "[[1,0,0],[0,1,1],[0,0,1]]"]
+    code, out = run(capsys, ["skeleta", *argv])
+    members = json.loads(out)["skeleta"][0]["elements"]
+    code, out = run(capsys, ["skeleta", "--format", "dot", *argv])
+    assert code == 0
+    lines = out.splitlines()
+    nodes = [DOT_STRING.findall(line)[0] for line in lines if "[label=" in line and "->" not in line]
+    assert len(nodes) == len(set(nodes)) == len(members) == 4
+    edges = [DOT_STRING.findall(line)[:2] for line in lines if " -> " in line]
+    assert {end for edge in edges for end in edge} <= set(nodes)
+    assert len({target for _, target in edges}) == len(edges) == 3
+
+
+def test_dot_quotes_every_name(tmp_path, capsys):
+    # a vertex name holding a double quote and an arrow name ending in a backslash: every
+    # quote of the DOT is inside a balanced string, and the labels unescape to the names
+    alg_path = tmp_path / "quoted.json"
+    alg_path.write_text(json.dumps({"vertices": ['a"b', "2"], "max_path_length": 1, "arrows": [
+        {"name": "x\\", "source": 'a"b', "target": "2"}]}))
+    code, out = run(capsys, ["generic", "--format", "dot", "--algebra", str(alg_path),
+                             "--layers", "[[1,0],[0,1]]"])
+    assert code == 0
+    strings = []
+    for line in out.splitlines():
+        assert '"' not in DOT_STRING.sub("", line)
+        strings += [re.sub(r"\\(.)", r"\1", s) for s in DOT_STRING.findall(line)]
+    assert {'a"b', "x\\"} <= set(strings)
+
+
 # -- metamorphic: arrow order and arrow names reach no output -----------------------
 
 @pytest.mark.parametrize("fixture, layers", [("double_back", "[[1,1],[0,1],[1,0]]"),
@@ -1526,7 +1567,7 @@ def test_seeded_errors_name_their_stage(double_back_file, deep_file, capsys, mon
     assert err.startswith(f"error: {stage}: ") and "([1, 1], [0, 1], [1, 0])" in err
     assert "4, 5, 6" in err
 
-# -- one subparser per run -------------------------------------------------------
+# -- one parser tree per process ------------------------------------------------
 
 def _subparsers(parser):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -1604,9 +1645,9 @@ def test_full_parser_messages_pinned(double_back_file, capsys):
     assert "{" + ",".join(COMMANDS) + "}" in err
     assert err.endswith("genrep: error: unrecognized arguments: --cap 5\n")
 
-def test_valid_subcommand_builds_one_subparser(double_back_file, deep_file, capsys, monkeypatch):
-    # every parser built, by its prog: a subcommand's alone, or the full parser and then
-    # each subparser
+def test_first_call_builds_the_tree_and_later_calls_none(double_back_file, deep_file, capsys,
+                                                         monkeypatch):
+    # every parser built, by its prog: the full parser and then each subcommand's node
     built = []
     original = argparse.ArgumentParser.__init__
 
@@ -1615,20 +1656,17 @@ def test_valid_subcommand_builds_one_subparser(double_back_file, deep_file, caps
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    monkeypatch.setattr(cli, "_PARSERS", {})
+    monkeypatch.setattr(cli, "_TREE", None)
     argv = ["projdim", "--algebra", double_back_file, "--seq", deep_file]
     assert main(argv) == 0
-    assert built == ["genrep projdim"]
-    assert main(argv) == 0  # the parser is kept: a second run builds nothing
-    assert built == ["genrep projdim"]
+    assert built == ["genrep", *(f"genrep {command}" for command in COMMANDS)]
     built.clear()
+    assert main(argv) == 0  # the tree is kept: later runs build nothing
     with pytest.raises(SystemExit):
         main(["nosuch"])
-    assert built == ["genrep", *(f"genrep {command}" for command in COMMANDS)]
-    built.clear()
-    with pytest.raises(SystemExit):  # leftovers: a new full parser reports them
+    with pytest.raises(SystemExit):  # leftovers: the kept tree reports them
         main(argv + ["--cap", "5"])
-    assert built == ["genrep", *(f"genrep {command}" for command in COMMANDS)]
+    assert built == []
 
 
 def test_leftovers_exit_even_where_the_full_parser_takes_them(double_back_file, deep_file,
@@ -1636,7 +1674,7 @@ def test_leftovers_exit_even_where_the_full_parser_takes_them(double_back_file, 
     # a full parser that parses the argv cleanly must not let main run on without them
     full = cli.build_parser()
     monkeypatch.setattr(full, "parse_args", lambda argv: argparse.Namespace())
-    monkeypatch.setattr(cli, "build_parser", lambda: full)
+    monkeypatch.setattr(cli, "_TREE", full)
     with pytest.raises(SystemExit) as exit_:
         main(["projdim", "--algebra", double_back_file, "--seq", deep_file, "extra"])
     assert exit_.value.code == 2
@@ -1689,29 +1727,25 @@ WARM_RUNS = [
 @given(runs=st.lists(st.sampled_from(WARM_RUNS), min_size=1, max_size=8))
 @example(runs=WARM_RUNS)
 def test_warm_main_matches_cold_main(cli_files, runs):
-    warm = {}
+    warm = None  # the one tree the warm runs share, built by the first of them
     for argv in [[cli_files.get(a, a) for a in argv] for run in runs for argv in run]:
-        with mock.patch.object(cli, "_PARSERS", {}):
+        with mock.patch.object(cli, "_TREE", None):
             cold = _main_outcome(argv)
-        with mock.patch.object(cli, "_PARSERS", warm):
+        with mock.patch.object(cli, "_TREE", warm):
             assert _main_outcome(argv) == cold
-    assert len(warm) <= 16
+            assert warm in (None, cli._TREE)
+            warm = cli._TREE
 
 
 def test_parser_table_does_not_grow_with_input(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_PARSERS", {})
-    for i in range(100):
+    # one tree, kept whatever the names given: unknown ones and every subcommand
+    monkeypatch.setattr(cli, "_TREE", None)
+    tree = None
+    for argv in [[f"nosuch{i}"] for i in range(100)] + [[c, "--help"] for c in COMMANDS]:
         with pytest.raises(SystemExit):
-            main([f"nosuch{i}"])
-    assert list(cli._PARSERS) == [None]
-    for command in COMMANDS:
-        with pytest.raises(SystemExit):
-            main([command, "--help"])
-    assert set(cli._PARSERS) == {None, *COMMANDS}
-    kept = dict(cli._PARSERS)
-    with pytest.raises(SystemExit):
-        main(["hom", "--help"])
-    assert cli._PARSERS == kept and cli._PARSERS["hom"] is kept["hom"]
+            main(argv)
+        tree = tree or cli._TREE
+        assert cli._TREE is tree and list(_subparsers(tree).choices) == COMMANDS
     assert build_parser() is not build_parser()
 
 
@@ -1719,7 +1753,7 @@ def test_kept_parser_runs_the_function_now_on_the_module(double_back_file, deep_
                                                           monkeypatch):
     # a wrapper put on the module after the parser was built, like perfbench's tracer
     # or this patch, is what a later run calls
-    monkeypatch.setattr(cli, "_PARSERS", {})
+    monkeypatch.setattr(cli, "_TREE", None)
     argv = ["projdim", "--algebra", double_back_file, "--seq", deep_file]
     assert main(argv) == 0
     monkeypatch.setattr(cli, "cmd_projdim", lambda args, alg, S: 7)
@@ -2030,3 +2064,71 @@ def test_skeleta_dot_index_walks_only_to_the_index(tmp_path, capsys, monkeypatch
     assert main(argv + ["--index", "720", "--cap", "719"]) == 3
     assert "cap of 719" in capsys.readouterr().err
     assert len(built) == 5
+
+
+# -- the exact mode's fixed point ------------------------------------------------
+
+# over Q the scalars are the first primes 2, 3, 5, ... whatever the seed: one point that
+# no probability argument covers
+EXACT_ALGEBRAS = {**{name: COMPONENT_ALGEBRAS[name] for name in ("double_back", "line_swing",
+                                                                  "relay")},
+                  "kronecker": (["1", "2"], [("al", "1", "2"), ("be", "1", "2")], 1)}
+EXACT_DOCS = {name: {"vertices": vertices, "max_path_length": L, "arrows": [
+    {"name": a, "source": s, "target": t} for a, s, t in arrows]}
+    for name, (vertices, arrows, L) in EXACT_ALGEBRAS.items()}
+
+
+@pytest.fixture(scope="module")
+def exact_files(tmp_path_factory):
+    """Name -> (algebra file, second-sequence file) of each algebra of EXACT_ALGEBRAS."""
+    directory = tmp_path_factory.mktemp("exact")
+    return {name: (_write(directory, f"{name}.json", doc), str(directory / f"{name}_seq2.json"))
+            for name, doc in EXACT_DOCS.items()}
+
+
+@st.composite
+def exact_cases(draw):
+    """(algebra name, S, S2): two realizable layerings of one algebra, each of dimension
+    at most 10."""
+    name = draw(st.sampled_from(sorted(EXACT_DOCS)))
+    alg = algebra_from_json(EXACT_DOCS[name])
+    S, S2 = (draw(realizable_layerings(alg).filter(lambda S: S.total_dim <= 10))
+             for _ in range(2))
+    return name, [list(row) for row in S.layers], [list(row) for row in S2.layers]
+
+
+def _exact_and_fp(exact_files, case, argv, key):
+    """The (exit code, ``key`` value) pairs of ``argv`` with ``--exact`` and over the
+    default F_p, both at seed 0."""
+    name, S, S2 = case
+    path, seq2 = exact_files[name]
+    Path(seq2).write_text(json.dumps({"layers": S2}))
+    argv = [seq2 if a == "SEQ2" else a for a in argv]
+    outcomes = []
+    for field in (["--exact"], []):
+        code, out, _ = _main_outcome([*argv, *field, "--seed", "0", "--algebra", path,
+                                      "--layers", json.dumps(S)])
+        outcomes.append((code, json.loads(out)[key] if code == 0 else None))
+    return outcomes
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=exact_cases())
+@example(case=("kronecker", [[1, 0], [0, 1]], [[1, 0], [0, 1]]))
+def test_exact_values_match_the_default_field(exact_files, case):
+    for argv, key in ((["hom"], "hom_dim"), (["ext", "--k", "1"], "ext_dim")):
+        exact, fp = _exact_and_fp(exact_files, case, argv, key)
+        assert exact == fp, argv
+    # over Q, M and N take the same primes: the exact pair Hom can meet a non-generic
+    # point, and as a seeded Hom errs only upwards it is never below the F_p value
+    (exact_code, exact), (fp_code, fp) = _exact_and_fp(
+        exact_files, case, ["hom", "--seq2", "SEQ2"], "hom_dim")
+    assert exact_code == fp_code and (exact_code != 0 or exact >= fp)
+
+
+def test_exact_pair_hom_meets_a_non_generic_point(exact_files):
+    # M = P1 / (be z - x al z) and N, its copy at another scalar y: Hom(M, N) = 0 at
+    # independent points, but over Q both take x = 2, so N = M and the identity is a map
+    case = ("kronecker", [[1, 0], [0, 1]], [[1, 0], [0, 1]])
+    assert _exact_and_fp(exact_files, case, ["hom", "--seq2", "SEQ2"], "hom_dim") == [
+        (0, 1), (0, 0)]
