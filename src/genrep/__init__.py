@@ -19,7 +19,6 @@ from .algebra_core import (
     dominates,
     enumerate_paths,
     enumerate_sequences,
-    projective_dim,
     realizable,
 )
 from .errors import (
@@ -51,10 +50,7 @@ from .matrix_rep import (
     Representation,
     decomposability,
     distinguished_skeleta_of,
-    ext_dim,
-    graded_decomposition,
     hom_dim,
-    hom_dim_from_cyclic,
     materialize,
     module_point,
     radical_layering,
@@ -72,25 +68,19 @@ from .skeleta import (
     canonical_skeleton,
     count_skeleta,
     critical_paths,
-    enumerate_skeleta,
-    invariants_N,
     iter_skeleta,
 )
 
 __all__ = [
     "Arrow", "Path", "Quiver", "SemisimpleSequence", "TruncatedAlgebra",
-    "dominates", "enumerate_paths", "enumerate_sequences", "projective_dim",
-    "realizable",
-    "Skeleton", "canonical_skeleton", "count_skeleta", "critical_paths",
-    "enumerate_skeleta", "invariants_N", "iter_skeleta",
+    "dominates", "enumerate_paths", "enumerate_sequences", "realizable",
+    "Skeleton", "canonical_skeleton", "count_skeleta", "critical_paths", "iter_skeleta",
     "BundleReport", "GenericPresentation", "Hypergraph", "bundle_tower",
     "generic_presentation", "hypergraph",
     "CyclicType", "SyzygyProfile", "first_syzygy", "iterated_syzygy",
     "projective_dimension", "syzygy_of_cyclic",
-    "FieldSpec", "Representation", "decomposability",
-    "distinguished_skeleta_of", "ext_dim", "graded_decomposition", "hom_dim",
-    "hom_dim_from_cyclic", "materialize", "module_point", "radical_layering",
-    "seeded_assignment", "socle",
+    "FieldSpec", "Representation", "decomposability", "distinguished_skeleta_of", "hom_dim",
+    "materialize", "module_point", "radical_layering", "seeded_assignment", "socle",
     "ComponentReport", "annihilating_arrows", "closure_containment_test",
     "component_report",
     "GenrepError", "ValidationError", "UnrealizableError", "EnumerationCapError",

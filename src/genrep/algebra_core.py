@@ -229,16 +229,6 @@ def truncated_dim_vector(alg: TruncatedAlgebra, vertex: str, m: int) -> Dimensio
     return tuple(sum(row[j] for row in rows) for j in range(alg.n))
 
 
-def projective_dim(alg: TruncatedAlgebra, vertex: str) -> int:
-    """K-dimension of the indecomposable projective at ``vertex``: all paths of length <= L."""
-    return sum(projective_dim_vector(alg, vertex))
-
-
-def projective_dim_vector(alg: TruncatedAlgebra, vertex: str) -> DimensionVector:
-    """Dimension vector of the indecomposable projective at ``vertex``."""
-    return truncated_dim_vector(alg, vertex, alg.L + 1)
-
-
 def _partial_sums(S: SemisimpleSequence):
     acc = [0] * len(S.layers[0])
     out = []

@@ -41,9 +41,9 @@ from .generic_builder import (
 from .homology import iterated_syzygy, profile_to_json, projdim_to_json, projective_dimension
 from .matrix_rep import (
     DEFAULT_FIELD,
-    PAIR_SEED_OFFSET,
     RATIONALS,
     FieldSpec,
+    _pair_assignment,
     distinguished_skeleta_of,
     decomposability,
     ext_dim_detail,
@@ -52,7 +52,6 @@ from .matrix_rep import (
     generic_socle,
     materialize,
     module_point_from_json,
-    seeded_assignment,
 )
 from .skeleta import (
     DEFAULT_CAP,
@@ -392,8 +391,8 @@ def cmd_ext(args, alg, S):
         detail = ext_dim_detail(alg, S, None, args.k, _seeds(args), fs)  # self-Ext
     else:
         pres2 = generic_presentation(alg, S2)
-        rep_n = materialize(
-            pres2, seeded_assignment(pres2, _seed(args) + PAIR_SEED_OFFSET, fs), fs)
+        rep_n = materialize(pres2, _pair_assignment(  # M's scalar count is N(S)
+            bundle_tower(alg, S).N, pres2, _seed(args), fs), fs)
         detail = ext_dim_detail(alg, S, rep_n, args.k, _seeds(args), fs)
     data = {"ext_dim": detail["value"], "k": args.k, "per_seed": detail["per_seed"]}
     return _emit(_stamp(data, args, fs, "seeded-generic"))

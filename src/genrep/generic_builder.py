@@ -142,9 +142,9 @@ def bundle_tower(alg: TruncatedAlgebra, S: SemisimpleSequence) -> BundleReport:
 
     Level l chooses layer l+1 among the A one-arrow extensions of layer l into each
     vertex j, so its factor at j is Grass(m, A) with m = S_{l+1}[j], of dimension
-    (A - m) m: the N0 term of ``invariants_N`` at (l, j), so the factors sum to N0.  The
-    full variety has dimension N = N0 + N1.  Factors and N1 come from one
-    ``_critical_counts`` call, whose count at (l, j) is A - m.
+    (A - m) m: the size m of the zero parts of the A - m critical paths at (l, j), so the
+    factors sum to N0.  The full variety has dimension N = N0 + N1.  Factors and N1 come
+    from one ``_critical_counts`` call, whose count at (l, j) is A - m.
     """
     counts = _critical_counts(alg, S)
     factors = [GrassmannFactor(alg.vertices[j], c, c + m) for _, j, c, m, _ in counts]

@@ -38,11 +38,7 @@ class CyclicType(NamedTuple):
 
 
 def cyclic_dim(alg: TruncatedAlgebra, c: CyclicType) -> int:
-    return sum(cyclic_dim_vector(alg, c))
-
-
-def cyclic_dim_vector(alg: TruncatedAlgebra, c: CyclicType) -> DimensionVector:
-    return truncated_dim_vector(alg, c.vertex, c.truncation)
+    return sum(truncated_dim_vector(alg, c.vertex, c.truncation))
 
 
 def is_projective(alg: TruncatedAlgebra, c: CyclicType) -> bool:
@@ -68,17 +64,13 @@ class SyzygyProfile:
     def items(self) -> tuple[tuple[CyclicType, int], ...]:
         return self._items
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._items
-
     def total_dim(self, alg: TruncatedAlgebra) -> int:
         return sum(cyclic_dim(alg, c) * m for c, m in self._items)
 
     def dim_vector(self, alg: TruncatedAlgebra) -> DimensionVector:
         dims = [0] * alg.n
         for c, m in self._items:
-            for j, d in enumerate(cyclic_dim_vector(alg, c)):
+            for j, d in enumerate(truncated_dim_vector(alg, c.vertex, c.truncation)):
                 dims[j] += m * d
         return tuple(dims)
 

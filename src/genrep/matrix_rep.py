@@ -24,7 +24,7 @@ and quotients; a distinguished skeleta probe (which reads J^l M off the basis la
 one ``_rank``.
 
 Every Hom into a module is the kernel of one relation matrix of a presentation of its source
-(``_hom_out_of``): a generic M = P/C, a cyclic Lambda e / J^m e, a simple (``socle``), or
+(``_hom_out_of``): a generic M = P/C, a cyclic Lambda e / J^m e (``_cyclic_dims``), or
 any module by its own basis (``hom_dim``).  The two Ext^1 methods take Hom(M, N) from two
 different presentations of M.  The generic socle builds no module: it is counted off the
 layering as a term rank, and so a generic rank (``generic_socle``).
@@ -394,6 +394,14 @@ def seeded_assignment(pres: GenericPresentation, seed: int,
     return values
 
 
+def _pair_assignment(n_m: int, pres_n: GenericPresentation, seed: int, fs: FieldSpec) -> list:
+    """Scalars of a pair's second module beside the first's n_m: over F_p drawn at seed +
+    ``PAIR_SEED_OFFSET``; over Q, where no seed draws, the primes after the first's n_m."""
+    if not fs.exact:
+        return seeded_assignment(pres_n, seed + PAIR_SEED_OFFSET, fs)
+    return list(map(Fraction, _first_primes(n_m + len(pres_n.scalar_ids))[n_m:]))
+
+
 def materialize(pres: GenericPresentation, values,
                 fs: FieldSpec = DEFAULT_FIELD) -> Representation:
     """Evaluate a generic presentation at concrete scalars, ``values[k]`` for x_k.
@@ -469,7 +477,7 @@ def radical_layering(rep: Representation) -> SemisimpleSequence:
 def socle(rep: Representation) -> tuple[int, ...]:
     """Per-vertex socle dimensions dim Hom(S_v, M), S_v the cyclic Lambda e_v / J e_v."""
     alg = rep.algebra
-    return tuple(hom_dim_from_cyclic(alg, CyclicType(v, 1), rep) for v in alg.vertices)
+    return tuple(_cyclic_dims(alg, CyclicType(v, 1), rep)[0] for v in alg.vertices)
 
 
 def hom_dim(rep_a: Representation, rep_b: Representation) -> int:
@@ -586,13 +594,8 @@ def _hom_out_of(tops, rep_n: Representation, relations) -> list[int]:
             for k in range(3)]
 
 
-def hom_dim_from_cyclic(alg: TruncatedAlgebra, c: CyclicType, rep: Representation) -> int:
-    """dim Hom(Lambda e / J^m e, N) = dim { n in eN : J^m n = 0 }."""
-    return _cyclic_dims(alg, c, rep)[0]
-
-
 def _cyclic_dims(alg: TruncatedAlgebra, c: CyclicType, rep: Representation) -> list[int]:
-    """``hom_dim_from_cyclic`` at each point of ``rep``, one relation per length-m path out of e."""
+    """dim Hom(Lambda e / J^m e, rep) at each point of ``rep``, one relation per u in e J^m."""
     if c.truncation >= alg.L + 1:  # a projective cyclic imposes no constraint
         return [rep.dim_at(c.vertex)] * (3 if rep._three else 1)
     paths = enumerate_paths(alg, c.vertex, c.truncation)
@@ -672,11 +675,6 @@ def ext_dim_detail(alg: TruncatedAlgebra, S_M: SemisimpleSequence,
                 f"{record['seed']} of seeds {[s for s, _ in pairs]}: {record}")
     value = _agreed(where, [(r["seed"], r["alternating"]) for r in per_seed])
     return {"k": k, "value": value, "per_seed": per_seed, "field_modulus": fs.modulus}
-
-
-def ext_dim(alg: TruncatedAlgebra, S_M: SemisimpleSequence, rep_n: Representation,
-            k: int, seeds, fs: FieldSpec = DEFAULT_FIELD) -> int:
-    return ext_dim_detail(alg, S_M, rep_n, k, seeds, fs)["value"]
 
 
 # ---------------------------------------------------------------------------
@@ -841,18 +839,6 @@ def _summands(pres: GenericPresentation) -> list[tuple[tuple[int, ...], tuple[in
             for part in hypergraph(pres).top_component_partition()]
 
 
-def graded_decomposition(alg: TruncatedAlgebra, S: SemisimpleSequence,
-                         skeleton: Skeleton | None = None):
-    """Direct summands of the graded generic module, from the auxiliary graph.
-
-    Vertices are the top elements; z_r and z_s are joined when a critical
-    path of one tree has an equal-length, equal-endpoint sigma-set member
-    in the other.  Returns (top index tuple, dimension vector) per
-    component.
-    """
-    return _summands(generic_presentation(alg, S, skeleton=skeleton, graded=True))
-
-
 def decomposability(alg: TruncatedAlgebra, S: SemisimpleSequence, graded: bool = False,
                     seeds=(0, 1, 2), fs: FieldSpec = DEFAULT_FIELD) -> DecompositionVerdict:
     """Certify (in)decomposability of the generic module with layering S.
@@ -1000,8 +986,8 @@ def generic_hom_dim(alg: TruncatedAlgebra, S_a: SemisimpleSequence,
     pres_b = generic_presentation(alg, S_b)
     where = "generic_hom_dim", f"sequences {S_a} and {S_b}"
     return _agreed(where, _seeded(
-        where, seeds, lambda seed: (tuple(seeded_assignment(pres_a, seed, fs)),
-                                    tuple(seeded_assignment(pres_b, seed + PAIR_SEED_OFFSET, fs))),
+        where, seeds, lambda seed: (tuple(seeded_assignment(pres_a, seed, fs)), tuple(
+            _pair_assignment(len(pres_a.scalar_ids), pres_b, seed, fs))),
         lambda points: _presented_hom_dims(
             pres_a, _module(pres_b.skeleton, pres_b.relations, [b for _, b in points], fs),
             [a for a, _ in points])))

@@ -188,13 +188,6 @@ def capped_count(alg: TruncatedAlgebra, S: SemisimpleSequence, cap: int) -> int:
     return count
 
 
-def enumerate_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence,
-                      cap: int = DEFAULT_CAP) -> list[Skeleton]:
-    """All compatible skeleta (none iff S is unrealizable); raises iff more than ``cap``."""
-    capped_count(alg, S, cap)
-    return list(iter_skeleta(alg, S))
-
-
 def canonical_skeleton(alg: TruncatedAlgebra, S: SemisimpleSequence) -> Skeleton:
     """The first skeleton of ``iter_skeleta``; raises if S is unrealizable."""
     for sk in iter_skeleta(alg, S):
@@ -255,23 +248,12 @@ def critical_paths(alg: TruncatedAlgebra, sk: Skeleton) -> list[SigmaSet]:
 
 def _critical_counts(alg: TruncatedAlgebra, S: SemisimpleSequence) -> list[tuple[int, ...]]:
     """(l, j, count, zero, one) for every level l < L and vertex j, in that order: count
-    critical paths of length l+1 end at j, with zero and one parts of those sizes
-    (``invariants_N``), read off ``algebra_core._layer_table``; raises as it does."""
+    critical paths of length l+1 end at j, with zero and one parts of those sizes (summed,
+    N0 and N1 of ``bundle_tower``), read off ``algebra_core._layer_table``; raises as it does."""
     A, tail = _layer_table(alg, S)
     return [(l, j, a - m, m, tail[l + 2][j])
             for l, (avail, below) in enumerate(zip(A, S.layers[1:]))
             for j, (a, m) in enumerate(zip(avail, below))]
-
-
-def invariants_N(alg: TruncatedAlgebra, S: SemisimpleSequence) -> tuple[int, int, int]:
-    """(N, N0, N1): N0 and N1 sum, over the critical paths of any compatible skeleton, the
-    sizes of their sigma-sets' zero and one parts.  Of the A_j(S_l) extensions of layer l into
-    vertex j, S_{l+1}[j] are members and the other A_j(S_l) - S_{l+1}[j] critical, each with
-    zero part S_{l+1}[j] and one part sum_{m >= l+2} S_m[j]; read off S, no skeleton built.
-    """
-    terms = [(c * zero, c * one) for _, _, c, zero, one in _critical_counts(alg, S)]
-    n0, n1 = sum(z for z, _ in terms), sum(o for _, o in terms)
-    return (n0 + n1, n0, n1)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +264,9 @@ def element_to_json(el: Element) -> dict:
     return {"r": el[0], "arrows": list(el[1].arrows)}
 
 
-def skeleton_to_json(sk: Skeleton) -> dict:
-    return skeleta_to_json([sk])[0]
-
-
 def skeleta_to_json(skeleta) -> list[dict]:
-    """``skeleton_to_json`` of each skeleton.  Across them each top, and each element, is
-    one shared object, which an encoder that memoises by identity encodes once."""
+    """Each skeleton's top and elements.  Across them each top, and each element, is one
+    shared object, which an encoder that memoises by identity encodes once."""
     shared, out = {}, []
     for sk in skeleta:
         if sk.top not in shared:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from genrep.algebra_core import Arrow, Quiver, SemisimpleSequence, TruncatedAlgebra
+from genrep.skeleta import DEFAULT_CAP, capped_count, iter_skeleta
 
 
 # CI selects this profile (--hypothesis-profile=ci) so that property tests
@@ -22,6 +23,19 @@ def _alg(vertices, arrows, L):
 
 def seq(*layers):
     return SemisimpleSequence(tuple(tuple(row) for row in layers))
+
+
+def enumerate_skeleta(alg, S, cap=DEFAULT_CAP):
+    """Every compatible skeleton, after ``capped_count``: raises iff more than ``cap``."""
+    capped_count(alg, S, cap)
+    return list(iter_skeleta(alg, S))
+
+
+def bundle_N(alg, S):
+    """(N, N0, N1) of ``bundle_tower``: dim Grass(S), its graded base and the fiber."""
+    from genrep.generic_builder import bundle_tower
+    rep = bundle_tower(alg, S)
+    return rep.N, rep.N0, rep.N1
 
 
 FIXTURES = ["double_back", "relay", "loop_out", "chain_with_returns", "line_swing",
@@ -421,7 +435,7 @@ def first_syzygy_by_critical_paths(alg, sk):
 
 def invariants_N_by_critical_paths(alg, sk):
     """(N, N0, N1) as the sizes of the zero and one parts of the sigma-sets of ``sk``,
-    summed over its critical paths: the oracle of ``invariants_N``."""
+    summed over its critical paths: the oracle of N, N0 and N1 of ``bundle_tower``."""
     from genrep.skeleta import critical_paths
     sets = critical_paths(alg, sk)
     n0 = sum(len(s.zero_part) for s in sets)
@@ -507,9 +521,9 @@ def hom_dim_from_cyclic_by_stacking(alg, c, rep):
 
 
 def hom_profile_dim(alg, profile, rep):
-    """dim Hom(sum of the profile's cyclics, N), one ``hom_dim_from_cyclic`` per type."""
-    from genrep.matrix_rep import hom_dim_from_cyclic
-    return sum(m * hom_dim_from_cyclic(alg, c, rep) for c, m in profile.items())
+    """dim Hom(sum of the profile's cyclics, N), one ``_cyclic_dims`` per type."""
+    from genrep.matrix_rep import _cyclic_dims
+    return sum(m * _cyclic_dims(alg, c, rep)[0] for c, m in profile.items())
 
 
 def hom_dim_by_stacking(rep_a, rep_b):
@@ -597,7 +611,7 @@ def hypergraph_at(pres, assignment):
 
 
 def skeleton_from_json(data, alg):
-    """Inverse of ``skeleton_to_json``; every prefix of an element is added."""
+    """Inverse of ``skeleta_to_json`` on one skeleton; every prefix of an element is added."""
     from genrep.errors import ValidationError
     from genrep.skeleta import Skeleton
     try:
@@ -812,7 +826,7 @@ def projective_dimension_by_dfs(alg, S):
         return result
 
     omega1 = first_syzygy(alg, S)
-    if omega1.is_empty:
+    if not omega1.items():
         return 0
     worst = 0
     for c, _ in omega1.items():

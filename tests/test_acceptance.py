@@ -10,33 +10,28 @@ import math
 
 from genrep.algebra_core import (
     enumerate_sequences,
-    projective_dim,
     realizable,
+    truncated_dim_vector,
 )
 from genrep.components import component_report
 from genrep.generic_builder import bundle_tower, generic_presentation
 from genrep.homology import first_syzygy, projective_dimension
 from genrep.matrix_rep import (
     FieldSpec,
+    _summands,
     decomposability,
     distinguished_skeleta_of,
     ext_dim_detail,
     generic_end_dim,
     generic_socle,
-    graded_decomposition,
     materialize,
     module_point,
     seeded_assignment,
     socle,
 )
-from genrep.skeleta import (
-    count_skeleta,
-    enumerate_skeleta,
-    invariants_N,
-    iter_skeleta,
-)
+from genrep.skeleta import count_skeleta, iter_skeleta
 
-from conftest import invariants_N_by_critical_paths, seq
+from conftest import bundle_N, enumerate_skeleta, invariants_N_by_critical_paths, seq
 
 S5 = seq((1, 1), (0, 1), (1, 0))
 S6 = seq((1, 1), (1, 0), (0, 1))
@@ -60,21 +55,21 @@ def criterion(n, desc):
 
 @criterion(1, "3-arrow quiver geometry: (N,N0,N1) and bundle tower")
 def test_criterion_1(double_back):
-    assert invariants_N(double_back, S5) == (3, 1, 2)
+    assert bundle_N(double_back, S5) == (3, 1, 2)
     rep = bundle_tower(double_back, S5)
     assert (rep.N, rep.N0, rep.N1) == (3, 1, 2)
     assert all(f.dim == 0 for f in rep.levels[0])            # point x point
     level1 = [(f.subspace_dim, f.ambient_dim) for f in rep.levels[1] if f.dim > 0]
     assert level1 == [(1, 2)]                                # Gr(1,2)
-    assert invariants_N(double_back, S6) == (2, 1, 1)
+    assert bundle_N(double_back, S6) == (2, 1, 1)
     rep6 = bundle_tower(double_back, S6)
     assert (rep6.N, rep6.N0, rep6.N1) == (2, 1, 1)
 
 
 @criterion(2, "loop-plus-arrow quiver: N = 1 and N = 0")
 def test_criterion_2(loop_out):
-    assert invariants_N(loop_out, seq((1, 0), (1, 0), (0, 1)))[0] == 1
-    assert invariants_N(loop_out, seq((1, 0), (1, 1), (0, 0)))[0] == 0
+    assert bundle_N(loop_out, seq((1, 0), (1, 0), (0, 1)))[0] == 1
+    assert bundle_N(loop_out, seq((1, 0), (1, 1), (0, 0)))[0] == 0
 
 
 @criterion(3, "homology of the depth-3 sequence: syzygy, projdim, socle, End")
@@ -91,8 +86,8 @@ def test_criterion_3(double_back):
               "graded summands (0,1,1)+(2,6,4); quoted multiset has dim 21")
 def test_criterion_4(relay):
     prof = first_syzygy(relay, S_DIM14)
-    dim_p = 2 * projective_dim(relay, "1") + projective_dim(relay, "2") \
-        + projective_dim(relay, "3")
+    P = {v: sum(truncated_dim_vector(relay, v, relay.L + 1)) for v in relay.vertices}
+    dim_p = 2 * P["1"] + P["2"] + P["3"]
     assert dim_p == 33
     assert prof.total_dim(relay) == dim_p - S_DIM14.total_dim == 19
     assert {(c.vertex, c.truncation): m for c, m in prof.items()} == \
@@ -108,7 +103,7 @@ def test_criterion_4(relay):
         got_dims = tuple(sum(col) for col in zip(*got_layers))
         assert got_dims == prof.dim_vector(relay) == (0, 14, 5)
     assert projective_dimension(relay, S_DIM14) == math.inf
-    comps = sorted(dv for _, dv in graded_decomposition(relay, S_DIM14))
+    comps = sorted(dv for _, dv in _summands(generic_presentation(relay, S_DIM14, graded=True)))
     assert comps == [(0, 1, 1), (2, 6, 4)]
     # the multiset quoted in the literature for this example,
     # S1^5 + (e2/J^2)^3 + e2/J^3 + (e3/J^2)^2, has total dimension 21, not
@@ -201,7 +196,7 @@ def test_criterion_8(double_back, relay, loop_out, kronecker, y_quiver, a2):
     small += [(y_quiver, seq((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)))]
     for alg, S in small:
         if count_skeleta(alg, S) <= 500:
-            base = invariants_N(alg, S)
+            base = bundle_N(alg, S)
             for sk in enumerate_skeleta(alg, S):
                 assert invariants_N_by_critical_paths(alg, sk) == base
 
@@ -220,7 +215,7 @@ def test_criterion_8(double_back, relay, loop_out, kronecker, y_quiver, a2):
         for S in _sequences_up_to(alg, 8):
             if not realizable(alg, S) or not any(S.top):
                 continue
-            dim_p = sum(S.top[i] * projective_dim(alg, v)
+            dim_p = sum(S.top[i] * sum(truncated_dim_vector(alg, v, alg.L + 1))
                         for i, v in enumerate(alg.vertices))
             assert first_syzygy(alg, S).total_dim(alg) == dim_p - S.total_dim
 

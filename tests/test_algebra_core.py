@@ -15,11 +15,10 @@ from genrep.algebra_core import (
     dominates,
     enumerate_paths,
     enumerate_sequences,
-    projective_dim,
-    projective_dim_vector,
     realizable,
     sequence_from_json,
     top_elements,
+    truncated_dim_vector,
 )
 from genrep.errors import EnumerationCapError, GenrepError, ValidationError
 
@@ -111,15 +110,16 @@ def test_enumerate_paths_unknown_vertex(double_back):
 
 
 def test_projective_dims_relay(relay):
-    assert projective_dim(relay, "1") == 9
-    assert projective_dim(relay, "2") == 6
-    assert projective_dim_vector(relay, "1") == (1, 6, 2)
-    assert projective_dim_vector(relay, "2") == (0, 3, 3)
-    assert projective_dim_vector(relay, "3") == (0, 6, 3)
+    # the projective at v is Lambda e_v / J^(L+1) e_v
+    assert sum(truncated_dim_vector(relay, "1", relay.L + 1)) == 9
+    assert sum(truncated_dim_vector(relay, "2", relay.L + 1)) == 6
+    assert truncated_dim_vector(relay, "1", relay.L + 1) == (1, 6, 2)
+    assert truncated_dim_vector(relay, "2", relay.L + 1) == (0, 3, 3)
+    assert truncated_dim_vector(relay, "3", relay.L + 1) == (0, 6, 3)
 
 
 def test_projective_dim_isolated(with_isolated):
-    assert projective_dim(with_isolated, "3") == 1
+    assert sum(truncated_dim_vector(with_isolated, "3", with_isolated.L + 1)) == 1
 
 
 def test_dominates_reflexive(double_back):

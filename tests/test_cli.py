@@ -222,7 +222,7 @@ def test_ext_self_builds_one_presentation(double_back_file, deep_file, capsys, m
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(genrep.matrix_rep, name, counting)
-        monkeypatch.setattr(genrep.cli, name, counting)
+        monkeypatch.setattr(genrep.cli, name, counting, raising=False)
     code, out = run(capsys, ["ext", "--k", "1", "--algebra", double_back_file, "--seq", deep_file])
     assert code == 0 and json.loads(out)["ext_dim"] == 1
     assert calls == {"generic_presentation": 1, "seeded_assignment": 3}
@@ -568,13 +568,14 @@ def test_skeleta_stdout_is_stdlib_json(point_files, double_back_file, capsys):
     # the skeleta of one output share their element dicts; the text is unchanged
     from genrep.algebra_core import algebra_from_json, sequence_from_json
     from genrep.matrix_rep import distinguished_skeleta_of, module_point_from_json
-    from genrep.skeleta import enumerate_skeleta, skeleton_to_json
+    from genrep.skeleta import skeleta_to_json
+    from conftest import enumerate_skeleta
 
     code, out = run(capsys, ["point-skeleta"] + point_files)
     alg = algebra_from_json(json.loads(Path(point_files[1]).read_text()))
     sks = distinguished_skeleta_of(module_point_from_json(
         json.loads(Path(point_files[3]).read_text()), alg))
-    expected = {"count": len(sks), "skeleta": [skeleton_to_json(sk) for sk in sks]}
+    expected = {"count": len(sks), "skeleta": [skeleta_to_json([sk])[0] for sk in sks]}
     assert code == 0 and out == json.dumps(expected, indent=2) + "\n"
 
     layers = [[1, 1], [0, 1], [1, 0]]
@@ -582,7 +583,7 @@ def test_skeleta_stdout_is_stdlib_json(point_files, double_back_file, capsys):
                              "--layers", json.dumps(layers)])
     alg = algebra_from_json(json.loads(Path(double_back_file).read_text()))
     sks = enumerate_skeleta(alg, sequence_from_json({"layers": layers}, alg))
-    expected = {"count": len(sks), "skeleta": [skeleton_to_json(sk) for sk in sks]}
+    expected = {"count": len(sks), "skeleta": [skeleta_to_json([sk])[0] for sk in sks]}
     assert code == 0 and len(sks) == 2 and out == json.dumps(expected, indent=2) + "\n"
 
 
@@ -1482,7 +1483,7 @@ def test_each_seeded_point_is_evaluated_once(double_back_file, deep_file, capsys
     end_dims = [{"seed": s, "end_dim": 2} for s in (4, 5, 6)]
     expected = [
         (["hom"], {"hom_dim": 2}),
-        (["hom", "--seq2", deep_file], {"hom_dim": 2 if field else 1}),
+        (["hom", "--seq2", deep_file], {"hom_dim": 1}),  # over Q N takes the next primes
         (["decompose"], {"verdict": "undecided", "witness": {"end_dims": end_dims}}),
         (["ext", "--k", "1"], {"ext_dim": 1, "k": 1, "per_seed": per_seed}),
     ]
@@ -2116,19 +2117,19 @@ def _exact_and_fp(exact_files, case, argv, key):
 @given(case=exact_cases())
 @example(case=("kronecker", [[1, 0], [0, 1]], [[1, 0], [0, 1]]))
 def test_exact_values_match_the_default_field(exact_files, case):
-    for argv, key in ((["hom"], "hom_dim"), (["ext", "--k", "1"], "ext_dim")):
+    # every route the benchmark's exact jobs take, and both pair routes, where over Q N
+    # takes the primes after M's
+    for argv, key in ((["hom"], "hom_dim"), (["ext", "--k", "1"], "ext_dim"),
+                      (["socle"], "socle"), (["decompose"], "verdict"),
+                      (["hom", "--seq2", "SEQ2"], "hom_dim"),
+                      (["ext", "--k", "1", "--seq2", "SEQ2"], "ext_dim")):
         exact, fp = _exact_and_fp(exact_files, case, argv, key)
         assert exact == fp, argv
-    # over Q, M and N take the same primes: the exact pair Hom can meet a non-generic
-    # point, and as a seeded Hom errs only upwards it is never below the F_p value
-    (exact_code, exact), (fp_code, fp) = _exact_and_fp(
-        exact_files, case, ["hom", "--seq2", "SEQ2"], "hom_dim")
-    assert exact_code == fp_code and (exact_code != 0 or exact >= fp)
 
 
-def test_exact_pair_hom_meets_a_non_generic_point(exact_files):
+def test_exact_pair_hom_takes_independent_primes(exact_files):
     # M = P1 / (be z - x al z) and N, its copy at another scalar y: Hom(M, N) = 0 at
-    # independent points, but over Q both take x = 2, so N = M and the identity is a map
+    # independent points; over Q M takes x = 2 and N the next prime, y = 3
     case = ("kronecker", [[1, 0], [0, 1]], [[1, 0], [0, 1]])
     assert _exact_and_fp(exact_files, case, ["hom", "--seq2", "SEQ2"], "hom_dim") == [
-        (0, 1), (0, 0)]
+        (0, 0), (0, 0)]

@@ -20,12 +20,12 @@ from genrep.components import (
 )
 from genrep.errors import UnrealizableError, ValidationError
 from genrep.matrix_rep import generic_socle
-from genrep.skeleta import enumerate_skeleta
 
 from conftest import (
     COMPONENT_ALGEBRAS,
     _alg,
     annihilating_arrows_by_skeleton,
+    enumerate_skeleta,
     projective_layering,
     seq,
     sequence_poset_by_sets,

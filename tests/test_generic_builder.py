@@ -11,9 +11,9 @@ from genrep.generic_builder import (
     hypergraph,
     presentation_to_json,
 )
-from genrep.skeleta import critical_paths, element_to_json, enumerate_skeleta, invariants_N
+from genrep.skeleta import critical_paths, element_to_json
 
-from conftest import hypergraph_at, seq
+from conftest import bundle_N, enumerate_skeleta, hypergraph_at, seq
 
 
 def rel_strings(pres):
@@ -58,7 +58,7 @@ def test_scalar_counts_match_invariants(double_back, relay, loop_out):
     cases += [(relay, seq((2, 1, 1), (0, 5, 1), (0, 0, 3), (0, 1, 0)))]
     cases += [(loop_out, S) for S in enumerate_sequences(loop_out, (2, 1))]
     for alg, S in cases:
-        n, n0, _ = invariants_N(alg, S)
+        n, n0, _ = bundle_N(alg, S)
         assert len(generic_presentation(alg, S).scalar_ids) == n
         assert len(generic_presentation(alg, S, graded=True).scalar_ids) == n0
 

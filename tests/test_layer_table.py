@@ -14,10 +14,11 @@ from genrep.errors import GenrepError, UnrealizableError, ValidationError
 from genrep.generic_builder import bundle_tower
 from genrep.homology import first_syzygy
 from genrep.matrix_rep import RATIONALS, FieldSpec, generic_socle
-from genrep.skeleta import count_skeleta, invariants_N
+from genrep.skeleta import count_skeleta
 
 from conftest import (
     annihilating_arrows_by_levels,
+    bundle_N,
     bundle_tower_by_levels,
     count_skeleta_by_levels,
     drawn_algebras,
@@ -31,7 +32,7 @@ from conftest import (
 
 # (function, its per-level oracle); generic_socle's take a field too
 READERS = [(realizable, realizable_by_levels), (count_skeleta, count_skeleta_by_levels),
-           (invariants_N, invariants_N_by_levels), (first_syzygy, first_syzygy_by_levels),
+           (bundle_N, invariants_N_by_levels), (first_syzygy, first_syzygy_by_levels),
            (bundle_tower, bundle_tower_by_levels),
            (annihilating_arrows, annihilating_arrows_by_levels)]
 FIELDS = [FieldSpec(), RATIONALS, FieldSpec(7)]

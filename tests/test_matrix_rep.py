@@ -23,14 +23,11 @@ from genrep.matrix_rep import (
     Representation,
     decomposability,
     distinguished_skeleta_of,
-    ext_dim,
     ext_dim_detail,
     generic_end_dim,
     generic_hom_dim,
     generic_socle,
-    graded_decomposition,
     hom_dim,
-    hom_dim_from_cyclic,
     materialize,
     mat_rank,
     module_point,
@@ -40,14 +37,15 @@ from genrep.matrix_rep import (
     radical_layering,
     seeded_assignment,
     socle,
+    _cyclic_dims,
     _path_columns,
     _rank,
+    _summands,
 )
 from genrep.skeleta import (
     Skeleton,
     canonical_skeleton,
     count_skeleta,
-    enumerate_skeleta,
     iter_skeleta,
 )
 
@@ -58,6 +56,7 @@ from conftest import (
     _term_rank,
     arrow_matrix,
     distinguished_skeleta_by_path_action,
+    enumerate_skeleta,
     ext_dims_by_two_profiles,
     first_primes_by_trial,
     fs_add,
@@ -349,7 +348,7 @@ def test_foreign_skeleton_rejected(relay):
             calls = (
                 lambda: generic_presentation(relay, target, skeleton=sk),
                 lambda: generic_presentation(relay, target, skeleton=sk, graded=True),
-                lambda: graded_decomposition(relay, target, skeleton=sk),
+                lambda: _summands(generic_presentation(relay, target, skeleton=sk, graded=True)),
             )
             for call in calls:
                 with pytest.raises(ValidationError, match="skeleton is compatible with"):
@@ -448,10 +447,10 @@ def test_kronecker_distinct_copies_have_no_homs(kronecker):
 
 def test_hom_dim_from_cyclic_deep(double_back):
     rep = mat_deep(double_back)
-    assert hom_dim_from_cyclic(double_back, CyclicType("1", 1), rep) == 1
-    assert hom_dim_from_cyclic(double_back, CyclicType("1", 2), rep) == 1
+    assert _cyclic_dims(double_back, CyclicType("1", 1), rep)[0] == 1
+    assert _cyclic_dims(double_back, CyclicType("1", 2), rep)[0] == 1
     # projective cyclic imposes no condition
-    assert hom_dim_from_cyclic(double_back, CyclicType("1", 3), rep) == rep.dim_at("1")
+    assert _cyclic_dims(double_back, CyclicType("1", 3), rep)[0] == rep.dim_at("1")
 
 
 def test_hom_profile_matches_direct_sum(double_back):
@@ -478,14 +477,14 @@ def test_ext1_self_deep_both_methods(double_back):
 def test_ext1_from_projective_is_zero(double_back):
     S = projective_layering(double_back, (1, 1))
     rep = mat_deep(double_back, 9)
-    assert ext_dim(double_back, S, rep, 1, seeds=(4, 5)) == 0
+    assert ext_dim_detail(double_back, S, rep, 1, seeds=(4, 5))["value"] == 0
 
 
 def test_ext1_kronecker_pair_is_zero(kronecker):
     S = seq((1, 0), (0, 1))
     pres = generic_presentation(kronecker, S)
     rep_n = materialize(pres, seeded_assignment(pres, 1000), FieldSpec())
-    assert ext_dim(kronecker, S, rep_n, 1, seeds=(0, 1, 2)) == 0
+    assert ext_dim_detail(kronecker, S, rep_n, 1, seeds=(0, 1, 2))["value"] == 0
 
 
 def test_ext1_kronecker_self_is_one(kronecker):
@@ -494,13 +493,13 @@ def test_ext1_kronecker_self_is_one(kronecker):
     pres = generic_presentation(kronecker, S)
     for sd in (0, 1, 2):
         rep = materialize(pres, seeded_assignment(pres, sd), FieldSpec())
-        assert ext_dim(kronecker, S, rep, 1, seeds=[sd]) == 1
+        assert ext_dim_detail(kronecker, S, rep, 1, seeds=[sd])["value"] == 1
     assert generic_end_dim(kronecker, S) == 1
 
 
 def test_ext2_stability(double_back):
     rep = mat_deep(double_back, 117)
-    vals = {ext_dim(double_back, S_DEEP, rep, 2, seeds=[s]) for s in (5, 6, 7)}
+    vals = {ext_dim_detail(double_back, S_DEEP, rep, 2, seeds=[s])["value"] for s in (5, 6, 7)}
     assert len(vals) == 1
 
 
@@ -599,11 +598,11 @@ def test_syzygy_profile_matches_kernel_dims_relay(relay):
     prof = first_syzygy(relay, S_DIM14)
     want = prof.dim_vector(relay)
     pres = generic_presentation(relay, S_DIM14)
-    from genrep.algebra_core import projective_dim_vector
+    from genrep.algebra_core import truncated_dim_vector
     p_dims = [0] * relay.n
     for i, v in enumerate(relay.vertices):
         for _ in range(S_DIM14.top[i]):
-            for j, d in enumerate(projective_dim_vector(relay, v)):
+            for j, d in enumerate(truncated_dim_vector(relay, v, relay.L + 1)):
                 p_dims[j] += d
     for sd in (0, 1, 2):
         rep = materialize(pres, seeded_assignment(pres, sd), FieldSpec())
@@ -831,7 +830,7 @@ def assert_hom_out_of_matches_stacking(rep):
     for v in alg.vertices:
         for m in range(1, alg.L + 2):
             c = CyclicType(v, m)
-            assert hom_dim_from_cyclic(alg, c, rep) == hom_dim_from_cyclic_by_stacking(alg, c, rep)
+            assert _cyclic_dims(alg, c, rep)[0] == hom_dim_from_cyclic_by_stacking(alg, c, rep)
 
 
 @pytest.mark.parametrize("fixture, dimvec", [("double_back", (2, 2)), ("relay", (2, 2, 1)),
@@ -1379,7 +1378,7 @@ def test_socle_reduces_unreduced_entries_mod_p(double_back):
     rep = representation_from_matrices(double_back, fs, (2, 2), {
         "a": ((7, -1), (0, 14)), "b1": ((-1, 7), (0, 0)), "b2": ((7, -8), (14, 0))})
     assert socle(rep) == socle_by_stacking(rep) == (1, 0)
-    assert [hom_dim_from_cyclic(double_back, CyclicType(v, 1), rep) for v in "12"] == [1, 0]
+    assert [_cyclic_dims(double_back, CyclicType(v, 1), rep)[0] for v in "12"] == [1, 0]
 
 
 # the 14-dimensional generic point of the relay fixture: one relation per
@@ -1457,13 +1456,13 @@ def test_single_top_certified(double_back):
 
 
 def test_graded_decomposition_relay(relay):
-    comps = graded_decomposition(relay, S_DIM14)
+    comps = _summands(generic_presentation(relay, S_DIM14, graded=True))
     dims = sorted(dv for _, dv in comps)
     assert dims == [(0, 1, 1), (2, 6, 4)]
 
 
 def test_graded_decomposition_double_back(double_back):
-    comps = graded_decomposition(double_back, S_DEEP)
+    comps = _summands(generic_presentation(double_back, S_DEEP, graded=True))
     assert len(comps) == 2  # no cross-tree equal-length members: z2 stays isolated
     tops = sorted(zs for zs, _ in comps)
     assert tops == [(1,), (2,)]
@@ -1471,12 +1470,13 @@ def test_graded_decomposition_double_back(double_back):
 
 def test_graded_decomposition_no_zero_parts(a2):
     # single relation g@z2 = x*g@z1 has an equal-length member: one component
-    comps = graded_decomposition(a2, seq((2, 0), (0, 1)))
+    comps = _summands(generic_presentation(a2, seq((2, 0), (0, 1)), graded=True))
     assert [zs for zs, _ in comps] == [(1, 2)]
 
 
 def test_graded_partition_skeleton_independent(relay):
-    parts = {tuple(sorted(zs for zs, _ in graded_decomposition(relay, S_DIM14, skeleton=sk)))
+    parts = {tuple(sorted(zs for zs, _ in _summands(
+        generic_presentation(relay, S_DIM14, skeleton=sk, graded=True))))
              for sk in enumerate_skeleta(relay, S_DIM14)}
     assert len(parts) == 1
 
@@ -1586,7 +1586,7 @@ def test_module_point_noncomposable_relation(six_vertex):
 def test_ext_k_zero_rejected(double_back):
     rep = mat_deep(double_back)
     with pytest.raises(ValidationError):
-        ext_dim(double_back, S_DEEP, rep, 0, seeds=[0])
+        ext_dim_detail(double_back, S_DEEP, rep, 0, seeds=[0])
 
 
 def test_kernel_basis_annihilates():
@@ -1637,5 +1637,5 @@ def test_hom_from_cyclic_matches_explicit_cyclic_rep(double_back):
             assert cyc.total_dim == sum(
                 len(enumerate_paths(double_back, v, l)) for l in range(min(m, 3)))
             got = hom(cyc, rep_n)
-            want = hom_dim_from_cyclic(double_back, CyclicType(v, m), rep_n)
+            want = _cyclic_dims(double_back, CyclicType(v, m), rep_n)[0]
             assert got == want

@@ -2,7 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from genrep.homology import CyclicType, cyclic_dim_vector, is_projective, syzygy_of_cyclic
+from genrep.algebra_core import truncated_dim_vector
+from genrep.homology import CyclicType, is_projective, syzygy_of_cyclic
 
 from conftest import (
     _alg,
@@ -40,7 +41,7 @@ def test_cyclic_invariants_match_enumeration(alg):
     for v in alg.vertices:
         for m in range(1, alg.L + 2):
             c = CyclicType(v, m)
-            assert cyclic_dim_vector(alg, c) == enum_cyclic_dim_vector(alg, v, m)
+            assert truncated_dim_vector(alg, v, m) == enum_cyclic_dim_vector(alg, v, m)
             assert is_projective(alg, c) == enum_is_projective(alg, v, m)
             assert syzygy_of_cyclic(alg, c) == enum_syzygy_of_cyclic(alg, v, m)
 

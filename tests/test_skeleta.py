@@ -14,17 +14,16 @@ from genrep.skeleta import (
     capped_count,
     count_skeleta,
     critical_paths,
-    enumerate_skeleta,
-    invariants_N,
     iter_skeleta,
     skeleta_to_json,
-    skeleton_to_json,
 )
 
 from conftest import (
     FIXTURES,
     _alg,
+    bundle_N,
     critical_paths_by_scan,
+    enumerate_skeleta,
     invariants_N_by_critical_paths,
     iter_skeleta_by_product,
     projective_layering,
@@ -152,18 +151,18 @@ def test_critical_paths_relay_counts(relay):
 
 
 def test_invariants_N_double_back(double_back):
-    assert invariants_N(double_back, S_DEEP) == (3, 1, 2)
-    assert invariants_N(double_back, S_FLAT) == (2, 1, 1)
+    assert bundle_N(double_back, S_DEEP) == (3, 1, 2)
+    assert bundle_N(double_back, S_FLAT) == (2, 1, 1)
 
 
 def test_invariants_N_loop_quiver(loop_out):
-    assert invariants_N(loop_out, seq((1, 0), (1, 0), (0, 1)))[0] == 1
-    assert invariants_N(loop_out, seq((1, 0), (1, 1), (0, 0)))[0] == 0
+    assert bundle_N(loop_out, seq((1, 0), (1, 0), (0, 1)))[0] == 1
+    assert bundle_N(loop_out, seq((1, 0), (1, 1), (0, 0)))[0] == 0
 
 
 def test_invariants_N_unrealizable(double_back):
     with pytest.raises(UnrealizableError):
-        invariants_N(double_back, seq((1, 0), (0, 0), (1, 0)))
+        bundle_N(double_back, seq((1, 0), (0, 0), (1, 0)))
 
 
 def closed_form_N(alg, S):
@@ -182,7 +181,7 @@ def closed_form_N(alg, S):
 @pytest.mark.parametrize("dimvec", [(2, 2), (3, 1), (2, 3)])
 def test_invariants_match_closed_form_and_all_skeleta(double_back, dimvec):
     for S in enumerate_sequences(double_back, dimvec):
-        n, n0, n1 = invariants_N(double_back, S)
+        n, n0, n1 = bundle_N(double_back, S)
         cn, cn0 = closed_form_N(double_back, S)
         assert (n, n0) == (cn, cn0)
         assert n == n0 + n1
@@ -194,7 +193,7 @@ def test_invariants_match_closed_form_and_all_skeleta(double_back, dimvec):
 
 def test_invariants_skeleton_independent_relay(relay):
     # the count off S is the critical-path sum of every compatible skeleton
-    base = invariants_N(relay, S_DIM14)
+    base = bundle_N(relay, S_DIM14)
     for sk in enumerate_skeleta(relay, S_DIM14):
         assert invariants_N_by_critical_paths(relay, sk) == base
 
@@ -217,7 +216,7 @@ def test_realizable_iff_skeleton_exists_small(double_back, relay, loop_out, y_qu
 
 def test_skeleton_json_roundtrip(double_back):
     sk = canonical_skeleton(double_back, S_DEEP)
-    data = skeleton_to_json(sk)
+    data = skeleta_to_json([sk])[0]
     assert {"r": 1, "arrows": []} in data["elements"]
     back = skeleton_from_json(data, double_back)
     assert back == sk
@@ -243,7 +242,7 @@ def test_skeleta_json_shares_one_object_per_element(relay):
     # equal to the JSON made for that skeleton alone
     sks = enumerate_skeleta(relay, S_DIM14)
     data = skeleta_to_json(iter(sks))
-    assert len(sks) > 1 and data == [skeleton_to_json(sk) for sk in sks]
+    assert len(sks) > 1 and data == [skeleta_to_json([sk])[0] for sk in sks]
     first = {}
     for d in data:
         assert d["top"] is data[0]["top"]
@@ -255,7 +254,7 @@ def test_skeleta_json_shares_one_object_per_element(relay):
 def test_skeleton_json_errors(double_back):
     sk = canonical_skeleton(double_back, S_DEEP)
     from genrep.errors import ValidationError
-    data = skeleton_to_json(sk)
+    data = skeleta_to_json([sk])[0]
     bad = {"top": data["top"], "elements": [{"r": 9, "arrows": []}]}
     with pytest.raises(ValidationError):
         skeleton_from_json(bad, double_back)

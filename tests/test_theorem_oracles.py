@@ -23,12 +23,11 @@ from hypothesis import given, settings, strategies as st
 from genrep.algebra_core import realizable
 from genrep.cli import main
 from genrep.generic_builder import generic_presentation
-from genrep.matrix_rep import (PAIR_SEED_OFFSET, RATIONALS, FieldSpec, decomposability, ext_dim,
-                               generic_end_dim, generic_hom_dim, generic_socle, materialize,
-                               seeded_assignment)
-from genrep.skeleta import invariants_N
+from genrep.matrix_rep import (RATIONALS, FieldSpec, _pair_assignment, decomposability,
+                               ext_dim_detail, generic_end_dim, generic_hom_dim, generic_socle,
+                               materialize)
 
-from conftest import realizable_layerings, seq
+from conftest import bundle_N, realizable_layerings, seq
 
 ORACLE_FIXTURES = ["double_back", "loop_out", "relay", "kronecker"]
 
@@ -64,9 +63,10 @@ def test_hom_out_of_a_simple_reads_the_socle(request, fixture, data):
 
 
 def pair_point(alg, S, fs):
-    """The second module of pair mode: a point of G(S) at seed 0 + PAIR_SEED_OFFSET."""
+    """The second module of pair mode beside M = G(S) at seed 0: a point of G(S) at seed
+    PAIR_SEED_OFFSET over F_p, at the primes after M's over Q."""
     pres = generic_presentation(alg, S)
-    return materialize(pres, seeded_assignment(pres, PAIR_SEED_OFFSET, fs), fs)
+    return materialize(pres, _pair_assignment(len(pres.scalar_ids), pres, 0, fs), fs)
 
 
 @pytest.mark.parametrize("fixture", ORACLE_FIXTURES)
@@ -77,8 +77,8 @@ def test_pair_mode_is_at_most_the_diagonal(request, fixture, fs, data):
     alg, S, _ = draw_case(request, fixture, data)
     assert generic_hom_dim(alg, S, S, fs=fs) <= generic_end_dim(alg, S, fs=fs)
     seeds = (0, 1, 2)
-    assert ext_dim(alg, S, pair_point(alg, S, fs), 1, seeds, fs) <= ext_dim(
-        alg, S, None, 1, seeds, fs)
+    assert ext_dim_detail(alg, S, pair_point(alg, S, fs), 1, seeds, fs)["value"] <= \
+        ext_dim_detail(alg, S, None, 1, seeds, fs)["value"]
 
 
 @pytest.mark.parametrize("fixture", ORACLE_FIXTURES)
@@ -99,8 +99,8 @@ def test_split_module_has_a_larger_end(request, fixture, fs, data):
 def test_voigt_tangent_bound(request, fixture, fs, data):
     alg, S, _ = draw_case(request, fixture, data)
     hom_p = sum(t * d for t, d in zip(S.top, S.dim_vector))  # dim Hom(P, G)
-    tangent = ext_dim(alg, S, None, 1, (0, 1, 2), fs) + hom_p - generic_end_dim(alg, S, fs=fs)
-    assert invariants_N(alg, S)[0] <= tangent
+    ext = ext_dim_detail(alg, S, None, 1, (0, 1, 2), fs)["value"]
+    assert bundle_N(alg, S)[0] <= ext + hom_p - generic_end_dim(alg, S, fs=fs)
 
 
 @st.composite
