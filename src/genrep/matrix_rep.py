@@ -14,14 +14,14 @@ paths composed and each Hom system scattered once, and ranked at the three at on
 (``_rank3``); a pivot zero at only some of them falls back to one point at a time.
 
 Fields are F_p for a large prime p (default 2^61 - 1) or exact rationals; all arithmetic is
-exact.  Every rank is one sparse elimination walk (``_pivots``) on ``{column: value}`` rows,
-a row reduced only when taken as a pivot row, for one point (``_rank``) or three.  Actions
-are applied to sparse vectors by ``_apply``; ``mat_rank``, ``mat_mul``, the dense
-matrix-vector product and ``path_action``, the one dense view of a module, are left for
-tests.  ``RowSpace``, an incremental echelon basis of sparse rows keyed by pivot, whose
-``reduce`` reads only the rows of the pivots a vector reaches, serves ``radical_layering``
-and quotients; a distinguished skeleta probe (which reads J^l M off the basis labels) is
-one ``_rank``.
+exact, over Q on ``int``s until elimination divides.  Every rank is one sparse elimination
+walk (``_pivots``) on ``{column: value}`` rows, a row reduced only when taken as a pivot
+row, for one point (``_rank``) or three.  Actions are applied to sparse vectors by
+``_apply``; ``mat_rank``, ``mat_mul``, the dense matrix-vector product and ``path_action``,
+the one dense view of a module, are left for tests.  ``RowSpace``, an incremental echelon
+basis of sparse rows keyed by pivot, whose ``reduce`` reads only the rows of the pivots a
+vector reaches, serves ``radical_layering`` and quotients; a distinguished skeleta probe
+(which reads J^l M off the basis labels) is one ``_rank``.
 
 Every Hom into a module is the kernel of one relation matrix of a presentation of its source
 (``_hom_out_of``): a generic M = P/C, a cyclic Lambda e / J^m e (``_cyclic_dims``), or
@@ -96,7 +96,8 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Prime field F_p, or exact rationals when ``modulus`` is None."""
+    """Prime field F_p, or exact rationals when ``modulus`` is None.  An element is a plain
+    number: an ``int`` mod p; over Q an ``int``, or a ``Fraction`` a division or input made."""
 
     modulus: int | None = MERSENNE_61
 
@@ -110,14 +111,8 @@ class FieldSpec:
 
     def element(self, x) -> object:
         if self.modulus is None:
-            return x if isinstance(x, Fraction) else Fraction(x)
+            return x if type(x) in (int, Fraction) else Fraction(x)
         return int(x) % self.modulus
-
-    def zero(self):
-        return Fraction(0) if self.exact else 0
-
-    def one(self):
-        return Fraction(1) if self.exact else 1
 
 
 RATIONALS = FieldSpec(None)
@@ -138,8 +133,7 @@ def mat_vec(fs: FieldSpec, A, x):
 
 
 def _dot(fs: FieldSpec, row, x):
-    # one reduction per entry over F_p; the Fraction zero keeps Q sums Fractions
-    acc = sum([a * b for a, b in zip(row, x) if a and b], fs.zero())
+    acc = sum([a * b for a, b in zip(row, x) if a and b])
     return acc if fs.modulus is None else acc % fs.modulus
 
 
@@ -175,8 +169,8 @@ def _pivots(rows: list[dict], reduced):
 def _rank(p: int | None, rows: list[dict]) -> int:
     """Rank of sparse rows ``{col: value}`` over F_p, or over Q when ``p`` is None: the
     ``_pivots`` walk, in which each row holding the pivot column adds f times the taken
-    row, f reduced once and skipped when zero.  Values are any integers over F_p, or
-    rationals over Q, zeros included."""
+    row, f reduced once and skipped when zero.  Values are any integers, or over Q also
+    ``Fraction``s, zeros included; over Q each pivot's inverse is a ``Fraction``."""
     rank = 0
     for a, row, piv, holding, holders in _pivots(rows, functools.partial(_reduced, p)):
         rank += 1
@@ -261,10 +255,10 @@ def mat_rank(fs: FieldSpec, rows) -> int:
 class RowSpace:
     """Incrementally maintained row-echelon basis of a subspace, in sparse rows.
 
-    ``rows`` maps each pivot to its ``{col: value}`` row, with a leading 1 at the pivot, its
-    leftmost nonzero column.  ``reduce`` clears the pivots a vector reaches, smallest first:
-    a row's other entries lie right of its pivot, so no cleared column is touched again.
-    Over F_p input entries are reduced mod p; ``p`` is None over Q, as in ``_rank``.
+    ``rows`` maps each pivot to its ``{col: value}`` row, scaled to a leading 1 at the pivot,
+    its leftmost nonzero column (over Q, ``p`` None as in ``_rank``, by a ``Fraction``).
+    ``reduce`` clears the pivots a vector reaches, smallest first: a row's other entries lie
+    right of its pivot, so no cleared column is touched again.  Over F_p it reduces mod p.
     """
 
     def __init__(self, fs: FieldSpec):
@@ -313,10 +307,10 @@ class RowSpace:
 class Representation:
     """Per-vertex spaces and per-arrow actions in sparse columns; immutable.
 
-    ``columns[a]`` lists arrow a's columns in arrow order, one ``{target index:
-    nonzero field element}`` per source basis element, and each marked top is a
-    ``(vertex, {index: nonzero field element})`` pair.  A path's columns are
-    composed on first use and memoised in ``_paths`` by arrows (``_path_columns``).
+    ``columns[a]`` lists arrow a's columns in arrow order, one ``{target index: value}`` per
+    source basis element, and each marked top is a ``(vertex, {index: value})`` pair, every
+    value nonzero (an ``int`` over Q if built from integers).  A path's columns are composed
+    on first use and memoised in ``_paths`` by arrows (``_path_columns``).
 
     ``basis_labels[v]``, when present, names the basis at v: (r, p) is p z_r, a
     skeleton member or its image in a quotient.  Each vertex's basis is sorted by
@@ -376,12 +370,12 @@ def seeded_assignment(pres: GenericPresentation, seed: int,
     Over F_p they are ``random.Random(seed).randrange(1, p)``, repeats redrawn, taken as
     it takes them on Python 3.10-3.13: 1 + ``getrandbits(k)``, k = (p - 1).bit_length(),
     redrawn while >= p; n > p - 1 scalars are refused before any draw.  Over Q they are the
-    first n primes, so exact runs need no modulus and ignore the seed: over Q the three
-    seeds are one point, evaluated once per caller.
+    first n primes, as ``int``s, so exact runs need no modulus and ignore the seed: over Q
+    the three seeds are one point, evaluated once per caller.
     """
     n = len(pres.scalar_ids)
     if fs.exact:
-        return list(map(Fraction, _first_primes(n)))
+        return _first_primes(n)
     _check_random_field(fs)
     if n > (width := fs.modulus - 1):
         raise ValidationError(f"{n} distinct nonzero scalars exceed the {width} of F_{fs.modulus}")
@@ -399,7 +393,7 @@ def _pair_assignment(n_m: int, pres_n: GenericPresentation, seed: int, fs: Field
     ``PAIR_SEED_OFFSET``; over Q, where no seed draws, the primes after the first's n_m."""
     if not fs.exact:
         return seeded_assignment(pres_n, seed + PAIR_SEED_OFFSET, fs)
-    return list(map(Fraction, _first_primes(n_m + len(pres_n.scalar_ids))[n_m:]))
+    return _first_primes(n_m + len(pres_n.scalar_ids))[n_m:]
 
 
 def materialize(pres: GenericPresentation, values,
@@ -420,8 +414,8 @@ def materialize(pres: GenericPresentation, values,
 
 def _module(sk: Skeleton, relations, points, fs: FieldSpec) -> Representation:
     """The module on the basis ``sk.basis``, with marked tops z_r, at one point's scalars
-    (indexed by scalar number), or at three seeded points as one module on value triples:
-    scalar k is (a0[k], a1[k], a2[k]), each unit (1, 1, 1).
+    (indexed by scalar number), each unit 1, or at three seeded points as one module on value
+    triples: scalar k is (a0[k], a1[k], a2[k]), each unit (1, 1, 1).
 
     ``index`` numbers the basis per vertex.  Every column starts empty (zero).  Each member
     alpha*p of the skeleton is the unit column of arrow alpha at its parent p.  Each
@@ -429,7 +423,7 @@ def _module(sk: Skeleton, relations, points, fs: FieldSpec) -> Representation:
     members at (alpha, p).  No other extension has length <= L.
     """
     alg, element, basis, three = sk.alg, fs.element, sk.basis, len(points) == 3
-    values, one = (list(zip(*points)), (1, 1, 1)) if three else (points[0], fs.one())
+    values, one = (list(zip(*points)), (1, 1, 1)) if three else (points[0], 1)
     # an element (r, p) is keyed by (r, p.arrows): r fixes the start of p
     index = {(r, p.arrows): i for els in basis.values() for i, (r, p) in enumerate(els)}
     cols = {a.name: [{}] * len(basis[a.source]) for a in alg.quiver.arrows}
@@ -452,7 +446,7 @@ def _radical_spaces(rep: Representation) -> list[dict[str, RowSpace]]:
     spaces = [{v: RowSpace(fs) for v in alg.vertices}]
     for v, rs in spaces[0].items():
         # J^0 M = M: the identity rows are already an echelon basis
-        rs.rows = {i: {i: fs.one()} for i in range(rep.dim_at(v))}
+        rs.rows = {i: {i: 1} for i in range(rep.dim_at(v))}
     for _ in range(alg.L + 1):
         prev = spaces[-1]
         nxt = {v: RowSpace(fs) for v in alg.vertices}
@@ -498,7 +492,7 @@ def _basis_hom_dims(rep_a: Representation, rep_b: Representation) -> list[int]:
     (``_hom_out_of``); a term -A_a[i, j] z_i is A_a[i, j] times minus a unit column."""
     _check_over(rep_a.algebra, rep_a.field, rep_b)
     alg = rep_a.algebra
-    minus = (-1, -1, -1) if rep_b._three else -rep_b.field.one()
+    minus = (-1, -1, -1) if rep_b._three else -1
     labelled = rep_a.basis_labels is not None and rep_b.basis_labels is not None
     first, tops = {}, []
     for v in alg.vertices:
@@ -518,7 +512,7 @@ def _path_columns(rep: Representation, p: Path) -> list[dict]:
     per module by arrows) the leftmost arrow's composed with the initial subpath's."""
     arrows, paths = p.arrows, rep._paths
     if not arrows:
-        one = (1, 1, 1) if rep._three else rep.field.one()
+        one = (1, 1, 1) if rep._three else 1
         return [{j: one} for j in range(rep.dim_at(p.start))]
     i = 0  # arrows[i:] is the longest initial subpath at hand, a lone arrow at worst
     while i < len(arrows) - 1 and arrows[i:] not in paths:
@@ -533,8 +527,8 @@ def _path_columns(rep: Representation, p: Path) -> list[dict]:
 def path_action(rep: Representation, p: Path) -> tuple:
     """Matrix of the action of a path (start -> end), a tuple of rows: the one dense
     view of a module, built from ``_path_columns``."""
-    z, cols = rep.field.zero(), _path_columns(rep, p)
-    return tuple(tuple(col.get(i, z) for col in cols)
+    cols = _path_columns(rep, p)
+    return tuple(tuple(col.get(i, 0) for col in cols)
                  for i in range(rep.dim_at(rep.algebra.path_end(p))))
 
 
@@ -614,7 +608,7 @@ def _presented_hom_dims(pres: GenericPresentation, rep_n: Representation, points
     One relation per critical path z_r: its action, minus the assigned
     scalar times the action of each sigma-set member on its top z_s.
     """
-    scales = ([-rep_n.field.element(x) for x in points[0]] if len(points) == 1 else
+    scales = ([-x for x in points[0]] if len(points) == 1 else
               [(-x, -y, -z) for x, y, z in zip(*points)])
     return _hom_out_of([(v, 0) for v in pres.skeleton.top], rep_n, [
         (_path_columns(rep_n, rel.critical.path(pres.algebra)), rel.critical.r - 1,
@@ -769,8 +763,8 @@ def module_point(alg: TruncatedAlgebra, tops, relations,
             if p.length > alg.L:
                 continue
             vec, i = comps.setdefault(v, {}), index[(int(r), p)]
-            vec[i] = fs.element(vec.get(i, 0) + fs.element(coeff))
-        gens += [(v, vec) for v, vec in comps.items() if any(vec.values())]
+            vec[i] = vec.get(i, 0) + fs.element(coeff)  # over F_p, reduced by the quotient
+        gens += comps.items()
     return quotient_representation(P, gens)
 
 
@@ -1011,5 +1005,5 @@ def module_point_from_json(data: dict, alg: TruncatedAlgebra,
 
 def _parse_coeff(raw, fs: FieldSpec):
     if isinstance(raw, str):
-        return fs.element(Fraction(raw)) if fs.exact else fs.element(int(raw))
-    return fs.element(_json_as(raw))
+        return Fraction(raw) if fs.exact else int(raw)
+    return _json_as(raw)

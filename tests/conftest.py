@@ -175,9 +175,8 @@ def fs_inv(fs, a):
     return Fraction(1) / a if fs.exact else pow(a, fs.modulus - 2, fs.modulus)
 
 
-def zero_matrix(fs, rows, cols):
-    z = fs.zero()
-    return [[z] * cols for _ in range(rows)]
+def zero_matrix(rows, cols):
+    return [[0] * cols for _ in range(rows)]
 
 
 def bareiss_rank(fs, rows):
@@ -239,8 +238,8 @@ def kernel_basis(fs, rows, ncols):
     for free in range(ncols):
         if free in pivots:
             continue
-        v = [fs.zero()] * ncols
-        v[free] = fs.one()
+        v = [0] * ncols
+        v[free] = 1
         for i, pc in enumerate(pivots):
             v[pc] = fs_neg(fs, R[i][free])
         basis.append(v)
@@ -336,15 +335,13 @@ def representation_from_matrices(alg, fs, dims, matrices, top_elements=None):
 
 def arrow_matrix(rep, name):
     """The dense matrix of arrow ``name``, a tuple of rows, read off its sparse columns."""
-    z = rep.field.zero()
     height = rep.dim_at(rep.algebra.quiver.arrow_by_name[name].target)
-    return tuple(tuple(col.get(i, z) for col in rep.columns[name]) for i in range(height))
+    return tuple(tuple(col.get(i, 0) for col in rep.columns[name]) for i in range(height))
 
 
 def top_vectors(rep):
     """The marked tops as (vertex, dense list), read off their sparse vectors."""
-    z = rep.field.zero()
-    return [(v, [vec.get(i, z) for i in range(rep.dim_at(v))]) for v, vec in rep.top_elements]
+    return [(v, [vec.get(i, 0) for i in range(rep.dim_at(v))]) for v, vec in rep.top_elements]
 
 
 def dense_radical_spaces(rep, first):
@@ -542,7 +539,7 @@ def hom_dim_by_stacking(rep_a, rep_b):
         for i in range(rep_b.dim_at(t)):
             for j in range(dAs):
                 # the (i, j) entry of f_t A - B f_s
-                row = [fs.zero()] * total
+                row = [0] * total
                 for k in range(dAt):
                     row[offsets[t] + i * dAt + k] += A[k][j]
                 for k in range(rep_b.dim_at(s)):
@@ -563,8 +560,7 @@ def user_assignment(values, fs=None):
 
 
 def representation_to_json(rep):
-    def enc(x):
-        return str(x) if isinstance(x, Fraction) else int(x)
+    enc = str if rep.field.exact else int  # a Q value, int or Fraction, as a string
 
     return {
         "field_modulus": rep.field.modulus,
@@ -579,13 +575,13 @@ def skeleton_module_by_lookup(sk, relations, assign, fs):
     of the column template: every arrow's columns are derived element by
     element.  ``assign[k]`` is the value of scalar x_k."""
     from genrep.matrix_rep import Representation
-    alg, one = sk.alg, fs.one()
+    alg = sk.alg
     by_vertex = {v: [] for v in alg.vertices}
     for el in sk.elements:
         by_vertex[sk.end(el)].append(el)
     index = {el: i for v in alg.vertices for i, el in enumerate(by_vertex[v])}
     rel_map = {(rel.critical.arrow, rel.critical.parent): rel for rel in relations}
-    tops = tuple((v, {index[(r, alg.trivial_path(v))]: one})
+    tops = tuple((v, {index[(r, alg.trivial_path(v))]: 1})
                  for r, v in enumerate(sk.top, start=1))
     columns = {}
     for a in alg.quiver.arrows:
@@ -593,7 +589,7 @@ def skeleton_module_by_lookup(sk, relations, assign, fs):
         for el in by_vertex[a.source]:
             r, p = el
             ext = (r, alg.extend(p, a)) if p.length < alg.L else None
-            cols.append({} if ext is None else {index[ext]: one} if ext in sk else
+            cols.append({} if ext is None else {index[ext]: 1} if ext in sk else
                         {index[mem]: x for mem, k in rel_map[(a.name, el)].terms
                          if (x := fs.element(assign[k]))})
     return Representation(alg, fs, tuple(len(by_vertex[v]) for v in alg.vertices), columns,
@@ -685,7 +681,7 @@ def seeded_assignment_by_randrange(pres, seed, fs):
     import random
     n = len(pres.scalar_ids)
     if fs.exact:
-        return list(map(Fraction, first_primes_by_trial(n)))
+        return first_primes_by_trial(n)
     rng, seen, values = random.Random(seed), set(), []
     for _ in range(n):
         while (x := rng.randrange(1, fs.modulus)) in seen:
@@ -1040,7 +1036,7 @@ def distinguished_skeleta_by_path_action(rep, cap=10**6):
     full = {v: DenseRowSpace(fs, rep.dim_at(v)) for v in alg.vertices}
     for v, space in full.items():
         for i in range(space.width):
-            space.add([fs.one() if j == i else fs.zero() for j in range(space.width)])
+            space.add([1 if j == i else 0 for j in range(space.width)])
     spaces = dense_radical_spaces(rep, full)
     tops = sorted(top_vectors(rep), key=lambda t: alg.vertex_pos(t[0]))
     if tuple(v for v, _ in tops) != top_elements(alg, S):

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 from unittest import mock
@@ -24,6 +25,7 @@ from genrep.homology import profile_to_json
 from conftest import (
     COMPONENT_ALGEBRAS,
     FIXTURES,
+    drawn_algebras,
     iterated_syzygy_by_steps,
     last_two_syzygies_by_steps,
     realizable_layerings,
@@ -926,6 +928,47 @@ def test_arrow_reorder_and_rename_changes_no_output(tmp_path, capsys, fixture, l
     assert transformed == original
 
 
+@st.composite
+def arrow_transforms(draw):
+    """(quiver JSON, the same quiver with its arrows in a drawn order under drawn new names,
+    layers): a drawn quiver and a realizable layering of it of dimension at most 10."""
+    alg = draw(drawn_algebras(max_L=3))
+    S = draw(realizable_layerings(alg).filter(lambda S: S.total_dim <= 10))
+    arrows = [(a.name, a.source, a.target) for a in alg.quiver.arrows]
+    names = draw(st.lists(st.text("xyz", min_size=1, max_size=3), min_size=len(arrows),
+                          max_size=len(arrows), unique=True))
+
+    def doc(listed):
+        return {"vertices": list(alg.vertices), "max_path_length": alg.L, "arrows": [
+            {"name": a, "source": s, "target": t} for a, s, t in listed]}
+
+    moved = [(name, s, t) for name, (_, s, t) in zip(names, draw(st.permutations(arrows)))]
+    return doc(arrows), doc(moved), json.dumps([list(row) for row in S.layers])
+
+
+@pytest.fixture(scope="module")
+def transform_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("transforms")
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=arrow_transforms())
+def test_drawn_arrow_reorder_and_rename_changes_no_value(transform_dir, case):
+    # loops, parallel arrows and disconnected quivers: no output of these commands names an
+    # arrow, so each parsed stdout and each exit code (2 or 3 included) is the same after
+    # the transform, the seeded values over F_p and over Q (the first primes) included
+    original, moved, layers = case
+    outcomes = []
+    for name, doc in (("original", original), ("moved", moved)):
+        path = _write(transform_dir, f"{name}.json", doc)
+        outcomes.append([])
+        for argv in (["socle"], ["hom"], ["decompose"], ["ext", "--k", "1"]):
+            for field in ([], ["--exact"]):
+                code, out, _ = _main_outcome([*argv, *field, "--algebra", path, "--layers", layers])
+                outcomes[-1].append((code, json.loads(out) if code == 0 else None))
+    assert outcomes[1] == outcomes[0]
+
+
 def test_disjoint_union_adds_its_parts(tmp_path, capsys):
     # relay at d = 14 and the README algebra at L = 3, joined with their vertices and arrows
     # renamed: counts multiply, dimensions add, socles and syzygies concatenate, and the
@@ -1437,6 +1480,24 @@ def test_integer_or_string_coefficient_accepted(point_files, capsys, field, coef
         json.dump(data, fh)
     code, out = run(capsys, ["point-skeleta"] + point_files + field)
     assert code == 0 and json.loads(out)["count"] == 3
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(3, 7)])
+def test_rational_coefficient_strings_scale_a_relation(point_files, capsys, scale):
+    # every coefficient of g z_3 - ed z_4 times 1/2 or 3/7, written "1/2", "-3/7": the same
+    # submodule, so the same stdout over Q, the one input that puts a Fraction in a module;
+    # over F_p a coefficient string is read as an integer and refused
+    code, want = run(capsys, ["point-skeleta"] + point_files + ["--exact"])
+    mod_path = point_files[-1]
+    data = json.loads(Path(mod_path).read_text())
+    data["relations"][2] = [{**t, "coeff": str(scale * t["coeff"])} for t in data["relations"][2]]
+    assert {t["coeff"] for t in data["relations"][2]} == {str(scale), str(-scale)}
+    with open(mod_path, "w") as fh:
+        json.dump(data, fh)
+    assert code == 0 and run(capsys, ["point-skeleta"] + point_files + ["--exact"]) == (0, want)
+    assert main(["point-skeleta"] + point_files + ["--modulus", "1000003"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: malformed module point: invalid literal for int()")
 
 
 # -- JSON emitter ---------------------------------------------------------------

@@ -95,6 +95,18 @@ def test_field_validation():
     FieldSpec(7)  # small primes are fine for user-supplied scalars
 
 
+def test_element_is_a_plain_number_and_never_a_float():
+    # over Q an int or a Fraction passes through as it is, and anything else, a float or a
+    # bool, becomes a Fraction; over F_p every value becomes an int reduced mod p
+    half = Fraction(1, 2)
+    assert RATIONALS.element(half) is half
+    for x, want in ((3, 3), (-7, -7), (0.5, half), (True, 1)):
+        got = RATIONALS.element(x)
+        assert got == want and type(got) is (int if type(x) is int else Fraction)
+    got = [FieldSpec(7).element(x) for x in (-1, 7, 9, 2.0, True)]
+    assert got == [6, 0, 2, 2, 1] and {type(x) for x in got} == {int}
+
+
 def test_strong_pseudoprime_to_bases_up_to_37_is_refused():
     # 399165290221 * 798330580441 passes Miller-Rabin to every prime base up to 37;
     # base 41 makes the test exact below 3.317e24
@@ -337,6 +349,36 @@ def test_layering_stable_on_whole_cell(double_back, relay, line_swing):
     assert cases == 18 * (66 + 29 + 16)  # skeleta visited, times modes, fields, scalars
 
 
+# over Q the first primes are not a generic point of these non-canonical skeleta's
+# presentations (the primes from 3 on are): (layering, skeleton index) -> (dim End, socle)
+FIRST_PRIMES_OFF_GENERIC = {(((2, 4), (2, 0), (0, 0)), 5): (13, (4, 1)),
+                            (((1, 4), (2, 0), (0, 0)), 5): (8, (3, 1))}
+
+
+@pytest.mark.parametrize("fs", [RATIONALS, FieldSpec()], ids=["Q", "Fp"])
+def test_seeded_point_of_every_skeleton_has_the_generic_end_and_socle(
+        double_back, relay, line_swing, fs):
+    # Rep_S is irreducible and every skeleton's cell is a piece of it, so at a point of any
+    # cell dim End and the socle are at least their generic values (upper semicontinuity);
+    # equality is pinned as observed, not proved, except at the two points listed above
+    points, off = 0, {}
+    for alg, dimvec in ((double_back, (3, 3)), (double_back, (4, 4)), (double_back, (3, 4)),
+                        (relay, (2, 3, 2)), (relay, (2, 2, 2)),
+                        (line_swing, (2, 2, 2)), (line_swing, (1, 3, 2))):
+        for S in enumerate_sequences(alg, dimvec):
+            want = generic_end_dim(alg, S, fs=fs), generic_socle(alg, S, fs)
+            for i, sk in enumerate(islice(iter_skeleta(alg, S), 100)):
+                pres = generic_presentation(alg, S, skeleton=sk)
+                rep = materialize(pres, seeded_assignment(pres, 0, fs), fs)
+                got = hom_dim(rep, rep), socle(rep)
+                assert got[0] >= want[0] and all(map(int.__ge__, got[1], want[1]))
+                if got != want:
+                    off[S.layers, i] = got
+                points += 1
+    assert points == 1672
+    assert off == (FIRST_PRIMES_OFF_GENERIC if fs.exact else {})
+
+
 def test_foreign_skeleton_rejected(relay):
     # a skeleton of another layering would present the wrong module
     others = [enumerate_sequences(relay, (2, 3, 2))[0],
@@ -389,7 +431,7 @@ def _long_paths(alg, start):
 def test_radical_layering_zero_arrows(double_back):
     fs = FieldSpec()
     rep = representation_from_matrices(double_back, fs, (2, 1),
-                                       {a.name: zero_matrix(fs, *_shape(double_back, a, (2, 1)))
+                                       {a.name: zero_matrix(*_shape(double_back, a, (2, 1)))
                                         for a in double_back.quiver.arrows})
     assert radical_layering(rep) == seq((2, 1), (0, 0), (0, 0))
     assert socle(rep) == (2, 1)
@@ -712,14 +754,22 @@ def test_distinguished_skeleta_match_path_action_oracle(six_vertex, relay, loop_
         assert want != [] and isinstance(want, list)
 
 
+def assert_values(fs, values, integral=False):
+    """The stored-value contract, which no float meets: over F_p an ``int`` in (0, p); over Q
+    an ``int``, or also a ``Fraction`` unless the module was built from integers."""
+    for x in values:
+        assert type(x) is int or (fs.exact and not integral and type(x) is Fraction), x
+        assert x != 0 and (fs.exact or 0 < x < fs.modulus), x
+
+
 def naive_action(rep, p):
     """The action matrix of p as a product of arrow matrices, entry by entry."""
     fs = rep.field
     d = rep.dim_at(p.start)
-    mat = [[fs.one() if i == j else fs.zero() for j in range(d)] for i in range(d)]
+    mat = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
     for name in reversed(p.arrows):
         A = arrow_matrix(rep, name)
-        prod = [[fs.zero()] * d for _ in A]
+        prod = [[0] * d for _ in A]
         for i, row in enumerate(A):
             for k, a in enumerate(row):
                 for j in range(d):
@@ -739,7 +789,8 @@ def test_memoised_path_action_matches_naive_product(relay, fs):
             for p in enumerate_paths(relay, v, length):
                 got = [list(row) for row in path_action(rep, p)]
                 assert got == naive_action(rep, p)
-                assert {type(x) for row in got for x in row} <= {type(fs.zero())}
+                assert {type(x) for row in got for x in row} <= {int}
+                assert_values(fs, [x for row in got for x in row if x], integral=True)
 
 
 @st.composite
@@ -820,7 +871,7 @@ def test_basis_labels_grade_the_radical_filtration(request, fixture, dimvec, fs,
     S = data.draw(st.sampled_from(enumerate_sequences(alg, dimvec)))
     pres = generic_presentation(alg, S, graded=data.draw(st.booleans()))
     for rep in (point, quotient, materialize(pres, drawn_assignment(data, pres, fs), fs),
-                materialize(pres, [fs.zero()] * len(pres.scalar_ids), fs)):
+                materialize(pres, [0] * len(pres.scalar_ids), fs)):
         assert_labels_grade_the_radical(rep)
 
 
@@ -852,7 +903,7 @@ def test_socle_off_arrow_columns_matches_cyclic_hom(request, fixture, dimvec, fs
         name: arrow_matrix(point, name) for name in point.columns})
     assert hand.basis_labels is None
     for rep in (point, hand, materialize(pres, drawn_assignment(data, pres, fs), fs),
-                materialize(pres, [fs.zero()] * len(pres.scalar_ids), fs)):
+                materialize(pres, [0] * len(pres.scalar_ids), fs)):
         assert socle(rep) == socle_by_stacking(rep)
 
 
@@ -1023,7 +1074,7 @@ def test_pruned_hom_dim_matches_unpruned_and_stacking(request, fixture, dimvec, 
         S = data.draw(st.sampled_from(enumerate_sequences(alg, dimvec)))
         pres = generic_presentation(alg, S, graded=data.draw(st.booleans()))
         reps.append(materialize(pres, drawn_assignment(data, pres, fs), fs))
-    reps.append(materialize(pres, [fs.zero()] * len(pres.scalar_ids), fs))
+    reps.append(materialize(pres, [0] * len(pres.scalar_ids), fs))
     reps.append(module_point(alg, *data.draw(module_point_specs(alg)), fs))
     hand = representation_from_matrices(alg, fs, reps[-1].dims, {
         name: arrow_matrix(reps[-1], name) for name in reps[-1].columns})
@@ -1078,7 +1129,9 @@ def dense_columns(fs, mat, width):
             for j in range(width)]
 
 
-def assert_columns_match_dense(rep):
+def assert_columns_match_dense(rep, integral=False):
+    """Arrow and path columns against the dense products, every value as ``assert_values``
+    requires (``integral``: a module built from integers)."""
     fs, alg = rep.field, rep.algebra
     for a in alg.quiver.arrows:
         cols = rep.columns[a.name]
@@ -1089,7 +1142,7 @@ def assert_columns_match_dense(rep):
             for p in enumerate_paths(alg, v, length):
                 cols = _path_columns(rep, p)
                 assert cols == dense_columns(fs, naive_action(rep, p), rep.dim_at(v))
-                assert {type(x) for col in cols for x in col.values()} <= {type(fs.zero())}
+                assert_values(fs, [x for col in cols for x in col.values()], integral)
 
 
 def unreduced(rep, shift):
@@ -1121,7 +1174,7 @@ def test_sparse_columns_match_dense_on_drawn_points(request, fixture, fs, data):
         assign = seeded_assignment(pres, data.draw(st.integers(0, 2**32)), fs)
     else:
         assign = {sid: fs.element(data.draw(st.integers(0, 4))) for sid in pres.scalar_ids}
-    assert_columns_match_dense(materialize(pres, assign, fs))
+    assert_columns_match_dense(materialize(pres, assign, fs), integral=True)
 
 
 def snapshot(rep):
@@ -1257,7 +1310,7 @@ def test_zero_dimensional_vertex_matches_stacking(relay, fs):
     no_3 = representation_from_matrices(relay, fs, (1, 2, 0), {
         "a1": ((1,), (0,)), "a2": ((7,), (-1,)), "b": (), "g1": ((), ()), "g2": ((), ())})
     for rep in (no_1, no_3):
-        assert_columns_match_dense(rep)
+        assert_columns_match_dense(rep, integral=True)
         assert_hom_out_of_matches_stacking(rep)
         for other in (no_1, no_3):
             assert hom_dim(rep, other) == hom_dim_by_stacking(rep, other)
@@ -1285,19 +1338,17 @@ def sub_vectors(draw, rep):
             for v in draw(st.lists(st.sampled_from(rep.algebra.vertices), max_size=3))]
 
 
-def assert_stored_form(rep):
+def assert_stored_form(rep, integral=False):
     """A module as ``Representation`` stores it: arrow columns in arrow order, one
     dict per source basis element, and sparse tops, every index below its
-    vertex's dimension and every value a nonzero, reduced field element of the
-    field's own type."""
+    vertex's dimension and every value as ``assert_values`` requires (``integral``:
+    a module built from integers)."""
     fs, alg = rep.field, rep.algebra
 
     def check(vec, height):
         assert type(vec) is dict
-        for i, x in vec.items():
-            assert type(i) is int and 0 <= i < height
-            assert type(x) is type(fs.zero()) and x != 0
-            assert fs.exact or 0 < x < fs.modulus
+        assert all(type(i) is int and 0 <= i < height for i in vec)
+        assert_values(fs, vec.values(), integral)
 
     assert list(rep.columns) == [a.name for a in alg.quiver.arrows]
     for a in alg.quiver.arrows:
@@ -1327,14 +1378,15 @@ def test_every_built_module_has_the_stored_form(request, fixture, fs, data):
     v = data.draw(st.sampled_from(alg.vertices))
     simple = module_point(alg, (v,), [[(1, 1, (a.name,))] for a in alg.quiver.arrows_from[v]], fs)
     assert simple.dims == tuple(int(w == v) for w in alg.vertices)
-    points += [projective_representation(alg, tuple(tops), fs),
-               module_point(alg, tops, relations, fs), simple]
+    points.append(projective_representation(alg, tuple(tops), fs))
+    built = points[:]  # from integers: over Q they hold only ints
+    points += [module_point(alg, tops, relations, fs), simple]
     for rep in points[:]:
         subs = [(w, {i: x for i, x in enumerate(vec) if x})
                 for w, vec in data.draw(sub_vectors(rep))]
         points.append(quotient_representation(rep, subs))
     for rep in points:
-        assert_stored_form(rep)
+        assert_stored_form(rep, integral=rep in built)
 
 
 @pytest.mark.parametrize("fixture", ["double_back", "relay", "six_vertex"])
@@ -1527,7 +1579,7 @@ def test_exact_rational_mode_matches_mod_p(double_back):
     pres = generic_presentation(double_back, S_DEEP)
     assign = seeded_assignment(pres, 0, RATIONALS)
     assert list(assign)[:3] == [2, 3, 5]
-    assert {type(x) for x in assign} == {Fraction}
+    assert {type(x) for x in assign} == {int}
     rep = materialize(pres, assign, RATIONALS)
     assert radical_layering(rep) == S_DEEP
     assert socle(rep) == (1, 0)
