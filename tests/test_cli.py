@@ -32,6 +32,7 @@ from conftest import (
     seq,
     skeleton_text_by_walk,
 )
+from test_cli_pins import run_in_process
 
 
 @pytest.fixture()
@@ -964,9 +965,73 @@ def test_drawn_arrow_reorder_and_rename_changes_no_value(transform_dir, case):
         outcomes.append([])
         for argv in (["socle"], ["hom"], ["decompose"], ["ext", "--k", "1"]):
             for field in ([], ["--exact"]):
-                code, out, _ = _main_outcome([*argv, *field, "--algebra", path, "--layers", layers])
+                code, out, _ = run_in_process(
+                    [*argv, *field, "--algebra", path, "--layers", layers])
                 outcomes[-1].append((code, json.loads(out) if code == 0 else None))
     assert outcomes[1] == outcomes[0]
+
+
+@st.composite
+def vertex_permutations(draw):
+    """(quiver JSON, layers, the same quiver with its vertices in a drawn order under drawn
+    new names, the layers with their columns in that order, the order): new vertex j is
+    old vertex order[j].  A drawn quiver and a realizable layering of dimension at most 10."""
+    alg = draw(drawn_algebras(max_L=3))
+    S = draw(realizable_layerings(alg).filter(lambda S: S.total_dim <= 10))
+    order = draw(st.permutations(range(alg.n)))
+    names = draw(st.lists(st.text("pqr", min_size=1, max_size=2), min_size=alg.n,
+                          max_size=alg.n, unique=True))
+    rename = {alg.vertices[i]: name for i, name in zip(order, names)}
+
+    def doc(vertices, new_name):
+        return {"vertices": vertices, "max_path_length": alg.L, "arrows": [
+            {"name": a.name, "source": new_name(a.source), "target": new_name(a.target)}
+            for a in alg.quiver.arrows]}
+
+    layers = [list(row) for row in S.layers]
+    return (doc(list(alg.vertices), str), json.dumps(layers), doc(names, rename.get),
+            json.dumps([[row[i] for i in order] for row in layers]), order)
+
+
+def permuted_witness(witness, top, order):
+    """A decomposable witness's components with their tops renumbered and their dimension
+    vectors reordered for the vertices listed in ``order``, sorted by tops.  Tops are
+    numbered by vertex in list order, ``top[v]`` of them at vertex v, so the k-th top at a
+    vertex keeps its place among that vertex's tops."""
+    old = [v for v in range(len(top)) for _ in range(top[v])]
+    new = [v for v in order for _ in range(top[v])]
+    renumber = {r + 1: new.index(v) + 1 + old[:r].count(v) for r, v in enumerate(old)}
+    return sorted(({"tops": sorted(renumber[r] for r in c["tops"]),
+                    "dim_vector": [c["dim_vector"][i] for i in order]}
+                   for c in witness["components"]), key=lambda c: c["tops"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=vertex_permutations())
+def test_drawn_vertex_permutation_permutes_socle_and_witness(transform_dir, case):
+    # loops, parallel arrows and disconnected quivers, their vertices reordered and renamed
+    # and the layering's columns with them: each exit code is the same, the socle and a
+    # decomposable witness come back permuted, and every other value, the seeded ones over
+    # F_p and over Q (the first primes) included, is equal
+    original, layers, moved, moved_layers, order = case
+    paths = [_write(transform_dir, f"{name}.json", doc)
+             for name, doc in (("original", original), ("moved", moved))]
+    for argv in (["socle"], ["hom"], ["decompose"], ["ext", "--k", "1"]):
+        for field in ([], ["--exact"]):
+            (code, out, _), (moved_code, moved_out, _) = (
+                run_in_process([*argv, *field, "--algebra", path, "--layers", lay])
+                for path, lay in zip(paths, (layers, moved_layers)))
+            assert moved_code == code
+            if code:
+                continue
+            expected, got = json.loads(out), json.loads(moved_out)
+            if argv == ["socle"]:
+                expected["socle"] = [expected["socle"][i] for i in order]
+            if expected.get("verdict") == "decomposable-certified":
+                top = json.loads(layers)[0]
+                expected["witness"] = permuted_witness(expected["witness"], top, order)
+                got["witness"] = sorted(got["witness"]["components"], key=lambda c: c["tops"])
+            assert got == expected
 
 
 def test_disjoint_union_adds_its_parts(tmp_path, capsys):
@@ -1759,17 +1824,6 @@ def cli_files(tmp_path_factory):
     return {"ALG": str(directory / "alg.json"), "SEQ": str(directory / "seq.json")}
 
 
-def _main_outcome(argv):
-    """(exit code, stdout, stderr) of ``main(argv)``, argparse's exits included."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
 # runs of argvs kept in order: a flag given in one run must not carry over to the next
 WARM_RUNS = [
     (["projdim", "--algebra", "ALG", "--seq", "SEQ"],),
@@ -1792,9 +1846,9 @@ def test_warm_main_matches_cold_main(cli_files, runs):
     warm = None  # the one tree the warm runs share, built by the first of them
     for argv in [[cli_files.get(a, a) for a in argv] for run in runs for argv in run]:
         with mock.patch.object(cli, "_TREE", None):
-            cold = _main_outcome(argv)
+            cold = run_in_process(argv)
         with mock.patch.object(cli, "_TREE", warm):
-            assert _main_outcome(argv) == cold
+            assert run_in_process(argv) == cold
             assert warm in (None, cli._TREE)
             warm = cli._TREE
 
@@ -2168,8 +2222,8 @@ def _exact_and_fp(exact_files, case, argv, key):
     argv = [seq2 if a == "SEQ2" else a for a in argv]
     outcomes = []
     for field in (["--exact"], []):
-        code, out, _ = _main_outcome([*argv, *field, "--seed", "0", "--algebra", path,
-                                      "--layers", json.dumps(S)])
+        code, out, _ = run_in_process([*argv, *field, "--seed", "0", "--algebra", path,
+                                       "--layers", json.dumps(S)])
         outcomes.append((code, json.loads(out)[key] if code == 0 else None))
     return outcomes
 
