@@ -18,8 +18,8 @@ from .skeleta import (
     Element,
     SigmaSet,
     Skeleton,
-    _compatible_skeleton,
     _critical_counts,
+    canonical_skeleton,
     critical_paths,
     element_to_json,
 )
@@ -55,20 +55,21 @@ class GenericPresentation(NamedTuple):
 
 
 def generic_presentation(alg: TruncatedAlgebra, S: SemisimpleSequence,
-                         skeleton: Skeleton | None = None,
                          graded: bool = False) -> GenericPresentation:
-    """Presentation of the generic (or graded-generic) module with layering S.
+    """Presentation of the generic (or graded-generic) module with layering S, on its
+    canonical skeleton.
 
     Scalar k, written x_k, is the k-th term of the disjoint union indexing
     N (ungraded) or N0 (graded); relations follow the critical-path order of
     the skeleton.
     """
-    skeleton = _compatible_skeleton(alg, S, skeleton)
+    skeleton = canonical_skeleton(alg, S)
     return _presentation(alg, S, skeleton, critical_paths(alg, skeleton), graded)
 
 
 def _presentation(alg, S, skeleton, sigma_sets, graded: bool) -> GenericPresentation:
-    """``generic_presentation`` on a skeleton compatible with S, given its critical paths."""
+    """``generic_presentation`` on any skeleton compatible with S, unchecked, given its
+    critical paths."""
     relations, k = [], 0
     for sset in sigma_sets:
         part = sset.zero_part if graded else sset.members

@@ -16,7 +16,6 @@ import math
 from typing import NamedTuple
 
 from .algebra_core import (
-    DimensionVector,
     SemisimpleSequence,
     TruncatedAlgebra,
     truncated_dim_vector,
@@ -63,16 +62,6 @@ class SyzygyProfile:
 
     def items(self) -> tuple[tuple[CyclicType, int], ...]:
         return self._items
-
-    def total_dim(self, alg: TruncatedAlgebra) -> int:
-        return sum(cyclic_dim(alg, c) * m for c, m in self._items)
-
-    def dim_vector(self, alg: TruncatedAlgebra) -> DimensionVector:
-        dims = [0] * alg.n
-        for c, m in self._items:
-            for j, d in enumerate(truncated_dim_vector(alg, c.vertex, c.truncation)):
-                dims[j] += m * d
-        return tuple(dims)
 
     def __eq__(self, other):
         return isinstance(other, SyzygyProfile) and self._items == other._items

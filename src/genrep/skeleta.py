@@ -34,29 +34,23 @@ Element = tuple[int, Path]  # (top index r, path starting at e(r)); r is 1-based
 
 
 class Skeleton:
-    """Immutable skeleton; equality and hashing ignore the algebra handle.
+    """Immutable skeleton: its tops and its members in canonical ``_key`` order.  Equality
+    and hashing ignore the algebra handle.
 
-    ``elements`` are sorted by ``_key`` unless ``ordered`` says they are already.
+    ``ordered=True`` promises ``elements`` already come in that order; otherwise they are
+    sorted from a set.
     """
 
     def __init__(self, alg: TruncatedAlgebra, top: tuple[str, ...], elements,
                  ordered: bool = False):
         self.alg = alg
         self.top = tuple(top)
-        self.element_set = frozenset(elements)
         self.elements: tuple[Element, ...] = tuple(
-            elements if ordered else sorted(self.element_set, key=self._key))
-        layers: dict[int, list[Element]] = {}
-        for el in self.elements:
-            layers.setdefault(len(el[1].arrows), []).append(el)
-        self._layers = {l: tuple(els) for l, els in layers.items()}
+            elements if ordered else sorted(set(elements), key=self._key))
 
     def _key(self, el: Element):
         r, p = el
         return (p.length, r, self.alg.path_sort_key(p))
-
-    def layer(self, l: int) -> tuple[Element, ...]:
-        return self._layers.get(l, ())
 
     def end(self, el: Element) -> str:
         return self.alg.path_end(el[1])
@@ -70,32 +64,15 @@ class Skeleton:
             out[self.end(el)].append(el)
         return {v: tuple(els) for v, els in out.items()}
 
-    def __contains__(self, el: Element) -> bool:
-        return el in self.element_set
-
-    def __len__(self) -> int:
-        return len(self.element_set)
-
     def __eq__(self, other):
         return (isinstance(other, Skeleton)
-                and self.top == other.top and self.element_set == other.element_set)
+                and self.top == other.top and self.elements == other.elements)
 
     def __hash__(self):
-        return hash((self.top, self.element_set))
+        return hash((self.top, self.elements))
 
     def __repr__(self):
-        return f"Skeleton(top={self.top}, size={len(self)})"
-
-    def sequence(self) -> SemisimpleSequence:
-        """The unique semisimple sequence this skeleton is compatible with."""
-        alg = self.alg
-        layers = []
-        for l in range(alg.L + 1):
-            row = [0] * alg.n
-            for el in self.layer(l):
-                row[alg.vertex_pos(self.end(el))] += 1
-            layers.append(tuple(row))
-        return SemisimpleSequence(tuple(layers))
+        return f"Skeleton(top={self.top}, size={len(self.elements)})"
 
     def tree_dim_vectors(self) -> dict[int, tuple[int, ...]]:
         """Per top index r, the dimension vector of the members of tree r."""
@@ -172,10 +149,10 @@ def iter_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence, accept=None):
         return blocks if accept is None else (
             b for b in blocks if accept(l + 1, v, tuple(el for _, el in b)))
 
+    tops = [el for _, el in base]
     for blocks in _depth_first(options, alg.L * n) if n else [()]:  # no vertex: no block
-        layers = [base] + [sorted(chain.from_iterable(blocks[l * n:l * n + n]))
-                           for l in range(alg.L)]
-        yield Skeleton(alg, top, [el for layer in layers for _, el in layer], ordered=True)
+        yield Skeleton(alg, top, tops + [el for l in range(alg.L) for _, el in sorted(
+            chain.from_iterable(blocks[l * n:l * n + n]))], ordered=True)
 
 
 def capped_count(alg: TruncatedAlgebra, S: SemisimpleSequence, cap: int) -> int:
@@ -193,16 +170,6 @@ def canonical_skeleton(alg: TruncatedAlgebra, S: SemisimpleSequence) -> Skeleton
     for sk in iter_skeleta(alg, S):
         return sk
     raise UnrealizableError(f"{S} is not realizable")
-
-
-def _compatible_skeleton(alg: TruncatedAlgebra, S: SemisimpleSequence,
-                         skeleton: Skeleton | None) -> Skeleton:
-    """``skeleton`` if it is compatible with S, the canonical skeleton if None."""
-    if skeleton is None:
-        return canonical_skeleton(alg, S)
-    if skeleton.sequence() != S:
-        raise ValidationError(f"skeleton is compatible with {skeleton.sequence()}, not {S}")
-    return skeleton
 
 
 def count_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence) -> int:

@@ -31,6 +31,39 @@ def enumerate_skeleta(alg, S, cap=DEFAULT_CAP):
     return list(iter_skeleta(alg, S))
 
 
+def skeleton_layer(sk, l):
+    """The members of length l, in skeleton order."""
+    return tuple(el for el in sk.elements if el[1].length == l)
+
+
+def skeleton_sequence(sk):
+    """The one semisimple sequence the skeleton is compatible with: layer l counts its
+    members of length l by end vertex."""
+    alg = sk.alg
+    layers = [[0] * alg.n for _ in range(alg.L + 1)]
+    for el in sk.elements:
+        layers[el[1].length][alg.vertex_pos(sk.end(el))] += 1
+    return seq(*layers)
+
+
+def present(alg, S, sk, graded=False):
+    """The generic presentation of S on any compatible skeleton, the canonical one or not."""
+    from genrep.generic_builder import _presentation
+    from genrep.skeleta import critical_paths
+    return _presentation(alg, S, sk, critical_paths(alg, sk), graded)
+
+
+def profile_dim_vector(alg, profile):
+    """The dimension vector of a syzygy profile: each summand's ``truncated_dim_vector``
+    times its multiplicity, summed."""
+    from genrep.algebra_core import truncated_dim_vector
+    dims = [0] * alg.n
+    for c, m in profile.items():
+        for j, d in enumerate(truncated_dim_vector(alg, c.vertex, c.truncation)):
+            dims[j] += m * d
+    return tuple(dims)
+
+
 def bundle_N(alg, S):
     """(N, N0, N1) of ``bundle_tower``: dim Grass(S), its graded base and the fiber."""
     from genrep.generic_builder import bundle_tower
@@ -399,14 +432,14 @@ def critical_paths_by_scan(alg, sk):
     """Every critical path with its sigma-set, each sigma-set collected by
     scanning every skeleton element again, the oracle of ``critical_paths``."""
     from genrep.skeleta import CriticalPath, SigmaSet
-    out = []
+    out, members = [], set(sk.elements)
     for el in sk.elements:
         r, p = el
         if p.length + 1 > alg.L:
             continue
         for a in alg.quiver.arrows_from[alg.path_end(p)]:
             ext = alg.extend(p, a)
-            if (r, ext) in sk:
+            if (r, ext) in members:
                 continue
             length, end = ext.length, alg.path_end(ext)
             zero, one = [], []
@@ -589,7 +622,7 @@ def skeleton_module_by_lookup(sk, relations, assign, fs):
         for el in by_vertex[a.source]:
             r, p = el
             ext = (r, alg.extend(p, a)) if p.length < alg.L else None
-            cols.append({} if ext is None else {index[ext]: 1} if ext in sk else
+            cols.append({} if ext is None else {index[ext]: 1} if ext in index else
                         {index[mem]: x for mem, k in rel_map[(a.name, el)].terms
                          if (x := fs.element(assign[k]))})
     return Representation(alg, fs, tuple(len(by_vertex[v]) for v in alg.vertices), columns,
@@ -863,7 +896,7 @@ def annihilating_arrows_by_skeleton(alg, S, sk):
             if alg.path_end(p) != a.source or p.length + 1 > alg.L:
                 continue
             ext = alg.extend(p, a)
-            if (r, ext) in sk or any(S.layers[l][j] for l in range(ext.length, alg.L + 1)):
+            if (r, ext) in sk.elements or any(S.layers[l][j] for l in range(ext.length, alg.L + 1)):
                 kills_all = False
                 break
         if kills_all:
@@ -1048,7 +1081,7 @@ def distinguished_skeleta_by_path_action(rep, cap=10**6):
         good = True
         for l in range(alg.L + 1):
             probes = {}
-            for r, p in sk.layer(l):
+            for r, p in skeleton_layer(sk, l):
                 end = alg.path_end(p)
                 if end not in probes:
                     probes[end] = DenseRowSpace(fs, rep.dim_at(end))

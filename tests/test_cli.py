@@ -32,7 +32,7 @@ from conftest import (
     seq,
     skeleton_text_by_walk,
 )
-from test_cli_pins import run_in_process
+from test_cli_pins import HYPERGRAPH_DOT, run_in_process
 
 
 @pytest.fixture()
@@ -63,13 +63,6 @@ def run(capsys, argv):
     return code, out
 
 
-def test_geometry(double_back_file, deep_file, capsys):
-    code, out = run(capsys, ["geometry", "--algebra", double_back_file, "--seq", deep_file])
-    assert code == 0
-    data = json.loads(out)
-    assert (data["N"], data["N0"], data["N1"]) == (3, 1, 2)
-
-
 def test_realizable_inline(double_back_file, capsys):
     code, out = run(capsys, ["realizable", "--algebra", double_back_file,
                              "--layers", "[[1,1],[0,1],[1,0]]"])
@@ -89,11 +82,6 @@ def test_syzygy_profile(double_back_file, deep_file, capsys):
     data = json.loads(out)
     assert {"vertex": "1", "truncation": 2, "multiplicity": 2} in data
     assert {"vertex": "1", "truncation": 1, "multiplicity": 1} in data
-
-
-def test_projdim_infinity(double_back_file, deep_file, capsys):
-    code, out = run(capsys, ["projdim", "--algebra", double_back_file, "--seq", deep_file])
-    assert code == 0 and json.loads(out) == {"projdim": "infinity"}
 
 
 def test_skeleta_count_only(double_back_file, deep_file, capsys):
@@ -175,11 +163,6 @@ def test_socle_modulus_below_random_threshold_exits_2(double_back_file, deep_fil
     assert code == 2 and captured.out == ""
     assert captured.err == ("error: field modulus must exceed 1000000 for randomized "
                             "evaluation\n")
-
-
-def test_hom_end(double_back_file, deep_file, capsys):
-    code, out = run(capsys, ["hom", "--algebra", double_back_file, "--seq", deep_file])
-    assert code == 0 and json.loads(out)["hom_dim"] == 2
 
 
 def test_ext_self(double_back_file, deep_file, capsys):
@@ -700,7 +683,8 @@ DOT_COMMANDS = {"skeleta": ["skeleta", "--format", "dot"],
                 "generic": ["generic", "--format", "dot"],
                 "generic-graded": ["generic", "--graded", "--format", "dot"],
                 "hypergraph": ["hypergraph", "--dot"]}
-# exact DOT output; hypergraph --dot draws the generic presentation
+# exact DOT output; hypergraph --dot draws the generic presentation, and double_back's
+# generic text is the pin table's
 DOT = {
     ("double_back", "skeleta"): """\
 digraph skeleton {
@@ -730,32 +714,7 @@ digraph skeleton {
   "z1_a" -> "crit2" [label="b2", style=dashed];
 }
 """,
-    ("double_back", "generic"): """\
-digraph skeleton {
-  rankdir=TB;
-  "z1" [label="1"];
-  "z2" [label="2"];
-  "z1_a" [label="2"];
-  "z1_b1_a" [label="1"];
-  "z1" -> "z1_a" [label="a", style=solid];
-  "z1_a" -> "z1_b1_a" [label="b1", style=solid];
-  "crit0" [label="1"];
-  "z2" -> "crit0" [label="b1", style=dashed];
-  "hyper0" [shape=point];
-  "hyper0" -> "crit0" [style=dotted, dir=none];
-  "hyper0" -> "z1_b1_a" [style=dotted, dir=none];
-  "crit1" [label="1"];
-  "z2" -> "crit1" [label="b2", style=dashed];
-  "hyper1" [shape=point];
-  "hyper1" -> "crit1" [style=dotted, dir=none];
-  "hyper1" -> "z1_b1_a" [style=dotted, dir=none];
-  "crit2" [label="1"];
-  "z1_a" -> "crit2" [label="b2", style=dashed];
-  "hyper2" [shape=point];
-  "hyper2" -> "crit2" [style=dotted, dir=none];
-  "hyper2" -> "z1_b1_a" [style=dotted, dir=none];
-}
-""",
+    ("double_back", "generic"): HYPERGRAPH_DOT,
     ("double_back", "generic-graded"): """\
 digraph skeleton {
   rankdir=TB;
@@ -852,8 +811,10 @@ digraph skeleton {
 }
 
 
-@pytest.mark.parametrize("command", DOT_COMMANDS)
-@pytest.mark.parametrize("fixture", DOT_LAYERS)
+# hypergraph --dot on double_back is the pin table's case hypergraph-dot
+@pytest.mark.parametrize("fixture, command", [
+    (fixture, command) for fixture in DOT_LAYERS for command in DOT_COMMANDS
+    if (fixture, command) != ("double_back", "hypergraph")])
 def test_dot_output_is_pinned(double_back_file, tmp_path, capsys, fixture, command):
     alg_path = double_back_file
     if fixture == "relay":

@@ -128,6 +128,34 @@ def past_a_pipe_buffer(text):
 
 
 BA, U = path(1, "b1", "a"), "[[1,0],[0,0],[1,0]]"  # U: an unrealizable layering
+# the skeleton, its critical paths and each relation's hyperedge; tests/test_cli.py pins
+# the same text for generic --format dot
+HYPERGRAPH_DOT = """\
+digraph skeleton {
+  rankdir=TB;
+  "z1" [label="1"];
+  "z2" [label="2"];
+  "z1_a" [label="2"];
+  "z1_b1_a" [label="1"];
+  "z1" -> "z1_a" [label="a", style=solid];
+  "z1_a" -> "z1_b1_a" [label="b1", style=solid];
+  "crit0" [label="1"];
+  "z2" -> "crit0" [label="b1", style=dashed];
+  "hyper0" [shape=point];
+  "hyper0" -> "crit0" [style=dotted, dir=none];
+  "hyper0" -> "z1_b1_a" [style=dotted, dir=none];
+  "crit1" [label="1"];
+  "z2" -> "crit1" [label="b2", style=dashed];
+  "hyper1" [shape=point];
+  "hyper1" -> "crit1" [style=dotted, dir=none];
+  "hyper1" -> "z1_b1_a" [style=dotted, dir=none];
+  "crit2" [label="1"];
+  "z1_a" -> "crit2" [label="b2", style=dashed];
+  "hyper2" [shape=point];
+  "hyper2" -> "crit2" [style=dotted, dir=none];
+  "hyper2" -> "z1_b1_a" [style=dotted, dir=none];
+}
+"""
 PINS = [
     # the README quickstart
     Pin("realizable", f"realizable {EX_S}", {"realizable": True}),
@@ -137,6 +165,20 @@ PINS = [
             for v, sub, amb, dim in factors]} for level, factors in enumerate((
                 (("1", 2, 2, 0), ("2", 0, 1, 0)), (("1", 1, 2, 1), ("2", 0, 0, 0))))]}),
     Pin("skeleta-count", f"skeleta {EX_S} --count-only", {"count": 2}),
+    Pin("skeleta", f"skeleta {EX_S}", {"count": 2, "skeleta": [
+        {"top": [{"r": 1, "vertex": "1"}, {"r": 2, "vertex": "2"}],
+         "elements": [path(1), path(2), path(1, "a"), path(1, b, "a")]} for b in ("b1", "b2")]}),
+    Pin("skeleta-dot", f"skeleta {EX_S} --format dot --index 1", """\
+digraph skeleton {
+  rankdir=TB;
+  "z1" [label="1"];
+  "z2" [label="2"];
+  "z1_a" [label="2"];
+  "z1_b2_a" [label="1"];
+  "z1" -> "z1_a" [label="a", style=solid];
+  "z1_a" -> "z1_b2_a" [label="b2", style=solid];
+}
+"""),
     Pin("skeleta-text", f"skeleta {EX_S} --format text",  # each skeleton's trees in preorder
         "# skeleton 0\nz1 <1>\n  a -> 2\n    b1 -> 1\nz2 <2>\n"
         "# skeleton 1\nz1 <1>\n  a -> 2\n    b2 -> 1\nz2 <2>\n"),
@@ -152,9 +194,11 @@ PINS = [
     Pin("generic-graded", f"generic {EX_S} --graded", {"mode": "graded", "relations": [
         {"critical": path(2, "b1"), "terms": []}, {"critical": path(2, "b2"), "terms": []},
         {"critical": path(1, "b2", "a"), "terms": [{"member": BA, "scalar": "x_0"}]}]}),
-    # the DOT text that tests/test_cli.py pins as DOT["double_back", "generic"]
-    Pin("hypergraph-dot", f"hypergraph {EX_S} --dot",
-        Digest("e5bb06ee06f6658a34263d5c53d5348188ab2ad406af714844d19701fbfecf9a")),
+    Pin("hypergraph-dot", f"hypergraph {EX_S} --dot", HYPERGRAPH_DOT),
+    Pin("hypergraph", f"hypergraph {EX_S}", {
+        "skeleton": {"elements": [path(1), path(2), path(1, "a"), BA]},
+        "hyperedges": [{"critical": c, "members": [BA]}
+                       for c in (path(2, "b1"), path(2, "b2"), path(1, "b2", "a"))]}),
     Pin("syzygy", f"syzygy {EX_S} --k 1", [{"vertex": "1", "truncation": 1, "multiplicity": 1},
                                            {"vertex": "1", "truncation": 2, "multiplicity": 2}]),
     Pin("projdim", f"projdim {EX_S}", {"projdim": "infinity"}),
@@ -253,6 +297,9 @@ digraph dominance {
     Pin("relay-hom-d14-exact", f"hom --exact --layers {D14} {RELAY}", seeded(field=Q, hom_dim=9)),
     Pin("relay-ext-d14-exact", f"ext --k 1 --exact --layers {D14} {RELAY}", ext(33, Q)),
     Pin("relay-decompose-d14-exact", f"decompose --exact --layers {D14} {RELAY}", undecided(9, Q)),
+    # all 360 skeleta of d = 14, 557,318 bytes
+    Pin("relay-skeleta-d14", f"skeleta --algebra relay.json --layers {D14}",
+        Digest("e3f55b65498c8e94824fec438e8e7cb7c58cdb41922ad1e5fa05c1b9fa228b03")),
     # pair mode over F_p: M at d = 28 and N a point of the d = 14 module; ext --seq2
     # broadcasts its one point N to meet M's three seeded points
     Pin("relay-hom-pair", f"hom --layers {D28} --seq2 s14.json {RELAY}", seeded(hom_dim=16)),

@@ -13,7 +13,7 @@ from genrep.generic_builder import (
 )
 from genrep.skeleta import critical_paths, element_to_json
 
-from conftest import bundle_N, enumerate_skeleta, hypergraph_at, seq
+from conftest import bundle_N, enumerate_skeleta, hypergraph_at, present, seq, skeleton_layer
 
 
 def rel_strings(pres):
@@ -85,8 +85,8 @@ def test_hypergraph_worked_module(six_vertex):
     S = seq((2, 0, 0, 0, 0, 0), (0, 0, 0, 2, 0, 0), (0, 0, 0, 0, 0, 2))
     wanted = {("b1al", 1), ("b1al", 2)}
     sk = next(s for s in enumerate_skeleta(six_vertex, S)
-              if {("".join(p.arrows), r) for r, p in s.layer(2)} == wanted)
-    pres = generic_presentation(six_vertex, S, skeleton=sk)
+              if {("".join(p.arrows), r) for r, p in skeleton_layer(s, 2)} == wanted)
+    pres = present(six_vertex, S, sk)
     coeffs = {("b2al", 1, "b1al", 1): 1, ("b2al", 1, "b1al", 2): 0,
               ("b2al", 2, "b1al", 1): 1, ("b2al", 2, "b1al", 2): 1}
     assignment = {}
@@ -172,7 +172,7 @@ def test_bundle_tower_skeleton_independent(double_back, relay):
         counts = []
         for l in range(relay.L):
             row = [0] * relay.n
-            for el in sk.layer(l):
+            for el in skeleton_layer(sk, l):
                 for a in relay.quiver.arrows_from[relay.path_end(el[1])]:
                     row[relay.vertex_pos(a.target)] += 1
             counts.append(tuple(row))
