@@ -118,10 +118,6 @@ class TruncatedAlgebra:
             raise ValidationError(f"arrow {arrow.name} not composable with path")
         return p.then(arrow)
 
-    def path_sort_key(self, p: Path):
-        idx = self.quiver.arrow_index
-        return tuple(idx[a] for a in p.arrows)
-
     def extension_counts(self, layer: DimensionVector) -> DimensionVector:
         """Per-vertex count of one-arrow extensions available from a layer.
 
@@ -180,9 +176,6 @@ class SemisimpleSequence:
     def dim_vector(self) -> DimensionVector:
         return tuple(sum(col) for col in zip(*self.layers))
 
-    def layer(self, l: int) -> DimensionVector:
-        return self.layers[l]
-
     def __str__(self):
         return "(" + ", ".join(str(list(row)) for row in self.layers) + ")"
 
@@ -215,11 +208,23 @@ def enumerate_paths(alg: TruncatedAlgebra, start: str, length: int) -> list[Path
     alg.vertex_pos(start)
     if not 0 <= length <= alg.L:
         raise ValidationError(f"length must be in 0..{alg.L}")
-    paths, arrows_from = [Path(start)], alg.quiver.arrows_from
-    for _ in range(length):
-        paths = [p.then(a) for p in paths for a in arrows_from[alg.path_end(p)]]
-    paths.sort(key=alg.path_sort_key)
+    for paths in _path_levels(alg, start, length):  # only the last level is kept
+        pass
     return paths
+
+
+def _path_levels(alg: TruncatedAlgebra, start: str, length: int):
+    """The paths from ``start`` of each length 0..``length``, each level in canonical order:
+    its parents' extensions taken arrow by arrow in index order, each arrow's in the order of
+    its parents, so the leftmost arrow decides first and ties keep the parents' order."""
+    paths = [alg.trivial_path(start)]
+    yield paths
+    for _ in range(length):
+        by_end = {v: [] for v in alg.vertices}
+        for p in paths:
+            by_end[alg.path_end(p)].append(p)
+        paths = [p.then(a) for a in alg.quiver.arrows for p in by_end[a.source]]
+        yield paths
 
 
 def truncated_dim_vector(alg: TruncatedAlgebra, vertex: str, m: int) -> DimensionVector:

@@ -30,7 +30,7 @@ from .components import (_DOMINANCE, _POSSIBLE, _report_json, component_report,
                          sequence_poset, sifted_sequences)
 from .errors import EnumerationCapError, GenrepError, ValidationError
 from .generic_builder import (
-    bundle_report_to_json,
+    bundle_to_json,
     bundle_tower,
     critical_report_json,
     generic_presentation,
@@ -182,7 +182,7 @@ _ROWS = object()  # where ``_emit`` writes its rows
 
 
 def _pairs_text(rep, sequences: list, pad: str, memo: dict):
-    """The text of ``_dumps(pairs, pad, memo)`` for the "pairs" of ``report_to_json(rep)``,
+    """The text of ``_dumps(pairs, pad, memo)`` for the "pairs" of ``_report_json(rep)``,
     whose "sequences" are ``sequences``, one piece per row (inner sequence): the row's
     head joins a copy of the dominance-excluded fragments (outer text and tail: verdict,
     evidence, confidence, separator), with the admitted pairs' fragments written over.
@@ -357,7 +357,7 @@ def cmd_generic(args, alg, S):
 
 
 def cmd_geometry(args, alg, S):
-    return _emit(bundle_report_to_json(bundle_tower(alg, S)))
+    return _emit(bundle_to_json(bundle_tower(alg, S)))
 
 
 def cmd_syzygy(args, alg, S):

@@ -12,8 +12,8 @@ Mod(S_outer), applied in order:
   socle        - the outer generic socle embeds in the inner one.
 
 Dominance is two bitsets per sequence; a report keeps, per inner sequence, a row of the
-pairs dominance admits, coded once per pair of classes.  ``ComponentReport.verdicts`` is a
-view of the rows built on first read, and ``closure_containment_test`` the per-pair reference.
+pairs dominance admits, coded once per pair of classes, and ``closure_containment_test`` is
+the per-pair reference.
 """
 
 from __future__ import annotations
@@ -179,18 +179,6 @@ class ComponentReport:
     def sequences(self):
         return self.poset.sequences
 
-    def _pairs(self):
-        """(inner, outer, code) of every ordered pair, inner-major."""
-        n = len(self.rows)
-        return ((i, j, row.get(j, _DOMINANCE))
-                for i, row in enumerate(self.rows) for j in range(n) if j != i)
-
-    @functools.cached_property
-    def verdicts(self) -> tuple[PruningVerdict, ...]:
-        """Every ordered pair's verdict, inner-major, built from the rows on first read."""
-        seqs = self.sequences
-        return tuple(PruningVerdict(seqs[i], seqs[j], *code) for i, j, code in self._pairs())
-
 
 def sifted_sequences(alg: TruncatedAlgebra, dimvec: DimensionVector, top=None,
                      max_top_dim=None, cap=None) -> list[SemisimpleSequence]:
@@ -246,16 +234,11 @@ def component_report(alg: TruncatedAlgebra, dimvec: DimensionVector,
 # JSON interfaces
 # ---------------------------------------------------------------------------
 
-def report_to_json(rep: ComponentReport) -> dict:
-    data = _report_json(rep)
-    seqs = data["sequences"]
-    data["pairs"] = [{"inner": seqs[i], "outer": seqs[j], "verdict": v, "evidence": e,
-                      "confidence": c} for i, j, (v, e, c) in rep._pairs()]
-    return data
-
-
 def _report_json(rep: ComponentReport) -> dict:
-    """``report_to_json`` with "pairs" None, for the caller to set in place (in order)."""
+    """The report as JSON with "pairs" None, for the caller to set in place (in order): one
+    entry per ordered pair of sequences, inner-major, each the inner and outer sequence and
+    the pair's code (verdict, evidence, confidence), ``_DOMINANCE`` unless the inner row
+    holds it."""
     seqs = [[list(r) for r in S.layers] for S in rep.sequences]
     return {
         "dim_vector": list(rep.dim_vector),

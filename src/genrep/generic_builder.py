@@ -205,7 +205,7 @@ def hypergraph_to_json(hg: Hypergraph) -> dict:
     }
 
 
-def bundle_report_to_json(rep: BundleReport) -> dict:
+def bundle_to_json(rep: BundleReport) -> dict:
     return {
         "N": rep.N,
         "N0": rep.N0,

@@ -49,6 +49,7 @@ from .algebra_core import (
     TruncatedAlgebra,
     _json_as,
     _layer_table,
+    _path_levels,
     enumerate_paths,
 )
 from .errors import MethodDisagreementError, SeedStabilityError, ValidationError
@@ -332,10 +333,6 @@ class Representation:
 
     def dim_at(self, v: str) -> int:
         return self.dims[self.algebra.vertex_pos(v)]
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims)
 
 
 def _check_over(alg: TruncatedAlgebra, fs: FieldSpec, rep: Representation) -> None:
@@ -680,15 +677,15 @@ def projective_representation(alg: TruncatedAlgebra, tops: tuple[str, ...],
     """The projective P = ⊕_r Lambda z_r with its path basis and marked tops.
 
     It is the module of the skeleton holding every path of length <= L on
-    each top, which has no critical paths and so no relations.  The paths are
-    built one length at a time, each extending a path of the previous length once.
+    each top, which has no critical paths and so no relations.  The paths from
+    each top are built level by level in canonical order (``algebra_core._path_levels``),
+    each extending a path of the previous length once, and taken length by length, top
+    by top.
     """
-    level = [(r, alg.trivial_path(v)) for r, v in enumerate(tops, start=1)]
-    elements = list(level)
-    for _ in range(alg.L):
-        level = [(r, p.then(a)) for r, p in level for a in alg.quiver.arrows_from[alg.path_end(p)]]
-        elements += level
-    return _module(Skeleton(alg, tops, elements), (), [[]], fs)
+    levels = [list(_path_levels(alg, v, alg.L)) for v in tops]
+    return _module(Skeleton(alg, tops, [
+        (r, p) for l in range(alg.L + 1) for r, paths in enumerate(levels, start=1)
+        for p in paths[l]]), (), [[]], fs)
 
 
 def quotient_representation(rep: Representation, sub_vectors) -> Representation:

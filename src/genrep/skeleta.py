@@ -34,23 +34,17 @@ Element = tuple[int, Path]  # (top index r, path starting at e(r)); r is 1-based
 
 
 class Skeleton:
-    """Immutable skeleton: its tops and its members in canonical ``_key`` order.  Equality
-    and hashing ignore the algebra handle.
-
-    ``ordered=True`` promises ``elements`` already come in that order; otherwise they are
-    sorted from a set.
+    """Immutable skeleton: its tops and its members in canonical order, by length, then top
+    index r, then path, compared arrow by arrow from the leftmost by arrow index.  Both
+    builders, ``iter_skeleta`` and ``matrix_rep.projective_representation``, hand the
+    members over in that order, and they are stored as given.  Equality and hashing ignore
+    the algebra handle.
     """
 
-    def __init__(self, alg: TruncatedAlgebra, top: tuple[str, ...], elements,
-                 ordered: bool = False):
+    def __init__(self, alg: TruncatedAlgebra, top: tuple[str, ...], elements):
         self.alg = alg
         self.top = tuple(top)
-        self.elements: tuple[Element, ...] = tuple(
-            elements if ordered else sorted(set(elements), key=self._key))
-
-    def _key(self, el: Element):
-        r, p = el
-        return (p.length, r, self.alg.path_sort_key(p))
+        self.elements: tuple[Element, ...] = tuple(elements)
 
     def end(self, el: Element) -> str:
         return self.alg.path_end(el[1])
@@ -96,10 +90,6 @@ class CriticalPath(NamedTuple):
     def path(self, alg: TruncatedAlgebra) -> Path:
         return alg.extend(self.parent[1], alg.quiver.arrow_by_name[self.arrow])
 
-    @property
-    def length(self) -> int:
-        return self.parent[1].length + 1
-
 
 class SigmaSet(NamedTuple):
     """A critical path with its sigma-set, split by length.
@@ -125,21 +115,24 @@ def iter_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence, accept=None):
     realizable S has no dead ends and an unrealizable one is not walked.
     ``accept(l, v, chosen)``, if given, sees each block as it is chosen
     (l >= 1), and a rejected block cuts its whole subtree.  Candidates carry
-    keys that sort a layer as ``Skeleton._key`` does, so a yielded skeleton
-    comes in order, each layer sorted by those keys.
+    keys that sort a layer canonically: alpha*p has key (r, index of alpha, key of p).
+    Each layer is sorted once, when the walk completes it, and kept while the subtree
+    below is walked, so a yield sorts only the deepest layer.
     """
     if not realizable(alg, S):
         return
     top, n, vertices, quiver = top_elements(alg, S), alg.n, alg.vertices, alg.quiver
     base = tuple((r, (r + 1, alg.trivial_path(v))) for r, v in enumerate(top))
     cands = [None] * alg.L  # cands[l][v]: (key, element) extensions of layer l into v
+    layers = [[el for _, el in base]] + [()] * (alg.L - 1)  # layers[l]: layer l, sorted
 
     def options(prefix):
-        # entry k is the block of layer l + 1 at vertex j, for l, j = divmod(k, n);
-        # alpha*p has key (r, index of alpha, key of p)
+        # entry k is the block of layer l + 1 at vertex j, for l, j = divmod(k, n)
         k = len(prefix)
         l, j = divmod(k, n)
         if not j:
+            if l:
+                layers[l] = [el for _, el in sorted(chain.from_iterable(prefix[k - n:]))]
             cands[l] = level = {v: [] for v in vertices}
             for key, (r, p) in chain.from_iterable(prefix[k - n:]) if l else base:
                 for a in quiver.arrows_from[alg.path_end(p)]:
@@ -149,10 +142,10 @@ def iter_skeleta(alg: TruncatedAlgebra, S: SemisimpleSequence, accept=None):
         return blocks if accept is None else (
             b for b in blocks if accept(l + 1, v, tuple(el for _, el in b)))
 
-    tops = [el for _, el in base]
+    deepest = (alg.L - 1) * n  # the blocks of layer L
     for blocks in _depth_first(options, alg.L * n) if n else [()]:  # no vertex: no block
-        yield Skeleton(alg, top, tops + [el for l in range(alg.L) for _, el in sorted(
-            chain.from_iterable(blocks[l * n:l * n + n]))], ordered=True)
+        yield Skeleton(alg, top, [*chain.from_iterable(layers), *(
+            el for _, el in sorted(chain.from_iterable(blocks[deepest:])))])
 
 
 def capped_count(alg: TruncatedAlgebra, S: SemisimpleSequence, cap: int) -> int:
@@ -189,7 +182,7 @@ def critical_paths(alg: TruncatedAlgebra, sk: Skeleton) -> list[SigmaSet]:
 
     A pair (arrow alpha, member (r,p)) is critical when alpha*p has length
     <= L and lies outside the skeleton.  Its sigma-set collects the members
-    at least as long as alpha*p ending in the same vertex.  Members come in ``_key``
+    at least as long as alpha*p ending in the same vertex.  Members come in skeleton
     order and arrows in index order, so this is (length, parent's key, arrow) order.
     """
     basis, arrows_from = sk.basis, alg.quiver.arrows_from

@@ -31,6 +31,45 @@ def enumerate_skeleta(alg, S, cap=DEFAULT_CAP):
     return list(iter_skeleta(alg, S))
 
 
+def canonical_key(alg, el):
+    """The canonical order of skeleton members: (length, r, arrow indices with the leftmost
+    arrow first); on paths of one start and length, the arrow indices alone."""
+    r, p = el
+    return (p.length, r, tuple(alg.quiver.arrow_index[a] for a in p.arrows))
+
+
+def canonical_sort(alg, elements):
+    """The distinct ``elements`` sorted by ``canonical_key``: the order oracle of
+    ``enumerate_paths`` and of both skeleton builders."""
+    return sorted(set(elements), key=lambda el: canonical_key(alg, el))
+
+
+def sorted_skeleton(alg, top, elements):
+    """The ``Skeleton`` of ``top`` with ``elements`` in canonical order, for members gathered
+    out of order."""
+    from genrep.skeleta import Skeleton
+    return Skeleton(alg, top, canonical_sort(alg, elements))
+
+
+def brute_force_paths(alg, start, length):
+    """Oracle: filter all arrow tuples of the given length by composability."""
+    names = [a.name for a in alg.quiver.arrows]
+    found = []
+    for combo in product(names, repeat=length):
+        # combo in display order: combo[-1] applied first
+        v = start
+        ok = True
+        for name in reversed(combo):
+            a = alg.quiver.arrow_by_name[name]
+            if a.source != v:
+                ok = False
+                break
+            v = a.target
+        if ok:
+            found.append(combo)
+    return sorted(found, key=lambda c: tuple(alg.quiver.arrow_index[x] for x in c))
+
+
 def skeleton_layer(sk, l):
     """The members of length l, in skeleton order."""
     return tuple(el for el in sk.elements if el[1].length == l)
@@ -448,7 +487,7 @@ def critical_paths_by_scan(alg, sk):
                     (zero if mem[1].length == length else one).append(mem)
             out.append(SigmaSet(CriticalPath(a.name, el), tuple(zero + one),
                                 tuple(zero), tuple(one)))
-    out.sort(key=lambda s: (s.critical.length, sk._key(s.critical.parent),
+    out.sort(key=lambda s: (canonical_key(alg, s.critical.parent),
                             alg.quiver.arrow_index[s.critical.arrow]))
     return out
 
@@ -459,8 +498,8 @@ def first_syzygy_by_critical_paths(alg, sk):
     from genrep.homology import CyclicType, SyzygyProfile
     from genrep.skeleta import critical_paths
     return SyzygyProfile(
-        CyclicType(alg.path_end(s.critical.path(alg)), alg.L + 1 - s.critical.length)
-        for s in critical_paths(alg, sk))
+        CyclicType(alg.path_end(path), alg.L + 1 - path.length)
+        for path in (s.critical.path(alg) for s in critical_paths(alg, sk)))
 
 
 def invariants_N_by_critical_paths(alg, sk):
@@ -642,7 +681,6 @@ def hypergraph_at(pres, assignment):
 def skeleton_from_json(data, alg):
     """Inverse of ``skeleta_to_json`` on one skeleton; every prefix of an element is added."""
     from genrep.errors import ValidationError
-    from genrep.skeleta import Skeleton
     try:
         tops = sorted(data["top"], key=lambda t: int(t["r"]))
         top = tuple(str(t["vertex"]) for t in tops)
@@ -665,7 +703,7 @@ def skeleton_from_json(data, alg):
             elements.add((r, p.initial_subpath(l)))
     for r in range(1, len(top) + 1):
         elements.add((r, alg.trivial_path(top[r - 1])))
-    return Skeleton(alg, top, elements)
+    return sorted_skeleton(alg, top, elements)
 
 
 def presentation_kernel_layering(alg, S, sd):
@@ -962,6 +1000,33 @@ def enumerate_sequences_unpruned(alg, dimvec, top=None, cap=None, max_top_dim=No
 # per-pair and per-skeleton oracles for the memoised sifting paths
 # ---------------------------------------------------------------------------
 
+def report_pairs(rep):
+    """(inner, outer, code) of every ordered pair of a component report, inner-major; a
+    pair that no row holds is excluded by dominance."""
+    from genrep.components import _DOMINANCE
+    n = len(rep.rows)
+    return ((i, j, row.get(j, _DOMINANCE))
+            for i, row in enumerate(rep.rows) for j in range(n) if j != i)
+
+
+def verdicts(rep):
+    """Every ordered pair's ``PruningVerdict``, inner-major, read off the report's rows."""
+    from genrep.components import PruningVerdict
+    seqs = rep.sequences
+    return tuple(PruningVerdict(seqs[i], seqs[j], *code) for i, j, code in report_pairs(rep))
+
+
+def report_to_json(rep):
+    """The JSON of ``genrep components`` without its version, one entry per ordered pair:
+    the reference its streamed stdout is checked against."""
+    from genrep.components import _report_json
+    data = _report_json(rep)
+    seqs = data["sequences"]
+    data["pairs"] = [{"inner": seqs[i], "outer": seqs[j], "verdict": v, "evidence": e,
+                      "confidence": c} for i, j, (v, e, c) in report_pairs(rep)]
+    return data
+
+
 def sequence_poset_by_sets(sequences):
     """Covers and minimal elements by probing every triple of a set of pairs."""
     from genrep.algebra_core import dominates
@@ -985,7 +1050,6 @@ def iter_skeleta_by_product(alg, S):
     """
     from itertools import combinations, product
     from genrep.algebra_core import check_sequence, top_elements
-    from genrep.skeleta import Skeleton
 
     check_sequence(alg, S)
     top = top_elements(alg, S)
@@ -997,7 +1061,7 @@ def iter_skeleta_by_product(alg, S):
 
     def descend(l, layers):
         if l == alg.L:
-            yield Skeleton(alg, top, [el for layer in layers for el in layer])
+            yield sorted_skeleton(alg, top, [el for layer in layers for el in layer])
             return
         per_vertex = []
         for j, v in enumerate(alg.vertices):

@@ -37,6 +37,7 @@ from conftest import (
     invariants_N_by_critical_paths,
     profile_dim_vector,
     seq,
+    verdicts,
 )
 
 S5 = seq((1, 1), (0, 1), (1, 0))
@@ -159,7 +160,7 @@ def test_criterion_6(double_back):
     assert set(redundant) == {S3.layers, S6.layers}
     assert redundant[S3.layers] == {S4.layers, S5.layers, S6.layers}
     assert redundant[S6.layers] == {S4.layers}
-    pair = next(v for v in rep.verdicts
+    pair = next(v for v in verdicts(rep)
                 if v.inner.layers == S2.layers and v.outer.layers == S4.layers)
     assert pair.verdict == "excluded-socle"
 

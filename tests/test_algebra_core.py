@@ -22,26 +22,8 @@ from genrep.algebra_core import (
 )
 from genrep.errors import EnumerationCapError, GenrepError, ValidationError
 
-from conftest import drawn_algebras, enumerate_sequences_unpruned, seq
-
-
-def brute_force_paths(alg, start, length):
-    """Oracle: filter all arrow tuples of the given length by composability."""
-    names = [a.name for a in alg.quiver.arrows]
-    found = []
-    for combo in product(names, repeat=length):
-        # combo in display order: combo[-1] applied first
-        v = start
-        ok = True
-        for name in reversed(combo):
-            a = alg.quiver.arrow_by_name[name]
-            if a.source != v:
-                ok = False
-                break
-            v = a.target
-        if ok:
-            found.append(combo)
-    return sorted(found, key=lambda c: tuple(alg.quiver.arrow_index[x] for x in c))
+from conftest import (brute_force_paths, canonical_sort, drawn_algebras,
+                      enumerate_sequences_unpruned, seq)
 
 
 def test_enumerate_paths_double_back(double_back):
@@ -64,6 +46,17 @@ def test_enumerate_paths_relay(relay):
 def test_paths_match_brute_force(relay, start, length):
     got = [p.arrows for p in enumerate_paths(relay, start, length)]
     assert got == brute_force_paths(relay, start, length)
+
+
+@settings(max_examples=50, deadline=None)
+@given(alg=drawn_algebras())
+def test_enumerate_paths_is_the_canonical_sort_on_drawn_algebras(alg):
+    # each level is its parents' extensions taken arrow by arrow, with no sort after: at
+    # every vertex and length it is every composable arrow tuple in canonical order
+    for v in alg.vertices:
+        for l in range(alg.L + 1):
+            want = canonical_sort(alg, [(1, Path(v, c)) for c in brute_force_paths(alg, v, l)])
+            assert [(1, p) for p in enumerate_paths(alg, v, l)] == want
 
 
 def test_path_count_recursion(relay):

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -21,6 +22,7 @@ from genrep import cli, matrix_rep
 from genrep.algebra_core import algebra_from_json
 from genrep.cli import _dumps, build_parser, hasse_dot, main, skeleton_text
 from genrep.homology import profile_to_json
+from genrep.skeleta import canonical_skeleton
 
 from conftest import (
     COMPONENT_ALGEBRAS,
@@ -29,8 +31,11 @@ from conftest import (
     iterated_syzygy_by_steps,
     last_two_syzygies_by_steps,
     realizable_layerings,
+    report_to_json,
     seq,
     skeleton_text_by_walk,
+    sorted_skeleton,
+    verdicts,
 )
 from test_cli_pins import HYPERGRAPH_DOT, run_in_process
 
@@ -75,21 +80,6 @@ def test_realizable_all_zero_exits_2(double_back_file, capsys):
     assert code == 2
 
 
-def test_syzygy_profile(double_back_file, deep_file, capsys):
-    code, out = run(capsys, ["syzygy", "--k", "1",
-                             "--algebra", double_back_file, "--seq", deep_file])
-    assert code == 0
-    data = json.loads(out)
-    assert {"vertex": "1", "truncation": 2, "multiplicity": 2} in data
-    assert {"vertex": "1", "truncation": 1, "multiplicity": 1} in data
-
-
-def test_skeleta_count_only(double_back_file, deep_file, capsys):
-    code, out = run(capsys, ["skeleta", "--count-only",
-                             "--algebra", double_back_file, "--seq", deep_file])
-    assert code == 0 and json.loads(out) == {"count": 2}
-
-
 def test_skeleta_cap_exit_3(double_back_file, deep_file, capsys):
     code = main(["skeleta", "--algebra", double_back_file, "--seq", deep_file, "--cap", "1"])
     assert code == 3
@@ -107,14 +97,6 @@ def test_skeleta_cap_exits_3_without_a_walk(tmp_path, capsys):
     assert "cap of 1" in capsys.readouterr().err
 
 
-def test_skeleta_text(double_back_file, deep_file, capsys):
-    code, out = run(capsys, ["skeleta", "--format", "text",
-                             "--algebra", double_back_file, "--seq", deep_file])
-    assert code == 0
-    assert out == ("# skeleton 0\nz1 <1>\n  a -> 2\n    b1 -> 1\nz2 <2>\n"
-                   "# skeleton 1\nz1 <1>\n  a -> 2\n    b2 -> 1\nz2 <2>\n")
-
-
 @pytest.mark.parametrize("fixture", FIXTURES)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
@@ -122,26 +104,15 @@ def test_skeleton_text_matches_recursive_walk(request, fixture, data):
     # a drawn skeleton of a drawn layering, and the projective's skeleton of every
     # path on drawn tops, where siblings branch at every member
     from genrep.matrix_rep import projective_representation
-    from genrep.skeleta import Skeleton, iter_skeleta
+    from genrep.skeleta import iter_skeleta
     alg = request.getfixturevalue(fixture)
     S = data.draw(realizable_layerings(alg))
     sks = list(islice(iter_skeleta(alg, S), 20))
     tops = data.draw(st.lists(st.sampled_from(alg.vertices), min_size=1, max_size=2))
     labels = projective_representation(alg, tops).basis_labels
-    sks.append(Skeleton(alg, tops, [el for els in labels.values() for el in els]))
+    sks.append(sorted_skeleton(alg, tops, [el for els in labels.values() for el in els]))
     sk = data.draw(st.sampled_from(sks))
     assert skeleton_text(alg, sk) == skeleton_text_by_walk(alg, sk)
-
-
-def test_socle_embeds_seed(double_back_file, deep_file, capsys):
-    code, out = run(capsys, ["socle", "--algebra", double_back_file, "--seq", deep_file,
-                             "--seed", "7"])
-    assert code == 0
-    data = json.loads(out)
-    assert data["socle"] == [1, 0]
-    assert data["seed"] == 7
-    assert data["field_modulus"] == 2**61 - 1
-    assert data["confidence"] == "seeded-generic"
 
 
 def test_socle_output_is_seed_independent(double_back_file, deep_file, capsys):
@@ -163,15 +134,6 @@ def test_socle_modulus_below_random_threshold_exits_2(double_back_file, deep_fil
     assert code == 2 and captured.out == ""
     assert captured.err == ("error: field modulus must exceed 1000000 for randomized "
                             "evaluation\n")
-
-
-def test_ext_self(double_back_file, deep_file, capsys):
-    code, out = run(capsys, ["ext", "--k", "1",
-                             "--algebra", double_back_file, "--seq", deep_file])
-    assert code == 0
-    data = json.loads(out)
-    assert data["ext_dim"] == 1
-    assert all(r["alternating"] == r["restriction"] for r in data["per_seed"])
 
 
 def test_ext_self_materializes_once_per_seed(double_back_file, deep_file, capsys, monkeypatch):
@@ -372,7 +334,7 @@ def components_stdout_matches_stdlib(path, alg, dimvec, seed=0, top=None, max_to
     import io
 
     from genrep import __version__
-    from genrep.components import component_report, report_to_json
+    from genrep.components import component_report
     from genrep.matrix_rep import RATIONALS, FieldSpec
 
     argv = ["components", "--algebra", path, "--dimvec", ",".join(map(str, dimvec)),
@@ -402,7 +364,7 @@ def components_stdout_matches_stdlib(path, alg, dimvec, seed=0, top=None, max_to
     return rep
 
 
-@pytest.mark.parametrize("name, dimvec, options, sequences, verdicts", [
+@pytest.mark.parametrize("name, dimvec, options, sequences, kinds", [
     ("double_back", (2, 2), {"max_top_dim": 0}, 0, set()),
     ("double_back", (1, 0), {}, 1, set()),
     ("relay", (1, 2, 2), {}, 13, {"excluded-dominance", "excluded-annihilator",
@@ -413,11 +375,11 @@ def components_stdout_matches_stdlib(path, alg, dimvec, seed=0, top=None, max_to
     ("double_back", (4, 4), {}, 42, {"excluded-dominance", "excluded-socle", "possible"}),
 ], ids=["no-sequence", "one-sequence", "all-verdicts", "top", "modulus", "exact", "large"])
 def test_components_stdout_is_stdlib_json(component_algebras, name, dimvec, options,
-                                          sequences, verdicts):
+                                          sequences, kinds):
     rep = components_stdout_matches_stdlib(*component_algebras[name], dimvec, **options)
     assert sequences in (None, len(rep.sequences))
-    assert verdicts <= {v.verdict for v in rep.verdicts}
-    assert len(rep.verdicts) == len(rep.sequences) * (len(rep.sequences) - 1)
+    assert kinds <= {v.verdict for v in verdicts(rep)}
+    assert len(verdicts(rep)) == len(rep.sequences) * (len(rep.sequences) - 1)
 
 
 def test_a_reader_closing_stdout_early_gets_exit_1_and_no_traceback(component_algebras):
@@ -1055,6 +1017,67 @@ def relay_outputs(tmp_path, capsys, vertices, L, layers):
             for key, argv in NINE_COMMANDS.items()}
     assert all(code == 0 for code, _ in runs.values())
     return {key: json.loads(out) for key, (_, out) in runs.items()}
+
+
+def traced_peak(fn):
+    """(``fn()``, the peak of memory traced while it ran above what was traced before).
+    tracemalloc sees only the allocations of Python's allocators, not the interpreter's
+    own or a C library's."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class CountingSink:
+    """A stdout that keeps nothing: it counts the skeleton headers written to it."""
+
+    def __init__(self):
+        self.skeleta = 0
+
+    def write(self, text):
+        self.skeleta += text.startswith("# skeleton ")
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+RELAY_3960 = [[4, 2, 2], [0, 4, 0], [0, 0, 1], [0, 1, 0]]  # 3,960 skeleta, d = 14 as well
+
+
+def test_streamed_skeleta_text_holds_one_skeletons_state(tmp_path):
+    # skeleta --format text writes each skeleton as the walk yields it, and the walk keeps
+    # one sorted layer per level, so peak memory does not grow with the skeleton count
+    path = _write(tmp_path, "relay.json", RELAY)
+
+    def text(layers):
+        sink = CountingSink()
+        with contextlib.redirect_stdout(sink):
+            assert main(["skeleta", "--format", "text", "--algebra", path,
+                         "--layers", json.dumps(layers)]) == 0
+        return sink.skeleta
+
+    text(RELAY_D14)  # warm up: imports, the parser and the interpreter's caches
+    (small, small_peak), (large, large_peak) = traced_peak(lambda: text(RELAY_D14)), \
+        traced_peak(lambda: text(RELAY_3960))
+    alg = algebra_from_json(RELAY)
+    _, one = traced_peak(lambda: skeleton_text(alg, canonical_skeleton(alg, seq(*RELAY_3960))))
+    assert (small, large) == (360, 3960)
+    # a run's peak is fixed + state: fixed (argv, the algebra, the parsed layering) is alike
+    # in both runs, and state is what one skeleton needs (each level's candidates, the kept
+    # sorted layers, the chosen blocks, the Skeleton and its text), of one size for every
+    # skeleton of a layering.  So large_peak - small_peak <= the state of one skeleton of
+    # RELAY_3960 <= one, the peak of walking to its first skeleton and writing its text.
+    # A layer kept per skeleton instead would add some 100 bytes a skeleton, 360 KB in all.
+    assert large_peak <= small_peak + one
 
 
 def test_vertex_permutation_permutes_socle_and_geometry_factors(tmp_path, capsys):

@@ -412,7 +412,8 @@ def test_relation_cyclics_are_the_first_syzygy(request, fixture, dimvec):
     for S in enumerate_sequences(alg, dimvec):
         pres = generic_presentation(alg, S)
         cyclics = [CyclicType(alg.path_end(rel.critical.path(alg)),
-                              alg.L + 1 - rel.critical.length) for rel in pres.relations]
+                              alg.L - len(rel.critical.parent[1].arrows))
+                   for rel in pres.relations]
         assert SyzygyProfile(cyclics) == first_syzygy(alg, S)
 
 

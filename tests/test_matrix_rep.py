@@ -44,7 +44,6 @@ from genrep.matrix_rep import (
     _summands,
 )
 from genrep.skeleta import (
-    Skeleton,
     canonical_skeleton,
     count_skeleta,
     iter_skeleta,
@@ -56,7 +55,10 @@ from conftest import (
     _socle_supports,
     _term_rank,
     arrow_matrix,
+    brute_force_paths,
+    canonical_sort,
     distinguished_skeleta_by_path_action,
+    drawn_algebras,
     enumerate_skeleta,
     ext_dims_by_two_profiles,
     first_primes_by_trial,
@@ -76,6 +78,7 @@ from conftest import (
     skeleton_module_by_lookup,
     skeleton_sequence,
     socle_by_stacking,
+    sorted_skeleton,
     top_vectors,
     user_assignment,
     zero_matrix,
@@ -485,8 +488,22 @@ def test_projective_extends_each_path_once(monkeypatch):
     tops = ("1", "1")
     rep = projective_representation(alg, tops, RATIONALS)
     assert rep.dims == (102,)
-    assert len(calls) == rep.total_dim - len(tops) == 100
+    assert len(calls) == sum(rep.dims) - len(tops) == 100
     assert len(set(calls)) == 50  # each path of length 0..49 extended once per top
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_projective_members_are_the_canonical_sort_on_drawn_algebras(data):
+    # the projective's members are built in canonical order: at each vertex its basis
+    # labels are the paths of length <= L on every top that end there, in that order
+    from genrep.algebra_core import Path
+    alg = data.draw(drawn_algebras(max_L=3))
+    tops = data.draw(st.lists(st.sampled_from(alg.vertices), min_size=1, max_size=2))
+    want = canonical_sort(alg, [(r, Path(v, c)) for r, v in enumerate(tops, start=1)
+                                for l in range(alg.L + 1) for c in brute_force_paths(alg, v, l)])
+    assert projective_representation(alg, tops).basis_labels == {
+        v: tuple(el for el in want if alg.path_end(el[1]) == v) for v in alg.vertices}
 
 
 def test_socle_deep(double_back):
@@ -704,7 +721,7 @@ def worked_module(six_vertex):
 
 def test_module_point_layering(six_vertex):
     rep = worked_module(six_vertex)
-    assert rep.total_dim == 9
+    assert sum(rep.dims) == 9
     assert radical_layering(rep) == seq(
         (2, 1, 1, 0, 0, 0), (0, 0, 0, 2, 1, 0), (0, 0, 0, 0, 0, 2))
 
@@ -1246,7 +1263,7 @@ def test_template_modules_match_rebuilt_oracle(request, fixture, fs, data):
             assert list(rep.columns) == [a.name for a in alg.quiver.arrows]
     tops = data.draw(st.lists(st.sampled_from(alg.vertices), min_size=1, max_size=2))
     P = projective_representation(alg, tops, fs)
-    sk = Skeleton(alg, tops, [el for labels in P.basis_labels.values() for el in labels])
+    sk = sorted_skeleton(alg, tops, [el for labels in P.basis_labels.values() for el in labels])
     assert snapshot(P) == snapshot(skeleton_module_by_lookup(sk, (), {}, fs))
 
 
@@ -1715,7 +1732,7 @@ def test_hom_from_cyclic_matches_explicit_cyclic_rep(double_back):
                     for u in enumerate_paths(double_back, v, min(m, double_back.L))
                     if u.length == m]
             cyc = module_point(double_back, (v,), rels, RATIONALS)
-            assert cyc.total_dim == sum(
+            assert sum(cyc.dims) == sum(
                 len(enumerate_paths(double_back, v, l)) for l in range(min(m, 3)))
             got = hom(cyc, rep_n)
             want = _cyclic_dims(double_back, CyclicType(v, m), rep_n)[0]

@@ -9,7 +9,6 @@ from genrep.components import component_report
 from genrep.errors import EnumerationCapError, UnrealizableError, ValidationError
 from genrep.matrix_rep import distinguished_skeleta_of, module_point
 from genrep.skeleta import (
-    Skeleton,
     canonical_skeleton,
     capped_count,
     count_skeleta,
@@ -22,7 +21,9 @@ from conftest import (
     FIXTURES,
     _alg,
     bundle_N,
+    canonical_sort,
     critical_paths_by_scan,
+    drawn_algebras,
     enumerate_skeleta,
     invariants_N_by_critical_paths,
     iter_skeleta_by_product,
@@ -32,6 +33,7 @@ from conftest import (
     skeleton_from_json,
     skeleton_layer,
     skeleton_sequence,
+    sorted_skeleton,
 )
 
 
@@ -147,7 +149,7 @@ def test_critical_paths_relay_counts(relay):
     assert len(sets) == 10
     by_len_end = {}
     for s in sets:
-        key = (s.critical.length, relay.path_end(s.critical.path(relay)))
+        key = (len(s.critical.parent[1].arrows) + 1, relay.path_end(s.critical.path(relay)))
         by_len_end[key] = by_len_end.get(key, 0) + 1
     assert by_len_end == {(1, "2"): 1, (2, "2"): 2, (2, "3"): 2, (3, "2"): 5}
 
@@ -285,16 +287,26 @@ def test_lazy_descent_matches_eager_oracle(request, fixture, data):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_descent_builds_skeleta_in_canonical_order(request, fixture, data):
-    # the walk hands its elements over already ordered; sorting them again,
-    # as every other caller's Skeleton does, changes nothing
+    # the walk hands its elements over already ordered; sorting them again changes nothing
     alg = request.getfixturevalue(fixture)
     S = data.draw(realizable_layerings(alg))
     assume(count_skeleta(alg, S) <= 500)
     for got, want in zip(iter_skeleta(alg, S), iter_skeleta_by_product(alg, S)):
-        resorted = Skeleton(alg, got.top, reversed(got.elements))
+        resorted = sorted_skeleton(alg, got.top, reversed(got.elements))
         assert got.elements == want.elements == resorted.elements
         assert got == resorted and hash(got) == hash(resorted)
     assert canonical_skeleton(alg, S).elements == next(iter_skeleta_by_product(alg, S)).elements
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_walked_skeleta_are_the_canonical_sort_on_drawn_algebras(data):
+    # each layer is sorted once, when the walk completes it, and kept while the subtree
+    # below is walked: every skeleton's members equal their canonical sort
+    alg = data.draw(drawn_algebras())
+    S = data.draw(realizable_layerings(alg))
+    for sk in islice(iter_skeleta(alg, S), 200):
+        assert list(sk.elements) == canonical_sort(alg, sk.elements)
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
