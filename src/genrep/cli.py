@@ -26,13 +26,13 @@ from .algebra_core import (
     sequence_to_json,
     enumerate_sequences,
 )
-from .components import (_DOMINANCE, _POSSIBLE, _report_json, component_report,
-                         sequence_poset, sifted_sequences)
+from .components import (_DOMINANCE, _POSSIBLE, component_report, sequence_poset,
+                         sifted_sequences)
 from .errors import EnumerationCapError, GenrepError, ValidationError
 from .generic_builder import (
+    _critical_path_to_json,
     bundle_to_json,
     bundle_tower,
-    critical_report_json,
     generic_presentation,
     hypergraph,
     hypergraph_to_json,
@@ -59,8 +59,8 @@ from .skeleta import (
     capped_count,
     count_skeleta,
     critical_paths,
+    element_to_json,
     iter_skeleta,
-    skeleta_to_json,
 )
 
 
@@ -181,6 +181,59 @@ def _dumps(obj, pad: str, memo: dict) -> str:
 _ROWS = object()  # where ``_emit`` writes its rows
 
 
+def _skeleta_rows(skeleta):
+    """The text of ``_dumps`` for a top-level "skeleta" list, one piece per skeleton.  Each
+    distinct top and element is one dict, keyed by value, so the one memo encodes it once; a
+    skeleton's own dict and list leave it once written, as a later one may reuse their ids."""
+    shared, memo, sep = {}, {}, "[\n    "
+    for sk in skeleta:
+        top = shared.get(sk.top) or shared.setdefault(
+            sk.top, [{"r": r, "vertex": v} for r, v in enumerate(sk.top, start=1)])
+        data = {"top": top, "elements": [shared.get(el) or shared.setdefault(
+            el, element_to_json(el)) for el in sk.elements]}
+        yield sep + _dumps(data, "\n    ", memo)
+        del memo[id(data)], memo[id(data["elements"])]
+        sep = ",\n    "
+    yield "[]" if sep == "[\n    " else "\n  ]"
+
+
+def _critical_json(alg, sk) -> list[dict]:
+    """The ``critical`` report: each critical path of ``sk`` with its sigma-set, each skeleton
+    element one dict, keyed by value, in every parent, sigma-set, zero and one part."""
+    shared = {el: element_to_json(el) for el in sk.elements}
+    return [{"arrow": s.critical.arrow, "parent": shared[s.critical.parent],
+             "path": _critical_path_to_json(alg, s),
+             "sigma_set": [shared[el] for el in s.members],
+             "zero_part": [shared[el] for el in s.zero_part],
+             "one_part": [shared[el] for el in s.one_part]}
+            for s in critical_paths(alg, sk)]
+
+
+def _report_json(rep) -> dict:
+    """The ``components`` report, each sequence one list wherever it appears.  Its "pairs",
+    ``_ROWS``, are written by ``_pairs_text``: per ordered pair, inner-major, the inner and
+    outer sequence and the pair's code, ``_DOMINANCE`` unless the inner row holds it."""
+    seqs = [[list(r) for r in S.layers] for S in rep.sequences]
+    return {
+        "dim_vector": list(rep.dim_vector),
+        "sequences": seqs,
+        "hasse_edges": [list(e) for e in rep.poset.hasse_edges],
+        "class0": [seqs[i] for i in rep.class0],
+        "candidates": [seqs[i] for i in rep.candidates],
+        "possibly_redundant": [
+            {"sequence": seqs[i], "possible_containers": [seqs[j] for j in js]}
+            for i, js in sorted(rep.possibly_redundant.items())
+        ],
+        "lower_bound": rep.lower_bound,
+        "upper_bound": rep.upper_bound,
+        "pairs": _ROWS,
+        "seed": list(rep.seeds),
+        "field_modulus": rep.field_modulus,
+        "confidence": "seeded-generic",
+        "version": __version__,
+    }
+
+
 def _pairs_text(rep, sequences: list, pad: str, memo: dict):
     """The text of ``_dumps(pairs, pad, memo)`` for the "pairs" of ``_report_json(rep)``,
     whose "sequences" are ``sequences``, one piece per row (inner sequence): the row's
@@ -214,7 +267,8 @@ def _pairs_text(rep, sequences: list, pad: str, memo: dict):
 
 def _emit(data, rows=(), memo=None) -> int:
     """Print ``data`` as ``json.dumps(data, indent=2)``, with the pieces of ``rows``
-    written one by one where it holds ``_ROWS``, after all the rest is encoded into ``memo``."""
+    written one by one where it holds ``_ROWS``, after all the rest is encoded into ``memo``
+    and the first piece is made, so that a failure before then writes nothing."""
     try:
         head, _, rest = _dumps(data, "\n", {} if memo is None else memo).partition("\0")
     except ValueError:
@@ -222,7 +276,8 @@ def _emit(data, rows=(), memo=None) -> int:
         limit = sys.get_int_max_str_digits()
         raise EnumerationCapError(limit, "answer holds an integer over Python's "
                                          f"{limit}-digit string limit") from None
-    sys.stdout.writelines(chain([head], rows, [rest + "\n"]))
+    rows = iter(rows)
+    sys.stdout.writelines(chain([head, next(rows, "")], rows, [rest + "\n"]))
     return 0
 
 
@@ -334,7 +389,7 @@ def cmd_skeleta(args, alg, S):
             print(f"# skeleton {i}")
             print(skeleton_text(alg, sk))
         return 0
-    return _emit({"count": count, "skeleta": skeleta_to_json(sks)})
+    return _emit({"count": count, "skeleta": _ROWS}, _skeleta_rows(sks))
 
 
 def cmd_critical(args, alg, S):
@@ -342,7 +397,7 @@ def cmd_critical(args, alg, S):
     if args.format == "dot":
         print(skeleton_dot(alg, sk, [(sset, ()) for sset in critical_paths(alg, sk)]))
         return 0
-    return _emit(critical_report_json(alg, sk))
+    return _emit(_critical_json(alg, sk))
 
 
 def cmd_generic(args, alg, S):
@@ -414,8 +469,6 @@ def cmd_components(args, alg, S):
         return 0
     rep = component_report(alg, dimvec, top, args.max_top_dim, seeds, fs, args.cap)
     data = _report_json(rep)
-    data["pairs"] = _ROWS
-    data["version"] = __version__
     return _emit(data, _pairs_text(rep, data["sequences"], "\n  ", memo := {}), memo)
 
 
@@ -423,7 +476,7 @@ def cmd_point_skeleta(args, alg, S):
     fs = _field(args, default=RATIONALS)
     rep = module_point_from_json(_load_json(args.module), alg, fs)
     sks = distinguished_skeleta_of(rep, cap=args.cap)
-    return _emit({"count": len(sks), "skeleta": skeleta_to_json(sks)})
+    return _emit({"count": len(sks), "skeleta": _ROWS}, _skeleta_rows(sks))
 
 
 # ---------------------------------------------------------------------------

@@ -229,31 +229,3 @@ def component_report(alg: TruncatedAlgebra, dimvec: DimensionVector,
         field_modulus=fs.modulus,
     )
 
-
-# ---------------------------------------------------------------------------
-# JSON interfaces
-# ---------------------------------------------------------------------------
-
-def _report_json(rep: ComponentReport) -> dict:
-    """The report as JSON with "pairs" None, for the caller to set in place (in order): one
-    entry per ordered pair of sequences, inner-major, each the inner and outer sequence and
-    the pair's code (verdict, evidence, confidence), ``_DOMINANCE`` unless the inner row
-    holds it."""
-    seqs = [[list(r) for r in S.layers] for S in rep.sequences]
-    return {
-        "dim_vector": list(rep.dim_vector),
-        "sequences": seqs,
-        "hasse_edges": [list(e) for e in rep.poset.hasse_edges],
-        "class0": [seqs[i] for i in rep.class0],
-        "candidates": [seqs[i] for i in rep.candidates],
-        "possibly_redundant": [
-            {"sequence": seqs[i], "possible_containers": [seqs[j] for j in js]}
-            for i, js in sorted(rep.possibly_redundant.items())
-        ],
-        "lower_bound": rep.lower_bound,
-        "upper_bound": rep.upper_bound,
-        "pairs": None,
-        "seed": list(rep.seeds),
-        "field_modulus": rep.field_modulus,
-        "confidence": "seeded-generic",
-    }

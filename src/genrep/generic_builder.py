@@ -162,18 +162,6 @@ def _critical_path_to_json(alg: TruncatedAlgebra, s: SigmaSet) -> dict:
     return {"r": s.critical.r, "arrows": list(s.critical.path(alg).arrows)}
 
 
-def critical_report_json(alg: TruncatedAlgebra, sk: Skeleton) -> list[dict]:
-    """Each critical path with its sigma-set.  Each skeleton element (parents and members
-    are the skeleton's own tuples) is one object, which ``cli._dumps`` encodes once."""
-    shared = {id(el): element_to_json(el) for el in sk.elements}
-    return [{"arrow": s.critical.arrow, "parent": shared[id(s.critical.parent)],
-             "path": _critical_path_to_json(alg, s),
-             "sigma_set": [shared[id(el)] for el in s.members],
-             "zero_part": [shared[id(el)] for el in s.zero_part],
-             "one_part": [shared[id(el)] for el in s.one_part]}
-            for s in critical_paths(alg, sk)]
-
-
 def presentation_to_json(pres: GenericPresentation) -> dict:
     alg = pres.algebra
     return {

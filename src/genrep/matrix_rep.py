@@ -678,14 +678,14 @@ def projective_representation(alg: TruncatedAlgebra, tops: tuple[str, ...],
 
     It is the module of the skeleton holding every path of length <= L on
     each top, which has no critical paths and so no relations.  The paths from
-    each top are built level by level in canonical order (``algebra_core._path_levels``),
-    each extending a path of the previous length once, and taken length by length, top
-    by top.
+    each top vertex are built once, level by level in canonical order
+    (``algebra_core._path_levels``), each extending a path of the previous length once,
+    and taken length by length, top by top.
     """
-    levels = [list(_path_levels(alg, v, alg.L)) for v in tops]
+    levels = {v: list(_path_levels(alg, v, alg.L)) for v in dict.fromkeys(tops)}
     return _module(Skeleton(alg, tops, [
-        (r, p) for l in range(alg.L + 1) for r, paths in enumerate(levels, start=1)
-        for p in paths[l]]), (), [[]], fs)
+        (r, p) for l in range(alg.L + 1) for r, v in enumerate(tops, start=1)
+        for p in levels[v][l]]), (), [[]], fs)
 
 
 def quotient_representation(rep: Representation, sub_vectors) -> Representation:

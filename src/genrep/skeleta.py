@@ -223,16 +223,3 @@ def _critical_counts(alg: TruncatedAlgebra, S: SemisimpleSequence) -> list[tuple
 def element_to_json(el: Element) -> dict:
     return {"r": el[0], "arrows": list(el[1].arrows)}
 
-
-def skeleta_to_json(skeleta) -> list[dict]:
-    """Each skeleton's top and elements.  Across them each top, and each element, is one
-    shared object, which an encoder that memoises by identity encodes once."""
-    shared, out = {}, []
-    for sk in skeleta:
-        if sk.top not in shared:
-            shared[sk.top] = [{"r": i + 1, "vertex": v} for i, v in enumerate(sk.top)]
-        elements = []
-        for el in sk.elements:
-            elements.append(shared.get(el) or shared.setdefault(el, element_to_json(el)))
-        out.append({"top": shared[sk.top], "elements": elements})
-    return out

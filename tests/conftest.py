@@ -2,6 +2,7 @@ import bisect
 import copy
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -29,6 +30,23 @@ def enumerate_skeleta(alg, S, cap=DEFAULT_CAP):
     """Every compatible skeleton, after ``capped_count``: raises iff more than ``cap``."""
     capped_count(alg, S, cap)
     return list(iter_skeleta(alg, S))
+
+
+def traced_peak(fn):
+    """(``fn()``, the peak of memory traced while it ran above what was traced before).
+    tracemalloc sees only the allocations of Python's allocators, not the interpreter's
+    own or a C library's."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def canonical_key(alg, el):
@@ -678,6 +696,14 @@ def hypergraph_at(pres, assignment):
         for rel in pres.relations))
 
 
+def skeleta_to_json(skeleta):
+    """Each skeleton's top and elements, fresh objects for each: the reference the
+    ``skeleta`` and ``point-skeleta`` outputs, which share them, are checked against."""
+    from genrep.skeleta import element_to_json
+    return [{"top": [{"r": r, "vertex": v} for r, v in enumerate(sk.top, start=1)],
+             "elements": [element_to_json(el) for el in sk.elements]} for sk in skeleta]
+
+
 def skeleton_from_json(data, alg):
     """Inverse of ``skeleta_to_json`` on one skeleton; every prefix of an element is added."""
     from genrep.errors import ValidationError
@@ -1019,8 +1045,9 @@ def verdicts(rep):
 def report_to_json(rep):
     """The JSON of ``genrep components`` without its version, one entry per ordered pair:
     the reference its streamed stdout is checked against."""
-    from genrep.components import _report_json
+    from genrep.cli import _report_json
     data = _report_json(rep)
+    del data["version"]
     seqs = data["sequences"]
     data["pairs"] = [{"inner": seqs[i], "outer": seqs[j], "verdict": v, "evidence": e,
                       "confidence": c} for i, j, (v, e, c) in report_pairs(rep)]

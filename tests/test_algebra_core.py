@@ -1,6 +1,5 @@
 """Path combinatorics, dominance, realizability, sequence enumeration."""
 
-import tracemalloc
 from itertools import product
 
 import pytest
@@ -23,7 +22,7 @@ from genrep.algebra_core import (
 from genrep.errors import EnumerationCapError, GenrepError, ValidationError
 
 from conftest import (brute_force_paths, canonical_sort, drawn_algebras,
-                      enumerate_sequences_unpruned, seq)
+                      enumerate_sequences_unpruned, seq, traced_peak)
 
 
 def test_enumerate_paths_double_back(double_back):
@@ -254,17 +253,8 @@ def test_max_top_dim_skips_tops_before_the_cap(request, fixture, data):
 def test_enumerate_sequences_keeps_no_scanned_top(double_back):
     # each coordinate is bisected, so the 6 sequences of (5000, 1) cost a few dozen
     # probes and no memory (2.6 MB when every probe of the 5,001 tops scanned was kept)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        assert len(enumerate_sequences(double_back, (5000, 1), cap=10)) == 6
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    found, peak = traced_peak(lambda: enumerate_sequences(double_back, (5000, 1), cap=10))
+    assert len(found) == 6
     assert peak < 1_000_000
 
 

@@ -9,7 +9,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -19,10 +18,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from genrep import cli, matrix_rep
-from genrep.algebra_core import algebra_from_json
+from genrep.algebra_core import algebra_from_json, enumerate_paths
 from genrep.cli import _dumps, build_parser, hasse_dot, main, skeleton_text
 from genrep.homology import profile_to_json
-from genrep.skeleta import canonical_skeleton
+from genrep.skeleta import Skeleton, canonical_skeleton, iter_skeleta
 
 from conftest import (
     COMPONENT_ALGEBRAS,
@@ -35,6 +34,7 @@ from conftest import (
     seq,
     skeleton_text_by_walk,
     sorted_skeleton,
+    traced_peak,
     verdicts,
 )
 from test_cli_pins import HYPERGRAPH_DOT, run_in_process
@@ -383,19 +383,21 @@ def test_components_stdout_is_stdlib_json(component_algebras, name, dimvec, opti
 
 
 def test_a_reader_closing_stdout_early_gets_exit_1_and_no_traceback(component_algebras):
-    # the relay report at 3,4,3 is some 4 MB, far more than a pipe holds, so the writer
-    # meets the closed pipe mid-report
+    # the relay report at 3,4,3 is some 4 MB, and the relay skeleta at d = 14 some 0.5 MB,
+    # far more than a pipe holds, so the writer meets the closed pipe mid-report, and in
+    # the middle of the streamed "skeleta" list
     path, _ = component_algebras["relay"]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    argv = [sys.executable, "-m", "genrep.cli", "components", "--algebra", path,
-            "--dimvec", "3,4,3"]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          env=env) as proc:
-        assert len(proc.stdout.read(64)) == 64
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=30) == 1
-    assert err == b""  # no traceback, and no message either
+    for args in (["components", "--dimvec", "3,4,3"],
+                 ["skeleta", "--layers", json.dumps(RELAY_D14)]):
+        argv = [sys.executable, "-m", "genrep.cli", *args, "--algebra", path]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert len(proc.stdout.read(64)) == 64
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=30) == 1
+        assert err == b""  # no traceback, and no message either
 
 
 def test_components_modulus_below_random_threshold_exits_2(component_algebras, capsys):
@@ -516,8 +518,7 @@ def test_skeleta_stdout_is_stdlib_json(point_files, double_back_file, capsys):
     # the skeleta of one output share their element dicts; the text is unchanged
     from genrep.algebra_core import algebra_from_json, sequence_from_json
     from genrep.matrix_rep import distinguished_skeleta_of, module_point_from_json
-    from genrep.skeleta import skeleta_to_json
-    from conftest import enumerate_skeleta
+    from conftest import enumerate_skeleta, skeleta_to_json
 
     code, out = run(capsys, ["point-skeleta"] + point_files)
     alg = algebra_from_json(json.loads(Path(point_files[1]).read_text()))
@@ -1019,35 +1020,16 @@ def relay_outputs(tmp_path, capsys, vertices, L, layers):
     return {key: json.loads(out) for key, (_, out) in runs.items()}
 
 
-def traced_peak(fn):
-    """(``fn()``, the peak of memory traced while it ran above what was traced before).
-    tracemalloc sees only the allocations of Python's allocators, not the interpreter's
-    own or a C library's."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+class CountingSink(io.TextIOBase):
+    """A stdout that keeps nothing: it counts the skeleta written to it, each by the one
+    ``marker`` in its text."""
 
-
-class CountingSink:
-    """A stdout that keeps nothing: it counts the skeleton headers written to it."""
-
-    def __init__(self):
-        self.skeleta = 0
+    def __init__(self, marker):
+        self.marker, self.skeleta = marker, 0
 
     def write(self, text):
-        self.skeleta += text.startswith("# skeleton ")
+        self.skeleta += text.count(self.marker)
         return len(text)
-
-    def flush(self):
-        pass
 
 
 RELAY_3960 = [[4, 2, 2], [0, 4, 0], [0, 0, 1], [0, 1, 0]]  # 3,960 skeleta, d = 14 as well
@@ -1059,7 +1041,7 @@ def test_streamed_skeleta_text_holds_one_skeletons_state(tmp_path):
     path = _write(tmp_path, "relay.json", RELAY)
 
     def text(layers):
-        sink = CountingSink()
+        sink = CountingSink("# skeleton ")
         with contextlib.redirect_stdout(sink):
             assert main(["skeleta", "--format", "text", "--algebra", path,
                          "--layers", json.dumps(layers)]) == 0
@@ -1077,6 +1059,44 @@ def test_streamed_skeleta_text_holds_one_skeletons_state(tmp_path):
     # skeleton of a layering.  So large_peak - small_peak <= the state of one skeleton of
     # RELAY_3960 <= one, the peak of walking to its first skeleton and writing its text.
     # A layer kept per skeleton instead would add some 100 bytes a skeleton, 360 KB in all.
+    assert large_peak <= small_peak + one
+
+
+RELAY_5040 = [[3, 0, 2], [0, 4, 0], [0, 0, 2], [0, 1, 0]]  # 5,040 skeleta, 14 times d = 14's
+
+
+def test_streamed_skeleta_json_holds_one_skeletons_state(tmp_path):
+    # skeleta (JSON) writes its list a skeleton at a time, and across skeleta keeps one dict
+    # per distinct top and element, so peak memory does not grow with the skeleton count
+    path = _write(tmp_path, "relay.json", RELAY)
+
+    def dump(layers):
+        sink = CountingSink('"top": ')
+        with contextlib.redirect_stdout(sink):
+            assert main(["skeleta", "--algebra", path, "--layers", json.dumps(layers)]) == 0
+        return sink.skeleta
+
+    def every_path():  # the walk held at its first skeleton, and a skeleton of every path
+        walk = iter_skeleta(alg, seq(*RELAY_5040))
+        top = next(walk).top
+        return "".join(cli._skeleta_rows([Skeleton(alg, top, [
+            (r, p) for l in range(alg.L + 1) for r, v in enumerate(top, start=1)
+            for p in enumerate_paths(alg, v, l)])]))
+
+    dump(RELAY_D14)  # warm up: imports, the parser and the interpreter's caches
+    (small, small_peak), (large, large_peak) = traced_peak(lambda: dump(RELAY_D14)), \
+        traced_peak(lambda: dump(RELAY_5040))
+    alg = algebra_from_json(RELAY)
+    _, one = traced_peak(every_path)
+    assert (small, large) == (360, 5040)
+    # a run's peak is fixed + state: fixed (argv, the algebra, the parsed layering, the
+    # count) is alike in both runs, and state is the walk at one skeleton, the table of
+    # distinct tops and elements with their texts, and one skeleton's dict, list and text.
+    # Each element of a skeleton is a path of length <= L on one of its tops, so the table
+    # is at most the one built for the skeleton of every such path, whose text is longer
+    # than any one skeleton's.  So large_peak - small_peak <= one, the peak of holding the
+    # walk at RELAY_5040's first skeleton while writing that skeleton of every path.  A
+    # list of every skeleton's dict instead would add some 7 KB a skeleton, 35 MB in all.
     assert large_peak <= small_peak + one
 
 

@@ -6,7 +6,6 @@ from genrep.algebra_core import enumerate_sequences
 from genrep.errors import UnrealizableError
 from genrep.generic_builder import (
     bundle_tower,
-    critical_report_json,
     generic_presentation,
     hypergraph,
     presentation_to_json,
@@ -115,12 +114,18 @@ def test_presentation_json_shape(double_back):
     assert scalars == [f"x_{i}" for i in range(len(scalars))]
 
 
-def test_critical_report_shares_one_object_per_element(relay):
-    # each element is one object in every parent, sigma-set, zero and one part of the
-    # report, and the report equals one made with a fresh object per occurrence
+def test_critical_report_shares_one_object_per_element(relay, monkeypatch):
+    # the cli builder makes one object per skeleton element, used in every parent,
+    # sigma-set, zero and one part of the report, and the report equals one made with a
+    # fresh object per occurrence
+    from genrep import cli
     S = seq((2, 1, 1), (0, 5, 1), (0, 0, 3), (0, 1, 0))
+    made, to_json = [], cli.element_to_json
+    monkeypatch.setattr(cli, "element_to_json", lambda el: made.append(el) or to_json(el))
     for sk in enumerate_skeleta(relay, S)[:3]:
-        data = critical_report_json(relay, sk)
+        made.clear()
+        data = cli._critical_json(relay, sk)
+        assert sorted(made) == sorted(sk.elements)
         assert data == [{
             "arrow": s.critical.arrow, "parent": element_to_json(s.critical.parent),
             "path": {"r": s.critical.r, "arrows": list(s.critical.path(relay).arrows)},

@@ -1,5 +1,6 @@
 """Skeleton enumeration, critical paths, sigma-sets, N-invariants."""
 
+import json
 from itertools import islice, product
 
 import pytest
@@ -14,7 +15,6 @@ from genrep.skeleta import (
     count_skeleta,
     critical_paths,
     iter_skeleta,
-    skeleta_to_json,
 )
 
 from conftest import (
@@ -30,10 +30,12 @@ from conftest import (
     projective_layering,
     realizable_layerings,
     seq,
+    skeleta_to_json,
     skeleton_from_json,
     skeleton_layer,
     skeleton_sequence,
     sorted_skeleton,
+    traced_peak,
 )
 
 
@@ -241,18 +243,30 @@ def test_count_matches_enumeration_random(double_back, rows):
     assert count_skeleta(double_back, S) == len(enumerate_skeleta(double_back, S))
 
 
-def test_skeleta_json_shares_one_object_per_element(relay):
-    # across the skeleta of one output each top and each element is one object,
-    # equal to the JSON made for that skeleton alone
+def test_skeleta_json_shares_one_object_per_element(relay, monkeypatch):
+    # the cli writer makes one dict per distinct element across the skeleta of one output,
+    # and writes, skeleton by skeleton, the stdlib's text of the reference's fresh objects
+    from genrep import cli
+
+    def stdlib(skeleta):  # the text of the list at a top-level key
+        data = json.dumps({"skeleta": skeleta_to_json(skeleta)}, indent=2)
+        return data[len('{\n  "skeleta": '):-len("\n}")]
+
     sks = enumerate_skeleta(relay, S_DIM14)
-    data = skeleta_to_json(iter(sks))
-    assert len(sks) > 1 and data == [skeleta_to_json([sk])[0] for sk in sks]
-    first = {}
-    for d in data:
-        assert d["top"] is data[0]["top"]
-        for el in d["elements"]:
-            assert first.setdefault((el["r"], tuple(el["arrows"])), el) is el
-    assert len(first) < sum(len(d["elements"]) for d in data)
+    made, to_json, tops, dumps = [], cli.element_to_json, [], cli._dumps
+    monkeypatch.setattr(cli, "element_to_json", lambda el: made.append(el) or to_json(el))
+    monkeypatch.setattr(cli, "_dumps", lambda obj, pad, memo: (
+        type(obj) is dict and "top" in obj and tops.append(obj["top"])) or dumps(obj, pad, memo))
+    rows = list(cli._skeleta_rows(iter(sks)))
+    assert len(rows) == len(sks) + 1 > 2 and "".join(rows) == stdlib(sks)
+    assert len(tops) == len(sks) and all(top is tops[0] for top in tops)
+    distinct = {el for sk in sks for el in sk.elements}
+    assert sorted(made) == sorted(distinct)
+    assert len(distinct) < sum(len(sk.elements) for sk in sks)
+    # no skeleton, and the vertex-less quiver's skeleton, with no top and no element, twice
+    sk = canonical_skeleton(_alg([], [], 2), seq((), (), ()))
+    for skeleta in ([], [sk, sk]):
+        assert "".join(cli._skeleta_rows(iter(skeleta))) == stdlib(skeleta)
 
 
 def test_skeleton_json_errors(double_back):
@@ -366,15 +380,9 @@ def test_unrealizable_sequence_is_not_walked(double_back):
 def test_canonical_skeleton_is_one_pass_deep():
     # one loop, L = 2, layering ((40), (20), (0)): C(40, 20) ~ 1.4e11 skeleta;
     # the first yield takes the first 20 candidates and never tuples the rest
-    import tracemalloc
     loop = _alg(["1"], [("x", "1", "1")], 2)
     S = seq((40,), (20,), (0,))
-    tracemalloc.start()
-    try:
-        sk = canonical_skeleton(loop, S)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sk, peak = traced_peak(lambda: canonical_skeleton(loop, S))
     assert peak < 1_000_000
     assert skeleton_sequence(sk) == S
     assert [r for r, _ in skeleton_layer(sk, 1)] == list(range(1, 21))
