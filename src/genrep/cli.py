@@ -209,75 +209,75 @@ def _critical_json(alg, sk) -> list[dict]:
             for s in critical_paths(alg, sk)]
 
 
-def _report_json(rep) -> dict:
-    """The ``components`` report, each sequence one list wherever it appears.  Its "pairs",
-    ``_ROWS``, are written by ``_pairs_text``: per ordered pair, inner-major, the inner and
-    outer sequence and the pair's code, ``_DOMINANCE`` unless the inner row holds it."""
-    seqs = [[list(r) for r in S.layers] for S in rep.sequences]
-    return {
-        "dim_vector": list(rep.dim_vector),
-        "sequences": seqs,
-        "hasse_edges": [list(e) for e in rep.poset.hasse_edges],
-        "class0": [seqs[i] for i in rep.class0],
-        "candidates": [seqs[i] for i in rep.candidates],
-        "possibly_redundant": [
-            {"sequence": seqs[i], "possible_containers": [seqs[j] for j in js]}
-            for i, js in sorted(rep.possibly_redundant.items())
-        ],
-        "lower_bound": rep.lower_bound,
-        "upper_bound": rep.upper_bound,
-        "pairs": _ROWS,
-        "seed": list(rep.seeds),
-        "field_modulus": rep.field_modulus,
-        "confidence": "seeded-generic",
-        "version": __version__,
-    }
+def _block(texts, pad: str) -> str:
+    """The text of a JSON list at ``pad`` whose entries have the texts ``texts``."""
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(texts) + pad + "]" if texts else "[]"
 
 
-def _pairs_text(rep, sequences: list, pad: str, memo: dict):
-    """The text of ``_dumps(pairs, pad, memo)`` for the "pairs" of ``_report_json(rep)``,
-    whose "sequences" are ``sequences``, one piece per row (inner sequence): the row's
-    head joins a copy of the dominance-excluded fragments (outer text and tail: verdict,
-    evidence, confidence, separator), with the admitted pairs' fragments written over.
-    ``memo`` is the rest's, so a sequence is encoded once and here re-indented."""
-    entry, item = pad + "  ", pad + "    "
+def _report_rows(rep):
+    """The ``components`` report as ``json.dumps(indent=2)`` writes it, in pieces: the head,
+    a piece per row of "pairs" (inner sequence), the tail, every integer encoded before the
+    head is yielded.  A sequence is L+1 rows of n ints, so one %-format per pad makes its
+    text, and each list of sequences joins those.  A row joins a copy of the dominance-
+    excluded fragments (outer text and tail: verdict, evidence, confidence, separator), with
+    those of the pairs ``rep.rows`` admits written over."""
+    seqs, pad, entry, item = rep.sequences, "\n  ", "\n    ", "\n      "
+    end = "," + _dumps({"seed": list(rep.seeds), "field_modulus": rep.field_modulus,
+                        "confidence": "seeded-generic", "version": __version__}, "\n", {})[1:]
+    depth, flat = len(seqs[0].layers) if seqs else 0, [sum(S.layers, ()) for S in seqs]
+    # each sequence's text at the pads of "sequences", of a pair's members and of a container
+    top, inner, contained = ([form % f for f in flat] for form in (
+        _block([_block(["%d"] * len(rep.dim_vector), at + "  ")] * depth, at)
+        for at in (entry, item, item + "  ")))
+    edge = _block(["%d", "%d"], entry)
+    redundant = [f'{{{item}"sequence": {inner[i]},{item}"possible_containers": '
+                 f'{_block([contained[j] for j in js], item)}{entry}}}'
+                 for i, js in sorted(rep.possibly_redundant.items())]
+    yield "{" + ",".join(f'{pad}"{key}": {text}' for key, text in (
+        ("dim_vector", _block(list(map(str, rep.dim_vector)), pad)),
+        ("sequences", _block(top, pad)),
+        ("hasse_edges", _block([edge % e for e in rep.poset.hasse_edges], pad)),
+        ("class0", _block([top[i] for i in rep.class0], pad)),
+        ("candidates", _block([top[i] for i in rep.candidates], pad)),
+        ("possibly_redundant", _block(redundant, pad)),
+        ("lower_bound", rep.lower_bound), ("upper_bound", rep.upper_bound), ("pairs", "")))
+    del top, contained, redundant  # the head's alone: not held while the rows are written
     sep = "," + entry
-    texts = [_dumps(s, item, memo) for s in sequences]
-    memo.clear()  # the rest's texts, not to be held while the rows are written
-    if len(texts) < 2:
-        yield "[]"
-        return
     codes = {id(c): c for row in (*rep.rows, {0: _DOMINANCE, 1: _POSSIBLE}) for c in row.values()}
-    tails = {key: "".join(f',{item}"{k}": {_dumps(x, item, memo)}' for k, x in zip(
-        ("verdict", "evidence", "confidence"), code)) + entry + "}" + sep
-        for key, code in codes.items()}
-    excluded = [t + tails[id(_DOMINANCE)] for t in texts]
-    possible = [t + tails[id(_POSSIBLE)] for t in texts]
-    yield "[" + entry
-    for i, row in enumerate(rep.rows):
+    tails = {key: "," + _dumps(dict(zip(("verdict", "evidence", "confidence"), code)), entry,
+                               {})[1:] + sep for key, code in codes.items()}
+    excluded = [t + tails[id(_DOMINANCE)] for t in inner]
+    possible = [t + tails[id(_POSSIBLE)] for t in inner]
+    rows = rep.rows if len(seqs) > 1 else ()  # one sequence has no pair
+    yield "[" + entry if rows else "[]"
+    for i, row in enumerate(rows):
         frags = excluded.copy()
         for j, code in row.items():
-            frags[j] = possible[j] if code is _POSSIBLE else texts[j] + tails[id(code)]
+            frags[j] = possible[j] if code is _POSSIBLE else inner[j] + tails[id(code)]
         del frags[i]
-        if i == len(texts) - 1:  # the last pair closes the list
+        if i == len(seqs) - 1:  # the last pair closes the list
             frags[-1] = frags[-1][:-len(sep)] + pad + "]"
-        head = f'{{{item}"inner": {texts[i]},{item}"outer": '
+        head = f'{{{item}"inner": {inner[i]},{item}"outer": '
         yield head + head.join(frags)
+    yield end
 
 
-def _emit(data, rows=(), memo=None) -> int:
+def _emit(data, rows=()) -> int:
     """Print ``data`` as ``json.dumps(data, indent=2)``, with the pieces of ``rows``
-    written one by one where it holds ``_ROWS``, after all the rest is encoded into ``memo``
-    and the first piece is made, so that a failure before then writes nothing."""
+    written one by one where it holds ``_ROWS``, after all the rest is encoded and the
+    first piece is made, so that a failure before then writes nothing."""
     try:
-        head, _, rest = _dumps(data, "\n", {} if memo is None else memo).partition("\0")
+        head, _, rest = _dumps(data, "\n", {}).partition("\0")
+        rows = iter(rows)
+        first = next(rows, "")
     except ValueError:
-        # only an int over the interpreter's digit limit fails to encode
+        # only an int over the interpreter's digit limit fails to encode, in the rest or in
+        # the first piece (which encodes every integer of the components report)
         limit = sys.get_int_max_str_digits()
         raise EnumerationCapError(limit, "answer holds an integer over Python's "
                                          f"{limit}-digit string limit") from None
-    rows = iter(rows)
-    sys.stdout.writelines(chain([head, next(rows, "")], rows, [rest + "\n"]))
+    sys.stdout.writelines(chain([head, first], rows, [rest + "\n"]))
     return 0
 
 
@@ -468,8 +468,7 @@ def cmd_components(args, alg, S):
         print(hasse_dot(sequence_poset(alg, sequences)))
         return 0
     rep = component_report(alg, dimvec, top, args.max_top_dim, seeds, fs, args.cap)
-    data = _report_json(rep)
-    return _emit(data, _pairs_text(rep, data["sequences"], "\n  ", memo := {}), memo)
+    return _emit(_ROWS, _report_rows(rep))
 
 
 def cmd_point_skeleta(args, alg, S):

@@ -85,19 +85,22 @@ class _SiftFacts:
     Dominance is two bitsets per position, built from the flattened partial sums one
     coordinate at a time: bit j of ``le[i]`` is set when the sums of j are at most
     those of i (the outer j dominance admits for inner i), of ``ge[i]`` when at least.
-    Annihilators and generic socles are memoised per position, both read off one
-    ``_layer_table`` per sequence, and the codes ``(verdict, evidence, confidence)`` per
-    missing arrows, so equal annihilator evidence is one dict, never mutated; a socle code
-    is built per call, which ``component_report`` makes once per pair of classes.
+    Annihilators and generic socles are memoised per position, both read off one tail per
+    sequence: ``_layer_table``'s, which checks S, or, for ``enumerated`` sequences (those of
+    ``enumerate_sequences``, realizable by construction), the complements of the partial
+    sums.  The codes ``(verdict, evidence, confidence)`` are memoised per missing arrows,
+    so equal annihilator evidence is one dict, never mutated; a socle code is built per
+    call, which ``component_report`` makes once per pair of classes.
     ``code``, the per-pair reference, reads only the two classes (annihilators, socle); it
     refuses ``fs`` (too small a field) only where it compares socles.
     """
 
-    def __init__(self, alg, sequences, fs: FieldSpec = DEFAULT_FIELD):
+    def __init__(self, alg, sequences, fs: FieldSpec = DEFAULT_FIELD, enumerated=False):
         if len({(len(S.layers), S.total_dim) for S in sequences}) > 1:
             raise ValidationError("sequences have different layer counts or total dimension")
         self.le = self.ge = [(1 << len(sequences)) - 1] * len(sequences)
-        for column in zip(*(sum(_partial_sums(S), ()) for S in sequences)):
+        sums = [_partial_sums(S) for S in sequences]
+        for column in zip(*(sum(s, ()) for s in sums)):
             buckets: dict[int, int] = {}
             for i, x in enumerate(column):
                 buckets[x] = buckets.get(x, 0) | 1 << i
@@ -107,7 +110,14 @@ class _SiftFacts:
             self.le = [m & at_most[x] for m, x in zip(self.le, column)]
             self.ge = [m & at_least[x] for m, x in zip(self.ge, column)]
         self.fs = fs
-        tail = functools.cache(lambda i: _layer_table(alg, sequences[i])[1])
+
+        @functools.cache
+        def tail(i):  # tail[l], the layers l..L summed, for l = 0..L+1
+            if not enumerated:
+                return _layer_table(alg, sequences[i])[1]
+            total = sums[i][-1]
+            return [total, *(tuple(map(operator.sub, total, p)) for p in sums[i])]
+
         self.annihilators = functools.cache(lambda i: _annihilators(alg, sequences[i], tail(i)))
         self.socle = functools.cache(lambda i: _socle_of_tail(alg, tail(i)))
         self.annihilator_code = functools.cache(lambda missing: (
@@ -206,7 +216,7 @@ def component_report(alg: TruncatedAlgebra, dimvec: DimensionVector,
     ``cap`` bounds the realizable sequences and then the ordered pairs.
     """
     sequences = sifted_sequences(alg, dimvec, top, max_top_dim, cap)
-    facts = _SiftFacts(alg, sequences, fs)
+    facts = _SiftFacts(alg, sequences, fs, enumerated=True)
     poset = _poset(tuple(sequences), facts)
     # a sequence of an admitted pair stands for the first of its class: a code per class pair
     first = {}

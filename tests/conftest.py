@@ -1043,15 +1043,28 @@ def verdicts(rep):
 
 
 def report_to_json(rep):
-    """The JSON of ``genrep components`` without its version, one entry per ordered pair:
-    the reference its streamed stdout is checked against."""
-    from genrep.cli import _report_json
-    data = _report_json(rep)
-    del data["version"]
-    seqs = data["sequences"]
-    data["pairs"] = [{"inner": seqs[i], "outer": seqs[j], "verdict": v, "evidence": e,
-                      "confidence": c} for i, j, (v, e, c) in report_pairs(rep)]
-    return data
+    """The JSON of ``genrep components`` without its version, each sequence one list
+    wherever it appears and one entry per ordered pair: the reference its stdout is
+    checked against."""
+    seqs = [[list(r) for r in S.layers] for S in rep.sequences]
+    return {
+        "dim_vector": list(rep.dim_vector),
+        "sequences": seqs,
+        "hasse_edges": [list(e) for e in rep.poset.hasse_edges],
+        "class0": [seqs[i] for i in rep.class0],
+        "candidates": [seqs[i] for i in rep.candidates],
+        "possibly_redundant": [
+            {"sequence": seqs[i], "possible_containers": [seqs[j] for j in js]}
+            for i, js in sorted(rep.possibly_redundant.items())
+        ],
+        "lower_bound": rep.lower_bound,
+        "upper_bound": rep.upper_bound,
+        "pairs": [{"inner": seqs[i], "outer": seqs[j], "verdict": v, "evidence": e,
+                   "confidence": c} for i, j, (v, e, c) in report_pairs(rep)],
+        "seed": list(rep.seeds),
+        "field_modulus": rep.field_modulus,
+        "confidence": "seeded-generic",
+    }
 
 
 def sequence_poset_by_sets(sequences):

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from genrep import cli, matrix_rep
 from genrep.algebra_core import algebra_from_json, enumerate_paths
 from genrep.cli import _dumps, build_parser, hasse_dot, main, skeleton_text
+from genrep.components import component_report
 from genrep.homology import profile_to_json
 from genrep.skeleta import Skeleton, canonical_skeleton, iter_skeleta
 
@@ -380,6 +381,30 @@ def test_components_stdout_is_stdlib_json(component_algebras, name, dimvec, opti
     assert sequences in (None, len(rep.sequences))
     assert kinds <= {v.verdict for v in verdicts(rep)}
     assert len(verdicts(rep)) == len(rep.sequences) * (len(rep.sequences) - 1)
+
+
+@pytest.mark.parametrize("name, dimvec, options, expected, kinds", [
+    ("double_back", (1, 0), {}, {"pairs": [], "hasse_edges": [], "upper_bound": 1}, set()),
+    ("relay", (0, 3, 2), {"top": (0, 2, 0)},
+     {"possibly_redundant": [], "hasse_edges": [[0, 1]], "lower_bound": 1, "upper_bound": 2},
+     {"excluded-dominance", "excluded-socle"}),
+    ("relay", (1, 2, 2), {"max_top_dim": 3}, {"upper_bound": 10},
+     {"excluded-dominance", "excluded-annihilator", "excluded-socle", "possible"}),
+    ("relay", (1, 1, 1), {"field": ("--exact",)}, {"field_modulus": None, "upper_bound": 4},
+     {"excluded-dominance", "excluded-annihilator", "possible"}),
+], ids=["single-sequence", "no-redundant", "annihilator-and-socle", "exact-null-modulus"])
+def test_components_stdout_edge_shapes(component_algebras, name, dimvec, options, expected,
+                                       kinds):
+    # the report's text is built from per-sequence templates and joins: each empty list,
+    # each kind of evidence and a null modulus is written as json.dumps writes it
+    rep = components_stdout_matches_stdlib(*component_algebras[name], dimvec, **options)
+    data = report_to_json(rep)
+    assert {key: data[key] for key in expected} == expected
+    assert {p["verdict"] for p in data["pairs"]} == kinds
+    for pair in data["pairs"]:
+        assert set(pair["evidence"]) == {
+            "excluded-dominance": {"reason"}, "excluded-annihilator": {"arrows"},
+            "excluded-socle": {"socle_outer", "socle_inner"}, "possible": set()}[pair["verdict"]]
 
 
 def test_a_reader_closing_stdout_early_gets_exit_1_and_no_traceback(component_algebras):
@@ -1021,14 +1046,14 @@ def relay_outputs(tmp_path, capsys, vertices, L, layers):
 
 
 class CountingSink(io.TextIOBase):
-    """A stdout that keeps nothing: it counts the skeleta written to it, each by the one
-    ``marker`` in its text."""
+    """A stdout that keeps nothing: it counts the records (skeleta, pairs) written to it,
+    each by the one ``marker`` in its text."""
 
     def __init__(self, marker):
-        self.marker, self.skeleta = marker, 0
+        self.marker, self.records = marker, 0
 
     def write(self, text):
-        self.skeleta += text.count(self.marker)
+        self.records += text.count(self.marker)
         return len(text)
 
 
@@ -1045,7 +1070,7 @@ def test_streamed_skeleta_text_holds_one_skeletons_state(tmp_path):
         with contextlib.redirect_stdout(sink):
             assert main(["skeleta", "--format", "text", "--algebra", path,
                          "--layers", json.dumps(layers)]) == 0
-        return sink.skeleta
+        return sink.records
 
     text(RELAY_D14)  # warm up: imports, the parser and the interpreter's caches
     (small, small_peak), (large, large_peak) = traced_peak(lambda: text(RELAY_D14)), \
@@ -1074,7 +1099,7 @@ def test_streamed_skeleta_json_holds_one_skeletons_state(tmp_path):
         sink = CountingSink('"top": ')
         with contextlib.redirect_stdout(sink):
             assert main(["skeleta", "--algebra", path, "--layers", json.dumps(layers)]) == 0
-        return sink.skeleta
+        return sink.records
 
     def every_path():  # the walk held at its first skeleton, and a skeleton of every path
         walk = iter_skeleta(alg, seq(*RELAY_5040))
@@ -1098,6 +1123,39 @@ def test_streamed_skeleta_json_holds_one_skeletons_state(tmp_path):
     # walk at RELAY_5040's first skeleton while writing that skeleton of every path.  A
     # list of every skeleton's dict instead would add some 7 KB a skeleton, 35 MB in all.
     assert large_peak <= small_peak + one
+
+
+def test_components_peak_grows_with_the_report_not_its_text(component_algebras):
+    # components writes its "pairs" a row (inner sequence) at a time, and holds the report
+    # and each sequence's text at three pads, so peak memory grows with the sequences and
+    # the admitted pairs, not with the text written, which grows with all ordered pairs
+    path, alg = component_algebras["double_back"]
+
+    def dump(dimvec):
+        sink = CountingSink('"inner": ')
+        with contextlib.redirect_stdout(sink):
+            assert main(["components", "--algebra", path, "--dimvec", dimvec]) == 0
+        return sink.records
+
+    dump("4,4")  # warm up: imports, the parser and the interpreter's caches
+    (small, small_peak), (large, large_peak) = traced_peak(lambda: dump("4,4")), \
+        traced_peak(lambda: dump("5,5"))
+    (n, m), (admitted, admitted_large) = zip(*(
+        (len(rep.sequences), sum(map(len, rep.rows)))
+        for rep in (component_report(alg, (4, 4)), component_report(alg, (5, 5)))))
+    assert (small, large, n, m, admitted, admitted_large) == (
+        42 * 41, 75 * 74, 42, 75, 426, 1237)
+    # a run's peak is fixed + a * sequences + b * admitted pairs: fixed (argv, the algebra,
+    # the parser) is alike in both runs; a * sequences is the sequences, their texts at the
+    # three pads and the dominance-excluded and possible fragments, and one row's text, one
+    # fragment per outer sequence; b * admitted pairs is the report's rows, the distinct
+    # codes' texts and the possible containers' texts in the head (the dominance bitsets,
+    # n^2 bits, are freed before the writer runs and are far below its peak).  With fixed
+    # >= 0, large_peak / small_peak is at most the larger of the two ratios, 1237 / 426 =
+    # 2.90 (75 / 42 = 1.79).  The text grows by the ratio of all pairs, 5550 / 1722 = 3.22:
+    # a writer that joined the whole text before writing it reads 3.13 here, and this one
+    # 2.37.
+    assert large_peak / small_peak <= max(m / n, admitted_large / admitted)
 
 
 def test_vertex_permutation_permutes_socle_and_geometry_factors(tmp_path, capsys):
@@ -1898,6 +1956,17 @@ def test_answer_over_int_digit_limit_exits_3(tmp_path, capsys, command, k):
     ], "max_path_length": 6}))
     layers = json.dumps([[1, 0]] + [[0, 0]] * 6)
     code = main([command, "--algebra", str(path), "--layers", layers, "--k", k])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert f"{sys.get_int_max_str_digits()}-digit" in err
+
+
+def test_components_seed_past_the_digit_limit_exits_3(component_algebras, capsys):
+    # the report stamps seeds s, s + 1, s + 2: at s = 10**4300 - 1, which the parser reads,
+    # s + 1 has one digit past the limit, so no report is written, not half of one
+    path, _ = component_algebras["double_back"]
+    code = main(["components", "--algebra", path, "--dimvec", "2,2",
+                 "--seed", "9" * sys.get_int_max_str_digits()])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert f"{sys.get_int_max_str_digits()}-digit" in err

@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genrep import components
 from genrep.algebra_core import dominates, enumerate_sequences
 from genrep.components import (
     _DOMINANCE,
@@ -298,6 +299,29 @@ def test_rows_match_the_per_pair_reference_beyond_the_oracle(request, fixture, d
     assert verdicts(rep) == tuple(closure_containment_test(alg, a, b)
                                   for i, a in enumerate(seqs)
                                   for j, b in enumerate(seqs) if i != j)
+
+
+def test_report_reads_tails_off_the_sums_and_the_reference_checks_its_pair(relay, monkeypatch):
+    # the report's sequences are enumerated, so realizable by construction: their tails are
+    # read off the partial sums, with no _layer_table, and give the verdicts of the per-pair
+    # reference, which takes its two sequences from outside, so reads _layer_table's and
+    # still checks them
+    def refused(alg, S):
+        raise AssertionError("component_report checked an enumerated sequence")
+
+    monkeypatch.setattr(components, "_layer_table", refused)
+    rep = component_report(relay, (1, 2, 2))
+    monkeypatch.undo()
+    seqs = rep.sequences
+    assert verdicts(rep) == tuple(closure_containment_test(relay, a, b)
+                                  for i, a in enumerate(seqs)
+                                  for j, b in enumerate(seqs) if i != j)
+    unrealizable = seq((1, 0, 0), (0, 3, 0), (0, 0, 0), (0, 0, 0))
+    with pytest.raises(UnrealizableError, match="is not realizable$"):
+        closure_containment_test(relay, unrealizable, unrealizable)
+    short = seq((1, 0, 0), (0, 3, 0), (0, 0, 0))
+    with pytest.raises(ValidationError, match="sequence has 3 layers, algebra needs 4"):
+        closure_containment_test(relay, short, short)
 
 
 def test_negative_max_top_dim_is_refused(double_back):
