@@ -11,7 +11,6 @@ stores its arrows in display order, i.e. ``arrows[0]`` is applied last and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
 from operator import add, lt, sub
@@ -147,22 +146,24 @@ class TruncatedAlgebra:
         return f"TruncatedAlgebra({self.quiver!r}, L={self.L})"
 
 
-@dataclass(frozen=True)
-class SemisimpleSequence:
-    """Candidate radical layering: per-vertex multiplicities for layers 0..L."""
+class SemisimpleSequence(NamedTuple("SemisimpleSequence",
+                                    [("layers", tuple[DimensionVector, ...])])):
+    """Candidate radical layering: per-vertex multiplicities for layers 0..L.  The layers
+    are checked and made tuples on construction, and the record hashes as ``(layers,)``."""
 
-    layers: tuple[DimensionVector, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if kinds := set(map(type, chain.from_iterable(self.layers))) - {int}:  # one C-level pass
+    def __new__(cls, layers):
+        if kinds := set(map(type, chain.from_iterable(layers))) - {int}:  # one C-level pass
             raise ValidationError("semisimple sequence entries must be int, got "
                                   + ", ".join(sorted(k.__name__ for k in kinds)))
-        object.__setattr__(self, "layers", tuple(map(tuple, self.layers)))
-        widths = {len(row) for row in self.layers}
+        layers = tuple(map(tuple, layers))
+        widths = {len(row) for row in layers}
         if len(widths) > 1:
             raise ValidationError("ragged semisimple sequence")
-        if any(x < 0 for row in self.layers for x in row):
+        if any(x < 0 for row in layers for x in row):
             raise ValidationError("negative multiplicity in semisimple sequence")
+        return super().__new__(cls, layers)
 
     @property
     def top(self) -> DimensionVector:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -171,8 +170,7 @@ def _poset(sequences, facts: _SiftFacts) -> SequencePoset:
     return SequencePoset(sequences, tuple(covers), minimal)
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     dim_vector: DimensionVector
     poset: SequencePoset
     # per inner i, {outer j: (verdict, evidence, confidence)} for the j != i dominance admits

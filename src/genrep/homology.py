@@ -48,29 +48,26 @@ def is_projective(alg: TruncatedAlgebra, c: CyclicType) -> bool:
     return c.truncation == alg.L + 1 or not any(alg.path_counts[c.vertex][c.truncation])
 
 
-class SyzygyProfile:
-    """Multiset of cyclic types; the state object of the syzygy recursion."""
+class SyzygyProfile(NamedTuple("SyzygyProfile",
+                                [("summands", tuple[tuple[CyclicType, int], ...])])):
+    """Multiset of cyclic types; the state object of the syzygy recursion.  Built from
+    cyclic types or (type, multiplicity) pairs, it holds the nonzero pairs sorted by type."""
 
-    def __init__(self, summands):
+    __slots__ = ()
+
+    def __new__(cls, summands):
         counts: dict[CyclicType, int] = {}
         for item in summands:
             c, mult = (item, 1) if isinstance(item, CyclicType) else item
             if mult:
                 counts[c] = counts.get(c, 0) + mult
-        self._items = tuple(sorted(counts.items(),
-                                   key=lambda kv: (kv[0].vertex, kv[0].truncation)))
+        return super().__new__(cls, tuple(sorted(counts.items())))  # the types are distinct
 
     def items(self) -> tuple[tuple[CyclicType, int], ...]:
-        return self._items
-
-    def __eq__(self, other):
-        return isinstance(other, SyzygyProfile) and self._items == other._items
-
-    def __hash__(self):
-        return hash(self._items)
+        return self.summands
 
     def __repr__(self):
-        inner = ", ".join(f"{c} x{m}" for c, m in self._items)
+        inner = ", ".join(f"{c} x{m}" for c, m in self.summands)
         return f"SyzygyProfile({inner})"
 
 

@@ -33,13 +33,11 @@ layering as a term rank, and so a generic rank (``generic_socle``).
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import functools
 import heapq
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -95,16 +93,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(NamedTuple("FieldSpec", [("modulus", int | None)])):
     """Prime field F_p, or exact rationals when ``modulus`` is None.  An element is a plain
     number: an ``int`` mod p; over Q an ``int``, or a ``Fraction`` a division or input made."""
 
-    modulus: int | None = MERSENNE_61
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.modulus is not None and not _is_prime(self.modulus):
-            raise ValidationError(f"{self.modulus} is not prime")
+    def __new__(cls, modulus=MERSENNE_61):
+        if modulus is not None and not _is_prime(modulus):
+            raise ValidationError(f"{modulus} is not prime")
+        return super().__new__(cls, modulus)
 
     @property
     def exact(self) -> bool:
@@ -304,7 +302,6 @@ class RowSpace:
 # representations
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
 class Representation:
     """Per-vertex spaces and per-arrow actions in sparse columns; immutable.
 
@@ -322,14 +319,13 @@ class Representation:
     routes: each entry is a triple (x0, x1, x2) of values at the points, each unit (1, 1, 1).
     """
 
-    algebra: TruncatedAlgebra
-    field: FieldSpec
-    dims: tuple[int, ...]
-    columns: dict[str, list[dict]]
-    basis_labels: dict[str, tuple] | None = None
-    top_elements: tuple[tuple[str, dict], ...] | None = None
-    _three: bool = dataclasses.field(default=False, repr=False)
-    _paths: dict = dataclasses.field(default_factory=dict, repr=False)
+    def __init__(self, algebra: TruncatedAlgebra, field: FieldSpec, dims: tuple[int, ...],
+                 columns: dict[str, list[dict]], basis_labels: dict[str, tuple] | None = None,
+                 top_elements: tuple[tuple[str, dict], ...] | None = None,
+                 _three: bool = False):
+        self.algebra, self.field, self.dims, self.columns = algebra, field, dims, columns
+        self.basis_labels, self.top_elements, self._three = basis_labels, top_elements, _three
+        self._paths: dict = {}
 
     def dim_at(self, v: str) -> int:
         return self.dims[self.algebra.vertex_pos(v)]

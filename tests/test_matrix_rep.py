@@ -1,6 +1,5 @@
 """Materialized representations: layering, socle, Hom, Ext, decomposability."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -1101,7 +1100,8 @@ def test_relation_matrix_hom_matches_stacking_on_generic_points(request, fixture
 
 
 def unlabelled(rep):
-    return dataclasses.replace(rep, basis_labels=None)
+    return Representation(rep.algebra, rep.field, rep.dims, rep.columns, None, rep.top_elements,
+                          rep._three)
 
 
 @pytest.mark.parametrize("fixture, dimvec", [("double_back", (2, 2)), ("relay", (2, 2, 1)),

@@ -11,21 +11,27 @@ its points.  A split module has a larger End: each of c summands has its own pro
 Voigt's tangent bound: Grass(S) is irreducible of dimension N, and its tangent space at
 C = Omega^1 G in P is Hom(C, P/C), of dimension Ext^1(G, G) + dim Hom(P, G) - dim End(G)
 by the long exact sequence of Hom(-, G) on 0 -> C -> P -> G -> 0.
+
+The seeded End has an oracle free of randomness on tiny presentations: every point of
+F_q^n lies in Rep_S, zeros included, Rep_S is irreducible (BHT 2009) and dim End is upper
+semicontinuous, so the least dim End over all q^n points is the generic value in
+characteristic q, which one generic F_q-point reaches.
 """
 
 import contextlib
 import io
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genrep.algebra_core import realizable
+from genrep.algebra_core import enumerate_sequences, realizable
 from genrep.cli import main
 from genrep.generic_builder import generic_presentation
 from genrep.matrix_rep import (RATIONALS, FieldSpec, _pair_assignment, decomposability,
                                ext_dim_detail, generic_end_dim, generic_hom_dim, generic_socle,
-                               materialize)
+                               hom_dim, materialize)
 
 from conftest import bundle_N, realizable_layerings, seq
 
@@ -111,6 +117,12 @@ def unrealizable_layerings(draw, alg):
                 .filter(lambda S: not realizable(alg, S)))
 
 
+def algebra_doc(alg):
+    return {"vertices": list(alg.vertices), "max_path_length": alg.L,
+            "arrows": [{"name": a.name, "source": a.source, "target": a.target}
+                       for a in alg.quiver.arrows]}
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("oracles")
@@ -124,10 +136,8 @@ def test_unrealizable_draws_exit_2_on_both_sides(request, fixture, workdir, data
     # side of a pair: an error on stderr, exit 2 and nothing on stdout, over F_p and Q
     alg = request.getfixturevalue(fixture)
     U = data.draw(unrealizable_layerings(alg))
-    files = {"alg": {"vertices": list(alg.vertices), "max_path_length": alg.L,
-                     "arrows": [{"name": a.name, "source": a.source, "target": a.target}
-                                for a in alg.quiver.arrows]},
-             "U": {"layers": U.layers}, "simple": {"layers": simple(alg, 0).layers}}
+    files = {"alg": algebra_doc(alg), "U": {"layers": U.layers},
+             "simple": {"layers": simple(alg, 0).layers}}
     path = {}
     for name, doc in files.items():
         path[name] = workdir / f"{fixture}-{name}.json"
@@ -144,3 +154,36 @@ def test_unrealizable_draws_exit_2_on_both_sides(request, fixture, workdir, data
             code = main(list(map(str, argv)))
         assert (code, out.getvalue()) == (2, ""), argv
         assert err.getvalue().startswith("error: ")
+
+
+def small_presentations(alg, q, most_points):
+    """Each realizable layering of dimension 1..5 and entries <= 3, with its generic
+    presentation, when that has n scalars and q^n <= ``most_points``."""
+    for dimvec in itertools.product(range(6), repeat=alg.n):
+        if not 0 < sum(dimvec) <= 5:
+            continue
+        for S in enumerate_sequences(alg, dimvec):
+            pres = generic_presentation(alg, S)
+            if max(map(max, S.layers)) <= 3 and q ** len(pres.scalar_ids) <= most_points:
+                yield S, pres
+
+
+@pytest.mark.parametrize("fixture", ORACLE_FIXTURES)
+def test_seeded_end_is_the_least_end_over_every_small_field_point(request, fixture, workdir):
+    # the CLI's seeded ``hom`` against the least dim End, through ``hom_dim``, over every
+    # point of F_5^n; above it the seeded route overstated, below it F_5 has no generic
+    # point or 5 is special for the minor
+    alg, F5 = request.getfixturevalue(fixture), FieldSpec(5)
+    path = workdir / f"{fixture}-end-oracle.json"
+    path.write_text(json.dumps(algebra_doc(alg)))
+    seen = []
+    for S, pres in small_presentations(alg, 5, 625):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["hom", "--algebra", str(path), "--layers", json.dumps(S.layers)]) == 0
+        least = min(hom_dim(M, M) for M in (
+            materialize(pres, point, F5)
+            for point in itertools.product(range(5), repeat=len(pres.scalar_ids))))
+        seen.append((S.layers, json.loads(out.getvalue())["hom_dim"], least))
+    assert len(seen) == {"double_back": 62, "loop_out": 69, "relay": 154, "kronecker": 27}[fixture]
+    assert [case for case in seen if case[1] != case[2]] == []
