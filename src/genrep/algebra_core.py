@@ -154,10 +154,10 @@ class SemisimpleSequence(NamedTuple("SemisimpleSequence",
     __slots__ = ()
 
     def __new__(cls, layers):
+        layers = tuple(map(tuple, layers))  # before the check, which would use up iterators
         if kinds := set(map(type, chain.from_iterable(layers))) - {int}:  # one C-level pass
             raise ValidationError("semisimple sequence entries must be int, got "
                                   + ", ".join(sorted(k.__name__ for k in kinds)))
-        layers = tuple(map(tuple, layers))
         widths = {len(row) for row in layers}
         if len(widths) > 1:
             raise ValidationError("ragged semisimple sequence")

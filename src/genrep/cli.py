@@ -16,6 +16,7 @@ import os
 import sys
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _encode_str
+from types import GeneratorType
 
 from . import __version__
 from .algebra_core import (
@@ -128,19 +129,13 @@ def _dimvec(raw: str) -> tuple[int, ...]:
         raise ValidationError(f"malformed dimension vector {raw!r}") from None
 
 
-def _dumps(obj, pad: str, memo: dict) -> str:
+def _dumps(obj, pad: str) -> str:
     """``json.dumps(obj, indent=2)`` without the pure-Python indenting encoder.
 
-    ``pad`` is a newline plus the indentation of ``obj``; ``memo`` maps the id of each
-    list, tuple or dict already encoded to its first (pad, text), so a block shared by
-    many parents is encoded once.  At another pad its text is that text with the old pad
-    replaced by the new, kept under (id, pad); that is exact, as encoded JSON holds no
-    raw newline and every newline in a block is followed by at least the block's pad.
-    Lists and dicts put their ``int`` and ``str`` entries, and those kept under (id, pad),
-    in place, without a call each.  A dict with a non-``str`` key, like other value types,
-    goes to ``json.dumps``, re-indented by replacing each newline.  ``_ROWS`` is a raw NUL,
-    which no encoded JSON holds.
-    """
+    ``pad`` is a newline plus the indentation of ``obj``.  Lists and dicts put their ``int``
+    and ``str`` entries in place, without a call each, and are joined by ``_block``.  A dict
+    with a non-``str`` key, like other value types, goes to ``json.dumps``, re-indented by
+    replacing each newline."""
     kind = type(obj)
     if kind is str:
         return _encode_str(obj)
@@ -148,71 +143,65 @@ def _dumps(obj, pad: str, memo: dict) -> str:
         return int.__repr__(obj)
     if obj is None or kind is bool:
         return {None: "null", True: "true", False: "false"}[obj]
-    if obj is _ROWS:
-        return "\0"
-    first = memo.get(id(obj))
-    if first:
-        old_pad, text = first
-        if old_pad != pad:
-            text = memo.get((id(obj), pad)) or memo.setdefault(
-                (id(obj), pad), text.replace(old_pad, pad))
-        return text
-    inner, parts = pad + "  ", None
-    if kind is list or kind is tuple:
-        parts, ends = [int.__repr__(x) if type(x) is int else _encode_str(x) if type(x) is str
-                       else memo.get((id(x), inner)) or _dumps(x, inner, memo) for x in obj], "[]"
-    elif kind is dict and all(type(k) is str for k in obj):
-        parts, ends = [_encode_str(k) + ": " + (
-            int.__repr__(v) if type(v) is int else _encode_str(v) if type(v) is str
-            else memo.get((id(v), inner)) or _dumps(v, inner, memo)) for k, v in obj.items()], "{}"
-    if parts is None:
-        text = json.dumps(obj, indent=2).replace("\n", pad)
-    elif parts:
-        # the brackets go onto the end parts, so the parts are copied once, by the join
-        parts[0] = ends[0] + inner + parts[0]
-        parts[-1] += pad + ends[1]
-        text = ("," + inner).join(parts)
-    else:
-        text = ends
-    memo[id(obj)] = pad, text
-    return text
-
-
-_ROWS = object()  # where ``_emit`` writes its rows
-
-
-def _skeleta_rows(skeleta):
-    """The text of ``_dumps`` for a top-level "skeleta" list, one piece per skeleton.  Each
-    distinct top and element is one dict, keyed by value, so the one memo encodes it once; a
-    skeleton's own dict and list leave it once written, as a later one may reuse their ids."""
-    shared, memo, sep = {}, {}, "[\n    "
-    for sk in skeleta:
-        top = shared.get(sk.top) or shared.setdefault(
-            sk.top, [{"r": r, "vertex": v} for r, v in enumerate(sk.top, start=1)])
-        data = {"top": top, "elements": [shared.get(el) or shared.setdefault(
-            el, element_to_json(el)) for el in sk.elements]}
-        yield sep + _dumps(data, "\n    ", memo)
-        del memo[id(data)], memo[id(data["elements"])]
-        sep = ",\n    "
-    yield "[]" if sep == "[\n    " else "\n  ]"
-
-
-def _critical_json(alg, sk) -> list[dict]:
-    """The ``critical`` report: each critical path of ``sk`` with its sigma-set, each skeleton
-    element one dict, keyed by value, in every parent, sigma-set, zero and one part."""
-    shared = {el: element_to_json(el) for el in sk.elements}
-    return [{"arrow": s.critical.arrow, "parent": shared[s.critical.parent],
-             "path": _critical_path_to_json(alg, s),
-             "sigma_set": [shared[el] for el in s.members],
-             "zero_part": [shared[el] for el in s.zero_part],
-             "one_part": [shared[el] for el in s.one_part]}
-            for s in critical_paths(alg, sk)]
-
-
-def _block(texts, pad: str) -> str:
-    """The text of a JSON list at ``pad`` whose entries have the texts ``texts``."""
     inner = pad + "  "
-    return "[" + inner + ("," + inner).join(texts) + pad + "]" if texts else "[]"
+    if kind is list or kind is tuple:
+        return _block([int.__repr__(x) if type(x) is int else _encode_str(x) if type(x) is str
+                       else _dumps(x, inner) for x in obj], pad)
+    if kind is dict and all(type(k) is str for k in obj):
+        return _block([_encode_str(k) + ": " + (
+            int.__repr__(v) if type(v) is int else _encode_str(v) if type(v) is str
+            else _dumps(v, inner)) for k, v in obj.items()], pad, "{}")
+    return json.dumps(obj, indent=2).replace("\n", pad)
+
+
+def _block(texts: list, pad: str, ends: str = "[]") -> str:
+    """The JSON list (with ``ends`` "{}", object) at ``pad`` of the entry texts ``texts``; the
+    brackets go onto the end texts, which it changes, so each text is copied once, by the join."""
+    if not texts:
+        return ends
+    inner = pad + "  "
+    texts[0] = ends[0] + inner + texts[0]
+    texts[-1] += pad + ends[1]
+    return ("," + inner).join(texts)
+
+
+def _skeleta_rows(count: int, skeleta):
+    """The ``skeleta`` report as ``json.dumps(indent=2)`` writes it, in pieces: one per
+    skeleton, the head on the first and the tail on the last.  Each distinct top and element
+    is encoded once, its text kept by value, and each skeleton is a template around them."""
+    tops, texts, pad, item = {}, {}, "\n    ", "\n      "
+    head = '{\n  "count": %d,\n  "skeleta": ' % count
+    sep = head + "[" + pad
+    for sk in skeleta:
+        top = tops.get(sk.top) or tops.setdefault(sk.top, _dumps(
+            [{"r": r, "vertex": v} for r, v in enumerate(sk.top, start=1)], item))
+        yield f'{sep}{{{item}"top": {top},{item}"elements": ' + _block([
+            texts.get(el) or texts.setdefault(el, _dumps(element_to_json(el), item + "  "))
+            for el in sk.elements], item) + pad + "}"
+        sep = "," + pad
+    yield head + "[]\n}" if sep[0] == "{" else "\n  ]\n}"
+
+
+def _critical_rows(alg, sk):
+    """The ``critical`` report as ``json.dumps(indent=2)`` writes it, in pieces: one per
+    critical path of ``sk`` with its sigma-set, the brackets on the first and the last.  Each
+    distinct element is encoded once per pad (a parent's, a part's), its text kept by value."""
+    texts, pad, item = {}, "\n    ", "\n      "
+
+    def text(el, at):
+        return texts.get((el, at)) or texts.setdefault((el, at), _dumps(element_to_json(el), at))
+
+    sep = "[\n  "
+    for s in critical_paths(alg, sk):
+        yield sep + _block([
+            '"arrow": ' + _encode_str(s.critical.arrow),
+            '"parent": ' + text(s.critical.parent, pad),
+            '"path": ' + _dumps(_critical_path_to_json(alg, s), pad),
+            *(f'"{key}": ' + _block([text(el, item) for el in els], pad) for key, els in (
+                ("sigma_set", s.members), ("zero_part", s.zero_part),
+                ("one_part", s.one_part)))], "\n  ", "{}")
+        sep = ",\n  "
+    yield "[]" if sep[0] == "[" else "\n]"
 
 
 def _report_rows(rep):
@@ -224,7 +213,7 @@ def _report_rows(rep):
     those of the pairs ``rep.rows`` admits written over."""
     seqs, pad, entry, item = rep.sequences, "\n  ", "\n    ", "\n      "
     end = "," + _dumps({"seed": list(rep.seeds), "field_modulus": rep.field_modulus,
-                        "confidence": "seeded-generic", "version": __version__}, "\n", {})[1:]
+                        "confidence": "seeded-generic", "version": __version__}, "\n")[1:]
     depth, flat = len(seqs[0].layers) if seqs else 0, [sum(S.layers, ()) for S in seqs]
     # each sequence's text at the pads of "sequences", of a pair's members and of a container
     top, inner, contained = ([form % f for f in flat] for form in (
@@ -236,7 +225,7 @@ def _report_rows(rep):
                  for i, js in sorted(rep.possibly_redundant.items())]
     yield "{" + ",".join(f'{pad}"{key}": {text}' for key, text in (
         ("dim_vector", _block(list(map(str, rep.dim_vector)), pad)),
-        ("sequences", _block(top, pad)),
+        ("sequences", _block(top.copy(), pad)),
         ("hasse_edges", _block([edge % e for e in rep.poset.hasse_edges], pad)),
         ("class0", _block([top[i] for i in rep.class0], pad)),
         ("candidates", _block([top[i] for i in rep.candidates], pad)),
@@ -245,8 +234,8 @@ def _report_rows(rep):
     del top, contained, redundant  # the head's alone: not held while the rows are written
     sep = "," + entry
     codes = {id(c): c for row in (*rep.rows, {0: _DOMINANCE, 1: _POSSIBLE}) for c in row.values()}
-    tails = {key: "," + _dumps(dict(zip(("verdict", "evidence", "confidence"), code)), entry,
-                               {})[1:] + sep for key, code in codes.items()}
+    tails = {key: "," + _dumps(dict(zip(("verdict", "evidence", "confidence"), code)), entry)[1:]
+             + sep for key, code in codes.items()}
     excluded = [t + tails[id(_DOMINANCE)] for t in inner]
     possible = [t + tails[id(_POSSIBLE)] for t in inner]
     rows = rep.rows if len(seqs) > 1 else ()  # one sequence has no pair
@@ -263,21 +252,20 @@ def _report_rows(rep):
     yield end
 
 
-def _emit(data, rows=()) -> int:
-    """Print ``data`` as ``json.dumps(data, indent=2)``, with the pieces of ``rows``
-    written one by one where it holds ``_ROWS``, after all the rest is encoded and the
-    first piece is made, so that a failure before then writes nothing."""
+def _emit(data) -> int:
+    """Print ``data``, a value, as ``json.dumps(data, indent=2)``, or, a generator of a
+    report's text, its pieces one by one once the first is made, so that a failure before
+    then writes nothing."""
     try:
-        head, _, rest = _dumps(data, "\n", {}).partition("\0")
-        rows = iter(rows)
-        first = next(rows, "")
+        pieces = data if isinstance(data, GeneratorType) else iter([_dumps(data, "\n")])
+        first = next(pieces)
     except ValueError:
-        # only an int over the interpreter's digit limit fails to encode, in the rest or in
-        # the first piece (which encodes every integer of the components report)
+        # only an int over the interpreter's digit limit fails to encode, in a value or in a
+        # report's first piece (which encodes every integer of the components report)
         limit = sys.get_int_max_str_digits()
         raise EnumerationCapError(limit, "answer holds an integer over Python's "
                                          f"{limit}-digit string limit") from None
-    sys.stdout.writelines(chain([head, first], rows, [rest + "\n"]))
+    sys.stdout.writelines(chain([first], pieces, ["\n"]))
     return 0
 
 
@@ -389,7 +377,7 @@ def cmd_skeleta(args, alg, S):
             print(f"# skeleton {i}")
             print(skeleton_text(alg, sk))
         return 0
-    return _emit({"count": count, "skeleta": _ROWS}, _skeleta_rows(sks))
+    return _emit(_skeleta_rows(count, sks))
 
 
 def cmd_critical(args, alg, S):
@@ -397,7 +385,7 @@ def cmd_critical(args, alg, S):
     if args.format == "dot":
         print(skeleton_dot(alg, sk, [(sset, ()) for sset in critical_paths(alg, sk)]))
         return 0
-    return _emit(_critical_json(alg, sk))
+    return _emit(_critical_rows(alg, sk))
 
 
 def cmd_generic(args, alg, S):
@@ -468,14 +456,14 @@ def cmd_components(args, alg, S):
         print(hasse_dot(sequence_poset(alg, sequences)))
         return 0
     rep = component_report(alg, dimvec, top, args.max_top_dim, seeds, fs, args.cap)
-    return _emit(_ROWS, _report_rows(rep))
+    return _emit(_report_rows(rep))
 
 
 def cmd_point_skeleta(args, alg, S):
     fs = _field(args, default=RATIONALS)
     rep = module_point_from_json(_load_json(args.module), alg, fs)
     sks = distinguished_skeleta_of(rep, cap=args.cap)
-    return _emit({"count": len(sks), "skeleta": _ROWS}, _skeleta_rows(sks))
+    return _emit(_skeleta_rows(len(sks), sks))
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,14 @@ digraph dominance {
     # all 360 skeleta of d = 14, 557,318 bytes
     Pin("relay-skeleta-d14", f"skeleta --algebra relay.json --layers {D14}",
         Digest("e3f55b65498c8e94824fec438e8e7cb7c58cdb41922ad1e5fa05c1b9fa228b03")),
+    # the canonical skeleton's critical paths, each member at the pads of a parent and of a
+    # sigma-set, zero or one part, 6,345 bytes; and its hypergraph, 4,737 bytes
+    Pin("relay-critical-d14", f"critical --algebra relay.json --layers {D14}",
+        Digest("1ad64cd67fb805ffe63651b042acc4dc6c86610cdff140c0e493cc90ebed5b27"),
+        checks=(is_stdlib_json,)),
+    Pin("relay-hypergraph-d14", f"hypergraph --algebra relay.json --layers {D14}",
+        Digest("239fc0c63feb2fda774d8c390d683e24a0253782d08541880391e3138745ea16"),
+        checks=(is_stdlib_json,)),
     # pair mode over F_p: M at d = 28 and N a point of the d = 14 module; ext --seq2
     # broadcasts its one point N to meet M's three seeded points
     Pin("relay-hom-pair", f"hom --layers {D28} --seq2 s14.json {RELAY}", seeded(hom_dim=16)),
@@ -316,6 +324,12 @@ digraph dominance {
     Pin("loop-point-skeleta", f"point-skeleta {LOOP} --module x2mod.json", {"count": 1,
         "skeleta": [{"top": [{"r": 1, "vertex": "1"}], "elements": [path(1), path(1, "x")]}]}),
     Pin("loop-ext-simple", f"ext --k 1 {LOOP} --layers {SIMPLE}", ext(1)),
+    # the one deep skeleton of the free module, 2,001 members: its skeleta JSON, 34,161,224
+    # bytes, and its hypergraph JSON, 30,139,121 bytes
+    Pin("loop-skeleta-free", f"skeleta {LOOP} --layers {FREE}",
+        Digest("927ddf4b26bbf3ff47ef3c9bbc67d20a2d56819851ffb262a3673f08db1d9e01")),
+    Pin("loop-hypergraph-free", f"hypergraph {LOOP} --layers {FREE}",
+        Digest("802c65e89aeb4196d23f9c234b9d1c77fc1be62f8e75f58ad1f217d04ae65040")),
     # the three-loop quotient at L = 7, byte for byte over Q and over F_p: 931,680 bytes,
     # "count": 2; its submodule C fills a RowSpace of dimension 1,701
     *(Pin(f"loop3-point-skeleta{suffix}", f"point-skeleta --algebra loop3.json --module xyz.json"

@@ -1,5 +1,7 @@
 """Generic presentations, hypergraphs, bundle towers."""
 
+import json
+
 import pytest
 
 from genrep.algebra_core import enumerate_sequences
@@ -10,9 +12,10 @@ from genrep.generic_builder import (
     hypergraph,
     presentation_to_json,
 )
-from genrep.skeleta import critical_paths, element_to_json
+from genrep.skeleta import canonical_skeleton, critical_paths, element_to_json
 
-from conftest import bundle_N, enumerate_skeleta, hypergraph_at, present, seq, skeleton_layer
+from conftest import (_alg, bundle_N, enumerate_skeleta, hypergraph_at, present, seq,
+                      skeleton_layer)
 
 
 def rel_strings(pres):
@@ -114,31 +117,40 @@ def test_presentation_json_shape(double_back):
     assert scalars == [f"x_{i}" for i in range(len(scalars))]
 
 
-def test_critical_report_shares_one_object_per_element(relay, monkeypatch):
-    # the cli builder makes one object per skeleton element, used in every parent,
-    # sigma-set, zero and one part of the report, and the report equals one made with a
-    # fresh object per occurrence
+def test_critical_report_encodes_each_element_once_per_pad(relay, monkeypatch):
+    # the cli writer encodes each skeleton element once per pad it takes (a parent's, and a
+    # sigma-set, zero or one part member's), keeps its text by value, and writes the
+    # stdlib's text of the report made with a fresh object per occurrence
     from genrep import cli
+
+    def stdlib(alg, sk):
+        return json.dumps([{
+            "arrow": s.critical.arrow, "parent": element_to_json(s.critical.parent),
+            "path": {"r": s.critical.r, "arrows": list(s.critical.path(alg).arrows)},
+            "sigma_set": [element_to_json(m) for m in s.members],
+            "zero_part": [element_to_json(m) for m in s.zero_part],
+            "one_part": [element_to_json(m) for m in s.one_part],
+        } for s in critical_paths(alg, sk)], indent=2)
+
     S = seq((2, 1, 1), (0, 5, 1), (0, 0, 3), (0, 1, 0))
     made, to_json = [], cli.element_to_json
     monkeypatch.setattr(cli, "element_to_json", lambda el: made.append(el) or to_json(el))
     for sk in enumerate_skeleta(relay, S)[:3]:
         made.clear()
-        data = cli._critical_json(relay, sk)
-        assert sorted(made) == sorted(sk.elements)
-        assert data == [{
-            "arrow": s.critical.arrow, "parent": element_to_json(s.critical.parent),
-            "path": {"r": s.critical.r, "arrows": list(s.critical.path(relay).arrows)},
-            "sigma_set": [element_to_json(m) for m in s.members],
-            "zero_part": [element_to_json(m) for m in s.zero_part],
-            "one_part": [element_to_json(m) for m in s.one_part],
-        } for s in critical_paths(relay, sk)]
-        first, seen = {}, 0
-        for d in data:
-            for el in [d["parent"], *d["sigma_set"], *d["zero_part"], *d["one_part"]]:
-                assert first.setdefault((el["r"], tuple(el["arrows"])), el) is el
-                seen += 1
-        assert len(first) < seen
+        rows = list(cli._critical_rows(relay, sk))
+        sets = critical_paths(relay, sk)
+        assert len(rows) == len(sets) + 1 > 2 and "".join(rows) == stdlib(relay, sk)
+        parents = {s.critical.parent for s in sets}
+        members = {el for s in sets for el in (*s.members, *s.zero_part, *s.one_part)}
+        assert sorted(made) == sorted([*parents, *members])
+        assert len(made) < sum(1 + len(s.members) + len(s.zero_part) + len(s.one_part)
+                               for s in sets)
+    # no critical path: the vertex-less quiver's skeleton, with no top and no element, and
+    # one loop's free module
+    for alg, S in ((_alg([], [], 2), seq((), (), ())),
+                   (_alg(["1"], [("x", "1", "1")], 2), seq((1,), (1,), (1,)))):
+        sk = canonical_skeleton(alg, S)
+        assert "".join(cli._critical_rows(alg, sk)) == "[]" == stdlib(alg, sk)
 
 
 def test_bundle_tower_double_back(double_back):

@@ -52,6 +52,20 @@ def test_a_sequence_from_lists_is_the_sequence_from_tuples():
     assert from_lists.layers == ((1, 0), (0, 2), (0, 0))
 
 
+def test_a_sequence_from_iterators_keeps_its_rows():
+    # rows read once, from an iterator of lists or a list of iterators, are made tuples
+    # before the entries are checked, so the check does not use them up
+    want = SemisimpleSequence(((1, 0), (0, 1)))
+    assert SemisimpleSequence(iter([[1, 0], [0, 1]])) == want
+    assert SemisimpleSequence([iter([1, 0]), iter([0, 1])]) == want
+    assert SemisimpleSequence(iter([1, 0]) for _ in range(2)).layers == ((1, 0), (1, 0))
+    for layers, message in ((iter([[1.0], [-1]]), "semisimple sequence entries must be int, "
+                             "got float"), (iter([[1, 0], [1]]), "ragged semisimple sequence"),
+                            ([iter([1, -1])], "negative multiplicity in semisimple sequence")):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            SemisimpleSequence(layers)
+
+
 def round_trips(record):
     return [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
 

@@ -243,30 +243,34 @@ def test_count_matches_enumeration_random(double_back, rows):
     assert count_skeleta(double_back, S) == len(enumerate_skeleta(double_back, S))
 
 
-def test_skeleta_json_shares_one_object_per_element(relay, monkeypatch):
-    # the cli writer makes one dict per distinct element across the skeleta of one output,
-    # and writes, skeleton by skeleton, the stdlib's text of the reference's fresh objects
+def test_skeleta_json_encodes_each_element_once(relay, monkeypatch):
+    # the cli writer encodes each distinct top and element once per report, keeps its text
+    # by value, and writes, skeleton by skeleton, the stdlib's text of the reference's dicts
     from genrep import cli
 
-    def stdlib(skeleta):  # the text of the list at a top-level key
-        data = json.dumps({"skeleta": skeleta_to_json(skeleta)}, indent=2)
-        return data[len('{\n  "skeleta": '):-len("\n}")]
+    def stdlib(skeleta):
+        return json.dumps({"count": len(skeleta), "skeleta": skeleta_to_json(skeleta)},
+                          indent=2)
 
     sks = enumerate_skeleta(relay, S_DIM14)
     made, to_json, tops, dumps = [], cli.element_to_json, [], cli._dumps
     monkeypatch.setattr(cli, "element_to_json", lambda el: made.append(el) or to_json(el))
-    monkeypatch.setattr(cli, "_dumps", lambda obj, pad, memo: (
-        type(obj) is dict and "top" in obj and tops.append(obj["top"])) or dumps(obj, pad, memo))
-    rows = list(cli._skeleta_rows(iter(sks)))
+    monkeypatch.setattr(cli, "_dumps", lambda obj, pad: (type(obj) is list and obj and type(
+        obj[0]) is dict and "vertex" in obj[0] and tops.append(obj)) or dumps(obj, pad))
+    rows = list(cli._skeleta_rows(len(sks), iter(sks)))
     assert len(rows) == len(sks) + 1 > 2 and "".join(rows) == stdlib(sks)
-    assert len(tops) == len(sks) and all(top is tops[0] for top in tops)
+    assert len(tops) == len({sk.top for sk in sks}) == 1
     distinct = {el for sk in sks for el in sk.elements}
     assert sorted(made) == sorted(distinct)
     assert len(distinct) < sum(len(sk.elements) for sk in sks)
-    # no skeleton, and the vertex-less quiver's skeleton, with no top and no element, twice
-    sk = canonical_skeleton(_alg([], [], 2), seq((), (), ()))
-    for skeleta in ([], [sk, sk]):
-        assert "".join(cli._skeleta_rows(iter(skeleta))) == stdlib(skeleta)
+    # no skeleton; the vertex-less quiver's skeleton, with no top and no element, twice; and
+    # one loop's free module, whose skeleton has no critical path
+    empty = canonical_skeleton(_alg([], [], 2), seq((), (), ()))
+    loop = _alg(["1"], [("x", "1", "1")], 2)
+    free = canonical_skeleton(loop, seq((1,), (1,), (1,)))
+    assert critical_paths(loop, free) == []
+    for skeleta in ([], [empty, empty], [free]):
+        assert "".join(cli._skeleta_rows(len(skeleta), iter(skeleta))) == stdlib(skeleta)
 
 
 def test_skeleton_json_errors(double_back):
